@@ -14,7 +14,7 @@ convention; finite-difference checks must stay away from kinks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -239,10 +239,6 @@ def add_rowvec(m: Node, v: Node) -> Node:
     return add(m, expand_rows(v, m.value.shape[0]))
 
 
-def dot(a: Node, b: Node) -> Node:
-    return asum(mul(a, b))
-
-
 def log_softmax(logits: Node) -> Node:
     """Row-wise log softmax; the per-row max shift is detached."""
     k = logits.value.shape[1]
@@ -326,11 +322,6 @@ def value_and_grad(f: LossFn, theta: ParamVector, batch) -> tuple[float, ParamVe
     if not np.all(np.isfinite(g.value)):
         raise NumericError(f"non-finite gradient in {_loss_name(f)}")
     return val, ParamVector(g.value)
-
-
-def grad(f: LossFn, theta: ParamVector, batch) -> ParamVector:
-    """First-order gradient of f at theta; does not mutate theta."""
-    return value_and_grad(f, theta, batch)[1]
 
 
 def hvp(f: LossFn, theta: ParamVector, v: ParamVector, batch) -> ParamVector:
@@ -435,19 +426,14 @@ def inner_adapt(
     )
 
 
-def meta_grad(
-    trace: AdaptTrace,
-    g_outer: ParamVector,
-    f_inner: LossFn | None = None,
-    batches_inner: Sequence | None = None,
-    mode: str = "exact",
-) -> ParamVector:
+def meta_grad(trace: AdaptTrace, g_outer: ParamVector, mode: str = "exact") -> ParamVector:
     """Gradient of the outer loss w.r.t. the trace's initial parameters.
 
     Exact mode backpropagates g_outer through every inner step:
     v <- v - rate * H(theta_j) v, visited in reverse step order, where
-    H(theta_j) is the inner-loss Hessian at the parameters before step j.
-    First-order mode returns g_outer unchanged.
+    H(theta_j) is the Hessian of trace.loss_fn on trace.batch at the
+    parameters before step j.  First-order mode, and a trace with no steps,
+    return g_outer unchanged.
     """
     if mode not in ("exact", "first_order"):
         raise ContractError(f"unknown meta_grad mode {mode!r}")
@@ -457,23 +443,14 @@ def meta_grad(
         )
     if mode == "first_order" or not trace.steps:
         return g_outer
-    f = f_inner if f_inner is not None else trace.loss_fn
-    if f is None:
-        raise ContractError("meta_grad exact mode needs the inner loss function")
-    if batches_inner is None:
-        batches = [trace.batch] * len(trace.steps)
-    elif len(batches_inner) == len(trace.steps):
-        batches = list(batches_inner)
-    else:
-        raise ContractError(
-            f"got {len(batches_inner)} inner batches for {len(trace.steps)} steps"
-        )
+    if trace.loss_fn is None:
+        raise ContractError("meta_grad exact mode needs the trace's inner loss function")
     points = trace.replay_points()
     v = g_outer
     for j in reversed(range(len(trace.steps))):
         rate = trace.steps[j].rate
         if rate == 0.0:
             continue
-        h = hvp(f, points[j], v, batches[j])
+        h = hvp(trace.loss_fn, points[j], v, trace.batch)
         v = v.minus_scaled(h, rate)
     return v

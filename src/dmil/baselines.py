@@ -3,17 +3,16 @@
 * maml_train_step: one monolithic policy, inner-adapt on the second phase
   batch and meta-update on the fourth, so paired runs consume the exact
   batches the hierarchical step would.  With K=1 the hierarchical step's
-  sub-skill update is bit-identical to this.
-* high/low ablations: only one level is meta-learned; the other receives a
-  plain pooled gradient.  Both are flag configurations of the main step, so
-  lifting the restriction reproduces the full method bitwise.
+  sub-skill meta-gradient is bit-identical to this.
+* The high/low ablations need no code here: they are the main step with
+  TrainConfig.meta_low or meta_high off.
 * em_only_train: hard-EM alternation on pooled data with no meta-learning;
   a supervised stand-in for non-meta hierarchical baselines.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -23,13 +22,11 @@ from .autodiff import ParamVector, inner_adapt, meta_grad
 from .data import Trajectory, flatten_trajectories
 from .dmil import (
     SkillBatch,
-    StepResult,
     TrainConfig,
     build_high_batch,
     hard_labels,
     make_high_loss,
     make_skill_loss,
-    meta_train_step,
     partition_pairs,
     sample_phase_batches,
 )
@@ -39,7 +36,6 @@ from .rng import SplitMix64, derive_seed
 
 @dataclass(frozen=True)
 class MamlStepResult:
-    theta: ParamVector
     g: ParamVector  # reduced meta-gradient
     outer_loss: float
     diverged_count: int
@@ -53,7 +49,8 @@ def maml_train_step(
     step_seed: int,
     features: str = "raw",
 ) -> MamlStepResult:
-    """One meta-update of a monolithic behavior-cloning policy."""
+    """Reduced meta-gradient of a monolithic behavior-cloning policy over
+    one batch of tasks; the caller applies the outer update."""
     loss = make_skill_loss(shape)
     total = ParamVector.zeros(len(theta))
     vals = []
@@ -73,31 +70,10 @@ def maml_train_step(
     if cfg.outer_reduce == "mean":
         total = total.scaled(1.0 / len(tasks))
     return MamlStepResult(
-        theta=theta.minus_scaled(total, cfg.outer_rate),
         g=total,
         outer_loss=float(np.mean(vals)),
         diverged_count=diverged,
     )
-
-
-def dmil_high_step(
-    params: HierarchicalParams,
-    tasks: Sequence,
-    cfg: TrainConfig,
-    step_seed: int,
-) -> StepResult:
-    """Meta-learn only the selector; sub-skills get plain pooled gradients."""
-    return meta_train_step(params, tasks, replace(cfg, meta_high=True, meta_low=False), step_seed)
-
-
-def dmil_low_step(
-    params: HierarchicalParams,
-    tasks: Sequence,
-    cfg: TrainConfig,
-    step_seed: int,
-) -> StepResult:
-    """Meta-learn only the sub-skills; the selector gets a plain pooled gradient."""
-    return meta_train_step(params, tasks, replace(cfg, meta_high=False, meta_low=True), step_seed)
 
 
 @dataclass(frozen=True)

@@ -42,7 +42,9 @@ DEFAULT_CONFIG: dict = {
         "batch_size": 16,
         "tasks_per_step": 5,
         "ho_labels": "adapted",
-        "outer_optimizer": "sgd",  # or "adam" (outer_rate is its learning rate)
+        # Outer update of dmil, dmil_high, dmil_low and maml at outer_rate:
+        # "sgd" or "adam".  em_only always takes plain descent at outer_rate.
+        "outer_optimizer": "sgd",
         # Hard-EM warm start (shared verbatim by every method under one seed):
         # label-routed alternations, then selector-only consolidation.
         "warmup_epochs": 0,
@@ -83,6 +85,7 @@ DEFAULT_CONFIG: dict = {
 }
 
 METHODS = ("dmil", "dmil_high", "dmil_low", "maml", "em_only")
+OUTER_OPTIMIZERS = ("sgd", "adam")
 
 
 def _merge(defaults: dict, override: dict, path: str) -> dict:
@@ -109,6 +112,11 @@ def resolve_config(overrides: dict | None = None, seed: int | None = None) -> di
     if cfg["dmil"]["method"] not in METHODS:
         raise ConfigError(
             f"unknown method {cfg['dmil']['method']!r}; valid methods: {', '.join(METHODS)}"
+        )
+    if cfg["dmil"]["outer_optimizer"] not in OUTER_OPTIMIZERS:
+        raise ConfigError(
+            f"unknown outer_optimizer {cfg['dmil']['outer_optimizer']!r}; "
+            f"valid optimizers: {', '.join(OUTER_OPTIMIZERS)}"
         )
     return cfg
 

@@ -16,9 +16,10 @@ pre-step parameters:
                             adapted selector), pushed back through each
                             sub-skill's inner steps.
 
-Meta-gradients are summed over tasks in list order and applied in one atomic
-update; no phase ever sees post-update parameters.  Hard label and routing
-argmins are constants: no gradient flows through them.
+Meta-gradients are summed over tasks in list order and returned for one
+atomic update, which the caller (runner.train) applies; no phase ever sees
+post-update parameters.  Hard label and routing argmins are constants: no
+gradient flows through them.
 """
 
 from __future__ import annotations
@@ -208,26 +209,6 @@ def build_high_batch(
     return HighBatch(featurize(states, features), labels.onehot, slices, aux_weight)
 
 
-def high_loss(
-    selector: ParamVector,
-    shape: MlpShape,
-    trajs: Sequence[Trajectory],
-    labels: SkillLabels,
-    aux_weight: float,
-    features: str = "raw",
-) -> float:
-    """Scalar value of the selector loss (same code path as its gradients)."""
-    return ad.loss_value(
-        make_high_loss(shape), selector, build_high_batch(trajs, labels, aux_weight, features)
-    )
-
-
-def skill_loss_value(
-    skill: ParamVector, shape: MlpShape, states: np.ndarray, actions: np.ndarray
-) -> float:
-    return ad.loss_value(make_skill_loss(shape), skill, SkillBatch(states, actions))
-
-
 # ---------------------------------------------------------------------------
 # the four phases
 # ---------------------------------------------------------------------------
@@ -267,14 +248,17 @@ def li_step(
     return tuple(traces)
 
 
-def _ho(
+def ho_grad(
     trace_h: AdaptTrace,
     params: HierarchicalParams,
     trajs3: Sequence[Trajectory],
     label_skills: Sequence[ParamVector],
     aux_weight: float,
-    mode: str,
+    mode: str = "exact",
 ) -> tuple[ParamVector, float]:
+    """Selector meta-gradient and outer loss: the loss at the adapted
+    selector, pushed back through its inner steps.  Labels come from
+    label_skills and are fixed."""
     states, actions, _ = flatten_trajectories(trajs3)
     labels = hard_labels(states, actions, label_skills, params.skill_shape, params.feature_kind)
     batch = build_high_batch(trajs3, labels, aux_weight, params.feature_kind)
@@ -283,26 +267,16 @@ def _ho(
     return meta_grad(trace_h, g_outer, mode=mode), val
 
 
-def ho_grad(
-    trace_h: AdaptTrace,
-    params: HierarchicalParams,
-    trajs3: Sequence[Trajectory],
-    adapted_skills: Sequence[ParamVector],
-    aux_weight: float,
-    mode: str = "exact",
-) -> ParamVector:
-    """Selector meta-gradient: outer loss at the adapted selector, pushed back
-    through its inner steps.  Labels come from adapted_skills and are fixed."""
-    return _ho(trace_h, params, trajs3, adapted_skills, aux_weight, mode)[0]
-
-
-def _lo(
+def lo_grad(
     traces_l: Sequence[AdaptTrace],
     selector: ParamVector,
     params: HierarchicalParams,
     trajs4: Sequence[Trajectory],
-    mode: str,
+    mode: str = "exact",
 ) -> tuple[list[ParamVector], float]:
+    """Per-skill meta-gradients and the pooled outer loss on the fourth
+    batch, routed by the adapted selector.  Skills whose routed set is empty
+    contribute zero vectors."""
     part = partition_by_skill(selector, params.high_shape, trajs4, params.feature_kind)
     loss = make_skill_loss(params.skill_shape)
     grads: list[ParamVector] = []
@@ -320,18 +294,6 @@ def _lo(
     return grads, pooled
 
 
-def lo_grad(
-    traces_l: Sequence[AdaptTrace],
-    selector: ParamVector,
-    params: HierarchicalParams,
-    trajs4: Sequence[Trajectory],
-    mode: str = "exact",
-) -> list[ParamVector]:
-    """Per-skill meta-gradients on the fourth batch, routed by the adapted
-    selector.  Skills whose routed set is empty contribute zero vectors."""
-    return _lo(traces_l, selector, params, trajs4, mode)[0]
-
-
 # ---------------------------------------------------------------------------
 # outer loop
 # ---------------------------------------------------------------------------
@@ -340,18 +302,18 @@ def lo_grad(
 @dataclass(frozen=True)
 class TrainConfig:
     """Knobs for one meta-training step.  Defaults follow the published
-    hyperparameter table; benchmark configs override them per run."""
+    hyperparameter table; benchmark configs override them per run.  The
+    outer update itself (rate and optimizer) belongs to the caller."""
 
     inner_rate: float = 5e-4
-    outer_rate: float = 1e-4
     inner_steps: int = 3
     aux_weight: float = 0.1
     grad_mode: str = "exact"  # or "first_order"
     outer_reduce: str = "mean"  # or "sum"
     batch_size: int = 16  # trajectories per phase batch
     ho_labels: str = "adapted"  # or "initial"
-    meta_high: bool = True  # False: selector gets a plain pooled gradient
-    meta_low: bool = True  # False: sub-skills get plain pooled gradients
+    meta_high: bool = True  # False: selector gets a plain gradient on batch 1
+    meta_low: bool = True  # False: sub-skills get plain gradients on batch 2
 
     def __post_init__(self):
         if self.grad_mode not in ("exact", "first_order"):
@@ -406,7 +368,6 @@ class TaskStepStats:
 
 @dataclass(frozen=True)
 class StepResult:
-    params: HierarchicalParams
     g_high: ParamVector  # reduced selector meta-gradient
     g_skills: tuple[ParamVector, ...]  # reduced sub-skill meta-gradients
     outer_loss: float  # mean over tasks of (selector + pooled skill outer loss)
@@ -429,6 +390,10 @@ def _task_meta_grads(
     batches: tuple[list[Trajectory], ...],
     cfg: TrainConfig,
 ) -> tuple[ParamVector, list[ParamVector], TaskStepStats]:
+    """One task's four phases.  A level that is not meta-learned keeps a
+    zero-step trace, whose meta-gradient is its plain outer gradient, taken
+    on its inner batch instead: t1 labelled by the initial sub-skills for
+    the selector, t2 for the sub-skills."""
     t1, t2, t3, t4 = batches
 
     if cfg.meta_high:
@@ -436,43 +401,21 @@ def _task_meta_grads(
     else:
         trace_h = identity_trace(params.high)
 
-    part2 = partition_by_skill(trace_h.final, params.high_shape, t2, params.feature_kind)
     if cfg.meta_low:
+        part2 = partition_by_skill(trace_h.final, params.high_shape, t2, params.feature_kind)
         traces_l = li_step(params, part2, cfg.inner_rate, cfg.inner_steps)
     else:
         traces_l = tuple(identity_trace(s) for s in params.skills)
 
-    if cfg.ho_labels == "adapted":
-        label_skills = [t.final for t in traces_l]
+    if not cfg.meta_high:
+        high_trajs, label_skills = t1, list(params.skills)
+    elif cfg.ho_labels == "adapted":
+        high_trajs, label_skills = t3, [t.final for t in traces_l]
     else:
-        label_skills = list(params.skills)
-
-    if cfg.meta_high:
-        g_high, high_val = _ho(trace_h, params, t3, label_skills, cfg.aux_weight, cfg.grad_mode)
-    else:
-        # Plain multi-task gradient for the selector (no inner adaptation).
-        s1, a1, _ = flatten_trajectories(t1)
-        labels1 = hard_labels(s1, a1, params.skills, params.skill_shape, params.feature_kind)
-        batch1 = build_high_batch(t1, labels1, cfg.aux_weight, params.feature_kind)
-        high_val, g_high = ad.value_and_grad(make_high_loss(params.high_shape), params.high, batch1)
-
-    if cfg.meta_low:
-        g_skills, skill_val = _lo(traces_l, trace_h.final, params, t4, cfg.grad_mode)
-    else:
-        # Plain per-skill gradients on the routed second batch.
-        loss = make_skill_loss(params.skill_shape)
-        g_skills = []
-        sse, n_total = 0.0, 0
-        for k in range(params.K):
-            if part2.sizes[k] == 0:
-                g_skills.append(ParamVector.zeros(len(params.skills[k])))
-                continue
-            batch = SkillBatch(part2.states[k], part2.actions[k])
-            val, g = ad.value_and_grad(loss, params.skills[k], batch)
-            g_skills.append(g)
-            sse += val * part2.sizes[k]
-            n_total += part2.sizes[k]
-        skill_val = sse / n_total if n_total else 0.0
+        high_trajs, label_skills = t3, list(params.skills)
+    g_high, high_val = ho_grad(trace_h, params, high_trajs, label_skills, cfg.aux_weight, cfg.grad_mode)
+    skill_trajs = t4 if cfg.meta_low else t2
+    g_skills, skill_val = lo_grad(traces_l, trace_h.final, params, skill_trajs, cfg.grad_mode)
 
     diverged = trace_h.diverged or any(t.diverged for t in traces_l)
     return g_high, g_skills, TaskStepStats(high_val, skill_val, diverged)
@@ -485,13 +428,13 @@ def meta_train_step(
     step_seed: int,
     task_callback: Callable[[int, HierarchicalParams], None] | None = None,
 ) -> StepResult:
-    """One outer iteration over a batch of tasks.
+    """Reduced meta-gradients of one outer iteration over a batch of tasks.
 
     Every phase reads only the pre-step `params`; meta-gradients accumulate in
-    task order and the update is applied once, atomically, at the end.  Batch
+    task order, and the caller applies them once, atomically.  Batch
     sampling is a pure function of (step_seed, task.spec.seed), so permuting
     the task list only reassociates the gradient sum.  Any task failure
-    aborts the whole step before any update.
+    aborts the whole step before any gradient is returned.
     """
     if not tasks:
         raise ContractError("meta_train_step needs at least one task")
@@ -506,16 +449,9 @@ def meta_train_step(
         if task_callback is not None:
             task_callback(ti, params)
     g_high, g_skills = acc.reduced(cfg.outer_reduce)
-    new_params = params.with_updates(
-        params.high.minus_scaled(g_high, cfg.outer_rate),
-        tuple(
-            s.minus_scaled(g, cfg.outer_rate) for s, g in zip(params.skills, g_skills)
-        ),
-    )
     high_mean = float(np.mean([s.high_outer_loss for s in stats]))
     skill_mean = float(np.mean([s.skill_outer_loss for s in stats]))
     return StepResult(
-        params=new_params,
         g_high=g_high,
         g_skills=tuple(g_skills),
         outer_loss=high_mean + skill_mean,

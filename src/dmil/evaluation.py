@@ -1,5 +1,5 @@
 """Metrics and numerical oracles: finite-difference meta-gradient checks,
-permutation-matched skill recovery, adaptation MSE, switch rate, rollout
+permutation-matched skill recovery, query MSE, switch rate, rollout
 success, and report files (CSV rows plus a JSON summary)."""
 
 from __future__ import annotations
@@ -66,39 +66,27 @@ def skill_accuracy(
     truth: np.ndarray,
     n_pred_skills: int,
     n_true_skills: int,
-    approximate: bool = False,
 ) -> float:
     """Best per-step agreement over injective maps of true labels into
-    predicted labels (skill indices are arbitrary).  Brute force for up to 6
-    predicted skills; beyond that the approximate flag enables greedy
-    matching."""
+    predicted labels (skill indices are arbitrary), by brute force over at
+    most 6 predicted skills."""
     pred = np.asarray(pred, dtype=np.int64)
     truth = np.asarray(truth, dtype=np.int64)
     if pred.shape != truth.shape:
         raise ContractError("pred and truth must have equal lengths")
     if n_true_skills > n_pred_skills:
         raise ContractError("cannot map more true skills than predicted skills")
-    if n_pred_skills > 6 and not approximate:
-        raise ContractError("brute-force matching is limited to 6 skills; pass approximate=True")
+    if n_pred_skills > 6:
+        raise ContractError(f"brute-force matching is limited to 6 skills, got {n_pred_skills}")
     confusion = np.zeros((n_true_skills, n_pred_skills))
     for t in range(n_true_skills):
         mask = truth == t
         for p in range(n_pred_skills):
             confusion[t, p] = np.sum(pred[mask] == p)
-    if n_pred_skills <= 6:
-        best = 0.0
-        for mapping in itertools.permutations(range(n_pred_skills), n_true_skills):
-            best = max(best, sum(confusion[t, mapping[t]] for t in range(n_true_skills)))
-        return best / len(pred)
-    matched, used = 0.0, set()
-    for t in np.argsort(-confusion.max(axis=1)):
-        order = np.argsort(-confusion[t])
-        for p in order:
-            if int(p) not in used:
-                used.add(int(p))
-                matched += confusion[t, p]
-                break
-    return matched / len(pred)
+    best = 0.0
+    for mapping in itertools.permutations(range(n_pred_skills), n_true_skills):
+        best = max(best, sum(confusion[t, mapping[t]] for t in range(n_true_skills)))
+    return best / len(pred)
 
 
 def switch_rate(labels) -> float:
@@ -227,15 +215,6 @@ def query_mse(policy, task: TaskDataset) -> float:
     return float(np.mean((pred - a) ** 2))
 
 
-def adaptation_mse(policy, task: TaskDataset, shots: int) -> tuple[float, float]:
-    """Query MSE before and after adapting on `shots` support demonstrations."""
-    if shots > len(task.support):
-        raise ContractError(f"shots={shots} exceeds support size {len(task.support)}")
-    pre = query_mse(policy, task)
-    post = query_mse(policy.adapt(list(task.support[:shots])), task)
-    return pre, post
-
-
 def adapted_skill_accuracy(policy, task: TaskDataset, n_true_skills: int = 3) -> float:
     """Permutation-matched agreement of predicted skills with the generator's
     hidden labels, over the query set."""
@@ -268,10 +247,6 @@ def rollout_stats(policy, spec: TaskSpec, episodes: int, T: int) -> RolloutStats
         successes += int(ok)
         rates.append(switch_rate(chosen))
     return RolloutStats(successes / episodes, float(np.mean(rates)))
-
-
-def rollout_success(policy, spec: TaskSpec, episodes: int, T: int) -> float:
-    return rollout_stats(policy, spec, episodes, T).success_rate
 
 
 # ---------------------------------------------------------------------------

@@ -141,27 +141,6 @@ def mlp_forward(theta: ParamVector, shape: MlpShape, x) -> np.ndarray:
     return h
 
 
-def softmax_rows(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
-
-
-def high_probs(theta: ParamVector, shape: MlpShape, states) -> np.ndarray:
-    """Softmax skill probabilities for a batch of states: (N, K)."""
-    return softmax_rows(mlp_forward(theta, shape, states))
-
-
-def high_forward(theta: ParamVector, shape: MlpShape, state) -> np.ndarray:
-    """Skill probabilities for a single state: (K,)."""
-    return high_probs(theta, shape, np.asarray(state, dtype=np.float64)[None, :])[0]
-
-
-def skill_forward(theta: ParamVector, shape: MlpShape, state) -> np.ndarray:
-    """Action mean for a single state: (action_dim,)."""
-    return mlp_forward(theta, shape, np.asarray(state, dtype=np.float64)[None, :])[0]
-
-
 @dataclass(frozen=True)
 class HierarchicalParams:
     """The trained object: one selector network plus K sub-skill networks.
@@ -204,9 +183,6 @@ class HierarchicalParams:
 
     def features(self, states) -> np.ndarray:
         return featurize(np.asarray(states, dtype=np.float64), self.feature_kind)
-
-    def high_probs(self, states) -> np.ndarray:
-        return high_probs(self.high, self.high_shape, self.features(states))
 
     def skill_predict(self, k: int, states) -> np.ndarray:
         return mlp_forward(self.skills[k], self.skill_shape, self.features(states))

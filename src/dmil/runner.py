@@ -13,14 +13,14 @@ from __future__ import annotations
 
 import copy
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import ParamVector, inner_adapt, loss_value
+from .autodiff import ContractError, ParamVector, inner_adapt, loss_value
 from .baselines import em_only_train, maml_train_step
 from .checkpoint import save_checkpoint
 from .config import METHODS, dump_config
@@ -61,13 +61,19 @@ SALT_STEP = 0x57E9
 METRICS_HEADER = "iteration,outer_loss,grad_norm_high,grad_norm_skills,diverged"
 
 
-class Adam:
-    """Per-vector Adam state for the runner's meta-optimizer option.
+class Sgd:
+    """Plain descent, theta - lr * g: the default outer optimizer, with
+    Adam's interface."""
 
-    The meta-update op itself applies the plain atomic descent step its
-    contract specifies; when the config selects adam, the runner re-applies
-    the op's reduced meta-gradients through this optimizer instead.
-    """
+    def __init__(self, n: int, lr: float):
+        self.lr = lr
+
+    def step(self, theta: ParamVector, grad: ParamVector) -> ParamVector:
+        return theta.minus_scaled(grad, self.lr)
+
+
+class Adam:
+    """Per-vector Adam state: the outer optimizer under outer_optimizer "adam"."""
 
     def __init__(self, n: int, lr: float, b1: float = 0.9, b2: float = 0.999, eps: float = 1e-8):
         self.lr, self.b1, self.b2, self.eps = lr, b1, b2, eps
@@ -123,7 +129,6 @@ def train_config_from(cfg: dict) -> TrainConfig:
     m = cfg["dmil"]
     return TrainConfig(
         inner_rate=m["inner_rate"],
-        outer_rate=m["outer_rate"],
         inner_steps=m["inner_steps"],
         aux_weight=m["aux_weight"],
         grad_mode=m["grad_mode"],
@@ -135,12 +140,16 @@ def train_config_from(cfg: dict) -> TrainConfig:
     )
 
 
+def n_skills_for(cfg: dict) -> int:
+    """Skill count of the configured method: maml trains one network."""
+    return 1 if cfg["dmil"]["method"] == "maml" else cfg["model"]["n_skills"]
+
+
 def init_model(cfg: dict) -> HierarchicalParams:
-    n_skills = 1 if cfg["dmil"]["method"] == "maml" else cfg["model"]["n_skills"]
     return init_hierarchical(
         state_dim=4,
         action_dim=2,
-        n_skills=n_skills,
+        n_skills=n_skills_for(cfg),
         hidden=tuple(cfg["model"]["hidden"]),
         seed=derive_seed(cfg["run"]["seed"], SALT_INIT),
         features=cfg["model"]["features"],
@@ -221,11 +230,10 @@ def warm_start(cfg: dict, train_tasks) -> HierarchicalParams:
     lr = m["warmup_rate"]
     aux = m["aux_weight"]
 
-    n_skills = 1 if m["method"] == "maml" else cfg["model"]["n_skills"]
     seeds = [derive_seed(cfg["run"]["seed"], SALT_INIT, r) for r in range(m["warmup_restarts"])]
     candidates = [
         init_hierarchical(
-            4, 2, n_skills, tuple(cfg["model"]["hidden"]), seed=s, features=cfg["model"]["features"]
+            4, 2, n_skills_for(cfg), tuple(cfg["model"]["hidden"]), seed=s, features=cfg["model"]["features"]
         )
         for s in seeds
     ]
@@ -281,22 +289,31 @@ def train(cfg: dict, out_dir=None, datasets=None, warm_params=None) -> TrainResu
     `datasets` lets callers share prebuilt (train, test) task lists across
     paired runs, and `warm_params` a precomputed warm start; both are pure
     functions of the config, so sharing only saves recomputation.
+
+    This is the one place that applies the outer update of the meta-learned
+    methods (dmil, dmil_high, dmil_low, maml): their steps return reduced
+    gradients, which go through outer_optimizer at outer_rate.  em_only
+    takes plain descent steps at outer_rate inside its alternation.
     """
     method = cfg["dmil"]["method"]
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
+    if warm_params is not None and warm_params.K != n_skills_for(cfg):
+        raise ContractError(
+            f"warm start has {warm_params.K} skills; method {method} needs {n_skills_for(cfg)}"
+        )
     train_tasks, test_tasks = datasets if datasets is not None else build_datasets(cfg)
     run = cfg["run"]
     seed = run["seed"]
     tc = train_config_from(cfg)
+    outer_rate = cfg["dmil"]["outer_rate"]
     params = warm_start(cfg, train_tasks) if warm_params is None else warm_params
     task_rng = SplitMix64(derive_seed(seed, SALT_TASK_SELECT))
     n_train = len(train_tasks)
 
-    use_adam = cfg["dmil"]["outer_optimizer"] == "adam"
-    if use_adam:
-        adam_high = Adam(len(params.high), tc.outer_rate)
-        adam_skills = [Adam(len(s), tc.outer_rate) for s in params.skills]
+    optimizer = {"sgd": Sgd, "adam": Adam}[cfg["dmil"]["outer_optimizer"]]
+    opt_high = optimizer(len(params.high), outer_rate)
+    opt_skills = [optimizer(len(s), outer_rate) for s in params.skills]
 
     out = Path(out_dir) if out_dir is not None else None
     if out is not None:
@@ -313,46 +330,13 @@ def train(cfg: dict, out_dir=None, datasets=None, warm_params=None) -> TrainResu
         batch_tasks = [train_tasks[i] for i in picks]
         step_seed = derive_seed(seed, SALT_STEP, it)
 
-        if method in ("dmil", "dmil_high", "dmil_low"):
-            res = meta_train_step(params, batch_tasks, tc, step_seed)
-            if use_adam:
-                params = params.with_updates(
-                    adam_high.step(params.high, res.g_high),
-                    tuple(a.step(s, g) for a, s, g in zip(adam_skills, params.skills, res.g_skills)),
-                )
-            else:
-                params = res.params
-            row = dict(
-                iteration=it,
-                outer_loss=res.outer_loss,
-                grad_norm_high=res.grad_norm_high,
-                grad_norm_skills=res.grad_norm_skills,
-                diverged=res.diverged_count,
-            )
-        elif method == "maml":
-            res = maml_train_step(
-                params.skills[0], params.skill_shape, batch_tasks, tc, step_seed, params.feature_kind
-            )
-            if use_adam:
-                params = params.with_updates(
-                    params.high, (adam_skills[0].step(params.skills[0], res.g),)
-                )
-            else:
-                params = params.with_updates(params.high, (res.theta,))
-            row = dict(
-                iteration=it,
-                outer_loss=res.outer_loss,
-                grad_norm_high=0.0,
-                grad_norm_skills=float(np.linalg.norm(res.g.values)),
-                diverged=res.diverged_count,
-            )
-        else:  # em_only: one hard-EM alternation per iteration on pooled batches
+        if method == "em_only":  # one hard-EM alternation per iteration on pooled batches
             pooled = []
             for task in batch_tasks:
                 rng = SplitMix64(derive_seed(step_seed, task.spec.seed))
                 for group in sample_phase_batches(task.support, tc.batch_size, rng):
                     pooled.extend(group)
-            res = em_only_train(params, pooled, epochs=1, lr=tc.outer_rate, aux_weight=tc.aux_weight)
+            res = em_only_train(params, pooled, epochs=1, lr=outer_rate, aux_weight=tc.aux_weight)
             params = res.params
             row = dict(
                 iteration=it,
@@ -360,6 +344,28 @@ def train(cfg: dict, out_dir=None, datasets=None, warm_params=None) -> TrainResu
                 grad_norm_high=res.high_grad_norms[0],
                 grad_norm_skills=res.skill_grad_norms[0],
                 diverged=0,
+            )
+        else:
+            if method == "maml":  # the selector (K=1) stays as it is
+                res = maml_train_step(
+                    params.skills[0], params.skill_shape, batch_tasks, tc, step_seed, params.feature_kind
+                )
+                g_high, g_skills = None, (res.g,)
+                norm_high, norm_skills = 0.0, float(np.linalg.norm(res.g.values))
+            else:
+                res = meta_train_step(params, batch_tasks, tc, step_seed)
+                g_high, g_skills = res.g_high, res.g_skills
+                norm_high, norm_skills = res.grad_norm_high, res.grad_norm_skills
+            params = params.with_updates(
+                params.high if g_high is None else opt_high.step(params.high, g_high),
+                tuple(o.step(s, g) for o, s, g in zip(opt_skills, params.skills, g_skills)),
+            )
+            row = dict(
+                iteration=it,
+                outer_loss=res.outer_loss,
+                grad_norm_high=norm_high,
+                grad_norm_skills=norm_skills,
+                diverged=res.diverged_count,
             )
         rows.append(row)
         diverged_total += row["diverged"]
@@ -410,14 +416,19 @@ def evaluate(
     test_tasks: Sequence[TaskDataset],
 ) -> list[dict]:
     e = cfg["eval"]
+    most = max(e["shots"], default=0)
+    for task in test_tasks:
+        if most > len(task.support):
+            raise ContractError(
+                f"eval.shots={most} exceeds the {len(task.support)} support "
+                f"demonstrations of test task {task.spec.seed}"
+            )
     policy = make_policy(cfg, params, method)
     rows = []
     for shots in e["shots"]:
         shot_policy = policy
         if e["scale_steps_with_shots"]:
-            from dataclasses import replace as _replace
-
-            shot_policy = _replace(policy, adapt_steps=e["adapt_steps"] * shots)
+            shot_policy = replace(policy, adapt_steps=e["adapt_steps"] * shots)
         for task in test_tasks:
             pre = query_mse(shot_policy, task)
             adapted = shot_policy.adapt(list(task.support[:shots]))
@@ -479,7 +490,7 @@ def gradcheck_run(cfg: dict) -> dict:
             s3, a3, _ = flatten_trajectories(t3)
             batch3 = build_high_batch(t3, hard_labels(s3, a3, adapted, params.skill_shape), aux)
             high_loss_fn = make_high_loss(params.high_shape)
-            exact_h = ho_grad(trace_h, params, t3, adapted, aux)
+            exact_h = ho_grad(trace_h, params, t3, adapted, aux)[0]
 
             def high_objective(vals):
                 tr = inner_adapt(high_loss_fn, ParamVector(vals), rate, batch1, steps)
@@ -488,7 +499,7 @@ def gradcheck_run(cfg: dict) -> dict:
             worst_high = max(worst_high, fd_check(high_objective, params.high.values, exact_h.values, g["fd_step"]))
 
             # Sub-skills: per-skill composed objectives on the routed batches.
-            exact_l = lo_grad(traces_l, trace_h.final, params, t4)
+            exact_l = lo_grad(traces_l, trace_h.final, params, t4)[0]
             part4 = partition_by_skill(trace_h.final, params.high_shape, t4)
             skill_loss_fn = make_skill_loss(params.skill_shape)
             for k in range(params.K):
@@ -522,14 +533,19 @@ def gradcheck_run(cfg: dict) -> dict:
 
 def ablate(cfg: dict, out_dir=None) -> list[dict]:
     """Train and evaluate every method on identical seeds and batch schedules;
-    returns the paired report rows."""
+    returns the paired report rows.  The warm start depends on the method
+    only through its skill count, so one is computed per count and shared."""
     datasets = build_datasets(cfg)
+    warm: dict[int, HierarchicalParams] = {}
     rows: list[dict] = []
     for method in METHODS:
         sub = copy.deepcopy(cfg)
         sub["dmil"]["method"] = method
+        k = n_skills_for(sub)
+        if k not in warm:
+            warm[k] = warm_start(sub, datasets[0])
         sub_out = Path(out_dir) / method if out_dir is not None else None
-        res = train(sub, out_dir=sub_out, datasets=datasets)
+        res = train(sub, out_dir=sub_out, datasets=datasets, warm_params=warm[k])
         rows.extend(evaluate(sub, res.params, method, res.test_tasks))
     if out_dir is not None:
         write_report_csv(Path(out_dir) / "ablate_report.csv", rows)

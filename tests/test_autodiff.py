@@ -6,11 +6,11 @@ from dmil.autodiff import (
     ContractError,
     NumericError,
     ParamVector,
-    grad,
     hvp,
     identity_trace,
     inner_adapt,
     meta_grad,
+    value_and_grad,
 )
 from dmil.policies import MlpShape, init_params, mlp_logits
 from dmil.rng import SplitMix64
@@ -72,18 +72,18 @@ def random_mlp_instance(seed: int, shape_sizes=(2, 4, 1), n: int = 3):
 
 
 def test_grad_quadratic() -> None:
-    g = grad(quad_loss, ParamVector(np.array([1.0])), None)
+    g = value_and_grad(quad_loss, ParamVector(np.array([1.0])), None)[1]
     assert g.values == pytest.approx([2.0])
 
 
 def test_grad_constant_is_zero() -> None:
-    g = grad(const_loss, ParamVector(np.array([3.0, -1.0])), None)
+    g = value_and_grad(const_loss, ParamVector(np.array([3.0, -1.0])), None)[1]
     assert np.array_equal(g.values, np.zeros(2))
 
 
 def test_grad_matches_finite_differences_on_small_mlp() -> None:
     f, theta = random_mlp_instance(101)
-    g = grad(f, theta, None)
+    g = value_and_grad(f, theta, None)[1]
     assert rel_err(fd_grad(f, theta, None), g.values) <= 1e-6
 
 
@@ -92,7 +92,7 @@ def test_grad_fd_property_100_instances() -> None:
     worst = 0.0
     for seed in range(100):
         f, theta = random_mlp_instance(2000 + seed)
-        g = grad(f, theta, None)
+        g = value_and_grad(f, theta, None)[1]
         worst = max(worst, rel_err(fd_grad(f, theta, None), g.values))
     assert worst <= 1e-5
 
@@ -102,7 +102,7 @@ def test_grad_rejects_nonfinite_loss() -> None:
         return ad.log(ad.smul(ad.asum(ad.mul(p, p)), -1.0))
 
     with pytest.raises(NumericError, match="loss"):
-        grad(bad, ParamVector(np.array([1.0])), None)
+        value_and_grad(bad, ParamVector(np.array([1.0])), None)
 
 
 # ---- hvp ----
@@ -125,8 +125,8 @@ def test_hvp_matches_fd_of_gradient() -> None:
     rng = SplitMix64(5)
     v = ParamVector(rng.uniform_array(len(theta), -1.0, 1.0))
     h = 1e-4
-    up = grad(f, ParamVector(theta.values + h * v.values), None)
-    dn = grad(f, ParamVector(theta.values - h * v.values), None)
+    up = value_and_grad(f, ParamVector(theta.values + h * v.values), None)[1]
+    dn = value_and_grad(f, ParamVector(theta.values - h * v.values), None)[1]
     fd = (up.values - dn.values) / (2.0 * h)
     assert rel_err(fd, hvp(f, theta, v, None).values) <= 1e-4
 
@@ -203,7 +203,7 @@ def test_inner_adapt_zero_rate_identity() -> None:
 def test_meta_grad_1d_analytic() -> None:
     theta = ParamVector(np.array([1.0]))
     trace = inner_adapt(quad_loss, theta, 0.1, None, 1)
-    g_outer = grad(quad_loss, trace.final, None)
+    g_outer = value_and_grad(quad_loss, trace.final, None)[1]
     assert g_outer.values == pytest.approx([1.6])
     mg = meta_grad(trace, g_outer)
     assert mg.values == pytest.approx([1.28])
@@ -212,7 +212,7 @@ def test_meta_grad_1d_analytic() -> None:
 def test_meta_grad_first_order_mode() -> None:
     theta = ParamVector(np.array([1.0]))
     trace = inner_adapt(quad_loss, theta, 0.1, None, 1)
-    g_outer = grad(quad_loss, trace.final, None)
+    g_outer = value_and_grad(quad_loss, trace.final, None)[1]
     mg = meta_grad(trace, g_outer, mode="first_order")
     assert np.array_equal(mg.values, g_outer.values)
 
@@ -220,7 +220,7 @@ def test_meta_grad_first_order_mode() -> None:
 def test_meta_grad_zero_rate_equals_outer_gradient() -> None:
     f, theta = random_mlp_instance(41)
     trace = inner_adapt(f, theta, 0.0, None, 2)
-    g_outer = grad(f, trace.final, None)
+    g_outer = value_and_grad(f, trace.final, None)[1]
     mg = meta_grad(trace, g_outer)
     assert np.array_equal(mg.values, g_outer.values)
 
@@ -239,7 +239,7 @@ def test_meta_grad_matches_fd_of_composed_objective(steps: int) -> None:
     alpha = 0.05
 
     trace = inner_adapt(f_in, theta, alpha, None, steps)
-    exact = meta_grad(trace, grad(f_out, trace.final, None))
+    exact = meta_grad(trace, value_and_grad(f_out, trace.final, None)[1])
 
     # The composed adapt-then-evaluate map, built only from loss evaluations.
     def composed_value(p, batch):
@@ -279,3 +279,4 @@ def test_paramvector_is_readonly_and_finite() -> None:
 def test_paramvector_rejects_length_mismatch() -> None:
     with pytest.raises(ContractError):
         ParamVector(np.array([1.0])).minus_scaled(ParamVector(np.array([1.0, 2.0])), 0.1)
+

@@ -5,7 +5,7 @@ import pytest
 
 from dmil import dmil
 from dmil.autodiff import ParamVector
-from dmil.baselines import dmil_high_step, dmil_low_step, em_only_train, maml_train_step
+from dmil.baselines import em_only_train, maml_train_step
 from dmil.data import flatten_trajectories
 from dmil.dmil import TrainConfig, meta_train_step, sample_phase_batches
 from dmil.policies import HierarchicalParams, init_hierarchical, init_params, mlp_forward, mlp_shape
@@ -18,30 +18,43 @@ def demo_task(seed: int, n_support: int = 8, T: int = 24):
 
 
 def test_maml_zero_outer_rate_identity() -> None:
-    shape = mlp_shape(4, 2, (8,))
-    theta = init_params(shape, 0)
-    cfg = TrainConfig(inner_rate=1e-3, outer_rate=0.0, inner_steps=2, batch_size=2)
-    res = maml_train_step(theta, shape, [demo_task(1)], cfg, step_seed=0)
-    assert np.array_equal(res.theta.values, theta.values)
+    # runner.train applies maml's outer update too: at outer_rate 0 the single
+    # network stays bitwise where it started.
+    from dmil.config import resolve_config
+    from dmil.runner import init_model, train
+
+    cfg = resolve_config(
+        {
+            "data": {"n_train_tasks": 2, "n_test_tasks": 1, "n_support": 4, "n_query": 1, "horizon": 20},
+            "model": {"hidden": [8], "features": "raw"},
+            "dmil": {"method": "maml", "inner_rate": 1e-3, "outer_rate": 0.0, "inner_steps": 2,
+                     "batch_size": 2, "tasks_per_step": 2},
+            "run": {"iterations": 2, "checkpoint_every": 0},
+        }
+    )
+    res = train(cfg)
+    start = init_model(cfg)
+    assert res.params.K == 1 and res.metrics[0]["grad_norm_skills"] > 0.0
+    assert np.array_equal(res.params.skills[0].values, start.skills[0].values)
+    assert np.array_equal(res.params.high.values, start.high.values)
 
 
 def test_maml_equals_k1_hierarchical_skill_update_bitwise() -> None:
     params = init_hierarchical(4, 2, 1, (8,), seed=5)
     tasks = [demo_task(5), demo_task(6)]
-    cfg = TrainConfig(inner_rate=1e-3, outer_rate=5e-3, inner_steps=3, batch_size=2, aux_weight=0.0)
+    cfg = TrainConfig(inner_rate=1e-3, inner_steps=3, batch_size=2, aux_weight=0.0)
     hier = meta_train_step(params, tasks, cfg, step_seed=13)
     mono = maml_train_step(params.skills[0], params.skill_shape, tasks, cfg, step_seed=13)
-    assert np.array_equal(hier.params.skills[0].values, mono.theta.values)
-    # Selector update is exactly zero for K=1.
+    assert np.array_equal(hier.g_skills[0].values, mono.g.values)
+    # Selector meta-gradient is exactly zero for K=1.
     assert np.array_equal(hier.g_high.values, np.zeros(len(params.high)))
-    assert np.array_equal(hier.params.high.values, params.high.values)
 
 
 def test_maml_exact_step_matches_fd_oracle() -> None:
     shape = mlp_shape(4, 2, (6,))
     theta = init_params(shape, 9)
     task = demo_task(9, T=16)
-    cfg = TrainConfig(inner_rate=5e-4, outer_rate=1e-2, inner_steps=1, batch_size=1)
+    cfg = TrainConfig(inner_rate=5e-4, inner_steps=1, batch_size=1)
     res = maml_train_step(theta, shape, [task], cfg, step_seed=2)
 
     from dmil.autodiff import inner_adapt, loss_value
@@ -69,10 +82,11 @@ def test_maml_exact_step_matches_fd_oracle() -> None:
 def test_high_and_low_ablations_leave_other_level_plain() -> None:
     params = init_hierarchical(4, 2, 3, (8,), seed=20)
     tasks = [demo_task(20), demo_task(21)]
-    cfg = TrainConfig(inner_rate=1e-3, outer_rate=5e-3, inner_steps=2, batch_size=2, aux_weight=0.1)
+    cfg = TrainConfig(inner_rate=1e-3, inner_steps=2, batch_size=2, aux_weight=0.1)
+    from dataclasses import replace
 
-    high_res = dmil_high_step(params, tasks, cfg, step_seed=4)
-    low_res = dmil_low_step(params, tasks, cfg, step_seed=4)
+    high_res = meta_train_step(params, tasks, replace(cfg, meta_low=False), step_seed=4)
+    low_res = meta_train_step(params, tasks, replace(cfg, meta_high=False), step_seed=4)
 
     # Recompute the plain pooled-gradient updates by hand for both variants.
     from dmil import autodiff as ad
@@ -97,38 +111,36 @@ def test_high_and_low_ablations_leave_other_level_plain() -> None:
         part = partition_by_skill(trace_h.final, params.high_shape, t2)
         for k in range(3):
             if part.sizes[k]:
-                g = ad.grad(
+                g = ad.value_and_grad(
                     make_skill_loss(params.skill_shape),
                     params.skills[k],
                     SkillBatch(part.states[k], part.actions[k]),
-                )
+                )[1]
                 sum_skills[k] = sum_skills[k].add(g)
         # dmil_low: selector gets a plain gradient on the first batch.
         s1, a1, _ = flatten_trajectories(t1)
         labels1 = hard_labels(s1, a1, params.skills, params.skill_shape)
-        gh = ad.grad(
+        gh = ad.value_and_grad(
             make_high_loss(params.high_shape), params.high, build_high_batch(t1, labels1, cfg.aux_weight)
-        )
+        )[1]
         sum_high = sum_high.add(gh)
 
     m = len(tasks)
     for k in range(3):
-        want = params.skills[k].minus_scaled(sum_skills[k].scaled(1.0 / m), cfg.outer_rate)
-        assert np.array_equal(high_res.params.skills[k].values, want.values)
-    want_high = params.high.minus_scaled(sum_high.scaled(1.0 / m), cfg.outer_rate)
-    assert np.array_equal(low_res.params.high.values, want_high.values)
+        assert np.array_equal(high_res.g_skills[k].values, sum_skills[k].scaled(1.0 / m).values)
+    assert np.array_equal(low_res.g_high.values, sum_high.scaled(1.0 / m).values)
 
 
 def test_lifting_restrictions_reproduces_full_step_bitwise() -> None:
     params = init_hierarchical(4, 2, 3, (8,), seed=22)
     tasks = [demo_task(22)]
-    cfg = TrainConfig(inner_rate=1e-3, outer_rate=5e-3, inner_steps=2, batch_size=2)
+    cfg = TrainConfig(inner_rate=1e-3, inner_steps=2, batch_size=2)
     full = meta_train_step(params, tasks, cfg, step_seed=8)
     from dataclasses import replace
 
     lifted = meta_train_step(params, tasks, replace(cfg, meta_high=True, meta_low=True), step_seed=8)
-    assert np.array_equal(full.params.high.values, lifted.params.high.values)
-    for a, b in zip(full.params.skills, lifted.params.skills):
+    assert np.array_equal(full.g_high.values, lifted.g_high.values)
+    for a, b in zip(full.g_skills, lifted.g_skills):
         assert np.array_equal(a.values, b.values)
 
 

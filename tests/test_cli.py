@@ -52,6 +52,15 @@ def test_config_unknown_method_rejected() -> None:
         resolve_config({"dmil": {"method": "ppo"}})
 
 
+@pytest.mark.parametrize("name", ["Adam", "adamw", ""])
+def test_config_unknown_outer_optimizer_rejected(tmp_path, name) -> None:
+    with pytest.raises(ConfigError, match="valid optimizers: sgd, adam"):
+        resolve_config({"dmil": {"outer_optimizer": name}})
+    cfg = write_tiny(tmp_path, dmil={"outer_optimizer": name})
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+    assert not (tmp_path / "run").exists()
+
+
 def test_train_zero_iterations_initial_checkpoint_only(tmp_path) -> None:
     cfg = write_tiny(tmp_path, run={"iterations": 0, "checkpoint_every": 2})
     out = tmp_path / "run"

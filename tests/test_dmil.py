@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dmil import dmil
-from dmil.autodiff import ContractError, ParamVector
+from dmil.autodiff import ContractError, ParamVector, loss_value
 from dmil.data import Trajectory, flatten_trajectories
 from dmil.dmil import (
     SkillLabels,
@@ -14,7 +14,6 @@ from dmil.dmil import (
     few_shot_adapt,
     hard_labels,
     hi_step,
-    high_loss,
     ho_grad,
     li_step,
     lo_grad,
@@ -111,14 +110,13 @@ def test_aux_loss_uniform_half() -> None:
 
 # ---- high loss ----
 
-
 def test_high_loss_zero_params_ln_k_plus_aux() -> None:
     params = small_params(n_skills=3)
     trajs = random_trajs(4, n=1, T=10)
     theta = ParamVector(np.zeros(params.high_shape.n_params))
     labels = SkillLabels.from_indices(np.zeros(10, dtype=np.int64), 3)
     lam = 0.3
-    got = high_loss(theta, params.high_shape, trajs, labels, lam)
+    got = loss_value(make_high_loss(params.high_shape), theta, build_high_batch(trajs, labels, lam))
     assert got == pytest.approx(np.log(3.0) + lam * (2.0 / 3.0), rel=1e-12)
 
 
@@ -128,7 +126,7 @@ def test_high_loss_perfect_classifier_near_zero() -> None:
     v[-3] = 30.0  # output bias of class 0: logits [30, 0, 0] everywhere
     trajs = random_trajs(5, n=1, T=8)
     labels = SkillLabels.from_indices(np.zeros(8, dtype=np.int64), 3)
-    got = high_loss(ParamVector(v), shape, trajs, labels, 0.5)
+    got = loss_value(make_high_loss(shape), ParamVector(v), build_high_batch(trajs, labels, 0.5))
     assert got == pytest.approx(0.0, abs=1e-6)
 
 
@@ -138,7 +136,7 @@ def test_high_loss_matches_straight_line_recomputation() -> None:
     S, A, slices = flatten_trajectories(trajs)
     labels = hard_labels(S, A, params.skills, params.skill_shape)
     lam = 0.25
-    got = high_loss(params.high, params.high_shape, trajs, labels, lam)
+    got = loss_value(make_high_loss(params.high_shape), params.high, build_high_batch(trajs, labels, lam))
 
     logits = mlp_forward(params.high, params.high_shape, S)
     ce, total_dot, pairs = 0.0, 0.0, 0
@@ -292,14 +290,14 @@ def test_ho_grad_zero_rate_equals_plain_gradient() -> None:
     cfg = TrainConfig(inner_rate=0.0, inner_steps=2, batch_size=2, aux_weight=0.1)
     t1, t2, t3, t4, trace_h, part, traces_l = _phases(params, task, cfg)
     adapted = [t.final for t in traces_l]
-    got = ho_grad(trace_h, params, t3, adapted, cfg.aux_weight)
+    got, _ = ho_grad(trace_h, params, t3, adapted, cfg.aux_weight)
 
     S3, A3, _ = flatten_trajectories(t3)
     labels3 = hard_labels(S3, A3, adapted, params.skill_shape)
     batch3 = build_high_batch(t3, labels3, cfg.aux_weight)
-    from dmil.autodiff import grad
+    from dmil.autodiff import value_and_grad
 
-    want = grad(make_high_loss(params.high_shape), params.high, batch3)
+    want = value_and_grad(make_high_loss(params.high_shape), params.high, batch3)[1]
     assert np.array_equal(got.values, want.values)
 
 
@@ -309,14 +307,14 @@ def test_ho_grad_first_order_equals_gradient_at_adapted() -> None:
     cfg = TrainConfig(inner_rate=5e-3, inner_steps=2, batch_size=2, aux_weight=0.1)
     t1, t2, t3, t4, trace_h, part, traces_l = _phases(params, task, cfg)
     adapted = [t.final for t in traces_l]
-    got = ho_grad(trace_h, params, t3, adapted, cfg.aux_weight, mode="first_order")
+    got, _ = ho_grad(trace_h, params, t3, adapted, cfg.aux_weight, mode="first_order")
 
     S3, A3, _ = flatten_trajectories(t3)
     labels3 = hard_labels(S3, A3, adapted, params.skill_shape)
     batch3 = build_high_batch(t3, labels3, cfg.aux_weight)
-    from dmil.autodiff import grad
+    from dmil.autodiff import value_and_grad
 
-    want = grad(make_high_loss(params.high_shape), trace_h.final, batch3)
+    want = value_and_grad(make_high_loss(params.high_shape), trace_h.final, batch3)[1]
     assert np.array_equal(got.values, want.values)
 
 
@@ -339,7 +337,7 @@ def test_ho_grad_matches_fd_of_composed_map() -> None:
     cfg = TrainConfig(inner_rate=5e-4, inner_steps=1, batch_size=1, aux_weight=0.1)
     t1, t2, t3, t4, trace_h, part, traces_l = _phases(params, task, cfg)
     adapted = [t.final for t in traces_l]
-    exact = ho_grad(trace_h, params, t3, adapted, cfg.aux_weight)
+    exact, _ = ho_grad(trace_h, params, t3, adapted, cfg.aux_weight)
 
     S1, A1, _ = flatten_trajectories(t1)
     labels1 = hard_labels(S1, A1, params.skills, params.skill_shape)
@@ -363,9 +361,9 @@ def test_lo_grad_zero_rate_and_empty_partition() -> None:
     task = demo_task(13)
     cfg = TrainConfig(inner_rate=0.0, inner_steps=1, batch_size=2)
     t1, t2, t3, t4, trace_h, part, traces_l = _phases(params, task, cfg)
-    grads = lo_grad(traces_l, trace_h.final, params, t4)
+    grads, _ = lo_grad(traces_l, trace_h.final, params, t4)
     part4 = partition_by_skill(trace_h.final, params.high_shape, t4)
-    from dmil.autodiff import grad
+    from dmil.autodiff import value_and_grad
 
     loss = make_skill_loss(params.skill_shape)
     for k in range(params.K):
@@ -373,7 +371,7 @@ def test_lo_grad_zero_rate_and_empty_partition() -> None:
             assert np.array_equal(grads[k].values, np.zeros(len(params.skills[k])))
         else:
             batch = dmil.SkillBatch(part4.states[k], part4.actions[k])
-            want = grad(loss, params.skills[k], batch)
+            want = value_and_grad(loss, params.skills[k], batch)[1]
             assert np.array_equal(grads[k].values, want.values)
 
 
@@ -382,7 +380,7 @@ def test_lo_grad_matches_fd_of_composed_map() -> None:
     task = demo_task(14, T=16)
     cfg = TrainConfig(inner_rate=5e-4, inner_steps=1, batch_size=1)
     t1, t2, t3, t4, trace_h, part, traces_l = _phases(params, task, cfg)
-    exact = lo_grad(traces_l, trace_h.final, params, t4)
+    exact, _ = lo_grad(traces_l, trace_h.final, params, t4)
     part4 = partition_by_skill(trace_h.final, params.high_shape, t4)
     loss = make_skill_loss(params.skill_shape)
 
@@ -408,19 +406,33 @@ def test_lo_grad_matches_fd_of_composed_map() -> None:
 
 
 def test_meta_train_step_zero_outer_rate_identity() -> None:
-    params = small_params(20)
-    task = demo_task(20)
-    cfg = TrainConfig(inner_rate=1e-3, outer_rate=0.0, inner_steps=2, batch_size=2)
-    res = meta_train_step(params, [task], cfg, step_seed=5)
-    assert np.array_equal(res.params.high.values, params.high.values)
-    for a, b in zip(res.params.skills, params.skills):
-        assert np.array_equal(a.values, b.values)
+    # runner.train applies the outer update; at outer_rate 0 both optimizers
+    # leave the parameters bitwise unchanged although the gradients are not 0.
+    from dmil.config import resolve_config
+    from dmil.runner import init_model, train
+
+    for optimizer in ("sgd", "adam"):
+        cfg = resolve_config(
+            {
+                "data": {"n_train_tasks": 2, "n_test_tasks": 1, "n_support": 4, "n_query": 1, "horizon": 20},
+                "model": {"hidden": [8], "features": "raw"},
+                "dmil": {"inner_rate": 1e-3, "outer_rate": 0.0, "inner_steps": 2, "batch_size": 2,
+                         "tasks_per_step": 2, "outer_optimizer": optimizer},
+                "run": {"iterations": 2, "checkpoint_every": 0},
+            }
+        )
+        res = train(cfg)
+        start = init_model(cfg)
+        assert res.metrics[0]["grad_norm_high"] > 0.0 and res.metrics[0]["grad_norm_skills"] > 0.0
+        assert np.array_equal(res.params.high.values, start.high.values)
+        for a, b in zip(res.params.skills, start.skills):
+            assert np.array_equal(a.values, b.values)
 
 
 def test_meta_train_step_duplicated_task_sum_linearity() -> None:
     params = small_params(21)
     task = demo_task(21)
-    cfg = TrainConfig(inner_rate=1e-3, outer_rate=1e-2, inner_steps=2, batch_size=2, outer_reduce="sum")
+    cfg = TrainConfig(inner_rate=1e-3, inner_steps=2, batch_size=2, outer_reduce="sum")
     one = meta_train_step(params, [task], cfg, step_seed=3)
     two = meta_train_step(params, [task, task], cfg, step_seed=3)
     assert np.array_equal(two.g_high.values, 2.0 * one.g_high.values)
@@ -431,7 +443,7 @@ def test_meta_train_step_duplicated_task_sum_linearity() -> None:
 def test_meta_train_step_matches_hand_assembled_phases() -> None:
     params = small_params(22)
     tasks = [demo_task(22), demo_task(23)]
-    cfg = TrainConfig(inner_rate=1e-3, outer_rate=5e-3, inner_steps=2, batch_size=2, aux_weight=0.1)
+    cfg = TrainConfig(inner_rate=1e-3, inner_steps=2, batch_size=2, aux_weight=0.1)
     step_seed = 11
     res = meta_train_step(params, tasks, cfg, step_seed=step_seed)
 
@@ -446,21 +458,19 @@ def test_meta_train_step_matches_hand_assembled_phases() -> None:
         part = partition_by_skill(trace_h.final, params.high_shape, t2)
         traces_l = li_step(params, part, cfg.inner_rate, cfg.inner_steps)
         adapted = [t.final for t in traces_l]
-        sum_h = sum_h.add(ho_grad(trace_h, params, t3, adapted, cfg.aux_weight))
-        for k, g in enumerate(lo_grad(traces_l, trace_h.final, params, t4)):
+        sum_h = sum_h.add(ho_grad(trace_h, params, t3, adapted, cfg.aux_weight)[0])
+        for k, g in enumerate(lo_grad(traces_l, trace_h.final, params, t4)[0]):
             sum_l[k] = sum_l[k].add(g)
     m = len(tasks)
-    want_high = params.high.minus_scaled(sum_h.scaled(1.0 / m), cfg.outer_rate)
-    assert np.array_equal(res.params.high.values, want_high.values)
+    assert np.array_equal(res.g_high.values, sum_h.scaled(1.0 / m).values)
     for k in range(params.K):
-        want_skill = params.skills[k].minus_scaled(sum_l[k].scaled(1.0 / m), cfg.outer_rate)
-        assert np.array_equal(res.params.skills[k].values, want_skill.values)
+        assert np.array_equal(res.g_skills[k].values, sum_l[k].scaled(1.0 / m).values)
 
 
 def test_meta_train_step_simultaneity_probe() -> None:
     params = small_params(24)
     tasks = [demo_task(24), demo_task(25)]
-    cfg = TrainConfig(inner_rate=1e-3, outer_rate=5e-3, inner_steps=1, batch_size=2)
+    cfg = TrainConfig(inner_rate=1e-3, inner_steps=1, batch_size=2)
     base = meta_train_step(params, tasks, cfg, step_seed=7)
 
     def probe(ti, live_params):
@@ -474,15 +484,15 @@ def test_meta_train_step_simultaneity_probe() -> None:
             live_params.skills[0].values[0] = 1e9
 
     probed = meta_train_step(params, tasks, cfg, step_seed=7, task_callback=probe)
-    assert np.array_equal(base.params.high.values, probed.params.high.values)
-    for a, b in zip(base.params.skills, probed.params.skills):
+    assert np.array_equal(base.g_high.values, probed.g_high.values)
+    for a, b in zip(base.g_skills, probed.g_skills):
         assert np.array_equal(a.values, b.values)
 
 
 def test_meta_train_step_task_order_permutation_bound() -> None:
     params = small_params(26)
     tasks = [demo_task(30 + i) for i in range(5)]
-    cfg = TrainConfig(inner_rate=1e-3, outer_rate=5e-3, inner_steps=2, batch_size=2, outer_reduce="sum")
+    cfg = TrainConfig(inner_rate=1e-3, inner_steps=2, batch_size=2, outer_reduce="sum")
     fwd = meta_train_step(params, tasks, cfg, step_seed=9)
     rev = meta_train_step(params, tasks[::-1], cfg, step_seed=9)
     assert np.max(np.abs(fwd.g_high.values - rev.g_high.values)) <= 1e-12
@@ -538,12 +548,9 @@ def test_few_shot_adapt_reduces_single_skill_bc_loss_pilot() -> None:
     demo = task.support[0]
     adapted = few_shot_adapt(params, [demo], 5e-4, 3)
     S, A, _ = flatten_trajectories([demo])
-    before = sum(
-        dmil.skill_loss_value(params.skills[k], params.skill_shape, S, A) for k in range(params.K)
-    )
-    after = sum(
-        dmil.skill_loss_value(adapted.skills[k], adapted.skill_shape, S, A) for k in range(params.K)
-    )
+    loss = make_skill_loss(params.skill_shape)
+    before = sum(loss_value(loss, params.skills[k], dmil.SkillBatch(S, A)) for k in range(params.K))
+    after = sum(loss_value(loss, adapted.skills[k], dmil.SkillBatch(S, A)) for k in range(params.K))
     if not after < before:
         warnings.warn(f"adaptation did not reduce pooled BC loss: {before} -> {after}")
 

@@ -11,11 +11,10 @@ from dmil.evaluation import (
     ExpertPolicy,
     HierarchicalPolicy,
     MonolithicPolicy,
-    adaptation_mse,
     adapted_skill_accuracy,
     fd_check,
+    query_mse,
     rollout_stats,
-    rollout_success,
     skill_accuracy,
     summarize_report,
     switch_rate,
@@ -41,7 +40,7 @@ def test_fd_check_quadratic_tiny_error() -> None:
 
 
 def test_fd_check_small_mlp_meta_objective() -> None:
-    from dmil.autodiff import inner_adapt, loss_value, grad, meta_grad
+    from dmil.autodiff import inner_adapt, loss_value, meta_grad, value_and_grad
     from dmil.dmil import SkillBatch, make_skill_loss
 
     shape = mlp_shape(2, 2, (8,))
@@ -55,7 +54,7 @@ def test_fd_check_small_mlp_meta_objective() -> None:
     rate = 5e-4
 
     trace = inner_adapt(loss, theta, rate, SkillBatch(s2, a2), 1)
-    exact = meta_grad(trace, grad(loss, trace.final, SkillBatch(s4, a4)))
+    exact = meta_grad(trace, value_and_grad(loss, trace.final, SkillBatch(s4, a4))[1])
 
     def objective(x):
         tr = inner_adapt(loss, ParamVector(x), rate, SkillBatch(s2, a2), 1)
@@ -66,7 +65,7 @@ def test_fd_check_small_mlp_meta_objective() -> None:
 
 def test_fd_check_exposes_first_order_gap() -> None:
     # On a curved objective the first-order meta-gradient is materially wrong.
-    from dmil.autodiff import inner_adapt, loss_value, grad, meta_grad
+    from dmil.autodiff import inner_adapt, loss_value, meta_grad, value_and_grad
     from dmil.dmil import SkillBatch, make_skill_loss
 
     shape = mlp_shape(2, 2, (8,))
@@ -78,7 +77,7 @@ def test_fd_check_exposes_first_order_gap() -> None:
     rate = 0.05  # big enough that curvature matters
 
     trace = inner_adapt(loss, theta, rate, SkillBatch(s2, a2), 1)
-    fo = meta_grad(trace, grad(loss, trace.final, SkillBatch(s2, a2)), mode="first_order")
+    fo = meta_grad(trace, value_and_grad(loss, trace.final, SkillBatch(s2, a2))[1], mode="first_order")
 
     def objective(x):
         tr = inner_adapt(loss, ParamVector(x), rate, SkillBatch(s2, a2), 1)
@@ -128,9 +127,9 @@ def test_skill_accuracy_random_near_third_and_matches_exhaustive() -> None:
 
 
 def test_skill_accuracy_contract_errors() -> None:
-    with pytest.raises(ContractError):
+    with pytest.raises(ContractError, match="limited to 6 skills"):
         skill_accuracy(np.zeros(4), np.zeros(4), 7, 7)
-    assert skill_accuracy(np.zeros(4), np.zeros(4), 7, 7, approximate=True) == 1.0
+    assert skill_accuracy(np.zeros(4), np.zeros(4), 6, 6) == 1.0
     with pytest.raises(ContractError):
         skill_accuracy(np.zeros(4), np.zeros(3), 3, 3)
 
@@ -160,32 +159,48 @@ def test_switch_rate_bounds() -> None:
 # ---- adaptation MSE ----
 
 
+def pre_post_mse(policy, task, shots: int) -> tuple[float, float]:
+    """Query MSE before and after adapting on the first `shots` demonstrations,
+    as runner.evaluate computes them."""
+    return query_mse(policy, task), query_mse(policy.adapt(list(task.support[:shots])), task)
+
+
 def test_adaptation_mse_zero_rate_pre_equals_post() -> None:
     params = init_hierarchical(4, 2, 3, (8,), seed=1)
     task = make_dataset(sample_task(1), 6, 2, 30, seed=1)
     policy = HierarchicalPolicy(params, adapt_rate=0.0, adapt_steps=3)
-    pre, post = adaptation_mse(policy, task, shots=1)
+    pre, post = pre_post_mse(policy, task, shots=1)
     assert pre == post
 
 
 def test_adaptation_mse_expert_oracle_hits_noise_floor() -> None:
     spec = sample_task(4)
     task = make_dataset(spec, 4, 4, 60, seed=4)
-    pre, post = adaptation_mse(ExpertPolicy(spec), task, shots=1)
+    pre, post = pre_post_mse(ExpertPolicy(spec), task, shots=1)
     # Residual is exactly the recorded Gaussian action noise.
     assert post == pre
     assert abs(post - spec.noise_std**2) < 0.3 * spec.noise_std**2
 
 
-def test_adaptation_mse_deterministic_and_shot_checked() -> None:
-    params = init_hierarchical(4, 2, 3, (8,), seed=2)
+def test_adaptation_mse_deterministic_and_shot_checked(monkeypatch) -> None:
+    from dmil.config import resolve_config
+    from dmil.runner import evaluate
+
+    params = init_hierarchical(4, 2, 3, (8,), seed=2, features="relative")
     task = make_dataset(sample_task(2), 6, 2, 30, seed=2)
-    policy = HierarchicalPolicy(params, adapt_rate=1e-3, adapt_steps=2)
-    a = adaptation_mse(policy, task, shots=2)
-    b = adaptation_mse(policy, task, shots=2)
-    assert a == b
-    with pytest.raises(ContractError):
-        adaptation_mse(policy, task, shots=7)
+    cfg = resolve_config({"eval": {"shots": [2], "episodes": 1, "adapt_rate": 1e-3, "adapt_steps": 2},
+                          "data": {"horizon": 30}})
+    a = evaluate(cfg, params, "dmil", [task])
+    b = evaluate(cfg, params, "dmil", [task])
+    assert a == b and a[0]["post_mse"] != a[0]["pre_mse"]
+
+    def never(self, demos):
+        raise AssertionError("adaptation ran before the shots check")
+
+    monkeypatch.setattr(HierarchicalPolicy, "adapt", never)
+    cfg["eval"]["shots"] = [1, 7]
+    with pytest.raises(ContractError, match=f"eval.shots=7 exceeds the 6 support demonstrations of test task {task.spec.seed}"):
+        evaluate(cfg, params, "dmil", [task])
 
 
 def test_adapted_skill_accuracy_expert_is_perfect() -> None:
@@ -200,14 +215,14 @@ def test_adapted_skill_accuracy_expert_is_perfect() -> None:
 
 def test_rollout_success_expert_is_one() -> None:
     spec = sample_task(6)
-    assert rollout_success(ExpertPolicy(spec), spec, episodes=4, T=120) == 1.0
+    assert rollout_stats(ExpertPolicy(spec), spec, episodes=4, T=120).success_rate == 1.0
 
 
 def test_rollout_success_zero_policy_is_zero() -> None:
     spec = sample_task(7)
     shape = mlp_shape(4, 2, (8,))
     zero = MonolithicPolicy(ParamVector(np.zeros(shape.n_params)), shape, 0.0, 1)
-    assert rollout_success(zero, spec, episodes=3, T=120) == 0.0
+    assert rollout_stats(zero, spec, episodes=3, T=120).success_rate == 0.0
 
 
 def test_rollout_stats_switch_rate_of_expert_is_low() -> None:

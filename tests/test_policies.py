@@ -3,16 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dmil import autodiff as ad
 from dmil.autodiff import ContractError, ParamVector
 from dmil.policies import (
     HierarchicalParams,
     MlpShape,
-    high_forward,
     init_hierarchical,
     init_params,
     mlp_forward,
+    mlp_logits,
     mlp_shape,
-    skill_forward,
 )
 from dmil.rng import SplitMix64
 
@@ -34,6 +34,13 @@ def straight_line_forward(theta: np.ndarray, sizes, x: np.ndarray) -> np.ndarray
         if i < len(sizes) - 2:
             h = np.where(h > 0, h, 0.0)
     return h
+
+
+def selector_probs(theta: ParamVector, shape: MlpShape, state) -> np.ndarray:
+    """Skill probabilities for one state, as the selector loss forms them:
+    exp(log_softmax(logits))."""
+    logits = mlp_logits(ad.constant(theta.values), shape, np.asarray(state)[None, :])
+    return ad.exp(ad.log_softmax(logits)).value[0]
 
 
 def test_init_deterministic_in_seed() -> None:
@@ -84,7 +91,7 @@ def test_shape_validation() -> None:
 def test_high_forward_zero_params_uniform() -> None:
     shape = mlp_shape(4, 3, (8,))
     theta = ParamVector(np.zeros(shape.n_params))
-    p = high_forward(theta, shape, np.array([0.5, -1.0, 2.0, 0.0]))
+    p = selector_probs(theta, shape, np.array([0.5, -1.0, 2.0, 0.0]))
     assert p == pytest.approx([1 / 3, 1 / 3, 1 / 3])
 
 
@@ -92,7 +99,7 @@ def test_high_forward_k1_always_one() -> None:
     shape = mlp_shape(4, 1, (8,))
     theta = init_params(shape, 11)
     for s in SplitMix64(1).uniform_array(12, -2, 2).reshape(3, 4):
-        assert high_forward(theta, shape, s) == pytest.approx([1.0])
+        assert selector_probs(theta, shape, s) == pytest.approx([1.0])
 
 
 def test_high_forward_matches_straight_line_oracle() -> None:
@@ -103,7 +110,7 @@ def test_high_forward_matches_straight_line_oracle() -> None:
     logits = straight_line_forward(theta.values, shape.layer_sizes, s[None, :])[0]
     want = np.exp(logits - logits.max())
     want /= want.sum()
-    assert np.max(np.abs(high_forward(theta, shape, s) - want)) <= 1e-12
+    assert np.max(np.abs(selector_probs(theta, shape, s) - want)) <= 1e-12
 
 
 def test_high_forward_probabilities_sum_to_one() -> None:
@@ -111,7 +118,7 @@ def test_high_forward_probabilities_sum_to_one() -> None:
     shape = MlpShape((4, 16, 5))
     theta = ParamVector(rng.uniform_array(shape.n_params, -2, 2))
     S = rng.uniform_array(40, -3, 3).reshape(10, 4)
-    P = np.vstack([high_forward(theta, shape, s) for s in S])
+    P = np.vstack([selector_probs(theta, shape, s) for s in S])
     assert np.all(P > 0) and np.all(P < 1)
     assert np.max(np.abs(P.sum(axis=1) - 1.0)) <= 1e-9
 
@@ -123,15 +130,15 @@ def test_softmax_shift_invariance_on_output_biases() -> None:
     shifted = theta.copy()
     shifted[-3:] += 12.345  # all output-layer biases sit at the tail
     s = rng.uniform_array(4, -1, 1)
-    a = high_forward(ParamVector(theta), shape, s)
-    b = high_forward(ParamVector(shifted), shape, s)
+    a = selector_probs(ParamVector(theta), shape, s)
+    b = selector_probs(ParamVector(shifted), shape, s)
     assert np.max(np.abs(a - b)) <= 1e-9
 
 
 def test_skill_forward_zero_params_zero_action() -> None:
     shape = mlp_shape(4, 2, (8,))
     theta = ParamVector(np.zeros(shape.n_params))
-    assert np.array_equal(skill_forward(theta, shape, np.array([1.0, 2, 3, 4])), np.zeros(2))
+    assert np.array_equal(mlp_forward(theta, shape, np.array([1.0, 2, 3, 4]))[0], np.zeros(2))
 
 
 def test_skill_forward_hand_set_single_layer_scaling() -> None:
@@ -140,7 +147,7 @@ def test_skill_forward_hand_set_single_layer_scaling() -> None:
     a = 1.5
     theta = ParamVector(np.array([a, 0.0, 0.0, a, 0.0, 0.0]))
     s = np.array([2.0, -3.0])
-    assert skill_forward(theta, shape, s) == pytest.approx([a * 2.0, a * -3.0])
+    assert mlp_forward(theta, shape, s)[0] == pytest.approx([a * 2.0, a * -3.0])
 
 
 def test_skill_forward_matches_straight_line_oracle() -> None:
@@ -149,7 +156,7 @@ def test_skill_forward_matches_straight_line_oracle() -> None:
     theta = ParamVector(rng.uniform_array(shape.n_params, -1, 1))
     s = rng.uniform_array(4, -1, 1)
     want = straight_line_forward(theta.values, shape.layer_sizes, s[None, :])[0]
-    assert np.max(np.abs(skill_forward(theta, shape, s) - want)) <= 1e-12
+    assert np.max(np.abs(mlp_forward(theta, shape, s)[0] - want)) <= 1e-12
 
 
 def test_forward_dimension_mismatch_rejected() -> None:
