@@ -1,6 +1,7 @@
 """Pilot for the acceptance benchmark campaign: trains every method on five
 seeds with the candidate config and prints each benchmark criterion's
-numbers.  Used to freeze configs/acceptance.json."""
+numbers, then writes every evaluation row to runs/pilot_summary.json.  Used
+to freeze configs/acceptance.json."""
 
 import copy
 import json
@@ -118,7 +119,9 @@ def main():
     print(f"6: mean acc {c6/5:.3f} (need >=0.8)")
     print(f"7: {c7_wins}/5 (need >=4)")
     print(f"total wall: {(time.perf_counter()-t_start)/60:.1f} min")
-    Path("pilot_summary.json").write_text(json.dumps(
+    out = Path(__file__).resolve().parent.parent / "runs" / "pilot_summary.json"
+    out.parent.mkdir(exist_ok=True)
+    out.write_text(json.dumps(
         {str(s): {m: results[s][m]["rows"] for m in results[s]} for s in results}, indent=1, default=float))
 
 

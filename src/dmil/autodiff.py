@@ -53,7 +53,7 @@ class ParamVector:
         return self.values.shape[0]
 
     def minus_scaled(self, g: "ParamVector", rate: float) -> "ParamVector":
-        """theta - rate * g, the one arithmetic form used for descent and replay."""
+        """theta - rate * g, the one arithmetic form of every descent step."""
         if len(g) != len(self):
             raise ContractError(f"length mismatch: {len(self)} vs {len(g)}")
         return ParamVector(self.values - rate * g.values)
@@ -65,11 +65,6 @@ class ParamVector:
         if len(other) != len(self):
             raise ContractError(f"length mismatch: {len(self)} vs {len(other)}")
         return ParamVector(self.values + other.values)
-
-    def allclose(self, other: "ParamVector", tol: float = 0.0) -> bool:
-        if tol == 0.0:
-            return np.array_equal(self.values, other.values)
-        return bool(np.allclose(self.values, other.values, rtol=tol, atol=tol))
 
     @staticmethod
     def zeros(n: int) -> "ParamVector":
@@ -346,41 +341,27 @@ def hvp(f: LossFn, theta: ParamVector, v: ParamVector, batch) -> ParamVector:
 
 
 @dataclass(frozen=True)
-class AdaptStep:
-    gradient: ParamVector
-    rate: float
-
-
-@dataclass(frozen=True)
 class AdaptTrace:
-    """Replayable record of plain gradient-descent steps at a fixed rate.
+    """Record of plain gradient-descent steps at one fixed rate.
 
-    Invariant: final equals initial with each step's rate * gradient
-    subtracted in sequence (exact float replay).  loss_fn/batch are kept so
-    meta_grad can re-differentiate the same inner objective.
+    points[j] holds the parameters before step j (points[0] is the start),
+    and final is the last point minus rate times its gradient; a trace with
+    no steps has no points.  loss_fn/batch are kept so meta_grad can
+    re-differentiate the same inner objective at each point.
     """
 
-    initial: ParamVector
-    steps: tuple[AdaptStep, ...]
+    points: tuple[ParamVector, ...]
+    rate: float
     final: ParamVector
     loss_fn: LossFn | None = None
     batch: object = None
     losses: tuple[float, ...] = ()  # loss before each step, then at final
     diverged: bool = False
 
-    def replay_points(self) -> list[ParamVector]:
-        """Parameters before each step, reproduced bit-exactly."""
-        points = [self.initial]
-        p = self.initial
-        for s in self.steps[:-1] if self.steps else []:
-            p = p.minus_scaled(s.gradient, s.rate)
-            points.append(p)
-        return points[: len(self.steps)]
-
 
 def identity_trace(theta: ParamVector) -> AdaptTrace:
     """Zero-step trace: adaptation that leaves parameters untouched."""
-    return AdaptTrace(initial=theta, steps=(), final=theta)
+    return AdaptTrace(points=(), rate=0.0, final=theta)
 
 
 _DIVERGENCE_FACTOR = 10.0
@@ -404,20 +385,20 @@ def inner_adapt(
     if rate < 0:
         raise ContractError(f"inner_adapt needs rate >= 0, got {rate}")
     p = theta
-    recorded: list[AdaptStep] = []
+    points: list[ParamVector] = []
     losses: list[float] = []
     for _ in range(steps):
         val, g = value_and_grad(f, p, batch)
         losses.append(val)
-        recorded.append(AdaptStep(gradient=g, rate=rate))
+        points.append(p)
         p = p.minus_scaled(g, rate)
     final_loss = loss_value(f, p, batch)
     losses.append(final_loss)
     floor = max(abs(losses[0]), 1e-300)
     diverged = any(l > _DIVERGENCE_FACTOR * floor for l in losses[1:])
     return AdaptTrace(
-        initial=theta,
-        steps=tuple(recorded),
+        points=tuple(points),
+        rate=rate,
         final=p,
         loss_fn=f,
         batch=batch,
@@ -432,8 +413,8 @@ def meta_grad(trace: AdaptTrace, g_outer: ParamVector, mode: str = "exact") -> P
     Exact mode backpropagates g_outer through every inner step:
     v <- v - rate * H(theta_j) v, visited in reverse step order, where
     H(theta_j) is the Hessian of trace.loss_fn on trace.batch at the
-    parameters before step j.  First-order mode, and a trace with no steps,
-    return g_outer unchanged.
+    parameters before step j.  First-order mode, a trace with no steps and
+    a zero rate return g_outer unchanged.
     """
     if mode not in ("exact", "first_order"):
         raise ContractError(f"unknown meta_grad mode {mode!r}")
@@ -441,16 +422,11 @@ def meta_grad(trace: AdaptTrace, g_outer: ParamVector, mode: str = "exact") -> P
         raise ContractError(
             f"outer gradient length {len(g_outer)} != parameter length {len(trace.final)}"
         )
-    if mode == "first_order" or not trace.steps:
+    if mode == "first_order" or not trace.points or trace.rate == 0.0:
         return g_outer
     if trace.loss_fn is None:
         raise ContractError("meta_grad exact mode needs the trace's inner loss function")
-    points = trace.replay_points()
     v = g_outer
-    for j in reversed(range(len(trace.steps))):
-        rate = trace.steps[j].rate
-        if rate == 0.0:
-            continue
-        h = hvp(trace.loss_fn, points[j], v, trace.batch)
-        v = v.minus_scaled(h, rate)
+    for point in reversed(trace.points):
+        v = v.minus_scaled(hvp(trace.loss_fn, point, v, trace.batch), trace.rate)
     return v

@@ -1,6 +1,8 @@
 """Run configuration: one JSON document with sections {data, model, dmil,
 eval, gradcheck, run}.  Unknown keys are hard errors (no silent defaults for
-typos); values are deep-merged over the defaults below."""
+typos), and so is a value whose type differs from its default's (an int may
+stand for a float; keys whose default is None take any value).  Values are
+deep-merged over the defaults below."""
 
 from __future__ import annotations
 
@@ -42,8 +44,9 @@ DEFAULT_CONFIG: dict = {
         "batch_size": 16,
         "tasks_per_step": 5,
         "ho_labels": "adapted",
-        # Outer update of dmil, dmil_high, dmil_low and maml at outer_rate:
-        # "sgd" or "adam".  em_only always takes plain descent at outer_rate.
+        # Outer update of all five methods at outer_rate: "sgd" or "adam".
+        # Every method's step yields gradients at the pre-step parameters
+        # (em_only routes by the pre-step selector).
         "outer_optimizer": "sgd",
         # Hard-EM warm start (shared verbatim by every method under one seed):
         # label-routed alternations, then selector-only consolidation.
@@ -95,12 +98,16 @@ def _merge(defaults: dict, override: dict, path: str) -> dict:
         if key not in defaults:
             valid = ", ".join(sorted(defaults))
             raise ConfigError(f"unknown config key {here!r}; valid keys here: {valid}")
-        if isinstance(defaults[key], dict) and value is not None:
+        want = type(defaults[key])
+        if want is dict:
             if not isinstance(value, dict):
                 raise ConfigError(f"config key {here!r} must be a section (object)")
             out[key] = _merge(defaults[key], value, here)
-        else:
-            out[key] = copy.deepcopy(value)
+            continue
+        got = type(value)
+        if defaults[key] is not None and got is not want and (want, got) != (float, int):
+            raise ConfigError(f"config key {here!r} must be {want.__name__}, got {got.__name__} {value!r}")
+        out[key] = copy.deepcopy(value)
     return out
 
 

@@ -25,7 +25,7 @@ gradient flows through them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -360,21 +360,14 @@ def sample_phase_batches(
 
 
 @dataclass(frozen=True)
-class TaskStepStats:
-    high_outer_loss: float
-    skill_outer_loss: float
-    diverged: bool
-
-
-@dataclass(frozen=True)
 class StepResult:
-    g_high: ParamVector  # reduced selector meta-gradient
-    g_skills: tuple[ParamVector, ...]  # reduced sub-skill meta-gradients
-    outer_loss: float  # mean over tasks of (selector + pooled skill outer loss)
-    high_outer_loss: float
-    skill_outer_loss: float
-    diverged_count: int
-    task_stats: tuple[TaskStepStats, ...]
+    """One outer iteration of any method: the reduced gradients that
+    runner.train hands to the outer optimizer, and what it logs."""
+
+    g_high: ParamVector  # reduced selector gradient
+    g_skills: tuple[ParamVector, ...]  # reduced sub-skill gradients
+    outer_loss: float  # selector loss plus pooled sub-skill loss
+    diverged_count: int  # tasks with a diverged inner adaptation
 
     @property
     def grad_norm_high(self) -> float:
@@ -389,7 +382,7 @@ def _task_meta_grads(
     params: HierarchicalParams,
     batches: tuple[list[Trajectory], ...],
     cfg: TrainConfig,
-) -> tuple[ParamVector, list[ParamVector], TaskStepStats]:
+) -> tuple[ParamVector, list[ParamVector], float, float, bool]:
     """One task's four phases.  A level that is not meta-learned keeps a
     zero-step trace, whose meta-gradient is its plain outer gradient, taken
     on its inner batch instead: t1 labelled by the initial sub-skills for
@@ -418,7 +411,7 @@ def _task_meta_grads(
     g_skills, skill_val = lo_grad(traces_l, trace_h.final, params, skill_trajs, cfg.grad_mode)
 
     diverged = trace_h.diverged or any(t.diverged for t in traces_l)
-    return g_high, g_skills, TaskStepStats(high_val, skill_val, diverged)
+    return g_high, g_skills, high_val, skill_val, diverged
 
 
 def meta_train_step(
@@ -426,7 +419,6 @@ def meta_train_step(
     tasks: Sequence,
     cfg: TrainConfig,
     step_seed: int,
-    task_callback: Callable[[int, HierarchicalParams], None] | None = None,
 ) -> StepResult:
     """Reduced meta-gradients of one outer iteration over a batch of tasks.
 
@@ -439,26 +431,21 @@ def meta_train_step(
     if not tasks:
         raise ContractError("meta_train_step needs at least one task")
     acc = MetaGradient(params)
-    stats: list[TaskStepStats] = []
-    for ti, task in enumerate(tasks):
+    high_vals, skill_vals, diverged = [], [], 0
+    for task in tasks:
         rng = SplitMix64(derive_seed(step_seed, task.spec.seed))
         batches = sample_phase_batches(task.support, cfg.batch_size, rng)
-        g_high, g_skills, st = _task_meta_grads(params, batches, cfg)
+        g_high, g_skills, high_val, skill_val, task_diverged = _task_meta_grads(params, batches, cfg)
         acc.accumulate(g_high, g_skills)
-        stats.append(st)
-        if task_callback is not None:
-            task_callback(ti, params)
+        high_vals.append(high_val)
+        skill_vals.append(skill_val)
+        diverged += int(task_diverged)
     g_high, g_skills = acc.reduced(cfg.outer_reduce)
-    high_mean = float(np.mean([s.high_outer_loss for s in stats]))
-    skill_mean = float(np.mean([s.skill_outer_loss for s in stats]))
     return StepResult(
         g_high=g_high,
         g_skills=tuple(g_skills),
-        outer_loss=high_mean + skill_mean,
-        high_outer_loss=high_mean,
-        skill_outer_loss=skill_mean,
-        diverged_count=sum(1 for s in stats if s.diverged),
-        task_stats=tuple(stats),
+        outer_loss=float(np.mean(high_vals)) + float(np.mean(skill_vals)),
+        diverged_count=diverged,
     )
 
 

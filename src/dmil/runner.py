@@ -21,7 +21,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ContractError, ParamVector, inner_adapt, loss_value
-from .baselines import em_only_train, maml_train_step
+from .baselines import em_only_train, hard_em_grads, maml_train_step
 from .checkpoint import save_checkpoint
 from .config import METHODS, dump_config
 from .data import flatten_trajectories
@@ -37,8 +37,6 @@ from .dmil import (
     make_skill_loss,
     meta_train_step,
     partition_by_skill,
-    partition_pairs,
-    sample_phase_batches,
     SkillBatch,
 )
 from .evaluation import (
@@ -50,7 +48,7 @@ from .evaluation import (
     write_report_csv,
     write_summary_json,
 )
-from .policies import HierarchicalParams, featurize, init_hierarchical
+from .policies import HierarchicalParams, init_hierarchical
 from .rng import SplitMix64, derive_seed
 from .tasks import TaskDataset, load_datasets, make_dataset, rollout_expert, sample_task
 
@@ -157,58 +155,27 @@ def init_model(cfg: dict) -> HierarchicalParams:
 
 
 def _em_alternations(
-    params: HierarchicalParams,
-    pooled,
-    states,
-    actions,
-    x,
-    epochs: int,
-    lr: float,
-    aux: float,
+    params: HierarchicalParams, pooled, states, actions, epochs: int, lr: float, aux: float
 ) -> HierarchicalParams:
     """Label-routed hard-EM alternations (the classical E/M pairing): each
     sub-skill trains only on the pairs it currently wins, so per-pair
     competition stays alive and no single network absorbs everything."""
-    high_loss_fn = make_high_loss(params.high_shape)
-    skill_loss_fn = make_skill_loss(params.skill_shape)
     for _ in range(epochs):
         labels = hard_labels(states, actions, params.skills, params.skill_shape, params.feature_kind)
-        batch = build_high_batch(pooled, labels, aux, params.feature_kind)
-        _, g_h = ad.value_and_grad(high_loss_fn, params.high, batch)
-        new_high = params.high.minus_scaled(g_h, lr)
-        part = partition_pairs(x, actions, labels.indices, params.K)
-        new_skills = []
-        for k in range(params.K):
-            if part.sizes[k] == 0:
-                new_skills.append(params.skills[k])
-                continue
-            sb = SkillBatch(part.states[k], part.actions[k])
-            _, g = ad.value_and_grad(skill_loss_fn, params.skills[k], sb)
-            new_skills.append(params.skills[k].minus_scaled(g, lr))
-        params = params.with_updates(new_high, tuple(new_skills))
+        res = hard_em_grads(params, pooled, labels, labels.indices, aux)
+        params = params.with_updates(
+            params.high.minus_scaled(res.g_high, lr),
+            tuple(s.minus_scaled(g, lr) for s, g in zip(params.skills, res.g_skills)),
+        )
     return params
 
 
-def _em_fit_score(params: HierarchicalParams, pooled, states, actions, x) -> float:
+def _em_fit_score(params: HierarchicalParams, pooled, states, actions) -> float:
     """Self-contained basin score: selector cross-entropy against the current
     labels plus the label-routed pooled MSE.  Low scores mean the labels are
     both state-predictable and well fit, which tracks decomposition quality."""
     labels = hard_labels(states, actions, params.skills, params.skill_shape, params.feature_kind)
-    ce = ad.loss_value(
-        make_high_loss(params.high_shape),
-        params.high,
-        build_high_batch(pooled, labels, 0.0, params.feature_kind),
-    )
-    part = partition_pairs(x, actions, labels.indices, params.K)
-    skill_loss_fn = make_skill_loss(params.skill_shape)
-    sse, n = 0.0, 0
-    for k in range(params.K):
-        if part.sizes[k] == 0:
-            continue
-        v = ad.loss_value(skill_loss_fn, params.skills[k], SkillBatch(part.states[k], part.actions[k]))
-        sse += v * part.sizes[k]
-        n += part.sizes[k]
-    return ce + (sse / n if n else 0.0)
+    return hard_em_grads(params, pooled, labels, labels.indices, 0.0).outer_loss
 
 
 def warm_start(cfg: dict, train_tasks) -> HierarchicalParams:
@@ -237,19 +204,16 @@ def warm_start(cfg: dict, train_tasks) -> HierarchicalParams:
         )
         for s in seeds
     ]
-    x = featurize(states, candidates[0].feature_kind)
 
     probe = min(m["warmup_probe_epochs"], m["warmup_epochs"])
     if len(candidates) > 1:
-        probed = [_em_alternations(p, pooled, states, actions, x, probe, lr, aux) for p in candidates]
-        scores = [_em_fit_score(p, pooled, states, actions, x) for p in probed]
+        probed = [_em_alternations(p, pooled, states, actions, probe, lr, aux) for p in candidates]
+        scores = [_em_fit_score(p, pooled, states, actions) for p in probed]
         best = int(np.argmin(scores))
         params = probed[best]
     else:
-        params = _em_alternations(candidates[0], pooled, states, actions, x, probe, lr, aux)
-    params = _em_alternations(
-        params, pooled, states, actions, x, m["warmup_epochs"] - probe, lr, aux
-    )
+        params = _em_alternations(candidates[0], pooled, states, actions, probe, lr, aux)
+    params = _em_alternations(params, pooled, states, actions, m["warmup_epochs"] - probe, lr, aux)
 
     labels = hard_labels(states, actions, params.skills, params.skill_shape, params.feature_kind)
     batch = build_high_batch(pooled, labels, aux, params.feature_kind)
@@ -290,10 +254,10 @@ def train(cfg: dict, out_dir=None, datasets=None, warm_params=None) -> TrainResu
     paired runs, and `warm_params` a precomputed warm start; both are pure
     functions of the config, so sharing only saves recomputation.
 
-    This is the one place that applies the outer update of the meta-learned
-    methods (dmil, dmil_high, dmil_low, maml): their steps return reduced
-    gradients, which go through outer_optimizer at outer_rate.  em_only
-    takes plain descent steps at outer_rate inside its alternation.
+    This is the one place that applies the outer update, the same for all
+    five methods: each method's step function returns a StepResult of
+    gradients at the pre-step parameters, which go through outer_optimizer
+    at outer_rate.
     """
     method = cfg["dmil"]["method"]
     if method not in METHODS:
@@ -330,45 +294,24 @@ def train(cfg: dict, out_dir=None, datasets=None, warm_params=None) -> TrainResu
         batch_tasks = [train_tasks[i] for i in picks]
         step_seed = derive_seed(seed, SALT_STEP, it)
 
-        if method == "em_only":  # one hard-EM alternation per iteration on pooled batches
-            pooled = []
-            for task in batch_tasks:
-                rng = SplitMix64(derive_seed(step_seed, task.spec.seed))
-                for group in sample_phase_batches(task.support, tc.batch_size, rng):
-                    pooled.extend(group)
-            res = em_only_train(params, pooled, epochs=1, lr=outer_rate, aux_weight=tc.aux_weight)
-            params = res.params
-            row = dict(
-                iteration=it,
-                outer_loss=res.losses[0],
-                grad_norm_high=res.high_grad_norms[0],
-                grad_norm_skills=res.skill_grad_norms[0],
-                diverged=0,
-            )
-        else:
-            if method == "maml":  # the selector (K=1) stays as it is
-                res = maml_train_step(
-                    params.skills[0], params.skill_shape, batch_tasks, tc, step_seed, params.feature_kind
-                )
-                g_high, g_skills = None, (res.g,)
-                norm_high, norm_skills = 0.0, float(np.linalg.norm(res.g.values))
-            else:
-                res = meta_train_step(params, batch_tasks, tc, step_seed)
-                g_high, g_skills = res.g_high, res.g_skills
-                norm_high, norm_skills = res.grad_norm_high, res.grad_norm_skills
-            params = params.with_updates(
-                params.high if g_high is None else opt_high.step(params.high, g_high),
-                tuple(o.step(s, g) for o, s, g in zip(opt_skills, params.skills, g_skills)),
-            )
-            row = dict(
+        # Looked up in this module's globals on every call, so that a wrapper
+        # set on runner's attribute (a test, a profiler) sees each step.
+        step = {"em_only": em_only_train, "maml": maml_train_step}.get(method, meta_train_step)
+        res = step(params, batch_tasks, tc, step_seed)
+        params = params.with_updates(
+            opt_high.step(params.high, res.g_high),
+            tuple(o.step(s, g) for o, s, g in zip(opt_skills, params.skills, res.g_skills, strict=True)),
+        )
+        rows.append(
+            dict(
                 iteration=it,
                 outer_loss=res.outer_loss,
-                grad_norm_high=norm_high,
-                grad_norm_skills=norm_skills,
+                grad_norm_high=res.grad_norm_high,
+                grad_norm_skills=res.grad_norm_skills,
                 diverged=res.diverged_count,
             )
-        rows.append(row)
-        diverged_total += row["diverged"]
+        )
+        diverged_total += res.diverged_count
         timings.append(time.perf_counter() - t0)
         if out is not None and run["checkpoint_every"] > 0 and (it + 1) % run["checkpoint_every"] == 0:
             save_checkpoint(out / f"checkpoint_{it + 1:06d}.json", params, method, task_rng.state, it + 1)

@@ -177,11 +177,15 @@ def test_inner_adapt_composition_bitwise() -> None:
 
 
 def test_inner_adapt_exact_replay_invariant() -> None:
+    # The recorded points are exactly the parameters before each step:
+    # replaying the descent from theta visits them bit for bit.
     f, theta = random_mlp_instance(32)
     trace = inner_adapt(f, theta, 0.05, None, 4)
-    p = trace.initial
-    for s in trace.steps:
-        p = p.minus_scaled(s.gradient, s.rate)
+    assert len(trace.points) == 4 and trace.rate == 0.05
+    p = theta
+    for point in trace.points:
+        assert np.array_equal(p.values, point.values)
+        p = p.minus_scaled(value_and_grad(f, p, None)[1], trace.rate)
     assert np.array_equal(p.values, trace.final.values)
 
 
@@ -260,7 +264,7 @@ def test_meta_grad_rejects_length_mismatch() -> None:
 def test_identity_trace_has_no_steps() -> None:
     theta = ParamVector(np.array([1.0, 2.0]))
     t = identity_trace(theta)
-    assert t.steps == ()
+    assert t.points == ()
     assert t.final is theta
     assert np.array_equal(meta_grad(t, theta).values, theta.values)
 

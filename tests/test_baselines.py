@@ -8,7 +8,7 @@ from dmil.autodiff import ParamVector
 from dmil.baselines import em_only_train, maml_train_step
 from dmil.data import flatten_trajectories
 from dmil.dmil import TrainConfig, meta_train_step, sample_phase_batches
-from dmil.policies import HierarchicalParams, init_hierarchical, init_params, mlp_forward, mlp_shape
+from dmil.policies import HierarchicalParams, init_hierarchical, mlp_forward
 from dmil.rng import SplitMix64, derive_seed
 from dmil.tasks import make_dataset, sample_task
 
@@ -44,18 +44,19 @@ def test_maml_equals_k1_hierarchical_skill_update_bitwise() -> None:
     tasks = [demo_task(5), demo_task(6)]
     cfg = TrainConfig(inner_rate=1e-3, inner_steps=3, batch_size=2, aux_weight=0.0)
     hier = meta_train_step(params, tasks, cfg, step_seed=13)
-    mono = maml_train_step(params.skills[0], params.skill_shape, tasks, cfg, step_seed=13)
-    assert np.array_equal(hier.g_skills[0].values, mono.g.values)
-    # Selector meta-gradient is exactly zero for K=1.
+    mono = maml_train_step(params, tasks, cfg, step_seed=13)
+    assert np.array_equal(hier.g_skills[0].values, mono.g_skills[0].values)
+    # Selector meta-gradient is exactly zero for K=1, and maml returns zero.
     assert np.array_equal(hier.g_high.values, np.zeros(len(params.high)))
+    assert np.array_equal(mono.g_high.values, np.zeros(len(params.high)))
 
 
 def test_maml_exact_step_matches_fd_oracle() -> None:
-    shape = mlp_shape(4, 2, (6,))
-    theta = init_params(shape, 9)
+    params = init_hierarchical(4, 2, 1, (6,), seed=9)
+    shape, theta = params.skill_shape, params.skills[0]
     task = demo_task(9, T=16)
     cfg = TrainConfig(inner_rate=5e-4, inner_steps=1, batch_size=1)
-    res = maml_train_step(theta, shape, [task], cfg, step_seed=2)
+    res = maml_train_step(params, [task], cfg, step_seed=2)
 
     from dmil.autodiff import inner_adapt, loss_value
     from dmil.dmil import SkillBatch, make_skill_loss
@@ -75,7 +76,8 @@ def test_maml_exact_step_matches_fd_oracle() -> None:
         d = np.zeros(len(theta))
         d[i] = 1e-5
         fd[i] = (objective(theta.values + d) - objective(theta.values - d)) / 2e-5
-    err = np.max(np.abs(fd - res.g.values)) / max(np.max(np.abs(res.g.values)), 1e-12)
+    g = res.g_skills[0].values
+    err = np.max(np.abs(fd - g)) / max(np.max(np.abs(g)), 1e-12)
     assert err <= 1e-4
 
 
@@ -144,13 +146,66 @@ def test_lifting_restrictions_reproduces_full_step_bitwise() -> None:
         assert np.array_equal(a.values, b.values)
 
 
+def test_hard_em_grads_route_by_the_given_indices() -> None:
+    # Routing every pair to skill 0: skill 0's gradient is the plain MSE
+    # gradient on all pairs, the unrouted skills get exact zero vectors, and
+    # the selector is fit to the labels, not to the routing.
+    from dmil import autodiff as ad
+    from dmil.baselines import hard_em_grads
+    from dmil.dmil import SkillBatch, build_high_batch, hard_labels, make_high_loss, make_skill_loss
+
+    params = init_hierarchical(4, 2, 3, (8,), seed=33)
+    trajs = list(demo_task(33).support[:3])
+    s, a, _ = flatten_trajectories(trajs)
+    labels = hard_labels(s, a, params.skills, params.skill_shape)
+    res = hard_em_grads(params, trajs, labels, np.zeros(len(labels), dtype=np.int64), 0.1)
+
+    ce, g_high = ad.value_and_grad(make_high_loss(params.high_shape), params.high, build_high_batch(trajs, labels, 0.1))
+    mse, g0 = ad.value_and_grad(make_skill_loss(params.skill_shape), params.skills[0], SkillBatch(s, a))
+    assert np.array_equal(res.g_high.values, g_high.values)
+    assert np.array_equal(res.g_skills[0].values, g0.values)
+    for k in (1, 2):
+        assert np.array_equal(res.g_skills[k].values, np.zeros(len(params.skills[k])))
+    assert res.outer_loss == pytest.approx(ce + mse, rel=1e-12)
+    assert res.diverged_count == 0
+
+
+def sgd_steps(params: HierarchicalParams, tasks, cfg: TrainConfig, lr: float, n: int, step_seed: int = 0):
+    """n em_only iterations at one fixed step seed under plain descent;
+    returns the final params and each iteration's loss."""
+    losses = []
+    for _ in range(n):
+        res = em_only_train(params, tasks, cfg, step_seed)
+        losses.append(res.outer_loss)
+        params = params.with_updates(
+            params.high.minus_scaled(res.g_high, lr),
+            tuple(s.minus_scaled(g, lr) for s, g in zip(params.skills, res.g_skills)),
+        )
+    return params, losses
+
+
 def test_em_only_zero_lr_identity() -> None:
-    params = init_hierarchical(4, 2, 3, (8,), seed=30)
-    pooled = list(demo_task(30).support[:4])
-    res = em_only_train(params, pooled, epochs=1, lr=0.0)
-    assert np.array_equal(res.params.high.values, params.high.values)
-    for a, b in zip(res.params.skills, params.skills):
-        assert np.array_equal(a.values, b.values)
+    # em_only's update goes through runner.train's outer optimizer: at
+    # outer_rate 0 every parameter stays bitwise where it started.
+    from dmil.config import resolve_config
+    from dmil.runner import init_model, train
+
+    for optimizer in ("sgd", "adam"):
+        cfg = resolve_config(
+            {
+                "data": {"n_train_tasks": 2, "n_test_tasks": 1, "n_support": 4, "n_query": 1, "horizon": 20},
+                "model": {"hidden": [8], "features": "raw"},
+                "dmil": {"method": "em_only", "outer_rate": 0.0, "batch_size": 2, "tasks_per_step": 2,
+                         "outer_optimizer": optimizer},
+                "run": {"iterations": 2, "checkpoint_every": 0},
+            }
+        )
+        res = train(cfg)
+        start = init_model(cfg)
+        assert res.metrics[0]["grad_norm_high"] > 0.0 and res.metrics[0]["grad_norm_skills"] > 0.0
+        assert np.array_equal(res.params.high.values, start.high.values)
+        for a, b in zip(res.params.skills, start.skills, strict=True):
+            assert np.array_equal(a.values, b.values)
 
 
 def test_em_only_fixed_point_on_self_generated_data() -> None:
@@ -162,22 +217,27 @@ def test_em_only_fixed_point_on_self_generated_data() -> None:
     rng = SplitMix64(8)
     S = rng.uniform_array(10 * 4, -1, 1).reshape(10, 4)
     A = mlp_forward(params.skills[0], params.skill_shape, S)
+    from dataclasses import replace
+
     from dmil.data import Trajectory
 
-    pooled = [Trajectory(S[:5], A[:5]), Trajectory(S[5:], A[5:])]
+    task = replace(demo_task(31), support=(Trajectory(S[:5], A[:5]), Trajectory(S[5:], A[5:])))
     labels_before = dmil.hard_labels(S, A, params.skills, params.skill_shape)
-    res = em_only_train(params, pooled, epochs=3, lr=1e-2)
-    labels_after = dmil.hard_labels(S, A, res.params.skills, res.params.skill_shape)
+    cfg = TrainConfig(batch_size=2, aux_weight=0.0)
+    after, _ = sgd_steps(params, [task], cfg, lr=1e-2, n=3)
+    labels_after = dmil.hard_labels(S, A, after.skills, after.skill_shape)
     assert np.array_equal(labels_before.indices, labels_after.indices)
     # Skill 0 has zero residual on its own data, so it never moves.
-    assert np.array_equal(res.params.skills[0].values, params.skills[0].values)
+    assert np.array_equal(after.skills[0].values, params.skills[0].values)
 
 
 def test_em_only_loss_trace_nonincreasing_pilot() -> None:
+    # batch_size 1 on 4 demonstrations pools all four, so one step seed
+    # gives every iteration the same data.
     params = init_hierarchical(4, 2, 3, (12,), seed=32)
-    pooled = list(demo_task(32, T=30).support[:4])
-    res = em_only_train(params, pooled, epochs=10, lr=1e-3)
-    diffs = np.diff(res.losses)
+    task = demo_task(32, n_support=4, T=30)
+    _, losses = sgd_steps(params, [task], TrainConfig(batch_size=1, aux_weight=0.0), lr=1e-3, n=10)
+    diffs = np.diff(losses)
     if np.any(diffs > 0):
-        warnings.warn(f"em_only loss trace not monotone: {res.losses}")
-    assert res.losses[-1] < res.losses[0]
+        warnings.warn(f"em_only loss trace not monotone: {losses}")
+    assert losses[-1] < losses[0]

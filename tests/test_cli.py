@@ -61,6 +61,35 @@ def test_config_unknown_outer_optimizer_rejected(tmp_path, name) -> None:
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize(
+    "section, key, value, want",
+    [
+        ("dmil", "inner_steps", "3", "int, got str"),
+        ("run", "iterations", True, "int, got bool"),
+        ("run", "iterations", 3.0, "int, got float"),
+        ("dmil", "outer_rate", False, "float, got bool"),
+        ("dmil", "outer_rate", "1e-3", "float, got str"),
+        ("model", "hidden", 64, "list, got int"),
+        ("dmil", "method", None, "str, got NoneType"),
+        ("eval", "shots", {"1": 1}, "list, got dict"),
+    ],
+)
+def test_config_value_type_rejected(tmp_path, section, key, value, want) -> None:
+    with pytest.raises(ConfigError, match=f"config key '{section}.{key}' must be {want}") as exc:
+        resolve_config({section: {key: value}})
+    assert "\n" not in str(exc.value)
+    cfg = write_tiny(tmp_path, **{section: {key: value}})
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+    assert not (tmp_path / "run").exists()
+
+
+def test_config_value_type_accepts_int_for_float_and_any_for_none() -> None:
+    cfg = resolve_config({"dmil": {"outer_rate": 1}, "eval": {"selector_steps": 4}, "data": {"train_path": None}})
+    assert cfg["dmil"]["outer_rate"] == 1 and cfg["eval"]["selector_steps"] == 4
+    with pytest.raises(ConfigError, match="'data' must be a section"):
+        resolve_config({"data": None})
+
+
 def test_train_zero_iterations_initial_checkpoint_only(tmp_path) -> None:
     cfg = write_tiny(tmp_path, run={"iterations": 0, "checkpoint_every": 2})
     out = tmp_path / "run"

@@ -236,7 +236,7 @@ def test_li_step_empty_partition_identity() -> None:
     )
     traces = li_step(params, part, 0.01, 3)
     for k in (0, 1):
-        assert traces[k].steps == ()
+        assert traces[k].points == ()
         assert np.array_equal(traces[k].final.values, params.skills[k].values)
 
 
@@ -472,20 +472,16 @@ def test_meta_train_step_simultaneity_probe() -> None:
     tasks = [demo_task(24), demo_task(25)]
     cfg = TrainConfig(inner_rate=1e-3, inner_steps=1, batch_size=2)
     base = meta_train_step(params, tasks, cfg, step_seed=7)
-
-    def probe(ti, live_params):
-        # Mutating a copy mid-step must not change anything downstream; the
-        # live arrays themselves refuse writes.
-        clone = live_params.high.values.copy()
-        clone[:] = 1e9
+    # Every phase reads the pre-step params, whose arrays refuse writes, so
+    # no task can see another's update and a second call is bitwise equal.
+    with pytest.raises(ValueError):
+        params.high.values[0] = 1e9
+    for s in params.skills:
         with pytest.raises(ValueError):
-            live_params.high.values[0] = 1e9
-        with pytest.raises(ValueError):
-            live_params.skills[0].values[0] = 1e9
-
-    probed = meta_train_step(params, tasks, cfg, step_seed=7, task_callback=probe)
-    assert np.array_equal(base.g_high.values, probed.g_high.values)
-    for a, b in zip(base.g_skills, probed.g_skills):
+            s.values[0] = 1e9
+    again = meta_train_step(params, tasks, cfg, step_seed=7)
+    assert np.array_equal(base.g_high.values, again.g_high.values)
+    for a, b in zip(base.g_skills, again.g_skills, strict=True):
         assert np.array_equal(a.values, b.values)
 
 

@@ -21,29 +21,30 @@ def tiny(method: str = "dmil", **dmil) -> dict:
     return cfg
 
 
-@pytest.mark.parametrize("method", ["dmil", "dmil_high", "dmil_low", "maml"])
+@pytest.mark.parametrize("method", ["dmil", "dmil_high", "dmil_low", "maml", "em_only"])
 def test_train_sgd_applies_the_step_gradients_once(method) -> None:
-    # runner.train is the one place that applies the outer update.
-    cfg = tiny(method)
-    datasets = runner.build_datasets(cfg)
-    start = runner.init_model(cfg)
-    res = runner.train(cfg, datasets=datasets)
+    # runner.train is the one place that applies the outer update, for
+    # every method and under both outer optimizers.
+    step = {"em_only": runner.em_only_train, "maml": runner.maml_train_step}.get(method, runner.meta_train_step)
+    for optimizer, opt_class in (("sgd", runner.Sgd), ("adam", runner.Adam)):
+        cfg = tiny(method, outer_optimizer=optimizer)
+        datasets = runner.build_datasets(cfg)
+        start = runner.init_model(cfg)
+        res = runner.train(cfg, datasets=datasets)
 
-    # Replay the first iteration's task picks and step seed.
-    task_rng = SplitMix64(derive_seed(0, runner.SALT_TASK_SELECT))
-    batch = [datasets[0][task_rng.randint(2)] for _ in range(2)]
-    step_seed = derive_seed(0, runner.SALT_STEP, 0)
-    tc = runner.train_config_from(cfg)
-    if method == "maml":
-        g = runner.maml_train_step(start.skills[0], start.skill_shape, batch, tc, step_seed, "raw").g
-        want_high, want_skills = start.high, [start.skills[0].minus_scaled(g, 1e-2)]
-    else:
-        step = runner.meta_train_step(start, batch, tc, step_seed)
-        want_high = start.high.minus_scaled(step.g_high, 1e-2)
-        want_skills = [s.minus_scaled(g, 1e-2) for s, g in zip(start.skills, step.g_skills)]
-    assert np.array_equal(res.params.high.values, want_high.values)
-    for got, want in zip(res.params.skills, want_skills, strict=True):
-        assert np.array_equal(got.values, want.values)
+        # Replay the first iteration's task picks and step seed.
+        task_rng = SplitMix64(derive_seed(0, runner.SALT_TASK_SELECT))
+        batch = [datasets[0][task_rng.randint(2)] for _ in range(2)]
+        step_seed = derive_seed(0, runner.SALT_STEP, 0)
+        grads = step(start, batch, runner.train_config_from(cfg), step_seed)
+        assert grads.grad_norm_skills > 0.0
+        want_high = opt_class(len(start.high), 1e-2).step(start.high, grads.g_high)
+        want_skills = [opt_class(len(s), 1e-2).step(s, g) for s, g in zip(start.skills, grads.g_skills, strict=True)]
+        assert np.array_equal(res.params.high.values, want_high.values)
+        for got, want in zip(res.params.skills, want_skills, strict=True):
+            assert np.array_equal(got.values, want.values)
+        if method == "maml":  # the zero selector gradient leaves the selector as it is
+            assert np.array_equal(res.params.high.values, start.high.values)
 
 
 def test_train_rejects_mismatched_warm_start(monkeypatch) -> None:
@@ -52,6 +53,7 @@ def test_train_rejects_mismatched_warm_start(monkeypatch) -> None:
 
     monkeypatch.setattr(runner, "maml_train_step", never)
     monkeypatch.setattr(runner, "meta_train_step", never)
+    monkeypatch.setattr(runner, "em_only_train", never)
     monkeypatch.setattr(runner, "build_datasets", never)
     k3 = runner.init_model(tiny("dmil"))
     with pytest.raises(ContractError, match="warm start has 3 skills; method maml needs 1"):
@@ -59,6 +61,8 @@ def test_train_rejects_mismatched_warm_start(monkeypatch) -> None:
     k1 = runner.init_model(tiny("maml"))
     with pytest.raises(ContractError, match="warm start has 1 skills; method dmil_low needs 3"):
         runner.train(tiny("dmil_low"), warm_params=k1)
+    with pytest.raises(ContractError, match="warm start has 1 skills; method em_only needs 3"):
+        runner.train(tiny("em_only"), warm_params=k1)
 
 
 def test_ablate_computes_one_warm_start_per_skill_count(monkeypatch) -> None:
