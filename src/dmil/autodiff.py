@@ -1,11 +1,17 @@
-"""Reverse-mode differentiation over flat parameter vectors.
+"""Differentiation over flat parameter vectors.
 
-The engine is a small operation tape: dense matmul plus elementwise ops,
-enough for fully-connected networks.  Backward passes are themselves built
-out of tape ops, so gradients can be differentiated again; hvp() is an exact
-reverse-over-reverse Hessian-vector product, and meta_grad() backpropagates
-an outer gradient through an unrolled sequence of inner gradient-descent
-steps (the (I - rate * H) chain, applied in reverse step order).
+A loss is any object with value, value_and_grad and hvp on float64 arrays
+(the Loss protocol).  loss_value, value_and_grad and hvp call those methods
+and check that the loss, gradient and Hessian-vector product are finite.
+The training losses are closed-form (dmil.kernels); TapeLoss adapts a
+function written on the small operation tape below, which is their
+reference.  The tape covers dense matmul plus elementwise ops, enough for
+fully-connected networks; its backward passes are built out of tape ops, so
+its hvp is an exact reverse-over-reverse product.
+
+inner_adapt records plain gradient-descent steps, and meta_grad
+backpropagates an outer gradient through them (the (I - rate * H) chain,
+applied in reverse step order).
 
 Everything is float64.  ReLU uses subgradient 0 at the kink and contributes
 nothing to second derivatives, which is the usual almost-everywhere
@@ -15,7 +21,7 @@ convention; finite-difference checks must stay away from kinks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Protocol, Sequence
 
 import numpy as np
 
@@ -154,10 +160,9 @@ def relu(a: Node) -> Node:
 
 
 def exp(a: Node) -> Node:
-    out = _op(np.exp(a.value), (a, lambda g: g))
-    if out.needs_grad:
-        out.vjps = (lambda g: mul(g, out),)
-    return out
+    # The vjp recomputes exp(a) rather than closing over the output node,
+    # which would make every tape through exp a reference cycle.
+    return _op(np.exp(a.value), (a, lambda g: mul(g, exp(a))))
 
 
 def log(a: Node) -> Node:
@@ -289,50 +294,77 @@ def backward(out: Node, wrt: Sequence[Node]) -> list[Node]:
 # loss-level API
 # ---------------------------------------------------------------------------
 
-# A loss function maps (params node, batch) -> scalar node and must be pure:
-# identical (params, batch) give an identical tape.
-LossFn = Callable[[Node, object], Node]
+
+class Loss(Protocol):
+    """A scalar loss of a flat float64 parameter array and a batch.  It must
+    be pure: identical (theta, batch) give identical results.  hvp returns
+    the loss at theta with H @ v, so callers can check both."""
+
+    name: str
+
+    def value(self, theta: np.ndarray, batch) -> float: ...
+
+    def value_and_grad(self, theta: np.ndarray, batch) -> tuple[float, np.ndarray]: ...
+
+    def hvp(self, theta: np.ndarray, v: np.ndarray, batch) -> tuple[float, np.ndarray]: ...
 
 
-def _loss_name(f: LossFn) -> str:
-    return getattr(f, "loss_name", getattr(f, "__name__", "loss"))
+# A tape function maps (params node, batch) -> scalar node.
+TapeFn = Callable[[Node, object], Node]
 
 
-def loss_value(f: LossFn, theta: ParamVector, batch) -> float:
-    """Evaluate the loss only (constant-folded, no gradient machinery)."""
-    out = f(constant(theta.values), batch)
-    val = float(out.value)
+class TapeLoss:
+    """A loss written as a tape function, differentiated by the tape: the
+    reference that the closed-form losses in dmil.kernels are tested against
+    (hvp is reverse-over-reverse)."""
+
+    def __init__(self, fn: TapeFn, name: str | None = None):
+        self.fn = fn
+        self.name = name or getattr(fn, "__name__", "loss")
+
+    def value(self, theta: np.ndarray, batch) -> float:
+        return float(self.fn(constant(theta), batch).value)
+
+    def value_and_grad(self, theta: np.ndarray, batch) -> tuple[float, np.ndarray]:
+        p = leaf(theta)
+        out = self.fn(p, batch)
+        return float(out.value), backward(out, [p])[0].value
+
+    def hvp(self, theta: np.ndarray, v: np.ndarray, batch) -> tuple[float, np.ndarray]:
+        p = leaf(theta)
+        out = self.fn(p, batch)
+        g = backward(out, [p])[0]
+        return float(out.value), backward(asum(mul(g, constant(v))), [p])[0].value
+
+
+def _check_loss(f: Loss, val: float) -> float:
     if not np.isfinite(val):
-        raise NumericError(f"non-finite loss ({val}) in {_loss_name(f)}")
+        raise NumericError(f"non-finite loss ({val}) in {f.name}")
     return val
 
 
-def value_and_grad(f: LossFn, theta: ParamVector, batch) -> tuple[float, ParamVector]:
-    p = leaf(theta.values)
-    out = f(p, batch)
-    val = float(out.value)
-    if not np.isfinite(val):
-        raise NumericError(f"non-finite loss ({val}) in {_loss_name(f)}")
-    g = backward(out, [p])[0]
-    if not np.all(np.isfinite(g.value)):
-        raise NumericError(f"non-finite gradient in {_loss_name(f)}")
-    return val, ParamVector(g.value)
+def loss_value(f: Loss, theta: ParamVector, batch) -> float:
+    """Evaluate the loss only."""
+    return _check_loss(f, f.value(theta.values, batch))
 
 
-def hvp(f: LossFn, theta: ParamVector, v: ParamVector, batch) -> ParamVector:
-    """Exact Hessian-vector product H @ v at theta (reverse-over-reverse)."""
+def value_and_grad(f: Loss, theta: ParamVector, batch) -> tuple[float, ParamVector]:
+    val, g = f.value_and_grad(theta.values, batch)
+    _check_loss(f, val)
+    if not np.all(np.isfinite(g)):
+        raise NumericError(f"non-finite gradient in {f.name}")
+    return val, ParamVector(g)
+
+
+def hvp(f: Loss, theta: ParamVector, v: ParamVector, batch) -> ParamVector:
+    """Exact Hessian-vector product H @ v at theta."""
     if len(v) != len(theta):
         raise ContractError(f"hvp direction length {len(v)} != parameter length {len(theta)}")
-    p = leaf(theta.values)
-    out = f(p, batch)
-    if not np.isfinite(float(out.value)):
-        raise NumericError(f"non-finite loss ({float(out.value)}) in {_loss_name(f)}")
-    g = backward(out, [p])[0]
-    s = asum(mul(g, constant(v.values)))
-    h = backward(s, [p])[0]
-    if not np.all(np.isfinite(h.value)):
-        raise NumericError(f"non-finite hvp in {_loss_name(f)}")
-    return ParamVector(h.value)
+    val, h = f.hvp(theta.values, v.values, batch)
+    _check_loss(f, val)
+    if not np.all(np.isfinite(h)):
+        raise NumericError(f"non-finite hvp in {f.name}")
+    return ParamVector(h)
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +385,7 @@ class AdaptTrace:
     points: tuple[ParamVector, ...]
     rate: float
     final: ParamVector
-    loss_fn: LossFn | None = None
+    loss_fn: Loss | None = None
     batch: object = None
     losses: tuple[float, ...] = ()  # loss before each step, then at final
     diverged: bool = False
@@ -368,7 +400,7 @@ _DIVERGENCE_FACTOR = 10.0
 
 
 def inner_adapt(
-    f: LossFn,
+    f: Loss,
     theta: ParamVector,
     rate: float,
     batch,

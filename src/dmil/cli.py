@@ -78,10 +78,14 @@ def cmd_gradcheck(args) -> int:
     report = gradcheck_run(cfg)
     (out / "gradcheck.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     logger.info(
-        "gradcheck: max rel err selector=%.3g sub-skills=%.3g (tolerance %.1g) -> %s",
+        "gradcheck: max rel err vs finite differences selector=%.3g sub-skills=%.3g (tolerance %.1g), "
+        "vs tape selector=%.3g sub-skills=%.3g (tolerance %.1g) -> %s",
         report["max_rel_err_high"],
         report["max_rel_err_low"],
         report["tolerance"],
+        report["max_rel_err_tape_high"],
+        report["max_rel_err_tape_low"],
+        report["tape_tolerance"],
         "PASS" if report["pass"] else "FAIL",
     )
     return 0 if report["pass"] else 1
@@ -112,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sub.add_parser("gen-data", help="generate benchmark dataset files"))
     common(sub.add_parser("train", help="train one method, write checkpoints and metrics"))
     common(sub.add_parser("eval", help="few-shot evaluation of a checkpoint"), checkpoint=True)
-    common(sub.add_parser("gradcheck", help="finite-difference check of the meta-gradients"))
+    common(sub.add_parser("gradcheck", help="check the meta-gradients against finite differences and the tape"))
     common(sub.add_parser("ablate", help="paired runs of every method on identical seeds"))
     return parser
 

@@ -89,6 +89,22 @@ DEFAULT_CONFIG: dict = {
 
 METHODS = ("dmil", "dmil_high", "dmil_low", "maml", "em_only")
 OUTER_OPTIMIZERS = ("sgd", "adam")
+# Lower bounds of numeric keys, checked after the merge (a None value means
+# "use the default" and is not checked).
+RANGES = (
+    ("dmil.inner_steps", 1),
+    ("dmil.batch_size", 1),
+    ("dmil.tasks_per_step", 1),
+    ("model.n_skills", 1),
+    ("run.iterations", 0),
+    ("dmil.inner_rate", 0),
+    ("dmil.outer_rate", 0),
+    ("dmil.warmup_rate", 0),
+    ("eval.adapt_rate", 0),
+    ("eval.adapt_steps", 1),
+    ("eval.selector_steps", 1),
+    ("eval.episodes", 1),
+)
 
 
 def _merge(defaults: dict, override: dict, path: str) -> dict:
@@ -125,6 +141,11 @@ def resolve_config(overrides: dict | None = None, seed: int | None = None) -> di
             f"unknown outer_optimizer {cfg['dmil']['outer_optimizer']!r}; "
             f"valid optimizers: {', '.join(OUTER_OPTIMIZERS)}"
         )
+    for key, low in RANGES:
+        section, name = key.split(".")
+        value = cfg[section][name]
+        if value is not None and value < low:
+            raise ConfigError(f"config key {key!r} must be >= {low}, got {value!r}")
     return cfg
 
 

@@ -39,6 +39,7 @@ from .autodiff import (
     meta_grad,
 )
 from .data import Trajectory, flatten_trajectories
+from .kernels import SelectorLoss, SkillMseLoss
 from .policies import HierarchicalParams, MlpShape, featurize, mlp_forward, mlp_logits
 from .rng import SplitMix64, derive_seed
 
@@ -153,8 +154,26 @@ class HighBatch:
     aux_weight: float
 
 
-def make_high_loss(shape: MlpShape) -> ad.LossFn:
-    """Mean cross-entropy vs hard labels plus aux_weight * switch surrogate."""
+@dataclass(frozen=True)
+class SkillBatch:
+    states: np.ndarray
+    actions: np.ndarray
+
+
+def make_high_loss(shape: MlpShape) -> SelectorLoss:
+    """Mean cross-entropy vs hard labels plus aux_weight * switch surrogate,
+    in closed form (dmil.kernels)."""
+    return SelectorLoss(shape)
+
+
+def make_skill_loss(shape: MlpShape) -> SkillMseLoss:
+    """Behavior-cloning MSE: mean over pairs of squared action error, in
+    closed form (dmil.kernels)."""
+    return SkillMseLoss(shape)
+
+
+def tape_high_loss(shape: MlpShape) -> ad.TapeLoss:
+    """make_high_loss on the tape: the reference for the closed form."""
 
     def selector_loss(p: ad.Node, batch: HighBatch) -> ad.Node:
         logits = mlp_logits(p, shape, batch.states)
@@ -178,26 +197,18 @@ def make_high_loss(shape: MlpShape) -> ad.LossFn:
         aux = ad.sadd(ad.smul(total_dot, -1.0 / pairs), 1.0)
         return ad.add(ce, ad.smul(aux, batch.aux_weight))
 
-    selector_loss.loss_name = "selector cross-entropy"
-    return selector_loss
+    return ad.TapeLoss(selector_loss, SelectorLoss.name)
 
 
-@dataclass(frozen=True)
-class SkillBatch:
-    states: np.ndarray
-    actions: np.ndarray
-
-
-def make_skill_loss(shape: MlpShape) -> ad.LossFn:
-    """Behavior-cloning MSE: mean over pairs of squared action error."""
+def tape_skill_loss(shape: MlpShape) -> ad.TapeLoss:
+    """make_skill_loss on the tape: the reference for the closed form."""
 
     def skill_mse_loss(p: ad.Node, batch: SkillBatch) -> ad.Node:
         pred = mlp_logits(p, shape, batch.states)
         r = ad.sub(pred, ad.constant(batch.actions))
         return ad.smul(ad.asum(ad.mul(r, r)), 1.0 / batch.states.shape[0])
 
-    skill_mse_loss.loss_name = "sub-skill MSE"
-    return skill_mse_loss
+    return ad.TapeLoss(skill_mse_loss, SkillMseLoss.name)
 
 
 def build_high_batch(

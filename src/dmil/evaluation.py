@@ -52,8 +52,14 @@ def fd_check(
         d = np.zeros_like(theta)
         d[i] = h
         fd[i] = (objective(theta + d) - objective(theta - d)) / (2.0 * h)
+    return max_rel_err(fd, exact)
+
+
+def max_rel_err(approx: np.ndarray, exact: np.ndarray) -> float:
+    """max |approx - exact| over the exact vector's max magnitude (floored
+    at 1e-12)."""
     scale = max(float(np.max(np.abs(exact))), 1e-12)
-    return float(np.max(np.abs(fd - exact))) / scale
+    return float(np.max(np.abs(approx - exact))) / scale
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ContractError, Node, ParamVector
+from .kernels import forward, unpack
 from .rng import SplitMix64, derive_seed
 
 
@@ -125,20 +126,7 @@ def mlp_forward(theta: ParamVector, shape: MlpShape, x) -> np.ndarray:
     """Plain numpy forward pass: (N, in) -> (N, out)."""
     if len(theta) != shape.n_params:
         raise ContractError(f"parameter length {len(theta)} != shape size {shape.n_params}")
-    h = _check_input(shape, x)
-    sizes = shape.layer_sizes
-    p = theta.values
-    offset = 0
-    last = len(sizes) - 2
-    for i in range(len(sizes) - 1):
-        nin, nout = sizes[i], sizes[i + 1]
-        w = p[offset : offset + nin * nout].reshape(nin, nout)
-        offset += nin * nout
-        b = p[offset : offset + nout]
-        offset += nout
-        z = h @ w + b
-        h = np.maximum(z, 0.0) if i < last else z
-    return h
+    return forward(unpack(theta.values, shape.layer_sizes), _check_input(shape, x))[-1]
 
 
 @dataclass(frozen=True)

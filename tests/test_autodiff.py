@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 
@@ -6,39 +8,33 @@ from dmil.autodiff import (
     ContractError,
     NumericError,
     ParamVector,
+    TapeLoss,
     hvp,
     identity_trace,
     inner_adapt,
     meta_grad,
     value_and_grad,
 )
+from dmil.dmil import HighBatch, tape_high_loss
 from dmil.policies import MlpShape, init_params, mlp_logits
 from dmil.rng import SplitMix64
 
 
 # ---- test losses built directly on the tape ----
 
-
-def quad_loss(p, batch):
-    # f(theta) = sum(theta^2)
-    return ad.asum(ad.mul(p, p))
-
-
-def const_loss(p, batch):
-    return ad.smul(ad.asum(ad.mul(p, ad.constant(np.zeros(p.value.shape)))), 1.0)
+# f(theta) = sum(theta^2)
+quad_loss = TapeLoss(lambda p, batch: ad.asum(ad.mul(p, p)))
+const_loss = TapeLoss(lambda p, batch: ad.smul(ad.asum(ad.mul(p, ad.constant(np.zeros(p.value.shape)))), 1.0))
+linear_loss = TapeLoss(lambda p, batch: ad.asum(ad.mul(p, ad.constant(batch))))
 
 
-def linear_loss(p, batch):
-    return ad.asum(ad.mul(p, ad.constant(batch)))
-
-
-def make_mse_loss(shape: MlpShape, X: np.ndarray, Y: np.ndarray):
+def make_mse_loss(shape: MlpShape, X: np.ndarray, Y: np.ndarray) -> TapeLoss:
     def mse(p, batch):
         pred = mlp_logits(p, shape, X)
         r = ad.sub(pred, ad.constant(Y))
         return ad.smul(ad.asum(ad.mul(r, r)), 1.0 / X.shape[0])
 
-    return mse
+    return TapeLoss(mse)
 
 
 def fd_grad(f, theta: ParamVector, batch, h: float = 1e-5) -> np.ndarray:
@@ -102,7 +98,7 @@ def test_grad_rejects_nonfinite_loss() -> None:
         return ad.log(ad.smul(ad.asum(ad.mul(p, p)), -1.0))
 
     with pytest.raises(NumericError, match="loss"):
-        value_and_grad(bad, ParamVector(np.array([1.0])), None)
+        value_and_grad(TapeLoss(bad), ParamVector(np.array([1.0])), None)
 
 
 # ---- hvp ----
@@ -248,9 +244,9 @@ def test_meta_grad_matches_fd_of_composed_objective(steps: int) -> None:
     # The composed adapt-then-evaluate map, built only from loss evaluations.
     def composed_value(p, batch):
         t = inner_adapt(f_in, ParamVector(np.asarray(p.value)), alpha, None, steps)
-        return f_out(ad.constant(t.final.values), None)
+        return ad.constant(f_out.value(t.final.values, None))
 
-    fd = fd_grad(composed_value, theta, None, h=1e-5)
+    fd = fd_grad(TapeLoss(composed_value), theta, None, h=1e-5)
     assert rel_err(fd, exact.values) <= 1e-4
 
 
@@ -284,3 +280,37 @@ def test_paramvector_rejects_length_mismatch() -> None:
     with pytest.raises(ContractError):
         ParamVector(np.array([1.0])).minus_scaled(ParamVector(np.array([1.0, 2.0])), 0.1)
 
+
+# ---- the tape frees its nodes without the cyclic collector ----
+
+
+def selector_instance():
+    rng = SplitMix64(9)
+    shape = MlpShape((3, 5, 3))
+    theta = ParamVector(rng.uniform_array(shape.n_params, -0.8, 0.8))
+    x = rng.uniform_array(24, -1.0, 1.0).reshape(8, 3)
+    onehot = np.eye(3)[[0, 0, 1, 1, 2, 2, 0, 1]]
+    return tape_high_loss(shape), theta, HighBatch(x, onehot, ((0, 5), (5, 8)), 0.3)
+
+
+def test_tape_selector_loss_leaves_no_reference_cycles() -> None:
+    f, theta, batch = selector_instance()
+    gc.collect()
+    gc.disable()
+    try:
+        value_and_grad(f, theta, batch)
+        hvp(f, theta, theta, batch)
+        freed = gc.collect()
+    finally:
+        gc.enable()
+    assert freed == 0
+
+
+def test_tape_selector_hvp_matches_fd_of_gradient() -> None:
+    f, theta, batch = selector_instance()
+    v = ParamVector(SplitMix64(10).uniform_array(len(theta), -1.0, 1.0))
+    h = 1e-5
+    up = value_and_grad(f, ParamVector(theta.values + h * v.values), batch)[1]
+    dn = value_and_grad(f, ParamVector(theta.values - h * v.values), batch)[1]
+    fd = (up.values - dn.values) / (2.0 * h)
+    assert rel_err(fd, hvp(f, theta, v, batch).values) <= 1e-6

@@ -158,6 +158,8 @@ def test_gradcheck_command_tiny(tmp_path) -> None:
     report = json.loads((out / "gradcheck.json").read_text())
     assert report["pass"] is True
     assert report["max_rel_err_high"] <= report["tolerance"]
+    assert report["tape_tolerance"] == 1e-10
+    assert report["max_rel_err_tape_high"] <= 1e-10 and report["max_rel_err_tape_low"] <= 1e-10
 
 
 def test_train_exits_nonzero_on_flagged_divergence(tmp_path) -> None:
@@ -198,3 +200,40 @@ def test_config_error_exit_code(tmp_path) -> None:
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"nonsense": 1}))
     assert main(["train", "--config", str(path), "--out", str(tmp_path / "x")]) == 2
+
+
+@pytest.mark.parametrize(
+    "section,key,value",
+    [
+        ("dmil", "inner_steps", 0),
+        ("dmil", "batch_size", 0),
+        ("dmil", "tasks_per_step", 0),
+        ("model", "n_skills", 0),
+        ("run", "iterations", -1),
+        ("dmil", "inner_rate", -1e-3),
+        ("dmil", "outer_rate", -1e-3),
+        ("dmil", "warmup_rate", -0.05),
+        ("eval", "adapt_rate", -1e-3),
+        ("eval", "adapt_steps", 0),
+        ("eval", "selector_steps", 0),
+        ("eval", "episodes", 0),
+    ],
+)
+def test_config_out_of_range_rejected(section, key, value) -> None:
+    with pytest.raises(ConfigError, match=rf"'{section}\.{key}' must be >= "):
+        resolve_config({section: {key: value}})
+
+
+def test_config_range_accepts_its_bounds() -> None:
+    cfg = resolve_config({"run": {"iterations": 0}, "dmil": {"inner_rate": 0.0, "inner_steps": 1, "batch_size": 1}})
+    assert cfg["run"]["iterations"] == 0 and cfg["dmil"]["inner_rate"] == 0.0
+    assert resolve_config()["eval"]["selector_steps"] is None
+
+
+@pytest.mark.parametrize("key", ["inner_steps", "batch_size"])
+def test_train_out_of_range_exits_2_before_any_output(tmp_path, key) -> None:
+    cfg = write_tiny(tmp_path, dmil={key: 0})
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(cfg), "--out", str(out)]) == 2
+    assert not (out / "checkpoint_000000.json").exists()
+    assert not out.exists()
