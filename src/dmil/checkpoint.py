@@ -49,19 +49,25 @@ def save_checkpoint(path, params: HierarchicalParams, method: str, rng_state: in
 
 
 def load_checkpoint(path) -> Checkpoint:
-    doc = json.loads(Path(path).read_text())
+    try:
+        doc = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as e:
+        raise CheckpointSchemaError(f"checkpoint {path} does not parse: {e}") from e
     version = doc.get("schema_version")
     if version != SCHEMA_VERSION:
         raise CheckpointSchemaError(
             f"checkpoint schema version {version!r} is not supported (expected {SCHEMA_VERSION})"
         )
-    params = HierarchicalParams(
-        ParamVector(np.array(doc["high"], dtype=np.float64)),
-        tuple(ParamVector(np.array(s, dtype=np.float64)) for s in doc["skills"]),
-        MlpShape(tuple(doc["shapes"]["high"])),
-        MlpShape(tuple(doc["shapes"]["skill"])),
-        doc.get("features", "raw"),
-    )
-    if params.K != doc["K"]:
-        raise CheckpointSchemaError(f"checkpoint K={doc['K']} does not match {params.K} skill arrays")
-    return Checkpoint(params, doc["method"], int(doc["rng_state"]), int(doc["iteration"]))
+    try:
+        params = HierarchicalParams(
+            ParamVector(np.array(doc["high"], dtype=np.float64)),
+            tuple(ParamVector(np.array(s, dtype=np.float64)) for s in doc["skills"]),
+            MlpShape(tuple(doc["shapes"]["high"])),
+            MlpShape(tuple(doc["shapes"]["skill"])),
+            doc.get("features", "raw"),
+        )
+        if params.K != doc["K"]:
+            raise CheckpointSchemaError(f"checkpoint K={doc['K']} does not match {params.K} skill arrays")
+        return Checkpoint(params, doc["method"], int(doc["rng_state"]), int(doc["iteration"]))
+    except KeyError as e:
+        raise CheckpointSchemaError(f"checkpoint {path} has no field {e}") from e

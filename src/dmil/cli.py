@@ -3,7 +3,11 @@
 Subcommands: gen-data, train, eval, gradcheck, ablate.  Every run directory
 receives the resolved config (config.json) and, when a config file was given,
 a verbatim copy of it (config.input.json), so experiments are reconstructible
-from artifacts alone.  Commands exit nonzero on any flagged numeric failure.
+from artifacts alone.
+
+Exit codes: 0 success, 1 a flagged numeric failure (diverged inner
+adaptations, a failed gradcheck), and one code per error class in
+EXIT_CODES, each reported as a one-line message instead of a traceback.
 """
 
 from __future__ import annotations
@@ -15,11 +19,12 @@ import shutil
 import sys
 from pathlib import Path
 
-from .checkpoint import load_checkpoint
+from .autodiff import ContractError, NumericError
+from .checkpoint import CheckpointSchemaError, load_checkpoint
 from .config import ConfigError, load_config, resolve_config, dump_config
 from .evaluation import write_report_csv, write_summary_json
 from .runner import ablate, build_datasets, evaluate, gradcheck_run, train
-from .tasks import save_datasets
+from .tasks import DatasetFormatError, save_datasets
 
 logger = logging.getLogger("dmil")
 
@@ -130,14 +135,25 @@ COMMANDS = {
 }
 
 
+# Error class -> (exit code, message prefix).
+EXIT_CODES = {
+    ConfigError: (2, "config error"),
+    ContractError: (3, "contract error"),
+    NumericError: (4, "numeric error"),
+    CheckpointSchemaError: (5, "checkpoint error"),
+    DatasetFormatError: (6, "dataset format error"),
+}
+
+
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(asctime)s %(levelname)s %(message)s")
     args = build_parser().parse_args(argv)
     try:
         return COMMANDS[args.command](args)
-    except ConfigError as e:
-        logger.error("config error: %s", e)
-        return 2
+    except tuple(EXIT_CODES) as e:
+        code, what = next(EXIT_CODES[c] for c in type(e).__mro__ if c in EXIT_CODES)
+        logger.error("%s: %s", what, e)
+        return code
 
 
 if __name__ == "__main__":

@@ -39,11 +39,8 @@ DEFAULT_CONFIG: dict = {
         "outer_rate": 1e-4,
         "inner_steps": 3,
         "aux_weight": 0.1,
-        "grad_mode": "exact",
-        "outer_reduce": "mean",
         "batch_size": 16,
         "tasks_per_step": 5,
-        "ho_labels": "adapted",
         # Outer update of all five methods at outer_rate: "sgd" or "adam".
         # Every method's step yields gradients at the pre-step parameters
         # (em_only routes by the pre-step selector).
@@ -92,6 +89,9 @@ OUTER_OPTIMIZERS = ("sgd", "adam")
 # Lower bounds of numeric keys, checked after the merge (a None value means
 # "use the default" and is not checked).
 RANGES = (
+    ("data.n_support", 4),  # the data.* bounds are tasks.make_dataset's
+    ("data.n_query", 1),
+    ("data.horizon", 2),
     ("dmil.inner_steps", 1),
     ("dmil.batch_size", 1),
     ("dmil.tasks_per_step", 1),
@@ -141,6 +141,9 @@ def resolve_config(overrides: dict | None = None, seed: int | None = None) -> di
             f"unknown outer_optimizer {cfg['dmil']['outer_optimizer']!r}; "
             f"valid optimizers: {', '.join(OUTER_OPTIMIZERS)}"
         )
+    d = cfg["data"]
+    if bool(d["train_path"]) != bool(d["test_path"]):
+        raise ConfigError("config keys 'data.train_path' and 'data.test_path' must be set together")
     for key, low in RANGES:
         section, name = key.split(".")
         value = cfg[section][name]

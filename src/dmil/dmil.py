@@ -16,10 +16,15 @@ pre-step parameters:
                             adapted selector), pushed back through each
                             sub-skill's inner steps.
 
-Meta-gradients are summed over tasks in list order and returned for one
-atomic update, which the caller (runner.train) applies; no phase ever sees
-post-update parameters.  Hard label and routing argmins are constants: no
-gradient flows through them.
+Meta-gradients are summed over tasks in list order, divided by the task
+count and returned for one atomic update, which the caller (runner.train)
+applies; no phase ever sees post-update parameters.  Hard label and routing
+argmins are constants: no gradient flows through them.
+
+ho_grad and lo_grad are the only code that pushes an outer gradient back
+through an inner trace.  With zero-step traces they return the plain
+hard-EM gradients (baselines.hard_em_grads); with K=1 and the selector left
+unadapted the step is MAML (baselines.maml_train_step).
 """
 
 from __future__ import annotations
@@ -225,6 +230,18 @@ def build_high_batch(
 # ---------------------------------------------------------------------------
 
 
+def labelled_high_batch(
+    params: HierarchicalParams,
+    trajs: Sequence[Trajectory],
+    label_skills: Sequence[ParamVector],
+    aux_weight: float,
+) -> HighBatch:
+    """Selector batch on trajs, labelled by the best of label_skills."""
+    states, actions, _ = flatten_trajectories(trajs)
+    labels = hard_labels(states, actions, label_skills, params.skill_shape, params.feature_kind)
+    return build_high_batch(trajs, labels, aux_weight, params.feature_kind)
+
+
 def hi_step(
     params: HierarchicalParams,
     trajs: Sequence[Trajectory],
@@ -233,9 +250,7 @@ def hi_step(
     aux_weight: float,
 ) -> AdaptTrace:
     """Selector inner update; labels come from the frozen sub-skills."""
-    states, actions, _ = flatten_trajectories(trajs)
-    labels = hard_labels(states, actions, params.skills, params.skill_shape, params.feature_kind)
-    batch = build_high_batch(trajs, labels, aux_weight, params.feature_kind)
+    batch = labelled_high_batch(params, trajs, params.skills, aux_weight)
     return inner_adapt(make_high_loss(params.high_shape), params.high, rate, batch, steps)
 
 
@@ -260,35 +275,20 @@ def li_step(
 
 
 def ho_grad(
-    trace_h: AdaptTrace,
-    params: HierarchicalParams,
-    trajs3: Sequence[Trajectory],
-    label_skills: Sequence[ParamVector],
-    aux_weight: float,
-    mode: str = "exact",
+    trace_h: AdaptTrace, params: HierarchicalParams, batch: HighBatch
 ) -> tuple[ParamVector, float]:
-    """Selector meta-gradient and outer loss: the loss at the adapted
-    selector, pushed back through its inner steps.  Labels come from
-    label_skills and are fixed."""
-    states, actions, _ = flatten_trajectories(trajs3)
-    labels = hard_labels(states, actions, label_skills, params.skill_shape, params.feature_kind)
-    batch = build_high_batch(trajs3, labels, aux_weight, params.feature_kind)
-    loss = make_high_loss(params.high_shape)
-    val, g_outer = ad.value_and_grad(loss, trace_h.final, batch)
-    return meta_grad(trace_h, g_outer, mode=mode), val
+    """Selector meta-gradient and outer loss: the loss on `batch` at the
+    adapted selector, pushed back through its inner steps.  A zero-step
+    trace gives the plain gradient at params.high."""
+    val, g_outer = ad.value_and_grad(make_high_loss(params.high_shape), trace_h.final, batch)
+    return meta_grad(trace_h, g_outer), val
 
 
 def lo_grad(
-    traces_l: Sequence[AdaptTrace],
-    selector: ParamVector,
-    params: HierarchicalParams,
-    trajs4: Sequence[Trajectory],
-    mode: str = "exact",
+    traces_l: Sequence[AdaptTrace], params: HierarchicalParams, part: Partition
 ) -> tuple[list[ParamVector], float]:
-    """Per-skill meta-gradients and the pooled outer loss on the fourth
-    batch, routed by the adapted selector.  Skills whose routed set is empty
-    contribute zero vectors."""
-    part = partition_by_skill(selector, params.high_shape, trajs4, params.feature_kind)
+    """Per-skill meta-gradients and the pooled outer loss on the routed
+    groups of `part`.  Skills whose group is empty contribute zero vectors."""
     loss = make_skill_loss(params.skill_shape)
     grads: list[ParamVector] = []
     sse_total, n_total = 0.0, 0
@@ -298,7 +298,7 @@ def lo_grad(
             continue
         batch = SkillBatch(part.states[k], part.actions[k])
         val, g_outer = ad.value_and_grad(loss, traces_l[k].final, batch)
-        grads.append(meta_grad(traces_l[k], g_outer, mode=mode))
+        grads.append(meta_grad(traces_l[k], g_outer))
         sse_total += val * part.sizes[k]
         n_total += part.sizes[k]
     pooled = sse_total / n_total if n_total else 0.0
@@ -312,47 +312,17 @@ def lo_grad(
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Knobs for one meta-training step.  Defaults follow the published
-    hyperparameter table; benchmark configs override them per run.  The
+    """Knobs for one meta-training step of dmil and its ablations.  Defaults
+    follow the published hyperparameter table; benchmark configs override
+    them per run.  Meta-gradients are exact and averaged over tasks.  The
     outer update itself (rate and optimizer) belongs to the caller."""
 
     inner_rate: float = 5e-4
     inner_steps: int = 3
     aux_weight: float = 0.1
-    grad_mode: str = "exact"  # or "first_order"
-    outer_reduce: str = "mean"  # or "sum"
     batch_size: int = 16  # trajectories per phase batch
-    ho_labels: str = "adapted"  # or "initial"
     meta_high: bool = True  # False: selector gets a plain gradient on batch 1
     meta_low: bool = True  # False: sub-skills get plain gradients on batch 2
-
-    def __post_init__(self):
-        if self.grad_mode not in ("exact", "first_order"):
-            raise ContractError(f"unknown grad_mode {self.grad_mode!r}")
-        if self.outer_reduce not in ("mean", "sum"):
-            raise ContractError(f"unknown outer_reduce {self.outer_reduce!r}")
-        if self.ho_labels not in ("adapted", "initial"):
-            raise ContractError(f"unknown ho_labels {self.ho_labels!r}")
-
-
-class MetaGradient:
-    """Per-component accumulator; summation order is the task list order."""
-
-    def __init__(self, params: HierarchicalParams):
-        self.g_high = ParamVector.zeros(len(params.high))
-        self.g_skills = [ParamVector.zeros(len(s)) for s in params.skills]
-        self.task_count = 0
-
-    def accumulate(self, g_high: ParamVector, g_skills: Sequence[ParamVector]) -> None:
-        self.g_high = self.g_high.add(g_high)
-        self.g_skills = [a.add(b) for a, b in zip(self.g_skills, g_skills)]
-        self.task_count += 1
-
-    def reduced(self, mode: str) -> tuple[ParamVector, list[ParamVector]]:
-        if mode == "sum" or self.task_count == 0:
-            return self.g_high, list(self.g_skills)
-        c = 1.0 / self.task_count
-        return self.g_high.scaled(c), [g.scaled(c) for g in self.g_skills]
 
 
 def sample_phase_batches(
@@ -411,15 +381,14 @@ def _task_meta_grads(
     else:
         traces_l = tuple(identity_trace(s) for s in params.skills)
 
-    if not cfg.meta_high:
-        high_trajs, label_skills = t1, list(params.skills)
-    elif cfg.ho_labels == "adapted":
-        high_trajs, label_skills = t3, [t.final for t in traces_l]
+    if cfg.meta_high:
+        batch_h = labelled_high_batch(params, t3, [t.final for t in traces_l], cfg.aux_weight)
     else:
-        high_trajs, label_skills = t3, list(params.skills)
-    g_high, high_val = ho_grad(trace_h, params, high_trajs, label_skills, cfg.aux_weight, cfg.grad_mode)
+        batch_h = labelled_high_batch(params, t1, params.skills, cfg.aux_weight)
+    g_high, high_val = ho_grad(trace_h, params, batch_h)
     skill_trajs = t4 if cfg.meta_low else t2
-    g_skills, skill_val = lo_grad(traces_l, trace_h.final, params, skill_trajs, cfg.grad_mode)
+    part = partition_by_skill(trace_h.final, params.high_shape, skill_trajs, params.feature_kind)
+    g_skills, skill_val = lo_grad(traces_l, params, part)
 
     diverged = trace_h.diverged or any(t.diverged for t in traces_l)
     return g_high, g_skills, high_val, skill_val, diverged
@@ -441,20 +410,22 @@ def meta_train_step(
     """
     if not tasks:
         raise ContractError("meta_train_step needs at least one task")
-    acc = MetaGradient(params)
+    g_high = ParamVector.zeros(len(params.high))
+    g_skills = [ParamVector.zeros(len(s)) for s in params.skills]
     high_vals, skill_vals, diverged = [], [], 0
     for task in tasks:
         rng = SplitMix64(derive_seed(step_seed, task.spec.seed))
         batches = sample_phase_batches(task.support, cfg.batch_size, rng)
-        g_high, g_skills, high_val, skill_val, task_diverged = _task_meta_grads(params, batches, cfg)
-        acc.accumulate(g_high, g_skills)
+        task_high, task_skills, high_val, skill_val, task_diverged = _task_meta_grads(params, batches, cfg)
+        g_high = g_high.add(task_high)
+        g_skills = [a.add(b) for a, b in zip(g_skills, task_skills, strict=True)]
         high_vals.append(high_val)
         skill_vals.append(skill_val)
         diverged += int(task_diverged)
-    g_high, g_skills = acc.reduced(cfg.outer_reduce)
+    c = 1.0 / len(tasks)
     return StepResult(
-        g_high=g_high,
-        g_skills=tuple(g_skills),
+        g_high=g_high.scaled(c),
+        g_skills=tuple(g.scaled(c) for g in g_skills),
         outer_loss=float(np.mean(high_vals)) + float(np.mean(skill_vals)),
         diverged_count=diverged,
     )

@@ -31,6 +31,7 @@ from .dmil import (
     hard_labels,
     hi_step,
     ho_grad,
+    labelled_high_batch,
     li_step,
     lo_grad,
     make_high_loss,
@@ -99,9 +100,7 @@ class Adam:
 
 def build_datasets(cfg: dict) -> tuple[list[TaskDataset], list[TaskDataset]]:
     d = cfg["data"]
-    if d["train_path"] or d["test_path"]:
-        if not (d["train_path"] and d["test_path"]):
-            raise ValueError("train_path and test_path must be set together")
+    if d["train_path"]:  # resolve_config rejects one path without the other
         return load_datasets(d["train_path"]), load_datasets(d["test_path"])
     train = [
         make_dataset(
@@ -132,10 +131,7 @@ def train_config_from(cfg: dict) -> TrainConfig:
         inner_rate=m["inner_rate"],
         inner_steps=m["inner_steps"],
         aux_weight=m["aux_weight"],
-        grad_mode=m["grad_mode"],
-        outer_reduce=m["outer_reduce"],
         batch_size=m["batch_size"],
-        ho_labels=m["ho_labels"],
         meta_high=m["method"] != "dmil_low",
         meta_low=m["method"] != "dmil_high",
     )
@@ -438,12 +434,10 @@ def gradcheck_run(cfg: dict) -> dict:
             adapted = [t.final for t in traces_l]
 
             # Selector: loss at the adapted selector with labels held fixed.
-            s1, a1, _ = flatten_trajectories(t1)
-            batch1 = build_high_batch(t1, hard_labels(s1, a1, params.skills, params.skill_shape), aux)
-            s3, a3, _ = flatten_trajectories(t3)
-            batch3 = build_high_batch(t3, hard_labels(s3, a3, adapted, params.skill_shape), aux)
+            batch1 = labelled_high_batch(params, t1, params.skills, aux)
+            batch3 = labelled_high_batch(params, t3, adapted, aux)
             high_loss_fn = make_high_loss(params.high_shape)
-            exact_h = ho_grad(trace_h, params, t3, adapted, aux)[0]
+            exact_h = ho_grad(trace_h, params, batch3)[0]
 
             def high_objective(vals):
                 tr = inner_adapt(high_loss_fn, ParamVector(vals), rate, batch1, steps)
@@ -456,8 +450,8 @@ def gradcheck_run(cfg: dict) -> dict:
             worst_tape_high = max(worst_tape_high, max_rel_err(exact_h.values, ref_h.values))
 
             # Sub-skills: per-skill composed objectives on the routed batches.
-            exact_l = lo_grad(traces_l, trace_h.final, params, t4)[0]
             part4 = partition_by_skill(trace_h.final, params.high_shape, t4)
+            exact_l = lo_grad(traces_l, params, part4)[0]
             skill_loss_fn = make_skill_loss(params.skill_shape)
             tape_skill = tape_skill_loss(params.skill_shape)
             for k in range(params.K):

@@ -170,6 +170,41 @@ def test_hard_em_grads_route_by_the_given_indices() -> None:
     assert res.diverged_count == 0
 
 
+@pytest.mark.parametrize("features", ["raw", "relative"])
+def test_meta_train_step_at_zero_inner_rate_is_hard_em(features: str) -> None:
+    # The EM connection: with no inner adaptation, dmil's meta-gradients are
+    # hard-EM gradients, bitwise.  The selector's is hard_em_grads on t3
+    # labelled by the best sub-skill; the sub-skills' is hard_em_grads on t4
+    # routed by the selector's argmax.  Both are averaged in task order.
+    from dmil.baselines import hard_em_grads
+    from dmil.dmil import hard_labels
+    from dmil.policies import featurize
+
+    for seed in range(4):
+        params = init_hierarchical(4, 2, 3, (8,), seed=60 + seed, features=features)
+        tasks = [demo_task(70 + 3 * seed + i) for i in range(3)]
+        cfg = TrainConfig(inner_rate=0.0, inner_steps=2, batch_size=2, aux_weight=0.1)
+        res = meta_train_step(params, tasks, cfg, step_seed=seed)
+
+        sum_h = ParamVector.zeros(len(params.high))
+        sum_l = [ParamVector.zeros(len(s)) for s in params.skills]
+        for task in tasks:
+            rng = SplitMix64(derive_seed(seed, task.spec.seed))
+            _, _, t3, t4 = sample_phase_batches(task.support, cfg.batch_size, rng)
+            s3, a3, _ = flatten_trajectories(t3)
+            labels3 = hard_labels(s3, a3, params.skills, params.skill_shape, features)
+            sum_h = sum_h.add(hard_em_grads(params, t3, labels3, labels3.indices, cfg.aux_weight).g_high)
+            s4, a4, _ = flatten_trajectories(t4)
+            labels4 = hard_labels(s4, a4, params.skills, params.skill_shape, features)
+            routing4 = np.argmax(mlp_forward(params.high, params.high_shape, featurize(s4, features)), axis=1)
+            em4 = hard_em_grads(params, t4, labels4, routing4, cfg.aux_weight)
+            sum_l = [a.add(b) for a, b in zip(sum_l, em4.g_skills, strict=True)]
+        c = 1.0 / len(tasks)
+        assert np.array_equal(res.g_high.values, sum_h.scaled(c).values)
+        for got, want in zip(res.g_skills, sum_l, strict=True):
+            assert np.array_equal(got.values, want.scaled(c).values)
+
+
 def sgd_steps(params: HierarchicalParams, tasks, cfg: TrainConfig, lr: float, n: int, step_seed: int = 0):
     """n em_only iterations at one fixed step seed under plain descent;
     returns the final params and each iteration's loss."""

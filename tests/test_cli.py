@@ -217,6 +217,9 @@ def test_config_error_exit_code(tmp_path) -> None:
         ("eval", "adapt_steps", 0),
         ("eval", "selector_steps", 0),
         ("eval", "episodes", 0),
+        ("data", "n_support", 3),
+        ("data", "n_query", 0),
+        ("data", "horizon", 1),
     ],
 )
 def test_config_out_of_range_rejected(section, key, value) -> None:
@@ -237,3 +240,70 @@ def test_train_out_of_range_exits_2_before_any_output(tmp_path, key) -> None:
     assert main(["train", "--config", str(cfg), "--out", str(out)]) == 2
     assert not (out / "checkpoint_000000.json").exists()
     assert not out.exists()
+
+
+@pytest.mark.parametrize("given", ["train_path", "test_path"])
+def test_config_dataset_paths_must_be_set_together(tmp_path, given) -> None:
+    with pytest.raises(ConfigError, match="'data.train_path' and 'data.test_path' must be set together"):
+        resolve_config({"data": {given: "tasks.jsonl"}})
+    cfg = write_tiny(tmp_path, data={given: "tasks.jsonl"})
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+    assert not (tmp_path / "run").exists()
+
+
+def one_line_error(caplog, prefix: str) -> str:
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and errors[0].startswith(prefix + ": ")
+    assert "\n" not in errors[0] and "Traceback" not in caplog.text
+    return errors[0]
+
+
+def test_cli_contract_error_exit_code(tmp_path, caplog) -> None:
+    # More shots than the 6 support demonstrations of each test task.
+    cfg = write_tiny(tmp_path, eval={"shots": [7]})
+    run_dir = tmp_path / "run"
+    assert main(["train", "--config", str(cfg), "--out", str(run_dir)]) == 0
+    caplog.clear()
+    argv = ["eval", "--config", str(cfg), "--out", str(tmp_path / "eval"),
+            "--checkpoint", str(run_dir / "checkpoint_final.json")]
+    assert main(argv) == 3
+    assert "eval.shots=7" in one_line_error(caplog, "contract error")
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+def test_cli_numeric_error_exit_code(tmp_path, caplog) -> None:
+    # An outer step this large overflows the parameters in the first update.
+    cfg = write_tiny(tmp_path, dmil={"outer_rate": 1e300})
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 4
+    assert "finite" in one_line_error(caplog, "numeric error")
+
+
+@pytest.mark.parametrize("body", ["wrong schema_version", "not json", "missing field"])
+def test_cli_checkpoint_error_exit_code(tmp_path, caplog, body) -> None:
+    params = init_hierarchical(4, 2, 3, (8, 8), seed=0, features="relative")
+    ckpt = tmp_path / "ck.json"
+    save_checkpoint(ckpt, params, "dmil", rng_state=1, iteration=0)
+    doc = json.loads(ckpt.read_text())
+    if body == "not json":
+        ckpt.write_text("{checkpoint")
+    elif body == "missing field":
+        del doc["skills"]
+        ckpt.write_text(json.dumps(doc))
+    else:
+        doc["schema_version"] = 99
+        ckpt.write_text(json.dumps(doc))
+    cfg = write_tiny(tmp_path)
+    argv = ["eval", "--config", str(cfg), "--out", str(tmp_path / "eval"), "--checkpoint", str(ckpt)]
+    assert main(argv) == 5
+    one_line_error(caplog, "checkpoint error")
+
+
+def test_cli_dataset_format_error_exit_code(tmp_path, caplog) -> None:
+    data_dir = tmp_path / "data"
+    assert main(["gen-data", "--config", str(write_tiny(tmp_path)), "--out", str(data_dir)]) == 0
+    corrupt = data_dir / "train.jsonl"
+    corrupt.write_text(corrupt.read_text()[:-40] + "\n")  # cut the last record short
+    caplog.clear()
+    cfg = write_tiny(tmp_path, data={"train_path": str(corrupt), "test_path": str(data_dir / "test.jsonl")})
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 6
+    assert "line" in one_line_error(caplog, "dataset format error")

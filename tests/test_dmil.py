@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dmil import dmil
-from dmil.autodiff import ContractError, ParamVector, loss_value
+from dmil.autodiff import ParamVector, loss_value
 from dmil.data import Trajectory, flatten_trajectories
 from dmil.dmil import (
     SkillLabels,
@@ -290,11 +290,11 @@ def test_ho_grad_zero_rate_equals_plain_gradient() -> None:
     cfg = TrainConfig(inner_rate=0.0, inner_steps=2, batch_size=2, aux_weight=0.1)
     t1, t2, t3, t4, trace_h, part, traces_l = _phases(params, task, cfg)
     adapted = [t.final for t in traces_l]
-    got, _ = ho_grad(trace_h, params, t3, adapted, cfg.aux_weight)
-
     S3, A3, _ = flatten_trajectories(t3)
     labels3 = hard_labels(S3, A3, adapted, params.skill_shape)
     batch3 = build_high_batch(t3, labels3, cfg.aux_weight)
+    got, _ = ho_grad(trace_h, params, batch3)
+
     from dmil.autodiff import value_and_grad
 
     want = value_and_grad(make_high_loss(params.high_shape), params.high, batch3)[1]
@@ -307,15 +307,17 @@ def test_ho_grad_first_order_equals_gradient_at_adapted() -> None:
     cfg = TrainConfig(inner_rate=5e-3, inner_steps=2, batch_size=2, aux_weight=0.1)
     t1, t2, t3, t4, trace_h, part, traces_l = _phases(params, task, cfg)
     adapted = [t.final for t in traces_l]
-    got, _ = ho_grad(trace_h, params, t3, adapted, cfg.aux_weight, mode="first_order")
-
     S3, A3, _ = flatten_trajectories(t3)
     labels3 = hard_labels(S3, A3, adapted, params.skill_shape)
     batch3 = build_high_batch(t3, labels3, cfg.aux_weight)
-    from dmil.autodiff import value_and_grad
+    from dmil.autodiff import meta_grad, value_and_grad
 
     want = value_and_grad(make_high_loss(params.high_shape), trace_h.final, batch3)[1]
+    got = meta_grad(trace_h, want, mode="first_order")
     assert np.array_equal(got.values, want.values)
+    # ho_grad is exact: it differs from the first-order reference.
+    exact, _ = ho_grad(trace_h, params, batch3)
+    assert not np.array_equal(exact.values, got.values)
 
 
 def fd_of_map(objective, x0: np.ndarray, h: float = 1e-5) -> np.ndarray:
@@ -337,7 +339,6 @@ def test_ho_grad_matches_fd_of_composed_map() -> None:
     cfg = TrainConfig(inner_rate=5e-4, inner_steps=1, batch_size=1, aux_weight=0.1)
     t1, t2, t3, t4, trace_h, part, traces_l = _phases(params, task, cfg)
     adapted = [t.final for t in traces_l]
-    exact, _ = ho_grad(trace_h, params, t3, adapted, cfg.aux_weight)
 
     S1, A1, _ = flatten_trajectories(t1)
     labels1 = hard_labels(S1, A1, params.skills, params.skill_shape)
@@ -345,6 +346,7 @@ def test_ho_grad_matches_fd_of_composed_map() -> None:
     S3, A3, _ = flatten_trajectories(t3)
     labels3 = hard_labels(S3, A3, adapted, params.skill_shape)
     batch3 = build_high_batch(t3, labels3, cfg.aux_weight)
+    exact, _ = ho_grad(trace_h, params, batch3)
     loss = make_high_loss(params.high_shape)
 
     from dmil.autodiff import inner_adapt, loss_value
@@ -361,8 +363,8 @@ def test_lo_grad_zero_rate_and_empty_partition() -> None:
     task = demo_task(13)
     cfg = TrainConfig(inner_rate=0.0, inner_steps=1, batch_size=2)
     t1, t2, t3, t4, trace_h, part, traces_l = _phases(params, task, cfg)
-    grads, _ = lo_grad(traces_l, trace_h.final, params, t4)
     part4 = partition_by_skill(trace_h.final, params.high_shape, t4)
+    grads, _ = lo_grad(traces_l, params, part4)
     from dmil.autodiff import value_and_grad
 
     loss = make_skill_loss(params.skill_shape)
@@ -380,8 +382,8 @@ def test_lo_grad_matches_fd_of_composed_map() -> None:
     task = demo_task(14, T=16)
     cfg = TrainConfig(inner_rate=5e-4, inner_steps=1, batch_size=1)
     t1, t2, t3, t4, trace_h, part, traces_l = _phases(params, task, cfg)
-    exact, _ = lo_grad(traces_l, trace_h.final, params, t4)
     part4 = partition_by_skill(trace_h.final, params.high_shape, t4)
+    exact, _ = lo_grad(traces_l, params, part4)
     loss = make_skill_loss(params.skill_shape)
 
     from dmil.autodiff import inner_adapt, loss_value
@@ -432,12 +434,13 @@ def test_meta_train_step_zero_outer_rate_identity() -> None:
 def test_meta_train_step_duplicated_task_sum_linearity() -> None:
     params = small_params(21)
     task = demo_task(21)
-    cfg = TrainConfig(inner_rate=1e-3, inner_steps=2, batch_size=2, outer_reduce="sum")
+    cfg = TrainConfig(inner_rate=1e-3, inner_steps=2, batch_size=2)
     one = meta_train_step(params, [task], cfg, step_seed=3)
     two = meta_train_step(params, [task, task], cfg, step_seed=3)
-    assert np.array_equal(two.g_high.values, 2.0 * one.g_high.values)
-    for g2, g1 in zip(two.g_skills, one.g_skills):
-        assert np.array_equal(g2.values, 2.0 * g1.values)
+    # The mean of two equal gradients is (g + g) / 2 = g, bitwise.
+    assert np.array_equal(two.g_high.values, one.g_high.values)
+    for g2, g1 in zip(two.g_skills, one.g_skills, strict=True):
+        assert np.array_equal(g2.values, g1.values)
 
 
 def test_meta_train_step_matches_hand_assembled_phases() -> None:
@@ -458,8 +461,11 @@ def test_meta_train_step_matches_hand_assembled_phases() -> None:
         part = partition_by_skill(trace_h.final, params.high_shape, t2)
         traces_l = li_step(params, part, cfg.inner_rate, cfg.inner_steps)
         adapted = [t.final for t in traces_l]
-        sum_h = sum_h.add(ho_grad(trace_h, params, t3, adapted, cfg.aux_weight)[0])
-        for k, g in enumerate(lo_grad(traces_l, trace_h.final, params, t4)[0]):
+        S3, A3, _ = flatten_trajectories(t3)
+        batch3 = build_high_batch(t3, hard_labels(S3, A3, adapted, params.skill_shape), cfg.aux_weight)
+        sum_h = sum_h.add(ho_grad(trace_h, params, batch3)[0])
+        part4 = partition_by_skill(trace_h.final, params.high_shape, t4)
+        for k, g in enumerate(lo_grad(traces_l, params, part4)[0]):
             sum_l[k] = sum_l[k].add(g)
     m = len(tasks)
     assert np.array_equal(res.g_high.values, sum_h.scaled(1.0 / m).values)
@@ -488,7 +494,7 @@ def test_meta_train_step_simultaneity_probe() -> None:
 def test_meta_train_step_task_order_permutation_bound() -> None:
     params = small_params(26)
     tasks = [demo_task(30 + i) for i in range(5)]
-    cfg = TrainConfig(inner_rate=1e-3, inner_steps=2, batch_size=2, outer_reduce="sum")
+    cfg = TrainConfig(inner_rate=1e-3, inner_steps=2, batch_size=2)
     fwd = meta_train_step(params, tasks, cfg, step_seed=9)
     rev = meta_train_step(params, tasks[::-1], cfg, step_seed=9)
     assert np.max(np.abs(fwd.g_high.values - rev.g_high.values)) <= 1e-12
@@ -608,9 +614,10 @@ def test_sample_phase_batches_cycles_when_short() -> None:
 
 
 def test_config_validation() -> None:
-    with pytest.raises(ContractError):
-        TrainConfig(grad_mode="nope")
-    with pytest.raises(ContractError):
-        TrainConfig(outer_reduce="median")
-    with pytest.raises(ContractError):
-        TrainConfig(ho_labels="both")
+    # grad_mode, outer_reduce and ho_labels are gone: setting one is an
+    # unknown-key error, like any typo.
+    from dmil.config import ConfigError, resolve_config
+
+    for key, value in (("grad_mode", "first_order"), ("outer_reduce", "sum"), ("ho_labels", "initial")):
+        with pytest.raises(ConfigError, match=f"unknown config key 'dmil.{key}'"):
+            resolve_config({"dmil": {key: value}})
