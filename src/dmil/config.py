@@ -142,8 +142,12 @@ def resolve_config(overrides: dict | None = None, seed: int | None = None) -> di
             f"valid optimizers: {', '.join(OUTER_OPTIMIZERS)}"
         )
     d = cfg["data"]
-    if bool(d["train_path"]) != bool(d["test_path"]):
+    if (d["train_path"] is None) != (d["test_path"] is None):
         raise ConfigError("config keys 'data.train_path' and 'data.test_path' must be set together")
+    for key in ("train_path", "test_path"):
+        path = d[key]
+        if path is not None and not (isinstance(path, str) and Path(path).is_file()):
+            raise ConfigError(f"config key 'data.{key}' must name a dataset file, got {path!r}")
     for key, low in RANGES:
         section, name = key.split(".")
         value = cfg[section][name]

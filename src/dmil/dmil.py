@@ -367,7 +367,9 @@ def _task_meta_grads(
     """One task's four phases.  A level that is not meta-learned keeps a
     zero-step trace, whose meta-gradient is its plain outer gradient, taken
     on its inner batch instead: t1 labelled by the initial sub-skills for
-    the selector, t2 for the sub-skills."""
+    the selector, t2 for the sub-skills.  With one skill (maml) the
+    selector is a one-way softmax whose outer loss and gradient are exactly
+    zero, so they are not computed."""
     t1, t2, t3, t4 = batches
 
     if cfg.meta_high:
@@ -381,11 +383,14 @@ def _task_meta_grads(
     else:
         traces_l = tuple(identity_trace(s) for s in params.skills)
 
-    if cfg.meta_high:
-        batch_h = labelled_high_batch(params, t3, [t.final for t in traces_l], cfg.aux_weight)
+    if params.K == 1:
+        g_high, high_val = ParamVector.zeros(len(params.high)), 0.0
     else:
-        batch_h = labelled_high_batch(params, t1, params.skills, cfg.aux_weight)
-    g_high, high_val = ho_grad(trace_h, params, batch_h)
+        if cfg.meta_high:
+            batch_h = labelled_high_batch(params, t3, [t.final for t in traces_l], cfg.aux_weight)
+        else:
+            batch_h = labelled_high_batch(params, t1, params.skills, cfg.aux_weight)
+        g_high, high_val = ho_grad(trace_h, params, batch_h)
     skill_trajs = t4 if cfg.meta_low else t2
     part = partition_by_skill(trace_h.final, params.high_shape, skill_trajs, params.feature_kind)
     g_skills, skill_val = lo_grad(traces_l, params, part)
@@ -468,14 +473,20 @@ def few_shot_adapt(
     return params.with_updates(selector, skills)
 
 
-def predict_action(params: HierarchicalParams, state) -> tuple[np.ndarray, int]:
-    """Selector picks the skill (argmax, ties to lowest index); that skill
-    predicts the action."""
-    x = params.features(np.asarray(state, dtype=np.float64)[None, :])
-    logits = mlp_forward(params.high, params.high_shape, x)[0]
-    z = int(np.argmax(logits))
-    action = mlp_forward(params.skills[z], params.skill_shape, x)[0]
-    return action, z
+def predict_action(params: HierarchicalParams, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Actions (n, action_dim) and skills (n,) for raw states (n, state_dim):
+    the selector picks each row's skill (argmax, ties to lowest index) and
+    that skill predicts the row's action.  One selector forward, then one
+    forward per chosen skill, each over an (n, 1, in) stack, so every row is
+    bitwise what a one-state call gives."""
+    x = params.features(states)[:, None, :]
+    z = np.argmax(mlp_forward(params.high, params.high_shape, x)[:, 0], axis=1)
+    actions = np.empty((len(z), params.skill_shape.out_dim))
+    for k in range(params.K):
+        rows = z == k
+        if np.any(rows):
+            actions[rows] = mlp_forward(params.skills[k], params.skill_shape, x[rows])[:, 0]
+    return actions, z
 
 
 def predict_labels(params: HierarchicalParams, states: np.ndarray) -> np.ndarray:

@@ -106,6 +106,11 @@ def switch_rate(labels) -> float:
 # ---------------------------------------------------------------------------
 # policy adapters
 # ---------------------------------------------------------------------------
+#
+# Every policy takes raw states in batches of rows, (n, 4): predict gives
+# actions (n, 2), predict_skills the chosen skills (n,), and act both at
+# once.  Closed-loop rollouts call act once per simulator step with one row
+# per episode.
 
 
 @dataclass(frozen=True)
@@ -145,8 +150,8 @@ class HierarchicalPolicy:
     def predict_skills(self, states: np.ndarray) -> np.ndarray:
         return predict_labels(self.params, states)
 
-    def act(self, state) -> tuple[np.ndarray, int]:
-        return predict_action(self.params, state)
+    def act(self, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return predict_action(self.params, states)
 
     @property
     def n_skills(self) -> int:
@@ -177,9 +182,9 @@ class MonolithicPolicy:
     def predict_skills(self, states: np.ndarray) -> np.ndarray:
         return np.zeros(states.shape[0], dtype=np.int64)
 
-    def act(self, state) -> tuple[np.ndarray, int]:
-        x = featurize(np.asarray(state, dtype=np.float64)[None, :], self.feature_kind)
-        return mlp_forward(self.theta, self.shape, x)[0], 0
+    def act(self, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        x = featurize(states, self.feature_kind)[:, None, :]
+        return mlp_forward(self.theta, self.shape, x)[:, 0], self.predict_skills(states)
 
     @property
     def n_skills(self) -> int:
@@ -196,13 +201,14 @@ class ExpertPolicy:
         return self
 
     def predict(self, states: np.ndarray) -> np.ndarray:
-        return np.vstack([expert_action(self.spec, s)[0] for s in states])
+        return self.act(states)[0]
 
     def predict_skills(self, states: np.ndarray) -> np.ndarray:
-        return np.array([expert_action(self.spec, s)[1] for s in states], dtype=np.int64)
+        return self.act(states)[1]
 
-    def act(self, state) -> tuple[np.ndarray, int]:
-        return expert_action(self.spec, state)
+    def act(self, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        pairs = [expert_action(self.spec, s) for s in states]
+        return np.array([a for a, _ in pairs]), np.array([z for _, z in pairs], dtype=np.int64)
 
     @property
     def n_skills(self) -> int:
@@ -237,22 +243,13 @@ class RolloutStats:
 
 
 def rollout_stats(policy, spec: TaskSpec, episodes: int, T: int) -> RolloutStats:
-    """Closed-loop rollouts with the policy's own skill choices; success means
-    every waypoint reached within tolerance before the horizon."""
-    successes = 0
-    rates = []
-    for e in range(episodes):
-        chosen: list[int] = []
-
-        def act(state):
-            a, z = policy.act(state)
-            chosen.append(z)
-            return a
-
-        _, ok = rollout_policy(spec, act, T, ROLLOUT_SEED0 + e)
-        successes += int(ok)
-        rates.append(switch_rate(chosen))
-    return RolloutStats(successes / episodes, float(np.mean(rates)))
+    """Closed-loop rollouts with the policy's own skill choices, all episodes
+    stepped together; success means every waypoint reached within tolerance
+    before the horizon."""
+    seeds = [ROLLOUT_SEED0 + e for e in range(episodes)]
+    skills, ok = rollout_policy(spec, policy.act, T, seeds)
+    rates = [switch_rate(z) for z in skills]
+    return RolloutStats(int(np.count_nonzero(ok)) / episodes, float(np.mean(rates)))
 
 
 # ---------------------------------------------------------------------------

@@ -123,10 +123,19 @@ def mlp_logits(p: Node, shape: MlpShape, x) -> Node:
 
 
 def mlp_forward(theta: ParamVector, shape: MlpShape, x) -> np.ndarray:
-    """Plain numpy forward pass: (N, in) -> (N, out)."""
+    """Plain numpy forward pass: (N, in) -> (N, out).
+
+    An (N, 1, in) stack gives (N, 1, out) from N one-row matmuls, so each
+    row is bitwise a one-row call's output; one N-row matmul may round
+    differently."""
     if len(theta) != shape.n_params:
         raise ContractError(f"parameter length {len(theta)} != shape size {shape.n_params}")
-    return forward(unpack(theta.values, shape.layer_sizes), _check_input(shape, x))[-1]
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim == 3 and x.shape[1] == 1:
+        _check_input(shape, x[:, 0])
+    else:
+        x = _check_input(shape, x)
+    return forward(unpack(theta.values, shape.layer_sizes), x)[-1]
 
 
 @dataclass(frozen=True)

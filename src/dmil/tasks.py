@@ -98,18 +98,6 @@ def _rot(angle: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]])
 
 
-def true_skill(spec: TaskSpec, state) -> int:
-    """Regime label is a pure function of goal distance and the radii."""
-    state = np.asarray(state, dtype=np.float64)
-    d = float(np.linalg.norm(state[2:4] - state[0:2]))
-    r1, r2 = spec.switch_radii
-    if d > r1:
-        return 0  # approach
-    if d > r2:
-        return 1  # orbit
-    return 2  # dock
-
-
 def expert_action(
     spec: TaskSpec, state, rng: SplitMix64 | None = None
 ) -> tuple[np.ndarray, int]:
@@ -149,9 +137,9 @@ def _simulate(
     seed: int,
     act: Callable[[np.ndarray, SplitMix64], tuple[np.ndarray, int]],
 ) -> tuple[Trajectory, bool]:
-    """Shared dynamics loop: p' = p + DT * clip(a); goal advances inside the
-    tolerance.  Returns the recorded trajectory and whether every waypoint
-    was reached before the horizon."""
+    """Dynamics loop of one demonstration: p' = p + DT * clip(a); the goal
+    advances inside the tolerance.  Returns the recorded trajectory and
+    whether every waypoint was reached before the horizon."""
     if T < 2:
         raise ContractError(f"horizon must be >= 2, got {T}")
     rng = SplitMix64(derive_seed(spec.seed, seed))
@@ -180,13 +168,36 @@ def rollout_expert(spec: TaskSpec, T: int, seed: int) -> Trajectory:
 
 def rollout_policy(
     spec: TaskSpec,
-    act_fn: Callable[[np.ndarray], np.ndarray],
+    act: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
     T: int,
-    seed: int,
-) -> tuple[Trajectory, bool]:
-    """Closed-loop rollout of an arbitrary policy in the same dynamics; the
-    recorded skill labels are the ground-truth regimes of the visited states."""
-    return _simulate(spec, T, seed, lambda s, rng: (np.asarray(act_fn(s), dtype=np.float64), true_skill(spec, s)))
+    seeds: Sequence[int],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-loop rollouts of a batched policy in the dynamics of _simulate,
+    one episode per seed, all stepped together.
+
+    act maps (n, 4) states to (n, 2) actions and (n,) skills, once per step.
+    Episode i starts in the box drawn from SplitMix64(derive_seed(spec.seed,
+    seeds[i])) and advances its own goal, so each row is bitwise the episode
+    _simulate would give (the goal distance sqrt(vecdot(d, d)) rounds as
+    linalg.norm does on one 2-vector).  Returns the chosen skills (n, T) and
+    whether each episode reached every waypoint before the horizon."""
+    if T < 2:
+        raise ContractError(f"horizon must be >= 2, got {T}")
+    p = np.empty((len(seeds), 2))
+    for i, seed in enumerate(seeds):
+        rng = SplitMix64(derive_seed(spec.seed, seed))
+        p[i] = rng.uniform(-START_BOX, START_BOX), rng.uniform(-START_BOX, START_BOX)
+    waypoints = np.asarray(spec.waypoints, dtype=np.float64)
+    n_wp = len(waypoints)
+    reached = np.zeros(len(seeds), dtype=np.int64)
+    skills = np.empty((len(seeds), T), dtype=np.int64)
+    for t in range(T):
+        g = waypoints[np.minimum(reached, n_wp - 1)]
+        a, skills[:, t] = act(np.concatenate([p, g], axis=1))
+        p = p + DT * np.clip(a, -ACTION_MAX, ACTION_MAX)
+        d = g - p
+        reached += (reached < n_wp) & (np.sqrt(np.vecdot(d, d)) < GOAL_TOLERANCE)
+    return skills, reached == n_wp
 
 
 @dataclass(frozen=True)

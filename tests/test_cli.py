@@ -251,6 +251,22 @@ def test_config_dataset_paths_must_be_set_together(tmp_path, given) -> None:
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("bad", [5, "missing.jsonl", "", "."])
+@pytest.mark.parametrize("key", ["train_path", "test_path"])
+def test_config_dataset_path_must_name_a_file(tmp_path, caplog, key, bad) -> None:
+    other = "test_path" if key == "train_path" else "train_path"
+    real = tmp_path / "tasks.jsonl"
+    real.write_text("")
+    data = {key: bad, other: str(real)}
+    with pytest.raises(ConfigError, match=f"config key 'data.{key}' must name a dataset file, got {bad!r}"):
+        resolve_config({"data": data})
+    cfg = write_tiny(tmp_path, data=data)
+    caplog.clear()
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+    one_line_error(caplog, "config error")
+    assert not (tmp_path / "run").exists()
+
+
 def one_line_error(caplog, prefix: str) -> str:
     errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
     assert len(errors) == 1 and errors[0].startswith(prefix + ": ")

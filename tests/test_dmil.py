@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dmil import dmil
 from dmil.autodiff import ParamVector, loss_value
@@ -570,9 +572,9 @@ def test_few_shot_adapt_restricted_variants() -> None:
 
 def test_predict_action_k1_and_hand_set() -> None:
     params = small_params(44, n_skills=1)
-    s = np.array([0.3, -0.2, 1.0, 1.0])
+    s = np.array([[0.3, -0.2, 1.0, 1.0]])
     a, z = predict_action(params, s)
-    assert z == 0
+    assert a.shape == (1, 2) and z.tolist() == [0]
 
     shape_h = mlp_shape(4, 3, (4,))
     v = np.zeros(shape_h.n_params)
@@ -580,20 +582,37 @@ def test_predict_action_k1_and_hand_set() -> None:
     zero_skill = ParamVector(np.zeros(params.skill_shape.n_params))
     p2 = HierarchicalParams(ParamVector(v), (zero_skill,) * 3, shape_h, params.skill_shape)
     a2, z2 = predict_action(p2, s)
-    assert z2 == 1 and np.array_equal(a2, np.zeros(2))
+    assert z2.tolist() == [1] and np.array_equal(a2, np.zeros((1, 2)))
 
 
 def test_predict_action_matches_bruteforce() -> None:
     params = small_params(45)
     rng = SplitMix64(46)
-    for _ in range(10):
-        s = rng.uniform_array(4, -2, 2)
-        a, z = predict_action(params, s)
+    states = rng.uniform_array(4 * 10, -2, 2).reshape(10, 4)
+    a, z = predict_action(params, states)
+    for s, a_row, z_row in zip(states, a, z):
         logits = mlp_forward(params.high, params.high_shape, s[None, :])[0]
         want_z = max(range(params.K), key=lambda k: (logits[k], -k))
-        assert z == want_z
-        want_a = mlp_forward(params.skills[z], params.skill_shape, s[None, :])[0]
-        assert np.array_equal(a, want_a)
+        assert z_row == want_z
+        want_a = mlp_forward(params.skills[want_z], params.skill_shape, s[None, :])[0]
+        assert np.array_equal(a_row, want_a)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 12),
+    K=st.integers(1, 4),
+    features=st.sampled_from(["raw", "relative"]),
+    seed=st.integers(0, 2**16),
+)
+def test_predict_action_on_n_rows_equals_n_one_row_calls(n, K, features, seed) -> None:
+    params = init_hierarchical(4, 2, K, (16, 16), seed=seed, features=features)
+    states = SplitMix64(seed).uniform_array(4 * n, -2, 2).reshape(n, 4)
+    a, z = predict_action(params, states)
+    rows = [predict_action(params, states[i : i + 1]) for i in range(n)]
+    assert a.shape == (n, 2) and z.shape == (n,)
+    assert a.tobytes() == np.vstack([r[0] for r in rows]).tobytes()
+    assert np.array_equal(z, np.concatenate([r[1] for r in rows]))
 
 
 # ---- batch sampler ----

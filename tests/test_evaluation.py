@@ -8,9 +8,11 @@ from dmil.autodiff import ContractError, ParamVector
 from dmil.data import flatten_trajectories
 from dmil.dmil import TrainConfig
 from dmil.evaluation import (
+    ROLLOUT_SEED0,
     ExpertPolicy,
     HierarchicalPolicy,
     MonolithicPolicy,
+    RolloutStats,
     adapted_skill_accuracy,
     fd_check,
     query_mse,
@@ -21,9 +23,9 @@ from dmil.evaluation import (
     write_report_csv,
     write_summary_json,
 )
-from dmil.policies import init_hierarchical, init_params, mlp_shape
-from dmil.rng import SplitMix64
-from dmil.tasks import make_dataset, sample_task, TaskSpec
+from dmil.policies import HierarchicalParams, featurize, init_hierarchical, init_params, mlp_forward, mlp_shape
+from dmil.rng import SplitMix64, derive_seed
+from dmil.tasks import ACTION_MAX, DT, GOAL_TOLERANCE, START_BOX, make_dataset, sample_task, TaskSpec
 
 
 # ---- fd_check ----
@@ -230,6 +232,57 @@ def test_rollout_stats_switch_rate_of_expert_is_low() -> None:
     stats = rollout_stats(ExpertPolicy(spec), spec, episodes=3, T=120)
     assert stats.success_rate == 1.0
     assert 0.0 < stats.mean_switch_rate < 0.2  # a handful of genuine regime changes
+
+
+def goal_seeking_params(features: str, K: int, noise: float) -> HierarchicalParams:
+    """A seeded selector over K skills that each steer at the goal with their
+    own gain, a = (6 + 2k)(g - p), plus `noise` times their seeded init."""
+    params = init_hierarchical(4, 2, K, (8,), seed=3, features=features)
+    w1 = np.zeros((params.skill_shape.in_dim, 8))  # hidden j: relu(+-(g - p) on one axis)
+    for j, (axis, sign) in enumerate(((0, 1.0), (0, -1.0), (1, 1.0), (1, -1.0))):
+        w1[2 + axis, j], w1[axis, j] = sign, -sign
+    w2 = np.zeros((8, 2))
+    w2[[0, 1, 2, 3], [0, 0, 1, 1]] = 1.0, -1.0, 1.0, -1.0
+    skills = []
+    for k, init in enumerate(params.skills):
+        steer = np.concatenate([w1.ravel(), np.zeros(8), (6.0 + 2 * k) * w2.ravel(), np.zeros(2)])
+        skills.append(ParamVector(steer + noise * init.values))
+    return params.with_updates(params.high, tuple(skills))
+
+
+def one_episode_at_a_time(params: HierarchicalParams, spec: TaskSpec, episodes: int, T: int) -> RolloutStats:
+    """Reference rollout_stats: each episode alone, one state per step, and
+    one-row mlp_forward calls for the selector and the chosen skill."""
+    waypoints = [np.asarray(w) for w in spec.waypoints]
+    successes, rates = 0, []
+    for e in range(episodes):
+        rng = SplitMix64(derive_seed(spec.seed, ROLLOUT_SEED0 + e))
+        p = np.array([rng.uniform(-START_BOX, START_BOX), rng.uniform(-START_BOX, START_BOX)])
+        reached, chosen = 0, []
+        for _ in range(T):
+            g = waypoints[min(reached, len(waypoints) - 1)]
+            x = featurize(np.concatenate([p, g])[None, :], params.feature_kind)
+            z = int(np.argmax(mlp_forward(params.high, params.high_shape, x)[0]))
+            a = mlp_forward(params.skills[z], params.skill_shape, x)[0]
+            chosen.append(z)
+            p = p + DT * np.clip(a, -ACTION_MAX, ACTION_MAX)
+            if reached < len(waypoints) and np.linalg.norm(g - p) < GOAL_TOLERANCE:
+                reached += 1
+        successes += int(reached == len(waypoints))
+        rates.append(switch_rate(chosen))
+    return RolloutStats(successes / episodes, float(np.mean(rates)))
+
+
+@pytest.mark.parametrize("episodes", [1, 5])
+@pytest.mark.parametrize("K", [1, 3])
+@pytest.mark.parametrize("features", ["raw", "relative"])
+def test_batched_rollout_stats_equal_one_episode_at_a_time(features, K, episodes) -> None:
+    policy = HierarchicalPolicy(goal_seeking_params(features, K, noise=0.1), 0.0, 1)
+    got = [rollout_stats(policy, sample_task(t), episodes, 120) for t in (9000, 9001, 9004)]
+    want = [one_episode_at_a_time(policy.params, sample_task(t), episodes, 120) for t in (9000, 9001, 9004)]
+    assert [repr(s) for s in got] == [repr(s) for s in want]  # repr also tells -0.0 from 0.0
+    # The three tasks hold both outcomes, so the waypoint schedule is exercised.
+    assert min(s.success_rate for s in want) < 1.0 and max(s.success_rate for s in want) > 0.0
 
 
 # ---- reports ----

@@ -19,7 +19,6 @@ from dmil.tasks import (
     rollout_policy,
     sample_task,
     save_datasets,
-    true_skill,
 )
 
 
@@ -88,7 +87,7 @@ def test_expert_skill_boundaries_match_brute_force() -> None:
             _, z = expert_action(spec, s)
             dist = np.sqrt((s[2] - s[0]) ** 2 + (s[3] - s[1]) ** 2)
             want = 0 if dist > r1 else (1 if dist > r2 else 2)
-            assert z == want == true_skill(spec, s)
+            assert z == want
 
 
 def test_expert_orbit_is_perpendicular_to_goal_direction() -> None:
@@ -172,12 +171,13 @@ def test_rollout_deterministic() -> None:
 
 
 def test_expert_solves_every_sampled_task() -> None:
+    from dmil.evaluation import ExpertPolicy
+
     for seed in range(25):
         spec = sample_task(3000 + seed)
-        traj, ok = rollout_policy(
-            spec, lambda s, _spec=spec: expert_action(_spec, s)[0], 120, 1
-        )
-        assert ok, f"expert failed its own task, seed {seed}"
+        skills, ok = rollout_policy(spec, ExpertPolicy(spec).act, 120, [1, 2])
+        assert skills.shape == (2, 120)
+        assert ok.tolist() == [True, True], f"expert failed its own task, seed {seed}"
 
 
 # ---- datasets ----
