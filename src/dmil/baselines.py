@@ -30,20 +30,22 @@ import numpy as np
 
 from .autodiff import ContractError, identity_trace
 from .autodiff import inner_adapt, meta_grad  # noqa: F401  (perfbench/tracing.py wraps these names here)
-from .data import Trajectory, flatten_trajectories
 from .dmil import (
-    SkillLabels,
+    Pool,
     StepResult,
     TrainConfig,
-    build_high_batch,
     hard_labels,
+    high_batch,
     ho_grad,
     lo_grad,
     meta_train_step,
-    partition_pairs,
+    partition_by_skill,
+    pool,
+    route,
     sample_phase_batches,
 )
-from .policies import HierarchicalParams, featurize, mlp_forward
+from .policies import HierarchicalParams
+from .policies import mlp_forward  # noqa: F401  (perfbench/tracing.py wraps this name here)
 from .rng import SplitMix64, derive_seed
 
 
@@ -62,20 +64,18 @@ def maml_train_step(
 
 def hard_em_grads(
     params: HierarchicalParams,
-    trajs: Sequence[Trajectory],
-    labels: SkillLabels,
+    p: Pool,
+    labels: np.ndarray,
     routing: np.ndarray,
     aux_weight: float,
 ) -> StepResult:
-    """Hard-EM gradients at params: the selector's cross-entropy against
-    `labels` (plus aux_weight times the switch term), and each sub-skill's
-    MSE on the pairs `routing` sends it; a skill routed no pair gets a zero
-    gradient.  outer_loss is the selector loss plus the routed pooled MSE.
-    These are ho_grad/lo_grad of zero-step traces."""
-    batch = build_high_batch(trajs, labels, aux_weight, params.feature_kind)
-    _, actions, _ = flatten_trajectories(trajs)
-    part = partition_pairs(batch.states, actions, routing, params.K)
-    g_high, ce = ho_grad(identity_trace(params.high), params, batch)
+    """Hard-EM gradients at params on one pool: the selector's cross-entropy
+    against `labels` (plus aux_weight times the switch term), and each
+    sub-skill's MSE on the pairs `routing` sends it; a skill routed no pair
+    gets a zero gradient.  outer_loss is the selector loss plus the routed
+    pooled MSE.  These are ho_grad/lo_grad of zero-step traces."""
+    g_high, ce = ho_grad(identity_trace(params.high), params, high_batch(p, labels, params.K, aux_weight))
+    part = partition_by_skill(p, routing, params.K)
     g_skills, pooled = lo_grad([identity_trace(s) for s in params.skills], params, part)
     return StepResult(g_high, tuple(g_skills), ce + pooled, 0)
 
@@ -89,13 +89,11 @@ def em_only_train(
     """One hard-EM alternation with no meta-learning, as gradients at the
     pre-step parameters: all four phase batches of every task are pooled,
     labelled by the best sub-skill and routed by the selector's argmax."""
-    pooled: list[Trajectory] = []
+    trajs = []
     for task in tasks:
         rng = SplitMix64(derive_seed(step_seed, task.spec.seed))
         for group in sample_phase_batches(task.support, cfg.batch_size, rng):
-            pooled.extend(group)
-    states, actions, _ = flatten_trajectories(pooled)
-    labels = hard_labels(states, actions, params.skills, params.skill_shape, params.feature_kind)
-    x = featurize(states, params.feature_kind)
-    routing = np.argmax(mlp_forward(params.high, params.high_shape, x), axis=1)
-    return hard_em_grads(params, pooled, labels, routing, cfg.aux_weight)
+            trajs.extend(group)
+    p = pool(trajs, params.feature_kind)
+    labels = hard_labels(p, params.skills, params.skill_shape)
+    return hard_em_grads(params, p, labels, route(params.high, params.high_shape, p), cfg.aux_weight)

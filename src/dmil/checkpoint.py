@@ -49,10 +49,15 @@ def save_checkpoint(path, params: HierarchicalParams, method: str, rng_state: in
 
 
 def load_checkpoint(path) -> Checkpoint:
+    """Read one checkpoint.  A file that is not one (not JSON, not an
+    object, another schema version, a missing or malformed field) raises a
+    one-line CheckpointSchemaError."""
     try:
         doc = json.loads(Path(path).read_text())
     except json.JSONDecodeError as e:
         raise CheckpointSchemaError(f"checkpoint {path} does not parse: {e}") from e
+    if not isinstance(doc, dict):
+        raise CheckpointSchemaError(f"checkpoint {path} holds a JSON {type(doc).__name__}, not an object")
     version = doc.get("schema_version")
     if version != SCHEMA_VERSION:
         raise CheckpointSchemaError(
@@ -66,8 +71,12 @@ def load_checkpoint(path) -> Checkpoint:
             MlpShape(tuple(doc["shapes"]["skill"])),
             doc.get("features", "raw"),
         )
-        if params.K != doc["K"]:
-            raise CheckpointSchemaError(f"checkpoint K={doc['K']} does not match {params.K} skill arrays")
-        return Checkpoint(params, doc["method"], int(doc["rng_state"]), int(doc["iteration"]))
+        ckpt = Checkpoint(params, doc["method"], int(doc["rng_state"]), int(doc["iteration"]))
+        k = doc["K"]
     except KeyError as e:
         raise CheckpointSchemaError(f"checkpoint {path} has no field {e}") from e
+    except (TypeError, ValueError) as e:
+        raise CheckpointSchemaError(f"checkpoint {path} has a malformed field: {e}") from e
+    if params.K != k:
+        raise CheckpointSchemaError(f"checkpoint K={k!r} does not match {params.K} skill arrays")
+    return ckpt

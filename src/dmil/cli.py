@@ -23,7 +23,7 @@ from .autodiff import ContractError, NumericError
 from .checkpoint import CheckpointSchemaError, load_checkpoint
 from .config import ConfigError, load_config, resolve_config, dump_config
 from .evaluation import write_report_csv, write_summary_json
-from .runner import ablate, build_datasets, evaluate, gradcheck_run, train
+from .runner import ablate, build_datasets, evaluate, gradcheck_run, init_model, train
 from .tasks import DatasetFormatError, save_datasets
 
 logger = logging.getLogger("dmil")
@@ -65,10 +65,26 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _check_model(cfg: dict, params) -> None:
+    """Reject a checkpoint whose model is not the config's (feature map,
+    skill count, layer sizes of both networks), naming the first field that
+    differs: the feature map sets the input width of both networks."""
+    want = init_model(cfg)
+    for field, got, need in (
+        ("features", params.feature_kind, want.feature_kind),
+        ("K", params.K, want.K),
+        ("selector layers", params.high_shape.layer_sizes, want.high_shape.layer_sizes),
+        ("sub-skill layers", params.skill_shape.layer_sizes, want.skill_shape.layer_sizes),
+    ):
+        if got != need:
+            raise ContractError(f"checkpoint {field} {got!r} does not match the config's {need!r}")
+
+
 def cmd_eval(args) -> int:
     cfg = _resolve(args)
-    out = _prepare_out(args, cfg)
     ckpt = load_checkpoint(args.checkpoint)
+    _check_model(cfg, ckpt.params)
+    out = _prepare_out(args, cfg)
     _, test_tasks = build_datasets(cfg)
     rows = evaluate(cfg, ckpt.params, ckpt.method, test_tasks)
     write_report_csv(out / "report.csv", rows)

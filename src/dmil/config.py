@@ -59,14 +59,10 @@ DEFAULT_CONFIG: dict = {
         "episodes": 5,
         "adapt_rate": 5e-4,
         "adapt_steps": 3,
-        "selector_steps": None,  # selector inner steps at test (None: adapt_steps)
         "scale_steps_with_shots": False,  # k-shot adaptation runs k * adapt_steps
-        "n_true_skills": 3,
     },
     "gradcheck": {
         "instances": 20,
-        "state_dim": 4,
-        "action_dim": 2,
         "hidden": 8,
         "n_skills": 2,
         "inner_steps": [1, 3],
@@ -102,7 +98,6 @@ RANGES = (
     ("dmil.warmup_rate", 0),
     ("eval.adapt_rate", 0),
     ("eval.adapt_steps", 1),
-    ("eval.selector_steps", 1),
     ("eval.episodes", 1),
 )
 

@@ -16,6 +16,11 @@ pre-step parameters:
                             adapted selector), pushed back through each
                             sub-skill's inner steps.
 
+Each phase batch is pooled once (flatten and feature map, `pool`), and
+labels, routing, partitions and selector batches all read that Pool.  The
+two inner updates are adapt_phases, which few-shot adaptation also runs, on
+one pool of demonstrations.
+
 Meta-gradients are summed over tasks in list order, divided by the task
 count and returned for one atomic update, which the caller (runner.train)
 applies; no phase ever sees post-update parameters.  Hard label and routing
@@ -49,53 +54,53 @@ from .policies import HierarchicalParams, MlpShape, featurize, mlp_forward, mlp_
 from .rng import SplitMix64, derive_seed
 
 # ---------------------------------------------------------------------------
-# labels, partitions, losses
+# the data path: pools, labels, routing, partitions
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class SkillLabels:
-    """Per-timestep hard skill assignments (one-hot over K)."""
+class Pool:
+    """One batch of trajectories, flattened and featurized once: network
+    inputs x (N, in), actions (N, action_dim) and per-trajectory row slices
+    (switch terms never cross trajectory ends).  Every label, routing,
+    partition and selector batch of that batch reads it."""
 
-    indices: np.ndarray  # (N,) int64
-    onehot: np.ndarray  # (N, K) float64
-
-    @classmethod
-    def from_indices(cls, indices: np.ndarray, n_skills: int) -> "SkillLabels":
-        idx = np.asarray(indices, dtype=np.int64)
-        onehot = np.zeros((idx.shape[0], n_skills))
-        onehot[np.arange(idx.shape[0]), idx] = 1.0
-        idx.setflags(write=False)
-        onehot.setflags(write=False)
-        return cls(idx, onehot)
+    x: np.ndarray
+    actions: np.ndarray
+    slices: tuple[tuple[int, int], ...]
 
     def __len__(self) -> int:
-        return self.indices.shape[0]
+        return self.x.shape[0]
 
 
-def hard_labels(
-    states: np.ndarray,
-    actions: np.ndarray,
-    skills: Sequence[ParamVector],
-    skill_shape: MlpShape,
-    features: str = "raw",
-) -> SkillLabels:
-    """Label each pair with the sub-skill of least squared action error.
+def pool(trajs: Sequence[Trajectory], features: str) -> Pool:
+    """Pool trajectories in trajectory then time order, featurized by
+    `features` (HierarchicalParams.feature_kind)."""
+    states, actions, slices = flatten_trajectories(trajs)
+    return Pool(featurize(states, features), actions, slices)
+
+
+def hard_labels(p: Pool, skills: Sequence[ParamVector], skill_shape: MlpShape) -> np.ndarray:
+    """Index (N,) of the sub-skill of least squared action error per pair.
 
     Ties go to the lowest skill index (argmin's first match), which keeps the
     assignment deterministic and order-stable.
     """
-    x = featurize(states, features)
     errors = np.stack(
-        [np.sum((actions - mlp_forward(s, skill_shape, x)) ** 2, axis=1) for s in skills],
+        [np.sum((p.actions - mlp_forward(s, skill_shape, p.x)) ** 2, axis=1) for s in skills],
         axis=1,
     )
-    return SkillLabels.from_indices(np.argmin(errors, axis=1), len(skills))
+    return np.argmin(errors, axis=1)
+
+
+def route(selector: ParamVector, high_shape: MlpShape, p: Pool) -> np.ndarray:
+    """The selector's argmax skill per pair (ties: lowest index)."""
+    return np.argmax(mlp_forward(selector, high_shape, p.x), axis=1)
 
 
 @dataclass(frozen=True)
 class Partition:
-    """Per-skill (state, action) datasets; disjoint and exhaustive by build."""
+    """Per-skill (input, action) datasets; disjoint and exhaustive by build."""
 
     states: tuple[np.ndarray, ...]
     actions: tuple[np.ndarray, ...]
@@ -104,35 +109,12 @@ class Partition:
     def sizes(self) -> tuple[int, ...]:
         return tuple(s.shape[0] for s in self.states)
 
-    @property
-    def K(self) -> int:
-        return len(self.states)
 
-
-def partition_pairs(
-    states: np.ndarray, actions: np.ndarray, indices: np.ndarray, n_skills: int
-) -> Partition:
-    groups_s, groups_a = [], []
-    for k in range(n_skills):
-        mask = indices == k
-        groups_s.append(states[mask])
-        groups_a.append(actions[mask])
-    return Partition(tuple(groups_s), tuple(groups_a))
-
-
-def partition_by_skill(
-    selector: ParamVector,
-    high_shape: MlpShape,
-    trajs: Sequence[Trajectory],
-    features: str = "raw",
-) -> Partition:
-    """Route every pair to the selector's argmax skill (ties: lowest index).
-
-    The returned groups hold featurized states, ready for the skill losses."""
-    states, actions, _ = flatten_trajectories(trajs)
-    x = featurize(states, features)
-    logits = mlp_forward(selector, high_shape, x)
-    return partition_pairs(x, actions, np.argmax(logits, axis=1), high_shape.out_dim)
+def partition_by_skill(p: Pool, indices: np.ndarray, n_skills: int) -> Partition:
+    """Split the pool's pairs by skill index, keeping pool order; the groups
+    hold featurized inputs, ready for the skill losses."""
+    masks = [indices == k for k in range(n_skills)]
+    return Partition(tuple(p.x[m] for m in masks), tuple(p.actions[m] for m in masks))
 
 
 def aux_loss(probs: np.ndarray) -> float:
@@ -216,13 +198,14 @@ def tape_skill_loss(shape: MlpShape) -> ad.TapeLoss:
     return ad.TapeLoss(skill_mse_loss, SkillMseLoss.name)
 
 
-def build_high_batch(
-    trajs: Sequence[Trajectory], labels: SkillLabels, aux_weight: float, features: str = "raw"
-) -> HighBatch:
-    states, _, slices = flatten_trajectories(trajs)
-    if len(labels) != states.shape[0]:
-        raise ContractError("labels do not align with the trajectory batch")
-    return HighBatch(featurize(states, features), labels.onehot, slices, aux_weight)
+def high_batch(p: Pool, labels: np.ndarray, n_skills: int, aux_weight: float) -> HighBatch:
+    """Selector loss inputs on a pool: its inputs, the labels one-hot over
+    n_skills, its trajectory slices."""
+    if labels.shape[0] != len(p):
+        raise ContractError("labels do not align with the pool")
+    onehot = np.zeros((labels.shape[0], n_skills))
+    onehot[np.arange(labels.shape[0]), labels] = 1.0
+    return HighBatch(p.x, onehot, p.slices, aux_weight)
 
 
 # ---------------------------------------------------------------------------
@@ -230,48 +213,37 @@ def build_high_batch(
 # ---------------------------------------------------------------------------
 
 
-def labelled_high_batch(
+def adapt_phases(
     params: HierarchicalParams,
-    trajs: Sequence[Trajectory],
-    label_skills: Sequence[ParamVector],
-    aux_weight: float,
-) -> HighBatch:
-    """Selector batch on trajs, labelled by the best of label_skills."""
-    states, actions, _ = flatten_trajectories(trajs)
-    labels = hard_labels(states, actions, label_skills, params.skill_shape, params.feature_kind)
-    return build_high_batch(trajs, labels, aux_weight, params.feature_kind)
-
-
-def hi_step(
-    params: HierarchicalParams,
-    trajs: Sequence[Trajectory],
+    p_high: Pool,
+    p_low: Pool,
     rate: float,
     steps: int,
     aux_weight: float,
-) -> AdaptTrace:
-    """Selector inner update; labels come from the frozen sub-skills."""
-    batch = labelled_high_batch(params, trajs, params.skills, aux_weight)
-    return inner_adapt(make_high_loss(params.high_shape), params.high, rate, batch, steps)
+    adapt_high: bool = True,
+    adapt_low: bool = True,
+) -> tuple[AdaptTrace, tuple[AdaptTrace, ...]]:
+    """The inner half of an iteration, and all of few-shot adaptation.
 
-
-def li_step(
-    params: HierarchicalParams,
-    partition: Partition,
-    rate: float,
-    steps: int,
-) -> tuple[AdaptTrace, ...]:
-    """Per-skill inner updates on the routed datasets; empty set => identity."""
-    if partition.K != params.K:
-        raise ContractError(f"partition has {partition.K} groups for {params.K} skills")
+    The selector takes `steps` inner steps on p_high, labelled by the frozen
+    sub-skills; the adapted selector routes p_low, and each sub-skill takes
+    `steps` inner steps on its routed pairs.  A level that is not adapted,
+    and a sub-skill routed no pair, keeps a zero-step trace."""
+    if adapt_high:
+        labels = hard_labels(p_high, params.skills, params.skill_shape)
+        batch = high_batch(p_high, labels, params.K, aux_weight)
+        trace_h = inner_adapt(make_high_loss(params.high_shape), params.high, rate, batch, steps)
+    else:
+        trace_h = identity_trace(params.high)
+    if not adapt_low:
+        return trace_h, tuple(identity_trace(s) for s in params.skills)
+    part = partition_by_skill(p_low, route(trace_h.final, params.high_shape, p_low), params.K)
     loss = make_skill_loss(params.skill_shape)
-    traces = []
-    for k in range(params.K):
-        if partition.sizes[k] == 0:
-            traces.append(identity_trace(params.skills[k]))
-        else:
-            batch = SkillBatch(partition.states[k], partition.actions[k])
-            traces.append(inner_adapt(loss, params.skills[k], rate, batch, steps))
-    return tuple(traces)
+    traces_l = tuple(
+        inner_adapt(loss, s, rate, SkillBatch(x, a), steps) if len(x) else identity_trace(s)
+        for s, x, a in zip(params.skills, part.states, part.actions)
+    )
+    return trace_h, traces_l
 
 
 def ho_grad(
@@ -364,35 +336,29 @@ def _task_meta_grads(
     batches: tuple[list[Trajectory], ...],
     cfg: TrainConfig,
 ) -> tuple[ParamVector, list[ParamVector], float, float, bool]:
-    """One task's four phases.  A level that is not meta-learned keeps a
-    zero-step trace, whose meta-gradient is its plain outer gradient, taken
-    on its inner batch instead: t1 labelled by the initial sub-skills for
-    the selector, t2 for the sub-skills.  With one skill (maml) the
-    selector is a one-way softmax whose outer loss and gradient are exactly
-    zero, so they are not computed."""
+    """One task's four phases, each batch pooled once.  A level that is not
+    meta-learned keeps a zero-step trace, whose meta-gradient is its plain
+    outer gradient, taken on its inner batch instead: t1 labelled by the
+    initial sub-skills for the selector, t2 for the sub-skills.  With one
+    skill (maml) the selector is a one-way softmax whose outer loss and
+    gradient are exactly zero, so they are not computed."""
     t1, t2, t3, t4 = batches
-
-    if cfg.meta_high:
-        trace_h = hi_step(params, t1, cfg.inner_rate, cfg.inner_steps, cfg.aux_weight)
-    else:
-        trace_h = identity_trace(params.high)
-
-    if cfg.meta_low:
-        part2 = partition_by_skill(trace_h.final, params.high_shape, t2, params.feature_kind)
-        traces_l = li_step(params, part2, cfg.inner_rate, cfg.inner_steps)
-    else:
-        traces_l = tuple(identity_trace(s) for s in params.skills)
+    p1, p2 = pool(t1, params.feature_kind), pool(t2, params.feature_kind)
+    trace_h, traces_l = adapt_phases(
+        params, p1, p2, cfg.inner_rate, cfg.inner_steps, cfg.aux_weight, cfg.meta_high, cfg.meta_low
+    )
 
     if params.K == 1:
         g_high, high_val = ParamVector.zeros(len(params.high)), 0.0
     else:
         if cfg.meta_high:
-            batch_h = labelled_high_batch(params, t3, [t.final for t in traces_l], cfg.aux_weight)
+            p3, label_skills = pool(t3, params.feature_kind), [t.final for t in traces_l]
         else:
-            batch_h = labelled_high_batch(params, t1, params.skills, cfg.aux_weight)
-        g_high, high_val = ho_grad(trace_h, params, batch_h)
-    skill_trajs = t4 if cfg.meta_low else t2
-    part = partition_by_skill(trace_h.final, params.high_shape, skill_trajs, params.feature_kind)
+            p3, label_skills = p1, params.skills
+        labels = hard_labels(p3, label_skills, params.skill_shape)
+        g_high, high_val = ho_grad(trace_h, params, high_batch(p3, labels, params.K, cfg.aux_weight))
+    p4 = pool(t4, params.feature_kind) if cfg.meta_low else p2
+    part = partition_by_skill(p4, route(trace_h.final, params.high_shape, p4), params.K)
     g_skills, skill_val = lo_grad(traces_l, params, part)
 
     diverged = trace_h.diverged or any(t.diverged for t in traces_l)
@@ -449,28 +415,14 @@ def few_shot_adapt(
     aux_weight: float = 0.0,
     adapt_high: bool = True,
     adapt_low: bool = True,
-    selector_steps: int | None = None,
 ) -> HierarchicalParams:
-    """Adapt on a handful of demonstrations: selector first, then sub-skills,
-    both on the same trajectories.  The input params are untouched.
-
-    selector_steps lets the selector take a different number of inner steps
-    than the sub-skills (it chases label noise if over-fitted at test time);
-    the default is the shared count."""
+    """Adapt on a handful of demonstrations: the inner phases with both
+    levels on the same pooled trajectories.  The input params are untouched."""
     if not demos:
         raise ContractError("few_shot_adapt needs at least one demonstration")
-    if adapt_high:
-        n = steps if selector_steps is None else selector_steps
-        selector = hi_step(params, demos, rate, n, aux_weight).final
-    else:
-        selector = params.high
-    if adapt_low:
-        part = partition_by_skill(selector, params.high_shape, demos, params.feature_kind)
-        traces = li_step(params, part, rate, steps)
-        skills = tuple(t.final for t in traces)
-    else:
-        skills = params.skills
-    return params.with_updates(selector, skills)
+    p = pool(demos, params.feature_kind)
+    trace_h, traces_l = adapt_phases(params, p, p, rate, steps, aux_weight, adapt_high, adapt_low)
+    return params.with_updates(trace_h.final, tuple(t.final for t in traces_l))
 
 
 def predict_action(params: HierarchicalParams, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -13,11 +13,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .autodiff import ContractError, ParamVector, inner_adapt
+from .autodiff import ContractError
+from .autodiff import inner_adapt  # noqa: F401  (perfbench/tracing.py wraps this name here)
 from .data import Trajectory, flatten_trajectories
-from .dmil import SkillBatch, few_shot_adapt, make_skill_loss, predict_action, predict_labels
-from .policies import HierarchicalParams, MlpShape, featurize, mlp_forward
-from .tasks import TaskDataset, TaskSpec, expert_action, rollout_policy
+from .dmil import few_shot_adapt, predict_action, predict_labels
+from .policies import HierarchicalParams
+from .policies import mlp_forward  # noqa: F401  (perfbench/tracing.py wraps this name here)
+from .tasks import N_REGIMES, TaskDataset, TaskSpec, expert_action, rollout_policy
 
 FD_MAX_PARAMS = 500
 ROLLOUT_SEED0 = 0xE7A1
@@ -123,7 +125,6 @@ class HierarchicalPolicy:
     aux_weight: float = 0.0
     adapt_high: bool = True
     adapt_low: bool = True
-    selector_steps: int | None = None
 
     def adapt(self, demos: Sequence[Trajectory]) -> "HierarchicalPolicy":
         adapted = few_shot_adapt(
@@ -134,7 +135,6 @@ class HierarchicalPolicy:
             aux_weight=self.aux_weight,
             adapt_high=self.adapt_high,
             adapt_low=self.adapt_low,
-            selector_steps=self.selector_steps,
         )
         return replace(self, params=adapted)
 
@@ -159,39 +159,6 @@ class HierarchicalPolicy:
 
 
 @dataclass(frozen=True)
-class MonolithicPolicy:
-    """Single behavior-cloning network (the no-hierarchy baseline)."""
-
-    theta: ParamVector
-    shape: MlpShape
-    adapt_rate: float
-    adapt_steps: int
-    feature_kind: str = "raw"
-
-    def adapt(self, demos: Sequence[Trajectory]) -> "MonolithicPolicy":
-        s, a, _ = flatten_trajectories(demos)
-        x = featurize(s, self.feature_kind)
-        trace = inner_adapt(
-            make_skill_loss(self.shape), self.theta, self.adapt_rate, SkillBatch(x, a), self.adapt_steps
-        )
-        return replace(self, theta=trace.final)
-
-    def predict(self, states: np.ndarray) -> np.ndarray:
-        return mlp_forward(self.theta, self.shape, featurize(states, self.feature_kind))
-
-    def predict_skills(self, states: np.ndarray) -> np.ndarray:
-        return np.zeros(states.shape[0], dtype=np.int64)
-
-    def act(self, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        x = featurize(states, self.feature_kind)[:, None, :]
-        return mlp_forward(self.theta, self.shape, x)[:, 0], self.predict_skills(states)
-
-    @property
-    def n_skills(self) -> int:
-        return 1
-
-
-@dataclass(frozen=True)
 class ExpertPolicy:
     """Ground-truth controller (noise-free); adaptation is a no-op."""
 
@@ -212,7 +179,7 @@ class ExpertPolicy:
 
     @property
     def n_skills(self) -> int:
-        return 3
+        return N_REGIMES
 
 
 # ---------------------------------------------------------------------------
@@ -227,13 +194,13 @@ def query_mse(policy, task: TaskDataset) -> float:
     return float(np.mean((pred - a) ** 2))
 
 
-def adapted_skill_accuracy(policy, task: TaskDataset, n_true_skills: int = 3) -> float:
+def adapted_skill_accuracy(policy, task: TaskDataset) -> float:
     """Permutation-matched agreement of predicted skills with the generator's
-    hidden labels, over the query set."""
+    N_REGIMES hidden labels, over the query set."""
     s, _, _ = flatten_trajectories(task.query)
     truth = np.concatenate([t.true_skills for t in task.query])
     pred = policy.predict_skills(s)
-    return skill_accuracy(pred, truth, policy.n_skills, n_true_skills)
+    return skill_accuracy(pred, truth, policy.n_skills, N_REGIMES)
 
 
 @dataclass(frozen=True)

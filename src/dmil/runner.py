@@ -24,20 +24,20 @@ from .autodiff import ContractError, ParamVector, inner_adapt, loss_value
 from .baselines import em_only_train, hard_em_grads, maml_train_step
 from .checkpoint import save_checkpoint
 from .config import METHODS, dump_config
-from .data import flatten_trajectories
 from .dmil import (
+    Pool,
     TrainConfig,
-    build_high_batch,
+    adapt_phases,
     hard_labels,
-    hi_step,
+    high_batch,
     ho_grad,
-    labelled_high_batch,
-    li_step,
     lo_grad,
     make_high_loss,
     make_skill_loss,
     meta_train_step,
     partition_by_skill,
+    pool,
+    route,
     SkillBatch,
     tape_high_loss,
     tape_skill_loss,
@@ -54,7 +54,7 @@ from .evaluation import (
 )
 from .policies import HierarchicalParams, init_hierarchical
 from .rng import SplitMix64, derive_seed
-from .tasks import TaskDataset, load_datasets, make_dataset, rollout_expert, sample_task
+from .tasks import ACTION_DIM, N_REGIMES, STATE_DIM, TaskDataset, load_datasets, make_dataset, rollout_expert, sample_task
 
 SALT_INIT = 0x1417
 SALT_TASK_SELECT = 0x7A5C
@@ -142,26 +142,25 @@ def n_skills_for(cfg: dict) -> int:
     return 1 if cfg["dmil"]["method"] == "maml" else cfg["model"]["n_skills"]
 
 
-def init_model(cfg: dict) -> HierarchicalParams:
+def init_model(cfg: dict, seed: int | None = None) -> HierarchicalParams:
+    """The configured model, initialised from `seed` (default: the run's)."""
     return init_hierarchical(
-        state_dim=4,
-        action_dim=2,
+        state_dim=STATE_DIM,
+        action_dim=ACTION_DIM,
         n_skills=n_skills_for(cfg),
         hidden=tuple(cfg["model"]["hidden"]),
-        seed=derive_seed(cfg["run"]["seed"], SALT_INIT),
+        seed=derive_seed(cfg["run"]["seed"], SALT_INIT) if seed is None else seed,
         features=cfg["model"]["features"],
     )
 
 
-def _em_alternations(
-    params: HierarchicalParams, pooled, states, actions, epochs: int, lr: float, aux: float
-) -> HierarchicalParams:
+def _em_alternations(params: HierarchicalParams, p: Pool, epochs: int, lr: float, aux: float) -> HierarchicalParams:
     """Label-routed hard-EM alternations (the classical E/M pairing): each
     sub-skill trains only on the pairs it currently wins, so per-pair
     competition stays alive and no single network absorbs everything."""
     for _ in range(epochs):
-        labels = hard_labels(states, actions, params.skills, params.skill_shape, params.feature_kind)
-        res = hard_em_grads(params, pooled, labels, labels.indices, aux)
+        labels = hard_labels(p, params.skills, params.skill_shape)
+        res = hard_em_grads(params, p, labels, labels, aux)
         params = params.with_updates(
             params.high.minus_scaled(res.g_high, lr),
             tuple(s.minus_scaled(g, lr) for s, g in zip(params.skills, res.g_skills)),
@@ -169,12 +168,12 @@ def _em_alternations(
     return params
 
 
-def _em_fit_score(params: HierarchicalParams, pooled, states, actions) -> float:
+def _em_fit_score(params: HierarchicalParams, p: Pool) -> float:
     """Self-contained basin score: selector cross-entropy against the current
     labels plus the label-routed pooled MSE.  Low scores mean the labels are
     both state-predictable and well fit, which tracks decomposition quality."""
-    labels = hard_labels(states, actions, params.skills, params.skill_shape, params.feature_kind)
-    return hard_em_grads(params, pooled, labels, labels.indices, 0.0).outer_loss
+    labels = hard_labels(p, params.skills, params.skill_shape)
+    return hard_em_grads(params, p, labels, labels, 0.0).outer_loss
 
 
 def warm_start(cfg: dict, train_tasks) -> HierarchicalParams:
@@ -184,38 +183,31 @@ def warm_start(cfg: dict, train_tasks) -> HierarchicalParams:
     Hard-EM is init-sensitive, so several restarts run short alternation
     probes and the best basin (by the self-contained fit score) continues:
     remaining alternations, then a selector-only consolidation so routing
-    works from the first outer iteration.  Everything is a pure function of
+    works from the first outer iteration.  The fixed pool is flattened and
+    featurized once for every epoch.  Everything is a pure function of
     (config, data), so paired methods share the identical warm start.
     """
     m = cfg["dmil"]
     if m["warmup_epochs"] <= 0 and m["warmup_consolidate"] <= 0:
         return init_model(cfg)
     per_task = m["warmup_trajs_per_task"]
-    pooled = [t for task in train_tasks for t in task.support[:per_task]]
-    states, actions, _ = flatten_trajectories(pooled)
+    p = pool([t for task in train_tasks for t in task.support[:per_task]], cfg["model"]["features"])
     lr = m["warmup_rate"]
     aux = m["aux_weight"]
 
     seeds = [derive_seed(cfg["run"]["seed"], SALT_INIT, r) for r in range(m["warmup_restarts"])]
-    candidates = [
-        init_hierarchical(
-            4, 2, n_skills_for(cfg), tuple(cfg["model"]["hidden"]), seed=s, features=cfg["model"]["features"]
-        )
-        for s in seeds
-    ]
+    candidates = [init_model(cfg, seed=s) for s in seeds]
 
     probe = min(m["warmup_probe_epochs"], m["warmup_epochs"])
     if len(candidates) > 1:
-        probed = [_em_alternations(p, pooled, states, actions, probe, lr, aux) for p in candidates]
-        scores = [_em_fit_score(p, pooled, states, actions) for p in probed]
-        best = int(np.argmin(scores))
-        params = probed[best]
+        probed = [_em_alternations(c, p, probe, lr, aux) for c in candidates]
+        scores = [_em_fit_score(c, p) for c in probed]
+        params = probed[int(np.argmin(scores))]
     else:
-        params = _em_alternations(candidates[0], pooled, states, actions, probe, lr, aux)
-    params = _em_alternations(params, pooled, states, actions, m["warmup_epochs"] - probe, lr, aux)
+        params = _em_alternations(candidates[0], p, probe, lr, aux)
+    params = _em_alternations(params, p, m["warmup_epochs"] - probe, lr, aux)
 
-    labels = hard_labels(states, actions, params.skills, params.skill_shape, params.feature_kind)
-    batch = build_high_batch(pooled, labels, aux, params.feature_kind)
+    batch = high_batch(p, hard_labels(p, params.skills, params.skill_shape), params.K, aux)
     high = params.high
     high_loss_fn = make_high_loss(params.high_shape)
     for _ in range(m["warmup_consolidate"]):
@@ -347,7 +339,6 @@ def make_policy(cfg: dict, params: HierarchicalParams, method: str) -> Hierarchi
         aux_weight=cfg["dmil"]["aux_weight"],
         adapt_high=method != "dmil_low",  # fixed selector at test time
         adapt_low=method != "dmil_high",  # fixed sub-skills at test time
-        selector_steps=e["selector_steps"],
     )
 
 
@@ -375,8 +366,8 @@ def evaluate(
             pre = query_mse(shot_policy, task)
             adapted = shot_policy.adapt(list(task.support[:shots]))
             post = query_mse(adapted, task)
-            if params.K >= e["n_true_skills"]:
-                acc = adapted_skill_accuracy(adapted, task, e["n_true_skills"])
+            if params.K >= N_REGIMES:
+                acc = adapted_skill_accuracy(adapted, task)
             else:
                 acc = None  # a monolithic policy has no skill labels to match
             stats = rollout_stats(adapted, task.spec, e["episodes"], cfg["data"]["horizon"])
@@ -418,24 +409,20 @@ def gradcheck_run(cfg: dict) -> dict:
     checked = 0
     for i in range(g["instances"]):
         seed = g["seed0"] + i
-        params = init_hierarchical(
-            g["state_dim"], g["action_dim"], g["n_skills"], (g["hidden"],), seed=derive_seed(seed, 1)
-        )
+        params = init_hierarchical(STATE_DIM, ACTION_DIM, g["n_skills"], (g["hidden"],), seed=derive_seed(seed, 1))
         spec = sample_task(seed)
         trajs = [rollout_expert(spec, g["horizon"], j) for j in range(4 * g["trajectories"])]
         b = g["trajectories"]
-        t1, t2, t3, t4 = (trajs[j * b : (j + 1) * b] for j in range(4))
+        p1, p2, p3, p4 = (pool(trajs[j * b : (j + 1) * b], params.feature_kind) for j in range(4))
         for steps in g["inner_steps"]:
             rate = g["inner_rate"]
             aux = 0.1
-            trace_h = hi_step(params, t1, rate, steps, aux)
-            part2 = partition_by_skill(trace_h.final, params.high_shape, t2)
-            traces_l = li_step(params, part2, rate, steps)
+            trace_h, traces_l = adapt_phases(params, p1, p2, rate, steps, aux)
             adapted = [t.final for t in traces_l]
 
             # Selector: loss at the adapted selector with labels held fixed.
-            batch1 = labelled_high_batch(params, t1, params.skills, aux)
-            batch3 = labelled_high_batch(params, t3, adapted, aux)
+            batch1 = high_batch(p1, hard_labels(p1, params.skills, params.skill_shape), params.K, aux)
+            batch3 = high_batch(p3, hard_labels(p3, adapted, params.skill_shape), params.K, aux)
             high_loss_fn = make_high_loss(params.high_shape)
             exact_h = ho_grad(trace_h, params, batch3)[0]
 
@@ -450,7 +437,9 @@ def gradcheck_run(cfg: dict) -> dict:
             worst_tape_high = max(worst_tape_high, max_rel_err(exact_h.values, ref_h.values))
 
             # Sub-skills: per-skill composed objectives on the routed batches.
-            part4 = partition_by_skill(trace_h.final, params.high_shape, t4)
+            part2, part4 = (
+                partition_by_skill(q, route(trace_h.final, params.high_shape, q), params.K) for q in (p2, p4)
+            )
             exact_l = lo_grad(traces_l, params, part4)[0]
             skill_loss_fn = make_skill_loss(params.skill_shape)
             tape_skill = tape_skill_loss(params.skill_shape)

@@ -42,6 +42,9 @@ R2_RANGE = (0.21, 0.28)
 WAYPOINT_DIST_RANGE = (1.1, 1.4)
 N_WAYPOINTS = 4
 START_BOX = 0.2
+STATE_DIM = 4  # [px, py, gx, gy]
+ACTION_DIM = 2
+N_REGIMES = 3  # approach, orbit, dock: the hidden skill labels 0, 1, 2
 
 
 class DatasetFormatError(ValueError):
@@ -147,8 +150,8 @@ def _simulate(
     waypoints = [np.asarray(w) for w in spec.waypoints]
     n_wp = len(waypoints)
     reached = 0
-    states = np.empty((T, 4))
-    actions = np.empty((T, 2))
+    states = np.empty((T, STATE_DIM))
+    actions = np.empty((T, ACTION_DIM))
     skills = np.empty(T, dtype=np.int64)
     for t in range(T):
         g = waypoints[min(reached, n_wp - 1)]

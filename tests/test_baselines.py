@@ -94,23 +94,27 @@ def test_high_and_low_ablations_leave_other_level_plain() -> None:
     from dmil import autodiff as ad
     from dmil.dmil import (
         SkillBatch,
-        build_high_batch,
+        adapt_phases,
         hard_labels,
-        hi_step,
+        high_batch,
         make_high_loss,
         make_skill_loss,
         partition_by_skill,
+        pool,
+        route,
     )
 
     sum_skills = [ParamVector.zeros(len(s)) for s in params.skills]
     sum_high = ParamVector.zeros(len(params.high))
     for task in tasks:
         rng = SplitMix64(derive_seed(4, task.spec.seed))
-        t1, t2, t3, t4 = sample_phase_batches(task.support, cfg.batch_size, rng)
+        t1, t2, t3, t4 = (pool(t, "raw") for t in sample_phase_batches(task.support, cfg.batch_size, rng))
         # dmil_high: skills get plain gradients on the routed second batch,
         # where routing uses the adapted selector.
-        trace_h = hi_step(params, t1, cfg.inner_rate, cfg.inner_steps, cfg.aux_weight)
-        part = partition_by_skill(trace_h.final, params.high_shape, t2)
+        trace_h, _ = adapt_phases(
+            params, t1, t2, cfg.inner_rate, cfg.inner_steps, cfg.aux_weight, adapt_low=False
+        )
+        part = partition_by_skill(t2, route(trace_h.final, params.high_shape, t2), params.K)
         for k in range(3):
             if part.sizes[k]:
                 g = ad.value_and_grad(
@@ -120,10 +124,9 @@ def test_high_and_low_ablations_leave_other_level_plain() -> None:
                 )[1]
                 sum_skills[k] = sum_skills[k].add(g)
         # dmil_low: selector gets a plain gradient on the first batch.
-        s1, a1, _ = flatten_trajectories(t1)
-        labels1 = hard_labels(s1, a1, params.skills, params.skill_shape)
+        labels1 = hard_labels(t1, params.skills, params.skill_shape)
         gh = ad.value_and_grad(
-            make_high_loss(params.high_shape), params.high, build_high_batch(t1, labels1, cfg.aux_weight)
+            make_high_loss(params.high_shape), params.high, high_batch(t1, labels1, params.K, cfg.aux_weight)
         )[1]
         sum_high = sum_high.add(gh)
 
@@ -152,15 +155,16 @@ def test_hard_em_grads_route_by_the_given_indices() -> None:
     # the selector is fit to the labels, not to the routing.
     from dmil import autodiff as ad
     from dmil.baselines import hard_em_grads
-    from dmil.dmil import SkillBatch, build_high_batch, hard_labels, make_high_loss, make_skill_loss
+    from dmil.dmil import SkillBatch, hard_labels, high_batch, make_high_loss, make_skill_loss, pool
 
     params = init_hierarchical(4, 2, 3, (8,), seed=33)
     trajs = list(demo_task(33).support[:3])
     s, a, _ = flatten_trajectories(trajs)
-    labels = hard_labels(s, a, params.skills, params.skill_shape)
-    res = hard_em_grads(params, trajs, labels, np.zeros(len(labels), dtype=np.int64), 0.1)
+    p = pool(trajs, "raw")
+    labels = hard_labels(p, params.skills, params.skill_shape)
+    res = hard_em_grads(params, p, labels, np.zeros(len(labels), dtype=np.int64), 0.1)
 
-    ce, g_high = ad.value_and_grad(make_high_loss(params.high_shape), params.high, build_high_batch(trajs, labels, 0.1))
+    ce, g_high = ad.value_and_grad(make_high_loss(params.high_shape), params.high, high_batch(p, labels, 3, 0.1))
     mse, g0 = ad.value_and_grad(make_skill_loss(params.skill_shape), params.skills[0], SkillBatch(s, a))
     assert np.array_equal(res.g_high.values, g_high.values)
     assert np.array_equal(res.g_skills[0].values, g0.values)
@@ -177,7 +181,7 @@ def test_meta_train_step_at_zero_inner_rate_is_hard_em(features: str) -> None:
     # labelled by the best sub-skill; the sub-skills' is hard_em_grads on t4
     # routed by the selector's argmax.  Both are averaged in task order.
     from dmil.baselines import hard_em_grads
-    from dmil.dmil import hard_labels
+    from dmil.dmil import hard_labels, pool
     from dmil.policies import featurize
 
     for seed in range(4):
@@ -191,13 +195,14 @@ def test_meta_train_step_at_zero_inner_rate_is_hard_em(features: str) -> None:
         for task in tasks:
             rng = SplitMix64(derive_seed(seed, task.spec.seed))
             _, _, t3, t4 = sample_phase_batches(task.support, cfg.batch_size, rng)
-            s3, a3, _ = flatten_trajectories(t3)
-            labels3 = hard_labels(s3, a3, params.skills, params.skill_shape, features)
-            sum_h = sum_h.add(hard_em_grads(params, t3, labels3, labels3.indices, cfg.aux_weight).g_high)
-            s4, a4, _ = flatten_trajectories(t4)
-            labels4 = hard_labels(s4, a4, params.skills, params.skill_shape, features)
+            p3 = pool(t3, features)
+            labels3 = hard_labels(p3, params.skills, params.skill_shape)
+            sum_h = sum_h.add(hard_em_grads(params, p3, labels3, labels3, cfg.aux_weight).g_high)
+            p4 = pool(t4, features)
+            labels4 = hard_labels(p4, params.skills, params.skill_shape)
+            s4, _, _ = flatten_trajectories(t4)
             routing4 = np.argmax(mlp_forward(params.high, params.high_shape, featurize(s4, features)), axis=1)
-            em4 = hard_em_grads(params, t4, labels4, routing4, cfg.aux_weight)
+            em4 = hard_em_grads(params, p4, labels4, routing4, cfg.aux_weight)
             sum_l = [a.add(b) for a, b in zip(sum_l, em4.g_skills, strict=True)]
         c = 1.0 / len(tasks)
         assert np.array_equal(res.g_high.values, sum_h.scaled(c).values)
@@ -257,11 +262,11 @@ def test_em_only_fixed_point_on_self_generated_data() -> None:
     from dmil.data import Trajectory
 
     task = replace(demo_task(31), support=(Trajectory(S[:5], A[:5]), Trajectory(S[5:], A[5:])))
-    labels_before = dmil.hard_labels(S, A, params.skills, params.skill_shape)
+    labels_before = dmil.hard_labels(dmil.Pool(S, A, ((0, 10),)), params.skills, params.skill_shape)
     cfg = TrainConfig(batch_size=2, aux_weight=0.0)
     after, _ = sgd_steps(params, [task], cfg, lr=1e-2, n=3)
-    labels_after = dmil.hard_labels(S, A, after.skills, after.skill_shape)
-    assert np.array_equal(labels_before.indices, labels_after.indices)
+    labels_after = dmil.hard_labels(dmil.Pool(S, A, ((0, 10),)), after.skills, after.skill_shape)
+    assert np.array_equal(labels_before, labels_after)
     # Skill 0 has zero residual on its own data, so it never moves.
     assert np.array_equal(after.skills[0].values, params.skills[0].values)
 

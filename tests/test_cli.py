@@ -84,8 +84,8 @@ def test_config_value_type_rejected(tmp_path, section, key, value, want) -> None
 
 
 def test_config_value_type_accepts_int_for_float_and_any_for_none() -> None:
-    cfg = resolve_config({"dmil": {"outer_rate": 1}, "eval": {"selector_steps": 4}, "data": {"train_path": None}})
-    assert cfg["dmil"]["outer_rate"] == 1 and cfg["eval"]["selector_steps"] == 4
+    cfg = resolve_config({"dmil": {"outer_rate": 1}, "data": {"train_path": None, "test_path": None}})
+    assert cfg["dmil"]["outer_rate"] == 1 and cfg["data"]["train_path"] is None
     with pytest.raises(ConfigError, match="'data' must be a section"):
         resolve_config({"data": None})
 
@@ -215,7 +215,6 @@ def test_config_error_exit_code(tmp_path) -> None:
         ("dmil", "warmup_rate", -0.05),
         ("eval", "adapt_rate", -1e-3),
         ("eval", "adapt_steps", 0),
-        ("eval", "selector_steps", 0),
         ("eval", "episodes", 0),
         ("data", "n_support", 3),
         ("data", "n_query", 0),
@@ -230,7 +229,8 @@ def test_config_out_of_range_rejected(section, key, value) -> None:
 def test_config_range_accepts_its_bounds() -> None:
     cfg = resolve_config({"run": {"iterations": 0}, "dmil": {"inner_rate": 0.0, "inner_steps": 1, "batch_size": 1}})
     assert cfg["run"]["iterations"] == 0 and cfg["dmil"]["inner_rate"] == 0.0
-    assert resolve_config()["eval"]["selector_steps"] is None
+    cfg = resolve_config({"eval": {"adapt_steps": 1, "episodes": 1}})
+    assert cfg["eval"]["adapt_steps"] == 1 and cfg["eval"]["episodes"] == 1
 
 
 @pytest.mark.parametrize("key", ["inner_steps", "batch_size"])
@@ -294,7 +294,10 @@ def test_cli_numeric_error_exit_code(tmp_path, caplog) -> None:
     assert "finite" in one_line_error(caplog, "numeric error")
 
 
-@pytest.mark.parametrize("body", ["wrong schema_version", "not json", "missing field"])
+@pytest.mark.parametrize(
+    "body",
+    ["wrong schema_version", "not json", "missing field", "json list", "high text", "rng_state text", "skills null"],
+)
 def test_cli_checkpoint_error_exit_code(tmp_path, caplog, body) -> None:
     params = init_hierarchical(4, 2, 3, (8, 8), seed=0, features="relative")
     ckpt = tmp_path / "ck.json"
@@ -302,16 +305,61 @@ def test_cli_checkpoint_error_exit_code(tmp_path, caplog, body) -> None:
     doc = json.loads(ckpt.read_text())
     if body == "not json":
         ckpt.write_text("{checkpoint")
-    elif body == "missing field":
-        del doc["skills"]
-        ckpt.write_text(json.dumps(doc))
+    elif body == "json list":
+        ckpt.write_text(json.dumps([doc]))
     else:
-        doc["schema_version"] = 99
+        if body == "missing field":
+            del doc["skills"]
+        elif body == "high text":
+            doc["high"] = "abc"
+        elif body == "rng_state text":
+            doc["rng_state"] = "q"
+        elif body == "skills null":
+            doc["skills"] = None
+        else:
+            doc["schema_version"] = 99
         ckpt.write_text(json.dumps(doc))
     cfg = write_tiny(tmp_path)
     argv = ["eval", "--config", str(cfg), "--out", str(tmp_path / "eval"), "--checkpoint", str(ckpt)]
     assert main(argv) == 5
     one_line_error(caplog, "checkpoint error")
+    assert not (tmp_path / "eval").exists()
+
+
+@pytest.mark.parametrize(
+    "model, field",
+    [
+        ({"n_skills": 2}, "checkpoint K 3 does not match the config's 2"),
+        ({"hidden": [16, 16]}, "checkpoint selector layers (7, 8, 8, 3) does not match the config's (7, 16, 16, 3)"),
+        ({"features": "raw"}, "checkpoint features 'relative' does not match the config's 'raw'"),
+        ({"features": "raw", "hidden": [16, 16], "n_skills": 2}, "checkpoint features 'relative' does not match the config's 'raw'"),
+    ],
+)
+def test_eval_rejects_a_checkpoint_of_another_model(tmp_path, caplog, model, field) -> None:
+    # A relative/[8, 8]/K=3 checkpoint (TINY's model) against other models.
+    ckpt = tmp_path / "ck.json"
+    save_checkpoint(ckpt, init_hierarchical(4, 2, 3, (8, 8), seed=0, features="relative"), "dmil", 1, 0)
+    caplog.clear()
+    argv = ["eval", "--config", str(write_tiny(tmp_path, model=model)), "--out", str(tmp_path / "eval"),
+            "--checkpoint", str(ckpt)]
+    assert main(argv) == 3
+    assert one_line_error(caplog, "contract error") == f"contract error: {field}"
+    assert not (tmp_path / "eval").exists()
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [("eval", "selector_steps", 4), ("eval", "n_true_skills", 3), ("gradcheck", "state_dim", 4),
+     ("gradcheck", "action_dim", 2)],
+)
+def test_removed_config_key_exits_2(tmp_path, caplog, section, key, value) -> None:
+    # Knobs with a single working value are constants now: setting one is an
+    # unknown-key error, whatever the value.
+    cfg = write_tiny(tmp_path, **{section: {key: value}})
+    caplog.clear()
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+    assert f"unknown config key '{section}.{key}'" in one_line_error(caplog, "config error")
+    assert not (tmp_path / "run").exists()
 
 
 def test_cli_dataset_format_error_exit_code(tmp_path, caplog) -> None:

@@ -9,21 +9,22 @@ from dmil import dmil
 from dmil.autodiff import ParamVector, loss_value
 from dmil.data import Trajectory, flatten_trajectories
 from dmil.dmil import (
-    SkillLabels,
+    Pool,
     TrainConfig,
+    adapt_phases,
     aux_loss,
-    build_high_batch,
     few_shot_adapt,
     hard_labels,
-    hi_step,
+    high_batch,
     ho_grad,
-    li_step,
     lo_grad,
     make_high_loss,
     make_skill_loss,
     meta_train_step,
     partition_by_skill,
+    pool,
     predict_action,
+    route,
     sample_phase_batches,
 )
 from dmil.policies import (
@@ -57,22 +58,39 @@ def random_trajs(seed: int, n: int = 2, T: int = 12) -> list[Trajectory]:
     ]
 
 
+def routed(selector, high_shape, trajs):
+    """The partition of trajs (raw features) by the selector's argmax."""
+    p = pool(trajs, "raw")
+    return partition_by_skill(p, route(selector, high_shape, p), high_shape.out_dim)
+
+
+def hi(params, trajs, rate, steps, aux):
+    """The selector's inner trace alone: adapt_phases with the sub-skills fixed."""
+    p = pool(trajs, params.feature_kind)
+    return adapt_phases(params, p, p, rate, steps, aux, adapt_low=False)[0]
+
+
+def li(params, p, rate, steps):
+    """The sub-skills' inner traces alone, routed by the unadapted selector."""
+    return adapt_phases(params, p, p, rate, steps, 0.0, adapt_high=False)[1]
+
+
 # ---- hard labels ----
 
 
 def test_hard_labels_k1_all_zero() -> None:
     params = small_params(n_skills=1)
-    S, A, _ = flatten_trajectories(random_trajs(1))
-    labels = hard_labels(S, A, params.skills, params.skill_shape)
-    assert np.array_equal(labels.indices, np.zeros(len(S), dtype=np.int64))
+    p = pool(random_trajs(1), "raw")
+    labels = hard_labels(p, params.skills, params.skill_shape)
+    assert np.array_equal(labels, np.zeros(len(p), dtype=np.int64))
 
 
 def test_hard_labels_exact_reproduction_wins() -> None:
     params = small_params(n_skills=2)
     S = SplitMix64(2).uniform_array(5 * 4, -1, 1).reshape(5, 4)
     A = mlp_forward(params.skills[1], params.skill_shape, S)  # skill 1 is exact
-    labels = hard_labels(S, A, params.skills, params.skill_shape)
-    assert np.array_equal(labels.indices, np.ones(5, dtype=np.int64))
+    labels = hard_labels(Pool(S, A, ((0, 5),)), params.skills, params.skill_shape)
+    assert np.array_equal(labels, np.ones(5, dtype=np.int64))
 
 
 def test_hard_labels_match_bruteforce_argmin() -> None:
@@ -81,15 +99,17 @@ def test_hard_labels_match_bruteforce_argmin() -> None:
     for _ in range(20):
         S = rng.uniform_array(9 * 4, -2, 2).reshape(9, 4)
         A = rng.uniform_array(9 * 2, -2, 2).reshape(9, 2)
-        labels = hard_labels(S, A, params.skills, params.skill_shape)
+        p = Pool(S, A, ((0, 9),))
+        labels = hard_labels(p, params.skills, params.skill_shape)
+        onehot = high_batch(p, labels, 4, 0.0).onehot
         for t in range(9):
             errs = []
             for k in range(4):
                 pred = mlp_forward(params.skills[k], params.skill_shape, S[t : t + 1])[0]
                 errs.append(float(np.sum((A[t] - pred) ** 2)))
             best = min(range(4), key=lambda k: (errs[k], k))
-            assert labels.indices[t] == best
-            assert labels.onehot[t].sum() == 1.0 and labels.onehot[t, best] == 1.0
+            assert labels[t] == best
+            assert onehot[t].sum() == 1.0 and onehot[t, best] == 1.0
 
 
 # ---- aux loss ----
@@ -116,9 +136,9 @@ def test_high_loss_zero_params_ln_k_plus_aux() -> None:
     params = small_params(n_skills=3)
     trajs = random_trajs(4, n=1, T=10)
     theta = ParamVector(np.zeros(params.high_shape.n_params))
-    labels = SkillLabels.from_indices(np.zeros(10, dtype=np.int64), 3)
     lam = 0.3
-    got = loss_value(make_high_loss(params.high_shape), theta, build_high_batch(trajs, labels, lam))
+    batch = high_batch(pool(trajs, "raw"), np.zeros(10, dtype=np.int64), 3, lam)
+    got = loss_value(make_high_loss(params.high_shape), theta, batch)
     assert got == pytest.approx(np.log(3.0) + lam * (2.0 / 3.0), rel=1e-12)
 
 
@@ -127,8 +147,8 @@ def test_high_loss_perfect_classifier_near_zero() -> None:
     v = np.zeros(shape.n_params)
     v[-3] = 30.0  # output bias of class 0: logits [30, 0, 0] everywhere
     trajs = random_trajs(5, n=1, T=8)
-    labels = SkillLabels.from_indices(np.zeros(8, dtype=np.int64), 3)
-    got = loss_value(make_high_loss(shape), ParamVector(v), build_high_batch(trajs, labels, 0.5))
+    batch = high_batch(pool(trajs, "raw"), np.zeros(8, dtype=np.int64), 3, 0.5)
+    got = loss_value(make_high_loss(shape), ParamVector(v), batch)
     assert got == pytest.approx(0.0, abs=1e-6)
 
 
@@ -136,9 +156,10 @@ def test_high_loss_matches_straight_line_recomputation() -> None:
     params = small_params(7)
     trajs = random_trajs(8, n=2, T=9)
     S, A, slices = flatten_trajectories(trajs)
-    labels = hard_labels(S, A, params.skills, params.skill_shape)
+    p = pool(trajs, "raw")
+    labels = hard_labels(p, params.skills, params.skill_shape)
     lam = 0.25
-    got = loss_value(make_high_loss(params.high_shape), params.high, build_high_batch(trajs, labels, lam))
+    got = loss_value(make_high_loss(params.high_shape), params.high, high_batch(p, labels, 3, lam))
 
     logits = mlp_forward(params.high, params.high_shape, S)
     ce, total_dot, pairs = 0.0, 0.0, 0
@@ -147,7 +168,7 @@ def test_high_loss_matches_straight_line_recomputation() -> None:
         z = logits[t] - logits[t].max()
         p = np.exp(z) / np.exp(z).sum()
         probs[t] = p
-        ce -= np.log(p[labels.indices[t]])
+        ce -= np.log(p[labels[t]])
     ce /= len(S)
     for a, b in slices:
         for t in range(a, b - 1):
@@ -157,30 +178,30 @@ def test_high_loss_matches_straight_line_recomputation() -> None:
     assert got == pytest.approx(want, abs=1e-10)
 
 
-# ---- hi_step ----
+# ---- hi_step: adapt_phases' selector update ----
 
 
 def test_hi_step_zero_rate_identity() -> None:
     params = small_params(1)
     trajs = demo_task(1).support[:2]
-    trace = hi_step(params, trajs, 0.0, 3, 0.1)
+    trace = hi(params, trajs, 0.0, 3, 0.1)
     assert np.array_equal(trace.final.values, params.high.values)
 
 
 def test_hi_step_composition() -> None:
     params = small_params(2)
     trajs = demo_task(2).support[:2]
-    whole = hi_step(params, trajs, 5e-4, 3, 0.1)
+    whole = hi(params, trajs, 5e-4, 3, 0.1)
     p = params
     for _ in range(3):
-        p = p.with_updates(hi_step(p, trajs, 5e-4, 1, 0.1).final, p.skills)
+        p = p.with_updates(hi(p, trajs, 5e-4, 1, 0.1).final, p.skills)
     assert np.array_equal(whole.final.values, p.high.values)
 
 
 def test_hi_step_descends_loss_pilot() -> None:
     params = small_params(3)
     trajs = demo_task(3).support[:2]
-    trace = hi_step(params, trajs, 5e-4, 3, 0.1)
+    trace = hi(params, trajs, 5e-4, 3, 0.1)
     if not trace.losses[-1] <= trace.losses[0]:
         warnings.warn(f"selector inner update increased loss: {trace.losses}")
     assert not trace.diverged
@@ -192,7 +213,7 @@ def test_hi_step_descends_loss_pilot() -> None:
 def test_partition_k1_everything_in_group_zero() -> None:
     params = small_params(n_skills=1)
     trajs = random_trajs(5)
-    part = partition_by_skill(params.high, params.high_shape, trajs)
+    part = routed(params.high, params.high_shape, trajs)
     S, A, _ = flatten_trajectories(trajs)
     assert part.sizes == (len(S),)
     assert np.array_equal(part.states[0], S) and np.array_equal(part.actions[0], A)
@@ -202,14 +223,14 @@ def test_partition_hand_set_selector() -> None:
     shape = mlp_shape(4, 3, (4,))
     v = np.zeros(shape.n_params)
     v[-1] = 10.0  # bias favors skill 2 everywhere
-    part = partition_by_skill(ParamVector(v), shape, random_trajs(6))
+    part = routed(ParamVector(v), shape, random_trajs(6))
     assert part.sizes[0] == 0 and part.sizes[1] == 0 and part.sizes[2] > 0
 
 
 def test_partition_matches_bruteforce_argmax() -> None:
     params = small_params(9, n_skills=4, hidden=(6,))
     trajs = random_trajs(10, n=2, T=8)
-    part = partition_by_skill(params.high, params.high_shape, trajs)
+    part = routed(params.high, params.high_shape, trajs)
     S, A, _ = flatten_trajectories(trajs)
     logits = mlp_forward(params.high, params.high_shape, S)
     seen = 0
@@ -228,15 +249,12 @@ def test_partition_matches_bruteforce_argmax() -> None:
     assert sum(part.sizes) == seen
 
 
-# ---- li_step ----
+# ---- li_step: adapt_phases' sub-skill updates ----
 
 
 def test_li_step_empty_partition_identity() -> None:
     params = small_params(4, n_skills=2)
-    part = dmil.Partition(
-        (np.zeros((0, 4)), np.zeros((0, 4))), (np.zeros((0, 2)), np.zeros((0, 2)))
-    )
-    traces = li_step(params, part, 0.01, 3)
+    traces = li(params, Pool(np.zeros((0, 4)), np.zeros((0, 2)), ()), 0.01, 3)
     for k in (0, 1):
         assert traces[k].points == ()
         assert np.array_equal(traces[k].final.values, params.skills[k].values)
@@ -244,9 +262,7 @@ def test_li_step_empty_partition_identity() -> None:
 
 def test_li_step_zero_rate_identity() -> None:
     params = small_params(5, n_skills=2)
-    trajs = random_trajs(11)
-    part = partition_by_skill(params.high, params.high_shape, trajs)
-    traces = li_step(params, part, 0.0, 2)
+    traces = li(params, pool(random_trajs(11), "raw"), 0.0, 2)
     for k in (0, 1):
         assert np.array_equal(traces[k].final.values, params.skills[k].values)
 
@@ -261,9 +277,8 @@ def test_li_step_single_pair_hand_computed() -> None:
     )
     s = np.array([0.8, -0.4])
     a = np.array([0.3, 0.2])
-    part = dmil.Partition((s[None, :],), (a[None, :],))
     rate = 0.05
-    traces = li_step(params, part, rate, 1)
+    traces = li(params, Pool(s[None, :], a[None, :], ((0, 1),)), rate, 1)
 
     W = w[:4].reshape(2, 2)
     b = w[4:]
@@ -279,10 +294,9 @@ def test_li_step_single_pair_hand_computed() -> None:
 
 def _phases(params, task, cfg, step_seed=0):
     rng = SplitMix64(step_seed)
-    t1, t2, t3, t4 = sample_phase_batches(task.support, cfg.batch_size, rng)
-    trace_h = hi_step(params, t1, cfg.inner_rate, cfg.inner_steps, cfg.aux_weight)
-    part = partition_by_skill(trace_h.final, params.high_shape, t2)
-    traces_l = li_step(params, part, cfg.inner_rate, cfg.inner_steps)
+    t1, t2, t3, t4 = (pool(t, "raw") for t in sample_phase_batches(task.support, cfg.batch_size, rng))
+    trace_h, traces_l = adapt_phases(params, t1, t2, cfg.inner_rate, cfg.inner_steps, cfg.aux_weight)
+    part = partition_by_skill(t2, route(trace_h.final, params.high_shape, t2), params.K)
     return t1, t2, t3, t4, trace_h, part, traces_l
 
 
@@ -292,9 +306,7 @@ def test_ho_grad_zero_rate_equals_plain_gradient() -> None:
     cfg = TrainConfig(inner_rate=0.0, inner_steps=2, batch_size=2, aux_weight=0.1)
     t1, t2, t3, t4, trace_h, part, traces_l = _phases(params, task, cfg)
     adapted = [t.final for t in traces_l]
-    S3, A3, _ = flatten_trajectories(t3)
-    labels3 = hard_labels(S3, A3, adapted, params.skill_shape)
-    batch3 = build_high_batch(t3, labels3, cfg.aux_weight)
+    batch3 = high_batch(t3, hard_labels(t3, adapted, params.skill_shape), params.K, cfg.aux_weight)
     got, _ = ho_grad(trace_h, params, batch3)
 
     from dmil.autodiff import value_and_grad
@@ -309,9 +321,7 @@ def test_ho_grad_first_order_equals_gradient_at_adapted() -> None:
     cfg = TrainConfig(inner_rate=5e-3, inner_steps=2, batch_size=2, aux_weight=0.1)
     t1, t2, t3, t4, trace_h, part, traces_l = _phases(params, task, cfg)
     adapted = [t.final for t in traces_l]
-    S3, A3, _ = flatten_trajectories(t3)
-    labels3 = hard_labels(S3, A3, adapted, params.skill_shape)
-    batch3 = build_high_batch(t3, labels3, cfg.aux_weight)
+    batch3 = high_batch(t3, hard_labels(t3, adapted, params.skill_shape), params.K, cfg.aux_weight)
     from dmil.autodiff import meta_grad, value_and_grad
 
     want = value_and_grad(make_high_loss(params.high_shape), trace_h.final, batch3)[1]
@@ -342,12 +352,8 @@ def test_ho_grad_matches_fd_of_composed_map() -> None:
     t1, t2, t3, t4, trace_h, part, traces_l = _phases(params, task, cfg)
     adapted = [t.final for t in traces_l]
 
-    S1, A1, _ = flatten_trajectories(t1)
-    labels1 = hard_labels(S1, A1, params.skills, params.skill_shape)
-    batch1 = build_high_batch(t1, labels1, cfg.aux_weight)
-    S3, A3, _ = flatten_trajectories(t3)
-    labels3 = hard_labels(S3, A3, adapted, params.skill_shape)
-    batch3 = build_high_batch(t3, labels3, cfg.aux_weight)
+    batch1 = high_batch(t1, hard_labels(t1, params.skills, params.skill_shape), params.K, cfg.aux_weight)
+    batch3 = high_batch(t3, hard_labels(t3, adapted, params.skill_shape), params.K, cfg.aux_weight)
     exact, _ = ho_grad(trace_h, params, batch3)
     loss = make_high_loss(params.high_shape)
 
@@ -365,7 +371,7 @@ def test_lo_grad_zero_rate_and_empty_partition() -> None:
     task = demo_task(13)
     cfg = TrainConfig(inner_rate=0.0, inner_steps=1, batch_size=2)
     t1, t2, t3, t4, trace_h, part, traces_l = _phases(params, task, cfg)
-    part4 = partition_by_skill(trace_h.final, params.high_shape, t4)
+    part4 = partition_by_skill(t4, route(trace_h.final, params.high_shape, t4), params.K)
     grads, _ = lo_grad(traces_l, params, part4)
     from dmil.autodiff import value_and_grad
 
@@ -384,7 +390,7 @@ def test_lo_grad_matches_fd_of_composed_map() -> None:
     task = demo_task(14, T=16)
     cfg = TrainConfig(inner_rate=5e-4, inner_steps=1, batch_size=1)
     t1, t2, t3, t4, trace_h, part, traces_l = _phases(params, task, cfg)
-    part4 = partition_by_skill(trace_h.final, params.high_shape, t4)
+    part4 = partition_by_skill(t4, route(trace_h.final, params.high_shape, t4), params.K)
     exact, _ = lo_grad(traces_l, params, part4)
     loss = make_skill_loss(params.skill_shape)
 
@@ -458,15 +464,12 @@ def test_meta_train_step_matches_hand_assembled_phases() -> None:
     sum_l = [ParamVector.zeros(len(s)) for s in params.skills]
     for task in tasks:
         rng = SplitMix64(derive_seed(step_seed, task.spec.seed))
-        t1, t2, t3, t4 = sample_phase_batches(task.support, cfg.batch_size, rng)
-        trace_h = hi_step(params, t1, cfg.inner_rate, cfg.inner_steps, cfg.aux_weight)
-        part = partition_by_skill(trace_h.final, params.high_shape, t2)
-        traces_l = li_step(params, part, cfg.inner_rate, cfg.inner_steps)
+        t1, t2, t3, t4 = (pool(t, "raw") for t in sample_phase_batches(task.support, cfg.batch_size, rng))
+        trace_h, traces_l = adapt_phases(params, t1, t2, cfg.inner_rate, cfg.inner_steps, cfg.aux_weight)
         adapted = [t.final for t in traces_l]
-        S3, A3, _ = flatten_trajectories(t3)
-        batch3 = build_high_batch(t3, hard_labels(S3, A3, adapted, params.skill_shape), cfg.aux_weight)
+        batch3 = high_batch(t3, hard_labels(t3, adapted, params.skill_shape), params.K, cfg.aux_weight)
         sum_h = sum_h.add(ho_grad(trace_h, params, batch3)[0])
-        part4 = partition_by_skill(trace_h.final, params.high_shape, t4)
+        part4 = partition_by_skill(t4, route(trace_h.final, params.high_shape, t4), params.K)
         for k, g in enumerate(lo_grad(traces_l, params, part4)[0]):
             sum_l[k] = sum_l[k].add(g)
     m = len(tasks)
@@ -506,6 +509,32 @@ def test_meta_train_step_task_order_permutation_bound() -> None:
     assert np.array_equal(fwd.g_high.values, again.g_high.values)
 
 
+def test_each_batch_is_featurized_once(monkeypatch) -> None:
+    # One pool per batch: the four phase batches of a task, one demo set,
+    # and the warm start's fixed pool for every epoch.
+    from dmil.config import resolve_config
+    from dmil.runner import warm_start
+
+    calls = []
+    real = dmil.featurize
+    monkeypatch.setattr(dmil, "featurize", lambda states, kind: calls.append(kind) or real(states, kind))
+    params = small_params(70)
+    tasks = [demo_task(70), demo_task(71), demo_task(72)]
+    meta_train_step(params, tasks, TrainConfig(inner_rate=1e-3, inner_steps=2, batch_size=2), step_seed=1)
+    assert len(calls) == 4 * len(tasks)
+    calls.clear()
+    few_shot_adapt(params, tasks[0].support[:3], 1e-3, 2)
+    assert len(calls) == 1
+    for epochs in (1, 4):
+        calls.clear()
+        cfg = resolve_config({
+            "model": {"hidden": [8]},
+            "dmil": {"warmup_epochs": epochs, "warmup_consolidate": 2, "warmup_restarts": 2, "warmup_probe_epochs": 1},
+        })
+        warm_start(cfg, tasks)
+        assert calls == ["relative"]
+
+
 # ---- labels/partition invariants ----
 
 
@@ -516,9 +545,10 @@ def test_labels_onehot_and_partition_disjoint_exhaustive() -> None:
         params = small_params(seed=trial, n_skills=k, hidden=(5,))
         trajs = random_trajs(trial + 100, n=1 + rng.randint(3), T=2 + rng.randint(10))
         S, A, _ = flatten_trajectories(trajs)
-        labels = hard_labels(S, A, params.skills, params.skill_shape)
-        assert np.all(labels.onehot.sum(axis=1) == 1.0)
-        part = partition_by_skill(params.high, params.high_shape, trajs)
+        p = pool(trajs, "raw")
+        labels = hard_labels(p, params.skills, params.skill_shape)
+        assert np.all(high_batch(p, labels, k, 0.0).onehot.sum(axis=1) == 1.0)
+        part = routed(params.high, params.high_shape, trajs)
         assert sum(part.sizes) == len(S)
         got = np.concatenate([p for p in part.states if p.size], axis=0)
         assert sorted(map(tuple, got)) == sorted(map(tuple, S))
@@ -633,10 +663,19 @@ def test_sample_phase_batches_cycles_when_short() -> None:
 
 
 def test_config_validation() -> None:
-    # grad_mode, outer_reduce and ho_labels are gone: setting one is an
-    # unknown-key error, like any typo.
+    # Removed knobs are gone: setting one is an unknown-key error, like any
+    # typo.  The gradcheck dimensions and the true skill count are the task
+    # generator's constants; the selector takes adapt_steps at test time.
     from dmil.config import ConfigError, resolve_config
 
-    for key, value in (("grad_mode", "first_order"), ("outer_reduce", "sum"), ("ho_labels", "initial")):
-        with pytest.raises(ConfigError, match=f"unknown config key 'dmil.{key}'"):
-            resolve_config({"dmil": {key: value}})
+    for section, key, value in (
+        ("dmil", "grad_mode", "first_order"),
+        ("dmil", "outer_reduce", "sum"),
+        ("dmil", "ho_labels", "initial"),
+        ("eval", "selector_steps", 2),
+        ("eval", "n_true_skills", 3),
+        ("gradcheck", "state_dim", 3),
+        ("gradcheck", "action_dim", 3),
+    ):
+        with pytest.raises(ConfigError, match=f"unknown config key '{section}.{key}'"):
+            resolve_config({section: {key: value}})

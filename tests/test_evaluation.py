@@ -11,7 +11,6 @@ from dmil.evaluation import (
     ROLLOUT_SEED0,
     ExpertPolicy,
     HierarchicalPolicy,
-    MonolithicPolicy,
     RolloutStats,
     adapted_skill_accuracy,
     fd_check,
@@ -222,8 +221,11 @@ def test_rollout_success_expert_is_one() -> None:
 
 def test_rollout_success_zero_policy_is_zero() -> None:
     spec = sample_task(7)
-    shape = mlp_shape(4, 2, (8,))
-    zero = MonolithicPolicy(ParamVector(np.zeros(shape.n_params)), shape, 0.0, 1)
+    # One skill with all-zero parameters: every action is zero.
+    high, skill = mlp_shape(4, 1, (8,)), mlp_shape(4, 2, (8,))
+    params = HierarchicalParams(ParamVector(np.zeros(high.n_params)), (ParamVector(np.zeros(skill.n_params)),), high, skill)
+    zero = HierarchicalPolicy(params, 0.0, 1)
+    assert np.array_equal(zero.act(np.ones((2, 4)))[0], np.zeros((2, 2)))
     assert rollout_stats(zero, spec, episodes=3, T=120).success_rate == 0.0
 
 

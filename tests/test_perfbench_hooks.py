@@ -44,3 +44,34 @@ def test_tracer_hooks_every_name_and_restores_it(monkeypatch) -> None:
     ):
         assert (owner, attr) in replaced
     assert [dict(vars(owner)) for owner in HOOKED] == before
+
+
+def test_tiny_ablate_records_a_span_at_every_layer(monkeypatch) -> None:
+    # A refactor that routes a call around a hooked name leaves its layer
+    # empty; this run of all five methods (K=3, warm start on) must reach
+    # every one.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    import tracing
+
+    from dmil.config import resolve_config
+
+    cfg = resolve_config({
+        "data": {"n_train_tasks": 2, "n_test_tasks": 1, "n_support": 4, "n_query": 1, "horizon": 20},
+        "model": {"hidden": [8], "n_skills": 3},
+        "dmil": {"batch_size": 1, "tasks_per_step": 2, "inner_rate": 1e-3, "inner_steps": 2,
+                 "warmup_epochs": 2, "warmup_consolidate": 1, "warmup_restarts": 2, "warmup_probe_epochs": 1},
+        "eval": {"shots": [1], "episodes": 1, "adapt_steps": 1},
+        "run": {"iterations": 1, "checkpoint_every": 0},
+    })
+    tracer = tracing.Tracer()
+    try:
+        tracer.install_stages()
+        tracer.install_layers()
+        runner.ablate(cfg)
+    finally:
+        tracer.restore()
+    seen = set(tracer.table())
+    missing = [name for name, _ in tracing.LAYERS if name not in seen]
+    assert not missing, f"no span recorded for {missing}"
+    assert {"dmil.few_shot_adapt", "tasks.rollout_policy", "policies.mlp_forward"} <= seen
