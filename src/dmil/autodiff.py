@@ -1,17 +1,20 @@
 """Differentiation over flat parameter vectors.
 
-A loss is any object with value, value_and_grad and hvp on float64 arrays
-(the Loss protocol).  loss_value, value_and_grad and hvp call those methods
-and check that the loss, gradient and Hessian-vector product are finite.
-The training losses are closed-form (dmil.kernels); TapeLoss adapts a
-function written on the small operation tape below, which is their
+A loss is any object with value and linearize on float64 arrays (the Loss
+protocol): linearize evaluates the loss once at a parameter vector and
+returns its value, its gradient and Hessian-vector products at that vector
+(a Linearization).  loss_value, linearize, value_and_grad and hvp wrap those
+methods and check that every loss, gradient and Hessian-vector product is
+finite.  The training losses are closed-form (dmil.kernels); TapeLoss adapts
+a function written on the small operation tape below, which is their
 reference.  The tape covers dense matmul plus elementwise ops, enough for
 fully-connected networks; its backward passes are built out of tape ops, so
 its hvp is an exact reverse-over-reverse product.
 
-inner_adapt records plain gradient-descent steps, and meta_grad
-backpropagates an outer gradient through them (the (I - rate * H) chain,
-applied in reverse step order).
+inner_adapt records plain gradient-descent steps and keeps each step's
+linearization, and meta_grad backpropagates an outer gradient through them
+(the (I - rate * H) chain, applied in reverse step order) without
+evaluating the inner loss again.
 
 Everything is float64.  ReLU uses subgradient 0 at the kink and contributes
 nothing to second derivatives, which is the usual almost-everywhere
@@ -41,7 +44,11 @@ class ContractError(ValueError):
 
 @dataclass(frozen=True)
 class ParamVector:
-    """Immutable flat float64 parameter vector; the unit of differentiation."""
+    """Immutable flat float64 parameter vector; the unit of differentiation.
+
+    The constructor copies and checks its input.  Arithmetic, and the
+    checked results of the loss-level API below, wrap arrays they have just
+    allocated (_fresh) without a copy."""
 
     values: np.ndarray
 
@@ -55,6 +62,17 @@ class ParamVector:
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
+    @classmethod
+    def _fresh(cls, v: np.ndarray, check: bool = True) -> "ParamVector":
+        """Wrap a newly allocated 1-D float64 array that nothing else holds,
+        checking it is finite unless the caller already has."""
+        if check and not np.isfinite(v).all():
+            raise NumericError("ParamVector entries must be finite")
+        v.setflags(write=False)
+        out = object.__new__(cls)
+        object.__setattr__(out, "values", v)
+        return out
+
     def __len__(self) -> int:
         return self.values.shape[0]
 
@@ -62,19 +80,19 @@ class ParamVector:
         """theta - rate * g, the one arithmetic form of every descent step."""
         if len(g) != len(self):
             raise ContractError(f"length mismatch: {len(self)} vs {len(g)}")
-        return ParamVector(self.values - rate * g.values)
+        return ParamVector._fresh(self.values - rate * g.values)
 
     def scaled(self, c: float) -> "ParamVector":
-        return ParamVector(self.values * c)
+        return ParamVector._fresh(self.values * c)
 
     def add(self, other: "ParamVector") -> "ParamVector":
         if len(other) != len(self):
             raise ContractError(f"length mismatch: {len(self)} vs {len(other)}")
-        return ParamVector(self.values + other.values)
+        return ParamVector._fresh(self.values + other.values)
 
     @staticmethod
     def zeros(n: int) -> "ParamVector":
-        return ParamVector(np.zeros(n))
+        return ParamVector._fresh(np.zeros(n), check=False)
 
 
 # ---------------------------------------------------------------------------
@@ -295,18 +313,27 @@ def backward(out: Node, wrt: Sequence[Node]) -> list[Node]:
 # ---------------------------------------------------------------------------
 
 
+class Linearization(Protocol):
+    """A loss evaluated once at one parameter vector: its value, its
+    gradient, and exact Hessian-vector products at that vector that reuse
+    the evaluation.  Every array it returns is a newly allocated 1-D
+    float64 array that it does not modify later."""
+
+    value: float
+    grad: np.ndarray
+
+    def hvp(self, v: np.ndarray) -> np.ndarray: ...
+
+
 class Loss(Protocol):
     """A scalar loss of a flat float64 parameter array and a batch.  It must
-    be pure: identical (theta, batch) give identical results.  hvp returns
-    the loss at theta with H @ v, so callers can check both."""
+    be pure: identical (theta, batch) give identical results."""
 
     name: str
 
     def value(self, theta: np.ndarray, batch) -> float: ...
 
-    def value_and_grad(self, theta: np.ndarray, batch) -> tuple[float, np.ndarray]: ...
-
-    def hvp(self, theta: np.ndarray, v: np.ndarray, batch) -> tuple[float, np.ndarray]: ...
+    def linearize(self, theta: np.ndarray, batch) -> Linearization: ...
 
 
 # A tape function maps (params node, batch) -> scalar node.
@@ -316,7 +343,7 @@ TapeFn = Callable[[Node, object], Node]
 class TapeLoss:
     """A loss written as a tape function, differentiated by the tape: the
     reference that the closed-form losses in dmil.kernels are tested against
-    (hvp is reverse-over-reverse)."""
+    (hvp is reverse-over-reverse on the tape built once per point)."""
 
     def __init__(self, fn: TapeFn, name: str | None = None):
         self.fn = fn
@@ -325,16 +352,34 @@ class TapeLoss:
     def value(self, theta: np.ndarray, batch) -> float:
         return float(self.fn(constant(theta), batch).value)
 
-    def value_and_grad(self, theta: np.ndarray, batch) -> tuple[float, np.ndarray]:
-        p = leaf(theta)
-        out = self.fn(p, batch)
-        return float(out.value), backward(out, [p])[0].value
+    def linearize(self, theta: np.ndarray, batch) -> "_TapePoint":
+        return _TapePoint(self.fn, theta, batch)
 
-    def hvp(self, theta: np.ndarray, v: np.ndarray, batch) -> tuple[float, np.ndarray]:
-        p = leaf(theta)
-        out = self.fn(p, batch)
-        g = backward(out, [p])[0]
-        return float(out.value), backward(asum(mul(g, constant(v))), [p])[0].value
+
+class _TapePoint:
+    """The tape of one loss evaluation and of its backward pass.  Tape
+    values may alias each other or the input, so results are copies."""
+
+    def __init__(self, fn: TapeFn, theta: np.ndarray, batch):
+        self._p = leaf(theta)
+        out = fn(self._p, batch)
+        self._g = backward(out, [self._p])[0]
+        self.value = float(out.value)
+        self.grad = self._g.value.copy()
+
+    def hvp(self, v: np.ndarray) -> np.ndarray:
+        return backward(asum(mul(self._g, constant(v))), [self._p])[0].value.copy()
+
+
+@dataclass(frozen=True)
+class Point:
+    """A loss linearized at one parameter vector, its value and gradient
+    checked finite; hvp(point, v) takes Hessian-vector products there."""
+
+    value: float
+    grad: ParamVector
+    linear: Linearization
+    name: str
 
 
 def _check_loss(f: Loss, val: float) -> float:
@@ -348,23 +393,29 @@ def loss_value(f: Loss, theta: ParamVector, batch) -> float:
     return _check_loss(f, f.value(theta.values, batch))
 
 
-def value_and_grad(f: Loss, theta: ParamVector, batch) -> tuple[float, ParamVector]:
-    val, g = f.value_and_grad(theta.values, batch)
-    _check_loss(f, val)
-    if not np.all(np.isfinite(g)):
+def linearize(f: Loss, theta: ParamVector, batch) -> Point:
+    """The loss, its gradient and its Hessian-vector products at theta, from
+    one evaluation."""
+    lin = f.linearize(theta.values, batch)
+    _check_loss(f, lin.value)
+    if not np.isfinite(lin.grad).all():
         raise NumericError(f"non-finite gradient in {f.name}")
-    return val, ParamVector(g)
+    return Point(lin.value, ParamVector._fresh(lin.grad, check=False), lin, f.name)
 
 
-def hvp(f: Loss, theta: ParamVector, v: ParamVector, batch) -> ParamVector:
-    """Exact Hessian-vector product H @ v at theta."""
-    if len(v) != len(theta):
-        raise ContractError(f"hvp direction length {len(v)} != parameter length {len(theta)}")
-    val, h = f.hvp(theta.values, v.values, batch)
-    _check_loss(f, val)
-    if not np.all(np.isfinite(h)):
-        raise NumericError(f"non-finite hvp in {f.name}")
-    return ParamVector(h)
+def value_and_grad(f: Loss, theta: ParamVector, batch) -> tuple[float, ParamVector]:
+    point = linearize(f, theta, batch)
+    return point.value, point.grad
+
+
+def hvp(point: Point, v: ParamVector) -> ParamVector:
+    """Exact Hessian-vector product H @ v at the point."""
+    if len(v) != len(point.grad):
+        raise ContractError(f"hvp direction length {len(v)} != parameter length {len(point.grad)}")
+    h = point.linear.hvp(v.values)
+    if not np.isfinite(h).all():
+        raise NumericError(f"non-finite hvp in {point.name}")
+    return ParamVector._fresh(h, check=False)
 
 
 # ---------------------------------------------------------------------------
@@ -378,15 +429,15 @@ class AdaptTrace:
 
     points[j] holds the parameters before step j (points[0] is the start),
     and final is the last point minus rate times its gradient; a trace with
-    no steps has no points.  loss_fn/batch are kept so meta_grad can
-    re-differentiate the same inner objective at each point.
+    no steps has no points.  linearized[j] is the inner loss linearized at
+    points[j], kept (when adapting with keep) for meta_grad's
+    Hessian-vector products.
     """
 
     points: tuple[ParamVector, ...]
     rate: float
     final: ParamVector
-    loss_fn: Loss | None = None
-    batch: object = None
+    linearized: tuple[Point, ...] = ()
     losses: tuple[float, ...] = ()  # loss before each step, then at final
     diverged: bool = False
 
@@ -405,12 +456,16 @@ def inner_adapt(
     rate: float,
     batch,
     steps: int,
+    keep: bool = True,
 ) -> AdaptTrace:
     """`steps` full-batch gradient-descent steps at fixed rate.
 
-    rate == 0 is allowed and returns theta bitwise unchanged.  If the loss
-    grows by more than 10x over the trace the result is flagged as diverged
-    (never clipped); training code surfaces the flag in metrics.
+    Each step linearizes the loss once; with keep the trace holds those
+    linearizations for meta_grad, and without it (adaptation that is never
+    differentiated) it holds none.  rate == 0 is allowed and returns theta
+    bitwise unchanged.  If the loss grows by more than 10x over the trace
+    the result is flagged as diverged (never clipped); training code
+    surfaces the flag in metrics.
     """
     if steps < 1:
         raise ContractError(f"inner_adapt needs steps >= 1, got {steps}")
@@ -418,12 +473,15 @@ def inner_adapt(
         raise ContractError(f"inner_adapt needs rate >= 0, got {rate}")
     p = theta
     points: list[ParamVector] = []
+    kept: list[Point] = []
     losses: list[float] = []
     for _ in range(steps):
-        val, g = value_and_grad(f, p, batch)
-        losses.append(val)
+        point = linearize(f, p, batch)
+        losses.append(point.value)
         points.append(p)
-        p = p.minus_scaled(g, rate)
+        if keep:
+            kept.append(point)
+        p = p.minus_scaled(point.grad, rate)
     final_loss = loss_value(f, p, batch)
     losses.append(final_loss)
     floor = max(abs(losses[0]), 1e-300)
@@ -432,8 +490,7 @@ def inner_adapt(
         points=tuple(points),
         rate=rate,
         final=p,
-        loss_fn=f,
-        batch=batch,
+        linearized=tuple(kept),
         losses=tuple(losses),
         diverged=diverged,
     )
@@ -444,8 +501,8 @@ def meta_grad(trace: AdaptTrace, g_outer: ParamVector, mode: str = "exact") -> P
 
     Exact mode backpropagates g_outer through every inner step:
     v <- v - rate * H(theta_j) v, visited in reverse step order, where
-    H(theta_j) is the Hessian of trace.loss_fn on trace.batch at the
-    parameters before step j.  First-order mode, a trace with no steps and
+    H(theta_j) comes from the inner loss linearized at the parameters before
+    step j (trace.linearized).  First-order mode, a trace with no steps and
     a zero rate return g_outer unchanged.
     """
     if mode not in ("exact", "first_order"):
@@ -456,9 +513,9 @@ def meta_grad(trace: AdaptTrace, g_outer: ParamVector, mode: str = "exact") -> P
         )
     if mode == "first_order" or not trace.points or trace.rate == 0.0:
         return g_outer
-    if trace.loss_fn is None:
-        raise ContractError("meta_grad exact mode needs the trace's inner loss function")
+    if len(trace.linearized) != len(trace.points):
+        raise ContractError("meta_grad exact mode needs a trace adapted with keep")
     v = g_outer
-    for point in reversed(trace.points):
-        v = v.minus_scaled(hvp(trace.loss_fn, point, v, trace.batch), trace.rate)
+    for point in reversed(trace.linearized):
+        v = v.minus_scaled(hvp(point, v), trace.rate)
     return v

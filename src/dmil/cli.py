@@ -5,6 +5,8 @@ receives the resolved config (config.json) and, when a config file was given,
 a verbatim copy of it (config.input.json), so experiments are reconstructible
 from artifacts alone.
 
+Every command runs BLAS on one thread (dmil.blas).
+
 Exit codes: 0 success, 1 a flagged numeric failure (diverged inner
 adaptations, a failed gradcheck), and one code per error class in
 EXIT_CODES, each reported as a one-line message instead of a traceback.
@@ -20,6 +22,7 @@ import sys
 from pathlib import Path
 
 from .autodiff import ContractError, NumericError
+from .blas import pin_one_thread
 from .checkpoint import CheckpointSchemaError, load_checkpoint
 from .config import ConfigError, load_config, resolve_config, dump_config
 from .evaluation import write_report_csv, write_summary_json
@@ -65,12 +68,15 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _check_model(cfg: dict, params) -> None:
-    """Reject a checkpoint whose model is not the config's (feature map,
-    skill count, layer sizes of both networks), naming the first field that
-    differs: the feature map sets the input width of both networks."""
+def _check_model(cfg: dict, ckpt) -> None:
+    """Reject a checkpoint whose model is not the config's (method, feature
+    map, skill count, layer sizes of both networks), naming the first field
+    that differs: the method decides which levels adapt at test time, and
+    the feature map sets the input width of both networks."""
+    params = ckpt.params
     want = init_model(cfg)
     for field, got, need in (
+        ("method", ckpt.method, cfg["dmil"]["method"]),
         ("features", params.feature_kind, want.feature_kind),
         ("K", params.K, want.K),
         ("selector layers", params.high_shape.layer_sizes, want.high_shape.layer_sizes),
@@ -83,7 +89,7 @@ def _check_model(cfg: dict, params) -> None:
 def cmd_eval(args) -> int:
     cfg = _resolve(args)
     ckpt = load_checkpoint(args.checkpoint)
-    _check_model(cfg, ckpt.params)
+    _check_model(cfg, ckpt)
     out = _prepare_out(args, cfg)
     _, test_tasks = build_datasets(cfg)
     rows = evaluate(cfg, ckpt.params, ckpt.method, test_tasks)
@@ -163,6 +169,7 @@ EXIT_CODES = {
 
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(asctime)s %(levelname)s %(message)s")
+    pin_one_thread()  # byte-identical runs whatever OPENBLAS_NUM_THREADS says
     args = build_parser().parse_args(argv)
     try:
         return COMMANDS[args.command](args)

@@ -34,7 +34,7 @@ unadapted the step is MAML (baselines.maml_train_step).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -133,12 +133,28 @@ def aux_loss(probs: np.ndarray) -> float:
 @dataclass(frozen=True)
 class HighBatch:
     """Constant inputs for the selector loss: pooled states, one-hot labels,
-    per-trajectory row slices (switch terms never cross trajectory ends)."""
+    per-trajectory row slices (switch terms never cross trajectory ends).
+    The constants every evaluation of the loss on the batch shares are
+    derived once: the pair mask (1.0 at row t when rows t and t+1 lie in one
+    slice), the pair count and the cross-entropy's dL/dlogp."""
 
     states: np.ndarray
     onehot: np.ndarray
     slices: tuple[tuple[int, int], ...]
     aux_weight: float
+    pairs: np.ndarray = field(init=False)
+    n_pairs: float = field(init=False)
+    ce_grad: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        n = self.states.shape[0]
+        pairs = np.zeros(max(n - 1, 0))
+        for start, stop in self.slices:
+            if stop - start >= 2:
+                pairs[start : stop - 1] = 1.0
+        object.__setattr__(self, "pairs", pairs)
+        object.__setattr__(self, "n_pairs", np.sum(pairs))
+        object.__setattr__(self, "ce_grad", self.onehot * (-1.0 / n))
 
 
 @dataclass(frozen=True)
@@ -222,17 +238,19 @@ def adapt_phases(
     aux_weight: float,
     adapt_high: bool = True,
     adapt_low: bool = True,
+    keep: bool = True,
 ) -> tuple[AdaptTrace, tuple[AdaptTrace, ...]]:
     """The inner half of an iteration, and all of few-shot adaptation.
 
     The selector takes `steps` inner steps on p_high, labelled by the frozen
     sub-skills; the adapted selector routes p_low, and each sub-skill takes
     `steps` inner steps on its routed pairs.  A level that is not adapted,
-    and a sub-skill routed no pair, keeps a zero-step trace."""
+    and a sub-skill routed no pair, keeps a zero-step trace.  The traces
+    keep their linearizations for meta_grad only with `keep`."""
     if adapt_high:
         labels = hard_labels(p_high, params.skills, params.skill_shape)
         batch = high_batch(p_high, labels, params.K, aux_weight)
-        trace_h = inner_adapt(make_high_loss(params.high_shape), params.high, rate, batch, steps)
+        trace_h = inner_adapt(make_high_loss(params.high_shape), params.high, rate, batch, steps, keep)
     else:
         trace_h = identity_trace(params.high)
     if not adapt_low:
@@ -240,7 +258,7 @@ def adapt_phases(
     part = partition_by_skill(p_low, route(trace_h.final, params.high_shape, p_low), params.K)
     loss = make_skill_loss(params.skill_shape)
     traces_l = tuple(
-        inner_adapt(loss, s, rate, SkillBatch(x, a), steps) if len(x) else identity_trace(s)
+        inner_adapt(loss, s, rate, SkillBatch(x, a), steps, keep) if len(x) else identity_trace(s)
         for s, x, a in zip(params.skills, part.states, part.actions)
     )
     return trace_h, traces_l
@@ -417,11 +435,12 @@ def few_shot_adapt(
     adapt_low: bool = True,
 ) -> HierarchicalParams:
     """Adapt on a handful of demonstrations: the inner phases with both
-    levels on the same pooled trajectories.  The input params are untouched."""
+    levels on the same pooled trajectories.  The input params are untouched,
+    and the traces keep no linearizations: nothing differentiates them."""
     if not demos:
         raise ContractError("few_shot_adapt needs at least one demonstration")
     p = pool(demos, params.feature_kind)
-    trace_h, traces_l = adapt_phases(params, p, p, rate, steps, aux_weight, adapt_high, adapt_low)
+    trace_h, traces_l = adapt_phases(params, p, p, rate, steps, aux_weight, adapt_high, adapt_low, keep=False)
     return params.with_updates(trace_h.final, tuple(t.final for t in traces_l))
 
 

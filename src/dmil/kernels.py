@@ -11,6 +11,10 @@ backward pass carries R{dL/dz} next to dL/dz; the parameter entries of
 R{gradient} are H v.  ReLU masks are constant, as on the tape (zero
 curvature almost everywhere).
 
+linearize runs the forward pass, the loss head and the backward pass once and
+returns an MlpPoint, which keeps the forward activations and the head's
+context; each hvp at that point then runs only the R-passes.
+
 These are the losses of the training hot path; autodiff.TapeLoss over the
 tape closures in dmil (tape_high_loss, tape_skill_loss) is their reference.
 Every method takes and returns float64 arrays; finiteness is checked by the
@@ -51,7 +55,8 @@ def forward(layers, x: np.ndarray) -> list[np.ndarray]:
 
 
 def backward(layers, hs, g: np.ndarray) -> np.ndarray:
-    """Flat gradient from g = dL/dy, in the parameter layout."""
+    """Flat gradient from g = dL/dy, in the parameter layout; reads the
+    layer inputs hs[:len(layers)] of forward()'s list."""
     parts = []
     for i in range(len(layers) - 1, -1, -1):
         parts += [g.sum(axis=0), (hs[i].T @ g).ravel()]
@@ -62,7 +67,8 @@ def backward(layers, hs, g: np.ndarray) -> np.ndarray:
 
 
 def r_forward(layers, vlayers, hs) -> list:
-    """R{h} for every entry of forward()'s list; None for the constant input."""
+    """R{h} for every entry of forward()'s list; None for the constant input.
+    Like backward, reads the layer inputs only."""
     rhs = [None]
     last = len(layers) - 1
     for i, ((w, _), (vw, vb)) in enumerate(zip(layers, vlayers)):
@@ -90,14 +96,16 @@ def r_backward(layers, vlayers, hs, rhs, g: np.ndarray, rg: np.ndarray) -> np.nd
             rg = rg @ w.T
             rg += g @ vw.T
             rg *= mask
-            g = g @ w.T
-            g *= mask
+            if rhs[i - 1] is not None:  # the input layer's R{gradient} needs no dL/dz
+                g = g @ w.T
+                g *= mask
     return np.concatenate(parts[::-1])
 
 
 class _MlpLoss:
-    """A loss of the network output; subclasses give _head(y, batch, ry),
-    which returns the value, dL/dy and, when ry = R{y} is given, R{dL/dy}."""
+    """A loss of the network output.  Subclasses give _head(y, batch), which
+    returns the value, g = dL/dy and the context that _r_head(ctx, ry) needs
+    to map ry = R{y} to R{dL/dy}."""
 
     def __init__(self, shape):
         self.sizes = shape.layer_sizes
@@ -116,18 +124,29 @@ class _MlpLoss:
         _, hs = self._forward(theta, batch)
         return self._head(hs[-1], batch)[0]
 
-    def value_and_grad(self, theta: np.ndarray, batch) -> tuple[float, np.ndarray]:
+    def linearize(self, theta: np.ndarray, batch) -> "MlpPoint":
         layers, hs = self._forward(theta, batch)
-        val, g, _ = self._head(hs[-1], batch)
-        return val, backward(layers, hs, g)
+        val, g, ctx = self._head(hs.pop(), batch)  # no pass reads the output again
+        return MlpPoint(self, layers, hs, g, ctx, val, backward(layers, hs, g))
 
-    def hvp(self, theta: np.ndarray, v: np.ndarray, batch) -> tuple[float, np.ndarray]:
-        """The loss at theta and the Hessian-vector product H v."""
-        layers, hs = self._forward(theta, batch)
-        vlayers = unpack(v, self.sizes)
-        rhs = r_forward(layers, vlayers, hs)
-        val, g, rg = self._head(hs[-1], batch, rhs[-1])
-        return val, r_backward(layers, vlayers, hs, rhs, g, rg)
+
+class MlpPoint:
+    """An _MlpLoss at one parameter vector: the value and gradient, and the
+    layer inputs and loss-head context, which hvp reuses, so that an HVP
+    runs only r_forward, the loss head's R-part and r_backward."""
+
+    __slots__ = ("_loss", "_layers", "_hs", "_g", "_ctx", "value", "grad")
+
+    def __init__(self, loss: _MlpLoss, layers, hs, g, ctx, value: float, grad: np.ndarray):
+        self._loss, self._layers, self._hs, self._g, self._ctx = loss, layers, hs, g, ctx
+        self.value, self.grad = value, grad
+
+    def hvp(self, v: np.ndarray) -> np.ndarray:
+        """H v at this point."""
+        vlayers = unpack(v, self._loss.sizes)
+        rhs = r_forward(self._layers, vlayers, self._hs)
+        rg = self._loss._r_head(self._ctx, rhs[-1])
+        return r_backward(self._layers, vlayers, self._hs, rhs, self._g, rg)
 
 
 class SkillMseLoss(_MlpLoss):
@@ -135,59 +154,53 @@ class SkillMseLoss(_MlpLoss):
 
     name = "sub-skill MSE"
 
-    def _head(self, y, batch, ry=None):
+    def _head(self, y, batch):
         r = y - batch.actions
         n = batch.states.shape[0]
-        val = float(np.sum(r * r) * (1.0 / n))
+        val = float((r * r).sum() * (1.0 / n))
         c = 2.0 / n
-        return val, r * c, None if ry is None else ry * c
+        return val, r * c, c
+
+    def _r_head(self, c, ry):
+        return ry * c
 
 
 class SelectorLoss(_MlpLoss):
     """Mean cross-entropy vs hard labels plus aux_weight * switch surrogate,
     1 - (1/pairs) sum <p_t, p_t+1> over adjacent rows within each
     trajectory slice (the surrogate is dropped when the weight is 0 or no
-    slice has two rows)."""
+    slice has two rows).  The batch (dmil.HighBatch) carries the pair mask,
+    the pair count and dL/dlogp of the cross-entropy."""
 
     name = "selector cross-entropy"
 
-    def _head(self, y, batch, ry=None):
+    def _head(self, y, batch):
         n = y.shape[0]
         shifted = y - y.max(axis=1, keepdims=True)
-        logp = shifted - np.log(np.sum(np.exp(shifted), axis=1, keepdims=True))
+        logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
         p = np.exp(logp)
-        val = -(np.sum(np.sum(logp * batch.onehot, axis=1)) / n)
-        g_logp = batch.onehot * (-1.0 / n)  # dL/dlogp
+        val = -((logp * batch.onehot).sum(axis=1).sum() / n)
+        g_logp = batch.ce_grad  # dL/dlogp
         w = batch.aux_weight
-        pairs = _pair_mask(batch.slices, n)
-        n_pairs = np.sum(pairs)
-        switch = w != 0.0 and n_pairs > 0
-        if switch:
-            dots = np.sum(pairs * np.sum(p[:-1] * p[1:], axis=1))
+        pairs, n_pairs = batch.pairs, batch.n_pairs
+        q = c = None
+        if w != 0.0 and n_pairs > 0:
+            dots = (pairs * (p[:-1] * p[1:]).sum(axis=1)).sum()
             val = val + (dots * (-1.0 / n_pairs) + 1.0) * w
             c = -w / n_pairs
             q = _neighbour_sum(p, pairs) * c  # dL/dp of the switch term
             g_logp = g_logp + p * q
-        s = np.sum(g_logp, axis=1, keepdims=True)
+        s = g_logp.sum(axis=1, keepdims=True)
         g = g_logp - p * s
-        if ry is None:
-            return float(val), g, None
+        return float(val), g, (p, s, q, pairs, c)
 
-        rp = p * (ry - np.sum(p * ry, axis=1, keepdims=True))  # R{p}
-        if not switch:
-            return float(val), g, -rp * s
+    def _r_head(self, ctx, ry):
+        p, s, q, pairs, c = ctx
+        rp = p * (ry - (p * ry).sum(axis=1, keepdims=True))  # R{p}
+        if q is None:  # no switch term
+            return -rp * s
         rg_logp = rp * q + p * (_neighbour_sum(rp, pairs) * c)
-        rg = rg_logp - rp * s - p * np.sum(rg_logp, axis=1, keepdims=True)
-        return float(val), g, rg
-
-
-def _pair_mask(slices, n: int) -> np.ndarray:
-    """1.0 at row t when rows t and t+1 lie in the same slice."""
-    m = np.zeros(max(n - 1, 0))
-    for start, stop in slices:
-        if stop - start >= 2:
-            m[start : stop - 1] = 1.0
-    return m
+        return rg_logp - rp * s - p * rg_logp.sum(axis=1, keepdims=True)
 
 
 def _neighbour_sum(x: np.ndarray, pairs: np.ndarray) -> np.ndarray:

@@ -12,6 +12,7 @@ from dmil.autodiff import (
     hvp,
     identity_trace,
     inner_adapt,
+    linearize,
     meta_grad,
     value_and_grad,
 )
@@ -105,14 +106,14 @@ def test_grad_rejects_nonfinite_loss() -> None:
 
 
 def test_hvp_quadratic() -> None:
-    h = hvp(quad_loss, ParamVector(np.array([1.0])), ParamVector(np.array([3.0])), None)
+    h = hvp(linearize(quad_loss, ParamVector(np.array([1.0])), None), ParamVector(np.array([3.0])))
     assert h.values == pytest.approx([6.0])
 
 
 def test_hvp_linear_is_zero() -> None:
     theta = ParamVector(np.array([0.3, -2.0, 5.0]))
     v = ParamVector(np.array([1.0, 2.0, 3.0]))
-    h = hvp(linear_loss, theta, v, np.array([2.0, -1.0, 0.5]))
+    h = hvp(linearize(linear_loss, theta, np.array([2.0, -1.0, 0.5])), v)
     assert np.array_equal(h.values, np.zeros(3))
 
 
@@ -124,7 +125,7 @@ def test_hvp_matches_fd_of_gradient() -> None:
     up = value_and_grad(f, ParamVector(theta.values + h * v.values), None)[1]
     dn = value_and_grad(f, ParamVector(theta.values - h * v.values), None)[1]
     fd = (up.values - dn.values) / (2.0 * h)
-    assert rel_err(fd, hvp(f, theta, v, None).values) <= 1e-4
+    assert rel_err(fd, hvp(linearize(f, theta, None), v).values) <= 1e-4
 
 
 def test_hvp_linear_in_direction() -> None:
@@ -134,14 +135,15 @@ def test_hvp_linear_in_direction() -> None:
     w = ParamVector(rng.uniform_array(len(theta), -1.0, 1.0))
     a, b = 0.7, -1.3
     combo = ParamVector(a * u.values + b * w.values)
-    lhs = hvp(f, theta, combo, None).values
-    rhs = a * hvp(f, theta, u, None).values + b * hvp(f, theta, w, None).values
+    point = linearize(f, theta, None)
+    lhs = hvp(point, combo).values
+    rhs = a * hvp(point, u).values + b * hvp(point, w).values
     assert np.max(np.abs(lhs - rhs)) <= 1e-10
 
 
 def test_hvp_rejects_length_mismatch() -> None:
     with pytest.raises(ContractError):
-        hvp(quad_loss, ParamVector(np.array([1.0, 2.0])), ParamVector(np.array([1.0])), None)
+        hvp(linearize(quad_loss, ParamVector(np.array([1.0, 2.0])), None), ParamVector(np.array([1.0])))
 
 
 # ---- inner_adapt ----
@@ -274,6 +276,12 @@ def test_paramvector_is_readonly_and_finite() -> None:
         pv.values[0] = 5.0
     with pytest.raises(NumericError):
         ParamVector(np.array([1.0, np.nan]))
+    # Arithmetic wraps its fresh result without a copy, read-only and checked.
+    for result in (pv.add(pv), pv.scaled(2.0), pv.minus_scaled(pv, 0.5), ParamVector.zeros(2)):
+        with pytest.raises(ValueError):
+            result.values[0] = 5.0
+    with np.errstate(over="ignore"), pytest.raises(NumericError):
+        ParamVector(np.array([1e308])).minus_scaled(ParamVector(np.array([-1e308])), 10.0)
 
 
 def test_paramvector_rejects_length_mismatch() -> None:
@@ -299,7 +307,7 @@ def test_tape_selector_loss_leaves_no_reference_cycles() -> None:
     gc.disable()
     try:
         value_and_grad(f, theta, batch)
-        hvp(f, theta, theta, batch)
+        hvp(linearize(f, theta, batch), theta)
         freed = gc.collect()
     finally:
         gc.enable()
@@ -313,4 +321,4 @@ def test_tape_selector_hvp_matches_fd_of_gradient() -> None:
     up = value_and_grad(f, ParamVector(theta.values + h * v.values), batch)[1]
     dn = value_and_grad(f, ParamVector(theta.values - h * v.values), batch)[1]
     fd = (up.values - dn.values) / (2.0 * h)
-    assert rel_err(fd, hvp(f, theta, v, batch).values) <= 1e-6
+    assert rel_err(fd, hvp(linearize(f, theta, batch), v).values) <= 1e-6

@@ -1,8 +1,13 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+from dmil import blas
 from dmil.checkpoint import CheckpointSchemaError, load_checkpoint, save_checkpoint
 from dmil.cli import main
 from dmil.config import ConfigError, load_config, resolve_config
@@ -347,6 +352,21 @@ def test_eval_rejects_a_checkpoint_of_another_model(tmp_path, caplog, model, fie
     assert not (tmp_path / "eval").exists()
 
 
+@pytest.mark.parametrize("saved, configured", [("dmil", "dmil_low"), ("dmil_low", "dmil"), ("em_only", "dmil_high")])
+def test_eval_rejects_a_checkpoint_of_another_method(tmp_path, caplog, saved, configured) -> None:
+    # Same model, other method: the method decides which levels adapt at
+    # test time (dmil_low keeps the selector fixed), so it must match too.
+    ckpt = tmp_path / "ck.json"
+    save_checkpoint(ckpt, init_hierarchical(4, 2, 3, (8, 8), seed=0, features="relative"), saved, 1, 0)
+    caplog.clear()
+    argv = ["eval", "--config", str(write_tiny(tmp_path, dmil={"method": configured})), "--out",
+            str(tmp_path / "eval"), "--checkpoint", str(ckpt)]
+    assert main(argv) == 3
+    want = f"contract error: checkpoint method {saved!r} does not match the config's {configured!r}"
+    assert one_line_error(caplog, "contract error") == want
+    assert not (tmp_path / "eval").exists()
+
+
 @pytest.mark.parametrize(
     "section, key, value",
     [("eval", "selector_steps", 4), ("eval", "n_true_skills", 3), ("gradcheck", "state_dim", 4),
@@ -371,3 +391,36 @@ def test_cli_dataset_format_error_exit_code(tmp_path, caplog) -> None:
     cfg = write_tiny(tmp_path, data={"train_path": str(corrupt), "test_path": str(data_dir / "test.jsonl")})
     assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 6
     assert "line" in one_line_error(caplog, "dataset format error")
+
+
+def test_train_is_byte_identical_across_blas_thread_counts(tmp_path) -> None:
+    # dmil.cli pins OpenBLAS to one thread after numpy has read
+    # OPENBLAS_NUM_THREADS, so the variable cannot change a run's bits.  The
+    # 64x64 networks on 480-row batches are large enough for OpenBLAS to
+    # split products over two threads when it is allowed to; unpinned, the
+    # two checkpoints differ in the last bits.
+    cfg = write_tiny(
+        tmp_path,
+        data={"n_train_tasks": 6, "n_test_tasks": 1, "n_support": 16, "horizon": 60},
+        model={"hidden": [64, 64]},
+        dmil={"batch_size": 8, "tasks_per_step": 2, "inner_rate": 1e-2, "outer_rate": 1e-3},
+        run={"iterations": 10, "checkpoint_every": 0},
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    digests = []
+    for n in ("1", "2"):
+        out = tmp_path / f"threads{n}"
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": n, "OMP_NUM_THREADS": n,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run([sys.executable, "-m", "dmil.cli", "train", "--config", str(cfg), "--out", str(out)],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode in (0, 1), proc.stderr  # 1: a flagged divergence, still a full run
+        digests.append([hashlib.sha256((out / name).read_bytes()).hexdigest()
+                        for name in ("metrics.csv", "checkpoint_final.json")])
+    assert digests[0] == digests[1]
+
+
+def test_blas_runs_on_one_thread() -> None:
+    # tests/conftest.py pins the suite as dmil.cli.main pins every command.
+    assert blas.threads() == 1
+    assert blas.pin_one_thread() == 1

@@ -535,6 +535,61 @@ def test_each_batch_is_featurized_once(monkeypatch) -> None:
         assert calls == ["relative"]
 
 
+def _record_inner_traces(monkeypatch) -> list:
+    """(trace, batch) of every inner_adapt call that dmil makes."""
+    traces = []
+    real = dmil.inner_adapt
+
+    def recording(f, theta, rate, batch, *args, **kwargs):
+        trace = real(f, theta, rate, batch, *args, **kwargs)
+        traces.append((trace, batch))
+        return trace
+
+    monkeypatch.setattr(dmil, "inner_adapt", recording)
+    return traces
+
+
+def test_each_inner_point_is_forwarded_once(monkeypatch) -> None:
+    # meta_grad's Hessian-vector products reuse the forward pass of the inner
+    # step they differentiate: over one meta_train_step the loss kernels run
+    # one forward per inner point, and none twice on the same parameters and
+    # batch.  Recorded arrays stay alive, so their ids are not reused.
+    from collections import Counter
+
+    from dmil import kernels
+
+    seen = []
+    real_forward = kernels.forward
+
+    def counting(layers, x):
+        seen.append((layers[0][0].base, x))
+        return real_forward(layers, x)
+
+    monkeypatch.setattr(kernels, "forward", counting)
+    traces = _record_inner_traces(monkeypatch)
+    params = small_params(80)
+    tasks = [demo_task(80), demo_task(81)]
+    meta_train_step(params, tasks, TrainConfig(inner_rate=1e-3, inner_steps=3, batch_size=2), step_seed=2)
+    counts = Counter((id(theta), id(x)) for theta, x in seen)
+    points = [(id(p.values), id(batch.states)) for trace, batch in traces for p in trace.points]
+    assert len(points) >= 3 * len(tasks) * 2  # the selector and at least one sub-skill per task
+    assert [counts[k] for k in points] == [1] * len(points)
+    assert max(counts.values()) == 1
+
+
+def test_few_shot_adapt_keeps_no_linearizations(monkeypatch) -> None:
+    # Adaptation that is never differentiated holds no forward activations;
+    # meta-training keeps one linearization per inner point.
+    traces = _record_inner_traces(monkeypatch)
+    params = small_params(82)
+    task = demo_task(82)
+    few_shot_adapt(params, task.support[:3], 1e-3, 4, aux_weight=0.1)
+    assert traces and all(len(t.points) == 4 and t.linearized == () for t, _ in traces)
+    traces.clear()
+    meta_train_step(params, [task], TrainConfig(inner_rate=1e-3, inner_steps=2, batch_size=2), step_seed=3)
+    assert traces and all(len(t.linearized) == len(t.points) == 2 for t, _ in traces)
+
+
 # ---- labels/partition invariants ----
 
 

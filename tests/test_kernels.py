@@ -57,8 +57,8 @@ def test_kernel_matches_tape_value_grad_hvp(loss, data) -> None:
     val_t, g_t = ad.value_and_grad(tape, theta, batch)
     assert_close(val_k, val_t)
     assert max_rel_err(g_k.values, g_t.values) <= TOL
-    h_k = ad.hvp(kernel, theta, v, batch)
-    h_t = ad.hvp(tape, theta, v, batch)
+    h_k = ad.hvp(ad.linearize(kernel, theta, batch), v)
+    h_t = ad.hvp(ad.linearize(tape, theta, batch), v)
     assert max_rel_err(h_k.values, h_t.values) <= TOL
 
 
@@ -77,6 +77,28 @@ def test_kernel_matches_tape_adapt_trace_and_meta_grad(loss, data, steps) -> Non
     assert max_rel_err(meta_grad(trace_k, g_outer).values, meta_grad(trace_t, g_outer).values) <= TOL
 
 
+def fresh_hvp_chain(loss, trace, g_outer: ParamVector, batch) -> ParamVector:
+    """meta_grad's chain with a fresh linearization at every trace point."""
+    v = g_outer
+    for point in reversed(trace.points):
+        v = v.minus_scaled(ad.hvp(ad.linearize(loss, point, batch), v), trace.rate)
+    return v
+
+
+@pytest.mark.parametrize("loss", ["high", "skill"])
+@given(data=st.data(), steps=st.integers(1, 3))
+@settings(max_examples=40, deadline=None)
+def test_meta_grad_over_kept_points_equals_fresh_hvp_chain(loss, data, steps) -> None:
+    # Reusing each inner step's forward pass and loss head is the same
+    # arithmetic done once, so the meta-gradient is bitwise the chain of
+    # fresh HVPs; the tape's fresh chain agrees to rounding.
+    kernel, tape, theta, g_outer, batch = data.draw(instances(loss))
+    trace = inner_adapt(kernel, theta, 0.05, batch, steps)
+    kept = meta_grad(trace, g_outer)
+    assert np.array_equal(kept.values, fresh_hvp_chain(kernel, trace, g_outer, batch).values)
+    assert max_rel_err(kept.values, fresh_hvp_chain(tape, trace, g_outer, batch).values) <= TOL
+
+
 @pytest.mark.parametrize("make", [make_high_loss, make_skill_loss])
 def test_kernel_overflow_raises_numeric_error(make) -> None:
     shape = MlpShape((3, 4, 4, 2))
@@ -87,7 +109,6 @@ def test_kernel_overflow_raises_numeric_error(make) -> None:
     else:
         batch = SkillBatch(x, rng.uniform(-1.0, 1.0, size=(6, 2)))
     theta = ParamVector(np.full(shape.n_params, 1e300))
-    v = ParamVector(np.ones(shape.n_params))
     loss = make(shape)
     with np.errstate(all="ignore"):
         with pytest.raises(NumericError, match="non-finite loss"):
@@ -95,4 +116,7 @@ def test_kernel_overflow_raises_numeric_error(make) -> None:
         with pytest.raises(NumericError, match="non-finite loss"):
             ad.value_and_grad(loss, theta, batch)
         with pytest.raises(NumericError, match="non-finite loss"):
-            ad.hvp(loss, theta, v, batch)
+            ad.linearize(loss, theta, batch)
+        point = ad.linearize(loss, ParamVector(rng.uniform(-1.0, 1.0, size=shape.n_params)), batch)
+        with pytest.raises(NumericError, match="non-finite hvp"):
+            ad.hvp(point, ParamVector(rng.uniform(-1.0, 1.0, size=shape.n_params) * 1e308))
