@@ -11,7 +11,8 @@ its own: every outer gradient comes from dmil.ho_grad/lo_grad.
   the fourth.  With one skill the selector's gradient is exactly zero, so
   the selector stays where it is.
 * The high/low ablations need no code here: they are the main step with
-  TrainConfig.meta_low or meta_high off.
+  TrainConfig.meta_low or meta_high off, as runner.ADAPTED_LEVELS sets the
+  levels of every method.
 * hard_em_grads: the hard-EM gradient, i.e. the meta-gradient of zero-step
   traces; shared by em_only_train and the warm start every method receives
   (runner.warm_start).
@@ -23,7 +24,6 @@ its own: every outer gradient comes from dmil.ho_grad/lo_grad.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Sequence
 
 import numpy as np
@@ -56,10 +56,10 @@ def maml_train_step(
     step_seed: int,
 ) -> StepResult:
     """Reduced meta-gradient of a monolithic behavior-cloning policy over
-    one batch of tasks: the K=1 step with the selector not meta-learned."""
+    one batch of tasks: the K=1 step (cfg leaves the selector unadapted)."""
     if params.K != 1:
         raise ContractError(f"maml trains one network, got {params.K} skills")
-    return meta_train_step(params, tasks, replace(cfg, meta_high=False), step_seed)
+    return meta_train_step(params, tasks, cfg, step_seed)
 
 
 def hard_em_grads(

@@ -99,35 +99,21 @@ def route(selector: ParamVector, high_shape: MlpShape, p: Pool) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class Partition:
-    """Per-skill (input, action) datasets; disjoint and exhaustive by build."""
+class SkillBatch:
+    """One sub-skill's loss inputs: featurized states and their actions."""
 
-    states: tuple[np.ndarray, ...]
-    actions: tuple[np.ndarray, ...]
+    states: np.ndarray
+    actions: np.ndarray
 
-    @property
-    def sizes(self) -> tuple[int, ...]:
-        return tuple(s.shape[0] for s in self.states)
+    def __len__(self) -> int:
+        return self.states.shape[0]
 
 
-def partition_by_skill(p: Pool, indices: np.ndarray, n_skills: int) -> Partition:
-    """Split the pool's pairs by skill index, keeping pool order; the groups
-    hold featurized inputs, ready for the skill losses."""
+def partition_by_skill(p: Pool, indices: np.ndarray, n_skills: int) -> tuple[SkillBatch, ...]:
+    """Split the pool's pairs by skill index, keeping pool order: one batch
+    per skill, disjoint and exhaustive, ready for the skill losses."""
     masks = [indices == k for k in range(n_skills)]
-    return Partition(tuple(p.x[m] for m in masks), tuple(p.actions[m] for m in masks))
-
-
-def aux_loss(probs: np.ndarray) -> float:
-    """Expected-switch surrogate over one probability sequence.
-
-    (1/(T-1)) * sum_t (1 - <p_t, p_{t+1}>): 0 for a constant hard sequence,
-    exactly 1 for a hard alternating one.
-    """
-    probs = np.asarray(probs, dtype=np.float64)
-    if probs.shape[0] < 2:
-        raise ContractError("aux_loss needs at least two timesteps")
-    dots = np.sum(probs[:-1] * probs[1:], axis=1)
-    return float(np.mean(1.0 - dots))
+    return tuple(SkillBatch(p.x[m], p.actions[m]) for m in masks)
 
 
 @dataclass(frozen=True)
@@ -157,26 +143,8 @@ class HighBatch:
         object.__setattr__(self, "ce_grad", self.onehot * (-1.0 / n))
 
 
-@dataclass(frozen=True)
-class SkillBatch:
-    states: np.ndarray
-    actions: np.ndarray
-
-
-def make_high_loss(shape: MlpShape) -> SelectorLoss:
-    """Mean cross-entropy vs hard labels plus aux_weight * switch surrogate,
-    in closed form (dmil.kernels)."""
-    return SelectorLoss(shape)
-
-
-def make_skill_loss(shape: MlpShape) -> SkillMseLoss:
-    """Behavior-cloning MSE: mean over pairs of squared action error, in
-    closed form (dmil.kernels)."""
-    return SkillMseLoss(shape)
-
-
 def tape_high_loss(shape: MlpShape) -> ad.TapeLoss:
-    """make_high_loss on the tape: the reference for the closed form."""
+    """SelectorLoss on the tape: the reference for the closed form."""
 
     def selector_loss(p: ad.Node, batch: HighBatch) -> ad.Node:
         logits = mlp_logits(p, shape, batch.states)
@@ -204,7 +172,7 @@ def tape_high_loss(shape: MlpShape) -> ad.TapeLoss:
 
 
 def tape_skill_loss(shape: MlpShape) -> ad.TapeLoss:
-    """make_skill_loss on the tape: the reference for the closed form."""
+    """SkillMseLoss on the tape: the reference for the closed form."""
 
     def skill_mse_loss(p: ad.Node, batch: SkillBatch) -> ad.Node:
         pred = mlp_logits(p, shape, batch.states)
@@ -250,16 +218,16 @@ def adapt_phases(
     if adapt_high:
         labels = hard_labels(p_high, params.skills, params.skill_shape)
         batch = high_batch(p_high, labels, params.K, aux_weight)
-        trace_h = inner_adapt(make_high_loss(params.high_shape), params.high, rate, batch, steps, keep)
+        trace_h = inner_adapt(SelectorLoss(params.high_shape), params.high, rate, batch, steps, keep)
     else:
         trace_h = identity_trace(params.high)
     if not adapt_low:
         return trace_h, tuple(identity_trace(s) for s in params.skills)
-    part = partition_by_skill(p_low, route(trace_h.final, params.high_shape, p_low), params.K)
-    loss = make_skill_loss(params.skill_shape)
+    batches = partition_by_skill(p_low, route(trace_h.final, params.high_shape, p_low), params.K)
+    loss = SkillMseLoss(params.skill_shape)
     traces_l = tuple(
-        inner_adapt(loss, s, rate, SkillBatch(x, a), steps, keep) if len(x) else identity_trace(s)
-        for s, x, a in zip(params.skills, part.states, part.actions)
+        inner_adapt(loss, s, rate, b, steps, keep) if len(b) else identity_trace(s)
+        for s, b in zip(params.skills, batches)
     )
     return trace_h, traces_l
 
@@ -270,27 +238,27 @@ def ho_grad(
     """Selector meta-gradient and outer loss: the loss on `batch` at the
     adapted selector, pushed back through its inner steps.  A zero-step
     trace gives the plain gradient at params.high."""
-    val, g_outer = ad.value_and_grad(make_high_loss(params.high_shape), trace_h.final, batch)
+    val, g_outer = ad.value_and_grad(SelectorLoss(params.high_shape), trace_h.final, batch)
     return meta_grad(trace_h, g_outer), val
 
 
 def lo_grad(
-    traces_l: Sequence[AdaptTrace], params: HierarchicalParams, part: Partition
+    traces_l: Sequence[AdaptTrace], params: HierarchicalParams, batches: Sequence[SkillBatch]
 ) -> tuple[list[ParamVector], float]:
     """Per-skill meta-gradients and the pooled outer loss on the routed
-    groups of `part`.  Skills whose group is empty contribute zero vectors."""
-    loss = make_skill_loss(params.skill_shape)
+    per-skill `batches`.  Skills whose batch is empty contribute zero
+    vectors."""
+    loss = SkillMseLoss(params.skill_shape)
     grads: list[ParamVector] = []
     sse_total, n_total = 0.0, 0
-    for k in range(params.K):
-        if part.sizes[k] == 0:
-            grads.append(ParamVector.zeros(len(params.skills[k])))
+    for trace, batch in zip(traces_l, batches, strict=True):
+        if not len(batch):
+            grads.append(ParamVector.zeros(len(trace.final)))
             continue
-        batch = SkillBatch(part.states[k], part.actions[k])
-        val, g_outer = ad.value_and_grad(loss, traces_l[k].final, batch)
-        grads.append(meta_grad(traces_l[k], g_outer))
-        sse_total += val * part.sizes[k]
-        n_total += part.sizes[k]
+        val, g_outer = ad.value_and_grad(loss, trace.final, batch)
+        grads.append(meta_grad(trace, g_outer))
+        sse_total += val * len(batch)
+        n_total += len(batch)
     pooled = sse_total / n_total if n_total else 0.0
     return grads, pooled
 
@@ -376,8 +344,8 @@ def _task_meta_grads(
         labels = hard_labels(p3, label_skills, params.skill_shape)
         g_high, high_val = ho_grad(trace_h, params, high_batch(p3, labels, params.K, cfg.aux_weight))
     p4 = pool(t4, params.feature_kind) if cfg.meta_low else p2
-    part = partition_by_skill(p4, route(trace_h.final, params.high_shape, p4), params.K)
-    g_skills, skill_val = lo_grad(traces_l, params, part)
+    batches = partition_by_skill(p4, route(trace_h.final, params.high_shape, p4), params.K)
+    g_skills, skill_val = lo_grad(traces_l, params, batches)
 
     diverged = trace_h.diverged or any(t.diverged for t in traces_l)
     return g_high, g_skills, high_val, skill_val, diverged
@@ -459,8 +427,3 @@ def predict_action(params: HierarchicalParams, states: np.ndarray) -> tuple[np.n
             actions[rows] = mlp_forward(params.skills[k], params.skill_shape, x[rows])[:, 0]
     return actions, z
 
-
-def predict_labels(params: HierarchicalParams, states: np.ndarray) -> np.ndarray:
-    """Selector argmax labels for a batch of raw states."""
-    logits = mlp_forward(params.high, params.high_shape, params.features(states))
-    return np.argmax(logits, axis=1)

@@ -15,8 +15,8 @@ import numpy as np
 
 from .autodiff import ContractError
 from .autodiff import inner_adapt  # noqa: F401  (perfbench/tracing.py wraps this name here)
-from .data import Trajectory, flatten_trajectories
-from .dmil import few_shot_adapt, predict_action, predict_labels
+from .data import Trajectory
+from .dmil import few_shot_adapt, predict_action
 from .policies import HierarchicalParams
 from .policies import mlp_forward  # noqa: F401  (perfbench/tracing.py wraps this name here)
 from .tasks import N_REGIMES, TaskDataset, TaskSpec, expert_action, rollout_policy
@@ -106,18 +106,22 @@ def switch_rate(labels) -> float:
 
 
 # ---------------------------------------------------------------------------
-# policy adapters
+# policies and task-level metrics
 # ---------------------------------------------------------------------------
 #
-# Every policy takes raw states in batches of rows, (n, 4): predict gives
-# actions (n, 2), predict_skills the chosen skills (n,), and act both at
-# once.  Closed-loop rollouts call act once per simulator step with one row
-# per episode.
+# A policy predicts through act alone: raw states in a batch of rows, (n, 4),
+# give actions (n, 2) and the chosen skills (n,).  The metrics score the
+# predictions the caller passes in, so runner.evaluate predicts each query
+# set once per policy, and closed-loop rollouts call act once per simulator
+# step with one row per episode.  For the learned policy act is
+# predict_action, whose rows are bitwise one-state calls: the scored query
+# actions are the actions a rollout would take in those states.
 
 
 @dataclass(frozen=True)
 class HierarchicalPolicy:
-    """Few-shot-adaptable wrapper around hierarchical parameters."""
+    """Few-shot-adaptable wrapper around hierarchical parameters; the
+    adapt_high/adapt_low flags say which levels adaptation moves."""
 
     params: HierarchicalParams
     adapt_rate: float
@@ -138,69 +142,34 @@ class HierarchicalPolicy:
         )
         return replace(self, params=adapted)
 
-    def predict(self, states: np.ndarray) -> np.ndarray:
-        z = predict_labels(self.params, states)
-        out = np.empty((states.shape[0], self.params.skill_shape.out_dim))
-        for k in range(self.params.K):
-            mask = z == k
-            if np.any(mask):
-                out[mask] = self.params.skill_predict(k, states[mask])
-        return out
-
-    def predict_skills(self, states: np.ndarray) -> np.ndarray:
-        return predict_labels(self.params, states)
-
     def act(self, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return predict_action(self.params, states)
-
-    @property
-    def n_skills(self) -> int:
-        return self.params.K
 
 
 @dataclass(frozen=True)
 class ExpertPolicy:
-    """Ground-truth controller (noise-free); adaptation is a no-op."""
+    """Ground-truth controller (noise-free)."""
 
     spec: TaskSpec
-
-    def adapt(self, demos) -> "ExpertPolicy":
-        return self
-
-    def predict(self, states: np.ndarray) -> np.ndarray:
-        return self.act(states)[0]
-
-    def predict_skills(self, states: np.ndarray) -> np.ndarray:
-        return self.act(states)[1]
 
     def act(self, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         pairs = [expert_action(self.spec, s) for s in states]
         return np.array([a for a, _ in pairs]), np.array([z for _, z in pairs], dtype=np.int64)
 
-    @property
-    def n_skills(self) -> int:
-        return N_REGIMES
+
+def query_mse(actions: np.ndarray, task: TaskDataset) -> float:
+    """Mean squared error of predicted actions for the query set's states
+    (trajectory then time order), per pair and dimension."""
+    want = np.concatenate([t.actions for t in task.query])
+    return float(np.mean((actions - want) ** 2))
 
 
-# ---------------------------------------------------------------------------
-# task-level metrics
-# ---------------------------------------------------------------------------
-
-
-def query_mse(policy, task: TaskDataset) -> float:
-    """Mean squared action error on the query set, per pair and dimension."""
-    s, a, _ = flatten_trajectories(task.query)
-    pred = policy.predict(s)
-    return float(np.mean((pred - a) ** 2))
-
-
-def adapted_skill_accuracy(policy, task: TaskDataset) -> float:
-    """Permutation-matched agreement of predicted skills with the generator's
-    N_REGIMES hidden labels, over the query set."""
-    s, _, _ = flatten_trajectories(task.query)
+def adapted_skill_accuracy(skills: np.ndarray, n_skills: int, task: TaskDataset) -> float:
+    """Permutation-matched agreement of the skills chosen for the query
+    set's states, out of n_skills, with the generator's N_REGIMES hidden
+    labels."""
     truth = np.concatenate([t.true_skills for t in task.query])
-    pred = policy.predict_skills(s)
-    return skill_accuracy(pred, truth, policy.n_skills, N_REGIMES)
+    return skill_accuracy(skills, truth, n_skills, N_REGIMES)
 
 
 @dataclass(frozen=True)

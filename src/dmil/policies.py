@@ -181,9 +181,6 @@ class HierarchicalParams:
     def features(self, states) -> np.ndarray:
         return featurize(np.asarray(states, dtype=np.float64), self.feature_kind)
 
-    def skill_predict(self, k: int, states) -> np.ndarray:
-        return mlp_forward(self.skills[k], self.skill_shape, self.features(states))
-
 
 def init_hierarchical(
     state_dim: int,

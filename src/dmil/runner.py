@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import copy
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -32,13 +32,10 @@ from .dmil import (
     high_batch,
     ho_grad,
     lo_grad,
-    make_high_loss,
-    make_skill_loss,
     meta_train_step,
     partition_by_skill,
     pool,
     route,
-    SkillBatch,
     tape_high_loss,
     tape_skill_loss,
 )
@@ -52,6 +49,7 @@ from .evaluation import (
     write_report_csv,
     write_summary_json,
 )
+from .kernels import SelectorLoss, SkillMseLoss
 from .policies import HierarchicalParams, init_hierarchical
 from .rng import SplitMix64, derive_seed
 from .tasks import ACTION_DIM, N_REGIMES, STATE_DIM, TaskDataset, load_datasets, make_dataset, rollout_expert, sample_task
@@ -125,15 +123,29 @@ def build_datasets(cfg: dict) -> tuple[list[TaskDataset], list[TaskDataset]]:
     return train, test
 
 
+# The levels each method adapts, (selector, sub-skills): in the inner loop
+# of meta-training and in few-shot adaptation at test time alike.  maml's
+# one-way selector has an exactly zero gradient, so it is never adapted;
+# em_only trains without inner steps and adapts like dmil at test time.
+ADAPTED_LEVELS = {
+    "dmil": (True, True),
+    "dmil_high": (True, False),
+    "dmil_low": (False, True),
+    "maml": (False, True),
+    "em_only": (True, True),
+}
+
+
 def train_config_from(cfg: dict) -> TrainConfig:
     m = cfg["dmil"]
+    meta_high, meta_low = ADAPTED_LEVELS[m["method"]]
     return TrainConfig(
         inner_rate=m["inner_rate"],
         inner_steps=m["inner_steps"],
         aux_weight=m["aux_weight"],
         batch_size=m["batch_size"],
-        meta_high=m["method"] != "dmil_low",
-        meta_low=m["method"] != "dmil_high",
+        meta_high=meta_high,
+        meta_low=meta_low,
     )
 
 
@@ -207,12 +219,10 @@ def warm_start(cfg: dict, train_tasks) -> HierarchicalParams:
         params = _em_alternations(candidates[0], p, probe, lr, aux)
     params = _em_alternations(params, p, m["warmup_epochs"] - probe, lr, aux)
 
+    if m["warmup_consolidate"] <= 0:
+        return params
     batch = high_batch(p, hard_labels(p, params.skills, params.skill_shape), params.K, aux)
-    high = params.high
-    high_loss_fn = make_high_loss(params.high_shape)
-    for _ in range(m["warmup_consolidate"]):
-        _, g_h = ad.value_and_grad(high_loss_fn, high, batch)
-        high = high.minus_scaled(g_h, lr)
+    high = inner_adapt(SelectorLoss(params.high_shape), params.high, lr, batch, m["warmup_consolidate"], keep=False).final
     return params.with_updates(high, params.skills)
 
 
@@ -330,24 +340,16 @@ def train(cfg: dict, out_dir=None, datasets=None, warm_params=None) -> TrainResu
 # ---------------------------------------------------------------------------
 
 
-def make_policy(cfg: dict, params: HierarchicalParams, method: str) -> HierarchicalPolicy:
-    e = cfg["eval"]
-    return HierarchicalPolicy(
-        params,
-        adapt_rate=e["adapt_rate"],
-        adapt_steps=e["adapt_steps"],
-        aux_weight=cfg["dmil"]["aux_weight"],
-        adapt_high=method != "dmil_low",  # fixed selector at test time
-        adapt_low=method != "dmil_high",  # fixed sub-skills at test time
-    )
-
-
 def evaluate(
     cfg: dict,
     params: HierarchicalParams,
     method: str,
     test_tasks: Sequence[TaskDataset],
 ) -> list[dict]:
+    """One row per (shots, task), in that order.  Each task's query set is
+    predicted once by the unadapted policy, whose MSE every shots row of the
+    task shares, and once by each adapted policy, whose actions and skills
+    give the post-adaptation MSE and the skill recovery."""
     e = cfg["eval"]
     most = max(e["shots"], default=0)
     for task in test_tasks:
@@ -356,20 +358,20 @@ def evaluate(
                 f"eval.shots={most} exceeds the {len(task.support)} support "
                 f"demonstrations of test task {task.spec.seed}"
             )
-    policy = make_policy(cfg, params, method)
+    queries = [np.concatenate([t.states for t in task.query]) for task in test_tasks]
+    pre_mse: list[float] = []
     rows = []
     for shots in e["shots"]:
-        shot_policy = policy
-        if e["scale_steps_with_shots"]:
-            shot_policy = replace(policy, adapt_steps=e["adapt_steps"] * shots)
-        for task in test_tasks:
-            pre = query_mse(shot_policy, task)
-            adapted = shot_policy.adapt(list(task.support[:shots]))
-            post = query_mse(adapted, task)
-            if params.K >= N_REGIMES:
-                acc = adapted_skill_accuracy(adapted, task)
-            else:
-                acc = None  # a monolithic policy has no skill labels to match
+        steps = e["adapt_steps"] * shots if e["scale_steps_with_shots"] else e["adapt_steps"]
+        policy = HierarchicalPolicy(
+            params, e["adapt_rate"], steps, cfg["dmil"]["aux_weight"], *ADAPTED_LEVELS[method]
+        )
+        pre_mse = pre_mse or [query_mse(policy.act(s)[0], task) for s, task in zip(queries, test_tasks)]
+        for task, states, pre in zip(test_tasks, queries, pre_mse, strict=True):
+            adapted = policy.adapt(list(task.support[:shots]))
+            actions, skills = adapted.act(states)
+            # A monolithic policy has no skill labels to match.
+            acc = adapted_skill_accuracy(skills, params.K, task) if params.K >= N_REGIMES else None
             stats = rollout_stats(adapted, task.spec, e["episodes"], cfg["data"]["horizon"])
             rows.append(
                 dict(
@@ -378,7 +380,7 @@ def evaluate(
                     task_seed=task.spec.seed,
                     shots=shots,
                     pre_mse=pre,
-                    post_mse=post,
+                    post_mse=query_mse(actions, task),
                     skill_acc=acc,
                     switch_rate=stats.mean_switch_rate,
                     success=stats.success_rate,
@@ -423,7 +425,7 @@ def gradcheck_run(cfg: dict) -> dict:
             # Selector: loss at the adapted selector with labels held fixed.
             batch1 = high_batch(p1, hard_labels(p1, params.skills, params.skill_shape), params.K, aux)
             batch3 = high_batch(p3, hard_labels(p3, adapted, params.skill_shape), params.K, aux)
-            high_loss_fn = make_high_loss(params.high_shape)
+            high_loss_fn = SelectorLoss(params.high_shape)
             exact_h = ho_grad(trace_h, params, batch3)[0]
 
             def high_objective(vals):
@@ -437,17 +439,15 @@ def gradcheck_run(cfg: dict) -> dict:
             worst_tape_high = max(worst_tape_high, max_rel_err(exact_h.values, ref_h.values))
 
             # Sub-skills: per-skill composed objectives on the routed batches.
-            part2, part4 = (
+            batches2, batches4 = (
                 partition_by_skill(q, route(trace_h.final, params.high_shape, q), params.K) for q in (p2, p4)
             )
-            exact_l = lo_grad(traces_l, params, part4)[0]
-            skill_loss_fn = make_skill_loss(params.skill_shape)
+            exact_l = lo_grad(traces_l, params, batches4)[0]
+            skill_loss_fn = SkillMseLoss(params.skill_shape)
             tape_skill = tape_skill_loss(params.skill_shape)
-            for k in range(params.K):
-                if part2.sizes[k] == 0 or part4.sizes[k] == 0:
+            for k, (batch2k, batch4k) in enumerate(zip(batches2, batches4)):
+                if not len(batch2k) or not len(batch4k):
                     continue
-                batch2k = SkillBatch(part2.states[k], part2.actions[k])
-                batch4k = SkillBatch(part4.states[k], part4.actions[k])
 
                 def low_objective(vals, b2=batch2k, b4=batch4k):
                     tr = inner_adapt(skill_loss_fn, ParamVector(vals), rate, b2, steps)

@@ -59,13 +59,14 @@ def test_maml_exact_step_matches_fd_oracle() -> None:
     res = maml_train_step(params, [task], cfg, step_seed=2)
 
     from dmil.autodiff import inner_adapt, loss_value
-    from dmil.dmil import SkillBatch, make_skill_loss
+    from dmil.dmil import SkillBatch
+    from dmil.kernels import SkillMseLoss
 
     rng = SplitMix64(derive_seed(2, task.spec.seed))
     _, t2, _, t4 = sample_phase_batches(task.support, cfg.batch_size, rng)
     s2, a2, _ = flatten_trajectories(t2)
     s4, a4, _ = flatten_trajectories(t4)
-    loss = make_skill_loss(shape)
+    loss = SkillMseLoss(shape)
 
     def objective(vals):
         tr = inner_adapt(loss, ParamVector(vals), cfg.inner_rate, SkillBatch(s2, a2), cfg.inner_steps)
@@ -92,17 +93,8 @@ def test_high_and_low_ablations_leave_other_level_plain() -> None:
 
     # Recompute the plain pooled-gradient updates by hand for both variants.
     from dmil import autodiff as ad
-    from dmil.dmil import (
-        SkillBatch,
-        adapt_phases,
-        hard_labels,
-        high_batch,
-        make_high_loss,
-        make_skill_loss,
-        partition_by_skill,
-        pool,
-        route,
-    )
+    from dmil.dmil import adapt_phases, hard_labels, high_batch, partition_by_skill, pool, route
+    from dmil.kernels import SelectorLoss, SkillMseLoss
 
     sum_skills = [ParamVector.zeros(len(s)) for s in params.skills]
     sum_high = ParamVector.zeros(len(params.high))
@@ -114,19 +106,15 @@ def test_high_and_low_ablations_leave_other_level_plain() -> None:
         trace_h, _ = adapt_phases(
             params, t1, t2, cfg.inner_rate, cfg.inner_steps, cfg.aux_weight, adapt_low=False
         )
-        part = partition_by_skill(t2, route(trace_h.final, params.high_shape, t2), params.K)
+        batches = partition_by_skill(t2, route(trace_h.final, params.high_shape, t2), params.K)
         for k in range(3):
-            if part.sizes[k]:
-                g = ad.value_and_grad(
-                    make_skill_loss(params.skill_shape),
-                    params.skills[k],
-                    SkillBatch(part.states[k], part.actions[k]),
-                )[1]
+            if len(batches[k]):
+                g = ad.value_and_grad(SkillMseLoss(params.skill_shape), params.skills[k], batches[k])[1]
                 sum_skills[k] = sum_skills[k].add(g)
         # dmil_low: selector gets a plain gradient on the first batch.
         labels1 = hard_labels(t1, params.skills, params.skill_shape)
         gh = ad.value_and_grad(
-            make_high_loss(params.high_shape), params.high, high_batch(t1, labels1, params.K, cfg.aux_weight)
+            SelectorLoss(params.high_shape), params.high, high_batch(t1, labels1, params.K, cfg.aux_weight)
         )[1]
         sum_high = sum_high.add(gh)
 
@@ -155,7 +143,8 @@ def test_hard_em_grads_route_by_the_given_indices() -> None:
     # the selector is fit to the labels, not to the routing.
     from dmil import autodiff as ad
     from dmil.baselines import hard_em_grads
-    from dmil.dmil import SkillBatch, hard_labels, high_batch, make_high_loss, make_skill_loss, pool
+    from dmil.dmil import SkillBatch, hard_labels, high_batch, pool
+    from dmil.kernels import SelectorLoss, SkillMseLoss
 
     params = init_hierarchical(4, 2, 3, (8,), seed=33)
     trajs = list(demo_task(33).support[:3])
@@ -164,8 +153,8 @@ def test_hard_em_grads_route_by_the_given_indices() -> None:
     labels = hard_labels(p, params.skills, params.skill_shape)
     res = hard_em_grads(params, p, labels, np.zeros(len(labels), dtype=np.int64), 0.1)
 
-    ce, g_high = ad.value_and_grad(make_high_loss(params.high_shape), params.high, high_batch(p, labels, 3, 0.1))
-    mse, g0 = ad.value_and_grad(make_skill_loss(params.skill_shape), params.skills[0], SkillBatch(s, a))
+    ce, g_high = ad.value_and_grad(SelectorLoss(params.high_shape), params.high, high_batch(p, labels, 3, 0.1))
+    mse, g0 = ad.value_and_grad(SkillMseLoss(params.skill_shape), params.skills[0], SkillBatch(s, a))
     assert np.array_equal(res.g_high.values, g_high.values)
     assert np.array_equal(res.g_skills[0].values, g0.values)
     for k in (1, 2):

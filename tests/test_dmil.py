@@ -12,14 +12,11 @@ from dmil.dmil import (
     Pool,
     TrainConfig,
     adapt_phases,
-    aux_loss,
     few_shot_adapt,
     hard_labels,
     high_batch,
     ho_grad,
     lo_grad,
-    make_high_loss,
-    make_skill_loss,
     meta_train_step,
     partition_by_skill,
     pool,
@@ -27,6 +24,7 @@ from dmil.dmil import (
     route,
     sample_phase_batches,
 )
+from dmil.kernels import SelectorLoss, SkillMseLoss
 from dmil.policies import (
     HierarchicalParams,
     MlpShape,
@@ -59,7 +57,8 @@ def random_trajs(seed: int, n: int = 2, T: int = 12) -> list[Trajectory]:
 
 
 def routed(selector, high_shape, trajs):
-    """The partition of trajs (raw features) by the selector's argmax."""
+    """The per-skill batches of trajs (raw features) routed by the
+    selector's argmax."""
     p = pool(trajs, "raw")
     return partition_by_skill(p, route(selector, high_shape, p), high_shape.out_dim)
 
@@ -112,22 +111,36 @@ def test_hard_labels_match_bruteforce_argmin() -> None:
             assert onehot[t].sum() == 1.0 and onehot[t, best] == 1.0
 
 
-# ---- aux loss ----
+# ---- the selector loss's switch term ----
+
+
+def switch_term(logits: np.ndarray) -> float:
+    """SelectorLoss's switch term over one trajectory whose selector logits
+    are `logits` (T, K): a linear K -> K network with identity weights takes
+    the logits as its inputs, the labels are each row's argmax (so the
+    cross-entropy is ~0 at large margins), and the term is the loss at
+    switch weight 1 minus the loss at weight 0."""
+    n, k = logits.shape
+    theta = ParamVector(np.concatenate([np.eye(k).ravel(), np.zeros(k)]))
+    p = Pool(logits, np.zeros((n, 2)), ((0, n),))
+    labels = np.argmax(logits, axis=1)
+    loss = SelectorLoss(MlpShape((k, k)))
+    return loss_value(loss, theta, high_batch(p, labels, k, 1.0)) - loss_value(loss, theta, high_batch(p, labels, k, 0.0))
 
 
 def test_aux_loss_constant_sequence_zero() -> None:
-    probs = np.tile(np.array([0.0, 1.0, 0.0]), (7, 1))
-    assert aux_loss(probs) == 0.0
+    logits = np.tile(np.array([-40.0, 40.0, -40.0]), (7, 1))
+    assert switch_term(logits) == 0.0
 
 
 def test_aux_loss_alternating_one() -> None:
-    probs = np.array([[1.0, 0.0], [0.0, 1.0]] * 4)
-    assert aux_loss(probs) == 1.0
+    logits = np.array([[40.0, -40.0], [-40.0, 40.0]] * 4)
+    assert switch_term(logits) == 1.0
 
 
 def test_aux_loss_uniform_half() -> None:
-    probs = np.full((9, 2), 0.5)
-    assert aux_loss(probs) == pytest.approx(0.5)
+    logits = np.zeros((9, 2))
+    assert switch_term(logits) == pytest.approx(0.5)
 
 
 # ---- high loss ----
@@ -138,7 +151,7 @@ def test_high_loss_zero_params_ln_k_plus_aux() -> None:
     theta = ParamVector(np.zeros(params.high_shape.n_params))
     lam = 0.3
     batch = high_batch(pool(trajs, "raw"), np.zeros(10, dtype=np.int64), 3, lam)
-    got = loss_value(make_high_loss(params.high_shape), theta, batch)
+    got = loss_value(SelectorLoss(params.high_shape), theta, batch)
     assert got == pytest.approx(np.log(3.0) + lam * (2.0 / 3.0), rel=1e-12)
 
 
@@ -148,7 +161,7 @@ def test_high_loss_perfect_classifier_near_zero() -> None:
     v[-3] = 30.0  # output bias of class 0: logits [30, 0, 0] everywhere
     trajs = random_trajs(5, n=1, T=8)
     batch = high_batch(pool(trajs, "raw"), np.zeros(8, dtype=np.int64), 3, 0.5)
-    got = loss_value(make_high_loss(shape), ParamVector(v), batch)
+    got = loss_value(SelectorLoss(shape), ParamVector(v), batch)
     assert got == pytest.approx(0.0, abs=1e-6)
 
 
@@ -159,7 +172,7 @@ def test_high_loss_matches_straight_line_recomputation() -> None:
     p = pool(trajs, "raw")
     labels = hard_labels(p, params.skills, params.skill_shape)
     lam = 0.25
-    got = loss_value(make_high_loss(params.high_shape), params.high, high_batch(p, labels, 3, lam))
+    got = loss_value(SelectorLoss(params.high_shape), params.high, high_batch(p, labels, 3, lam))
 
     logits = mlp_forward(params.high, params.high_shape, S)
     ce, total_dot, pairs = 0.0, 0.0, 0
@@ -213,24 +226,24 @@ def test_hi_step_descends_loss_pilot() -> None:
 def test_partition_k1_everything_in_group_zero() -> None:
     params = small_params(n_skills=1)
     trajs = random_trajs(5)
-    part = routed(params.high, params.high_shape, trajs)
+    (batch,) = routed(params.high, params.high_shape, trajs)
     S, A, _ = flatten_trajectories(trajs)
-    assert part.sizes == (len(S),)
-    assert np.array_equal(part.states[0], S) and np.array_equal(part.actions[0], A)
+    assert len(batch) == len(S)
+    assert np.array_equal(batch.states, S) and np.array_equal(batch.actions, A)
 
 
 def test_partition_hand_set_selector() -> None:
     shape = mlp_shape(4, 3, (4,))
     v = np.zeros(shape.n_params)
     v[-1] = 10.0  # bias favors skill 2 everywhere
-    part = routed(ParamVector(v), shape, random_trajs(6))
-    assert part.sizes[0] == 0 and part.sizes[1] == 0 and part.sizes[2] > 0
+    batches = routed(ParamVector(v), shape, random_trajs(6))
+    assert len(batches[0]) == 0 and len(batches[1]) == 0 and len(batches[2]) > 0
 
 
 def test_partition_matches_bruteforce_argmax() -> None:
     params = small_params(9, n_skills=4, hidden=(6,))
     trajs = random_trajs(10, n=2, T=8)
-    part = routed(params.high, params.high_shape, trajs)
+    batches = routed(params.high, params.high_shape, trajs)
     S, A, _ = flatten_trajectories(trajs)
     logits = mlp_forward(params.high, params.high_shape, S)
     seen = 0
@@ -241,12 +254,12 @@ def test_partition_matches_bruteforce_argmax() -> None:
                 best, bv = k, logits[t, k]
         row_s, row_a = S[t], A[t]
         in_group = any(
-            np.array_equal(part.states[best][i], row_s) and np.array_equal(part.actions[best][i], row_a)
-            for i in range(part.sizes[best])
+            np.array_equal(batches[best].states[i], row_s) and np.array_equal(batches[best].actions[i], row_a)
+            for i in range(len(batches[best]))
         )
         assert in_group
         seen += 1
-    assert sum(part.sizes) == seen
+    assert sum(len(b) for b in batches) == seen
 
 
 # ---- li_step: adapt_phases' sub-skill updates ----
@@ -296,22 +309,22 @@ def _phases(params, task, cfg, step_seed=0):
     rng = SplitMix64(step_seed)
     t1, t2, t3, t4 = (pool(t, "raw") for t in sample_phase_batches(task.support, cfg.batch_size, rng))
     trace_h, traces_l = adapt_phases(params, t1, t2, cfg.inner_rate, cfg.inner_steps, cfg.aux_weight)
-    part = partition_by_skill(t2, route(trace_h.final, params.high_shape, t2), params.K)
-    return t1, t2, t3, t4, trace_h, part, traces_l
+    batches2 = partition_by_skill(t2, route(trace_h.final, params.high_shape, t2), params.K)
+    return t1, t2, t3, t4, trace_h, batches2, traces_l
 
 
 def test_ho_grad_zero_rate_equals_plain_gradient() -> None:
     params = small_params(6)
     task = demo_task(6)
     cfg = TrainConfig(inner_rate=0.0, inner_steps=2, batch_size=2, aux_weight=0.1)
-    t1, t2, t3, t4, trace_h, part, traces_l = _phases(params, task, cfg)
+    t1, t2, t3, t4, trace_h, _, traces_l = _phases(params, task, cfg)
     adapted = [t.final for t in traces_l]
     batch3 = high_batch(t3, hard_labels(t3, adapted, params.skill_shape), params.K, cfg.aux_weight)
     got, _ = ho_grad(trace_h, params, batch3)
 
     from dmil.autodiff import value_and_grad
 
-    want = value_and_grad(make_high_loss(params.high_shape), params.high, batch3)[1]
+    want = value_and_grad(SelectorLoss(params.high_shape), params.high, batch3)[1]
     assert np.array_equal(got.values, want.values)
 
 
@@ -319,12 +332,12 @@ def test_ho_grad_first_order_equals_gradient_at_adapted() -> None:
     params = small_params(7)
     task = demo_task(7)
     cfg = TrainConfig(inner_rate=5e-3, inner_steps=2, batch_size=2, aux_weight=0.1)
-    t1, t2, t3, t4, trace_h, part, traces_l = _phases(params, task, cfg)
+    t1, t2, t3, t4, trace_h, _, traces_l = _phases(params, task, cfg)
     adapted = [t.final for t in traces_l]
     batch3 = high_batch(t3, hard_labels(t3, adapted, params.skill_shape), params.K, cfg.aux_weight)
     from dmil.autodiff import meta_grad, value_and_grad
 
-    want = value_and_grad(make_high_loss(params.high_shape), trace_h.final, batch3)[1]
+    want = value_and_grad(SelectorLoss(params.high_shape), trace_h.final, batch3)[1]
     got = meta_grad(trace_h, want, mode="first_order")
     assert np.array_equal(got.values, want.values)
     # ho_grad is exact: it differs from the first-order reference.
@@ -349,13 +362,13 @@ def test_ho_grad_matches_fd_of_composed_map() -> None:
     params = init_hierarchical(4, 2, 2, (6,), seed=12)
     task = demo_task(12, T=16)
     cfg = TrainConfig(inner_rate=5e-4, inner_steps=1, batch_size=1, aux_weight=0.1)
-    t1, t2, t3, t4, trace_h, part, traces_l = _phases(params, task, cfg)
+    t1, t2, t3, t4, trace_h, _, traces_l = _phases(params, task, cfg)
     adapted = [t.final for t in traces_l]
 
     batch1 = high_batch(t1, hard_labels(t1, params.skills, params.skill_shape), params.K, cfg.aux_weight)
     batch3 = high_batch(t3, hard_labels(t3, adapted, params.skill_shape), params.K, cfg.aux_weight)
     exact, _ = ho_grad(trace_h, params, batch3)
-    loss = make_high_loss(params.high_shape)
+    loss = SelectorLoss(params.high_shape)
 
     from dmil.autodiff import inner_adapt, loss_value
 
@@ -370,18 +383,17 @@ def test_lo_grad_zero_rate_and_empty_partition() -> None:
     params = small_params(13)
     task = demo_task(13)
     cfg = TrainConfig(inner_rate=0.0, inner_steps=1, batch_size=2)
-    t1, t2, t3, t4, trace_h, part, traces_l = _phases(params, task, cfg)
-    part4 = partition_by_skill(t4, route(trace_h.final, params.high_shape, t4), params.K)
-    grads, _ = lo_grad(traces_l, params, part4)
+    t1, t2, t3, t4, trace_h, _, traces_l = _phases(params, task, cfg)
+    batches4 = partition_by_skill(t4, route(trace_h.final, params.high_shape, t4), params.K)
+    grads, _ = lo_grad(traces_l, params, batches4)
     from dmil.autodiff import value_and_grad
 
-    loss = make_skill_loss(params.skill_shape)
+    loss = SkillMseLoss(params.skill_shape)
     for k in range(params.K):
-        if part4.sizes[k] == 0:
+        if len(batches4[k]) == 0:
             assert np.array_equal(grads[k].values, np.zeros(len(params.skills[k])))
         else:
-            batch = dmil.SkillBatch(part4.states[k], part4.actions[k])
-            want = value_and_grad(loss, params.skills[k], batch)[1]
+            want = value_and_grad(loss, params.skills[k], batches4[k])[1]
             assert np.array_equal(grads[k].values, want.values)
 
 
@@ -389,19 +401,17 @@ def test_lo_grad_matches_fd_of_composed_map() -> None:
     params = init_hierarchical(4, 2, 2, (6,), seed=14)
     task = demo_task(14, T=16)
     cfg = TrainConfig(inner_rate=5e-4, inner_steps=1, batch_size=1)
-    t1, t2, t3, t4, trace_h, part, traces_l = _phases(params, task, cfg)
-    part4 = partition_by_skill(t4, route(trace_h.final, params.high_shape, t4), params.K)
-    exact, _ = lo_grad(traces_l, params, part4)
-    loss = make_skill_loss(params.skill_shape)
+    t1, t2, t3, t4, trace_h, batches2, traces_l = _phases(params, task, cfg)
+    batches4 = partition_by_skill(t4, route(trace_h.final, params.high_shape, t4), params.K)
+    exact, _ = lo_grad(traces_l, params, batches4)
+    loss = SkillMseLoss(params.skill_shape)
 
     from dmil.autodiff import inner_adapt, loss_value
 
     checked = 0
-    for k in range(params.K):
-        if part.sizes[k] == 0 or part4.sizes[k] == 0:
+    for k, (batch2, batch4) in enumerate(zip(batches2, batches4)):
+        if len(batch2) == 0 or len(batch4) == 0:
             continue
-        batch2 = dmil.SkillBatch(part.states[k], part.actions[k])
-        batch4 = dmil.SkillBatch(part4.states[k], part4.actions[k])
 
         def objective(vals, b2=batch2, b4=batch4):
             tr = inner_adapt(loss, ParamVector(vals), cfg.inner_rate, b2, cfg.inner_steps)
@@ -469,8 +479,8 @@ def test_meta_train_step_matches_hand_assembled_phases() -> None:
         adapted = [t.final for t in traces_l]
         batch3 = high_batch(t3, hard_labels(t3, adapted, params.skill_shape), params.K, cfg.aux_weight)
         sum_h = sum_h.add(ho_grad(trace_h, params, batch3)[0])
-        part4 = partition_by_skill(t4, route(trace_h.final, params.high_shape, t4), params.K)
-        for k, g in enumerate(lo_grad(traces_l, params, part4)[0]):
+        batches4 = partition_by_skill(t4, route(trace_h.final, params.high_shape, t4), params.K)
+        for k, g in enumerate(lo_grad(traces_l, params, batches4)[0]):
             sum_l[k] = sum_l[k].add(g)
     m = len(tasks)
     assert np.array_equal(res.g_high.values, sum_h.scaled(1.0 / m).values)
@@ -603,9 +613,9 @@ def test_labels_onehot_and_partition_disjoint_exhaustive() -> None:
         p = pool(trajs, "raw")
         labels = hard_labels(p, params.skills, params.skill_shape)
         assert np.all(high_batch(p, labels, k, 0.0).onehot.sum(axis=1) == 1.0)
-        part = routed(params.high, params.high_shape, trajs)
-        assert sum(part.sizes) == len(S)
-        got = np.concatenate([p for p in part.states if p.size], axis=0)
+        batches = routed(params.high, params.high_shape, trajs)
+        assert sum(len(b) for b in batches) == len(S)
+        got = np.concatenate([b.states for b in batches if len(b)], axis=0)
         assert sorted(map(tuple, got)) == sorted(map(tuple, S))
 
 
@@ -637,7 +647,7 @@ def test_few_shot_adapt_reduces_single_skill_bc_loss_pilot() -> None:
     demo = task.support[0]
     adapted = few_shot_adapt(params, [demo], 5e-4, 3)
     S, A, _ = flatten_trajectories([demo])
-    loss = make_skill_loss(params.skill_shape)
+    loss = SkillMseLoss(params.skill_shape)
     before = sum(loss_value(loss, params.skills[k], dmil.SkillBatch(S, A)) for k in range(params.K))
     after = sum(loss_value(loss, adapted.skills[k], dmil.SkillBatch(S, A)) for k in range(params.K))
     if not after < before:
@@ -653,6 +663,20 @@ def test_few_shot_adapt_restricted_variants() -> None:
     for a, b in zip(high_only.skills, params.skills):
         assert np.array_equal(a.values, b.values)
     assert np.array_equal(low_only.high.values, params.high.values)
+
+
+@pytest.mark.parametrize("features", ["raw", "relative"])
+@pytest.mark.parametrize("aux", [0.0, 0.1])
+def test_k1_selector_adaptation_changes_nothing(features, aux) -> None:
+    # With one skill the selector's softmax is identically 1 and its
+    # gradient exactly zero, so maml can leave the selector unadapted.
+    for seed in range(5):
+        params = init_hierarchical(4, 2, 1, (8,), seed=seed, features=features)
+        demos = demo_task(seed).support[:2]
+        on = few_shot_adapt(params, demos, 2e-2, 10, aux_weight=aux, adapt_high=True)
+        off = few_shot_adapt(params, demos, 2e-2, 10, aux_weight=aux, adapt_high=False)
+        assert on.high.values.tobytes() == off.high.values.tobytes() == params.high.values.tobytes()
+        assert on.skills[0].values.tobytes() == off.skills[0].values.tobytes() != params.skills[0].values.tobytes()
 
 
 def test_predict_action_k1_and_hand_set() -> None:

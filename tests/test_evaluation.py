@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from dmil.autodiff import ContractError, ParamVector
-from dmil.data import flatten_trajectories
-from dmil.dmil import TrainConfig
+from dmil.dmil import TrainConfig, predict_action
 from dmil.evaluation import (
     ROLLOUT_SEED0,
     ExpertPolicy,
@@ -22,9 +21,10 @@ from dmil.evaluation import (
     write_report_csv,
     write_summary_json,
 )
+from dmil.kernels import SkillMseLoss
 from dmil.policies import HierarchicalParams, featurize, init_hierarchical, init_params, mlp_forward, mlp_shape
 from dmil.rng import SplitMix64, derive_seed
-from dmil.tasks import ACTION_MAX, DT, GOAL_TOLERANCE, START_BOX, make_dataset, sample_task, TaskSpec
+from dmil.tasks import ACTION_MAX, DT, GOAL_TOLERANCE, N_REGIMES, START_BOX, make_dataset, sample_task, TaskSpec
 
 
 # ---- fd_check ----
@@ -42,7 +42,7 @@ def test_fd_check_quadratic_tiny_error() -> None:
 
 def test_fd_check_small_mlp_meta_objective() -> None:
     from dmil.autodiff import inner_adapt, loss_value, meta_grad, value_and_grad
-    from dmil.dmil import SkillBatch, make_skill_loss
+    from dmil.dmil import SkillBatch
 
     shape = mlp_shape(2, 2, (8,))
     rng = SplitMix64(70)
@@ -51,7 +51,7 @@ def test_fd_check_small_mlp_meta_objective() -> None:
     a2 = rng.uniform_array(8, -1, 1).reshape(4, 2)
     s4 = rng.uniform_array(8, -1, 1).reshape(4, 2)
     a4 = rng.uniform_array(8, -1, 1).reshape(4, 2)
-    loss = make_skill_loss(shape)
+    loss = SkillMseLoss(shape)
     rate = 5e-4
 
     trace = inner_adapt(loss, theta, rate, SkillBatch(s2, a2), 1)
@@ -67,14 +67,14 @@ def test_fd_check_small_mlp_meta_objective() -> None:
 def test_fd_check_exposes_first_order_gap() -> None:
     # On a curved objective the first-order meta-gradient is materially wrong.
     from dmil.autodiff import inner_adapt, loss_value, meta_grad, value_and_grad
-    from dmil.dmil import SkillBatch, make_skill_loss
+    from dmil.dmil import SkillBatch
 
     shape = mlp_shape(2, 2, (8,))
     rng = SplitMix64(71)
     theta = ParamVector(rng.uniform_array(shape.n_params, -0.8, 0.8))
     s2 = rng.uniform_array(8, -1, 1).reshape(4, 2)
     a2 = rng.uniform_array(8, -1, 1).reshape(4, 2)
-    loss = make_skill_loss(shape)
+    loss = SkillMseLoss(shape)
     rate = 0.05  # big enough that curvature matters
 
     trace = inner_adapt(loss, theta, rate, SkillBatch(s2, a2), 1)
@@ -160,24 +160,29 @@ def test_switch_rate_bounds() -> None:
 # ---- adaptation MSE ----
 
 
-def pre_post_mse(policy, task, shots: int) -> tuple[float, float]:
-    """Query MSE before and after adapting on the first `shots` demonstrations,
-    as runner.evaluate computes them."""
-    return query_mse(policy, task), query_mse(policy.adapt(list(task.support[:shots])), task)
+def query_states(task) -> np.ndarray:
+    return np.concatenate([t.states for t in task.query])
+
+
+def pre_post_mse(policy, adapted, task) -> tuple[float, float]:
+    """Query MSE of a policy and of its adapted version, each scored from
+    one act call on the query states, as runner.evaluate computes them."""
+    states = query_states(task)
+    return query_mse(policy.act(states)[0], task), query_mse(adapted.act(states)[0], task)
 
 
 def test_adaptation_mse_zero_rate_pre_equals_post() -> None:
     params = init_hierarchical(4, 2, 3, (8,), seed=1)
     task = make_dataset(sample_task(1), 6, 2, 30, seed=1)
     policy = HierarchicalPolicy(params, adapt_rate=0.0, adapt_steps=3)
-    pre, post = pre_post_mse(policy, task, shots=1)
+    pre, post = pre_post_mse(policy, policy.adapt(list(task.support[:1])), task)
     assert pre == post
 
 
 def test_adaptation_mse_expert_oracle_hits_noise_floor() -> None:
     spec = sample_task(4)
     task = make_dataset(spec, 4, 4, 60, seed=4)
-    pre, post = pre_post_mse(ExpertPolicy(spec), task, shots=1)
+    pre, post = pre_post_mse(ExpertPolicy(spec), ExpertPolicy(spec), task)
     # Residual is exactly the recorded Gaussian action noise.
     assert post == pre
     assert abs(post - spec.noise_std**2) < 0.3 * spec.noise_std**2
@@ -207,8 +212,71 @@ def test_adaptation_mse_deterministic_and_shot_checked(monkeypatch) -> None:
 def test_adapted_skill_accuracy_expert_is_perfect() -> None:
     spec = sample_task(5)
     task = make_dataset(spec, 4, 2, 40, seed=5)
-    acc = adapted_skill_accuracy(ExpertPolicy(spec), task)
+    acc = adapted_skill_accuracy(ExpertPolicy(spec).act(query_states(task))[1], N_REGIMES, task)
     assert acc == 1.0
+
+
+def evaluate_small(seed: int, features: str, shots=(1, 2)) -> tuple:
+    """A seeded K=3 model, two test tasks whose query sets differ in size,
+    and the config of one runner.evaluate on them."""
+    from dmil.config import resolve_config
+
+    params = init_hierarchical(4, 2, 3, (16, 16), seed=seed, features=features)
+    tasks = [make_dataset(sample_task(9000 + seed + i), 4, 2 + i, 40, seed=seed + i) for i in range(2)]
+    cfg = resolve_config({"eval": {"shots": list(shots), "episodes": 2, "adapt_rate": 2e-2, "adapt_steps": 3},
+                          "data": {"horizon": 40}})
+    return cfg, params, tasks
+
+
+def one_state_at_a_time(params: HierarchicalParams, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    rows = [predict_action(params, s[None, :]) for s in states]
+    return np.vstack([a for a, _ in rows]), np.concatenate([z for _, z in rows])
+
+
+@pytest.mark.parametrize("features", ["raw", "relative"])
+def test_evaluate_scores_one_state_predict_action(monkeypatch, features) -> None:
+    # The scored query actions and skills are the ones a rollout would take:
+    # every row is bitwise predict_action on that state alone, under the
+    # unadapted parameters for pre_mse and the adapted ones after.
+    from dmil import evaluation, runner
+
+    scored, adapted = [], []
+    mse, acc, adapt = runner.query_mse, runner.adapted_skill_accuracy, evaluation.few_shot_adapt
+    monkeypatch.setattr(runner, "query_mse", lambda a, task: scored.append(("mse", a, task)) or mse(a, task))
+    monkeypatch.setattr(
+        runner, "adapted_skill_accuracy", lambda z, n, task: scored.append(("acc", z, task)) or acc(z, n, task)
+    )
+    monkeypatch.setattr(evaluation, "few_shot_adapt", lambda *a, **kw: adapted.append(adapt(*a, **kw)) or adapted[-1])
+    for seed in range(3):
+        scored.clear()
+        adapted.clear()
+        cfg, params, tasks = evaluate_small(seed, features)
+        runner.evaluate(cfg, params, "dmil", tasks)
+        want = [("mse", one_state_at_a_time(params, query_states(t))[0], t) for t in tasks]
+        for p, task in zip(adapted, tasks * len(cfg["eval"]["shots"]), strict=True):
+            a, z = one_state_at_a_time(p, query_states(task))
+            want += [("mse", a, task), ("acc", z, task)]
+
+        def key(item):
+            kind, values, task = item
+            return kind, task.spec.seed, values.tobytes()
+
+        assert sorted(map(key, scored)) == sorted(map(key, want))
+
+
+def test_evaluate_predicts_each_query_set_once_per_policy(monkeypatch) -> None:
+    # One prediction by the unadapted policy, shared by every shots row of a
+    # task, and one per adapted policy for both post_mse and skill_acc.
+    from dmil import evaluation, runner
+
+    rows = []
+    real = evaluation.predict_action
+    monkeypatch.setattr(evaluation, "predict_action", lambda params, states: rows.append(len(states)) or real(params, states))
+    cfg, params, tasks = evaluate_small(5, "relative", shots=(1, 2, 3))
+    out = runner.evaluate(cfg, params, "dmil", tasks)
+    for task in tasks:
+        assert rows.count(len(query_states(task))) == 1 + len(cfg["eval"]["shots"])
+        assert len({r["pre_mse"] for r in out if r["task_seed"] == task.spec.seed}) == 1
 
 
 # ---- rollouts ----

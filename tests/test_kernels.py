@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 
 from dmil import autodiff as ad
 from dmil.autodiff import NumericError, ParamVector, inner_adapt, meta_grad
-from dmil.dmil import HighBatch, SkillBatch, make_high_loss, make_skill_loss, tape_high_loss, tape_skill_loss
+from dmil.dmil import HighBatch, SkillBatch, tape_high_loss, tape_skill_loss
 from dmil.evaluation import max_rel_err
+from dmil.kernels import SelectorLoss, SkillMseLoss
 from dmil.policies import MlpShape
 
 TOL = 1e-10
@@ -38,9 +39,9 @@ def instances(draw, loss: str):
         slices = tuple((int(e - m), int(e)) for e, m in zip(ends, lengths))
         onehot = np.eye(out_dim)[rng.integers(0, out_dim, size=n)]
         batch = HighBatch(x, onehot, slices, aux)
-        return make_high_loss(shape), tape_high_loss(shape), theta, v, batch
+        return SelectorLoss(shape), tape_high_loss(shape), theta, v, batch
     batch = SkillBatch(x, rng.uniform(-1.0, 1.0, size=(n, out_dim)))
-    return make_skill_loss(shape), tape_skill_loss(shape), theta, v, batch
+    return SkillMseLoss(shape), tape_skill_loss(shape), theta, v, batch
 
 
 def assert_close(got: float, want: float) -> None:
@@ -99,12 +100,12 @@ def test_meta_grad_over_kept_points_equals_fresh_hvp_chain(loss, data, steps) ->
     assert max_rel_err(kept.values, fresh_hvp_chain(tape, trace, g_outer, batch).values) <= TOL
 
 
-@pytest.mark.parametrize("make", [make_high_loss, make_skill_loss])
+@pytest.mark.parametrize("make", [SelectorLoss, SkillMseLoss], ids=lambda c: c.__name__)
 def test_kernel_overflow_raises_numeric_error(make) -> None:
     shape = MlpShape((3, 4, 4, 2))
     rng = np.random.default_rng(3)
     x = rng.uniform(-1.0, 1.0, size=(6, 3))
-    if make is make_high_loss:
+    if make is SelectorLoss:
         batch = HighBatch(x, np.eye(2)[[0, 1, 1, 0, 0, 1]], ((0, 3), (3, 6)), 0.1)
     else:
         batch = SkillBatch(x, rng.uniform(-1.0, 1.0, size=(6, 2)))
