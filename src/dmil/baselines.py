@@ -11,8 +11,8 @@ its own: every outer gradient comes from dmil.ho_grad/lo_grad.
   the fourth.  With one skill the selector's gradient is exactly zero, so
   the selector stays where it is.
 * The high/low ablations need no code here: they are the main step with
-  TrainConfig.meta_low or meta_high off, as runner.ADAPTED_LEVELS sets the
-  levels of every method.
+  TrainConfig.meta_low or meta_high off.  config.METHODS holds every
+  method's levels, skill count and step function.
 * hard_em_grads: the hard-EM gradient, i.e. the meta-gradient of zero-step
   traces; shared by em_only_train and the warm start every method receives
   (runner.warm_start).

@@ -9,10 +9,17 @@ from __future__ import annotations
 import copy
 import json
 from pathlib import Path
+from typing import NamedTuple
 
 
 class ConfigError(ValueError):
     pass
+
+
+class Method(NamedTuple):
+    one_network: bool  # trains one network instead of model.n_skills
+    adapts: tuple[bool, bool]  # (selector, sub-skills), inner loop and test time alike
+    step: str  # the runner function that takes the outer step
 
 
 DEFAULT_CONFIG: dict = {
@@ -22,8 +29,6 @@ DEFAULT_CONFIG: dict = {
         "n_support": 40,
         "n_query": 10,
         "horizon": 120,
-        "train_task_seed0": 1000,
-        "test_task_seed0": 9000,
         "data_seed": 77,
         "train_path": None,  # optional JSONL files written by gen-data
         "test_path": None,
@@ -34,7 +39,7 @@ DEFAULT_CONFIG: dict = {
         "features": "relative",  # policy input map: raw state or [s, g-p, |g-p|]
     },
     "dmil": {
-        "method": "dmil",  # dmil | dmil_high | dmil_low | maml | em_only
+        "method": "dmil",  # a key of METHODS below
         "inner_rate": 5e-4,
         "outer_rate": 1e-4,
         "inner_steps": 3,
@@ -63,15 +68,7 @@ DEFAULT_CONFIG: dict = {
     },
     "gradcheck": {
         "instances": 20,
-        "hidden": 8,
-        "n_skills": 2,
         "inner_steps": [1, 3],
-        "inner_rate": 5e-4,
-        "fd_step": 1e-5,
-        "tolerance": 1e-4,
-        "trajectories": 1,
-        "horizon": 16,
-        "seed0": 42,
     },
     "run": {
         "seed": 0,
@@ -80,11 +77,22 @@ DEFAULT_CONFIG: dict = {
     },
 }
 
-METHODS = ("dmil", "dmil_high", "dmil_low", "maml", "em_only")
+# Every per-method rule, in ablation order.  maml is dmil_low with one
+# network; its one-output selector has an exactly zero gradient, so it is
+# never adapted.  em_only trains without inner steps and adapts like dmil at
+# test time.
+METHODS = {
+    "dmil": Method(False, (True, True), "meta_train_step"),
+    "dmil_high": Method(False, (True, False), "meta_train_step"),
+    "dmil_low": Method(False, (False, True), "meta_train_step"),
+    "maml": Method(True, (False, True), "maml_train_step"),
+    "em_only": Method(False, (True, True), "em_only_train"),
+}
 OUTER_OPTIMIZERS = ("sgd", "adam")
 # Lower bounds of numeric keys, checked after the merge (a None value means
 # "use the default" and is not checked).
 RANGES = (
+    ("data.n_train_tasks", 1),
     ("data.n_support", 4),  # the data.* bounds are tasks.make_dataset's
     ("data.n_query", 1),
     ("data.horizon", 2),
@@ -136,6 +144,9 @@ def resolve_config(overrides: dict | None = None, seed: int | None = None) -> di
             f"unknown outer_optimizer {cfg['dmil']['outer_optimizer']!r}; "
             f"valid optimizers: {', '.join(OUTER_OPTIMIZERS)}"
         )
+    shots = cfg["eval"]["shots"]
+    if not all(type(k) is int and k >= 1 for k in shots):
+        raise ConfigError(f"config key 'eval.shots' must list integers >= 1, got {shots!r}")
     d = cfg["data"]
     if (d["train_path"] is None) != (d["test_path"] is None):
         raise ConfigError("config keys 'data.train_path' and 'data.test_path' must be set together")

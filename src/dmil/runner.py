@@ -21,7 +21,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ContractError, ParamVector, inner_adapt, loss_value
-from .baselines import em_only_train, hard_em_grads, maml_train_step
+from .baselines import em_only_train, hard_em_grads, maml_train_step  # noqa: F401  (train calls steps by name)
 from .checkpoint import save_checkpoint
 from .config import METHODS, dump_config
 from .dmil import (
@@ -32,7 +32,7 @@ from .dmil import (
     high_batch,
     ho_grad,
     lo_grad,
-    meta_train_step,
+    meta_train_step,  # noqa: F401  (train calls steps by name)
     partition_by_skill,
     pool,
     route,
@@ -57,6 +57,9 @@ from .tasks import ACTION_DIM, N_REGIMES, STATE_DIM, TaskDataset, load_datasets,
 SALT_INIT = 0x1417
 SALT_TASK_SELECT = 0x7A5C
 SALT_STEP = 0x57E9
+
+TRAIN_TASK_SEED0 = 1000  # train task i is sample_task(TRAIN_TASK_SEED0 + i)
+TEST_TASK_SEED0 = 9000  # test task i is sample_task(TEST_TASK_SEED0 + i)
 
 METRICS_HEADER = "iteration,outer_loss,grad_norm_high,grad_norm_skills,diverged"
 
@@ -100,45 +103,22 @@ def build_datasets(cfg: dict) -> tuple[list[TaskDataset], list[TaskDataset]]:
     d = cfg["data"]
     if d["train_path"]:  # resolve_config rejects one path without the other
         return load_datasets(d["train_path"]), load_datasets(d["test_path"])
-    train = [
-        make_dataset(
-            sp := sample_task(d["train_task_seed0"] + i),
-            d["n_support"],
-            d["n_query"],
-            d["horizon"],
-            seed=derive_seed(d["data_seed"], sp.seed),
-        )
-        for i in range(d["n_train_tasks"])
-    ]
-    test = [
-        make_dataset(
-            sp := sample_task(d["test_task_seed0"] + i),
-            d["n_support"],
-            d["n_query"],
-            d["horizon"],
-            seed=derive_seed(d["data_seed"], sp.seed),
-        )
-        for i in range(d["n_test_tasks"])
-    ]
-    return train, test
 
+    def tasks(seed0: int, n: int) -> list[TaskDataset]:
+        return [
+            make_dataset(
+                sp := sample_task(seed0 + i), d["n_support"], d["n_query"], d["horizon"],
+                seed=derive_seed(d["data_seed"], sp.seed),
+            )
+            for i in range(n)
+        ]
 
-# The levels each method adapts, (selector, sub-skills): in the inner loop
-# of meta-training and in few-shot adaptation at test time alike.  maml's
-# one-way selector has an exactly zero gradient, so it is never adapted;
-# em_only trains without inner steps and adapts like dmil at test time.
-ADAPTED_LEVELS = {
-    "dmil": (True, True),
-    "dmil_high": (True, False),
-    "dmil_low": (False, True),
-    "maml": (False, True),
-    "em_only": (True, True),
-}
+    return tasks(TRAIN_TASK_SEED0, d["n_train_tasks"]), tasks(TEST_TASK_SEED0, d["n_test_tasks"])
 
 
 def train_config_from(cfg: dict) -> TrainConfig:
     m = cfg["dmil"]
-    meta_high, meta_low = ADAPTED_LEVELS[m["method"]]
+    meta_high, meta_low = METHODS[m["method"]].adapts
     return TrainConfig(
         inner_rate=m["inner_rate"],
         inner_steps=m["inner_steps"],
@@ -150,8 +130,8 @@ def train_config_from(cfg: dict) -> TrainConfig:
 
 
 def n_skills_for(cfg: dict) -> int:
-    """Skill count of the configured method: maml trains one network."""
-    return 1 if cfg["dmil"]["method"] == "maml" else cfg["model"]["n_skills"]
+    """Skill count of the configured method."""
+    return 1 if METHODS[cfg["dmil"]["method"]].one_network else cfg["model"]["n_skills"]
 
 
 def init_model(cfg: dict, seed: int | None = None) -> HierarchicalParams:
@@ -211,12 +191,8 @@ def warm_start(cfg: dict, train_tasks) -> HierarchicalParams:
     candidates = [init_model(cfg, seed=s) for s in seeds]
 
     probe = min(m["warmup_probe_epochs"], m["warmup_epochs"])
-    if len(candidates) > 1:
-        probed = [_em_alternations(c, p, probe, lr, aux) for c in candidates]
-        scores = [_em_fit_score(c, p) for c in probed]
-        params = probed[int(np.argmin(scores))]
-    else:
-        params = _em_alternations(candidates[0], p, probe, lr, aux)
+    probed = [_em_alternations(c, p, probe, lr, aux) for c in candidates]
+    params = probed[int(np.argmin([_em_fit_score(c, p) for c in probed]))]
     params = _em_alternations(params, p, m["warmup_epochs"] - probe, lr, aux)
 
     if m["warmup_consolidate"] <= 0:
@@ -295,9 +271,9 @@ def train(cfg: dict, out_dir=None, datasets=None, warm_params=None) -> TrainResu
         batch_tasks = [train_tasks[i] for i in picks]
         step_seed = derive_seed(seed, SALT_STEP, it)
 
-        # Looked up in this module's globals on every call, so that a wrapper
-        # set on runner's attribute (a test, a profiler) sees each step.
-        step = {"em_only": em_only_train, "maml": maml_train_step}.get(method, meta_train_step)
+        # Looked up by name in this module's globals on every call, so that a
+        # wrapper set on runner's attribute (a test, a profiler) sees each step.
+        step = globals()[METHODS[method].step]
         res = step(params, batch_tasks, tc, step_seed)
         params = params.with_updates(
             opt_high.step(params.high, res.g_high),
@@ -364,7 +340,7 @@ def evaluate(
     for shots in e["shots"]:
         steps = e["adapt_steps"] * shots if e["scale_steps_with_shots"] else e["adapt_steps"]
         policy = HierarchicalPolicy(
-            params, e["adapt_rate"], steps, cfg["dmil"]["aux_weight"], *ADAPTED_LEVELS[method]
+            params, e["adapt_rate"], steps, cfg["dmil"]["aux_weight"], *METHODS[method].adapts
         )
         pre_mse = pre_mse or [query_mse(policy.act(s)[0], task) for s, task in zip(queries, test_tasks)]
         for task, states, pre in zip(test_tasks, queries, pre_mse, strict=True):
@@ -394,31 +370,42 @@ def evaluate(
 # ---------------------------------------------------------------------------
 
 
-# Largest relative difference allowed between the closed-form and the tape
-# meta-gradients: both are exact, so only rounding separates them.
+# Gradcheck instance i: a network of GRADCHECK_SKILLS skills with one hidden
+# layer of GRADCHECK_HIDDEN units on task GRADCHECK_SEED0 + i, and phase
+# batches of GRADCHECK_TRAJECTORIES demonstrations of GRADCHECK_HORIZON steps.
+GRADCHECK_HIDDEN = 8
+GRADCHECK_SKILLS = 2
+GRADCHECK_SEED0 = 42
+GRADCHECK_TRAJECTORIES = 1
+GRADCHECK_HORIZON = 16
+GRADCHECK_INNER_RATE = 5e-4
+GRADCHECK_FD_STEP = 1e-5
+# Largest relative differences allowed against finite differences, and
+# between the closed-form and the tape meta-gradients: both of the latter
+# are exact, so only rounding separates them.
+GRADCHECK_TOLERANCE = 1e-4
 TAPE_TOLERANCE = 1e-10
 
 
 def gradcheck_run(cfg: dict) -> dict:
     """Exact selector/sub-skill meta-gradients on random small instances,
     checked against two references: central finite differences of the
-    composed adapt-then-evaluate objectives (within gradcheck.tolerance), and
+    composed adapt-then-evaluate objectives (within GRADCHECK_TOLERANCE), and
     the same meta-gradients with the tape losses (within TAPE_TOLERANCE).
     Returns a report with the worst errors."""
     g = cfg["gradcheck"]
     t0 = time.perf_counter()
     worst_high = worst_low = worst_tape_high = worst_tape_low = 0.0
     checked = 0
+    rate, aux = GRADCHECK_INNER_RATE, 0.1
     for i in range(g["instances"]):
-        seed = g["seed0"] + i
-        params = init_hierarchical(STATE_DIM, ACTION_DIM, g["n_skills"], (g["hidden"],), seed=derive_seed(seed, 1))
+        seed = GRADCHECK_SEED0 + i
+        params = init_hierarchical(STATE_DIM, ACTION_DIM, GRADCHECK_SKILLS, (GRADCHECK_HIDDEN,), seed=derive_seed(seed, 1))
         spec = sample_task(seed)
-        trajs = [rollout_expert(spec, g["horizon"], j) for j in range(4 * g["trajectories"])]
-        b = g["trajectories"]
+        b = GRADCHECK_TRAJECTORIES
+        trajs = [rollout_expert(spec, GRADCHECK_HORIZON, j) for j in range(4 * b)]
         p1, p2, p3, p4 = (pool(trajs[j * b : (j + 1) * b], params.feature_kind) for j in range(4))
         for steps in g["inner_steps"]:
-            rate = g["inner_rate"]
-            aux = 0.1
             trace_h, traces_l = adapt_phases(params, p1, p2, rate, steps, aux)
             adapted = [t.final for t in traces_l]
 
@@ -432,7 +419,7 @@ def gradcheck_run(cfg: dict) -> dict:
                 tr = inner_adapt(high_loss_fn, ParamVector(vals), rate, batch1, steps)
                 return loss_value(high_loss_fn, tr.final, batch3)
 
-            worst_high = max(worst_high, fd_check(high_objective, params.high.values, exact_h.values, g["fd_step"]))
+            worst_high = max(worst_high, fd_check(high_objective, params.high.values, exact_h.values, GRADCHECK_FD_STEP))
             tape_h = tape_high_loss(params.high_shape)
             tr = inner_adapt(tape_h, params.high, rate, batch1, steps)
             ref_h = ad.meta_grad(tr, ad.value_and_grad(tape_h, tr.final, batch3)[1])
@@ -453,7 +440,7 @@ def gradcheck_run(cfg: dict) -> dict:
                     tr = inner_adapt(skill_loss_fn, ParamVector(vals), rate, b2, steps)
                     return loss_value(skill_loss_fn, tr.final, b4)
 
-                worst_low = max(worst_low, fd_check(low_objective, params.skills[k].values, exact_l[k].values, g["fd_step"]))
+                worst_low = max(worst_low, fd_check(low_objective, params.skills[k].values, exact_l[k].values, GRADCHECK_FD_STEP))
                 tr = inner_adapt(tape_skill, params.skills[k], rate, batch2k, steps)
                 ref = ad.meta_grad(tr, ad.value_and_grad(tape_skill, tr.final, batch4k)[1])
                 worst_tape_low = max(worst_tape_low, max_rel_err(exact_l[k].values, ref.values))
@@ -466,10 +453,10 @@ def gradcheck_run(cfg: dict) -> dict:
         "max_rel_err_low": worst_low,
         "max_rel_err_tape_high": worst_tape_high,
         "max_rel_err_tape_low": worst_tape_low,
-        "tolerance": g["tolerance"],
+        "tolerance": GRADCHECK_TOLERANCE,
         "tape_tolerance": TAPE_TOLERANCE,
         "pass": bool(
-            max(worst_high, worst_low) <= g["tolerance"]
+            max(worst_high, worst_low) <= GRADCHECK_TOLERANCE
             and max(worst_tape_high, worst_tape_low) <= TAPE_TOLERANCE
         ),
         "elapsed_seconds": elapsed,

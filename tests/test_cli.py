@@ -157,7 +157,7 @@ def test_eval_command_writes_reports(tmp_path) -> None:
 
 
 def test_gradcheck_command_tiny(tmp_path) -> None:
-    cfg = write_tiny(tmp_path, gradcheck={"instances": 2, "horizon": 10})
+    cfg = write_tiny(tmp_path, gradcheck={"instances": 2})
     out = tmp_path / "gc"
     assert main(["gradcheck", "--config", str(cfg), "--out", str(out)]) == 0
     report = json.loads((out / "gradcheck.json").read_text())
@@ -221,6 +221,7 @@ def test_config_error_exit_code(tmp_path) -> None:
         ("eval", "adapt_rate", -1e-3),
         ("eval", "adapt_steps", 0),
         ("eval", "episodes", 0),
+        ("data", "n_train_tasks", 0),
         ("data", "n_support", 3),
         ("data", "n_query", 0),
         ("data", "horizon", 1),
@@ -229,6 +230,13 @@ def test_config_error_exit_code(tmp_path) -> None:
 def test_config_out_of_range_rejected(section, key, value) -> None:
     with pytest.raises(ConfigError, match=rf"'{section}\.{key}' must be >= "):
         resolve_config({section: {key: value}})
+
+
+@pytest.mark.parametrize("shots", [[-1], [0], [1, 0], [1.0], [True], ["1"]])
+def test_config_shots_must_be_positive_integers(shots) -> None:
+    with pytest.raises(ConfigError, match=r"'eval\.shots' must list integers >= 1"):
+        resolve_config({"eval": {"shots": shots}})
+    assert resolve_config({"eval": {"shots": [1, 5]}})["eval"]["shots"] == [1, 5]
 
 
 def test_config_range_accepts_its_bounds() -> None:
@@ -245,6 +253,22 @@ def test_train_out_of_range_exits_2_before_any_output(tmp_path, key) -> None:
     assert main(["train", "--config", str(cfg), "--out", str(out)]) == 2
     assert not (out / "checkpoint_000000.json").exists()
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "section,key,value,error",
+    [
+        ("data", "n_train_tasks", 0, "config key 'data.n_train_tasks' must be >= 1, got 0"),
+        ("eval", "shots", [-1], "config key 'eval.shots' must list integers >= 1, got [-1]"),
+    ],
+    ids=["n_train_tasks", "shots"],
+)
+def test_train_without_tasks_or_shots_exits_2_before_any_output(tmp_path, caplog, section, key, value, error) -> None:
+    cfg = write_tiny(tmp_path, **{section: {key: value}})
+    caplog.clear()
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+    assert one_line_error(caplog, "config error") == f"config error: {error}"
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("given", ["train_path", "test_path"])
@@ -370,7 +394,10 @@ def test_eval_rejects_a_checkpoint_of_another_method(tmp_path, caplog, saved, co
 @pytest.mark.parametrize(
     "section, key, value",
     [("eval", "selector_steps", 4), ("eval", "n_true_skills", 3), ("gradcheck", "state_dim", 4),
-     ("gradcheck", "action_dim", 2)],
+     ("gradcheck", "action_dim", 2), ("data", "train_task_seed0", 1000), ("data", "test_task_seed0", 9000),
+     ("gradcheck", "hidden", 8), ("gradcheck", "n_skills", 2), ("gradcheck", "inner_rate", 5e-4),
+     ("gradcheck", "fd_step", 1e-5), ("gradcheck", "tolerance", 1e-4), ("gradcheck", "trajectories", 1),
+     ("gradcheck", "horizon", 16), ("gradcheck", "seed0", 42)],
 )
 def test_removed_config_key_exits_2(tmp_path, caplog, section, key, value) -> None:
     # Knobs with a single working value are constants now: setting one is an

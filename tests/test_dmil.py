@@ -744,7 +744,8 @@ def test_sample_phase_batches_cycles_when_short() -> None:
 def test_config_validation() -> None:
     # Removed knobs are gone: setting one is an unknown-key error, like any
     # typo.  The gradcheck dimensions and the true skill count are the task
-    # generator's constants; the selector takes adapt_steps at test time.
+    # generator's constants; the selector takes adapt_steps at test time; the
+    # task seed offsets and the gradcheck instances are runner's constants.
     from dmil.config import ConfigError, resolve_config
 
     for section, key, value in (
@@ -755,6 +756,16 @@ def test_config_validation() -> None:
         ("eval", "n_true_skills", 3),
         ("gradcheck", "state_dim", 3),
         ("gradcheck", "action_dim", 3),
+        ("data", "train_task_seed0", 1000),
+        ("data", "test_task_seed0", 9000),
+        ("gradcheck", "hidden", 8),
+        ("gradcheck", "n_skills", 2),
+        ("gradcheck", "inner_rate", 5e-4),
+        ("gradcheck", "fd_step", 1e-5),
+        ("gradcheck", "tolerance", 1e-4),
+        ("gradcheck", "trajectories", 1),
+        ("gradcheck", "horizon", 16),
+        ("gradcheck", "seed0", 42),
     ):
         with pytest.raises(ConfigError, match=f"unknown config key '{section}.{key}'"):
             resolve_config({section: {key: value}})

@@ -1,9 +1,12 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from dmil import runner
+from dmil import evaluation, runner
 from dmil.autodiff import ContractError
-from dmil.config import resolve_config
+from dmil.config import METHODS, resolve_config
 from dmil.rng import SplitMix64, derive_seed
 
 TINY = {
@@ -21,11 +24,60 @@ def tiny(method: str = "dmil", **dmil) -> dict:
     return cfg
 
 
-@pytest.mark.parametrize("method", ["dmil", "dmil_high", "dmil_low", "maml", "em_only"])
+@pytest.mark.parametrize("method", list(METHODS))
+def test_method_table_row_drives_every_reader(monkeypatch, method) -> None:
+    # The skill count, the adapted levels (in training and at test time) and
+    # the step function all come from the method's row of config.METHODS.
+    row = METHODS[method]
+    cfg = tiny(method)
+    k = 1 if row.one_network else cfg["model"]["n_skills"]
+    assert runner.init_model(cfg).K == k
+    tc = runner.train_config_from(cfg)
+    assert (tc.meta_high, tc.meta_low) == row.adapts
+
+    called = []
+
+    def spy(name):
+        keep = getattr(runner, name)
+        return lambda *args: called.append(name) or keep(*args)
+
+    for name in {r.step for r in METHODS.values()}:
+        monkeypatch.setattr(runner, name, spy(name))
+    res = runner.train(cfg)
+    assert called == [row.step]
+
+    levels = []
+    keep_adapt = evaluation.few_shot_adapt
+
+    def adapt(*args, adapt_high, adapt_low, **kwargs):
+        levels.append((adapt_high, adapt_low))
+        return keep_adapt(*args, adapt_high=adapt_high, adapt_low=adapt_low, **kwargs)
+
+    monkeypatch.setattr(evaluation, "few_shot_adapt", adapt)
+    runner.evaluate(cfg, res.params, method, res.test_tasks)
+    assert levels == [row.adapts]
+
+
+def test_only_the_config_names_methods() -> None:
+    # Per-method rules live in config.METHODS alone: no other module of the
+    # package spells a method's name (the package name "dmil" aside).
+    names = {"dmil_high", "dmil_low", "maml", "em_only"}
+    src = Path(runner.__file__).parent
+    found = [
+        f"{path.name}:{node.lineno} {node.value!r}"
+        for path in sorted(src.glob("*.py"))
+        if path.name != "config.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Constant) and node.value in names
+    ]
+    assert found == []
+
+
+@pytest.mark.parametrize("method", list(METHODS))
 def test_train_sgd_applies_the_step_gradients_once(method) -> None:
     # runner.train is the one place that applies the outer update, for
     # every method and under both outer optimizers.
-    step = {"em_only": runner.em_only_train, "maml": runner.maml_train_step}.get(method, runner.meta_train_step)
+    step = getattr(runner, METHODS[method].step)
     for optimizer, opt_class in (("sgd", runner.Sgd), ("adam", runner.Adam)):
         cfg = tiny(method, outer_optimizer=optimizer)
         datasets = runner.build_datasets(cfg)
