@@ -90,7 +90,7 @@ METHODS = {
 }
 OUTER_OPTIMIZERS = ("sgd", "adam")
 # Lower bounds of numeric keys, checked after the merge (a None value means
-# "use the default" and is not checked).
+# "use the default"); a list-valued key must list integers >= the bound.
 RANGES = (
     ("data.n_train_tasks", 1),
     ("data.n_support", 4),  # the data.* bounds are tasks.make_dataset's
@@ -107,6 +107,13 @@ RANGES = (
     ("eval.adapt_rate", 0),
     ("eval.adapt_steps", 1),
     ("eval.episodes", 1),
+    ("eval.shots", 1),
+    ("model.hidden", 1),
+    ("gradcheck.inner_steps", 1),
+    ("gradcheck.instances", 1),
+    ("dmil.warmup_restarts", 1),
+    ("dmil.warmup_trajs_per_task", 1),
+    ("dmil.warmup_probe_epochs", 0),
 )
 
 
@@ -144,9 +151,6 @@ def resolve_config(overrides: dict | None = None, seed: int | None = None) -> di
             f"unknown outer_optimizer {cfg['dmil']['outer_optimizer']!r}; "
             f"valid optimizers: {', '.join(OUTER_OPTIMIZERS)}"
         )
-    shots = cfg["eval"]["shots"]
-    if not all(type(k) is int and k >= 1 for k in shots):
-        raise ConfigError(f"config key 'eval.shots' must list integers >= 1, got {shots!r}")
     d = cfg["data"]
     if (d["train_path"] is None) != (d["test_path"] is None):
         raise ConfigError("config keys 'data.train_path' and 'data.test_path' must be set together")
@@ -157,7 +161,10 @@ def resolve_config(overrides: dict | None = None, seed: int | None = None) -> di
     for key, low in RANGES:
         section, name = key.split(".")
         value = cfg[section][name]
-        if value is not None and value < low:
+        if isinstance(value, list):
+            if not all(type(k) is int and k >= low for k in value):
+                raise ConfigError(f"config key {key!r} must list integers >= {low}, got {value!r}")
+        elif value is not None and value < low:
             raise ConfigError(f"config key {key!r} must be >= {low}, got {value!r}")
     return cfg
 

@@ -19,7 +19,7 @@ from .data import Trajectory
 from .dmil import few_shot_adapt, predict_action
 from .policies import HierarchicalParams
 from .policies import mlp_forward  # noqa: F401  (perfbench/tracing.py wraps this name here)
-from .tasks import N_REGIMES, TaskDataset, TaskSpec, expert_action, rollout_policy
+from .tasks import N_REGIMES, TaskDataset, TaskSpec, expert_act, rollout_policy
 
 FD_MAX_PARAMS = 500
 ROLLOUT_SEED0 = 0xE7A1
@@ -153,8 +153,7 @@ class ExpertPolicy:
     spec: TaskSpec
 
     def act(self, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        pairs = [expert_action(self.spec, s) for s in states]
-        return np.array([a for a, _ in pairs]), np.array([z for _, z in pairs], dtype=np.int64)
+        return expert_act(self.spec, states)
 
 
 def query_mse(actions: np.ndarray, task: TaskDataset) -> float:

@@ -11,6 +11,10 @@ radial progress; gains are drawn high enough that the waypoint tour fits the
 horizon.  Tasks vary controller gain and rotation (sub-skill adaptation
 pressure) and the switch radii (selector adaptation pressure).
 
+One dynamics loop, simulate, steps the noisy expert demonstrations (all of
+a task's in one call) and the closed-loop rollouts that score a policy; each
+episode draws its start box, then any action noise, from its own stream.
+
 Everything is deterministic given seeds via the package RNG, including the
 JSON Lines dataset files, which round-trip doubles exactly.
 """
@@ -101,13 +105,8 @@ def _rot(angle: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]])
 
 
-def expert_action(
-    spec: TaskSpec, state, rng: SplitMix64 | None = None
-) -> tuple[np.ndarray, int]:
-    """Controller action and regime for state [px, py, gx, gy].
-
-    Noise of std spec.noise_std is added only when an rng is supplied.
-    """
+def expert_action(spec: TaskSpec, state) -> tuple[np.ndarray, int]:
+    """Noise-free controller action and regime for state [px, py, gx, gy]."""
     state = np.asarray(state, dtype=np.float64)
     p, g = state[0:2], state[2:4]
     delta = g - p
@@ -129,78 +128,75 @@ def expert_action(
         # from the orbit field for every task, so no two regimes can share a
         # direction structure.
         a = DOCK_GAIN * spec.gain_scale * (delta / max(d, DOCK_SOFT))
-    if rng is not None and spec.noise_std > 0:
-        a = a + spec.noise_std * rng.normal_array(2)
     return a, skill
 
 
-def _simulate(
-    spec: TaskSpec,
-    T: int,
-    seed: int,
-    act: Callable[[np.ndarray, SplitMix64], tuple[np.ndarray, int]],
-) -> tuple[Trajectory, bool]:
-    """Dynamics loop of one demonstration: p' = p + DT * clip(a); the goal
-    advances inside the tolerance.  Returns the recorded trajectory and
-    whether every waypoint was reached before the horizon."""
+def expert_act(
+    spec: TaskSpec, states: np.ndarray, rngs: Sequence[SplitMix64] | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """expert_action row by row: (n, 4) states give (n, 2) actions and (n,)
+    regimes.  Given one stream per row, row i adds noise of std
+    spec.noise_std drawn from rngs[i]."""
+    actions = np.empty((len(states), ACTION_DIM))
+    skills = np.empty(len(states), dtype=np.int64)
+    for i, s in enumerate(states):
+        actions[i], skills[i] = expert_action(spec, s)
+        if rngs is not None and spec.noise_std > 0:
+            actions[i] += spec.noise_std * rngs[i].normal_array(2)
+    return actions, skills
+
+
+def simulate(spec: TaskSpec, act: Callable, T: int, seeds: Sequence[int]) -> tuple[np.ndarray, ...]:
+    """The dynamics loop, one episode per seed, all stepped together:
+    p' = p + DT * clip(a), and each episode's goal advances to the next
+    waypoint inside the tolerance.  Episode i draws its start box from
+    SplitMix64(derive_seed(spec.seed, seeds[i])); then, once per step,
+    act(states, streams) maps (n, 4) states to (n, 2) actions and (n,)
+    skills, drawing any noise of row i from streams[i].  Rows do not interact
+    (sqrt(vecdot(d, d)) rounds as linalg.norm does on a 2-vector).  Returns
+    states (n, T, 4), actions (n, T, 2), skills (n, T) and whether each
+    episode reached every waypoint before the horizon."""
     if T < 2:
         raise ContractError(f"horizon must be >= 2, got {T}")
-    rng = SplitMix64(derive_seed(spec.seed, seed))
-    p = np.array([rng.uniform(-START_BOX, START_BOX), rng.uniform(-START_BOX, START_BOX)])
-    waypoints = [np.asarray(w) for w in spec.waypoints]
+    n = len(seeds)
+    rngs = [SplitMix64(derive_seed(spec.seed, seed)) for seed in seeds]
+    p = np.empty((n, 2))
+    for i, rng in enumerate(rngs):
+        p[i] = rng.uniform(-START_BOX, START_BOX), rng.uniform(-START_BOX, START_BOX)
+    waypoints = np.asarray(spec.waypoints, dtype=np.float64)
     n_wp = len(waypoints)
-    reached = 0
-    states = np.empty((T, STATE_DIM))
-    actions = np.empty((T, ACTION_DIM))
-    skills = np.empty(T, dtype=np.int64)
+    reached = np.zeros(n, dtype=np.int64)
+    states = np.empty((n, T, STATE_DIM))
+    actions = np.empty((n, T, ACTION_DIM))
+    skills = np.empty((n, T), dtype=np.int64)
     for t in range(T):
-        g = waypoints[min(reached, n_wp - 1)]
-        s = np.concatenate([p, g])
-        a, z = act(s, rng)
-        states[t], actions[t], skills[t] = s, a, z
+        g = waypoints[np.minimum(reached, n_wp - 1)]
+        s = np.concatenate([p, g], axis=1)
+        a, z = act(s, rngs)
+        states[:, t], actions[:, t], skills[:, t] = s, a, z
         p = p + DT * np.clip(a, -ACTION_MAX, ACTION_MAX)
-        if reached < n_wp and np.linalg.norm(waypoints[min(reached, n_wp - 1)] - p) < GOAL_TOLERANCE:
-            reached += 1
-    return Trajectory(states, actions, skills), reached == n_wp
+        d = g - p
+        reached += (reached < n_wp) & (np.sqrt(np.vecdot(d, d)) < GOAL_TOLERANCE)
+    return states, actions, skills, reached == n_wp
+
+
+def _demonstrations(spec: TaskSpec, T: int, seeds: Sequence[int]) -> list[Trajectory]:
+    """Noisy expert demonstrations with ground-truth regime labels, one per seed."""
+    states, actions, skills, _ = simulate(spec, lambda s, rngs: expert_act(spec, s, rngs), T, seeds)
+    return [Trajectory(*episode) for episode in zip(states, actions, skills)]
 
 
 def rollout_expert(spec: TaskSpec, T: int, seed: int) -> Trajectory:
     """One noisy expert demonstration with ground-truth regime labels."""
-    return _simulate(spec, T, seed, lambda s, rng: expert_action(spec, s, rng))[0]
+    return _demonstrations(spec, T, [seed])[0]
 
 
-def rollout_policy(
-    spec: TaskSpec,
-    act: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
-    T: int,
-    seeds: Sequence[int],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-loop rollouts of a batched policy in the dynamics of _simulate,
-    one episode per seed, all stepped together.
-
-    act maps (n, 4) states to (n, 2) actions and (n,) skills, once per step.
-    Episode i starts in the box drawn from SplitMix64(derive_seed(spec.seed,
-    seeds[i])) and advances its own goal, so each row is bitwise the episode
-    _simulate would give (the goal distance sqrt(vecdot(d, d)) rounds as
-    linalg.norm does on one 2-vector).  Returns the chosen skills (n, T) and
+def rollout_policy(spec: TaskSpec, act: Callable, T: int, seeds: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-loop rollouts of a batched policy act(states) -> (actions,
+    skills), one episode per seed.  Returns the chosen skills (n, T) and
     whether each episode reached every waypoint before the horizon."""
-    if T < 2:
-        raise ContractError(f"horizon must be >= 2, got {T}")
-    p = np.empty((len(seeds), 2))
-    for i, seed in enumerate(seeds):
-        rng = SplitMix64(derive_seed(spec.seed, seed))
-        p[i] = rng.uniform(-START_BOX, START_BOX), rng.uniform(-START_BOX, START_BOX)
-    waypoints = np.asarray(spec.waypoints, dtype=np.float64)
-    n_wp = len(waypoints)
-    reached = np.zeros(len(seeds), dtype=np.int64)
-    skills = np.empty((len(seeds), T), dtype=np.int64)
-    for t in range(T):
-        g = waypoints[np.minimum(reached, n_wp - 1)]
-        a, skills[:, t] = act(np.concatenate([p, g], axis=1))
-        p = p + DT * np.clip(a, -ACTION_MAX, ACTION_MAX)
-        d = g - p
-        reached += (reached < n_wp) & (np.sqrt(np.vecdot(d, d)) < GOAL_TOLERANCE)
-    return skills, reached == n_wp
+    _, _, skills, ok = simulate(spec, lambda s, rngs: act(s), T, seeds)
+    return skills, ok
 
 
 @dataclass(frozen=True)
@@ -223,7 +219,8 @@ class TaskDataset:
 def make_dataset(
     spec: TaskSpec, n_support: int, n_query: int, T: int, seed: int
 ) -> TaskDataset:
-    """n_support + n_query demonstrations from per-rollout sub-seeds.
+    """n_support + n_query demonstrations from per-rollout sub-seeds, all
+    stepped in one simulate call.
 
     Four phase batches must be drawable from the support set, hence
     n_support >= 4.
@@ -232,7 +229,7 @@ def make_dataset(
         raise ContractError(f"n_support must be >= 4, got {n_support}")
     if n_query < 1:
         raise ContractError(f"n_query must be >= 1, got {n_query}")
-    rolls = [rollout_expert(spec, T, derive_seed(seed, j)) for j in range(n_support + n_query)]
+    rolls = _demonstrations(spec, T, [derive_seed(seed, j) for j in range(n_support + n_query)])
     return TaskDataset(tuple(rolls[:n_support]), tuple(rolls[n_support:]), spec)
 
 
@@ -269,8 +266,7 @@ def save_datasets(path, datasets: Sequence[TaskDataset]) -> None:
 
 
 def load_datasets(path) -> list[TaskDataset]:
-    groups: dict[int, dict[str, list[Trajectory]]] = {}
-    order: list[int] = []
+    groups: dict[int, dict[str, list[Trajectory]]] = {}  # in first-seen order
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         if not line.strip():
             continue
@@ -287,13 +283,9 @@ def load_datasets(path) -> list[TaskDataset]:
             raise DatasetFormatError(f"line {lineno}: {e}") from e
         if split not in ("support", "query"):
             raise DatasetFormatError(f"line {lineno}: unknown split {split!r}")
-        if seed not in groups:
-            groups[seed] = {"support": [], "query": []}
-            order.append(seed)
-        groups[seed][split].append(traj)
+        groups.setdefault(seed, {"support": [], "query": []})[split].append(traj)
     out = []
-    for seed in order:
-        g = groups[seed]
+    for seed, g in groups.items():
         if not g["support"] or not g["query"]:
             raise DatasetFormatError(f"task {seed}: missing support or query trajectories")
         out.append(TaskDataset(tuple(g["support"]), tuple(g["query"]), sample_task(seed)))

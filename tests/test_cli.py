@@ -225,6 +225,10 @@ def test_config_error_exit_code(tmp_path) -> None:
         ("data", "n_support", 3),
         ("data", "n_query", 0),
         ("data", "horizon", 1),
+        ("gradcheck", "instances", 0),
+        ("dmil", "warmup_restarts", 0),
+        ("dmil", "warmup_trajs_per_task", 0),
+        ("dmil", "warmup_probe_epochs", -1),
     ],
 )
 def test_config_out_of_range_rejected(section, key, value) -> None:
@@ -232,11 +236,18 @@ def test_config_out_of_range_rejected(section, key, value) -> None:
         resolve_config({section: {key: value}})
 
 
-@pytest.mark.parametrize("shots", [[-1], [0], [1, 0], [1.0], [True], ["1"]])
-def test_config_shots_must_be_positive_integers(shots) -> None:
-    with pytest.raises(ConfigError, match=r"'eval\.shots' must list integers >= 1"):
-        resolve_config({"eval": {"shots": shots}})
-    assert resolve_config({"eval": {"shots": [1, 5]}})["eval"]["shots"] == [1, 5]
+@pytest.mark.parametrize(
+    "section,key,value",
+    [
+        pytest.param(section, key, value, id=f"{key}{i}")
+        for section, key in (("eval", "shots"), ("model", "hidden"), ("gradcheck", "inner_steps"))
+        for i, value in enumerate([[-1], [0], [1, 0], [1.0], [True], ["1"], [1.5], ["a"]])
+    ],
+)
+def test_config_shots_must_be_positive_integers(section, key, value) -> None:
+    with pytest.raises(ConfigError, match=rf"'{section}\.{key}' must list integers >= 1, got "):
+        resolve_config({section: {key: value}})
+    assert resolve_config({section: {key: [1, 5]}})[section][key] == [1, 5]
 
 
 def test_config_range_accepts_its_bounds() -> None:
@@ -244,6 +255,8 @@ def test_config_range_accepts_its_bounds() -> None:
     assert cfg["run"]["iterations"] == 0 and cfg["dmil"]["inner_rate"] == 0.0
     cfg = resolve_config({"eval": {"adapt_steps": 1, "episodes": 1}})
     assert cfg["eval"]["adapt_steps"] == 1 and cfg["eval"]["episodes"] == 1
+    cfg = resolve_config({"dmil": {"warmup_probe_epochs": 0, "warmup_restarts": 1}, "gradcheck": {"instances": 1}})
+    assert cfg["dmil"]["warmup_probe_epochs"] == 0 and cfg["gradcheck"]["instances"] == 1
 
 
 @pytest.mark.parametrize("key", ["inner_steps", "batch_size"])
@@ -260,8 +273,9 @@ def test_train_out_of_range_exits_2_before_any_output(tmp_path, key) -> None:
     [
         ("data", "n_train_tasks", 0, "config key 'data.n_train_tasks' must be >= 1, got 0"),
         ("eval", "shots", [-1], "config key 'eval.shots' must list integers >= 1, got [-1]"),
+        ("model", "hidden", [1.5], "config key 'model.hidden' must list integers >= 1, got [1.5]"),
     ],
-    ids=["n_train_tasks", "shots"],
+    ids=["n_train_tasks", "shots", "hidden"],
 )
 def test_train_without_tasks_or_shots_exits_2_before_any_output(tmp_path, caplog, section, key, value, error) -> None:
     cfg = write_tiny(tmp_path, **{section: {key: value}})

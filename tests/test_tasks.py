@@ -9,6 +9,7 @@ from dmil.tasks import (
     DOCK_SOFT,
     DT,
     GOAL_TOLERANCE,
+    START_BOX,
     DatasetFormatError,
     TaskDataset,
     TaskSpec,
@@ -181,6 +182,40 @@ def test_expert_solves_every_sampled_task() -> None:
 
 
 # ---- datasets ----
+
+
+def one_demonstration_at_a_time(spec: TaskSpec, T: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Reference demonstration: one state per step, expert_action plus the
+    noise drawn from the episode's own stream after its start box."""
+    rng = SplitMix64(derive_seed(spec.seed, seed))
+    p = np.array([rng.uniform(-START_BOX, START_BOX), rng.uniform(-START_BOX, START_BOX)])
+    waypoints = [np.asarray(w) for w in spec.waypoints]
+    reached, states, actions, skills = 0, [], [], []
+    for _ in range(T):
+        g = waypoints[min(reached, len(waypoints) - 1)]
+        s = np.concatenate([p, g])
+        a, z = expert_action(spec, s)
+        a = a + spec.noise_std * rng.normal_array(2)
+        states.append(s)
+        actions.append(a)
+        skills.append(z)
+        p = p + DT * np.clip(a, -ACTION_MAX, ACTION_MAX)
+        if reached < len(waypoints) and np.linalg.norm(g - p) < GOAL_TOLERANCE:
+            reached += 1
+    return np.array(states), np.array(actions), np.array(skills, dtype=np.int64)
+
+
+@pytest.mark.parametrize("task_seed,seed", [(0, 77), (11, 4), (3005, 1), (9002, 123)])
+def test_make_dataset_equals_one_demonstration_at_a_time(task_seed, seed) -> None:
+    spec = sample_task(task_seed)
+    ds = make_dataset(spec, 4, 3, 120, seed=seed)
+    for j, traj in enumerate(ds.support + ds.query):
+        states, actions, skills = one_demonstration_at_a_time(spec, 120, derive_seed(seed, j))
+        assert traj.states.tobytes() == states.tobytes()
+        assert traj.actions.tobytes() == actions.tobytes()
+        assert traj.true_skills.tobytes() == skills.tobytes()
+    # The demonstrations finish their tours, so the waypoint schedule is exercised.
+    assert np.array_equal(ds.query[0].states[-1, 2:], spec.waypoints[-1])
 
 
 def test_make_dataset_shapes_and_split() -> None:
