@@ -462,7 +462,8 @@ def inner_adapt(
 
     Each step linearizes the loss once; with keep the trace holds those
     linearizations for meta_grad, and without it (adaptation that is never
-    differentiated) it holds none.  rate == 0 is allowed and returns theta
+    differentiated) it holds none, and each step's linearization is dropped
+    before the next is made.  rate == 0 is allowed and returns theta
     bitwise unchanged.  If the loss grows by more than 10x over the trace
     the result is flagged as diverged (never clipped); training code
     surfaces the flag in metrics.
@@ -482,6 +483,7 @@ def inner_adapt(
         if keep:
             kept.append(point)
         p = p.minus_scaled(point.grad, rate)
+        del point  # without keep, nothing else holds it
     final_loss = loss_value(f, p, batch)
     losses.append(final_loss)
     floor = max(abs(losses[0]), 1e-300)

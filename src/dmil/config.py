@@ -93,6 +93,7 @@ OUTER_OPTIMIZERS = ("sgd", "adam")
 # "use the default"); a list-valued key must list integers >= the bound.
 RANGES = (
     ("data.n_train_tasks", 1),
+    ("data.n_test_tasks", 1),
     ("data.n_support", 4),  # the data.* bounds are tasks.make_dataset's
     ("data.n_query", 1),
     ("data.horizon", 2),
@@ -114,6 +115,8 @@ RANGES = (
     ("dmil.warmup_restarts", 1),
     ("dmil.warmup_trajs_per_task", 1),
     ("dmil.warmup_probe_epochs", 0),
+    ("dmil.warmup_epochs", 0),
+    ("dmil.warmup_consolidate", 0),
 )
 
 

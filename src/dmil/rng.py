@@ -6,6 +6,11 @@ arithmetic is modulo 2**64, so streams are byte-identical across platforms.
 Uniform doubles use the top 53 bits of one output; standard normals use
 Box-Muller with one (cos-branch) sample per pair of uniforms.  Test vectors
 live in tests/data/rng_vectors.json.
+
+Because the state is a counter, n streams can be stepped together: Streams
+holds one counter per stream, and row i of each of its draws equals the same
+draw on SplitMix64 with the i-th seed.  Both classes share one array mix and
+one Box-Muller formula.
 """
 
 from __future__ import annotations
@@ -27,6 +32,32 @@ def mix64(z: int) -> int:
     z = ((z ^ (z >> 30)) * _MIX1) & MASK64
     z = ((z ^ (z >> 27)) * _MIX2) & MASK64
     return z ^ (z >> 31)
+
+
+def _mix_array(z: np.ndarray) -> np.ndarray:
+    """mix64 over a uint64 array (wrapping arithmetic)."""
+    z = (z ^ (z >> _U64(30))) * _U64(_MIX1)
+    z = (z ^ (z >> _U64(27))) * _U64(_MIX2)
+    return z ^ (z >> _U64(31))
+
+
+def _counter(state, n: int) -> np.ndarray:
+    """The next n counter values after each uint64 state, along a new last
+    axis."""
+    return np.asarray(state, dtype=_U64)[..., None] + _U64(GAMMA) * np.arange(1, n + 1, dtype=_U64)
+
+
+def _unit(u: np.ndarray) -> np.ndarray:
+    """Doubles in [0, 1) from the top 53 bits of each output."""
+    return (u >> _U64(11)).astype(np.float64) * _TWO_NEG53
+
+
+def _box_muller(u: np.ndarray, std: float) -> np.ndarray:
+    """One normal of the given std per (even, odd) pair of outputs along the
+    last axis, cos branch only."""
+    u1 = ((u[..., 0::2] >> _U64(11)) + _U64(1)).astype(np.float64) * _TWO_NEG53  # (0, 1]
+    u2 = _unit(u[..., 1::2])  # [0, 1)
+    return std * np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
 
 
 def derive_seed(root: int, *branches: int) -> int:
@@ -55,19 +86,15 @@ class SplitMix64:
 
     def next_array(self, n: int) -> np.ndarray:
         """n outputs as a uint64 array (vectorized over the counter)."""
-        steps = np.arange(1, n + 1, dtype=_U64)
-        z = _U64(self.state) + _U64(GAMMA) * steps
+        z = _counter(self.state, n)
         self.state = (self.state + n * GAMMA) & MASK64
-        z = (z ^ (z >> _U64(30))) * _U64(_MIX1)
-        z = (z ^ (z >> _U64(27))) * _U64(_MIX2)
-        return z ^ (z >> _U64(31))
+        return _mix_array(z)
 
     # ---- floating point ----
 
     def uniform_array(self, n: int, low: float = 0.0, high: float = 1.0) -> np.ndarray:
         """n doubles in [low, high), from the top 53 bits of each output."""
-        u = (self.next_array(n) >> _U64(11)).astype(np.float64) * _TWO_NEG53
-        return low + (high - low) * u
+        return low + (high - low) * _unit(self.next_array(n))
 
     def uniform(self, low: float = 0.0, high: float = 1.0) -> float:
         u = (self.next_u64() >> 11) * _TWO_NEG53
@@ -75,10 +102,7 @@ class SplitMix64:
 
     def normal_array(self, n: int, std: float = 1.0) -> np.ndarray:
         """n standard-normal doubles via Box-Muller (cos branch only)."""
-        u = self.next_array(2 * n)
-        u1 = ((u[0::2] >> _U64(11)) + _U64(1)).astype(np.float64) * _TWO_NEG53  # (0, 1]
-        u2 = (u[1::2] >> _U64(11)).astype(np.float64) * _TWO_NEG53  # [0, 1)
-        return std * np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
+        return _box_muller(self.next_array(2 * n), std)
 
     # ---- integers ----
 
@@ -93,3 +117,29 @@ class SplitMix64:
             j = self.randint(i + 1)
             idx[i], idx[j] = idx[j], idx[i]
         return idx
+
+
+class Streams:
+    """n SplitMix64 streams stepped together, one uint64 counter each.  Row i
+    of every draw, and the i-th state afterwards, equal the same draw on
+    SplitMix64(seeds[i])."""
+
+    __slots__ = ("state",)
+
+    def __init__(self, seeds):
+        self.state = np.array([s & MASK64 for s in seeds], dtype=_U64)
+
+    def next_array(self, k: int) -> np.ndarray:
+        """(n, k) outputs: row i is next_array(k) of stream i."""
+        z = _counter(self.state, k)
+        self.state = self.state + _U64(k * GAMMA & MASK64)
+        return _mix_array(z)
+
+    def uniform_array(self, k: int, low: float = 0.0, high: float = 1.0) -> np.ndarray:
+        """(n, k) doubles: row i is uniform_array(k, low, high) of stream i,
+        which equals k uniform(low, high) calls."""
+        return low + (high - low) * _unit(self.next_array(k))
+
+    def normal_array(self, k: int, std: float = 1.0) -> np.ndarray:
+        """(n, k) normals: row i is normal_array(k, std) of stream i."""
+        return _box_muller(self.next_array(2 * k), std)

@@ -13,7 +13,10 @@ pressure) and the switch radii (selector adaptation pressure).
 
 One dynamics loop, simulate, steps the noisy expert demonstrations (all of
 a task's in one call) and the closed-loop rollouts that score a policy; each
-episode draws its start box, then any action noise, from its own stream.
+episode draws its start box, then any action noise, from its own stream,
+and the streams of all episodes draw together (rng.Streams).  The expert,
+expert_act, acts on all states of a step at once, with the same rounding
+as acting on one state at a time.
 
 Everything is deterministic given seeds via the package RNG, including the
 JSON Lines dataset files, which round-trip doubles exactly.
@@ -30,7 +33,7 @@ import numpy as np
 
 from .autodiff import ContractError
 from .data import Trajectory
-from .rng import SplitMix64, derive_seed
+from .rng import SplitMix64, Streams, derive_seed
 
 DT = 0.1
 ACTION_MAX = 1.0
@@ -105,64 +108,54 @@ def _rot(angle: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]])
 
 
-def expert_action(spec: TaskSpec, state) -> tuple[np.ndarray, int]:
-    """Noise-free controller action and regime for state [px, py, gx, gy]."""
-    state = np.asarray(state, dtype=np.float64)
-    p, g = state[0:2], state[2:4]
-    delta = g - p
-    d = float(np.linalg.norm(delta))
-    r1, r2 = spec.switch_radii
-    if d > r1:
-        skill = 0
-        a = spec.gain_scale * (_rot(spec.rotation_angle) @ (delta / max(d, 1e-6)))
-    elif d > r2:
-        skill = 1
-        a = spec.gain_scale * (_rot(spec.rotation_angle + np.pi / 2) @ (delta / max(d, 1e-6)))
-    else:
-        skill = 2
-        # Saturated-proportional pull straight at the goal: constant speed
-        # down to DOCK_SOFT, then proportional decay, so docking finishes
-        # within the horizon and the mass settles instead of hovering.
-        # Unrotated on purpose: it stays at least the rotation angle away
-        # from the approach field and a quarter turn minus the rotation away
-        # from the orbit field for every task, so no two regimes can share a
-        # direction structure.
-        a = DOCK_GAIN * spec.gain_scale * (delta / max(d, DOCK_SOFT))
-    return a, skill
-
-
 def expert_act(
-    spec: TaskSpec, states: np.ndarray, rngs: Sequence[SplitMix64] | None = None
+    spec: TaskSpec, states: np.ndarray, streams: Streams | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """expert_action row by row: (n, 4) states give (n, 2) actions and (n,)
-    regimes.  Given one stream per row, row i adds noise of std
-    spec.noise_std drawn from rngs[i]."""
-    actions = np.empty((len(states), ACTION_DIM))
-    skills = np.empty(len(states), dtype=np.int64)
-    for i, s in enumerate(states):
-        actions[i], skills[i] = expert_action(spec, s)
-        if rngs is not None and spec.noise_std > 0:
-            actions[i] += spec.noise_std * rngs[i].normal_array(2)
+    """The controller on (n, 4) states [px, py, gx, gy]: (n, 2) actions and
+    (n,) regimes.  Given one stream per row, every row adds noise of std
+    spec.noise_std, drawn from its own stream.
+
+    Far from the goal (d > r1) the action is the gain times the unit goal
+    direction rotated by the task angle; between the radii the rotation is a
+    quarter turn more.  Each row is rotated by its own 2x2 product, so it
+    rounds as one-state arithmetic does.  Inside r2 it is a
+    saturated-proportional pull straight at the goal: constant speed down to
+    DOCK_SOFT, then proportional decay, so docking finishes within the
+    horizon and the mass settles instead of hovering.  The pull is unrotated
+    on purpose: it stays at least the rotation angle away from the approach
+    field and a quarter turn minus the rotation away from the orbit field
+    for every task, so no two regimes can share a direction structure.
+    """
+    delta = states[:, 2:4] - states[:, 0:2]
+    d = np.sqrt(np.vecdot(delta, delta))
+    r1, r2 = spec.switch_radii
+    skills = np.where(d > r1, 0, np.where(d > r2, 1, 2))
+    unit = (delta / np.maximum(d, 1e-6)[:, None])[:, :, None]
+    approach = spec.gain_scale * (_rot(spec.rotation_angle) @ unit)[:, :, 0]
+    orbit = spec.gain_scale * (_rot(spec.rotation_angle + np.pi / 2) @ unit)[:, :, 0]
+    dock = DOCK_GAIN * spec.gain_scale * (delta / np.maximum(d, DOCK_SOFT)[:, None])
+    actions = np.choose(skills[:, None], (approach, orbit, dock))
+    if streams is not None and spec.noise_std > 0:
+        actions = actions + spec.noise_std * streams.normal_array(ACTION_DIM)
     return actions, skills
 
 
 def simulate(spec: TaskSpec, act: Callable, T: int, seeds: Sequence[int]) -> tuple[np.ndarray, ...]:
     """The dynamics loop, one episode per seed, all stepped together:
     p' = p + DT * clip(a), and each episode's goal advances to the next
-    waypoint inside the tolerance.  Episode i draws its start box from
-    SplitMix64(derive_seed(spec.seed, seeds[i])); then, once per step,
-    act(states, streams) maps (n, 4) states to (n, 2) actions and (n,)
-    skills, drawing any noise of row i from streams[i].  Rows do not interact
+    waypoint inside the tolerance.  Episode i has the stream
+    SplitMix64(derive_seed(spec.seed, seeds[i])), row i of one Streams; it
+    draws its start box from it, then, once per step, act(states, streams)
+    maps (n, 4) states to (n, 2) actions and (n,) skills, drawing any noise
+    of row i from that stream.  Rows do not interact
     (sqrt(vecdot(d, d)) rounds as linalg.norm does on a 2-vector).  Returns
     states (n, T, 4), actions (n, T, 2), skills (n, T) and whether each
     episode reached every waypoint before the horizon."""
     if T < 2:
         raise ContractError(f"horizon must be >= 2, got {T}")
     n = len(seeds)
-    rngs = [SplitMix64(derive_seed(spec.seed, seed)) for seed in seeds]
-    p = np.empty((n, 2))
-    for i, rng in enumerate(rngs):
-        p[i] = rng.uniform(-START_BOX, START_BOX), rng.uniform(-START_BOX, START_BOX)
+    streams = Streams([derive_seed(spec.seed, seed) for seed in seeds])
+    p = streams.uniform_array(2, -START_BOX, START_BOX)
     waypoints = np.asarray(spec.waypoints, dtype=np.float64)
     n_wp = len(waypoints)
     reached = np.zeros(n, dtype=np.int64)
@@ -172,7 +165,7 @@ def simulate(spec: TaskSpec, act: Callable, T: int, seeds: Sequence[int]) -> tup
     for t in range(T):
         g = waypoints[np.minimum(reached, n_wp - 1)]
         s = np.concatenate([p, g], axis=1)
-        a, z = act(s, rngs)
+        a, z = act(s, streams)
         states[:, t], actions[:, t], skills[:, t] = s, a, z
         p = p + DT * np.clip(a, -ACTION_MAX, ACTION_MAX)
         d = g - p
@@ -182,7 +175,7 @@ def simulate(spec: TaskSpec, act: Callable, T: int, seeds: Sequence[int]) -> tup
 
 def _demonstrations(spec: TaskSpec, T: int, seeds: Sequence[int]) -> list[Trajectory]:
     """Noisy expert demonstrations with ground-truth regime labels, one per seed."""
-    states, actions, skills, _ = simulate(spec, lambda s, rngs: expert_act(spec, s, rngs), T, seeds)
+    states, actions, skills, _ = simulate(spec, lambda s, streams: expert_act(spec, s, streams), T, seeds)
     return [Trajectory(*episode) for episode in zip(states, actions, skills)]
 
 
@@ -195,7 +188,7 @@ def rollout_policy(spec: TaskSpec, act: Callable, T: int, seeds: Sequence[int]) 
     """Closed-loop rollouts of a batched policy act(states) -> (actions,
     skills), one episode per seed.  Returns the chosen skills (n, T) and
     whether each episode reached every waypoint before the horizon."""
-    _, _, skills, ok = simulate(spec, lambda s, rngs: act(s), T, seeds)
+    _, _, skills, ok = simulate(spec, lambda s, streams: act(s), T, seeds)
     return skills, ok
 
 

@@ -1,4 +1,5 @@
 import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -16,7 +17,8 @@ from dmil.autodiff import (
     meta_grad,
     value_and_grad,
 )
-from dmil.dmil import HighBatch, tape_high_loss
+from dmil.dmil import HighBatch, SkillBatch, tape_high_loss
+from dmil.kernels import SkillMseLoss
 from dmil.policies import MlpShape, init_params, mlp_logits
 from dmil.rng import SplitMix64
 
@@ -185,6 +187,54 @@ def test_inner_adapt_exact_replay_invariant() -> None:
         assert np.array_equal(p.values, point.values)
         p = p.minus_scaled(value_and_grad(f, p, None)[1], trace.rate)
     assert np.array_equal(p.values, trace.final.values)
+
+
+def recording_linearize(monkeypatch, on_call):
+    """Patch autodiff.linearize so each call runs on_call(refs) first, refs
+    being weak references to every point returned so far."""
+    refs: list[weakref.ref] = []
+    real = ad.linearize
+
+    def wrapped(f, theta, batch):
+        on_call(refs)
+        point = real(f, theta, batch)
+        refs.append(weakref.ref(point))
+        return point
+
+    monkeypatch.setattr(ad, "linearize", wrapped)
+    return refs
+
+
+def mse_kernel_instance():
+    rng = SplitMix64(34)
+    shape = MlpShape((3, 6, 2))
+    x = rng.uniform_array(7 * 3, -1.0, 1.0).reshape(7, 3)
+    y = rng.uniform_array(7 * 2, -1.0, 1.0).reshape(7, 2)
+    return SkillMseLoss(shape), ParamVector(rng.uniform_array(shape.n_params, -0.8, 0.8)), SkillBatch(x, y)
+
+
+def test_inner_adapt_without_keep_holds_one_linearization(monkeypatch) -> None:
+    f, theta, batch = mse_kernel_instance()
+    want = inner_adapt(f, theta, 0.05, batch, 4, keep=False)
+    alive_at_call: list[int] = []
+    refs = recording_linearize(monkeypatch, lambda refs: alive_at_call.append(sum(r() is not None for r in refs)))
+    got = inner_adapt(f, theta, 0.05, batch, 4, keep=False)
+    # Step k's point is dead by the time step k + 1 linearizes.
+    assert alive_at_call == [0, 0, 0, 0]
+    assert all(r() is None for r in refs)
+    assert got.final.values.tobytes() == want.final.values.tobytes()
+    assert got.losses == want.losses and got.linearized == ()
+
+
+def test_inner_adapt_with_keep_holds_every_linearization(monkeypatch) -> None:
+    f, theta, batch = mse_kernel_instance()
+    want = inner_adapt(f, theta, 0.05, batch, 4)
+    refs = recording_linearize(monkeypatch, lambda refs: None)
+    got = inner_adapt(f, theta, 0.05, batch, 4)
+    assert len(refs) == 4 and all(r() is not None for r in refs)
+    assert [r() for r in refs] == list(got.linearized)
+    g = ParamVector(np.ones(len(theta)))
+    assert meta_grad(got, g).values.tobytes() == meta_grad(want, g).values.tobytes()
 
 
 def test_inner_adapt_flags_divergence() -> None:

@@ -142,6 +142,16 @@ def test_gen_data_roundtrip(tmp_path) -> None:
     assert all(len(t.support) == 6 for t in train_tasks)
 
 
+def test_gen_data_reproduces_pinned_sha256(tmp_path) -> None:
+    pin = json.loads((Path(__file__).parent / "data" / "gen_data_sha256.json").read_text())
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(pin["config"]))
+    out = tmp_path / "data"
+    assert main(["gen-data", "--config", str(cfg), "--out", str(out)]) == 0
+    got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in pin["sha256"]}
+    assert got == pin["sha256"], f"generator output moved (pinned under {pin['environment']})"
+
+
 def test_eval_command_writes_reports(tmp_path) -> None:
     cfg = write_tiny(tmp_path)
     run_dir, eval_dir = tmp_path / "run", tmp_path / "eval"
@@ -229,6 +239,9 @@ def test_config_error_exit_code(tmp_path) -> None:
         ("dmil", "warmup_restarts", 0),
         ("dmil", "warmup_trajs_per_task", 0),
         ("dmil", "warmup_probe_epochs", -1),
+        ("data", "n_test_tasks", 0),
+        ("dmil", "warmup_epochs", -1),
+        ("dmil", "warmup_consolidate", -1),
     ],
 )
 def test_config_out_of_range_rejected(section, key, value) -> None:
@@ -257,6 +270,9 @@ def test_config_range_accepts_its_bounds() -> None:
     assert cfg["eval"]["adapt_steps"] == 1 and cfg["eval"]["episodes"] == 1
     cfg = resolve_config({"dmil": {"warmup_probe_epochs": 0, "warmup_restarts": 1}, "gradcheck": {"instances": 1}})
     assert cfg["dmil"]["warmup_probe_epochs"] == 0 and cfg["gradcheck"]["instances"] == 1
+    cfg = resolve_config({"data": {"n_test_tasks": 1}, "dmil": {"warmup_epochs": 0, "warmup_consolidate": 0}})
+    assert cfg["data"]["n_test_tasks"] == 1
+    assert cfg["dmil"]["warmup_epochs"] == 0 and cfg["dmil"]["warmup_consolidate"] == 0
 
 
 @pytest.mark.parametrize("key", ["inner_steps", "batch_size"])

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dmil.rng import MASK64, SplitMix64, derive_seed, mix64
+from dmil.rng import MASK64, SplitMix64, Streams, derive_seed, mix64
 
 VECTORS = json.loads((Path(__file__).parent / "data" / "rng_vectors.json").read_text())
 
@@ -47,6 +47,35 @@ def test_vectorized_equals_scalar(n: int) -> None:
     scalars = [b.next_u64() for _ in range(n)]
     assert [int(x) for x in arr] == scalars
     assert a.state == b.state
+
+
+SEEDS = [0, 1, MASK64, 2**63, 0xDEADBEEF, derive_seed(3, 4)]
+
+
+def test_streams_equal_scalar_calls_per_stream() -> None:
+    streams, rngs = Streams(SEEDS), [SplitMix64(s) for s in SEEDS]
+    box = streams.uniform_array(2, -0.2, 0.2)
+    assert box.shape == (len(SEEDS), 2)
+    for row, rng in zip(box, rngs):
+        assert row.tobytes() == np.array([rng.uniform(-0.2, 0.2), rng.uniform(-0.2, 0.2)]).tobytes()
+    for _ in range(5):
+        noise = streams.normal_array(2)
+        for row, rng in zip(noise, rngs):
+            assert row.tobytes() == rng.normal_array(2).tobytes()
+    draws = streams.next_array(3)
+    for row, rng in zip(draws, rngs):
+        assert [int(x) for x in row] == [rng.next_u64() for _ in range(3)]
+    assert [int(x) for x in streams.state] == [rng.state for rng in rngs]
+
+
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_streams_normal_std_and_width_match_per_stream(k: int) -> None:
+    streams, rngs = Streams(SEEDS), [SplitMix64(s) for s in SEEDS]
+    z = streams.normal_array(k, std=0.01)
+    assert z.shape == (len(SEEDS), k)
+    for row, rng in zip(z, rngs):
+        assert row.tobytes() == rng.normal_array(k, std=0.01).tobytes()
+    assert [int(x) for x in streams.state] == [rng.state for rng in rngs]
 
 
 def test_uniform_range_and_determinism() -> None:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dmil.autodiff import ContractError
 from dmil.rng import SplitMix64, derive_seed
@@ -13,7 +15,7 @@ from dmil.tasks import (
     DatasetFormatError,
     TaskDataset,
     TaskSpec,
-    expert_action,
+    expert_act,
     load_datasets,
     make_dataset,
     rollout_expert,
@@ -63,9 +65,36 @@ def test_taskspec_invariants_enforced() -> None:
 # ---- expert controller ----
 
 
+def expert_action(spec: TaskSpec, state) -> tuple[np.ndarray, int]:
+    """Reference controller, one state at a time: action and regime for
+    state [px, py, gx, gy], the rotation as one 2x2 product per state."""
+    state = np.asarray(state, dtype=np.float64)
+    p, g = state[0:2], state[2:4]
+    delta = g - p
+    d = float(np.linalg.norm(delta))
+    r1, r2 = spec.switch_radii
+    if d > r1:
+        return spec.gain_scale * (rot(spec.rotation_angle) @ (delta / max(d, 1e-6))), 0
+    if d > r2:
+        return spec.gain_scale * (rot(spec.rotation_angle + np.pi / 2) @ (delta / max(d, 1e-6))), 1
+    return DOCK_GAIN * spec.gain_scale * (delta / max(d, DOCK_SOFT)), 2
+
+
+def rot(angle: float) -> np.ndarray:
+    c, s = np.cos(angle), np.sin(angle)
+    return np.array([[c, -s], [s, c]])
+
+
+def act_one(spec: TaskSpec, state) -> tuple[np.ndarray, int]:
+    """expert_act on a one-row batch."""
+    a, z = expert_act(spec, np.asarray(state, dtype=np.float64)[None])
+    assert a.shape == (1, 2) and z.shape == (1,)
+    return a[0], int(z[0])
+
+
 def test_expert_at_goal_zero_action_dock() -> None:
     spec = sample_task(3)
-    a, z = expert_action(spec, np.array([1.0, -2.0, 1.0, -2.0]))
+    a, z = act_one(spec, [1.0, -2.0, 1.0, -2.0])
     assert np.array_equal(a, np.zeros(2))
     assert z == 2
 
@@ -73,7 +102,7 @@ def test_expert_at_goal_zero_action_dock() -> None:
 def test_expert_identity_task_unit_vector_approach() -> None:
     spec = TaskSpec(0, 0.0, 1.0, (0.5, 0.25), ((2.0, 0.0), (3.0, 0.0)), 0.0)
     d = 2 * spec.switch_radii[0]
-    a, z = expert_action(spec, np.array([0.0, 0.0, d, 0.0]))
+    a, z = act_one(spec, [0.0, 0.0, d, 0.0])
     assert z == 0
     assert a == pytest.approx([1.0, 0.0])
 
@@ -84,8 +113,8 @@ def test_expert_skill_boundaries_match_brute_force() -> None:
         spec = sample_task(seed)
         r1, r2 = spec.switch_radii
         states = rng.uniform_array(4 * 50, -2.0, 2.0).reshape(50, 4)
-        for s in states:
-            _, z = expert_action(spec, s)
+        _, skills = expert_act(spec, states)
+        for s, z in zip(states, skills):
             dist = np.sqrt((s[2] - s[0]) ** 2 + (s[3] - s[1]) ** 2)
             want = 0 if dist > r1 else (1 if dist > r2 else 2)
             assert z == want
@@ -95,14 +124,60 @@ def test_expert_orbit_is_perpendicular_to_goal_direction() -> None:
     spec = noiseless(sample_task(9))
     r1, r2 = spec.switch_radii
     d = (r1 + r2) / 2
-    s = np.array([0.0, 0.0, d, 0.0])
-    a, z = expert_action(spec, s)
+    a, z = act_one(spec, [0.0, 0.0, d, 0.0])
     assert z == 1
     # Same magnitude as the approach action, rotated a quarter turn further.
-    approach, _ = expert_action(spec, np.array([0.0, 0.0, 2 * r1, 0.0]))
+    approach, _ = act_one(spec, [0.0, 0.0, 2 * r1, 0.0])
     assert np.linalg.norm(a) == pytest.approx(spec.gain_scale)
     ang = np.arctan2(a[1], a[0]) - np.arctan2(approach[1], approach[0])
     assert np.cos(ang) == pytest.approx(0.0, abs=1e-12)
+
+
+coordinate = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
+
+
+@st.composite
+def expert_state(draw, spec: TaskSpec) -> list[float]:
+    """A state anywhere, or one whose goal distance sits exactly on a switch
+    radius, just beside it, at zero, below 1e-6 or inside DOCK_SOFT."""
+    px, py = draw(coordinate), draw(coordinate)
+    r1, r2 = spec.switch_radii
+    kind = draw(st.sampled_from(["free", "r1", "r2", "beside", "goal", "tiny", "soft"]))
+    if kind == "free":
+        return [px, py, draw(coordinate), draw(coordinate)]
+    if kind == "goal":
+        return [px, py, px, py]
+    if kind in ("r1", "r2"):
+        # From the origin along an axis, the distance is the radius exactly.
+        r = r1 if kind == "r1" else r2
+        gx, gy = draw(st.sampled_from([(r, 0.0), (-r, 0.0), (0.0, r), (0.0, -r)]))
+        return [0.0, 0.0, gx, gy]
+    if kind == "beside":
+        r = np.nextafter(draw(st.sampled_from([r1, r2])), draw(st.sampled_from([-np.inf, np.inf])))
+        return [0.0, 0.0, 0.0, float(r)]
+    top = 1e-6 if kind == "tiny" else DOCK_SOFT
+    return [px, py, px + draw(st.floats(-top, top)), py + draw(st.floats(-top, top))]
+
+
+@given(data=st.data(), task_seed=st.integers(0, 10_000), n=st.integers(1, 12))
+@settings(max_examples=300, deadline=None)
+def test_expert_act_equals_reference_row_by_row(data, task_seed, n) -> None:
+    spec = sample_task(task_seed)
+    states = np.array([data.draw(expert_state(spec)) for _ in range(n)])
+    actions, skills = expert_act(spec, states)
+    assert actions.shape == (n, 2) and skills.dtype == np.int64
+    for s, a, z in zip(states, actions, skills):
+        want_a, want_z = expert_action(spec, s)
+        assert z == want_z
+        assert a.tobytes() == want_a.tobytes()
+
+
+def test_expert_act_radius_cases_pick_the_inner_regime() -> None:
+    spec = sample_task(4)
+    r1, r2 = spec.switch_radii
+    states = np.array([[0.0, 0.0, r1, 0.0], [0.0, 0.0, 0.0, -r2], [0.5, 0.5, 0.5, 0.5]])
+    _, skills = expert_act(spec, states)
+    assert skills.tolist() == [1, 2, 2]
 
 
 # ---- rollouts ----
