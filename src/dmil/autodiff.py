@@ -5,11 +5,13 @@ protocol): linearize evaluates the loss once at a parameter vector and
 returns its value, its gradient and Hessian-vector products at that vector
 (a Linearization).  loss_value, linearize, value_and_grad and hvp wrap those
 methods and check that every loss, gradient and Hessian-vector product is
-finite.  The training losses are closed-form (dmil.kernels); TapeLoss adapts
-a function written on the small operation tape below, which is their
-reference.  The tape covers dense matmul plus elementwise ops, enough for
-fully-connected networks; its backward passes are built out of tape ops, so
-its hvp is an exact reverse-over-reverse product.
+finite.  The training losses are closed-form (dmil.kernels).  The small
+operation tape below is only their test reference: tests/oracle.py writes
+the same losses on it and adapts them to the Loss protocol, and no training,
+evaluation or gradcheck path builds a tape.  The tape covers dense matmul
+plus elementwise ops, enough for fully-connected networks; its backward
+passes are built out of tape ops, so differentiating one again gives exact
+reverse-over-reverse Hessian-vector products.
 
 inner_adapt records plain gradient-descent steps and keeps each step's
 linearization, and meta_grad backpropagates an outer gradient through them
@@ -24,7 +26,7 @@ convention; finite-difference checks must stay away from kinks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Protocol, Sequence
+from typing import Protocol, Sequence
 
 import numpy as np
 
@@ -334,41 +336,6 @@ class Loss(Protocol):
     def value(self, theta: np.ndarray, batch) -> float: ...
 
     def linearize(self, theta: np.ndarray, batch) -> Linearization: ...
-
-
-# A tape function maps (params node, batch) -> scalar node.
-TapeFn = Callable[[Node, object], Node]
-
-
-class TapeLoss:
-    """A loss written as a tape function, differentiated by the tape: the
-    reference that the closed-form losses in dmil.kernels are tested against
-    (hvp is reverse-over-reverse on the tape built once per point)."""
-
-    def __init__(self, fn: TapeFn, name: str | None = None):
-        self.fn = fn
-        self.name = name or getattr(fn, "__name__", "loss")
-
-    def value(self, theta: np.ndarray, batch) -> float:
-        return float(self.fn(constant(theta), batch).value)
-
-    def linearize(self, theta: np.ndarray, batch) -> "_TapePoint":
-        return _TapePoint(self.fn, theta, batch)
-
-
-class _TapePoint:
-    """The tape of one loss evaluation and of its backward pass.  Tape
-    values may alias each other or the input, so results are copies."""
-
-    def __init__(self, fn: TapeFn, theta: np.ndarray, batch):
-        self._p = leaf(theta)
-        out = fn(self._p, batch)
-        self._g = backward(out, [self._p])[0]
-        self.value = float(out.value)
-        self.grad = self._g.value.copy()
-
-    def hvp(self, v: np.ndarray) -> np.ndarray:
-        return backward(asum(mul(self._g, constant(v))), [self._p])[0].value.copy()
 
 
 @dataclass(frozen=True)

@@ -69,7 +69,7 @@ def load_checkpoint(path) -> Checkpoint:
             tuple(ParamVector(np.array(s, dtype=np.float64)) for s in doc["skills"]),
             MlpShape(tuple(doc["shapes"]["high"])),
             MlpShape(tuple(doc["shapes"]["skill"])),
-            doc.get("features", "raw"),
+            doc["features"],
         )
         ckpt = Checkpoint(params, doc["method"], int(doc["rng_state"]), int(doc["iteration"]))
         k = doc["K"]

@@ -90,7 +90,8 @@ METHODS = {
 }
 OUTER_OPTIMIZERS = ("sgd", "adam")
 # Lower bounds of numeric keys, checked after the merge (a None value means
-# "use the default"); a list-valued key must list integers >= the bound.
+# "use the default"); a list-valued key must list integers >= the bound, and
+# at least one unless it is model.hidden (empty: no hidden layer).
 RANGES = (
     ("data.n_train_tasks", 1),
     ("data.n_test_tasks", 1),
@@ -167,6 +168,8 @@ def resolve_config(overrides: dict | None = None, seed: int | None = None) -> di
         if isinstance(value, list):
             if not all(type(k) is int and k >= low for k in value):
                 raise ConfigError(f"config key {key!r} must list integers >= {low}, got {value!r}")
+            if not value and key != "model.hidden":
+                raise ConfigError(f"config key {key!r} must list at least one integer")
         elif value is not None and value < low:
             raise ConfigError(f"config key {key!r} must be >= {low}, got {value!r}")
     return cfg

@@ -50,7 +50,7 @@ from .autodiff import (
 )
 from .data import Trajectory, flatten_trajectories
 from .kernels import SelectorLoss, SkillMseLoss
-from .policies import HierarchicalParams, MlpShape, featurize, mlp_forward, mlp_logits
+from .policies import HierarchicalParams, MlpShape, featurize, mlp_forward
 from .rng import SplitMix64, derive_seed
 
 # ---------------------------------------------------------------------------
@@ -141,45 +141,6 @@ class HighBatch:
         object.__setattr__(self, "pairs", pairs)
         object.__setattr__(self, "n_pairs", np.sum(pairs))
         object.__setattr__(self, "ce_grad", self.onehot * (-1.0 / n))
-
-
-def tape_high_loss(shape: MlpShape) -> ad.TapeLoss:
-    """SelectorLoss on the tape: the reference for the closed form."""
-
-    def selector_loss(p: ad.Node, batch: HighBatch) -> ad.Node:
-        logits = mlp_logits(p, shape, batch.states)
-        logp = ad.log_softmax(logits)
-        ce = ad.neg(ad.mean(ad.sum_cols(ad.mul(logp, ad.constant(batch.onehot)))))
-        if batch.aux_weight == 0.0:
-            return ce
-        probs = ad.exp(logp)
-        total_dot = None
-        pairs = 0
-        for start, stop in batch.slices:
-            if stop - start < 2:
-                continue
-            d = ad.asum(
-                ad.mul(ad.slice_rows(probs, start, stop - 1), ad.slice_rows(probs, start + 1, stop))
-            )
-            total_dot = d if total_dot is None else ad.add(total_dot, d)
-            pairs += stop - start - 1
-        if total_dot is None:
-            return ce
-        aux = ad.sadd(ad.smul(total_dot, -1.0 / pairs), 1.0)
-        return ad.add(ce, ad.smul(aux, batch.aux_weight))
-
-    return ad.TapeLoss(selector_loss, SelectorLoss.name)
-
-
-def tape_skill_loss(shape: MlpShape) -> ad.TapeLoss:
-    """SkillMseLoss on the tape: the reference for the closed form."""
-
-    def skill_mse_loss(p: ad.Node, batch: SkillBatch) -> ad.Node:
-        pred = mlp_logits(p, shape, batch.states)
-        r = ad.sub(pred, ad.constant(batch.actions))
-        return ad.smul(ad.asum(ad.mul(r, r)), 1.0 / batch.states.shape[0])
-
-    return ad.TapeLoss(skill_mse_loss, SkillMseLoss.name)
 
 
 def high_batch(p: Pool, labels: np.ndarray, n_skills: int, aux_weight: float) -> HighBatch:

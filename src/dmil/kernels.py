@@ -15,8 +15,8 @@ linearize runs the forward pass, the loss head and the backward pass once and
 returns an MlpPoint, which keeps the forward activations and the head's
 context; each hvp at that point then runs only the R-passes.
 
-These are the losses of the training hot path; autodiff.TapeLoss over the
-tape closures in dmil (tape_high_loss, tape_skill_loss) is their reference.
+These are the only losses the package differentiates; the test suite checks
+them against the same losses written on the autodiff tape (tests/oracle.py).
 Every method takes and returns float64 arrays; finiteness is checked by the
 callers in autodiff.
 """

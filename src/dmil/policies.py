@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
-from .autodiff import ContractError, Node, ParamVector
+from .autodiff import ContractError, ParamVector
 from .kernels import forward, unpack
 from .rng import SplitMix64, derive_seed
 
@@ -99,27 +98,6 @@ def _check_input(shape: MlpShape, x: np.ndarray) -> np.ndarray:
     if x.ndim != 2 or x.shape[1] != shape.in_dim:
         raise ContractError(f"input shape {x.shape} does not match network input {shape.in_dim}")
     return x
-
-
-def mlp_logits(p: Node, shape: MlpShape, x) -> Node:
-    """Tape forward pass: (N, in) -> (N, out) from the flat parameter node."""
-    h = x if isinstance(x, Node) else ad.constant(_check_input(shape, x))
-    if h.value.shape[1] != shape.in_dim:
-        raise ContractError(
-            f"input shape {h.value.shape} does not match network input {shape.in_dim}"
-        )
-    sizes = shape.layer_sizes
-    offset = 0
-    last = len(sizes) - 2
-    for i in range(len(sizes) - 1):
-        nin, nout = sizes[i], sizes[i + 1]
-        w = ad.reshape(ad.slice1d(p, offset, offset + nin * nout), (nin, nout))
-        offset += nin * nout
-        b = ad.slice1d(p, offset, offset + nout)
-        offset += nout
-        z = ad.add_rowvec(ad.matmul(h, w), b)
-        h = ad.relu(z) if i < last else z
-    return h
 
 
 def mlp_forward(theta: ParamVector, shape: MlpShape, x) -> np.ndarray:

@@ -19,7 +19,6 @@ from typing import Sequence
 
 import numpy as np
 
-from . import autodiff as ad
 from .autodiff import ContractError, ParamVector, inner_adapt, loss_value
 from .baselines import em_only_train, hard_em_grads, maml_train_step  # noqa: F401  (train calls steps by name)
 from .checkpoint import save_checkpoint
@@ -36,14 +35,11 @@ from .dmil import (
     partition_by_skill,
     pool,
     route,
-    tape_high_loss,
-    tape_skill_loss,
 )
 from .evaluation import (
     HierarchicalPolicy,
     adapted_skill_accuracy,
     fd_check,
-    max_rel_err,
     query_mse,
     rollout_stats,
     write_report_csv,
@@ -327,7 +323,7 @@ def evaluate(
     task shares, and once by each adapted policy, whose actions and skills
     give the post-adaptation MSE and the skill recovery."""
     e = cfg["eval"]
-    most = max(e["shots"], default=0)
+    most = max(e["shots"])
     for task in test_tasks:
         if most > len(task.support):
             raise ContractError(
@@ -380,22 +376,19 @@ GRADCHECK_TRAJECTORIES = 1
 GRADCHECK_HORIZON = 16
 GRADCHECK_INNER_RATE = 5e-4
 GRADCHECK_FD_STEP = 1e-5
-# Largest relative differences allowed against finite differences, and
-# between the closed-form and the tape meta-gradients: both of the latter
-# are exact, so only rounding separates them.
+# Largest relative difference allowed against finite differences.
 GRADCHECK_TOLERANCE = 1e-4
-TAPE_TOLERANCE = 1e-10
 
 
 def gradcheck_run(cfg: dict) -> dict:
     """Exact selector/sub-skill meta-gradients on random small instances,
-    checked against two references: central finite differences of the
-    composed adapt-then-evaluate objectives (within GRADCHECK_TOLERANCE), and
-    the same meta-gradients with the tape losses (within TAPE_TOLERANCE).
-    Returns a report with the worst errors."""
+    checked against central finite differences of the composed
+    adapt-then-evaluate objectives.  Returns a report with the worst errors;
+    it passes if at least one sub-skill objective was checked and every
+    error is within GRADCHECK_TOLERANCE."""
     g = cfg["gradcheck"]
     t0 = time.perf_counter()
-    worst_high = worst_low = worst_tape_high = worst_tape_low = 0.0
+    worst_high = worst_low = 0.0
     checked = 0
     rate, aux = GRADCHECK_INNER_RATE, 0.1
     for i in range(g["instances"]):
@@ -420,10 +413,6 @@ def gradcheck_run(cfg: dict) -> dict:
                 return loss_value(high_loss_fn, tr.final, batch3)
 
             worst_high = max(worst_high, fd_check(high_objective, params.high.values, exact_h.values, GRADCHECK_FD_STEP))
-            tape_h = tape_high_loss(params.high_shape)
-            tr = inner_adapt(tape_h, params.high, rate, batch1, steps)
-            ref_h = ad.meta_grad(tr, ad.value_and_grad(tape_h, tr.final, batch3)[1])
-            worst_tape_high = max(worst_tape_high, max_rel_err(exact_h.values, ref_h.values))
 
             # Sub-skills: per-skill composed objectives on the routed batches.
             batches2, batches4 = (
@@ -431,7 +420,6 @@ def gradcheck_run(cfg: dict) -> dict:
             )
             exact_l = lo_grad(traces_l, params, batches4)[0]
             skill_loss_fn = SkillMseLoss(params.skill_shape)
-            tape_skill = tape_skill_loss(params.skill_shape)
             for k, (batch2k, batch4k) in enumerate(zip(batches2, batches4)):
                 if not len(batch2k) or not len(batch4k):
                     continue
@@ -441,9 +429,6 @@ def gradcheck_run(cfg: dict) -> dict:
                     return loss_value(skill_loss_fn, tr.final, b4)
 
                 worst_low = max(worst_low, fd_check(low_objective, params.skills[k].values, exact_l[k].values, GRADCHECK_FD_STEP))
-                tr = inner_adapt(tape_skill, params.skills[k], rate, batch2k, steps)
-                ref = ad.meta_grad(tr, ad.value_and_grad(tape_skill, tr.final, batch4k)[1])
-                worst_tape_low = max(worst_tape_low, max_rel_err(exact_l[k].values, ref.values))
                 checked += 1
     elapsed = time.perf_counter() - t0
     return {
@@ -451,14 +436,8 @@ def gradcheck_run(cfg: dict) -> dict:
         "skill_objectives_checked": checked,
         "max_rel_err_high": worst_high,
         "max_rel_err_low": worst_low,
-        "max_rel_err_tape_high": worst_tape_high,
-        "max_rel_err_tape_low": worst_tape_low,
         "tolerance": GRADCHECK_TOLERANCE,
-        "tape_tolerance": TAPE_TOLERANCE,
-        "pass": bool(
-            max(worst_high, worst_low) <= GRADCHECK_TOLERANCE
-            and max(worst_tape_high, worst_tape_low) <= TAPE_TOLERANCE
-        ),
+        "pass": bool(checked > 0 and max(worst_high, worst_low) <= GRADCHECK_TOLERANCE),
         "elapsed_seconds": elapsed,
     }
 

@@ -233,7 +233,10 @@ def make_dataset(
 # One line per trajectory: {"task_seed", "split", "states", "actions",
 # "true_skills"}.  Doubles serialize via repr, so load(save(x)) reproduces
 # every value exactly.  Specs are reconstructed through sample_task, so the
-# format covers sampler-produced tasks (the only kind the tooling writes).
+# format covers sampler-produced tasks (the only kind the tooling writes);
+# loading checks each line against what the simulator writes: an integer
+# task seed, (T, STATE_DIM) states, (T, ACTION_DIM) actions and regime labels
+# in [0, N_REGIMES).
 
 
 def save_datasets(path, datasets: Sequence[TaskDataset]) -> None:
@@ -258,20 +261,32 @@ def save_datasets(path, datasets: Sequence[TaskDataset]) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _record(rec: dict) -> tuple[int, str, Trajectory]:
+    """One line's task seed, split and trajectory; ValueError if a field
+    is not what the simulator writes."""
+    seed = rec["task_seed"]
+    if type(seed) is not int:
+        raise ValueError(f"task_seed must be an integer, got {seed!r}")
+    states = np.array(rec["states"], dtype=np.float64)
+    actions = np.array(rec["actions"], dtype=np.float64)
+    for name, a, width in (("states", states, STATE_DIM), ("actions", actions, ACTION_DIM)):
+        if a.ndim != 2 or a.shape[1] != width:
+            raise ValueError(f"{name} must have shape (T, {width}), got {a.shape}")
+    labels = rec["true_skills"]
+    if labels is not None:
+        labels = np.array(labels)
+        if labels.dtype.kind != "i" or not np.all((labels >= 0) & (labels < N_REGIMES)):
+            raise ValueError(f"true_skills must be integers in [0, {N_REGIMES})")
+    return seed, rec["split"], Trajectory(states, actions, labels)
+
+
 def load_datasets(path) -> list[TaskDataset]:
     groups: dict[int, dict[str, list[Trajectory]]] = {}  # in first-seen order
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         if not line.strip():
             continue
         try:
-            rec = json.loads(line)
-            seed = rec["task_seed"]
-            split = rec["split"]
-            traj = Trajectory(
-                np.array(rec["states"], dtype=np.float64),
-                np.array(rec["actions"], dtype=np.float64),
-                None if rec["true_skills"] is None else np.array(rec["true_skills"]),
-            )
+            seed, split, traj = _record(json.loads(line))
         except (KeyError, ValueError, TypeError) as e:
             raise DatasetFormatError(f"line {lineno}: {e}") from e
         if split not in ("support", "query"):

@@ -12,6 +12,7 @@ from dmil.checkpoint import CheckpointSchemaError, load_checkpoint, save_checkpo
 from dmil.cli import main
 from dmil.config import ConfigError, load_config, resolve_config
 from dmil.policies import init_hierarchical
+from dmil.runner import init_model
 from dmil.tasks import load_datasets
 
 TINY = {
@@ -173,8 +174,9 @@ def test_gradcheck_command_tiny(tmp_path) -> None:
     report = json.loads((out / "gradcheck.json").read_text())
     assert report["pass"] is True
     assert report["max_rel_err_high"] <= report["tolerance"]
-    assert report["tape_tolerance"] == 1e-10
-    assert report["max_rel_err_tape_high"] <= 1e-10 and report["max_rel_err_tape_low"] <= 1e-10
+    assert report["max_rel_err_low"] <= report["tolerance"]
+    assert report["skill_objectives_checked"] > 0
+    assert not any("tape" in key for key in report)
 
 
 def test_train_exits_nonzero_on_flagged_divergence(tmp_path) -> None:
@@ -273,6 +275,8 @@ def test_config_range_accepts_its_bounds() -> None:
     cfg = resolve_config({"data": {"n_test_tasks": 1}, "dmil": {"warmup_epochs": 0, "warmup_consolidate": 0}})
     assert cfg["data"]["n_test_tasks"] == 1
     assert cfg["dmil"]["warmup_epochs"] == 0 and cfg["dmil"]["warmup_consolidate"] == 0
+    cfg = resolve_config({"model": {"hidden": []}})  # a network without hidden layers
+    assert init_model(cfg).high_shape.layer_sizes == (7, 3)
 
 
 @pytest.mark.parametrize("key", ["inner_steps", "batch_size"])
@@ -298,6 +302,17 @@ def test_train_without_tasks_or_shots_exits_2_before_any_output(tmp_path, caplog
     caplog.clear()
     assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
     assert one_line_error(caplog, "config error") == f"config error: {error}"
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command, section, key", [("train", "eval", "shots"), ("gradcheck", "gradcheck", "inner_steps")])
+def test_empty_shots_or_inner_steps_exit_2_before_any_output(tmp_path, caplog, command, section, key) -> None:
+    # Neither list may be empty: a run would check or report nothing.
+    cfg = write_tiny(tmp_path, **{section: {key: []}})
+    caplog.clear()
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+    want = f"config error: config key '{section}.{key}' must list at least one integer"
+    assert one_line_error(caplog, "config error") == want
     assert not (tmp_path / "run").exists()
 
 
@@ -355,7 +370,8 @@ def test_cli_numeric_error_exit_code(tmp_path, caplog) -> None:
 
 @pytest.mark.parametrize(
     "body",
-    ["wrong schema_version", "not json", "missing field", "json list", "high text", "rng_state text", "skills null"],
+    ["wrong schema_version", "not json", "missing field", "json list", "high text", "rng_state text", "skills null",
+     "no features"],
 )
 def test_cli_checkpoint_error_exit_code(tmp_path, caplog, body) -> None:
     params = init_hierarchical(4, 2, 3, (8, 8), seed=0, features="relative")
@@ -375,13 +391,17 @@ def test_cli_checkpoint_error_exit_code(tmp_path, caplog, body) -> None:
             doc["rng_state"] = "q"
         elif body == "skills null":
             doc["skills"] = None
+        elif body == "no features":
+            del doc["features"]
         else:
             doc["schema_version"] = 99
         ckpt.write_text(json.dumps(doc))
     cfg = write_tiny(tmp_path)
     argv = ["eval", "--config", str(cfg), "--out", str(tmp_path / "eval"), "--checkpoint", str(ckpt)]
     assert main(argv) == 5
-    one_line_error(caplog, "checkpoint error")
+    message = one_line_error(caplog, "checkpoint error")
+    if body == "no features":  # a raw-feature model is no default
+        assert "has no field 'features'" in message
     assert not (tmp_path / "eval").exists()
 
 
@@ -448,6 +468,37 @@ def test_cli_dataset_format_error_exit_code(tmp_path, caplog) -> None:
     cfg = write_tiny(tmp_path, data={"train_path": str(corrupt), "test_path": str(data_dir / "test.jsonl")})
     assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 6
     assert "line" in one_line_error(caplog, "dataset format error")
+
+
+@pytest.mark.parametrize(
+    "field, value, error",
+    [
+        ("task_seed", 1.5, "task_seed must be an integer, got 1.5"),
+        ("task_seed", "abc", "task_seed must be an integer, got 'abc'"),
+        ("task_seed", True, "task_seed must be an integer, got True"),
+        ("states", [[0.0, 0.0, 1.0]] * 24, "states must have shape (T, 4), got (24, 3)"),
+        ("actions", [[0.0, 0.0, 0.0]] * 24, "actions must have shape (T, 2), got (24, 3)"),
+        ("true_skills", [7] * 24, "true_skills must be integers in [0, 3)"),
+        ("true_skills", [-1] * 24, "true_skills must be integers in [0, 3)"),
+        ("true_skills", [1.5] * 24, "true_skills must be integers in [0, 3)"),
+    ],
+    ids=["seed float", "seed text", "seed bool", "states 3 columns", "actions 3 columns", "label 7", "label -1",
+         "label float"],
+)
+def test_dataset_line_not_as_simulated_exits_6(tmp_path, caplog, field, value, error) -> None:
+    # One 24-step trajectory per line; the second line of train.jsonl is changed.
+    data_dir = tmp_path / "data"
+    assert main(["gen-data", "--config", str(write_tiny(tmp_path)), "--out", str(data_dir)]) == 0
+    train = data_dir / "train.jsonl"
+    lines = train.read_text().splitlines()
+    rec = json.loads(lines[1])
+    rec[field] = value
+    lines[1] = json.dumps(rec)
+    train.write_text("\n".join(lines) + "\n")
+    cfg = write_tiny(tmp_path, data={"train_path": str(train), "test_path": str(data_dir / "test.jsonl")})
+    caplog.clear()
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 6
+    assert one_line_error(caplog, "dataset format error") == f"dataset format error: line 2: {error}"
 
 
 def test_train_is_byte_identical_across_blas_thread_counts(tmp_path) -> None:

@@ -11,10 +11,10 @@ from dmil.policies import (
     init_hierarchical,
     init_params,
     mlp_forward,
-    mlp_logits,
     mlp_shape,
 )
 from dmil.rng import SplitMix64
+from oracle import mlp_logits
 
 
 def straight_line_forward(theta: np.ndarray, sizes, x: np.ndarray) -> np.ndarray:

@@ -4,10 +4,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dmil import autodiff as ad
 from dmil import evaluation, runner
-from dmil.autodiff import ContractError
+from dmil.autodiff import ContractError, inner_adapt
 from dmil.config import METHODS, resolve_config
+from dmil.dmil import adapt_phases, hard_labels, high_batch, ho_grad, lo_grad, partition_by_skill, pool, route
+from dmil.evaluation import max_rel_err
+from dmil.policies import init_hierarchical
 from dmil.rng import SplitMix64, derive_seed
+from dmil.tasks import ACTION_DIM, STATE_DIM, rollout_expert, sample_task
+from oracle import tape_high_loss, tape_skill_loss
 
 TINY = {
     "data": {"n_train_tasks": 2, "n_test_tasks": 1, "n_support": 4, "n_query": 1, "horizon": 20},
@@ -71,6 +77,71 @@ def test_only_the_config_names_methods() -> None:
         if isinstance(node, ast.Constant) and node.value in names
     ]
     assert found == []
+
+
+def test_only_autodiff_names_the_tape() -> None:
+    # The tape is a test reference (tests/oracle.py): autodiff keeps the
+    # engine, and no other module of the package names a tape class,
+    # function or loss.
+    names = {"Node", "TapeLoss", "mlp_logits", "tape_high_loss", "tape_skill_loss"}
+    src = Path(runner.__file__).parent
+    found = [
+        f"{path.name}:{getattr(node, 'lineno', '?')} {name}"
+        for path in sorted(src.glob("*.py"))
+        if path.name != "autodiff.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        for name in {getattr(node, field, None) for field in ("id", "attr", "name")} & names
+    ]
+    assert found == []
+
+
+def tape_meta_grad(loss, theta, inner_batch, outer_batch, rate: float, steps: int):
+    """Adapt on the inner batch, take the outer gradient, push it back."""
+    trace = inner_adapt(loss, theta, rate, inner_batch, steps)
+    return ad.meta_grad(trace, ad.value_and_grad(loss, trace.final, outer_batch)[1])
+
+
+def test_gradcheck_instances_match_the_tape() -> None:
+    # The closed-form meta-gradients (ho_grad, lo_grad) of dmil gradcheck's
+    # instances 0 and 1 against the same chain on the tape losses: both are
+    # exact, so only rounding separates them.
+    rate, aux, b = runner.GRADCHECK_INNER_RATE, 0.1, runner.GRADCHECK_TRAJECTORIES
+    checked = 0
+    for i in range(2):
+        seed = runner.GRADCHECK_SEED0 + i
+        params = init_hierarchical(
+            STATE_DIM, ACTION_DIM, runner.GRADCHECK_SKILLS, (runner.GRADCHECK_HIDDEN,), seed=derive_seed(seed, 1)
+        )
+        trajs = [rollout_expert(sample_task(seed), runner.GRADCHECK_HORIZON, j) for j in range(4 * b)]
+        p1, p2, p3, p4 = (pool(trajs[j * b : (j + 1) * b], params.feature_kind) for j in range(4))
+        tape_high, tape_skill = tape_high_loss(params.high_shape), tape_skill_loss(params.skill_shape)
+        for steps in (1, 3):
+            trace_h, traces_l = adapt_phases(params, p1, p2, rate, steps, aux)
+            batch1 = high_batch(p1, hard_labels(p1, params.skills, params.skill_shape), params.K, aux)
+            adapted = [t.final for t in traces_l]
+            batch3 = high_batch(p3, hard_labels(p3, adapted, params.skill_shape), params.K, aux)
+            exact_h = ho_grad(trace_h, params, batch3)[0]
+            ref_h = tape_meta_grad(tape_high, params.high, batch1, batch3, rate, steps)
+            assert max_rel_err(exact_h.values, ref_h.values) <= 1e-10
+
+            batches2, batches4 = (
+                partition_by_skill(q, route(trace_h.final, params.high_shape, q), params.K) for q in (p2, p4)
+            )
+            exact_l = lo_grad(traces_l, params, batches4)[0]
+            for k, (batch2k, batch4k) in enumerate(zip(batches2, batches4)):
+                if len(batch2k) and len(batch4k):
+                    ref = tape_meta_grad(tape_skill, params.skills[k], batch2k, batch4k, rate, steps)
+                    assert max_rel_err(exact_l[k].values, ref.values) <= 1e-10
+                    checked += 1
+    assert checked > 0
+
+
+def test_gradcheck_that_checks_no_objective_fails() -> None:
+    cfg = resolve_config({"gradcheck": {"instances": 1}})
+    cfg["gradcheck"]["inner_steps"] = []  # resolve_config rejects this; the report must too
+    report = runner.gradcheck_run(cfg)
+    assert report["skill_objectives_checked"] == 0
+    assert report["pass"] is False
 
 
 @pytest.mark.parametrize("method", list(METHODS))
