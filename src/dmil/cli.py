@@ -3,7 +3,9 @@
 Subcommands: gen-data, train, eval, gradcheck, ablate.  Every run directory
 receives the resolved config (config.json) and, when a config file was given,
 a verbatim copy of it (config.input.json), so experiments are reconstructible
-from artifacts alone.
+from artifacts alone.  Each command checks its config and builds or loads
+its datasets (and eval and ablate check eval.shots against the test tasks)
+before the run directory is made, so input it rejects leaves no output.
 
 Every command runs BLAS on one thread (dmil.blas).
 
@@ -26,7 +28,7 @@ from .blas import pin_one_thread
 from .checkpoint import CheckpointSchemaError, load_checkpoint
 from .config import ConfigError, load_config, resolve_config, dump_config
 from .evaluation import write_report_csv, write_summary_json
-from .runner import ablate, build_datasets, evaluate, gradcheck_run, init_model, train
+from .runner import ablate, build_datasets, check_shots, evaluate, gradcheck_run, init_model, train
 from .tasks import DatasetFormatError, save_datasets
 
 logger = logging.getLogger("dmil")
@@ -49,8 +51,8 @@ def _prepare_out(args, cfg: dict) -> Path:
 
 def cmd_gen_data(args) -> int:
     cfg = _resolve(args)
-    out = _prepare_out(args, cfg)
     train_tasks, test_tasks = build_datasets(cfg)
+    out = _prepare_out(args, cfg)
     save_datasets(out / "train.jsonl", train_tasks)
     save_datasets(out / "test.jsonl", test_tasks)
     logger.info("wrote %d train and %d test tasks to %s", len(train_tasks), len(test_tasks), out)
@@ -59,8 +61,9 @@ def cmd_gen_data(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _resolve(args)
+    datasets = build_datasets(cfg)
     out = _prepare_out(args, cfg)
-    result = train(cfg, out_dir=out)
+    result = train(cfg, out_dir=out, datasets=datasets)
     logger.info("trained %s for %d iterations; metrics in %s", result.method, len(result.metrics), out)
     if result.diverged_total:
         logger.error("%d inner adaptations were flagged as diverged", result.diverged_total)
@@ -90,8 +93,9 @@ def cmd_eval(args) -> int:
     cfg = _resolve(args)
     ckpt = load_checkpoint(args.checkpoint)
     _check_model(cfg, ckpt)
-    out = _prepare_out(args, cfg)
     _, test_tasks = build_datasets(cfg)
+    check_shots(cfg, test_tasks)
+    out = _prepare_out(args, cfg)
     rows = evaluate(cfg, ckpt.params, ckpt.method, test_tasks)
     write_report_csv(out / "report.csv", rows)
     write_summary_json(out / "summary.json", rows)
@@ -118,8 +122,10 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_ablate(args) -> int:
     cfg = _resolve(args)
+    datasets = build_datasets(cfg)
+    check_shots(cfg, datasets[1])
     out = _prepare_out(args, cfg)
-    rows = ablate(cfg, out_dir=out)
+    rows = ablate(cfg, out_dir=out, datasets=datasets)
     logger.info("ablation table with %d rows in %s", len(rows), out)
     return 0
 

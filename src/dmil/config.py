@@ -11,6 +11,8 @@ import json
 from pathlib import Path
 from typing import NamedTuple
 
+from .policies import FEATURE_KINDS
+
 
 class ConfigError(ValueError):
     pass
@@ -154,6 +156,11 @@ def resolve_config(overrides: dict | None = None, seed: int | None = None) -> di
         raise ConfigError(
             f"unknown outer_optimizer {cfg['dmil']['outer_optimizer']!r}; "
             f"valid optimizers: {', '.join(OUTER_OPTIMIZERS)}"
+        )
+    if cfg["model"]["features"] not in FEATURE_KINDS:
+        raise ConfigError(
+            f"unknown model.features {cfg['model']['features']!r}; "
+            f"valid feature kinds: {', '.join(FEATURE_KINDS)}"
         )
     d = cfg["data"]
     if (d["train_path"] is None) != (d["test_path"] is None):

@@ -1,4 +1,7 @@
-"""Trajectory container shared by the learner and the benchmark generator."""
+"""Trajectory container shared by the learner and the benchmark generator.
+
+The learner pools trajectories into one batch (dmil.pool); this module only
+holds and checks them."""
 
 from __future__ import annotations
 
@@ -45,21 +48,3 @@ class Trajectory:
     def __len__(self) -> int:
         return self.states.shape[0]
 
-
-def flatten_trajectories(trajs) -> tuple[np.ndarray, np.ndarray, tuple[tuple[int, int], ...]]:
-    """Pool trajectories into (states, actions, per-trajectory row slices).
-
-    Order is trajectory order then time order, which every consumer relies on
-    for bit reproducibility.
-    """
-    trajs = list(trajs)
-    if not trajs:
-        raise ContractError("need at least one trajectory")
-    states = np.concatenate([t.states for t in trajs], axis=0)
-    actions = np.concatenate([t.actions for t in trajs], axis=0)
-    slices = []
-    start = 0
-    for t in trajs:
-        slices.append((start, start + len(t)))
-        start += len(t)
-    return states, actions, tuple(slices)

@@ -17,9 +17,10 @@ pre-step parameters:
                             sub-skill's inner steps.
 
 Each phase batch is pooled once (flatten and feature map, `pool`), and
-labels, routing, partitions and selector batches all read that Pool.  The
-two inner updates are adapt_phases, which few-shot adaptation also runs, on
-one pool of demonstrations.
+labels, routing and selector batches all read that Pool; each sub-skill's
+routed data set is a Pool of its rows.  The two inner updates are
+adapt_phases, which few-shot adaptation and the warm start's selector
+consolidation also run, on one pool of demonstrations.
 
 Meta-gradients are summed over tasks in list order, divided by the task
 count and returned for one atomic update, which the caller (runner.train)
@@ -34,6 +35,7 @@ unadapted the step is MAML (baselines.maml_train_step).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -48,7 +50,7 @@ from .autodiff import (
     inner_adapt,
     meta_grad,
 )
-from .data import Trajectory, flatten_trajectories
+from .data import Trajectory
 from .kernels import SelectorLoss, SkillMseLoss
 from .policies import HierarchicalParams, MlpShape, featurize, mlp_forward
 from .rng import SplitMix64, derive_seed
@@ -60,24 +62,30 @@ from .rng import SplitMix64, derive_seed
 
 @dataclass(frozen=True)
 class Pool:
-    """One batch of trajectories, flattened and featurized once: network
-    inputs x (N, in), actions (N, action_dim) and per-trajectory row slices
-    (switch terms never cross trajectory ends).  Every label, routing,
-    partition and selector batch of that batch reads it."""
+    """State-action pairs, the input of every loss: network inputs `states`
+    (N, in), actions (N, action_dim) and per-trajectory row slices (switch
+    terms never cross trajectory ends).  A phase batch is pooled once, and
+    its labels, routing, partitions and selector batch all read that Pool;
+    one skill's partition is a Pool of its rows, with no slices."""
 
-    x: np.ndarray
+    states: np.ndarray
     actions: np.ndarray
     slices: tuple[tuple[int, int], ...]
 
     def __len__(self) -> int:
-        return self.x.shape[0]
+        return self.states.shape[0]
 
 
 def pool(trajs: Sequence[Trajectory], features: str) -> Pool:
-    """Pool trajectories in trajectory then time order, featurized by
-    `features` (HierarchicalParams.feature_kind)."""
-    states, actions, slices = flatten_trajectories(trajs)
-    return Pool(featurize(states, features), actions, slices)
+    """Flatten trajectories in trajectory then time order (every consumer
+    relies on it for bit reproducibility), featurized by `features`
+    (HierarchicalParams.feature_kind)."""
+    if not trajs:
+        raise ContractError("need at least one trajectory")
+    states = np.concatenate([t.states for t in trajs], axis=0)
+    actions = np.concatenate([t.actions for t in trajs], axis=0)
+    ends = tuple(itertools.accumulate(len(t) for t in trajs))
+    return Pool(featurize(states, features), actions, tuple(zip((0,) + ends[:-1], ends)))
 
 
 def hard_labels(p: Pool, skills: Sequence[ParamVector], skill_shape: MlpShape) -> np.ndarray:
@@ -87,7 +95,7 @@ def hard_labels(p: Pool, skills: Sequence[ParamVector], skill_shape: MlpShape) -
     assignment deterministic and order-stable.
     """
     errors = np.stack(
-        [np.sum((p.actions - mlp_forward(s, skill_shape, p.x)) ** 2, axis=1) for s in skills],
+        [np.sum((p.actions - mlp_forward(s, skill_shape, p.states)) ** 2, axis=1) for s in skills],
         axis=1,
     )
     return np.argmin(errors, axis=1)
@@ -95,25 +103,14 @@ def hard_labels(p: Pool, skills: Sequence[ParamVector], skill_shape: MlpShape) -
 
 def route(selector: ParamVector, high_shape: MlpShape, p: Pool) -> np.ndarray:
     """The selector's argmax skill per pair (ties: lowest index)."""
-    return np.argmax(mlp_forward(selector, high_shape, p.x), axis=1)
+    return np.argmax(mlp_forward(selector, high_shape, p.states), axis=1)
 
 
-@dataclass(frozen=True)
-class SkillBatch:
-    """One sub-skill's loss inputs: featurized states and their actions."""
-
-    states: np.ndarray
-    actions: np.ndarray
-
-    def __len__(self) -> int:
-        return self.states.shape[0]
-
-
-def partition_by_skill(p: Pool, indices: np.ndarray, n_skills: int) -> tuple[SkillBatch, ...]:
-    """Split the pool's pairs by skill index, keeping pool order: one batch
+def partition_by_skill(p: Pool, indices: np.ndarray, n_skills: int) -> tuple[Pool, ...]:
+    """Split the pool's pairs by skill index, keeping pool order: one Pool
     per skill, disjoint and exhaustive, ready for the skill losses."""
     masks = [indices == k for k in range(n_skills)]
-    return tuple(SkillBatch(p.x[m], p.actions[m]) for m in masks)
+    return tuple(Pool(p.states[m], p.actions[m], ()) for m in masks)
 
 
 @dataclass(frozen=True)
@@ -150,7 +147,7 @@ def high_batch(p: Pool, labels: np.ndarray, n_skills: int, aux_weight: float) ->
         raise ContractError("labels do not align with the pool")
     onehot = np.zeros((labels.shape[0], n_skills))
     onehot[np.arange(labels.shape[0]), labels] = 1.0
-    return HighBatch(p.x, onehot, p.slices, aux_weight)
+    return HighBatch(p.states, onehot, p.slices, aux_weight)
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +201,7 @@ def ho_grad(
 
 
 def lo_grad(
-    traces_l: Sequence[AdaptTrace], params: HierarchicalParams, batches: Sequence[SkillBatch]
+    traces_l: Sequence[AdaptTrace], params: HierarchicalParams, batches: Sequence[Pool]
 ) -> tuple[list[ParamVector], float]:
     """Per-skill meta-gradients and the pooled outer loss on the routed
     per-skill `batches`.  Skills whose batch is empty contribute zero
@@ -379,7 +376,7 @@ def predict_action(params: HierarchicalParams, states: np.ndarray) -> tuple[np.n
     that skill predicts the row's action.  One selector forward, then one
     forward per chosen skill, each over an (n, 1, in) stack, so every row is
     bitwise what a one-state call gives."""
-    x = params.features(states)[:, None, :]
+    x = featurize(states, params.feature_kind)[:, None, :]
     z = np.argmax(mlp_forward(params.high, params.high_shape, x)[:, 0], axis=1)
     actions = np.empty((len(z), params.skill_shape.out_dim))
     for k in range(params.K):

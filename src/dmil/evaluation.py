@@ -7,6 +7,7 @@ from __future__ import annotations
 import csv
 import itertools
 import json
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Sequence
@@ -22,6 +23,8 @@ from .policies import mlp_forward  # noqa: F401  (perfbench/tracing.py wraps thi
 from .tasks import N_REGIMES, TaskDataset, TaskSpec, expert_act, rollout_policy
 
 FD_MAX_PARAMS = 500
+# skill_accuracy tries every injective map of true into predicted labels.
+MAX_LABEL_MAPS = 100_000
 ROLLOUT_SEED0 = 0xE7A1
 
 
@@ -77,15 +80,16 @@ def skill_accuracy(
 ) -> float:
     """Best per-step agreement over injective maps of true labels into
     predicted labels (skill indices are arbitrary), by brute force over at
-    most 6 predicted skills."""
+    most MAX_LABEL_MAPS maps."""
     pred = np.asarray(pred, dtype=np.int64)
     truth = np.asarray(truth, dtype=np.int64)
     if pred.shape != truth.shape:
         raise ContractError("pred and truth must have equal lengths")
     if n_true_skills > n_pred_skills:
         raise ContractError("cannot map more true skills than predicted skills")
-    if n_pred_skills > 6:
-        raise ContractError(f"brute-force matching is limited to 6 skills, got {n_pred_skills}")
+    n_maps = math.perm(n_pred_skills, n_true_skills)
+    if n_maps > MAX_LABEL_MAPS:
+        raise ContractError(f"brute-force matching is limited to {MAX_LABEL_MAPS} label maps, got {n_maps}")
     confusion = np.zeros((n_true_skills, n_pred_skills))
     for t in range(n_true_skills):
         mask = truth == t

@@ -53,16 +53,6 @@ def mlp_shape(in_dim: int, out_dim: int, hidden: tuple[int, ...] = (64, 64)) -> 
 FEATURE_KINDS = ("raw", "relative")
 
 
-def feature_dim(kind: str, state_dim: int) -> int:
-    if kind == "raw":
-        return state_dim
-    if kind == "relative":
-        if state_dim != 4:
-            raise ContractError("relative features expect planar goal states [px, py, gx, gy]")
-        return 7
-    raise ContractError(f"unknown feature kind {kind!r}")
-
-
 def featurize(states: np.ndarray, kind: str) -> np.ndarray:
     """Fixed state-only input map for the policy networks.
 
@@ -120,9 +110,10 @@ def mlp_forward(theta: ParamVector, shape: MlpShape, x) -> np.ndarray:
 class HierarchicalParams:
     """The trained object: one selector network plus K sub-skill networks.
 
-    feature_kind names the fixed input map applied to raw states before any
-    network sees them; it travels with the parameters (and checkpoints) so
-    every consumer featurizes consistently."""
+    feature_kind names the fixed input map (`featurize`) applied to raw
+    states before any network sees them; it travels with the parameters (and
+    checkpoints, so it is checked here) and every consumer featurizes
+    consistently."""
 
     high: ParamVector
     skills: tuple[ParamVector, ...]
@@ -156,9 +147,6 @@ class HierarchicalParams:
     ) -> "HierarchicalParams":
         return HierarchicalParams(high, skills, self.high_shape, self.skill_shape, self.feature_kind)
 
-    def features(self, states) -> np.ndarray:
-        return featurize(np.asarray(states, dtype=np.float64), self.feature_kind)
-
 
 def init_hierarchical(
     state_dim: int,
@@ -168,8 +156,9 @@ def init_hierarchical(
     seed: int,
     features: str = "raw",
 ) -> HierarchicalParams:
-    """Seeded init for the full hierarchy; sub-streams per component."""
-    in_dim = feature_dim(features, state_dim)
+    """Seeded init for the full hierarchy; sub-streams per component.  The
+    input width is what `featurize` makes of a state."""
+    in_dim = featurize(np.zeros((1, state_dim)), features).shape[1]
     high_shape = mlp_shape(in_dim, n_skills, hidden)
     skill_shape = mlp_shape(in_dim, action_dim, hidden)
     high = init_params(high_shape, derive_seed(seed, 0))

@@ -170,8 +170,9 @@ def warm_start(cfg: dict, train_tasks) -> HierarchicalParams:
 
     Hard-EM is init-sensitive, so several restarts run short alternation
     probes and the best basin (by the self-contained fit score) continues:
-    remaining alternations, then a selector-only consolidation so routing
-    works from the first outer iteration.  The fixed pool is flattened and
+    remaining alternations, then a selector-only consolidation (the
+    selector's inner update, adapt_phases) so routing works from the first
+    outer iteration.  The fixed pool is flattened and
     featurized once for every epoch.  Everything is a pure function of
     (config, data), so paired methods share the identical warm start.
     """
@@ -193,9 +194,8 @@ def warm_start(cfg: dict, train_tasks) -> HierarchicalParams:
 
     if m["warmup_consolidate"] <= 0:
         return params
-    batch = high_batch(p, hard_labels(p, params.skills, params.skill_shape), params.K, aux)
-    high = inner_adapt(SelectorLoss(params.high_shape), params.high, lr, batch, m["warmup_consolidate"], keep=False).final
-    return params.with_updates(high, params.skills)
+    trace_h, _ = adapt_phases(params, p, p, lr, m["warmup_consolidate"], aux, adapt_low=False, keep=False)
+    return params.with_updates(trace_h.final, params.skills)
 
 
 # ---------------------------------------------------------------------------
@@ -312,6 +312,18 @@ def train(cfg: dict, out_dir=None, datasets=None, warm_params=None) -> TrainResu
 # ---------------------------------------------------------------------------
 
 
+def check_shots(cfg: dict, test_tasks: Sequence[TaskDataset]) -> None:
+    """Every eval.shots count must fit in each test task's support set;
+    callers run this before anything trains or is written."""
+    most = max(cfg["eval"]["shots"])
+    for task in test_tasks:
+        if most > len(task.support):
+            raise ContractError(
+                f"eval.shots={most} exceeds the {len(task.support)} support "
+                f"demonstrations of test task {task.spec.seed}"
+            )
+
+
 def evaluate(
     cfg: dict,
     params: HierarchicalParams,
@@ -322,14 +334,8 @@ def evaluate(
     predicted once by the unadapted policy, whose MSE every shots row of the
     task shares, and once by each adapted policy, whose actions and skills
     give the post-adaptation MSE and the skill recovery."""
+    check_shots(cfg, test_tasks)
     e = cfg["eval"]
-    most = max(e["shots"])
-    for task in test_tasks:
-        if most > len(task.support):
-            raise ContractError(
-                f"eval.shots={most} exceeds the {len(task.support)} support "
-                f"demonstrations of test task {task.spec.seed}"
-            )
     queries = [np.concatenate([t.states for t in task.query]) for task in test_tasks]
     pre_mse: list[float] = []
     rows = []
@@ -447,11 +453,13 @@ def gradcheck_run(cfg: dict) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def ablate(cfg: dict, out_dir=None) -> list[dict]:
+def ablate(cfg: dict, out_dir=None, datasets=None) -> list[dict]:
     """Train and evaluate every method on identical seeds and batch schedules;
-    returns the paired report rows.  The warm start depends on the method
-    only through its skill count, so one is computed per count and shared."""
-    datasets = build_datasets(cfg)
+    returns the paired report rows.  `datasets` are prebuilt (train, test)
+    task lists, as in train.  The warm start depends on the method only
+    through its skill count, so one is computed per count and shared."""
+    datasets = build_datasets(cfg) if datasets is None else datasets
+    check_shots(cfg, datasets[1])
     warm: dict[int, HierarchicalParams] = {}
     rows: list[dict] = []
     for method in METHODS:

@@ -17,7 +17,7 @@ import numpy as np
 
 from dmil import autodiff as ad
 from dmil.autodiff import ContractError, Node, asum, backward, constant, leaf, mul
-from dmil.dmil import HighBatch, SkillBatch
+from dmil.dmil import HighBatch, Pool
 from dmil.kernels import SelectorLoss, SkillMseLoss
 from dmil.policies import MlpShape, _check_input
 
@@ -108,7 +108,7 @@ def tape_high_loss(shape: MlpShape) -> TapeLoss:
 def tape_skill_loss(shape: MlpShape) -> TapeLoss:
     """SkillMseLoss on the tape: the reference for the closed form."""
 
-    def skill_mse_loss(p: ad.Node, batch: SkillBatch) -> ad.Node:
+    def skill_mse_loss(p: ad.Node, batch: Pool) -> ad.Node:
         pred = mlp_logits(p, shape, batch.states)
         r = ad.sub(pred, ad.constant(batch.actions))
         return ad.smul(ad.asum(ad.mul(r, r)), 1.0 / batch.states.shape[0])

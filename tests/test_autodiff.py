@@ -16,7 +16,7 @@ from dmil.autodiff import (
     meta_grad,
     value_and_grad,
 )
-from dmil.dmil import HighBatch, SkillBatch
+from dmil.dmil import HighBatch, Pool
 from dmil.kernels import SkillMseLoss
 from dmil.policies import MlpShape, init_params
 from dmil.rng import SplitMix64
@@ -210,7 +210,7 @@ def mse_kernel_instance():
     shape = MlpShape((3, 6, 2))
     x = rng.uniform_array(7 * 3, -1.0, 1.0).reshape(7, 3)
     y = rng.uniform_array(7 * 2, -1.0, 1.0).reshape(7, 2)
-    return SkillMseLoss(shape), ParamVector(rng.uniform_array(shape.n_params, -0.8, 0.8)), SkillBatch(x, y)
+    return SkillMseLoss(shape), ParamVector(rng.uniform_array(shape.n_params, -0.8, 0.8)), Pool(x, y, ())
 
 
 def test_inner_adapt_without_keep_holds_one_linearization(monkeypatch) -> None:

@@ -6,7 +6,6 @@ import pytest
 from dmil import dmil
 from dmil.autodiff import ParamVector
 from dmil.baselines import em_only_train, maml_train_step
-from dmil.data import flatten_trajectories
 from dmil.dmil import TrainConfig, meta_train_step, sample_phase_batches
 from dmil.policies import HierarchicalParams, init_hierarchical, mlp_forward
 from dmil.rng import SplitMix64, derive_seed
@@ -59,18 +58,17 @@ def test_maml_exact_step_matches_fd_oracle() -> None:
     res = maml_train_step(params, [task], cfg, step_seed=2)
 
     from dmil.autodiff import inner_adapt, loss_value
-    from dmil.dmil import SkillBatch
+    from dmil.dmil import pool
     from dmil.kernels import SkillMseLoss
 
     rng = SplitMix64(derive_seed(2, task.spec.seed))
     _, t2, _, t4 = sample_phase_batches(task.support, cfg.batch_size, rng)
-    s2, a2, _ = flatten_trajectories(t2)
-    s4, a4, _ = flatten_trajectories(t4)
+    p2, p4 = pool(t2, "raw"), pool(t4, "raw")
     loss = SkillMseLoss(shape)
 
     def objective(vals):
-        tr = inner_adapt(loss, ParamVector(vals), cfg.inner_rate, SkillBatch(s2, a2), cfg.inner_steps)
-        return loss_value(loss, tr.final, SkillBatch(s4, a4))
+        tr = inner_adapt(loss, ParamVector(vals), cfg.inner_rate, p2, cfg.inner_steps)
+        return loss_value(loss, tr.final, p4)
 
     fd = np.zeros(len(theta))
     for i in range(len(theta)):
@@ -143,18 +141,17 @@ def test_hard_em_grads_route_by_the_given_indices() -> None:
     # the selector is fit to the labels, not to the routing.
     from dmil import autodiff as ad
     from dmil.baselines import hard_em_grads
-    from dmil.dmil import SkillBatch, hard_labels, high_batch, pool
+    from dmil.dmil import hard_labels, high_batch, pool
     from dmil.kernels import SelectorLoss, SkillMseLoss
 
     params = init_hierarchical(4, 2, 3, (8,), seed=33)
     trajs = list(demo_task(33).support[:3])
-    s, a, _ = flatten_trajectories(trajs)
     p = pool(trajs, "raw")
     labels = hard_labels(p, params.skills, params.skill_shape)
     res = hard_em_grads(params, p, labels, np.zeros(len(labels), dtype=np.int64), 0.1)
 
     ce, g_high = ad.value_and_grad(SelectorLoss(params.high_shape), params.high, high_batch(p, labels, 3, 0.1))
-    mse, g0 = ad.value_and_grad(SkillMseLoss(params.skill_shape), params.skills[0], SkillBatch(s, a))
+    mse, g0 = ad.value_and_grad(SkillMseLoss(params.skill_shape), params.skills[0], p)
     assert np.array_equal(res.g_high.values, g_high.values)
     assert np.array_equal(res.g_skills[0].values, g0.values)
     for k in (1, 2):
@@ -189,7 +186,7 @@ def test_meta_train_step_at_zero_inner_rate_is_hard_em(features: str) -> None:
             sum_h = sum_h.add(hard_em_grads(params, p3, labels3, labels3, cfg.aux_weight).g_high)
             p4 = pool(t4, features)
             labels4 = hard_labels(p4, params.skills, params.skill_shape)
-            s4, _, _ = flatten_trajectories(t4)
+            s4 = pool(t4, "raw").states
             routing4 = np.argmax(mlp_forward(params.high, params.high_shape, featurize(s4, features)), axis=1)
             em4 = hard_em_grads(params, p4, labels4, routing4, cfg.aux_weight)
             sum_l = [a.add(b) for a, b in zip(sum_l, em4.g_skills, strict=True)]

@@ -1,13 +1,16 @@
+import csv
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from dmil import blas
+from dmil import blas, runner
+from dmil.autodiff import ContractError
 from dmil.checkpoint import CheckpointSchemaError, load_checkpoint, save_checkpoint
 from dmil.cli import main
 from dmil.config import ConfigError, load_config, resolve_config
@@ -64,6 +67,20 @@ def test_config_unknown_outer_optimizer_rejected(tmp_path, name) -> None:
         resolve_config({"dmil": {"outer_optimizer": name}})
     cfg = write_tiny(tmp_path, dmil={"outer_optimizer": name})
     assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("name", ["polar", "Raw", ""])
+def test_config_unknown_features_rejected(tmp_path, caplog, name) -> None:
+    # Rejected with the config, not by the first feature map after the run
+    # directory exists.
+    want = f"unknown model.features {name!r}; valid feature kinds: raw, relative"
+    with pytest.raises(ConfigError, match=re.escape(want)):
+        resolve_config({"model": {"features": name}})
+    cfg = write_tiny(tmp_path, model={"features": name})
+    caplog.clear()
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+    assert one_line_error(caplog, "config error") == f"config error: {want}"
     assert not (tmp_path / "run").exists()
 
 
@@ -194,6 +211,41 @@ def test_ablate_paired_report(tmp_path) -> None:
     assert (out / "ablate_summary.json").exists()
     for method in ("dmil", "dmil_high", "dmil_low", "maml", "em_only"):
         assert (out / method / "metrics.csv").exists()
+
+
+def test_ablate_evaluates_seven_skills(tmp_path) -> None:
+    # Matching 3 true labels into 7 skills tries 7 * 6 * 5 = 210 maps.
+    cfg = write_tiny(tmp_path, model={"n_skills": 7}, run={"iterations": 1, "checkpoint_every": 0})
+    out = tmp_path / "ablate"
+    assert main(["ablate", "--config", str(cfg), "--out", str(out)]) == 0
+    with open(out / "ablate_report.csv") as f:
+        rows = list(csv.DictReader(f))
+    assert len(rows) == 5 * 2
+    assert all(0.0 < float(r["skill_acc"]) <= 1.0 for r in rows if r["method"] != "maml")
+
+
+@pytest.mark.parametrize("command", ["eval", "ablate"])
+def test_too_many_shots_exit_3_before_anything_trains(tmp_path, caplog, monkeypatch, command) -> None:
+    # 5 shots of 4 support demonstrations: rejected on the test tasks before
+    # any method trains and before the run directory exists.
+    cfg = write_tiny(tmp_path, data={"n_support": 4}, eval={"shots": [5]})
+    argv = [command, "--config", str(cfg), "--out", str(tmp_path / "run")]
+    if command == "eval":
+        ckpt = tmp_path / "ck.json"
+        save_checkpoint(ckpt, init_model(load_config(cfg)), "dmil", 1, 0)
+        argv += ["--checkpoint", str(ckpt)]
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained before the shots were checked")
+
+    monkeypatch.setattr(runner, "train", no_training)
+    caplog.clear()
+    assert main(argv) == 3
+    want = "contract error: eval.shots=5 exceeds the 4 support demonstrations of test task 9000"
+    assert one_line_error(caplog, "contract error") == want
+    assert not (tmp_path / "run").exists()
+    with pytest.raises(ContractError, match="eval.shots=5"):
+        runner.ablate(load_config(cfg))
 
 
 def test_checkpoint_roundtrip_and_schema_error(tmp_path) -> None:
@@ -486,7 +538,15 @@ def test_cli_dataset_format_error_exit_code(tmp_path, caplog) -> None:
          "label float"],
 )
 def test_dataset_line_not_as_simulated_exits_6(tmp_path, caplog, field, value, error) -> None:
-    # One 24-step trajectory per line; the second line of train.jsonl is changed.
+    cfg = write_tiny(tmp_path, data=changed_dataset(tmp_path, field, value))
+    caplog.clear()
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 6
+    assert one_line_error(caplog, "dataset format error") == f"dataset format error: line 2: {error}"
+
+
+def changed_dataset(tmp_path, field, value) -> dict:
+    """The data section of gen-data files of TINY (one 24-step trajectory per
+    line) whose second train.jsonl line has `field` set to `value`."""
     data_dir = tmp_path / "data"
     assert main(["gen-data", "--config", str(write_tiny(tmp_path)), "--out", str(data_dir)]) == 0
     train = data_dir / "train.jsonl"
@@ -495,10 +555,21 @@ def test_dataset_line_not_as_simulated_exits_6(tmp_path, caplog, field, value, e
     rec[field] = value
     lines[1] = json.dumps(rec)
     train.write_text("\n".join(lines) + "\n")
-    cfg = write_tiny(tmp_path, data={"train_path": str(train), "test_path": str(data_dir / "test.jsonl")})
+    return {"train_path": str(train), "test_path": str(data_dir / "test.jsonl")}
+
+
+@pytest.mark.parametrize("command", ["gen-data", "train", "eval", "ablate"])
+def test_malformed_dataset_exits_6_before_any_output(tmp_path, caplog, command) -> None:
+    cfg = write_tiny(tmp_path, data=changed_dataset(tmp_path, "true_skills", [7] * 24))
+    argv = [command, "--config", str(cfg), "--out", str(tmp_path / "run")]
+    if command == "eval":
+        ckpt = tmp_path / "ck.json"
+        save_checkpoint(ckpt, init_model(load_config(cfg)), "dmil", 1, 0)
+        argv += ["--checkpoint", str(ckpt)]
     caplog.clear()
-    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 6
-    assert one_line_error(caplog, "dataset format error") == f"dataset format error: line 2: {error}"
+    assert main(argv) == 6
+    assert one_line_error(caplog, "dataset format error") == "dataset format error: line 2: true_skills must be integers in [0, 3)"
+    assert not (tmp_path / "run").exists()
 
 
 def test_train_is_byte_identical_across_blas_thread_counts(tmp_path) -> None:

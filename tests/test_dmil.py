@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from dmil import dmil
 from dmil.autodiff import ParamVector, loss_value
-from dmil.data import Trajectory, flatten_trajectories
+from dmil.data import Trajectory
 from dmil.dmil import (
     Pool,
     TrainConfig,
@@ -168,8 +168,8 @@ def test_high_loss_perfect_classifier_near_zero() -> None:
 def test_high_loss_matches_straight_line_recomputation() -> None:
     params = small_params(7)
     trajs = random_trajs(8, n=2, T=9)
-    S, A, slices = flatten_trajectories(trajs)
     p = pool(trajs, "raw")
+    S, slices = p.states, p.slices
     labels = hard_labels(p, params.skills, params.skill_shape)
     lam = 0.25
     got = loss_value(SelectorLoss(params.high_shape), params.high, high_batch(p, labels, 3, lam))
@@ -227,9 +227,9 @@ def test_partition_k1_everything_in_group_zero() -> None:
     params = small_params(n_skills=1)
     trajs = random_trajs(5)
     (batch,) = routed(params.high, params.high_shape, trajs)
-    S, A, _ = flatten_trajectories(trajs)
-    assert len(batch) == len(S)
-    assert np.array_equal(batch.states, S) and np.array_equal(batch.actions, A)
+    p = pool(trajs, "raw")
+    assert len(batch) == len(p)
+    assert np.array_equal(batch.states, p.states) and np.array_equal(batch.actions, p.actions)
 
 
 def test_partition_hand_set_selector() -> None:
@@ -244,7 +244,8 @@ def test_partition_matches_bruteforce_argmax() -> None:
     params = small_params(9, n_skills=4, hidden=(6,))
     trajs = random_trajs(10, n=2, T=8)
     batches = routed(params.high, params.high_shape, trajs)
-    S, A, _ = flatten_trajectories(trajs)
+    p = pool(trajs, "raw")
+    S, A = p.states, p.actions
     logits = mlp_forward(params.high, params.high_shape, S)
     seen = 0
     for t in range(len(S)):
@@ -609,8 +610,8 @@ def test_labels_onehot_and_partition_disjoint_exhaustive() -> None:
         k = 1 + rng.randint(5)
         params = small_params(seed=trial, n_skills=k, hidden=(5,))
         trajs = random_trajs(trial + 100, n=1 + rng.randint(3), T=2 + rng.randint(10))
-        S, A, _ = flatten_trajectories(trajs)
         p = pool(trajs, "raw")
+        S = p.states
         labels = hard_labels(p, params.skills, params.skill_shape)
         assert np.all(high_batch(p, labels, k, 0.0).onehot.sum(axis=1) == 1.0)
         batches = routed(params.high, params.high_shape, trajs)
@@ -646,10 +647,10 @@ def test_few_shot_adapt_reduces_single_skill_bc_loss_pilot() -> None:
     task = demo_task(42)
     demo = task.support[0]
     adapted = few_shot_adapt(params, [demo], 5e-4, 3)
-    S, A, _ = flatten_trajectories([demo])
+    p = pool([demo], "raw")
     loss = SkillMseLoss(params.skill_shape)
-    before = sum(loss_value(loss, params.skills[k], dmil.SkillBatch(S, A)) for k in range(params.K))
-    after = sum(loss_value(loss, adapted.skills[k], dmil.SkillBatch(S, A)) for k in range(params.K))
+    before = sum(loss_value(loss, params.skills[k], p) for k in range(params.K))
+    after = sum(loss_value(loss, adapted.skills[k], p) for k in range(params.K))
     if not after < before:
         warnings.warn(f"adaptation did not reduce pooled BC loss: {before} -> {after}")
 

@@ -42,7 +42,7 @@ def test_fd_check_quadratic_tiny_error() -> None:
 
 def test_fd_check_small_mlp_meta_objective() -> None:
     from dmil.autodiff import inner_adapt, loss_value, meta_grad, value_and_grad
-    from dmil.dmil import SkillBatch
+    from dmil.dmil import Pool
 
     shape = mlp_shape(2, 2, (8,))
     rng = SplitMix64(70)
@@ -54,12 +54,12 @@ def test_fd_check_small_mlp_meta_objective() -> None:
     loss = SkillMseLoss(shape)
     rate = 5e-4
 
-    trace = inner_adapt(loss, theta, rate, SkillBatch(s2, a2), 1)
-    exact = meta_grad(trace, value_and_grad(loss, trace.final, SkillBatch(s4, a4))[1])
+    trace = inner_adapt(loss, theta, rate, Pool(s2, a2, ()), 1)
+    exact = meta_grad(trace, value_and_grad(loss, trace.final, Pool(s4, a4, ()))[1])
 
     def objective(x):
-        tr = inner_adapt(loss, ParamVector(x), rate, SkillBatch(s2, a2), 1)
-        return loss_value(loss, tr.final, SkillBatch(s4, a4))
+        tr = inner_adapt(loss, ParamVector(x), rate, Pool(s2, a2, ()), 1)
+        return loss_value(loss, tr.final, Pool(s4, a4, ()))
 
     assert fd_check(objective, theta.values, exact.values) <= 1e-4
 
@@ -67,7 +67,7 @@ def test_fd_check_small_mlp_meta_objective() -> None:
 def test_fd_check_exposes_first_order_gap() -> None:
     # On a curved objective the first-order meta-gradient is materially wrong.
     from dmil.autodiff import inner_adapt, loss_value, meta_grad, value_and_grad
-    from dmil.dmil import SkillBatch
+    from dmil.dmil import Pool
 
     shape = mlp_shape(2, 2, (8,))
     rng = SplitMix64(71)
@@ -77,12 +77,12 @@ def test_fd_check_exposes_first_order_gap() -> None:
     loss = SkillMseLoss(shape)
     rate = 0.05  # big enough that curvature matters
 
-    trace = inner_adapt(loss, theta, rate, SkillBatch(s2, a2), 1)
-    fo = meta_grad(trace, value_and_grad(loss, trace.final, SkillBatch(s2, a2))[1], mode="first_order")
+    trace = inner_adapt(loss, theta, rate, Pool(s2, a2, ()), 1)
+    fo = meta_grad(trace, value_and_grad(loss, trace.final, Pool(s2, a2, ()))[1], mode="first_order")
 
     def objective(x):
-        tr = inner_adapt(loss, ParamVector(x), rate, SkillBatch(s2, a2), 1)
-        return loss_value(loss, tr.final, SkillBatch(s2, a2))
+        tr = inner_adapt(loss, ParamVector(x), rate, Pool(s2, a2, ()), 1)
+        return loss_value(loss, tr.final, Pool(s2, a2, ()))
 
     assert fd_check(objective, theta.values, fo.values) > 1e-2
 
@@ -128,9 +128,10 @@ def test_skill_accuracy_random_near_third_and_matches_exhaustive() -> None:
 
 
 def test_skill_accuracy_contract_errors() -> None:
-    with pytest.raises(ContractError, match="limited to 6 skills"):
-        skill_accuracy(np.zeros(4), np.zeros(4), 7, 7)
-    assert skill_accuracy(np.zeros(4), np.zeros(4), 6, 6) == 1.0
+    # 9! = 362,880 maps is above the cap; 7! = 5,040 is not.
+    with pytest.raises(ContractError, match="limited to 100000 label maps, got 362880"):
+        skill_accuracy(np.zeros(4), np.zeros(4), 9, 9)
+    assert skill_accuracy(np.zeros(4), np.zeros(4), 7, 7) == 1.0
     with pytest.raises(ContractError):
         skill_accuracy(np.zeros(4), np.zeros(3), 3, 3)
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from dmil import autodiff as ad
 from dmil.autodiff import NumericError, ParamVector, inner_adapt, meta_grad
-from dmil.dmil import HighBatch, SkillBatch
+from dmil.dmil import HighBatch, Pool
 from dmil.evaluation import max_rel_err
 from dmil.kernels import SelectorLoss, SkillMseLoss
 from dmil.policies import MlpShape
@@ -41,7 +41,7 @@ def instances(draw, loss: str):
         onehot = np.eye(out_dim)[rng.integers(0, out_dim, size=n)]
         batch = HighBatch(x, onehot, slices, aux)
         return SelectorLoss(shape), tape_high_loss(shape), theta, v, batch
-    batch = SkillBatch(x, rng.uniform(-1.0, 1.0, size=(n, out_dim)))
+    batch = Pool(x, rng.uniform(-1.0, 1.0, size=(n, out_dim)), ())
     return SkillMseLoss(shape), tape_skill_loss(shape), theta, v, batch
 
 
@@ -109,7 +109,7 @@ def test_kernel_overflow_raises_numeric_error(make) -> None:
     if make is SelectorLoss:
         batch = HighBatch(x, np.eye(2)[[0, 1, 1, 0, 0, 1]], ((0, 3), (3, 6)), 0.1)
     else:
-        batch = SkillBatch(x, rng.uniform(-1.0, 1.0, size=(6, 2)))
+        batch = Pool(x, rng.uniform(-1.0, 1.0, size=(6, 2)), ())
     theta = ParamVector(np.full(shape.n_params, 1e300))
     loss = make(shape)
     with np.errstate(all="ignore"):
