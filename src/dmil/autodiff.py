@@ -398,7 +398,8 @@ class AdaptTrace:
     and final is the last point minus rate times its gradient; a trace with
     no steps has no points.  linearized[j] is the inner loss linearized at
     points[j], kept (when adapting with keep) for meta_grad's
-    Hessian-vector products.
+    Hessian-vector products.  loss and batch are the inner problem the
+    steps descended (None for a trace with no steps).
     """
 
     points: tuple[ParamVector, ...]
@@ -407,6 +408,8 @@ class AdaptTrace:
     linearized: tuple[Point, ...] = ()
     losses: tuple[float, ...] = ()  # loss before each step, then at final
     diverged: bool = False
+    loss: Loss | None = None
+    batch: object = None
 
 
 def identity_trace(theta: ParamVector) -> AdaptTrace:
@@ -462,6 +465,8 @@ def inner_adapt(
         linearized=tuple(kept),
         losses=tuple(losses),
         diverged=diverged,
+        loss=f,
+        batch=batch,
     )
 
 

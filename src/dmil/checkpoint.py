@@ -49,11 +49,13 @@ def save_checkpoint(path, params: HierarchicalParams, method: str, rng_state: in
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Read one checkpoint.  A file that is not one (not JSON, not an
-    object, another schema version, a missing or malformed field) raises a
-    one-line CheckpointSchemaError."""
+    """Read one checkpoint.  A file that cannot be read or is not one (not
+    JSON, not an object, another schema version, a missing or malformed
+    field) raises a one-line CheckpointSchemaError."""
     try:
         doc = json.loads(Path(path).read_text())
+    except OSError as e:
+        raise CheckpointSchemaError(f"checkpoint {path} cannot be read: {e.strerror}") from e
     except json.JSONDecodeError as e:
         raise CheckpointSchemaError(f"checkpoint {path} does not parse: {e}") from e
     if not isinstance(doc, dict):

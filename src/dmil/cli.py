@@ -28,7 +28,7 @@ from .blas import pin_one_thread
 from .checkpoint import CheckpointSchemaError, load_checkpoint
 from .config import ConfigError, load_config, resolve_config, dump_config
 from .evaluation import write_report_csv, write_summary_json
-from .runner import ablate, build_datasets, check_shots, evaluate, gradcheck_run, init_model, train
+from .runner import ablate, build_datasets, build_split, check_shots, evaluate, gradcheck_run, init_model, train
 from .tasks import DatasetFormatError, save_datasets
 
 logger = logging.getLogger("dmil")
@@ -93,7 +93,7 @@ def cmd_eval(args) -> int:
     cfg = _resolve(args)
     ckpt = load_checkpoint(args.checkpoint)
     _check_model(cfg, ckpt)
-    _, test_tasks = build_datasets(cfg)
+    test_tasks = build_split(cfg, "test")
     check_shots(cfg, test_tasks)
     out = _prepare_out(args, cfg)
     rows = evaluate(cfg, ckpt.params, ckpt.method, test_tasks)

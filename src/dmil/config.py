@@ -185,6 +185,8 @@ def resolve_config(overrides: dict | None = None, seed: int | None = None) -> di
 def load_config(path, seed: int | None = None) -> dict:
     try:
         raw = json.loads(Path(path).read_text())
+    except OSError as e:
+        raise ConfigError(f"config file {path} cannot be read: {e.strerror}") from e
     except json.JSONDecodeError as e:
         raise ConfigError(f"config file {path} does not parse: {e}") from e
     if not isinstance(raw, dict):

@@ -16,11 +16,12 @@ pre-step parameters:
                             adapted selector), pushed back through each
                             sub-skill's inner steps.
 
-Each phase batch is pooled once (flatten and feature map, `pool`), and
-labels, routing and selector batches all read that Pool; each sub-skill's
-routed data set is a Pool of its rows.  The two inner updates are
-adapt_phases, which few-shot adaptation and the warm start's selector
-consolidation also run, on one pool of demonstrations.
+task_phases is the one composition of the phases: meta_train_step and
+runner.gradcheck_run both differentiate what it builds.  Each phase batch
+is pooled once (flatten and feature map, `pool`), and labels, routing and
+selector batches all read that Pool; each sub-skill's routed data set is a
+Pool of its rows.  The two inner updates are adapt_phases, which few-shot
+adaptation and the warm start's selector consolidation also run.
 
 Meta-gradients are summed over tasks in list order, divided by the task
 count and returned for one atomic update, which the caller (runner.train)
@@ -275,38 +276,34 @@ class StepResult:
         return float(np.sqrt(sum(np.sum(g.values**2) for g in self.g_skills)))
 
 
-def _task_meta_grads(
+def task_phases(
     params: HierarchicalParams,
-    batches: tuple[list[Trajectory], ...],
+    groups: tuple[Sequence[Trajectory], ...],
     cfg: TrainConfig,
-) -> tuple[ParamVector, list[ParamVector], float, float, bool]:
-    """One task's four phases, each batch pooled once.  A level that is not
-    meta-learned keeps a zero-step trace, whose meta-gradient is its plain
-    outer gradient, taken on its inner batch instead: t1 labelled by the
-    initial sub-skills for the selector, t2 for the sub-skills.  With one
-    skill (maml) the selector is a one-way softmax whose outer loss and
-    gradient are exactly zero, so they are not computed."""
-    t1, t2, t3, t4 = batches
+) -> tuple[AdaptTrace, tuple[AdaptTrace, ...], HighBatch | None, tuple[Pool, ...]]:
+    """One task's four phases, each trajectory group pooled once: the inner
+    traces, the selector's outer batch and the sub-skills' routed outer
+    batches, for ho_grad and lo_grad.  A level that is not meta-learned
+    keeps a zero-step trace, whose meta-gradient is its plain outer
+    gradient, taken on its inner batch instead: group 1 labelled by the
+    initial sub-skills for the selector, group 2 for the sub-skills.  With
+    one skill (maml) the selector is a one-way softmax whose outer loss and
+    gradient are exactly zero, so its batch is None."""
+    t1, t2, t3, t4 = groups
     p1, p2 = pool(t1, params.feature_kind), pool(t2, params.feature_kind)
     trace_h, traces_l = adapt_phases(
         params, p1, p2, cfg.inner_rate, cfg.inner_steps, cfg.aux_weight, cfg.meta_high, cfg.meta_low
     )
-
-    if params.K == 1:
-        g_high, high_val = ParamVector.zeros(len(params.high)), 0.0
-    else:
+    batch_h = None
+    if params.K > 1:
         if cfg.meta_high:
             p3, label_skills = pool(t3, params.feature_kind), [t.final for t in traces_l]
         else:
             p3, label_skills = p1, params.skills
-        labels = hard_labels(p3, label_skills, params.skill_shape)
-        g_high, high_val = ho_grad(trace_h, params, high_batch(p3, labels, params.K, cfg.aux_weight))
+        batch_h = high_batch(p3, hard_labels(p3, label_skills, params.skill_shape), params.K, cfg.aux_weight)
     p4 = pool(t4, params.feature_kind) if cfg.meta_low else p2
-    batches = partition_by_skill(p4, route(trace_h.final, params.high_shape, p4), params.K)
-    g_skills, skill_val = lo_grad(traces_l, params, batches)
-
-    diverged = trace_h.diverged or any(t.diverged for t in traces_l)
-    return g_high, g_skills, high_val, skill_val, diverged
+    batches_l = partition_by_skill(p4, route(trace_h.final, params.high_shape, p4), params.K)
+    return trace_h, traces_l, batch_h, batches_l
 
 
 def meta_train_step(
@@ -330,13 +327,19 @@ def meta_train_step(
     high_vals, skill_vals, diverged = [], [], 0
     for task in tasks:
         rng = SplitMix64(derive_seed(step_seed, task.spec.seed))
-        batches = sample_phase_batches(task.support, cfg.batch_size, rng)
-        task_high, task_skills, high_val, skill_val, task_diverged = _task_meta_grads(params, batches, cfg)
+        groups = sample_phase_batches(task.support, cfg.batch_size, rng)
+        trace_h, traces_l, batch_h, batches_l = task_phases(params, groups, cfg)
+        if batch_h is None:
+            task_high, high_val = ParamVector.zeros(len(params.high)), 0.0
+        else:
+            task_high, high_val = ho_grad(trace_h, params, batch_h)
+        task_skills, skill_val = lo_grad(traces_l, params, batches_l)
         g_high = g_high.add(task_high)
         g_skills = [a.add(b) for a, b in zip(g_skills, task_skills, strict=True)]
         high_vals.append(high_val)
         skill_vals.append(skill_val)
-        diverged += int(task_diverged)
+        diverged += int(trace_h.diverged or any(t.diverged for t in traces_l))
+        del trace_h, traces_l  # free this task's linearizations before the next task's phases
     c = 1.0 / len(tasks)
     return StepResult(
         g_high=g_high.scaled(c),

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .autodiff import ContractError, ParamVector, inner_adapt, loss_value
+from .autodiff import AdaptTrace, ContractError, ParamVector, inner_adapt, loss_value
 from .baselines import em_only_train, hard_em_grads, maml_train_step  # noqa: F401  (train calls steps by name)
 from .checkpoint import save_checkpoint
 from .config import METHODS, dump_config
@@ -28,13 +28,11 @@ from .dmil import (
     TrainConfig,
     adapt_phases,
     hard_labels,
-    high_batch,
     ho_grad,
     lo_grad,
     meta_train_step,  # noqa: F401  (train calls steps by name)
-    partition_by_skill,
     pool,
-    route,
+    task_phases,
 )
 from .evaluation import (
     HierarchicalPolicy,
@@ -45,7 +43,6 @@ from .evaluation import (
     write_report_csv,
     write_summary_json,
 )
-from .kernels import SelectorLoss, SkillMseLoss
 from .policies import HierarchicalParams, init_hierarchical
 from .rng import SplitMix64, derive_seed
 from .tasks import ACTION_DIM, N_REGIMES, STATE_DIM, TaskDataset, load_datasets, make_dataset, rollout_expert, sample_task
@@ -95,21 +92,24 @@ class Adam:
 # ---------------------------------------------------------------------------
 
 
-def build_datasets(cfg: dict) -> tuple[list[TaskDataset], list[TaskDataset]]:
+def build_split(cfg: dict, split: str) -> list[TaskDataset]:
+    """The "train" or "test" tasks, loaded from the split's file when the
+    config names both (resolve_config rejects one alone), else simulated."""
     d = cfg["data"]
-    if d["train_path"]:  # resolve_config rejects one path without the other
-        return load_datasets(d["train_path"]), load_datasets(d["test_path"])
+    if d["train_path"]:
+        return load_datasets(d[f"{split}_path"])
+    seed0 = TRAIN_TASK_SEED0 if split == "train" else TEST_TASK_SEED0
+    return [
+        make_dataset(
+            sp := sample_task(seed0 + i), d["n_support"], d["n_query"], d["horizon"],
+            seed=derive_seed(d["data_seed"], sp.seed),
+        )
+        for i in range(d[f"n_{split}_tasks"])
+    ]
 
-    def tasks(seed0: int, n: int) -> list[TaskDataset]:
-        return [
-            make_dataset(
-                sp := sample_task(seed0 + i), d["n_support"], d["n_query"], d["horizon"],
-                seed=derive_seed(d["data_seed"], sp.seed),
-            )
-            for i in range(n)
-        ]
 
-    return tasks(TRAIN_TASK_SEED0, d["n_train_tasks"]), tasks(TEST_TASK_SEED0, d["n_test_tasks"])
+def build_datasets(cfg: dict) -> tuple[list[TaskDataset], list[TaskDataset]]:
+    return build_split(cfg, "train"), build_split(cfg, "test")
 
 
 def train_config_from(cfg: dict) -> TrainConfig:
@@ -386,56 +386,44 @@ GRADCHECK_FD_STEP = 1e-5
 GRADCHECK_TOLERANCE = 1e-4
 
 
+def _fd_rel_err(trace: AdaptTrace, outer_batch, exact: ParamVector) -> float:
+    """fd_check of `exact` on the trace's composed objective: its inner steps
+    replayed from perturbed start parameters, then its loss on outer_batch."""
+
+    def objective(vals):
+        tr = inner_adapt(trace.loss, ParamVector(vals), trace.rate, trace.batch, len(trace.points), keep=False)
+        return loss_value(trace.loss, tr.final, outer_batch)
+
+    return fd_check(objective, trace.points[0].values, exact.values, GRADCHECK_FD_STEP)
+
+
 def gradcheck_run(cfg: dict) -> dict:
     """Exact selector/sub-skill meta-gradients on random small instances,
     checked against central finite differences of the composed
-    adapt-then-evaluate objectives.  Returns a report with the worst errors;
-    it passes if at least one sub-skill objective was checked and every
-    error is within GRADCHECK_TOLERANCE."""
+    adapt-then-evaluate objectives that training's own composition
+    (dmil.task_phases) builds; a sub-skill with no inner step or an empty
+    outer batch is skipped.  Returns a report with the worst errors; it
+    passes if at least one sub-skill objective was checked and every error
+    is within GRADCHECK_TOLERANCE."""
     g = cfg["gradcheck"]
     t0 = time.perf_counter()
     worst_high = worst_low = 0.0
     checked = 0
-    rate, aux = GRADCHECK_INNER_RATE, 0.1
     for i in range(g["instances"]):
         seed = GRADCHECK_SEED0 + i
         params = init_hierarchical(STATE_DIM, ACTION_DIM, GRADCHECK_SKILLS, (GRADCHECK_HIDDEN,), seed=derive_seed(seed, 1))
         spec = sample_task(seed)
         b = GRADCHECK_TRAJECTORIES
         trajs = [rollout_expert(spec, GRADCHECK_HORIZON, j) for j in range(4 * b)]
-        p1, p2, p3, p4 = (pool(trajs[j * b : (j + 1) * b], params.feature_kind) for j in range(4))
+        groups = tuple(trajs[j * b : (j + 1) * b] for j in range(4))
         for steps in g["inner_steps"]:
-            trace_h, traces_l = adapt_phases(params, p1, p2, rate, steps, aux)
-            adapted = [t.final for t in traces_l]
-
-            # Selector: loss at the adapted selector with labels held fixed.
-            batch1 = high_batch(p1, hard_labels(p1, params.skills, params.skill_shape), params.K, aux)
-            batch3 = high_batch(p3, hard_labels(p3, adapted, params.skill_shape), params.K, aux)
-            high_loss_fn = SelectorLoss(params.high_shape)
-            exact_h = ho_grad(trace_h, params, batch3)[0]
-
-            def high_objective(vals):
-                tr = inner_adapt(high_loss_fn, ParamVector(vals), rate, batch1, steps)
-                return loss_value(high_loss_fn, tr.final, batch3)
-
-            worst_high = max(worst_high, fd_check(high_objective, params.high.values, exact_h.values, GRADCHECK_FD_STEP))
-
-            # Sub-skills: per-skill composed objectives on the routed batches.
-            batches2, batches4 = (
-                partition_by_skill(q, route(trace_h.final, params.high_shape, q), params.K) for q in (p2, p4)
-            )
-            exact_l = lo_grad(traces_l, params, batches4)[0]
-            skill_loss_fn = SkillMseLoss(params.skill_shape)
-            for k, (batch2k, batch4k) in enumerate(zip(batches2, batches4)):
-                if not len(batch2k) or not len(batch4k):
-                    continue
-
-                def low_objective(vals, b2=batch2k, b4=batch4k):
-                    tr = inner_adapt(skill_loss_fn, ParamVector(vals), rate, b2, steps)
-                    return loss_value(skill_loss_fn, tr.final, b4)
-
-                worst_low = max(worst_low, fd_check(low_objective, params.skills[k].values, exact_l[k].values, GRADCHECK_FD_STEP))
-                checked += 1
+            tc = TrainConfig(inner_rate=GRADCHECK_INNER_RATE, inner_steps=steps, aux_weight=0.1)
+            trace_h, traces_l, batch_h, batches_l = task_phases(params, groups, tc)
+            worst_high = max(worst_high, _fd_rel_err(trace_h, batch_h, ho_grad(trace_h, params, batch_h)[0]))
+            for trace, batch, exact in zip(traces_l, batches_l, lo_grad(traces_l, params, batches_l)[0]):
+                if trace.points and len(batch):
+                    worst_low = max(worst_low, _fd_rel_err(trace, batch, exact))
+                    checked += 1
     elapsed = time.perf_counter() - t0
     return {
         "instances": g["instances"],

@@ -55,7 +55,7 @@ N_REGIMES = 3  # approach, orbit, dock: the hidden skill labels 0, 1, 2
 
 
 class DatasetFormatError(ValueError):
-    """A dataset file line failed to parse or violated the schema."""
+    """A dataset file is empty, or a line failed to parse or violated the schema."""
 
 
 @dataclass(frozen=True)
@@ -297,4 +297,6 @@ def load_datasets(path) -> list[TaskDataset]:
         if not g["support"] or not g["query"]:
             raise DatasetFormatError(f"task {seed}: missing support or query trajectories")
         out.append(TaskDataset(tuple(g["support"]), tuple(g["query"]), sample_task(seed)))
+    if not out:
+        raise DatasetFormatError(f"{path} holds no trajectory")
     return out

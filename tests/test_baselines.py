@@ -2,11 +2,13 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dmil import dmil
+from dmil import dmil, runner
 from dmil.autodiff import ParamVector
 from dmil.baselines import em_only_train, maml_train_step
-from dmil.dmil import TrainConfig, meta_train_step, sample_phase_batches
+from dmil.dmil import TrainConfig, meta_train_step, pool, sample_phase_batches
 from dmil.policies import HierarchicalParams, init_hierarchical, mlp_forward
 from dmil.rng import SplitMix64, derive_seed
 from dmil.tasks import make_dataset, sample_task
@@ -267,3 +269,31 @@ def test_em_only_loss_trace_nonincreasing_pilot() -> None:
     if np.any(diffs > 0):
         warnings.warn(f"em_only loss trace not monotone: {losses}")
     assert losses[-1] < losses[0]
+
+
+def best_skill_mse(params: HierarchicalParams, p) -> float:
+    """Mean over pairs of the least squared action error over sub-skills."""
+    errors = np.stack(
+        [np.sum((p.actions - mlp_forward(s, params.skill_shape, p.states)) ** 2, axis=1) for s in params.skills],
+        axis=1,
+    )
+    return float(np.mean(np.min(errors, axis=1)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    hidden=st.sampled_from([(8,), (6, 6)]),
+    k=st.integers(2, 4),
+    features=st.sampled_from(["raw", "relative"]),
+)
+def test_hard_em_alternation_does_not_raise_best_skill_mse(seed, hidden, k, features) -> None:
+    # The monotonicity behind the paper's EM convergence argument: with the
+    # labels fixed, each sub-skill descends its MSE on the pairs it wins
+    # (M step), and relabelling can only lower each pair's least error
+    # (E step).  The selector's loss is not part of this objective.
+    params = init_hierarchical(4, 2, k, hidden, seed=seed, features=features)
+    p = pool(demo_task(seed, n_support=4).support, features)
+    before = best_skill_mse(params, p)
+    after = best_skill_mse(runner._em_alternations(params, p, 1, 1e-4, 0.1), p)
+    assert after <= before * (1 + 1e-12)

@@ -265,10 +265,15 @@ def test_checkpoint_roundtrip_and_schema_error(tmp_path) -> None:
         load_checkpoint(path)
 
 
-def test_config_error_exit_code(tmp_path) -> None:
+def test_config_error_exit_code(tmp_path, caplog) -> None:
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"nonsense": 1}))
     assert main(["train", "--config", str(path), "--out", str(tmp_path / "x")]) == 2
+    caplog.clear()
+    missing = tmp_path / "missing.json"
+    assert main(["train", "--config", str(missing), "--out", str(tmp_path / "y")]) == 2
+    assert one_line_error(caplog, "config error").startswith(f"config error: config file {missing} cannot be read")
+    assert not (tmp_path / "y").exists()
 
 
 @pytest.mark.parametrize(
@@ -423,14 +428,16 @@ def test_cli_numeric_error_exit_code(tmp_path, caplog) -> None:
 @pytest.mark.parametrize(
     "body",
     ["wrong schema_version", "not json", "missing field", "json list", "high text", "rng_state text", "skills null",
-     "no features"],
+     "no features", "no file"],
 )
 def test_cli_checkpoint_error_exit_code(tmp_path, caplog, body) -> None:
     params = init_hierarchical(4, 2, 3, (8, 8), seed=0, features="relative")
     ckpt = tmp_path / "ck.json"
     save_checkpoint(ckpt, params, "dmil", rng_state=1, iteration=0)
     doc = json.loads(ckpt.read_text())
-    if body == "not json":
+    if body == "no file":
+        ckpt.unlink()
+    elif body == "not json":
         ckpt.write_text("{checkpoint")
     elif body == "json list":
         ckpt.write_text(json.dumps([doc]))
@@ -454,6 +461,8 @@ def test_cli_checkpoint_error_exit_code(tmp_path, caplog, body) -> None:
     message = one_line_error(caplog, "checkpoint error")
     if body == "no features":  # a raw-feature model is no default
         assert "has no field 'features'" in message
+    if body == "no file":
+        assert message.startswith(f"checkpoint error: checkpoint {ckpt} cannot be read")
     assert not (tmp_path / "eval").exists()
 
 
@@ -544,23 +553,26 @@ def test_dataset_line_not_as_simulated_exits_6(tmp_path, caplog, field, value, e
     assert one_line_error(caplog, "dataset format error") == f"dataset format error: line 2: {error}"
 
 
-def changed_dataset(tmp_path, field, value) -> dict:
+def changed_dataset(tmp_path, field, value, split: str = "train") -> dict:
     """The data section of gen-data files of TINY (one 24-step trajectory per
-    line) whose second train.jsonl line has `field` set to `value`."""
+    line) whose second `split`.jsonl line has `field` set to `value`."""
     data_dir = tmp_path / "data"
     assert main(["gen-data", "--config", str(write_tiny(tmp_path)), "--out", str(data_dir)]) == 0
-    train = data_dir / "train.jsonl"
-    lines = train.read_text().splitlines()
+    changed = data_dir / f"{split}.jsonl"
+    lines = changed.read_text().splitlines()
     rec = json.loads(lines[1])
     rec[field] = value
     lines[1] = json.dumps(rec)
-    train.write_text("\n".join(lines) + "\n")
-    return {"train_path": str(train), "test_path": str(data_dir / "test.jsonl")}
+    changed.write_text("\n".join(lines) + "\n")
+    return {"train_path": str(data_dir / "train.jsonl"), "test_path": str(data_dir / "test.jsonl")}
 
 
 @pytest.mark.parametrize("command", ["gen-data", "train", "eval", "ablate"])
 def test_malformed_dataset_exits_6_before_any_output(tmp_path, caplog, command) -> None:
-    cfg = write_tiny(tmp_path, data=changed_dataset(tmp_path, "true_skills", [7] * 24))
+    # eval reads only the test file, every other command both.
+    split = "test" if command == "eval" else "train"
+    data = changed_dataset(tmp_path, "true_skills", [7] * 24, split)
+    cfg = write_tiny(tmp_path, data=data)
     argv = [command, "--config", str(cfg), "--out", str(tmp_path / "run")]
     if command == "eval":
         ckpt = tmp_path / "ck.json"
@@ -570,6 +582,32 @@ def test_malformed_dataset_exits_6_before_any_output(tmp_path, caplog, command) 
     assert main(argv) == 6
     assert one_line_error(caplog, "dataset format error") == "dataset format error: line 2: true_skills must be integers in [0, 3)"
     assert not (tmp_path / "run").exists()
+
+    # A file with no trajectory at all (empty, or blank lines only).
+    empty = Path(data[f"{split}_path"])
+    empty.write_text("\n")
+    caplog.clear()
+    assert main(argv) == 6
+    assert one_line_error(caplog, "dataset format error") == f"dataset format error: {empty} holds no trajectory"
+    assert not (tmp_path / "run").exists()
+
+
+def test_eval_builds_only_the_test_tasks(tmp_path, monkeypatch) -> None:
+    # A malformed train file does not fail an eval, which never reads it.
+    cfg = write_tiny(tmp_path, data=changed_dataset(tmp_path, "true_skills", [7] * 24, "train"))
+    ckpt = tmp_path / "ck.json"
+    save_checkpoint(ckpt, init_model(load_config(cfg)), "dmil", 1, 0)
+    argv = ["eval", "--config", str(cfg), "--out", str(tmp_path / "run"), "--checkpoint", str(ckpt)]
+    assert main(argv) == 0
+    assert len(list(csv.DictReader((tmp_path / "run" / "report.csv").open()))) == 2  # 2 test tasks, 1 shot count
+
+    # Without dataset files it simulates the 2 test tasks and no train task.
+    seeds = []
+    keep = runner.make_dataset
+    monkeypatch.setattr(runner, "make_dataset", lambda spec, *a, **kw: seeds.append(spec.seed) or keep(spec, *a, **kw))
+    argv = ["eval", "--config", str(write_tiny(tmp_path)), "--out", str(tmp_path / "sim"), "--checkpoint", str(ckpt)]
+    assert main(argv) == 0
+    assert seeds == [runner.TEST_TASK_SEED0, runner.TEST_TASK_SEED0 + 1]
 
 
 def test_train_is_byte_identical_across_blas_thread_counts(tmp_path) -> None:

@@ -1,4 +1,5 @@
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -599,6 +600,26 @@ def test_few_shot_adapt_keeps_no_linearizations(monkeypatch) -> None:
     traces.clear()
     meta_train_step(params, [task], TrainConfig(inner_rate=1e-3, inner_steps=2, batch_size=2), step_seed=3)
     assert traces and all(len(t.linearized) == len(t.points) == 2 for t, _ in traces)
+
+
+def test_meta_train_step_frees_each_task_before_the_next(monkeypatch) -> None:
+    # A task's traces hold its linearizations (every forward activation of
+    # its inner steps); none is alive when the next task's first inner step
+    # starts, so tasks never stack in memory.
+    refs, alive = [], []
+    real = dmil.inner_adapt
+
+    def recording(*args, **kwargs):
+        alive.append(sum(r() is not None for r in refs))
+        trace = real(*args, **kwargs)
+        refs.append(weakref.ref(trace))
+        return trace
+
+    monkeypatch.setattr(dmil, "inner_adapt", recording)
+    tasks = [demo_task(84), demo_task(85), demo_task(86)]
+    meta_train_step(small_params(84), tasks, TrainConfig(inner_rate=1e-3, inner_steps=2, batch_size=2), step_seed=4)
+    assert alive.count(0) == len(tasks)  # the first inner step of each task sees no live trace
+    assert all(r() is None for r in refs)
 
 
 # ---- labels/partition invariants ----

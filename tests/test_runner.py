@@ -8,7 +8,18 @@ from dmil import autodiff as ad
 from dmil import evaluation, runner
 from dmil.autodiff import ContractError, inner_adapt
 from dmil.config import METHODS, resolve_config
-from dmil.dmil import adapt_phases, hard_labels, high_batch, ho_grad, lo_grad, partition_by_skill, pool, route
+from dmil.dmil import (
+    TrainConfig,
+    adapt_phases,
+    hard_labels,
+    high_batch,
+    ho_grad,
+    lo_grad,
+    partition_by_skill,
+    pool,
+    route,
+    task_phases,
+)
 from dmil.evaluation import max_rel_err
 from dmil.policies import init_hierarchical
 from dmil.rng import SplitMix64, derive_seed
@@ -95,6 +106,43 @@ def test_only_autodiff_names_the_tape() -> None:
     assert found == []
 
 
+def test_runner_builds_no_phase_of_its_own() -> None:
+    # dmil.task_phases is the one composition of a task's phases: the
+    # runner (training and gradcheck alike) labels, routes, partitions and
+    # builds loss objects only through it.
+    tree = ast.parse(Path(runner.__file__).read_text())
+    called = {
+        node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+    }
+    assert called & {"high_batch", "partition_by_skill", "route"} == set()
+    kernels = [
+        ast.unparse(node)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "kernels"
+        or isinstance(node, ast.Import) and any(a.name.split(".")[-1] == "kernels" for a in node.names)
+    ]
+    assert kernels == []
+
+
+def same_pool(a, b) -> bool:
+    return (
+        a.states.tobytes() == b.states.tobytes()
+        and a.actions.tobytes() == b.actions.tobytes()
+        and a.slices == b.slices
+    )
+
+
+def same_high_batch(a, b) -> bool:
+    return (
+        a.states.tobytes() == b.states.tobytes()
+        and a.onehot.tobytes() == b.onehot.tobytes()
+        and a.slices == b.slices
+        and a.aux_weight == b.aux_weight
+    )
+
+
 def tape_meta_grad(loss, theta, inner_batch, outer_batch, rate: float, steps: int):
     """Adapt on the inner batch, take the outer gradient, push it back."""
     trace = inner_adapt(loss, theta, rate, inner_batch, steps)
@@ -104,7 +152,9 @@ def tape_meta_grad(loss, theta, inner_batch, outer_batch, rate: float, steps: in
 def test_gradcheck_instances_match_the_tape() -> None:
     # The closed-form meta-gradients (ho_grad, lo_grad) of dmil gradcheck's
     # instances 0 and 1 against the same chain on the tape losses: both are
-    # exact, so only rounding separates them.
+    # exact, so only rounding separates them.  The batches built here by
+    # hand are the reference for the ones task_phases returns and for the
+    # inner batches its traces record.
     rate, aux, b = runner.GRADCHECK_INNER_RATE, 0.1, runner.GRADCHECK_TRAJECTORIES
     checked = 0
     for i in range(2):
@@ -113,7 +163,8 @@ def test_gradcheck_instances_match_the_tape() -> None:
             STATE_DIM, ACTION_DIM, runner.GRADCHECK_SKILLS, (runner.GRADCHECK_HIDDEN,), seed=derive_seed(seed, 1)
         )
         trajs = [rollout_expert(sample_task(seed), runner.GRADCHECK_HORIZON, j) for j in range(4 * b)]
-        p1, p2, p3, p4 = (pool(trajs[j * b : (j + 1) * b], params.feature_kind) for j in range(4))
+        groups = tuple(trajs[j * b : (j + 1) * b] for j in range(4))
+        p1, p2, p3, p4 = (pool(group, params.feature_kind) for group in groups)
         tape_high, tape_skill = tape_high_loss(params.high_shape), tape_skill_loss(params.skill_shape)
         for steps in (1, 3):
             trace_h, traces_l = adapt_phases(params, p1, p2, rate, steps, aux)
@@ -128,6 +179,14 @@ def test_gradcheck_instances_match_the_tape() -> None:
                 partition_by_skill(q, route(trace_h.final, params.high_shape, q), params.K) for q in (p2, p4)
             )
             exact_l = lo_grad(traces_l, params, batches4)[0]
+
+            cfg = TrainConfig(inner_rate=rate, inner_steps=steps, aux_weight=aux)
+            phase_h, phase_l, batch_h, batches_l = task_phases(params, groups, cfg)
+            assert same_high_batch(phase_h.batch, batch1) and same_high_batch(batch_h, batch3)
+            assert len(batches_l) == len(phase_l) == params.K
+            for trace, batch2k, got4, want4 in zip(phase_l, batches2, batches_l, batches4):
+                assert same_pool(got4, want4)
+                assert same_pool(trace.batch, batch2k) if len(batch2k) else trace.batch is None
             for k, (batch2k, batch4k) in enumerate(zip(batches2, batches4)):
                 if len(batch2k) and len(batch4k):
                     ref = tape_meta_grad(tape_skill, params.skills[k], batch2k, batch4k, rate, steps)
