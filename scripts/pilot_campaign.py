@@ -13,7 +13,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import numpy as np
 
-from dmil.blas import pin_one_thread
 from dmil.config import resolve_config
 from dmil.runner import build_datasets, evaluate, train, warm_start
 
@@ -50,7 +49,6 @@ METHODS_5B = ["dmil_high", "dmil_low", "em_only"]
 
 
 def main():
-    pin_one_thread()
     t_start = time.perf_counter()
     results = {}
     datasets = None

@@ -1,10 +1,10 @@
-"""One BLAS thread at every entry point.
+"""One BLAS thread in every process that imports dmil.
 
 numpy's matrix products run in the OpenBLAS bundled with its wheel, which
 splits large products over threads.  The split changes the order of the
 partial sums, so results differ in the last bits between thread counts, and
-over a training run those bits decide which inner adaptations diverge.  The
-CLI, the pilot script and the test suite therefore pin one thread.
+over a training run those bits decide which inner adaptations diverge.
+Importing the package therefore pins one thread (dmil/__init__.py).
 OPENBLAS_NUM_THREADS is read only when numpy is first imported, so the
 thread count is set through the library's own functions (via ctypes).
 """

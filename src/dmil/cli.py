@@ -7,7 +7,8 @@ from artifacts alone.  Each command checks its config and builds or loads
 its datasets (and eval and ablate check eval.shots against the test tasks)
 before the run directory is made, so input it rejects leaves no output.
 
-Every command runs BLAS on one thread (dmil.blas).
+Every command runs BLAS on one thread, pinned when the package is imported
+(dmil.blas).
 
 Exit codes: 0 success, 1 a flagged numeric failure (diverged inner
 adaptations, a failed gradcheck), and one code per error class in
@@ -24,7 +25,6 @@ import sys
 from pathlib import Path
 
 from .autodiff import ContractError, NumericError
-from .blas import pin_one_thread
 from .checkpoint import CheckpointSchemaError, load_checkpoint
 from .config import ConfigError, load_config, resolve_config, dump_config
 from .evaluation import write_report_csv, write_summary_json
@@ -173,7 +173,6 @@ EXIT_CODES = {
 
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(asctime)s %(levelname)s %(message)s")
-    pin_one_thread()  # byte-identical runs whatever OPENBLAS_NUM_THREADS says
     args = build_parser().parse_args(argv)
     try:
         return COMMANDS[args.command](args)

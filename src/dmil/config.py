@@ -1,13 +1,14 @@
 """Run configuration: one JSON document with sections {data, model, dmil,
 eval, gradcheck, run}.  Unknown keys are hard errors (no silent defaults for
 typos), and so is a value whose type differs from its default's (an int may
-stand for a float; keys whose default is None take any value).  Values are
-deep-merged over the defaults below."""
+stand for a float; keys whose default is None take any value), and so is a
+float that is not finite.  Values are deep-merged over the defaults below."""
 
 from __future__ import annotations
 
 import copy
 import json
+import math
 from pathlib import Path
 from typing import NamedTuple
 
@@ -108,6 +109,7 @@ RANGES = (
     ("dmil.inner_rate", 0),
     ("dmil.outer_rate", 0),
     ("dmil.warmup_rate", 0),
+    ("dmil.aux_weight", 0),
     ("eval.adapt_rate", 0),
     ("eval.adapt_steps", 1),
     ("eval.episodes", 1),
@@ -139,6 +141,8 @@ def _merge(defaults: dict, override: dict, path: str) -> dict:
         got = type(value)
         if defaults[key] is not None and got is not want and (want, got) != (float, int):
             raise ConfigError(f"config key {here!r} must be {want.__name__}, got {got.__name__} {value!r}")
+        if got is float and not math.isfinite(value):  # json reads NaN and Infinity
+            raise ConfigError(f"config key {here!r} must be finite, got {value!r}")
         out[key] = copy.deepcopy(value)
     return out
 

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -301,11 +302,35 @@ def test_config_error_exit_code(tmp_path, caplog) -> None:
         ("data", "n_test_tasks", 0),
         ("dmil", "warmup_epochs", -1),
         ("dmil", "warmup_consolidate", -1),
+        ("dmil", "aux_weight", -0.1),
     ],
 )
 def test_config_out_of_range_rejected(section, key, value) -> None:
     with pytest.raises(ConfigError, match=rf"'{section}\.{key}' must be >= "):
         resolve_config({section: {key: value}})
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("dmil", "aux_weight", math.nan),
+        ("dmil", "inner_rate", math.inf),
+        ("dmil", "outer_rate", -math.inf),
+        ("eval", "adapt_rate", math.nan),
+    ],
+)
+def test_config_non_finite_rejected(tmp_path, caplog, section, key, value) -> None:
+    # json reads NaN and Infinity, and no range check rejects them: a NaN
+    # is neither below nor above its bound.
+    want = f"config key '{section}.{key}' must be finite, got {value!r}"
+    with pytest.raises(ConfigError, match=re.escape(want)):
+        resolve_config({section: {key: value}})
+    cfg = write_tiny(tmp_path, **{section: {key: value}})
+    assert ("NaN" if math.isnan(value) else "Infinity") in cfg.read_text()
+    caplog.clear()
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+    assert one_line_error(caplog, "config error") == f"config error: {want}"
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize(
@@ -611,7 +636,7 @@ def test_eval_builds_only_the_test_tasks(tmp_path, monkeypatch) -> None:
 
 
 def test_train_is_byte_identical_across_blas_thread_counts(tmp_path) -> None:
-    # dmil.cli pins OpenBLAS to one thread after numpy has read
+    # Importing dmil pins OpenBLAS to one thread after numpy has read
     # OPENBLAS_NUM_THREADS, so the variable cannot change a run's bits.  The
     # 64x64 networks on 480-row batches are large enough for OpenBLAS to
     # split products over two threads when it is allowed to; unpinned, the
@@ -638,6 +663,6 @@ def test_train_is_byte_identical_across_blas_thread_counts(tmp_path) -> None:
 
 
 def test_blas_runs_on_one_thread() -> None:
-    # tests/conftest.py pins the suite as dmil.cli.main pins every command.
+    # Importing dmil pins the suite, as it pins every command (dmil/__init__.py).
     assert blas.threads() == 1
     assert blas.pin_one_thread() == 1
