@@ -6,10 +6,9 @@ pre-step parameters, which runner.train applies through outer_optimizer
 like those of the other three methods.  None of them takes a gradient of
 its own: every outer gradient comes from dmil.ho_grad/lo_grad.
 
-* maml_train_step: one monolithic policy (K=1 HierarchicalParams) is
-  dmil_low at K=1: inner-adapt on the second phase batch and meta-update on
-  the fourth.  With one skill the selector's gradient is exactly zero, so
-  the selector stays where it is.
+* maml_train_step: one monolithic policy is dmil_low at K=1: inner-adapt
+  on the second phase batch and meta-update on the fourth.  The one-skill
+  selector is never forwarded and stays where it is (dmil's K=1 rule).
 * The high/low ablations need no code here: they are the main step with
   TrainConfig.meta_low or meta_high off.  config.METHODS holds every
   method's levels, skill count and step function.
@@ -96,4 +95,4 @@ def em_only_train(
             trajs.extend(group)
     p = pool(trajs, params.feature_kind)
     labels = hard_labels(p, params.skills, params.skill_shape)
-    return hard_em_grads(params, p, labels, route(params.high, params.high_shape, p), cfg.aux_weight)
+    return hard_em_grads(params, p, labels, route(params.high, params.high_shape, p.states), cfg.aux_weight)

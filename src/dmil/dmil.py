@@ -30,8 +30,10 @@ argmins are constants: no gradient flows through them.
 
 ho_grad and lo_grad are the only code that pushes an outer gradient back
 through an inner trace.  With zero-step traces they return the plain
-hard-EM gradients (baselines.hard_em_grads); with K=1 and the selector left
-unadapted the step is MAML (baselines.maml_train_step).
+hard-EM gradients (baselines.hard_em_grads); at K=1 the step is MAML
+(baselines.maml_train_step).  Nothing forwards or differentiates a
+one-skill selector (a one-way softmax, identically 1): hard_labels and
+route give skill 0, high_batch None and ho_grad a zero gradient.
 """
 
 from __future__ import annotations
@@ -93,8 +95,10 @@ def hard_labels(p: Pool, skills: Sequence[ParamVector], skill_shape: MlpShape) -
     """Index (N,) of the sub-skill of least squared action error per pair.
 
     Ties go to the lowest skill index (argmin's first match), which keeps the
-    assignment deterministic and order-stable.
-    """
+    assignment deterministic and order-stable.  One skill wins every pair,
+    with no forward."""
+    if len(skills) == 1:
+        return np.zeros(len(p), dtype=np.intp)
     errors = np.stack(
         [np.sum((p.actions - mlp_forward(s, skill_shape, p.states)) ** 2, axis=1) for s in skills],
         axis=1,
@@ -102,9 +106,12 @@ def hard_labels(p: Pool, skills: Sequence[ParamVector], skill_shape: MlpShape) -
     return np.argmin(errors, axis=1)
 
 
-def route(selector: ParamVector, high_shape: MlpShape, p: Pool) -> np.ndarray:
-    """The selector's argmax skill per pair (ties: lowest index)."""
-    return np.argmax(mlp_forward(selector, high_shape, p.states), axis=1)
+def route(selector: ParamVector, high_shape: MlpShape, states: np.ndarray) -> np.ndarray:
+    """The selector's argmax skill per row of network inputs (..., in), ties
+    to the lowest index; a one-output selector picks 0 with no forward."""
+    if high_shape.out_dim == 1:
+        return np.zeros(states.shape[:-1], dtype=np.intp)
+    return np.argmax(mlp_forward(selector, high_shape, states), axis=-1)
 
 
 def partition_by_skill(p: Pool, indices: np.ndarray, n_skills: int) -> tuple[Pool, ...]:
@@ -141,11 +148,14 @@ class HighBatch:
         object.__setattr__(self, "ce_grad", self.onehot * (-1.0 / n))
 
 
-def high_batch(p: Pool, labels: np.ndarray, n_skills: int, aux_weight: float) -> HighBatch:
+def high_batch(p: Pool, labels: np.ndarray, n_skills: int, aux_weight: float) -> HighBatch | None:
     """Selector loss inputs on a pool: its inputs, the labels one-hot over
-    n_skills, its trajectory slices."""
+    n_skills, its trajectory slices; None for one skill, whose selector
+    loss has an exactly zero gradient (a one-way softmax is identically 1)."""
     if labels.shape[0] != len(p):
         raise ContractError("labels do not align with the pool")
+    if n_skills == 1:
+        return None
     onehot = np.zeros((labels.shape[0], n_skills))
     onehot[np.arange(labels.shape[0]), labels] = 1.0
     return HighBatch(p.states, onehot, p.slices, aux_weight)
@@ -172,17 +182,16 @@ def adapt_phases(
     The selector takes `steps` inner steps on p_high, labelled by the frozen
     sub-skills; the adapted selector routes p_low, and each sub-skill takes
     `steps` inner steps on its routed pairs.  A level that is not adapted,
-    and a sub-skill routed no pair, keeps a zero-step trace.  The traces
-    keep their linearizations for meta_grad only with `keep`."""
-    if adapt_high:
-        labels = hard_labels(p_high, params.skills, params.skill_shape)
-        batch = high_batch(p_high, labels, params.K, aux_weight)
-        trace_h = inner_adapt(SelectorLoss(params.high_shape), params.high, rate, batch, steps, keep)
-    else:
-        trace_h = identity_trace(params.high)
+    a one-skill selector and a sub-skill routed no pair keep a zero-step
+    trace.  The traces keep their linearizations for meta_grad only with
+    `keep`."""
+    labels = hard_labels(p_high, params.skills, params.skill_shape) if adapt_high else None
+    batch = None if labels is None else high_batch(p_high, labels, params.K, aux_weight)
+    loss_h = SelectorLoss(params.high_shape)
+    trace_h = identity_trace(params.high) if batch is None else inner_adapt(loss_h, params.high, rate, batch, steps, keep)
     if not adapt_low:
         return trace_h, tuple(identity_trace(s) for s in params.skills)
-    batches = partition_by_skill(p_low, route(trace_h.final, params.high_shape, p_low), params.K)
+    batches = partition_by_skill(p_low, route(trace_h.final, params.high_shape, p_low.states), params.K)
     loss = SkillMseLoss(params.skill_shape)
     traces_l = tuple(
         inner_adapt(loss, s, rate, b, steps, keep) if len(b) else identity_trace(s)
@@ -191,12 +200,13 @@ def adapt_phases(
     return trace_h, traces_l
 
 
-def ho_grad(
-    trace_h: AdaptTrace, params: HierarchicalParams, batch: HighBatch
-) -> tuple[ParamVector, float]:
+def ho_grad(trace_h: AdaptTrace, params: HierarchicalParams, batch: HighBatch | None) -> tuple[ParamVector, float]:
     """Selector meta-gradient and outer loss: the loss on `batch` at the
     adapted selector, pushed back through its inner steps.  A zero-step
-    trace gives the plain gradient at params.high."""
+    trace gives the plain gradient at params.high; a one-skill selector (no
+    batch) gets a zero gradient and loss 0.0."""
+    if batch is None:
+        return ParamVector.zeros(len(params.high)), 0.0
     val, g_outer = ad.value_and_grad(SelectorLoss(params.high_shape), trace_h.final, batch)
     return meta_grad(trace_h, g_outer), val
 
@@ -286,23 +296,19 @@ def task_phases(
     batches, for ho_grad and lo_grad.  A level that is not meta-learned
     keeps a zero-step trace, whose meta-gradient is its plain outer
     gradient, taken on its inner batch instead: group 1 labelled by the
-    initial sub-skills for the selector, group 2 for the sub-skills.  With
-    one skill (maml) the selector is a one-way softmax whose outer loss and
-    gradient are exactly zero, so its batch is None."""
+    initial sub-skills for the selector, group 2 for the sub-skills."""
     t1, t2, t3, t4 = groups
     p1, p2 = pool(t1, params.feature_kind), pool(t2, params.feature_kind)
     trace_h, traces_l = adapt_phases(
         params, p1, p2, cfg.inner_rate, cfg.inner_steps, cfg.aux_weight, cfg.meta_high, cfg.meta_low
     )
-    batch_h = None
-    if params.K > 1:
-        if cfg.meta_high:
-            p3, label_skills = pool(t3, params.feature_kind), [t.final for t in traces_l]
-        else:
-            p3, label_skills = p1, params.skills
-        batch_h = high_batch(p3, hard_labels(p3, label_skills, params.skill_shape), params.K, cfg.aux_weight)
+    if cfg.meta_high:
+        p3, label_skills = pool(t3, params.feature_kind), [t.final for t in traces_l]
+    else:
+        p3, label_skills = p1, params.skills
+    batch_h = high_batch(p3, hard_labels(p3, label_skills, params.skill_shape), params.K, cfg.aux_weight)
     p4 = pool(t4, params.feature_kind) if cfg.meta_low else p2
-    batches_l = partition_by_skill(p4, route(trace_h.final, params.high_shape, p4), params.K)
+    batches_l = partition_by_skill(p4, route(trace_h.final, params.high_shape, p4.states), params.K)
     return trace_h, traces_l, batch_h, batches_l
 
 
@@ -329,10 +335,7 @@ def meta_train_step(
         rng = SplitMix64(derive_seed(step_seed, task.spec.seed))
         groups = sample_phase_batches(task.support, cfg.batch_size, rng)
         trace_h, traces_l, batch_h, batches_l = task_phases(params, groups, cfg)
-        if batch_h is None:
-            task_high, high_val = ParamVector.zeros(len(params.high)), 0.0
-        else:
-            task_high, high_val = ho_grad(trace_h, params, batch_h)
+        task_high, high_val = ho_grad(trace_h, params, batch_h)
         task_skills, skill_val = lo_grad(traces_l, params, batches_l)
         g_high = g_high.add(task_high)
         g_skills = [a.add(b) for a, b in zip(g_skills, task_skills, strict=True)]
@@ -375,12 +378,12 @@ def few_shot_adapt(
 
 def predict_action(params: HierarchicalParams, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Actions (n, action_dim) and skills (n,) for raw states (n, state_dim):
-    the selector picks each row's skill (argmax, ties to lowest index) and
-    that skill predicts the row's action.  One selector forward, then one
+    the selector picks each row's skill (route) and that skill predicts the
+    row's action.  One selector forward (none with one skill), then one
     forward per chosen skill, each over an (n, 1, in) stack, so every row is
     bitwise what a one-state call gives."""
     x = featurize(states, params.feature_kind)[:, None, :]
-    z = np.argmax(mlp_forward(params.high, params.high_shape, x)[:, 0], axis=1)
+    z = route(params.high, params.high_shape, x)[:, 0]
     actions = np.empty((len(z), params.skill_shape.out_dim))
     for k in range(params.K):
         rows = z == k

@@ -23,6 +23,8 @@ callers in autodiff.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .autodiff import ContractError
@@ -176,7 +178,7 @@ class SelectorLoss(_MlpLoss):
 
     def _head(self, y, batch):
         n = y.shape[0]
-        shifted = y - y.max(axis=1, keepdims=True)
+        shifted = y - _row_max(y)
         logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
         p = np.exp(logp)
         val = -((logp * batch.onehot).sum(axis=1).sum() / n)
@@ -201,6 +203,11 @@ class SelectorLoss(_MlpLoss):
             return -rp * s
         rg_logp = rp * q + p * (_neighbour_sum(rp, pairs) * c)
         return rg_logp - rp * s - p * rg_logp.sum(axis=1, keepdims=True)
+
+
+def _row_max(y: np.ndarray) -> np.ndarray:
+    """y.max(axis=1, keepdims=True) bit for bit, a column at a time: far faster on few columns."""
+    return functools.reduce(np.maximum, (y[:, k : k + 1] for k in range(y.shape[1])))
 
 
 def _neighbour_sum(x: np.ndarray, pairs: np.ndarray) -> np.ndarray:

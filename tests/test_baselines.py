@@ -106,7 +106,7 @@ def test_high_and_low_ablations_leave_other_level_plain() -> None:
         trace_h, _ = adapt_phases(
             params, t1, t2, cfg.inner_rate, cfg.inner_steps, cfg.aux_weight, adapt_low=False
         )
-        batches = partition_by_skill(t2, route(trace_h.final, params.high_shape, t2), params.K)
+        batches = partition_by_skill(t2, route(trace_h.final, params.high_shape, t2.states), params.K)
         for k in range(3):
             if len(batches[k]):
                 g = ad.value_and_grad(SkillMseLoss(params.skill_shape), params.skills[k], batches[k])[1]

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dmil import dmil
-from dmil.autodiff import ParamVector, loss_value
+from dmil.autodiff import ParamVector, inner_adapt, linearize, loss_value
 from dmil.data import Trajectory
 from dmil.dmil import (
     Pool,
@@ -61,7 +61,7 @@ def routed(selector, high_shape, trajs):
     """The per-skill batches of trajs (raw features) routed by the
     selector's argmax."""
     p = pool(trajs, "raw")
-    return partition_by_skill(p, route(selector, high_shape, p), high_shape.out_dim)
+    return partition_by_skill(p, route(selector, high_shape, p.states), high_shape.out_dim)
 
 
 def hi(params, trajs, rate, steps, aux):
@@ -78,11 +78,13 @@ def li(params, p, rate, steps):
 # ---- hard labels ----
 
 
-def test_hard_labels_k1_all_zero() -> None:
+def test_hard_labels_k1_all_zero(monkeypatch) -> None:
     params = small_params(n_skills=1)
     p = pool(random_trajs(1), "raw")
+    forwards = []
+    monkeypatch.setattr(dmil, "mlp_forward", lambda *args: forwards.append(args))
     labels = hard_labels(p, params.skills, params.skill_shape)
-    assert np.array_equal(labels, np.zeros(len(p), dtype=np.int64))
+    assert np.array_equal(labels, np.zeros(len(p), dtype=np.int64)) and forwards == []
 
 
 def test_hard_labels_exact_reproduction_wins() -> None:
@@ -311,7 +313,7 @@ def _phases(params, task, cfg, step_seed=0):
     rng = SplitMix64(step_seed)
     t1, t2, t3, t4 = (pool(t, "raw") for t in sample_phase_batches(task.support, cfg.batch_size, rng))
     trace_h, traces_l = adapt_phases(params, t1, t2, cfg.inner_rate, cfg.inner_steps, cfg.aux_weight)
-    batches2 = partition_by_skill(t2, route(trace_h.final, params.high_shape, t2), params.K)
+    batches2 = partition_by_skill(t2, route(trace_h.final, params.high_shape, t2.states), params.K)
     return t1, t2, t3, t4, trace_h, batches2, traces_l
 
 
@@ -386,7 +388,7 @@ def test_lo_grad_zero_rate_and_empty_partition() -> None:
     task = demo_task(13)
     cfg = TrainConfig(inner_rate=0.0, inner_steps=1, batch_size=2)
     t1, t2, t3, t4, trace_h, _, traces_l = _phases(params, task, cfg)
-    batches4 = partition_by_skill(t4, route(trace_h.final, params.high_shape, t4), params.K)
+    batches4 = partition_by_skill(t4, route(trace_h.final, params.high_shape, t4.states), params.K)
     grads, _ = lo_grad(traces_l, params, batches4)
     from dmil.autodiff import value_and_grad
 
@@ -404,7 +406,7 @@ def test_lo_grad_matches_fd_of_composed_map() -> None:
     task = demo_task(14, T=16)
     cfg = TrainConfig(inner_rate=5e-4, inner_steps=1, batch_size=1)
     t1, t2, t3, t4, trace_h, batches2, traces_l = _phases(params, task, cfg)
-    batches4 = partition_by_skill(t4, route(trace_h.final, params.high_shape, t4), params.K)
+    batches4 = partition_by_skill(t4, route(trace_h.final, params.high_shape, t4.states), params.K)
     exact, _ = lo_grad(traces_l, params, batches4)
     loss = SkillMseLoss(params.skill_shape)
 
@@ -481,7 +483,7 @@ def test_meta_train_step_matches_hand_assembled_phases() -> None:
         adapted = [t.final for t in traces_l]
         batch3 = high_batch(t3, hard_labels(t3, adapted, params.skill_shape), params.K, cfg.aux_weight)
         sum_h = sum_h.add(ho_grad(trace_h, params, batch3)[0])
-        batches4 = partition_by_skill(t4, route(trace_h.final, params.high_shape, t4), params.K)
+        batches4 = partition_by_skill(t4, route(trace_h.final, params.high_shape, t4.states), params.K)
         for k, g in enumerate(lo_grad(traces_l, params, batches4)[0]):
             sum_l[k] = sum_l[k].add(g)
     m = len(tasks)
@@ -634,7 +636,8 @@ def test_labels_onehot_and_partition_disjoint_exhaustive() -> None:
         p = pool(trajs, "raw")
         S = p.states
         labels = hard_labels(p, params.skills, params.skill_shape)
-        assert np.all(high_batch(p, labels, k, 0.0).onehot.sum(axis=1) == 1.0)
+        batch = high_batch(p, labels, k, 0.0)
+        assert batch is None if k == 1 else np.all(batch.onehot.sum(axis=1) == 1.0)
         batches = routed(params.high, params.high_shape, trajs)
         assert sum(len(b) for b in batches) == len(S)
         got = np.concatenate([b.states for b in batches if len(b)], axis=0)
@@ -691,14 +694,20 @@ def test_few_shot_adapt_restricted_variants() -> None:
 @pytest.mark.parametrize("aux", [0.0, 0.1])
 def test_k1_selector_adaptation_changes_nothing(features, aux) -> None:
     # With one skill the selector's softmax is identically 1 and its
-    # gradient exactly zero, so maml can leave the selector unadapted.
-    for seed in range(5):
-        params = init_hierarchical(4, 2, 1, (8,), seed=seed, features=features)
-        demos = demo_task(seed).support[:2]
-        on = few_shot_adapt(params, demos, 2e-2, 10, aux_weight=aux, adapt_high=True)
-        off = few_shot_adapt(params, demos, 2e-2, 10, aux_weight=aux, adapt_high=False)
-        assert on.high.values.tobytes() == off.high.values.tobytes() == params.high.values.tobytes()
-        assert on.skills[0].values.tobytes() == off.skills[0].values.tobytes() != params.skills[0].values.tobytes()
+    # gradient exactly zero, which is why high_batch gives no batch and the
+    # selector is never forwarded: adapting it would leave it bitwise where
+    # it started.
+    for seed in range(8):
+        shape = init_hierarchical(4, 2, 1, (8,), seed=seed, features=features).high_shape
+        rng = SplitMix64(seed + 300)
+        theta = ParamVector(rng.uniform_array(shape.n_params, -2.0, 2.0))
+        p = pool(random_trajs(seed + 400, n=1 + rng.randint(3), T=2 + rng.randint(12)), features)
+        batch = dmil.HighBatch(p.states, np.ones((len(p), 1)), p.slices, aux)
+        loss = SelectorLoss(shape)
+        assert np.all(linearize(loss, theta, batch).grad.values == 0.0)
+        trace = inner_adapt(loss, theta, 2e-2, batch, 10)
+        assert all(np.all(point.grad.values == 0.0) for point in trace.linearized)
+        assert trace.final.values.tobytes() == theta.values.tobytes()
 
 
 def test_predict_action_k1_and_hand_set() -> None:

@@ -11,7 +11,7 @@ from dmil import autodiff as ad
 from dmil.autodiff import NumericError, ParamVector, inner_adapt, meta_grad
 from dmil.dmil import HighBatch, Pool
 from dmil.evaluation import max_rel_err
-from dmil.kernels import SelectorLoss, SkillMseLoss
+from dmil.kernels import SelectorLoss, SkillMseLoss, _row_max
 from dmil.policies import MlpShape
 from oracle import tape_high_loss, tape_skill_loss
 
@@ -122,3 +122,19 @@ def test_kernel_overflow_raises_numeric_error(make) -> None:
         point = ad.linearize(loss, ParamVector(rng.uniform(-1.0, 1.0, size=shape.n_params)), batch)
         with pytest.raises(NumericError, match="non-finite hvp"):
             ad.hvp(point, ParamVector(rng.uniform(-1.0, 1.0, size=shape.n_params) * 1e308))
+
+
+def test_row_max_is_numpys_row_max_bitwise() -> None:
+    # The selector head shifts its logits by _row_max; max is exact, so the
+    # column-at-a-time form must give numpy's row max, and the same shifted
+    # logits, bit for bit, also on ties and signed zeros.
+    rng = np.random.default_rng(5)
+    for i in range(2000):
+        n, k = int(rng.integers(1, 60)), int(rng.integers(1, 6))
+        if i % 2:
+            y = rng.choice(np.array([0.0, -0.0, 1.0, -1.0, 2.5, -2.5]), size=(n, k))
+        else:
+            y = rng.normal(size=(n, k))
+        want = y.max(axis=1, keepdims=True)
+        assert _row_max(y).tobytes() == want.tobytes()
+        assert (y - _row_max(y)).tobytes() == (y - want).tobytes()

@@ -176,7 +176,7 @@ def test_gradcheck_instances_match_the_tape() -> None:
             assert max_rel_err(exact_h.values, ref_h.values) <= 1e-10
 
             batches2, batches4 = (
-                partition_by_skill(q, route(trace_h.final, params.high_shape, q), params.K) for q in (p2, p4)
+                partition_by_skill(q, route(trace_h.final, params.high_shape, q.states), params.K) for q in (p2, p4)
             )
             exact_l = lo_grad(traces_l, params, batches4)[0]
 
