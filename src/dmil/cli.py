@@ -4,8 +4,9 @@ Subcommands: gen-data, train, eval, gradcheck, ablate.  Every run directory
 receives the resolved config (config.json) and, when a config file was given,
 a verbatim copy of it (config.input.json), so experiments are reconstructible
 from artifacts alone.  Each command checks its config and builds or loads
-its datasets (and eval and ablate check eval.shots against the test tasks)
-before the run directory is made, so input it rejects leaves no output.
+its datasets (and eval and ablate check eval.shots against the test tasks,
+and that model.n_skills can be scored: runner.check_eval) before the run
+directory is made, so input it rejects leaves no output.
 
 Every command runs BLAS on one thread, pinned when the package is imported
 (dmil.blas).
@@ -28,7 +29,7 @@ from .autodiff import ContractError, NumericError
 from .checkpoint import CheckpointSchemaError, load_checkpoint
 from .config import ConfigError, load_config, resolve_config, dump_config
 from .evaluation import write_report_csv, write_summary_json
-from .runner import ablate, build_datasets, build_split, check_shots, evaluate, gradcheck_run, init_model, train
+from .runner import ablate, build_datasets, build_split, check_eval, evaluate, gradcheck_run, init_model, train
 from .tasks import DatasetFormatError, save_datasets
 
 logger = logging.getLogger("dmil")
@@ -94,7 +95,7 @@ def cmd_eval(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
     _check_model(cfg, ckpt)
     test_tasks = build_split(cfg, "test")
-    check_shots(cfg, test_tasks)
+    check_eval(cfg, test_tasks)
     out = _prepare_out(args, cfg)
     rows = evaluate(cfg, ckpt.params, ckpt.method, test_tasks)
     write_report_csv(out / "report.csv", rows)
@@ -123,7 +124,7 @@ def cmd_gradcheck(args) -> int:
 def cmd_ablate(args) -> int:
     cfg = _resolve(args)
     datasets = build_datasets(cfg)
-    check_shots(cfg, datasets[1])
+    check_eval(cfg, datasets[1])
     out = _prepare_out(args, cfg)
     rows = ablate(cfg, out_dir=out, datasets=datasets)
     logger.info("ablation table with %d rows in %s", len(rows), out)

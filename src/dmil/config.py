@@ -91,7 +91,12 @@ METHODS = {
     "maml": Method(True, (False, True), "maml_train_step"),
     "em_only": Method(False, (True, True), "em_only_train"),
 }
-OUTER_OPTIMIZERS = ("sgd", "adam")
+# Keys whose value must be one of a fixed set, checked after the merge.
+CHOICES = (
+    ("dmil.method", tuple(METHODS)),
+    ("dmil.outer_optimizer", ("sgd", "adam")),
+    ("model.features", FEATURE_KINDS),
+)
 # Lower bounds of numeric keys, checked after the merge (a None value means
 # "use the default"); a list-valued key must list integers >= the bound, and
 # at least one unless it is model.hidden (empty: no hidden layer).
@@ -152,20 +157,10 @@ def resolve_config(overrides: dict | None = None, seed: int | None = None) -> di
     cfg = _merge(DEFAULT_CONFIG, overrides or {}, "")
     if seed is not None:
         cfg["run"]["seed"] = int(seed)
-    if cfg["dmil"]["method"] not in METHODS:
-        raise ConfigError(
-            f"unknown method {cfg['dmil']['method']!r}; valid methods: {', '.join(METHODS)}"
-        )
-    if cfg["dmil"]["outer_optimizer"] not in OUTER_OPTIMIZERS:
-        raise ConfigError(
-            f"unknown outer_optimizer {cfg['dmil']['outer_optimizer']!r}; "
-            f"valid optimizers: {', '.join(OUTER_OPTIMIZERS)}"
-        )
-    if cfg["model"]["features"] not in FEATURE_KINDS:
-        raise ConfigError(
-            f"unknown model.features {cfg['model']['features']!r}; "
-            f"valid feature kinds: {', '.join(FEATURE_KINDS)}"
-        )
+    for key, valid in CHOICES:
+        section, name = key.split(".")
+        if cfg[section][name] not in valid:
+            raise ConfigError(f"config key {key!r} must be one of {', '.join(valid)}, got {cfg[section][name]!r}")
     d = cfg["data"]
     if (d["train_path"] is None) != (d["test_path"] is None):
         raise ConfigError("config keys 'data.train_path' and 'data.test_path' must be set together")

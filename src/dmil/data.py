@@ -14,14 +14,15 @@ from .autodiff import ContractError
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Time-indexed (state, action) pairs, optionally with hidden skill labels.
+    """Time-indexed (state, action) pairs with the hidden skill labels the
+    generator wrote.
 
     true_skills exist only for evaluation; no training code path reads them.
     """
 
     states: np.ndarray  # (T, state_dim)
     actions: np.ndarray  # (T, action_dim)
-    true_skills: np.ndarray | None = None  # (T,) ints, evaluation only
+    true_skills: np.ndarray  # (T,) ints, evaluation only
 
     def __post_init__(self):
         s = np.asarray(self.states, dtype=np.float64)
@@ -34,16 +35,12 @@ class Trajectory:
             )
         if s.shape[0] < 2:
             raise ContractError("trajectories need at least 2 timesteps")
-        s.setflags(write=False)
-        a.setflags(write=False)
-        object.__setattr__(self, "states", s)
-        object.__setattr__(self, "actions", a)
-        if self.true_skills is not None:
-            z = np.asarray(self.true_skills, dtype=np.int64)
-            if z.shape != (s.shape[0],):
-                raise ContractError("true_skills must align with states")
-            z.setflags(write=False)
-            object.__setattr__(self, "true_skills", z)
+        z = np.asarray(self.true_skills, dtype=np.int64)
+        if z.shape != (s.shape[0],):
+            raise ContractError("true_skills must align with states")
+        for name, value in (("states", s), ("actions", a), ("true_skills", z)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     def __len__(self) -> int:
         return self.states.shape[0]

@@ -33,7 +33,8 @@ through an inner trace.  With zero-step traces they return the plain
 hard-EM gradients (baselines.hard_em_grads); at K=1 the step is MAML
 (baselines.maml_train_step).  Nothing forwards or differentiates a
 one-skill selector (a one-way softmax, identically 1): hard_labels and
-route give skill 0, high_batch None and ho_grad a zero gradient.
+route give skill 0, partition_by_skill the whole pool uncopied, high_batch
+None and ho_grad a zero gradient.
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ from .autodiff import (
     inner_adapt,
     meta_grad,
 )
+from .config import DEFAULT_CONFIG
 from .data import Trajectory
 from .kernels import SelectorLoss, SkillMseLoss
 from .policies import HierarchicalParams, MlpShape, featurize, mlp_forward
@@ -116,7 +118,10 @@ def route(selector: ParamVector, high_shape: MlpShape, states: np.ndarray) -> np
 
 def partition_by_skill(p: Pool, indices: np.ndarray, n_skills: int) -> tuple[Pool, ...]:
     """Split the pool's pairs by skill index, keeping pool order: one Pool
-    per skill, disjoint and exhaustive, ready for the skill losses."""
+    per skill, disjoint and exhaustive, ready for the skill losses.  One
+    skill gets every pair: the pool's own arrays, with no copy."""
+    if n_skills == 1:
+        return (Pool(p.states, p.actions, ()),)
     masks = [indices == k for k in range(n_skills)]
     return tuple(Pool(p.states[m], p.actions[m], ()) for m in masks)
 
@@ -240,14 +245,14 @@ def lo_grad(
 @dataclass(frozen=True)
 class TrainConfig:
     """Knobs for one meta-training step of dmil and its ablations.  Defaults
-    follow the published hyperparameter table; benchmark configs override
-    them per run.  Meta-gradients are exact and averaged over tasks.  The
-    outer update itself (rate and optimizer) belongs to the caller."""
+    are the config's (the published hyperparameter table); benchmark configs
+    override them per run.  Meta-gradients are exact and averaged over tasks.
+    The outer update itself (rate and optimizer) belongs to the caller."""
 
-    inner_rate: float = 5e-4
-    inner_steps: int = 3
-    aux_weight: float = 0.1
-    batch_size: int = 16  # trajectories per phase batch
+    inner_rate: float = DEFAULT_CONFIG["dmil"]["inner_rate"]
+    inner_steps: int = DEFAULT_CONFIG["dmil"]["inner_steps"]
+    aux_weight: float = DEFAULT_CONFIG["dmil"]["aux_weight"]
+    batch_size: int = DEFAULT_CONFIG["dmil"]["batch_size"]  # trajectories per phase batch
     meta_high: bool = True  # False: selector gets a plain gradient on batch 1
     meta_low: bool = True  # False: sub-skills get plain gradients on batch 2
 

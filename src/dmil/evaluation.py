@@ -87,9 +87,7 @@ def skill_accuracy(
         raise ContractError("pred and truth must have equal lengths")
     if n_true_skills > n_pred_skills:
         raise ContractError("cannot map more true skills than predicted skills")
-    n_maps = math.perm(n_pred_skills, n_true_skills)
-    if n_maps > MAX_LABEL_MAPS:
-        raise ContractError(f"brute-force matching is limited to {MAX_LABEL_MAPS} label maps, got {n_maps}")
+    check_label_maps(n_pred_skills, n_true_skills)
     confusion = np.zeros((n_true_skills, n_pred_skills))
     for t in range(n_true_skills):
         mask = truth == t
@@ -99,6 +97,17 @@ def skill_accuracy(
     for mapping in itertools.permutations(range(n_pred_skills), n_true_skills):
         best = max(best, sum(confusion[t, mapping[t]] for t in range(n_true_skills)))
     return best / len(pred)
+
+
+def check_label_maps(n_pred_skills: int, n_true_skills: int) -> None:
+    """skill_accuracy's limit: matching n_true_skills labels into
+    n_pred_skills must take at most MAX_LABEL_MAPS maps."""
+    n_maps = math.perm(n_pred_skills, n_true_skills)
+    if n_maps > MAX_LABEL_MAPS:
+        raise ContractError(
+            f"scoring {n_pred_skills} skills against {n_true_skills} labels: "
+            f"brute-force matching is limited to {MAX_LABEL_MAPS} label maps, got {n_maps}"
+        )
 
 
 def switch_rate(labels) -> float:
@@ -195,25 +204,18 @@ def rollout_stats(policy, spec: TaskSpec, episodes: int, T: int) -> RolloutStats
 # reports
 # ---------------------------------------------------------------------------
 
-REPORT_FIELDS = (
-    "method",
-    "seed",
-    "task_seed",
-    "shots",
-    "pre_mse",
-    "post_mse",
-    "skill_acc",
-    "switch_rate",
-    "success",
-)
+# A report row: what was evaluated, then the metrics summarize_report
+# aggregates (a None metric, the skill recovery of a monolithic policy, is
+# an empty cell and enters no mean).
+REPORT_METRICS = ("pre_mse", "post_mse", "skill_acc", "switch_rate", "success")
+REPORT_FIELDS = ("method", "seed", "task_seed", "shots") + REPORT_METRICS
 
 
 def write_report_csv(path, rows: Sequence[dict]) -> None:
     with open(path, "w", newline="") as f:
         w = csv.DictWriter(f, fieldnames=REPORT_FIELDS)
         w.writeheader()
-        for row in rows:
-            w.writerow({k: row.get(k, "") for k in REPORT_FIELDS})
+        w.writerows(rows)
 
 
 def summarize_report(rows: Sequence[dict]) -> dict:
@@ -222,8 +224,8 @@ def summarize_report(rows: Sequence[dict]) -> dict:
     for row in rows:
         key = (row["method"], row["shots"])
         g = groups.setdefault(key, {})
-        for metric in ("pre_mse", "post_mse", "skill_acc", "switch_rate", "success"):
-            if row.get(metric) != "" and row.get(metric) is not None:
+        for metric in REPORT_METRICS:
+            if row[metric] is not None:
                 g.setdefault(metric, []).append(float(row[metric]))
     out = {}
     for (method, shots), metrics in sorted(groups.items()):

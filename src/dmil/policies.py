@@ -83,8 +83,6 @@ def init_params(shape: MlpShape, seed: int) -> ParamVector:
 
 def _check_input(shape: MlpShape, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[None, :]
     if x.ndim != 2 or x.shape[1] != shape.in_dim:
         raise ContractError(f"input shape {x.shape} does not match network input {shape.in_dim}")
     return x
@@ -99,10 +97,7 @@ def mlp_forward(theta: ParamVector, shape: MlpShape, x) -> np.ndarray:
     if len(theta) != shape.n_params:
         raise ContractError(f"parameter length {len(theta)} != shape size {shape.n_params}")
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 3 and x.shape[1] == 1:
-        _check_input(shape, x[:, 0])
-    else:
-        x = _check_input(shape, x)
+    _check_input(shape, x[:, 0] if x.ndim == 3 and x.shape[1] == 1 else x)
     return forward(unpack(theta.values, shape.layer_sizes), x)[-1]
 
 

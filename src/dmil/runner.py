@@ -37,6 +37,7 @@ from .dmil import (
 from .evaluation import (
     HierarchicalPolicy,
     adapted_skill_accuracy,
+    check_label_maps,
     fd_check,
     query_mse,
     rollout_stats,
@@ -54,7 +55,9 @@ SALT_STEP = 0x57E9
 TRAIN_TASK_SEED0 = 1000  # train task i is sample_task(TRAIN_TASK_SEED0 + i)
 TEST_TASK_SEED0 = 9000  # test task i is sample_task(TEST_TASK_SEED0 + i)
 
-METRICS_HEADER = "iteration,outer_loss,grad_norm_high,grad_norm_skills,diverged"
+# The metrics.csv columns, one row per outer iteration, each value written as
+# its repr (ints and floats: repr round-trips every bit).
+METRICS_COLUMNS = ("iteration", "outer_loss", "grad_norm_high", "grad_norm_skills", "diverged")
 
 
 class Sgd:
@@ -213,13 +216,6 @@ class TrainResult:
     test_tasks: tuple[TaskDataset, ...]
 
 
-def _metrics_line(row: dict) -> str:
-    return (
-        f"{row['iteration']},{row['outer_loss']!r},{row['grad_norm_high']!r},"
-        f"{row['grad_norm_skills']!r},{row['diverged']}"
-    )
-
-
 def train(cfg: dict, out_dir=None, datasets=None, warm_params=None) -> TrainResult:
     """Train one method per cfg; optionally persist run artifacts to out_dir.
 
@@ -233,8 +229,6 @@ def train(cfg: dict, out_dir=None, datasets=None, warm_params=None) -> TrainResu
     at outer_rate.
     """
     method = cfg["dmil"]["method"]
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}")
     if warm_params is not None and warm_params.K != n_skills_for(cfg):
         raise ContractError(
             f"warm start has {warm_params.K} skills; method {method} needs {n_skills_for(cfg)}"
@@ -275,15 +269,8 @@ def train(cfg: dict, out_dir=None, datasets=None, warm_params=None) -> TrainResu
             opt_high.step(params.high, res.g_high),
             tuple(o.step(s, g) for o, s, g in zip(opt_skills, params.skills, res.g_skills, strict=True)),
         )
-        rows.append(
-            dict(
-                iteration=it,
-                outer_loss=res.outer_loss,
-                grad_norm_high=res.grad_norm_high,
-                grad_norm_skills=res.grad_norm_skills,
-                diverged=res.diverged_count,
-            )
-        )
+        values = (it, res.outer_loss, res.grad_norm_high, res.grad_norm_skills, res.diverged_count)
+        rows.append(dict(zip(METRICS_COLUMNS, values, strict=True)))
         diverged_total += res.diverged_count
         timings.append(time.perf_counter() - t0)
         if out is not None and run["checkpoint_every"] > 0 and (it + 1) % run["checkpoint_every"] == 0:
@@ -292,7 +279,7 @@ def train(cfg: dict, out_dir=None, datasets=None, warm_params=None) -> TrainResu
     if out is not None:
         save_checkpoint(out / "checkpoint_final.json", params, method, task_rng.state, run["iterations"])
         (out / "metrics.csv").write_text(
-            "\n".join([METRICS_HEADER] + [_metrics_line(r) for r in rows]) + "\n"
+            "\n".join([",".join(METRICS_COLUMNS)] + [",".join(repr(r[c]) for c in METRICS_COLUMNS) for r in rows]) + "\n"
         )
         (out / "timing.csv").write_text(
             "\n".join(["iteration,seconds"] + [f"{i},{t:.6f}" for i, t in enumerate(timings)]) + "\n"
@@ -312,9 +299,12 @@ def train(cfg: dict, out_dir=None, datasets=None, warm_params=None) -> TrainResu
 # ---------------------------------------------------------------------------
 
 
-def check_shots(cfg: dict, test_tasks: Sequence[TaskDataset]) -> None:
-    """Every eval.shots count must fit in each test task's support set;
+def check_eval(cfg: dict, test_tasks: Sequence[TaskDataset]) -> None:
+    """Every eval.shots count must fit in each test task's support set, and
+    model.n_skills must be few enough to score skill recovery against the
+    N_REGIMES labels (whichever method: ablate evaluates them all);
     callers run this before anything trains or is written."""
+    check_label_maps(cfg["model"]["n_skills"], N_REGIMES)
     most = max(cfg["eval"]["shots"])
     for task in test_tasks:
         if most > len(task.support):
@@ -334,7 +324,7 @@ def evaluate(
     predicted once by the unadapted policy, whose MSE every shots row of the
     task shares, and once by each adapted policy, whose actions and skills
     give the post-adaptation MSE and the skill recovery."""
-    check_shots(cfg, test_tasks)
+    check_eval(cfg, test_tasks)
     e = cfg["eval"]
     queries = [np.concatenate([t.states for t in task.query]) for task in test_tasks]
     pre_mse: list[float] = []
@@ -447,7 +437,7 @@ def ablate(cfg: dict, out_dir=None, datasets=None) -> list[dict]:
     task lists, as in train.  The warm start depends on the method only
     through its skill count, so one is computed per count and shared."""
     datasets = build_datasets(cfg) if datasets is None else datasets
-    check_shots(cfg, datasets[1])
+    check_eval(cfg, datasets[1])
     warm: dict[int, HierarchicalParams] = {}
     rows: list[dict] = []
     for method in METHODS:

@@ -251,9 +251,7 @@ def save_datasets(path, datasets: Sequence[TaskDataset]) -> None:
                             "split": split,
                             "states": t.states.tolist(),
                             "actions": t.actions.tolist(),
-                            "true_skills": None
-                            if t.true_skills is None
-                            else t.true_skills.tolist(),
+                            "true_skills": t.true_skills.tolist(),
                         },
                         separators=(",", ":"),
                     )
@@ -272,11 +270,9 @@ def _record(rec: dict) -> tuple[int, str, Trajectory]:
     for name, a, width in (("states", states, STATE_DIM), ("actions", actions, ACTION_DIM)):
         if a.ndim != 2 or a.shape[1] != width:
             raise ValueError(f"{name} must have shape (T, {width}), got {a.shape}")
-    labels = rec["true_skills"]
-    if labels is not None:
-        labels = np.array(labels)
-        if labels.dtype.kind != "i" or not np.all((labels >= 0) & (labels < N_REGIMES)):
-            raise ValueError(f"true_skills must be integers in [0, {N_REGIMES})")
+    labels = np.array(rec["true_skills"])
+    if labels.dtype.kind != "i" or not np.all((labels >= 0) & (labels < N_REGIMES)):
+        raise ValueError(f"true_skills must be integers in [0, {N_REGIMES})")
     return seed, rec["split"], Trajectory(states, actions, labels)
 
 

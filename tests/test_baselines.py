@@ -249,7 +249,8 @@ def test_em_only_fixed_point_on_self_generated_data() -> None:
 
     from dmil.data import Trajectory
 
-    task = replace(demo_task(31), support=(Trajectory(S[:5], A[:5]), Trajectory(S[5:], A[5:])))
+    z = np.zeros(5, dtype=np.int64)  # labels no training path reads
+    task = replace(demo_task(31), support=(Trajectory(S[:5], A[:5], z), Trajectory(S[5:], A[5:], z)))
     labels_before = dmil.hard_labels(dmil.Pool(S, A, ((0, 10),)), params.skills, params.skill_shape)
     cfg = TrainConfig(batch_size=2, aux_weight=0.0)
     after, _ = sgd_steps(params, [task], cfg, lr=1e-2, n=3)

@@ -14,7 +14,7 @@ from dmil import blas, runner
 from dmil.autodiff import ContractError
 from dmil.checkpoint import CheckpointSchemaError, load_checkpoint, save_checkpoint
 from dmil.cli import main
-from dmil.config import ConfigError, load_config, resolve_config
+from dmil.config import CHOICES, DEFAULT_CONFIG, RANGES, ConfigError, load_config, resolve_config
 from dmil.policies import init_hierarchical
 from dmil.runner import init_model
 from dmil.tasks import load_datasets
@@ -58,13 +58,15 @@ def test_config_unknown_key_lists_valid_keys(tmp_path) -> None:
 
 
 def test_config_unknown_method_rejected() -> None:
-    with pytest.raises(ConfigError, match="unknown method"):
+    want = "config key 'dmil.method' must be one of dmil, dmil_high, dmil_low, maml, em_only, got 'ppo'"
+    with pytest.raises(ConfigError, match=re.escape(want)):
         resolve_config({"dmil": {"method": "ppo"}})
 
 
 @pytest.mark.parametrize("name", ["Adam", "adamw", ""])
 def test_config_unknown_outer_optimizer_rejected(tmp_path, name) -> None:
-    with pytest.raises(ConfigError, match="valid optimizers: sgd, adam"):
+    want = f"config key 'dmil.outer_optimizer' must be one of sgd, adam, got {name!r}"
+    with pytest.raises(ConfigError, match=re.escape(want)):
         resolve_config({"dmil": {"outer_optimizer": name}})
     cfg = write_tiny(tmp_path, dmil={"outer_optimizer": name})
     assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
@@ -75,7 +77,7 @@ def test_config_unknown_outer_optimizer_rejected(tmp_path, name) -> None:
 def test_config_unknown_features_rejected(tmp_path, caplog, name) -> None:
     # Rejected with the config, not by the first feature map after the run
     # directory exists.
-    want = f"unknown model.features {name!r}; valid feature kinds: raw, relative"
+    want = f"config key 'model.features' must be one of raw, relative, got {name!r}"
     with pytest.raises(ConfigError, match=re.escape(want)):
         resolve_config({"model": {"features": name}})
     cfg = write_tiny(tmp_path, model={"features": name})
@@ -227,26 +229,39 @@ def test_ablate_evaluates_seven_skills(tmp_path) -> None:
 
 @pytest.mark.parametrize("command", ["eval", "ablate"])
 def test_too_many_shots_exit_3_before_anything_trains(tmp_path, caplog, monkeypatch, command) -> None:
-    # 5 shots of 4 support demonstrations: rejected on the test tasks before
-    # any method trains and before the run directory exists.
-    cfg = write_tiny(tmp_path, data={"n_support": 4}, eval={"shots": [5]})
-    argv = [command, "--config", str(cfg), "--out", str(tmp_path / "run")]
-    if command == "eval":
-        ckpt = tmp_path / "ck.json"
-        save_checkpoint(ckpt, init_model(load_config(cfg)), "dmil", 1, 0)
-        argv += ["--checkpoint", str(ckpt)]
-
+    # Rejected on the config and the test tasks before any method trains
+    # and before the run directory exists.
     def no_training(*args, **kwargs):
-        raise AssertionError("trained before the shots were checked")
+        raise AssertionError("trained before the evaluation was checked")
 
     monkeypatch.setattr(runner, "train", no_training)
-    caplog.clear()
-    assert main(argv) == 3
-    want = "contract error: eval.shots=5 exceeds the 4 support demonstrations of test task 9000"
-    assert one_line_error(caplog, "contract error") == want
-    assert not (tmp_path / "run").exists()
-    with pytest.raises(ContractError, match="eval.shots=5"):
-        runner.ablate(load_config(cfg))
+    monkeypatch.setattr(runner, "warm_start", no_training)
+    for overrides, want in (
+        # 5 shots of 4 support demonstrations.
+        ({"data": {"n_support": 4}, "eval": {"shots": [5]}},
+         "eval.shots=5 exceeds the 4 support demonstrations of test task 9000"),
+        # 48 skills take 48 * 47 * 46 maps to match the 3 true labels.
+        ({"model": {"n_skills": 48}},
+         "scoring 48 skills against 3 labels: brute-force matching is limited to 100000 label maps, got 103776"),
+    ):
+        cfg = write_tiny(tmp_path, **overrides)
+        argv = [command, "--config", str(cfg), "--out", str(tmp_path / "run")]
+        if command == "eval":
+            ckpt = tmp_path / "ck.json"
+            save_checkpoint(ckpt, init_model(load_config(cfg)), "dmil", 1, 0)
+            argv += ["--checkpoint", str(ckpt)]
+        caplog.clear()
+        assert main(argv) == 3
+        assert one_line_error(caplog, "contract error") == f"contract error: {want}"
+        assert not (tmp_path / "run").exists()
+        with pytest.raises(ContractError, match=re.escape(want)):
+            runner.ablate(load_config(cfg))
+
+
+def test_train_accepts_an_unscorable_skill_count(tmp_path) -> None:
+    # Training never scores skill recovery; only eval and ablate do.
+    cfg = write_tiny(tmp_path, model={"n_skills": 48}, run={"iterations": 1, "checkpoint_every": 0})
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
 
 
 def test_checkpoint_roundtrip_and_schema_error(tmp_path) -> None:
@@ -345,6 +360,17 @@ def test_config_shots_must_be_positive_integers(section, key, value) -> None:
     with pytest.raises(ConfigError, match=rf"'{section}\.{key}' must list integers >= 1, got "):
         resolve_config({section: {key: value}})
     assert resolve_config({section: {key: [1, 5]}})[section][key] == [1, 5]
+
+
+def test_every_checked_key_is_a_config_key() -> None:
+    # Each check-table key names a config key, and each choice's default is
+    # one of its choices, so the defaults resolve.
+    for key in [key for key, _ in CHOICES] + [key for key, _ in RANGES]:
+        section, name = key.split(".")
+        assert name in DEFAULT_CONFIG[section], key
+    for key, valid in CHOICES:
+        section, name = key.split(".")
+        assert DEFAULT_CONFIG[section][name] in valid, key
 
 
 def test_config_range_accepts_its_bounds() -> None:
@@ -567,9 +593,11 @@ def test_cli_dataset_format_error_exit_code(tmp_path, caplog) -> None:
         ("true_skills", [7] * 24, "true_skills must be integers in [0, 3)"),
         ("true_skills", [-1] * 24, "true_skills must be integers in [0, 3)"),
         ("true_skills", [1.5] * 24, "true_skills must be integers in [0, 3)"),
+        ("true_skills", None, "true_skills must be integers in [0, 3)"),
+        ("true_skills", [1] * 23, "true_skills must align with states"),
     ],
     ids=["seed float", "seed text", "seed bool", "states 3 columns", "actions 3 columns", "label 7", "label -1",
-         "label float"],
+         "label float", "labels null", "labels short"],
 )
 def test_dataset_line_not_as_simulated_exits_6(tmp_path, caplog, field, value, error) -> None:
     cfg = write_tiny(tmp_path, data=changed_dataset(tmp_path, field, value))
@@ -594,19 +622,23 @@ def changed_dataset(tmp_path, field, value, split: str = "train") -> dict:
 
 @pytest.mark.parametrize("command", ["gen-data", "train", "eval", "ablate"])
 def test_malformed_dataset_exits_6_before_any_output(tmp_path, caplog, command) -> None:
-    # eval reads only the test file, every other command both.
+    # eval reads only the test file, every other command both.  Labels are
+    # required: without them a file would train, then fail to score skill
+    # recovery after the run directory exists.
     split = "test" if command == "eval" else "train"
-    data = changed_dataset(tmp_path, "true_skills", [7] * 24, split)
-    cfg = write_tiny(tmp_path, data=data)
-    argv = [command, "--config", str(cfg), "--out", str(tmp_path / "run")]
-    if command == "eval":
-        ckpt = tmp_path / "ck.json"
-        save_checkpoint(ckpt, init_model(load_config(cfg)), "dmil", 1, 0)
-        argv += ["--checkpoint", str(ckpt)]
-    caplog.clear()
-    assert main(argv) == 6
-    assert one_line_error(caplog, "dataset format error") == "dataset format error: line 2: true_skills must be integers in [0, 3)"
-    assert not (tmp_path / "run").exists()
+    for labels in ([7] * 24, None):
+        data = changed_dataset(tmp_path, "true_skills", labels, split)
+        cfg = write_tiny(tmp_path, data=data)
+        argv = [command, "--config", str(cfg), "--out", str(tmp_path / "run")]
+        if command == "eval":
+            ckpt = tmp_path / "ck.json"
+            save_checkpoint(ckpt, init_model(load_config(cfg)), "dmil", 1, 0)
+            argv += ["--checkpoint", str(ckpt)]
+        caplog.clear()
+        assert main(argv) == 6
+        want = "dataset format error: line 2: true_skills must be integers in [0, 3)"
+        assert one_line_error(caplog, "dataset format error") == want
+        assert not (tmp_path / "run").exists()
 
     # A file with no trajectory at all (empty, or blank lines only).
     empty = Path(data[f"{split}_path"])

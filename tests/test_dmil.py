@@ -52,6 +52,7 @@ def random_trajs(seed: int, n: int = 2, T: int = 12) -> list[Trajectory]:
         Trajectory(
             rng.uniform_array(T * 4, -1.5, 1.5).reshape(T, 4),
             rng.uniform_array(T * 2, -1.0, 1.0).reshape(T, 2),
+            np.zeros(T, dtype=np.int64),  # labels no training path reads
         )
         for _ in range(n)
     ]
@@ -227,12 +228,16 @@ def test_hi_step_descends_loss_pilot() -> None:
 
 
 def test_partition_k1_everything_in_group_zero() -> None:
+    # One skill gets the pool's own arrays, bitwise the masked copy that a
+    # partition of several skills takes of each group.
     params = small_params(n_skills=1)
-    trajs = random_trajs(5)
-    (batch,) = routed(params.high, params.high_shape, trajs)
-    p = pool(trajs, "raw")
-    assert len(batch) == len(p)
-    assert np.array_equal(batch.states, p.states) and np.array_equal(batch.actions, p.actions)
+    p = pool(random_trajs(5), "raw")
+    (batch,) = partition_by_skill(p, route(params.high, params.high_shape, p.states), 1)
+    assert batch.slices == ()
+    every = np.ones(len(p), dtype=bool)
+    for got, pooled in ((batch.states, p.states), (batch.actions, p.actions)):
+        assert np.shares_memory(got, pooled)
+        assert got.shape == pooled[every].shape and got.tobytes() == pooled[every].tobytes()
 
 
 def test_partition_hand_set_selector() -> None:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -138,7 +140,7 @@ def test_softmax_shift_invariance_on_output_biases() -> None:
 def test_skill_forward_zero_params_zero_action() -> None:
     shape = mlp_shape(4, 2, (8,))
     theta = ParamVector(np.zeros(shape.n_params))
-    assert np.array_equal(mlp_forward(theta, shape, np.array([1.0, 2, 3, 4]))[0], np.zeros(2))
+    assert np.array_equal(mlp_forward(theta, shape, np.array([[1.0, 2, 3, 4]]))[0], np.zeros(2))
 
 
 def test_skill_forward_hand_set_single_layer_scaling() -> None:
@@ -146,7 +148,7 @@ def test_skill_forward_hand_set_single_layer_scaling() -> None:
     shape = MlpShape((2, 2))
     a = 1.5
     theta = ParamVector(np.array([a, 0.0, 0.0, a, 0.0, 0.0]))
-    s = np.array([2.0, -3.0])
+    s = np.array([[2.0, -3.0]])
     assert mlp_forward(theta, shape, s)[0] == pytest.approx([a * 2.0, a * -3.0])
 
 
@@ -154,16 +156,18 @@ def test_skill_forward_matches_straight_line_oracle() -> None:
     rng = SplitMix64(24)
     shape = MlpShape((4, 6, 2))
     theta = ParamVector(rng.uniform_array(shape.n_params, -1, 1))
-    s = rng.uniform_array(4, -1, 1)
-    want = straight_line_forward(theta.values, shape.layer_sizes, s[None, :])[0]
+    s = rng.uniform_array(4, -1, 1)[None, :]
+    want = straight_line_forward(theta.values, shape.layer_sizes, s)[0]
     assert np.max(np.abs(mlp_forward(theta, shape, s)[0] - want)) <= 1e-12
 
 
 def test_forward_dimension_mismatch_rejected() -> None:
+    # Inputs are (N, in) rows or an (N, 1, in) stack; one state is a (1, in) batch.
     shape = mlp_shape(4, 2, (8,))
     theta = init_params(shape, 0)
-    with pytest.raises(ContractError):
-        mlp_forward(theta, shape, np.zeros((3, 5)))
+    for x in (np.zeros((3, 5)), np.zeros(4), np.zeros((2, 3, 4))):
+        with pytest.raises(ContractError, match=re.escape(f"input shape {x.shape} does not match network input 4")):
+            mlp_forward(theta, shape, x)
 
 
 def test_hierarchical_params_validation() -> None:
