@@ -6,9 +6,10 @@ pre-step parameters, which runner.train applies through outer_optimizer
 like those of the other three methods.  None of them takes a gradient of
 its own: every outer gradient comes from dmil.ho_grad/lo_grad.
 
-* maml_train_step: one monolithic policy is dmil_low at K=1: inner-adapt
-  on the second phase batch and meta-update on the fourth.  The one-skill
-  selector is never forwarded and stays where it is (dmil's K=1 rule).
+* maml_train_step: meta_train_step itself.  One monolithic policy is
+  dmil_low at K=1 (runner gives maml one skill): inner-adapt on the second
+  phase batch and meta-update on the fourth.  The one-skill selector is
+  never forwarded and stays where it is (dmil's K=1 rule).
 * The high/low ablations need no code here: they are the main step with
   TrainConfig.meta_low or meta_high off.  config.METHODS holds every
   method's levels, skill count and step function.
@@ -27,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .autodiff import ContractError, identity_trace
+from .autodiff import identity_trace
 from .autodiff import inner_adapt, meta_grad  # noqa: F401  (perfbench/tracing.py wraps these names here)
 from .dmil import (
     Pool,
@@ -48,17 +49,9 @@ from .policies import mlp_forward  # noqa: F401  (perfbench/tracing.py wraps thi
 from .rng import SplitMix64, derive_seed
 
 
-def maml_train_step(
-    params: HierarchicalParams,
-    tasks: Sequence,
-    cfg: TrainConfig,
-    step_seed: int,
-) -> StepResult:
-    """Reduced meta-gradient of a monolithic behavior-cloning policy over
-    one batch of tasks: the K=1 step (cfg leaves the selector unadapted)."""
-    if params.K != 1:
-        raise ContractError(f"maml trains one network, got {params.K} skills")
-    return meta_train_step(params, tasks, cfg, step_seed)
+# maml's step under its own name, because perfbench/tracing.py times maml's
+# steps at runner.maml_train_step (tests/test_perfbench_hooks.py pins it).
+maml_train_step = meta_train_step
 
 
 def hard_em_grads(

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import ParamVector
+from .autodiff import NumericError, ParamVector
 from .policies import HierarchicalParams, MlpShape
 
 SCHEMA_VERSION = 1
@@ -51,7 +51,8 @@ def save_checkpoint(path, params: HierarchicalParams, method: str, rng_state: in
 def load_checkpoint(path) -> Checkpoint:
     """Read one checkpoint.  A file that cannot be read or is not one (not
     JSON, not an object, another schema version, a missing or malformed
-    field) raises a one-line CheckpointSchemaError."""
+    field, a non-finite parameter, a K, rng_state or iteration that is not
+    a JSON integer) raises a one-line CheckpointSchemaError."""
     try:
         doc = json.loads(Path(path).read_text())
     except OSError as e:
@@ -73,12 +74,17 @@ def load_checkpoint(path) -> Checkpoint:
             MlpShape(tuple(doc["shapes"]["skill"])),
             doc["features"],
         )
-        ckpt = Checkpoint(params, doc["method"], int(doc["rng_state"]), int(doc["iteration"]))
+        ckpt = Checkpoint(params, doc["method"], doc["rng_state"], doc["iteration"])
         k = doc["K"]
     except KeyError as e:
         raise CheckpointSchemaError(f"checkpoint {path} has no field {e}") from e
     except (TypeError, ValueError) as e:
         raise CheckpointSchemaError(f"checkpoint {path} has a malformed field: {e}") from e
+    except NumericError as e:
+        raise CheckpointSchemaError(f"checkpoint {path} has a non-finite parameter") from e
+    for field, value in (("K", k), ("rng_state", ckpt.rng_state), ("iteration", ckpt.iteration)):
+        if type(value) is not int:
+            raise CheckpointSchemaError(f"checkpoint {path} field {field!r} must be an integer, got {value!r}")
     if params.K != k:
         raise CheckpointSchemaError(f"checkpoint K={k!r} does not match {params.K} skill arrays")
     return ckpt

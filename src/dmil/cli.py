@@ -4,9 +4,9 @@ Subcommands: gen-data, train, eval, gradcheck, ablate.  Every run directory
 receives the resolved config (config.json) and, when a config file was given,
 a verbatim copy of it (config.input.json), so experiments are reconstructible
 from artifacts alone.  Each command checks its config and builds or loads
-its datasets (and eval and ablate check eval.shots against the test tasks,
-and that model.n_skills can be scored: runner.check_eval) before the run
-directory is made, so input it rejects leaves no output.
+its datasets (and eval and ablate check eval.shots against the test tasks:
+runner.check_eval) before the run directory is made, so input it rejects
+leaves no output.
 
 Every command runs BLAS on one thread, pinned when the package is imported
 (dmil.blas).

@@ -30,11 +30,11 @@ argmins are constants: no gradient flows through them.
 
 ho_grad and lo_grad are the only code that pushes an outer gradient back
 through an inner trace.  With zero-step traces they return the plain
-hard-EM gradients (baselines.hard_em_grads); at K=1 the step is MAML
-(baselines.maml_train_step).  Nothing forwards or differentiates a
-one-skill selector (a one-way softmax, identically 1): hard_labels and
-route give skill 0, partition_by_skill the whole pool uncopied, high_batch
-None and ho_grad a zero gradient.
+hard-EM gradients (baselines.hard_em_grads); at K=1 meta_train_step is
+MAML (baselines.maml_train_step is the same function).  Nothing forwards or
+differentiates a one-skill selector (a one-way softmax, identically 1):
+hard_labels and route give skill 0, partition_by_skill the whole pool
+uncopied, high_batch None and ho_grad a zero gradient.
 """
 
 from __future__ import annotations

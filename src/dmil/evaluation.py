@@ -1,13 +1,11 @@
 """Metrics and numerical oracles: finite-difference meta-gradient checks,
-permutation-matched skill recovery, query MSE, switch rate, rollout
+exactly matched skill recovery, query MSE, switch rate, rollout
 success, and report files (CSV rows plus a JSON summary)."""
 
 from __future__ import annotations
 
 import csv
-import itertools
 import json
-import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Sequence
@@ -23,8 +21,6 @@ from .policies import mlp_forward  # noqa: F401  (perfbench/tracing.py wraps thi
 from .tasks import N_REGIMES, TaskDataset, TaskSpec, expert_act, rollout_policy
 
 FD_MAX_PARAMS = 500
-# skill_accuracy tries every injective map of true into predicted labels.
-MAX_LABEL_MAPS = 100_000
 ROLLOUT_SEED0 = 0xE7A1
 
 
@@ -79,35 +75,27 @@ def skill_accuracy(
     n_true_skills: int,
 ) -> float:
     """Best per-step agreement over injective maps of true labels into
-    predicted labels (skill indices are arbitrary), by brute force over at
-    most MAX_LABEL_MAPS maps."""
+    predicted labels (skill indices are arbitrary): a max-weight matching on
+    the confusion counts, exact by dynamic programming over subsets of the
+    true labels in O(n_pred_skills * 2**n_true_skills * n_true_skills)."""
     pred = np.asarray(pred, dtype=np.int64)
     truth = np.asarray(truth, dtype=np.int64)
     if pred.shape != truth.shape:
         raise ContractError("pred and truth must have equal lengths")
     if n_true_skills > n_pred_skills:
         raise ContractError("cannot map more true skills than predicted skills")
-    check_label_maps(n_pred_skills, n_true_skills)
-    confusion = np.zeros((n_true_skills, n_pred_skills))
-    for t in range(n_true_skills):
-        mask = truth == t
-        for p in range(n_pred_skills):
-            confusion[t, p] = np.sum(pred[mask] == p)
-    best = 0.0
-    for mapping in itertools.permutations(range(n_pred_skills), n_true_skills):
-        best = max(best, sum(confusion[t, mapping[t]] for t in range(n_true_skills)))
-    return best / len(pred)
-
-
-def check_label_maps(n_pred_skills: int, n_true_skills: int) -> None:
-    """skill_accuracy's limit: matching n_true_skills labels into
-    n_pred_skills must take at most MAX_LABEL_MAPS maps."""
-    n_maps = math.perm(n_pred_skills, n_true_skills)
-    if n_maps > MAX_LABEL_MAPS:
-        raise ContractError(
-            f"scoring {n_pred_skills} skills against {n_true_skills} labels: "
-            f"brute-force matching is limited to {MAX_LABEL_MAPS} label maps, got {n_maps}"
-        )
+    by_truth = [pred[truth == t] for t in range(n_true_skills)]
+    # best[s]: the most agreeing steps when the true labels in bitmask s map
+    # to distinct predicted labels among those seen so far (-inf: none can).
+    full = (1 << n_true_skills) - 1
+    best = [0.0] + [-np.inf] * full
+    for p in range(n_pred_skills):
+        counts = [np.count_nonzero(z == p) for z in by_truth]
+        for s in range(full, 0, -1):  # descending: p maps at most one label
+            for t in range(n_true_skills):
+                if s >> t & 1:
+                    best[s] = max(best[s], best[s ^ 1 << t] + counts[t])
+    return np.float64(best[full]) / len(pred)
 
 
 def switch_rate(labels) -> float:
@@ -176,10 +164,13 @@ def query_mse(actions: np.ndarray, task: TaskDataset) -> float:
     return float(np.mean((actions - want) ** 2))
 
 
-def adapted_skill_accuracy(skills: np.ndarray, n_skills: int, task: TaskDataset) -> float:
-    """Permutation-matched agreement of the skills chosen for the query
+def adapted_skill_accuracy(skills: np.ndarray, n_skills: int, task: TaskDataset) -> float | None:
+    """Matched agreement (skill_accuracy) of the skills chosen for the query
     set's states, out of n_skills, with the generator's N_REGIMES hidden
-    labels."""
+    labels; None for a policy of fewer skills than regimes, such as a
+    monolithic one, which has no labels to match."""
+    if n_skills < N_REGIMES:
+        return None
     truth = np.concatenate([t.true_skills for t in task.query])
     return skill_accuracy(skills, truth, n_skills, N_REGIMES)
 

@@ -30,6 +30,14 @@ import numpy as np
 from .autodiff import ContractError
 
 
+def check_input(x, in_dim: int) -> np.ndarray:
+    """x as a float64 array; ContractError unless it is (N, in_dim)."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != in_dim:
+        raise ContractError(f"input shape {x.shape} does not match network input {in_dim}")
+    return x
+
+
 def unpack(p: np.ndarray, sizes: tuple[int, ...]) -> list[tuple[np.ndarray, np.ndarray]]:
     """(W, b) views of each layer in the flat vector [W0, b0, W1, b1, ...]."""
     layers = []
@@ -116,9 +124,7 @@ class _MlpLoss:
     def _forward(self, theta: np.ndarray, batch):
         if theta.shape != (self.n_params,):
             raise ContractError(f"parameter length {theta.shape} != shape size {self.n_params}")
-        x = batch.states
-        if x.ndim != 2 or x.shape[1] != self.sizes[0]:
-            raise ContractError(f"input shape {x.shape} does not match network input {self.sizes[0]}")
+        x = check_input(batch.states, self.sizes[0])
         layers = unpack(theta, self.sizes)
         return layers, forward(layers, x)
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import ContractError, ParamVector
-from .kernels import forward, unpack
+from .kernels import check_input, forward, unpack
 from .rng import SplitMix64, derive_seed
 
 
@@ -81,13 +81,6 @@ def init_params(shape: MlpShape, seed: int) -> ParamVector:
     return ParamVector(np.concatenate(chunks))
 
 
-def _check_input(shape: MlpShape, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != shape.in_dim:
-        raise ContractError(f"input shape {x.shape} does not match network input {shape.in_dim}")
-    return x
-
-
 def mlp_forward(theta: ParamVector, shape: MlpShape, x) -> np.ndarray:
     """Plain numpy forward pass: (N, in) -> (N, out).
 
@@ -97,7 +90,7 @@ def mlp_forward(theta: ParamVector, shape: MlpShape, x) -> np.ndarray:
     if len(theta) != shape.n_params:
         raise ContractError(f"parameter length {len(theta)} != shape size {shape.n_params}")
     x = np.asarray(x, dtype=np.float64)
-    _check_input(shape, x[:, 0] if x.ndim == 3 and x.shape[1] == 1 else x)
+    check_input(x[:, 0] if x.ndim == 3 and x.shape[1] == 1 else x, shape.in_dim)
     return forward(unpack(theta.values, shape.layer_sizes), x)[-1]
 
 

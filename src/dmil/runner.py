@@ -37,7 +37,6 @@ from .dmil import (
 from .evaluation import (
     HierarchicalPolicy,
     adapted_skill_accuracy,
-    check_label_maps,
     fd_check,
     query_mse,
     rollout_stats,
@@ -46,7 +45,7 @@ from .evaluation import (
 )
 from .policies import HierarchicalParams, init_hierarchical
 from .rng import SplitMix64, derive_seed
-from .tasks import ACTION_DIM, N_REGIMES, STATE_DIM, TaskDataset, load_datasets, make_dataset, rollout_expert, sample_task
+from .tasks import ACTION_DIM, STATE_DIM, TaskDataset, load_datasets, make_dataset, rollout_expert, sample_task
 
 SALT_INIT = 0x1417
 SALT_TASK_SELECT = 0x7A5C
@@ -300,11 +299,8 @@ def train(cfg: dict, out_dir=None, datasets=None, warm_params=None) -> TrainResu
 
 
 def check_eval(cfg: dict, test_tasks: Sequence[TaskDataset]) -> None:
-    """Every eval.shots count must fit in each test task's support set, and
-    model.n_skills must be few enough to score skill recovery against the
-    N_REGIMES labels (whichever method: ablate evaluates them all);
+    """Every eval.shots count must fit in each test task's support set;
     callers run this before anything trains or is written."""
-    check_label_maps(cfg["model"]["n_skills"], N_REGIMES)
     most = max(cfg["eval"]["shots"])
     for task in test_tasks:
         if most > len(task.support):
@@ -338,8 +334,7 @@ def evaluate(
         for task, states, pre in zip(test_tasks, queries, pre_mse, strict=True):
             adapted = policy.adapt(list(task.support[:shots]))
             actions, skills = adapted.act(states)
-            # A monolithic policy has no skill labels to match.
-            acc = adapted_skill_accuracy(skills, params.K, task) if params.K >= N_REGIMES else None
+            acc = adapted_skill_accuracy(skills, params.K, task)
             stats = rollout_stats(adapted, task.spec, e["episodes"], cfg["data"]["horizon"])
             rows.append(
                 dict(

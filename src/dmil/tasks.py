@@ -25,6 +25,7 @@ JSON Lines dataset files, which round-trip doubles exactly.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
@@ -260,20 +261,30 @@ def save_datasets(path, datasets: Sequence[TaskDataset]) -> None:
 
 
 def _record(rec: dict) -> tuple[int, str, Trajectory]:
-    """One line's task seed, split and trajectory; ValueError if a field
-    is not what the simulator writes."""
+    """One line's task seed, split and trajectory; KeyError for a missing
+    field, ValueError if a field is not what the simulator writes."""
     seed = rec["task_seed"]
     if type(seed) is not int:
         raise ValueError(f"task_seed must be an integer, got {seed!r}")
-    states = np.array(rec["states"], dtype=np.float64)
-    actions = np.array(rec["actions"], dtype=np.float64)
-    for name, a, width in (("states", states, STATE_DIM), ("actions", actions, ACTION_DIM)):
-        if a.ndim != 2 or a.shape[1] != width:
-            raise ValueError(f"{name} must have shape (T, {width}), got {a.shape}")
-    labels = np.array(rec["true_skills"])
-    if labels.dtype.kind != "i" or not np.all((labels >= 0) & (labels < N_REGIMES)):
+    states = _reals(rec["states"], "states", STATE_DIM)
+    actions = _reals(rec["actions"], "actions", ACTION_DIM)
+    labels = np.array(rec["true_skills"], dtype=object)
+    if labels.ndim != 1 or not all(type(z) is int and 0 <= z < N_REGIMES for z in labels):
         raise ValueError(f"true_skills must be integers in [0, {N_REGIMES})")
-    return seed, rec["split"], Trajectory(states, actions, labels)
+    return seed, rec["split"], Trajectory(states, actions, labels.astype(np.int64))
+
+
+def _reals(rows, name: str, width: int) -> np.ndarray:
+    """rows as a (T, width) float64 array; ValueError for another shape or
+    for an entry that is not a finite JSON number (NaN, Infinity, a string,
+    a boolean)."""
+    a = np.array(rows, dtype=object)
+    if a.ndim != 2 or a.shape[1] != width:
+        raise ValueError(f"{name} must have shape (T, {width}), got {a.shape}")
+    for v in a.flat:
+        if type(v) not in (int, float) or not math.isfinite(v):
+            raise ValueError(f"{name} must be finite numbers, got {v!r}")
+    return a.astype(np.float64)
 
 
 def load_datasets(path) -> list[TaskDataset]:
@@ -283,7 +294,9 @@ def load_datasets(path) -> list[TaskDataset]:
             continue
         try:
             seed, split, traj = _record(json.loads(line))
-        except (KeyError, ValueError, TypeError) as e:
+        except KeyError as e:
+            raise DatasetFormatError(f"line {lineno}: missing field {e}") from e
+        except (ValueError, TypeError, OverflowError) as e:
             raise DatasetFormatError(f"line {lineno}: {e}") from e
         if split not in ("support", "query"):
             raise DatasetFormatError(f"line {lineno}: unknown split {split!r}")

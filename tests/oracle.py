@@ -16,10 +16,10 @@ from typing import Callable
 import numpy as np
 
 from dmil import autodiff as ad
-from dmil.autodiff import ContractError, Node, asum, backward, constant, leaf, mul
+from dmil.autodiff import Node, asum, backward, constant, leaf, mul
 from dmil.dmil import HighBatch, Pool
-from dmil.kernels import SelectorLoss, SkillMseLoss
-from dmil.policies import MlpShape, _check_input
+from dmil.kernels import SelectorLoss, SkillMseLoss, check_input
+from dmil.policies import MlpShape
 
 # A tape function maps (params node, batch) -> scalar node.
 TapeFn = Callable[[Node, object], Node]
@@ -58,11 +58,8 @@ class _TapePoint:
 
 def mlp_logits(p: Node, shape: MlpShape, x) -> Node:
     """Tape forward pass: (N, in) -> (N, out) from the flat parameter node."""
-    h = x if isinstance(x, Node) else ad.constant(_check_input(shape, x))
-    if h.value.shape[1] != shape.in_dim:
-        raise ContractError(
-            f"input shape {h.value.shape} does not match network input {shape.in_dim}"
-        )
+    h = x if isinstance(x, Node) else ad.constant(x)
+    check_input(h.value, shape.in_dim)
     sizes = shape.layer_sizes
     offset = 0
     last = len(sizes) - 2

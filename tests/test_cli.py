@@ -217,7 +217,7 @@ def test_ablate_paired_report(tmp_path) -> None:
 
 
 def test_ablate_evaluates_seven_skills(tmp_path) -> None:
-    # Matching 3 true labels into 7 skills tries 7 * 6 * 5 = 210 maps.
+    # Skill recovery matches the 3 true labels into 7 skills.
     cfg = write_tiny(tmp_path, model={"n_skills": 7}, run={"iterations": 1, "checkpoint_every": 0})
     out = tmp_path / "ablate"
     assert main(["ablate", "--config", str(cfg), "--out", str(out)]) == 0
@@ -236,32 +236,33 @@ def test_too_many_shots_exit_3_before_anything_trains(tmp_path, caplog, monkeypa
 
     monkeypatch.setattr(runner, "train", no_training)
     monkeypatch.setattr(runner, "warm_start", no_training)
-    for overrides, want in (
-        # 5 shots of 4 support demonstrations.
-        ({"data": {"n_support": 4}, "eval": {"shots": [5]}},
-         "eval.shots=5 exceeds the 4 support demonstrations of test task 9000"),
-        # 48 skills take 48 * 47 * 46 maps to match the 3 true labels.
-        ({"model": {"n_skills": 48}},
-         "scoring 48 skills against 3 labels: brute-force matching is limited to 100000 label maps, got 103776"),
-    ):
-        cfg = write_tiny(tmp_path, **overrides)
-        argv = [command, "--config", str(cfg), "--out", str(tmp_path / "run")]
-        if command == "eval":
-            ckpt = tmp_path / "ck.json"
-            save_checkpoint(ckpt, init_model(load_config(cfg)), "dmil", 1, 0)
-            argv += ["--checkpoint", str(ckpt)]
-        caplog.clear()
-        assert main(argv) == 3
-        assert one_line_error(caplog, "contract error") == f"contract error: {want}"
-        assert not (tmp_path / "run").exists()
-        with pytest.raises(ContractError, match=re.escape(want)):
-            runner.ablate(load_config(cfg))
+    # 5 shots of 4 support demonstrations.
+    cfg = write_tiny(tmp_path, data={"n_support": 4}, eval={"shots": [5]})
+    want = "eval.shots=5 exceeds the 4 support demonstrations of test task 9000"
+    argv = [command, "--config", str(cfg), "--out", str(tmp_path / "run")]
+    if command == "eval":
+        ckpt = tmp_path / "ck.json"
+        save_checkpoint(ckpt, init_model(load_config(cfg)), "dmil", 1, 0)
+        argv += ["--checkpoint", str(ckpt)]
+    caplog.clear()
+    assert main(argv) == 3
+    assert one_line_error(caplog, "contract error") == f"contract error: {want}"
+    assert not (tmp_path / "run").exists()
+    with pytest.raises(ContractError, match=re.escape(want)):
+        runner.ablate(load_config(cfg))
 
 
-def test_train_accepts_an_unscorable_skill_count(tmp_path) -> None:
-    # Training never scores skill recovery; only eval and ablate do.
-    cfg = write_tiny(tmp_path, model={"n_skills": 48}, run={"iterations": 1, "checkpoint_every": 0})
-    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
+def test_eval_scores_skill_recovery_of_48_skills(tmp_path) -> None:
+    # Matching the 3 true labels is exact for any skill count: 48 skills
+    # (48 * 47 * 46 label maps) are scored like 3.
+    cfg = write_tiny(tmp_path, model={"n_skills": 48})
+    ckpt = tmp_path / "ck.json"
+    save_checkpoint(ckpt, init_model(load_config(cfg)), "dmil", 1, 0)
+    out = tmp_path / "run"
+    assert main(["eval", "--config", str(cfg), "--out", str(out), "--checkpoint", str(ckpt)]) == 0
+    with open(out / "report.csv") as f:
+        rows = list(csv.DictReader(f))
+    assert len(rows) == 2 and all(0.0 < float(r["skill_acc"]) <= 1.0 for r in rows)
 
 
 def test_checkpoint_roundtrip_and_schema_error(tmp_path) -> None:
@@ -479,7 +480,7 @@ def test_cli_numeric_error_exit_code(tmp_path, caplog) -> None:
 @pytest.mark.parametrize(
     "body",
     ["wrong schema_version", "not json", "missing field", "json list", "high text", "rng_state text", "skills null",
-     "no features", "no file"],
+     "no features", "no file", "rng_state float", "iteration text", "K float", "high NaN"],
 )
 def test_cli_checkpoint_error_exit_code(tmp_path, caplog, body) -> None:
     params = init_hierarchical(4, 2, 3, (8, 8), seed=0, features="relative")
@@ -499,6 +500,14 @@ def test_cli_checkpoint_error_exit_code(tmp_path, caplog, body) -> None:
             doc["high"] = "abc"
         elif body == "rng_state text":
             doc["rng_state"] = "q"
+        elif body == "rng_state float":
+            doc["rng_state"] = 12.9
+        elif body == "iteration text":
+            doc["iteration"] = "7"
+        elif body == "K float":
+            doc["K"] = 3.0
+        elif body == "high NaN":
+            doc["high"][0] = float("nan")
         elif body == "skills null":
             doc["skills"] = None
         elif body == "no features":
@@ -514,6 +523,13 @@ def test_cli_checkpoint_error_exit_code(tmp_path, caplog, body) -> None:
         assert "has no field 'features'" in message
     if body == "no file":
         assert message.startswith(f"checkpoint error: checkpoint {ckpt} cannot be read")
+    want = {
+        "rng_state float": "field 'rng_state' must be an integer, got 12.9",
+        "iteration text": "field 'iteration' must be an integer, got '7'",
+        "K float": "field 'K' must be an integer, got 3.0",
+        "high NaN": "has a non-finite parameter",
+    }
+    assert message.endswith(want.get(body, ""))
     assert not (tmp_path / "eval").exists()
 
 
@@ -582,6 +598,9 @@ def test_cli_dataset_format_error_exit_code(tmp_path, caplog) -> None:
     assert "line" in one_line_error(caplog, "dataset format error")
 
 
+MISSING = object()  # changed_dataset's value for a field it deletes
+
+
 @pytest.mark.parametrize(
     "field, value, error",
     [
@@ -595,9 +614,17 @@ def test_cli_dataset_format_error_exit_code(tmp_path, caplog) -> None:
         ("true_skills", [1.5] * 24, "true_skills must be integers in [0, 3)"),
         ("true_skills", None, "true_skills must be integers in [0, 3)"),
         ("true_skills", [1] * 23, "true_skills must align with states"),
+        ("true_skills", [True] + [1] * 23, "true_skills must be integers in [0, 3)"),
+        ("true_skills", MISSING, "missing field 'true_skills'"),
+        ("states", [[math.nan, 0.0, 0.0, 0.0]] * 24, "states must be finite numbers, got nan"),
+        ("actions", [[0.0, -math.inf]] * 24, "actions must be finite numbers, got -inf"),
+        ("states", [["1.5", 0.0, 0.0, 0.0]] * 24, "states must be finite numbers, got '1.5'"),
+        ("states", [[0.0, True, 0.0, 0.0]] * 24, "states must be finite numbers, got True"),
+        ("states", [[10**400, 0.0, 0.0, 0.0]] * 24, "int too large to convert to float"),
     ],
     ids=["seed float", "seed text", "seed bool", "states 3 columns", "actions 3 columns", "label 7", "label -1",
-         "label float", "labels null", "labels short"],
+         "label float", "labels null", "labels short", "label bool", "labels missing", "state NaN",
+         "action -Infinity", "state text", "state bool", "state huge int"],
 )
 def test_dataset_line_not_as_simulated_exits_6(tmp_path, caplog, field, value, error) -> None:
     cfg = write_tiny(tmp_path, data=changed_dataset(tmp_path, field, value))
@@ -608,13 +635,17 @@ def test_dataset_line_not_as_simulated_exits_6(tmp_path, caplog, field, value, e
 
 def changed_dataset(tmp_path, field, value, split: str = "train") -> dict:
     """The data section of gen-data files of TINY (one 24-step trajectory per
-    line) whose second `split`.jsonl line has `field` set to `value`."""
+    line) whose second `split`.jsonl line has `field` set to `value`, or
+    deleted for MISSING."""
     data_dir = tmp_path / "data"
     assert main(["gen-data", "--config", str(write_tiny(tmp_path)), "--out", str(data_dir)]) == 0
     changed = data_dir / f"{split}.jsonl"
     lines = changed.read_text().splitlines()
     rec = json.loads(lines[1])
-    rec[field] = value
+    if value is MISSING:
+        del rec[field]
+    else:
+        rec[field] = value
     lines[1] = json.dumps(rec)
     changed.write_text("\n".join(lines) + "\n")
     return {"train_path": str(data_dir / "train.jsonl"), "test_path": str(data_dir / "test.jsonl")}

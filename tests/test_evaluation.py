@@ -95,6 +95,15 @@ def test_fd_check_rejects_large_parameter_vectors() -> None:
 # ---- skill accuracy ----
 
 
+def brute_force_skill_accuracy(pred, truth, n_pred: int, n_true: int) -> float:
+    """The best agreement over every injective map of true into predicted
+    labels, one by one."""
+    best = 0.0
+    for mapping in itertools.permutations(range(n_pred), n_true):
+        best = max(best, sum(np.sum(pred[truth == t] == mapping[t]) for t in range(n_true)))
+    return best / len(pred)
+
+
 def test_skill_accuracy_identity_and_permutation() -> None:
     truth = np.array([0, 0, 1, 2, 1, 0, 2, 2])
     assert skill_accuracy(truth, truth, 3, 3) == 1.0
@@ -118,20 +127,28 @@ def test_skill_accuracy_random_near_third_and_matches_exhaustive() -> None:
     truth = np.array([rng.randint(3) for _ in range(n)])
     pred = np.array([rng.randint(3) for _ in range(n)])
     got = skill_accuracy(pred, truth, 3, 3)
-
-    best = 0.0
-    for mapping in itertools.permutations(range(3), 3):
-        agree = sum(1 for p, t in zip(pred, truth) if mapping[t] == p)
-        best = max(best, agree / n)
-    assert got == pytest.approx(best)
+    assert got == brute_force_skill_accuracy(pred, truth, 3, 3)
     assert abs(got - 1 / 3) < 0.05
 
 
+def test_skill_accuracy_equals_brute_force_matching() -> None:
+    rng = SplitMix64(82)
+    for _ in range(200):
+        n_true = 1 + rng.randint(4)
+        n_pred = n_true + rng.randint(4)
+        n = 1 + rng.randint(40)
+        truth = np.array([rng.randint(n_true) for _ in range(n)])
+        pred = np.array([rng.randint(n_pred) for _ in range(n)])
+        got = skill_accuracy(pred, truth, n_pred, n_true)
+        assert got == brute_force_skill_accuracy(pred, truth, n_pred, n_true)
+        assert type(got) is np.float64
+
+
 def test_skill_accuracy_contract_errors() -> None:
-    # 9! = 362,880 maps is above the cap; 7! = 5,040 is not.
-    with pytest.raises(ContractError, match="limited to 100000 label maps, got 362880"):
-        skill_accuracy(np.zeros(4), np.zeros(4), 9, 9)
-    assert skill_accuracy(np.zeros(4), np.zeros(4), 7, 7) == 1.0
+    # Any skill count is scored: 9 skills have 9! = 362,880 label maps.
+    assert skill_accuracy(np.zeros(4), np.zeros(4), 9, 9) == 1.0
+    with pytest.raises(ContractError, match="more true skills than predicted"):
+        skill_accuracy(np.zeros(4), np.zeros(4), 2, 3)
     with pytest.raises(ContractError):
         skill_accuracy(np.zeros(4), np.zeros(3), 3, 3)
 

@@ -106,6 +106,20 @@ def test_only_autodiff_names_the_tape() -> None:
     assert found == []
 
 
+def test_only_tasks_and_evaluation_name_the_regime_count() -> None:
+    # The simulator's regime count matters only where labels are made and
+    # scored: skill recovery (evaluation) decides which policies it scores.
+    src = Path(runner.__file__).parent
+    found = [
+        f"{path.name}:{getattr(node, 'lineno', '?')}"
+        for path in sorted(src.glob("*.py"))
+        if path.name not in ("tasks.py", "evaluation.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if "N_REGIMES" in {getattr(node, field, None) for field in ("id", "attr", "name")}
+    ]
+    assert found == []
+
+
 def test_runner_builds_no_phase_of_its_own() -> None:
     # dmil.task_phases is the one composition of a task's phases: the
     # runner (training and gradcheck alike) labels, routes, partitions and
