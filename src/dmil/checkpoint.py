@@ -10,9 +10,9 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
-from .autodiff import NumericError, ParamVector
+from .autodiff import ParamVector
+from .config import METHODS
+from .data import finite_reals, json_int
 from .policies import HierarchicalParams, MlpShape
 
 SCHEMA_VERSION = 1
@@ -49,10 +49,10 @@ def save_checkpoint(path, params: HierarchicalParams, method: str, rng_state: in
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Read one checkpoint.  A file that cannot be read or is not one (not
-    JSON, not an object, another schema version, a missing or malformed
-    field, a non-finite parameter, a K, rng_state or iteration that is not
-    a JSON integer) raises a one-line CheckpointSchemaError."""
+    """Read one checkpoint; a file that is not one (unreadable, not a JSON
+    object, another schema version, a missing or malformed field: numbers by
+    data.py's rules, rng_state in [0, 2^64), method a config.METHODS key)
+    raises a one-line CheckpointSchemaError."""
     try:
         doc = json.loads(Path(path).read_text())
     except OSError as e:
@@ -68,23 +68,19 @@ def load_checkpoint(path) -> Checkpoint:
         )
     try:
         params = HierarchicalParams(
-            ParamVector(np.array(doc["high"], dtype=np.float64)),
-            tuple(ParamVector(np.array(s, dtype=np.float64)) for s in doc["skills"]),
-            MlpShape(tuple(doc["shapes"]["high"])),
-            MlpShape(tuple(doc["shapes"]["skill"])),
+            ParamVector(finite_reals(doc["high"], "field 'high'")),
+            tuple(ParamVector(finite_reals(s, "field 'skills'")) for s in doc["skills"]),
+            MlpShape(tuple(json_int(n, "a layer size", 1) for n in doc["shapes"]["high"])),
+            MlpShape(tuple(json_int(n, "a layer size", 1) for n in doc["shapes"]["skill"])),
             doc["features"],
         )
-        ckpt = Checkpoint(params, doc["method"], doc["rng_state"], doc["iteration"])
-        k = doc["K"]
+        if json_int(doc["K"], "field 'K'", 1) != params.K:
+            raise ValueError(f"field 'K' is {doc['K']} for {params.K} skill arrays")
+        if doc["method"] not in METHODS:
+            raise ValueError(f"field 'method' must name one of {', '.join(METHODS)}, got {doc['method']!r}")
+        rng_state = json_int(doc["rng_state"], "field 'rng_state'", 0, 2**64)
+        return Checkpoint(params, doc["method"], rng_state, json_int(doc["iteration"], "field 'iteration'", 0))
     except KeyError as e:
         raise CheckpointSchemaError(f"checkpoint {path} has no field {e}") from e
-    except (TypeError, ValueError) as e:
-        raise CheckpointSchemaError(f"checkpoint {path} has a malformed field: {e}") from e
-    except NumericError as e:
-        raise CheckpointSchemaError(f"checkpoint {path} has a non-finite parameter") from e
-    for field, value in (("K", k), ("rng_state", ckpt.rng_state), ("iteration", ckpt.iteration)):
-        if type(value) is not int:
-            raise CheckpointSchemaError(f"checkpoint {path} field {field!r} must be an integer, got {value!r}")
-    if params.K != k:
-        raise CheckpointSchemaError(f"checkpoint K={k!r} does not match {params.K} skill arrays")
-    return ckpt
+    except (TypeError, ValueError, OverflowError) as e:
+        raise CheckpointSchemaError(f"checkpoint {path} is malformed: {e}") from e

@@ -3,10 +3,10 @@
 Subcommands: gen-data, train, eval, gradcheck, ablate.  Every run directory
 receives the resolved config (config.json) and, when a config file was given,
 a verbatim copy of it (config.input.json), so experiments are reconstructible
-from artifacts alone.  Each command checks its config and builds or loads
-its datasets (and eval and ablate check eval.shots against the test tasks:
-runner.check_eval) before the run directory is made, so input it rejects
-leaves no output.
+from artifacts alone.  Before the run directory is made, each command checks
+its config and builds or loads its datasets; eval and ablate check eval.shots
+(runner.check_eval), and eval its checkpoint's method and model
+(runner.check_model); so input it rejects leaves no output.
 
 Every command runs BLAS on one thread, pinned when the package is imported
 (dmil.blas).
@@ -29,7 +29,7 @@ from .autodiff import ContractError, NumericError
 from .checkpoint import CheckpointSchemaError, load_checkpoint
 from .config import ConfigError, load_config, resolve_config, dump_config
 from .evaluation import write_report_csv, write_summary_json
-from .runner import ablate, build_datasets, build_split, check_eval, evaluate, gradcheck_run, init_model, train
+from .runner import ablate, build_datasets, build_split, check_eval, check_model, evaluate, gradcheck_run, train
 from .tasks import DatasetFormatError, save_datasets
 
 logger = logging.getLogger("dmil")
@@ -72,28 +72,12 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _check_model(cfg: dict, ckpt) -> None:
-    """Reject a checkpoint whose model is not the config's (method, feature
-    map, skill count, layer sizes of both networks), naming the first field
-    that differs: the method decides which levels adapt at test time, and
-    the feature map sets the input width of both networks."""
-    params = ckpt.params
-    want = init_model(cfg)
-    for field, got, need in (
-        ("method", ckpt.method, cfg["dmil"]["method"]),
-        ("features", params.feature_kind, want.feature_kind),
-        ("K", params.K, want.K),
-        ("selector layers", params.high_shape.layer_sizes, want.high_shape.layer_sizes),
-        ("sub-skill layers", params.skill_shape.layer_sizes, want.skill_shape.layer_sizes),
-    ):
-        if got != need:
-            raise ContractError(f"checkpoint {field} {got!r} does not match the config's {need!r}")
-
-
 def cmd_eval(args) -> int:
     cfg = _resolve(args)
     ckpt = load_checkpoint(args.checkpoint)
-    _check_model(cfg, ckpt)
+    if ckpt.method != cfg["dmil"]["method"]:
+        raise ContractError(f"checkpoint method {ckpt.method!r} does not match the config's {cfg['dmil']['method']!r}")
+    check_model(cfg, ckpt.params, "checkpoint")
     test_tasks = build_split(cfg, "test")
     check_eval(cfg, test_tasks)
     out = _prepare_out(args, cfg)

@@ -1,10 +1,10 @@
-"""Trajectory container shared by the learner and the benchmark generator.
-
-The learner pools trajectories into one batch (dmil.pool); this module only
-holds and checks them."""
+"""Trajectory container shared by the learner and the benchmark generator
+(dmil.pool batches them; this module only holds and checks them), and the
+number rules of dataset lines and checkpoints: finite_reals, json_int."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,3 +45,25 @@ class Trajectory:
     def __len__(self) -> int:
         return self.states.shape[0]
 
+
+def finite_reals(values, name: str, width: int | None = None) -> np.ndarray:
+    """values as a float64 array, (T, width) given a width, else 1-D;
+    ValueError for another shape or for an entry that is not a finite JSON
+    number (NaN, Infinity, a string, a boolean)."""
+    a = np.array(values, dtype=object)
+    if a.ndim != (1 if width is None else 2) or (width is not None and a.shape[1] != width):
+        raise ValueError(f"{name} must have shape {'(N,)' if width is None else f'(T, {width})'}, got {a.shape}")
+    for v in a.flat:
+        if type(v) not in (int, float) or not math.isfinite(v):
+            raise ValueError(f"{name} must be finite numbers, got {v!r}")
+    return a.astype(np.float64)
+
+
+def json_int(value, name: str, low: int | None = None, high: int | None = None) -> int:
+    """value if it is a JSON integer (not a boolean) in [low, high), the
+    upper bound optional; ValueError otherwise."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if (low is not None and value < low) or (high is not None and value >= high):
+        raise ValueError(f"{name} must be {f'>= {low}' if high is None else f'in [{low}, {high})'}, got {value}")
+    return value

@@ -144,6 +144,20 @@ def init_model(cfg: dict, seed: int | None = None) -> HierarchicalParams:
     )
 
 
+def check_model(cfg: dict, params: HierarchicalParams, what: str) -> None:
+    """Reject parameters that are not the config's model, naming `what` they
+    are and the first field that differs (feature map, K, layer sizes)."""
+    want = init_model(cfg)
+    for field, got, need in (
+        ("features", params.feature_kind, want.feature_kind),
+        ("K", params.K, want.K),
+        ("selector layers", params.high_shape.layer_sizes, want.high_shape.layer_sizes),
+        ("sub-skill layers", params.skill_shape.layer_sizes, want.skill_shape.layer_sizes),
+    ):
+        if got != need:
+            raise ContractError(f"{what} {field} {got!r} does not match the config's {need!r}")
+
+
 def _em_alternations(params: HierarchicalParams, p: Pool, epochs: int, lr: float, aux: float) -> HierarchicalParams:
     """Label-routed hard-EM alternations (the classical E/M pairing): each
     sub-skill trains only on the pairs it currently wins, so per-pair
@@ -219,8 +233,9 @@ def train(cfg: dict, out_dir=None, datasets=None, warm_params=None) -> TrainResu
     """Train one method per cfg; optionally persist run artifacts to out_dir.
 
     `datasets` lets callers share prebuilt (train, test) task lists across
-    paired runs, and `warm_params` a precomputed warm start; both are pure
-    functions of the config, so sharing only saves recomputation.
+    paired runs, and `warm_params` a precomputed warm start of the config's
+    model (else check_model fails before any work); both are pure functions
+    of the config, so sharing only saves recomputation.
 
     This is the one place that applies the outer update, the same for all
     five methods: each method's step function returns a StepResult of
@@ -228,10 +243,8 @@ def train(cfg: dict, out_dir=None, datasets=None, warm_params=None) -> TrainResu
     at outer_rate.
     """
     method = cfg["dmil"]["method"]
-    if warm_params is not None and warm_params.K != n_skills_for(cfg):
-        raise ContractError(
-            f"warm start has {warm_params.K} skills; method {method} needs {n_skills_for(cfg)}"
-        )
+    if warm_params is not None:
+        check_model(cfg, warm_params, "warm start")
     train_tasks, test_tasks = datasets if datasets is not None else build_datasets(cfg)
     run = cfg["run"]
     seed = run["seed"]

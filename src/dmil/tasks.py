@@ -25,7 +25,6 @@ JSON Lines dataset files, which round-trip doubles exactly.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
@@ -33,7 +32,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .autodiff import ContractError
-from .data import Trajectory
+from .data import Trajectory, finite_reals, json_int
 from .rng import SplitMix64, Streams, derive_seed
 
 DT = 0.1
@@ -263,28 +262,14 @@ def save_datasets(path, datasets: Sequence[TaskDataset]) -> None:
 def _record(rec: dict) -> tuple[int, str, Trajectory]:
     """One line's task seed, split and trajectory; KeyError for a missing
     field, ValueError if a field is not what the simulator writes."""
-    seed = rec["task_seed"]
-    if type(seed) is not int:
-        raise ValueError(f"task_seed must be an integer, got {seed!r}")
-    states = _reals(rec["states"], "states", STATE_DIM)
-    actions = _reals(rec["actions"], "actions", ACTION_DIM)
-    labels = np.array(rec["true_skills"], dtype=object)
-    if labels.ndim != 1 or not all(type(z) is int and 0 <= z < N_REGIMES for z in labels):
-        raise ValueError(f"true_skills must be integers in [0, {N_REGIMES})")
-    return seed, rec["split"], Trajectory(states, actions, labels.astype(np.int64))
-
-
-def _reals(rows, name: str, width: int) -> np.ndarray:
-    """rows as a (T, width) float64 array; ValueError for another shape or
-    for an entry that is not a finite JSON number (NaN, Infinity, a string,
-    a boolean)."""
-    a = np.array(rows, dtype=object)
-    if a.ndim != 2 or a.shape[1] != width:
-        raise ValueError(f"{name} must have shape (T, {width}), got {a.shape}")
-    for v in a.flat:
-        if type(v) not in (int, float) or not math.isfinite(v):
-            raise ValueError(f"{name} must be finite numbers, got {v!r}")
-    return a.astype(np.float64)
+    seed = json_int(rec["task_seed"], "task_seed")
+    states = finite_reals(rec["states"], "states", STATE_DIM)
+    actions = finite_reals(rec["actions"], "actions", ACTION_DIM)
+    try:
+        labels = [json_int(z, "true_skills", 0, N_REGIMES) for z in rec["true_skills"]]
+    except (TypeError, ValueError):
+        raise ValueError(f"true_skills must be integers in [0, {N_REGIMES})") from None
+    return seed, rec["split"], Trajectory(states, actions, labels)
 
 
 def load_datasets(path) -> list[TaskDataset]:

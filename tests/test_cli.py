@@ -480,7 +480,9 @@ def test_cli_numeric_error_exit_code(tmp_path, caplog) -> None:
 @pytest.mark.parametrize(
     "body",
     ["wrong schema_version", "not json", "missing field", "json list", "high text", "rng_state text", "skills null",
-     "no features", "no file", "rng_state float", "iteration text", "K float", "high NaN"],
+     "no features", "no file", "rng_state float", "iteration text", "K float", "high NaN", "high string",
+     "skills bool", "layer string", "layer float", "layer 0", "K 0", "K 2", "rng_state -5", "rng_state 2^64",
+     "iteration -3", "method 7", "method ppo"],
 )
 def test_cli_checkpoint_error_exit_code(tmp_path, caplog, body) -> None:
     params = init_hierarchical(4, 2, 3, (8, 8), seed=0, features="relative")
@@ -508,6 +510,30 @@ def test_cli_checkpoint_error_exit_code(tmp_path, caplog, body) -> None:
             doc["K"] = 3.0
         elif body == "high NaN":
             doc["high"][0] = float("nan")
+        elif body == "high string":
+            doc["high"][0] = "1.5"
+        elif body == "skills bool":
+            doc["skills"][1][0] = True
+        elif body == "layer string":
+            doc["shapes"]["high"][0] = "7"
+        elif body == "layer float":
+            doc["shapes"]["skill"][1] = 8.9
+        elif body == "layer 0":
+            doc["shapes"]["skill"][1] = 0
+        elif body == "K 0":
+            doc["K"] = 0
+        elif body == "K 2":
+            doc["K"] = 2
+        elif body == "rng_state -5":
+            doc["rng_state"] = -5
+        elif body == "rng_state 2^64":
+            doc["rng_state"] = 2**64
+        elif body == "iteration -3":
+            doc["iteration"] = -3
+        elif body == "method 7":
+            doc["method"] = 7
+        elif body == "method ppo":
+            doc["method"] = "ppo"
         elif body == "skills null":
             doc["skills"] = None
         elif body == "no features":
@@ -527,7 +553,19 @@ def test_cli_checkpoint_error_exit_code(tmp_path, caplog, body) -> None:
         "rng_state float": "field 'rng_state' must be an integer, got 12.9",
         "iteration text": "field 'iteration' must be an integer, got '7'",
         "K float": "field 'K' must be an integer, got 3.0",
-        "high NaN": "has a non-finite parameter",
+        "high NaN": "field 'high' must be finite numbers, got nan",
+        "high string": "field 'high' must be finite numbers, got '1.5'",
+        "skills bool": "field 'skills' must be finite numbers, got True",
+        "layer string": "a layer size must be an integer, got '7'",
+        "layer float": "a layer size must be an integer, got 8.9",
+        "layer 0": "a layer size must be >= 1, got 0",
+        "K 0": "field 'K' must be >= 1, got 0",
+        "K 2": "field 'K' is 2 for 3 skill arrays",
+        "rng_state -5": f"field 'rng_state' must be in [0, {2**64}), got -5",
+        "rng_state 2^64": f"field 'rng_state' must be in [0, {2**64}), got {2**64}",
+        "iteration -3": "field 'iteration' must be >= 0, got -3",
+        "method 7": f"field 'method' must name one of {', '.join(runner.METHODS)}, got 7",
+        "method ppo": f"field 'method' must name one of {', '.join(runner.METHODS)}, got 'ppo'",
     }
     assert message.endswith(want.get(body, ""))
     assert not (tmp_path / "eval").exists()

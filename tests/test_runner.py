@@ -90,6 +90,29 @@ def test_only_the_config_names_methods() -> None:
     assert found == []
 
 
+def _names(path: Path) -> set:
+    return {getattr(node, f, None) for node in ast.walk(ast.parse(path.read_text())) for f in ("id", "attr", "name")}
+
+
+def test_one_number_rule_and_one_model_check() -> None:
+    # Both file loaders read numbers through data.finite_reals and
+    # data.json_int: the checkpoint loader neither coerces file content to
+    # float64 nor tests integers itself.  runner.check_model is the one
+    # model comparison, so cli names no model field.
+    src = Path(runner.__file__).parent
+    for name in ("checkpoint.py", "tasks.py"):
+        assert {"finite_reals", "json_int"} <= _names(src / name), name
+    assert not _names(src / "cli.py") & {"layer_sizes", "feature_kind"}
+    found = []
+    for node in ast.walk(ast.parse((src / "checkpoint.py").read_text())):
+        if isinstance(node, ast.Call) and any(k.arg == "dtype" for k in node.keywords):
+            found.append(f"checkpoint.py:{node.lineno} converts with a dtype")
+        left = getattr(node, "left", None)
+        if isinstance(node, ast.Compare) and isinstance(left, ast.Call) and getattr(left.func, "id", None) == "type":
+            found.append(f"checkpoint.py:{node.lineno} tests a type")
+    assert found == []
+
+
 def test_only_autodiff_names_the_tape() -> None:
     # The tape is a test reference (tests/oracle.py): autodiff keeps the
     # engine, and no other module of the package names a tape class,
@@ -252,13 +275,22 @@ def test_train_rejects_mismatched_warm_start(monkeypatch) -> None:
     monkeypatch.setattr(runner, "em_only_train", never)
     monkeypatch.setattr(runner, "build_datasets", never)
     k3 = runner.init_model(tiny("dmil"))
-    with pytest.raises(ContractError, match="warm start has 3 skills; method maml needs 1"):
+    with pytest.raises(ContractError, match="^warm start K 3 does not match the config's 1$"):
         runner.train(tiny("maml"), warm_params=k3)
     k1 = runner.init_model(tiny("maml"))
-    with pytest.raises(ContractError, match="warm start has 1 skills; method dmil_low needs 3"):
+    with pytest.raises(ContractError, match="^warm start K 1 does not match the config's 3$"):
         runner.train(tiny("dmil_low"), warm_params=k1)
-    with pytest.raises(ContractError, match="warm start has 1 skills; method em_only needs 3"):
+    with pytest.raises(ContractError, match="^warm start K 1 does not match the config's 3$"):
         runner.train(tiny("em_only"), warm_params=k1)
+    # The same skill count, but another network or feature map: the warm
+    # start's model would be trained in place of the configured one.
+    wide = init_hierarchical(STATE_DIM, ACTION_DIM, 3, (16, 16), seed=0, features="raw")
+    want = r"^warm start selector layers \(4, 16, 16, 3\) does not match the config's \(4, 8, 3\)$"
+    with pytest.raises(ContractError, match=want):
+        runner.train(tiny("dmil"), warm_params=wide)
+    relative = init_hierarchical(STATE_DIM, ACTION_DIM, 3, (8,), seed=0, features="relative")
+    with pytest.raises(ContractError, match="^warm start features 'relative' does not match the config's 'raw'$"):
+        runner.train(tiny("dmil"), warm_params=relative)
 
 
 def test_ablate_computes_one_warm_start_per_skill_count(monkeypatch) -> None:
