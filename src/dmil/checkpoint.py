@@ -70,8 +70,8 @@ def load_checkpoint(path) -> Checkpoint:
         params = HierarchicalParams(
             ParamVector(finite_reals(doc["high"], "field 'high'")),
             tuple(ParamVector(finite_reals(s, "field 'skills'")) for s in doc["skills"]),
-            MlpShape(tuple(json_int(n, "a layer size", 1) for n in doc["shapes"]["high"])),
-            MlpShape(tuple(json_int(n, "a layer size", 1) for n in doc["shapes"]["skill"])),
+            MlpShape(doc["shapes"]["high"]),
+            MlpShape(doc["shapes"]["skill"]),
             doc["features"],
         )
         if json_int(doc["K"], "field 'K'", 1) != params.K:

@@ -12,6 +12,7 @@ import math
 from pathlib import Path
 from typing import NamedTuple
 
+from .data import json_int
 from .policies import FEATURE_KINDS
 
 
@@ -111,6 +112,7 @@ RANGES = (
     ("dmil.tasks_per_step", 1),
     ("model.n_skills", 1),
     ("run.iterations", 0),
+    ("run.checkpoint_every", 0),  # 0: only the first and final checkpoints
     ("dmil.inner_rate", 0),
     ("dmil.outer_rate", 0),
     ("dmil.warmup_rate", 0),
@@ -172,8 +174,11 @@ def resolve_config(overrides: dict | None = None, seed: int | None = None) -> di
         section, name = key.split(".")
         value = cfg[section][name]
         if isinstance(value, list):
-            if not all(type(k) is int and k >= low for k in value):
-                raise ConfigError(f"config key {key!r} must list integers >= {low}, got {value!r}")
+            try:
+                for k in value:
+                    json_int(k, key, low)
+            except ValueError as e:
+                raise ConfigError(f"config key {key!r} must list integers >= {low}, got {value!r}") from e
             if not value and key != "model.hidden":
                 raise ConfigError(f"config key {key!r} must list at least one integer")
         elif value is not None and value < low:

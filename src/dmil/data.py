@@ -1,6 +1,7 @@
 """Trajectory container shared by the learner and the benchmark generator
 (dmil.pool batches them; this module only holds and checks them), and the
-number rules of dataset lines and checkpoints: finite_reals, json_int."""
+number rules of dataset lines, checkpoints, config lists and layer sizes:
+finite_reals, json_int."""
 
 from __future__ import annotations
 
@@ -61,9 +62,9 @@ def finite_reals(values, name: str, width: int | None = None) -> np.ndarray:
 
 def json_int(value, name: str, low: int | None = None, high: int | None = None) -> int:
     """value if it is a JSON integer (not a boolean) in [low, high), the
-    upper bound optional; ValueError otherwise."""
+    upper bound optional; ContractError (a ValueError) otherwise."""
     if type(value) is not int:
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+        raise ContractError(f"{name} must be an integer, got {value!r}")
     if (low is not None and value < low) or (high is not None and value >= high):
-        raise ValueError(f"{name} must be {f'>= {low}' if high is None else f'in [{low}, {high})'}, got {value}")
+        raise ContractError(f"{name} must be {f'>= {low}' if high is None else f'in [{low}, {high})'}, got {value}")
     return value

@@ -14,22 +14,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import ContractError, ParamVector
+from .data import json_int
 from .kernels import check_input, forward, unpack
 from .rng import SplitMix64, derive_seed
 
 
 @dataclass(frozen=True)
 class MlpShape:
-    """Layer sizes from input to output; ReLU on hidden layers, linear output."""
+    """Layer sizes (JSON integers >= 1) from input to output; ReLU on hidden layers, linear output."""
 
     layer_sizes: tuple[int, ...]
 
     def __post_init__(self):
-        sizes = tuple(int(s) for s in self.layer_sizes)
+        sizes = tuple(json_int(s, "a layer size", 1) for s in self.layer_sizes)
         if len(sizes) < 2:
             raise ContractError(f"MlpShape needs >= 2 layers, got {sizes}")
-        if any(s < 1 for s in sizes):
-            raise ContractError(f"all layer sizes must be >= 1, got {sizes}")
         object.__setattr__(self, "layer_sizes", sizes)
 
     @property
@@ -44,10 +43,6 @@ class MlpShape:
     def n_params(self) -> int:
         sizes = self.layer_sizes
         return sum(sizes[i] * sizes[i + 1] + sizes[i + 1] for i in range(len(sizes) - 1))
-
-
-def mlp_shape(in_dim: int, out_dim: int, hidden: tuple[int, ...] = (64, 64)) -> MlpShape:
-    return MlpShape((in_dim, *hidden, out_dim))
 
 
 FEATURE_KINDS = ("raw", "relative")
@@ -147,8 +142,8 @@ def init_hierarchical(
     """Seeded init for the full hierarchy; sub-streams per component.  The
     input width is what `featurize` makes of a state."""
     in_dim = featurize(np.zeros((1, state_dim)), features).shape[1]
-    high_shape = mlp_shape(in_dim, n_skills, hidden)
-    skill_shape = mlp_shape(in_dim, action_dim, hidden)
+    high_shape = MlpShape((in_dim, *hidden, n_skills))
+    skill_shape = MlpShape((in_dim, *hidden, action_dim))
     high = init_params(high_shape, derive_seed(seed, 0))
     skills = tuple(
         init_params(skill_shape, derive_seed(seed, 1 + k)) for k in range(n_skills)

@@ -25,6 +25,7 @@ from .checkpoint import save_checkpoint
 from .config import METHODS, dump_config
 from .dmil import (
     Pool,
+    StepResult,
     TrainConfig,
     adapt_phases,
     hard_labels,
@@ -60,33 +61,43 @@ METRICS_COLUMNS = ("iteration", "outer_loss", "grad_norm_high", "grad_norm_skill
 
 
 class Sgd:
-    """Plain descent, theta - lr * g: the default outer optimizer, with
-    Adam's interface."""
+    """Plain descent, theta - lr * g, on every vector of the model: the
+    default outer optimizer and every hard-EM step of the warm start."""
 
-    def __init__(self, n: int, lr: float):
+    def __init__(self, lr: float):
         self.lr = lr
 
-    def step(self, theta: ParamVector, grad: ParamVector) -> ParamVector:
-        return theta.minus_scaled(grad, self.lr)
+    def step(self, params: HierarchicalParams, grads: StepResult) -> HierarchicalParams:
+        return params.with_updates(
+            params.high.minus_scaled(grads.g_high, self.lr),
+            tuple(s.minus_scaled(g, self.lr) for s, g in zip(params.skills, grads.g_skills, strict=True)),
+        )
 
 
 class Adam:
-    """Per-vector Adam state: the outer optimizer under outer_optimizer "adam"."""
+    """Adam on every vector of the model, with moments kept per vector
+    (selector first): the outer optimizer under outer_optimizer "adam"."""
 
-    def __init__(self, n: int, lr: float, b1: float = 0.9, b2: float = 0.999, eps: float = 1e-8):
-        self.lr, self.b1, self.b2, self.eps = lr, b1, b2, eps
-        self.m = np.zeros(n)
-        self.v = np.zeros(n)
-        self.t = 0
+    b1, b2, eps = 0.9, 0.999, 1e-8
 
-    def step(self, theta: ParamVector, grad: ParamVector) -> ParamVector:
+    def __init__(self, lr: float):
+        self.lr, self.t = lr, 0
+        self.m: list[np.ndarray] = []  # zeros until the first step sizes them
+        self.v: list[np.ndarray] = []
+
+    def step(self, params: HierarchicalParams, grads: StepResult) -> HierarchicalParams:
+        thetas = (params.high, *params.skills)
+        self.m = self.m or [np.zeros(len(theta)) for theta in thetas]
+        self.v = self.v or [np.zeros(len(theta)) for theta in thetas]
         self.t += 1
-        g = grad.values
-        self.m = self.b1 * self.m + (1 - self.b1) * g
-        self.v = self.b2 * self.v + (1 - self.b2) * g * g
-        mhat = self.m / (1 - self.b1**self.t)
-        vhat = self.v / (1 - self.b2**self.t)
-        return ParamVector(theta.values - self.lr * mhat / (np.sqrt(vhat) + self.eps))
+        out = []
+        for i, (theta, grad) in enumerate(zip(thetas, (grads.g_high, *grads.g_skills), strict=True)):
+            g = grad.values
+            self.m[i] = self.b1 * self.m[i] + (1 - self.b1) * g
+            self.v[i] = self.b2 * self.v[i] + (1 - self.b2) * g * g
+            mhat, vhat = self.m[i] / (1 - self.b1**self.t), self.v[i] / (1 - self.b2**self.t)
+            out.append(ParamVector(theta.values - self.lr * mhat / (np.sqrt(vhat) + self.eps)))
+        return params.with_updates(out[0], tuple(out[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -159,16 +170,13 @@ def check_model(cfg: dict, params: HierarchicalParams, what: str) -> None:
 
 
 def _em_alternations(params: HierarchicalParams, p: Pool, epochs: int, lr: float, aux: float) -> HierarchicalParams:
-    """Label-routed hard-EM alternations (the classical E/M pairing): each
-    sub-skill trains only on the pairs it currently wins, so per-pair
-    competition stays alive and no single network absorbs everything."""
+    """Label-routed hard-EM alternations (the classical E/M pairing), each an
+    Sgd step at lr: a sub-skill trains only on the pairs it currently wins,
+    so per-pair competition stays alive and no single network absorbs all."""
+    sgd = Sgd(lr)
     for _ in range(epochs):
         labels = hard_labels(p, params.skills, params.skill_shape)
-        res = hard_em_grads(params, p, labels, labels, aux)
-        params = params.with_updates(
-            params.high.minus_scaled(res.g_high, lr),
-            tuple(s.minus_scaled(g, lr) for s, g in zip(params.skills, res.g_skills)),
-        )
+        params = sgd.step(params, hard_em_grads(params, p, labels, labels, aux))
     return params
 
 
@@ -237,10 +245,9 @@ def train(cfg: dict, out_dir=None, datasets=None, warm_params=None) -> TrainResu
     model (else check_model fails before any work); both are pure functions
     of the config, so sharing only saves recomputation.
 
-    This is the one place that applies the outer update, the same for all
-    five methods: each method's step function returns a StepResult of
-    gradients at the pre-step parameters, which go through outer_optimizer
-    at outer_rate.
+    The outer update of all five methods happens only here: one
+    outer_optimizer object at outer_rate applies each step's StepResult,
+    gradients at the pre-step parameters, to the whole model.
     """
     method = cfg["dmil"]["method"]
     if warm_params is not None:
@@ -249,14 +256,10 @@ def train(cfg: dict, out_dir=None, datasets=None, warm_params=None) -> TrainResu
     run = cfg["run"]
     seed = run["seed"]
     tc = train_config_from(cfg)
-    outer_rate = cfg["dmil"]["outer_rate"]
     params = warm_start(cfg, train_tasks) if warm_params is None else warm_params
     task_rng = SplitMix64(derive_seed(seed, SALT_TASK_SELECT))
     n_train = len(train_tasks)
-
-    optimizer = {"sgd": Sgd, "adam": Adam}[cfg["dmil"]["outer_optimizer"]]
-    opt_high = optimizer(len(params.high), outer_rate)
-    opt_skills = [optimizer(len(s), outer_rate) for s in params.skills]
+    optimizer = {"sgd": Sgd, "adam": Adam}[cfg["dmil"]["outer_optimizer"]](cfg["dmil"]["outer_rate"])
 
     out = Path(out_dir) if out_dir is not None else None
     if out is not None:
@@ -275,12 +278,8 @@ def train(cfg: dict, out_dir=None, datasets=None, warm_params=None) -> TrainResu
 
         # Looked up by name in this module's globals on every call, so that a
         # wrapper set on runner's attribute (a test, a profiler) sees each step.
-        step = globals()[METHODS[method].step]
-        res = step(params, batch_tasks, tc, step_seed)
-        params = params.with_updates(
-            opt_high.step(params.high, res.g_high),
-            tuple(o.step(s, g) for o, s, g in zip(opt_skills, params.skills, res.g_skills, strict=True)),
-        )
+        res = globals()[METHODS[method].step](params, batch_tasks, tc, step_seed)
+        params = optimizer.step(params, res)
         values = (it, res.outer_loss, res.grad_norm_high, res.grad_norm_skills, res.diverged_count)
         rows.append(dict(zip(METRICS_COLUMNS, values, strict=True)))
         diverged_total += res.diverged_count

@@ -319,6 +319,7 @@ def test_config_error_exit_code(tmp_path, caplog) -> None:
         ("dmil", "warmup_epochs", -1),
         ("dmil", "warmup_consolidate", -1),
         ("dmil", "aux_weight", -0.1),
+        ("run", "checkpoint_every", -3),
     ],
 )
 def test_config_out_of_range_rejected(section, key, value) -> None:
@@ -386,6 +387,8 @@ def test_config_range_accepts_its_bounds() -> None:
     assert cfg["dmil"]["warmup_epochs"] == 0 and cfg["dmil"]["warmup_consolidate"] == 0
     cfg = resolve_config({"model": {"hidden": []}})  # a network without hidden layers
     assert init_model(cfg).high_shape.layer_sizes == (7, 3)
+    cfg = resolve_config({"run": {"checkpoint_every": 0}})  # first and final checkpoints only
+    assert cfg["run"]["checkpoint_every"] == 0
 
 
 @pytest.mark.parametrize("key", ["inner_steps", "batch_size"])
@@ -403,8 +406,9 @@ def test_train_out_of_range_exits_2_before_any_output(tmp_path, key) -> None:
         ("data", "n_train_tasks", 0, "config key 'data.n_train_tasks' must be >= 1, got 0"),
         ("eval", "shots", [-1], "config key 'eval.shots' must list integers >= 1, got [-1]"),
         ("model", "hidden", [1.5], "config key 'model.hidden' must list integers >= 1, got [1.5]"),
+        ("run", "checkpoint_every", -3, "config key 'run.checkpoint_every' must be >= 0, got -3"),
     ],
-    ids=["n_train_tasks", "shots", "hidden"],
+    ids=["n_train_tasks", "shots", "hidden", "checkpoint_every"],
 )
 def test_train_without_tasks_or_shots_exits_2_before_any_output(tmp_path, caplog, section, key, value, error) -> None:
     cfg = write_tiny(tmp_path, **{section: {key: value}})

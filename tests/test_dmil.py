@@ -32,7 +32,6 @@ from dmil.policies import (
     init_hierarchical,
     init_params,
     mlp_forward,
-    mlp_shape,
 )
 from dmil.rng import SplitMix64
 from dmil.tasks import make_dataset, sample_task
@@ -160,7 +159,7 @@ def test_high_loss_zero_params_ln_k_plus_aux() -> None:
 
 
 def test_high_loss_perfect_classifier_near_zero() -> None:
-    shape = mlp_shape(4, 3, (4,))
+    shape = MlpShape((4, 4, 3))
     v = np.zeros(shape.n_params)
     v[-3] = 30.0  # output bias of class 0: logits [30, 0, 0] everywhere
     trajs = random_trajs(5, n=1, T=8)
@@ -241,7 +240,7 @@ def test_partition_k1_everything_in_group_zero() -> None:
 
 
 def test_partition_hand_set_selector() -> None:
-    shape = mlp_shape(4, 3, (4,))
+    shape = MlpShape((4, 4, 3))
     v = np.zeros(shape.n_params)
     v[-1] = 10.0  # bias favors skill 2 everywhere
     batches = routed(ParamVector(v), shape, random_trajs(6))
@@ -291,7 +290,7 @@ def test_li_step_zero_rate_identity() -> None:
 
 def test_li_step_single_pair_hand_computed() -> None:
     # One linear skill net, one (s, a) pair: gradient is hand-computable.
-    high_shape = mlp_shape(2, 1, (4,))
+    high_shape = MlpShape((2, 4, 1))
     skill_shape = MlpShape((2, 2))
     w = np.array([0.5, -0.2, 0.1, 0.3, 0.05, -0.07])  # W row-major then b
     params = HierarchicalParams(
@@ -721,7 +720,7 @@ def test_predict_action_k1_and_hand_set() -> None:
     a, z = predict_action(params, s)
     assert a.shape == (1, 2) and z.tolist() == [0]
 
-    shape_h = mlp_shape(4, 3, (4,))
+    shape_h = MlpShape((4, 4, 3))
     v = np.zeros(shape_h.n_params)
     v[-2] = 5.0  # favor skill 1
     zero_skill = ParamVector(np.zeros(params.skill_shape.n_params))

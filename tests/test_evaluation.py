@@ -22,7 +22,7 @@ from dmil.evaluation import (
     write_summary_json,
 )
 from dmil.kernels import SkillMseLoss
-from dmil.policies import HierarchicalParams, featurize, init_hierarchical, init_params, mlp_forward, mlp_shape
+from dmil.policies import HierarchicalParams, MlpShape, featurize, init_hierarchical, init_params, mlp_forward
 from dmil.rng import SplitMix64, derive_seed
 from dmil.tasks import ACTION_MAX, DT, GOAL_TOLERANCE, N_REGIMES, START_BOX, make_dataset, sample_task, TaskSpec
 
@@ -44,7 +44,7 @@ def test_fd_check_small_mlp_meta_objective() -> None:
     from dmil.autodiff import inner_adapt, loss_value, meta_grad, value_and_grad
     from dmil.dmil import Pool
 
-    shape = mlp_shape(2, 2, (8,))
+    shape = MlpShape((2, 8, 2))
     rng = SplitMix64(70)
     theta = ParamVector(rng.uniform_array(shape.n_params, -0.8, 0.8))
     s2 = rng.uniform_array(8, -1, 1).reshape(4, 2)
@@ -69,7 +69,7 @@ def test_fd_check_exposes_first_order_gap() -> None:
     from dmil.autodiff import inner_adapt, loss_value, meta_grad, value_and_grad
     from dmil.dmil import Pool
 
-    shape = mlp_shape(2, 2, (8,))
+    shape = MlpShape((2, 8, 2))
     rng = SplitMix64(71)
     theta = ParamVector(rng.uniform_array(shape.n_params, -0.8, 0.8))
     s2 = rng.uniform_array(8, -1, 1).reshape(4, 2)
@@ -308,7 +308,7 @@ def test_rollout_success_expert_is_one() -> None:
 def test_rollout_success_zero_policy_is_zero() -> None:
     spec = sample_task(7)
     # One skill with all-zero parameters: every action is zero.
-    high, skill = mlp_shape(4, 1, (8,)), mlp_shape(4, 2, (8,))
+    high, skill = MlpShape((4, 8, 1)), MlpShape((4, 8, 2))
     params = HierarchicalParams(ParamVector(np.zeros(high.n_params)), (ParamVector(np.zeros(skill.n_params)),), high, skill)
     zero = HierarchicalPolicy(params, 0.0, 1)
     assert np.array_equal(zero.act(np.ones((2, 4)))[0], np.zeros((2, 2)))

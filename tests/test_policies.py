@@ -13,7 +13,6 @@ from dmil.policies import (
     init_hierarchical,
     init_params,
     mlp_forward,
-    mlp_shape,
 )
 from dmil.rng import SplitMix64
 from oracle import mlp_logits
@@ -86,19 +85,28 @@ def test_param_count_formula_property(sizes, seed) -> None:
 def test_shape_validation() -> None:
     with pytest.raises(ContractError):
         MlpShape((4,))
-    with pytest.raises(ContractError):
+    with pytest.raises(ContractError, match=r"^a layer size must be >= 1, got 0$"):
         MlpShape((4, 0, 2))
+    # A size is a JSON integer: no float, boolean or string is truncated or
+    # coerced into one.
+    with pytest.raises(ContractError, match=r"^a layer size must be an integer, got 8\.9$"):
+        MlpShape((4, 8.9, 2))
+    with pytest.raises(ContractError, match=r"^a layer size must be an integer, got True$"):
+        MlpShape((4, 8, True))
+    with pytest.raises(ContractError, match=r"^a layer size must be an integer, got '7'$"):
+        MlpShape(("7", 8, 2))
+    assert MlpShape([4, 8, 2]).layer_sizes == (4, 8, 2)
 
 
 def test_high_forward_zero_params_uniform() -> None:
-    shape = mlp_shape(4, 3, (8,))
+    shape = MlpShape((4, 8, 3))
     theta = ParamVector(np.zeros(shape.n_params))
     p = selector_probs(theta, shape, np.array([0.5, -1.0, 2.0, 0.0]))
     assert p == pytest.approx([1 / 3, 1 / 3, 1 / 3])
 
 
 def test_high_forward_k1_always_one() -> None:
-    shape = mlp_shape(4, 1, (8,))
+    shape = MlpShape((4, 8, 1))
     theta = init_params(shape, 11)
     for s in SplitMix64(1).uniform_array(12, -2, 2).reshape(3, 4):
         assert selector_probs(theta, shape, s) == pytest.approx([1.0])
@@ -138,7 +146,7 @@ def test_softmax_shift_invariance_on_output_biases() -> None:
 
 
 def test_skill_forward_zero_params_zero_action() -> None:
-    shape = mlp_shape(4, 2, (8,))
+    shape = MlpShape((4, 8, 2))
     theta = ParamVector(np.zeros(shape.n_params))
     assert np.array_equal(mlp_forward(theta, shape, np.array([[1.0, 2, 3, 4]]))[0], np.zeros(2))
 
@@ -163,7 +171,7 @@ def test_skill_forward_matches_straight_line_oracle() -> None:
 
 def test_forward_dimension_mismatch_rejected() -> None:
     # Inputs are (N, in) rows or an (N, 1, in) stack; one state is a (1, in) batch.
-    shape = mlp_shape(4, 2, (8,))
+    shape = MlpShape((4, 8, 2))
     theta = init_params(shape, 0)
     for x in (np.zeros((3, 5)), np.zeros(4), np.zeros((2, 3, 4))):
         with pytest.raises(ContractError, match=re.escape(f"input shape {x.shape} does not match network input 4")):

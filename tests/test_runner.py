@@ -6,9 +6,10 @@ import pytest
 
 from dmil import autodiff as ad
 from dmil import evaluation, runner
-from dmil.autodiff import ContractError, inner_adapt
+from dmil.autodiff import ContractError, ParamVector, inner_adapt
 from dmil.config import METHODS, resolve_config
 from dmil.dmil import (
+    StepResult,
     TrainConfig,
     adapt_phases,
     hard_labels,
@@ -243,7 +244,8 @@ def test_gradcheck_that_checks_no_objective_fails() -> None:
 @pytest.mark.parametrize("method", list(METHODS))
 def test_train_sgd_applies_the_step_gradients_once(method) -> None:
     # runner.train is the one place that applies the outer update, for
-    # every method and under both outer optimizers.
+    # every method and under both outer optimizers, each of which updates
+    # the whole model.
     step = getattr(runner, METHODS[method].step)
     for optimizer, opt_class in (("sgd", runner.Sgd), ("adam", runner.Adam)):
         cfg = tiny(method, outer_optimizer=optimizer)
@@ -257,13 +259,79 @@ def test_train_sgd_applies_the_step_gradients_once(method) -> None:
         step_seed = derive_seed(0, runner.SALT_STEP, 0)
         grads = step(start, batch, runner.train_config_from(cfg), step_seed)
         assert grads.grad_norm_skills > 0.0
-        want_high = opt_class(len(start.high), 1e-2).step(start.high, grads.g_high)
-        want_skills = [opt_class(len(s), 1e-2).step(s, g) for s, g in zip(start.skills, grads.g_skills, strict=True)]
-        assert np.array_equal(res.params.high.values, want_high.values)
-        for got, want in zip(res.params.skills, want_skills, strict=True):
-            assert np.array_equal(got.values, want.values)
+        want = opt_class(1e-2).step(start, grads)
+        assert np.array_equal(res.params.high.values, want.high.values)
+        for got, want_skill in zip(res.params.skills, want.skills, strict=True):
+            assert np.array_equal(got.values, want_skill.values)
         if method == "maml":  # the zero selector gradient leaves the selector as it is
             assert np.array_equal(res.params.high.values, start.high.values)
+
+
+def test_optimizers_match_a_per_vector_reference() -> None:
+    # Several steps on a K=3 model with gradients that change in size and
+    # sign: Sgd is minus_scaled on each vector, and Adam carries its moments
+    # and step count per vector as the textbook update does, bit for bit.
+    params = init_hierarchical(STATE_DIM, ACTION_DIM, 3, (8,), seed=0)
+    rng = np.random.default_rng(0)
+    steps = [
+        [rng.normal(size=len(v)) * 10.0 ** (t - 2) for v in (params.high, *params.skills)] for t in range(5)
+    ]
+    lr, b1, b2, eps = 1e-2, 0.9, 0.999, 1e-8
+    sgd, adam = runner.Sgd(lr), runner.Adam(lr)
+    got_sgd = got_adam = params
+    want_sgd = [p.values for p in (params.high, *params.skills)]
+    want_adam = list(want_sgd)
+    m = [np.zeros(len(p)) for p in want_adam]
+    v = [np.zeros(len(p)) for p in want_adam]
+    for t, gs in enumerate(steps, start=1):
+        grads = StepResult(ParamVector(gs[0]), tuple(ParamVector(g) for g in gs[1:]), 0.0, 0)
+        got_sgd, got_adam = sgd.step(got_sgd, grads), adam.step(got_adam, grads)
+        want_sgd = [theta - lr * g for theta, g in zip(want_sgd, gs, strict=True)]
+        for i, g in enumerate(gs):
+            m[i] = b1 * m[i] + (1 - b1) * g
+            v[i] = b2 * v[i] + (1 - b2) * g * g
+            mhat = m[i] / (1 - b1**t)
+            vhat = v[i] / (1 - b2**t)
+            want_adam[i] = want_adam[i] - lr * mhat / (np.sqrt(vhat) + eps)
+        for got, want in ((got_sgd, want_sgd), (got_adam, want_adam)):
+            assert got.K == 3
+            for a, b in zip((got.high, *got.skills), want, strict=True):
+                assert np.array_equal(a.values, b)
+    assert adam.t == len(steps)
+
+
+def test_one_optimizer_path(monkeypatch) -> None:
+    # Every update of the whole model goes through runner.Sgd or runner.Adam:
+    # minus_scaled is called only inside Sgd, neither train nor the warm
+    # start's alternations rebuild the model themselves, the alternations
+    # step through Sgd, and both constructors take only the learning rate.
+    tree = ast.parse(Path(runner.__file__).read_text())
+    defs = {node.name: node for node in tree.body if isinstance(node, (ast.ClassDef, ast.FunctionDef))}
+
+    def calls(node, attr: str) -> list[int]:
+        return [n.lineno for n in ast.walk(node) if isinstance(n, ast.Call) and getattr(n.func, "attr", None) == attr]
+
+    assert calls(tree, "minus_scaled") == calls(defs["Sgd"], "minus_scaled") != []
+    for name in ("train", "_em_alternations"):
+        assert calls(defs[name], "with_updates") == [], name
+    assert "Sgd" in {getattr(n, "id", None) for n in ast.walk(defs["_em_alternations"])}
+    for name in ("Sgd", "Adam"):
+        init = next(n for n in defs[name].body if getattr(n, "name", None) == "__init__")
+        assert ast.unparse(init.args) == "self, lr: float", name
+
+    # One optimizer object serves the whole run.
+    made = []
+
+    class Counted(runner.Adam):
+        def __init__(self, lr):
+            made.append(lr)
+            super().__init__(lr)
+
+    monkeypatch.setattr(runner, "Adam", Counted)
+    cfg = tiny("dmil", outer_optimizer="adam")
+    cfg["run"]["iterations"] = 2
+    runner.train(cfg)
+    assert made == [1e-2]
 
 
 def test_train_rejects_mismatched_warm_start(monkeypatch) -> None:
