@@ -40,6 +40,18 @@ def threads() -> int | None:
     return None if fn is None else fn()
 
 
+def _text(name: str) -> str | None:
+    """openblas_<name>() for a function that returns a C string."""
+    fn = _function(name, [], ctypes.c_char_p)
+    return None if fn is None else fn().decode()
+
+
+def describe() -> dict:
+    """The bundled OpenBLAS's core type, build config string and thread
+    count, each None without one."""
+    return {"corename": _text("get_corename"), "config": _text("get_config"), "threads": threads()}
+
+
 def pin_one_thread() -> int | None:
     """Run every later BLAS call on one thread; returns the effective count
     (None when numpy has no bundled OpenBLAS to pin)."""

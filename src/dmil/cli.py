@@ -1,9 +1,10 @@
 """Command-line experiment runner.
 
 Subcommands: gen-data, train, eval, gradcheck, ablate.  Every run directory
-receives the resolved config (config.json) and, when a config file was given,
-a verbatim copy of it (config.input.json), so experiments are reconstructible
-from artifacts alone.  Before the run directory is made, each command checks
+receives the resolved config (config.json), the environment it ran in
+(env.json: runner.environment) and, when a config file was given, a verbatim
+copy of it (config.input.json), so experiments are reconstructible from
+artifacts alone.  Before the run directory is made, each command checks
 its config and builds or loads its datasets; eval and ablate check eval.shots
 (runner.check_eval), and eval its checkpoint's method and model
 (runner.check_model); so input it rejects leaves no output.
@@ -27,9 +28,9 @@ from pathlib import Path
 
 from .autodiff import ContractError, NumericError
 from .checkpoint import CheckpointSchemaError, load_checkpoint
-from .config import ConfigError, load_config, resolve_config, dump_config
+from .config import ConfigError, load_config, resolve_config
 from .evaluation import write_report_csv, write_summary_json
-from .runner import ablate, build_datasets, build_split, check_eval, check_model, evaluate, gradcheck_run, train
+from .runner import ablate, build_datasets, build_split, check_eval, check_model, evaluate, gradcheck_run, open_run_dir, train
 from .tasks import DatasetFormatError, save_datasets
 
 logger = logging.getLogger("dmil")
@@ -42,9 +43,7 @@ def _resolve(args) -> dict:
 
 
 def _prepare_out(args, cfg: dict) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "config.json").write_text(dump_config(cfg))
+    out = open_run_dir(args.out, cfg)
     if args.config:
         shutil.copyfile(args.config, out / "config.input.json")
     return out

@@ -5,20 +5,25 @@ and the composed-objective gradient check.
 Determinism contract: every random draw descends from run.seed through fixed
 salts, and per-task batch draws depend only on (step seed, task seed), so a
 rerun with the same config produces byte-identical metrics and checkpoints.
-Wall-clock timings go to a separate timing.csv, which is the one run artifact
-excluded from that contract.
+Two run artifacts are excluded from that contract: the wall-clock timings in
+timing.csv, and env.json, which records the environment the contract was
+measured in (environment()).
 """
 
 from __future__ import annotations
 
 import copy
+import json
+import platform
 import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
+from numpy._core._multiarray_umath import __cpu_baseline__, __cpu_dispatch__, __cpu_features__
 
+from . import MALLOC_THRESHOLDS_SET, blas
 from .autodiff import AdaptTrace, ContractError, ParamVector, inner_adapt, loss_value
 from .baselines import em_only_train, hard_em_grads, maml_train_step  # noqa: F401  (train calls steps by name)
 from .checkpoint import save_checkpoint
@@ -58,6 +63,33 @@ TEST_TASK_SEED0 = 9000  # test task i is sample_task(TEST_TASK_SEED0 + i)
 # The metrics.csv columns, one row per outer iteration, each value written as
 # its repr (ints and floats: repr round-trips every bit).
 METRICS_COLUMNS = ("iteration", "outer_loss", "grad_norm_high", "grad_norm_skills", "diverged")
+
+
+def environment() -> dict:
+    """What a run's bytes may depend on beyond its config: the python and
+    numpy versions, the OpenBLAS build and its thread count, numpy's SIMD
+    features (compiled-in baseline, dispatch targets, and those this CPU
+    has) and whether the malloc thresholds were set."""
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "openblas": blas.describe(),
+        "numpy_simd": {
+            "baseline": list(__cpu_baseline__),
+            "dispatch": list(__cpu_dispatch__),
+            "found": [name for name, found in __cpu_features__.items() if found],
+        },
+        "malloc_thresholds_set": MALLOC_THRESHOLDS_SET,
+    }
+
+
+def open_run_dir(out, cfg: dict) -> Path:
+    """Make the run directory and write its config.json and env.json."""
+    out = Path(out)
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "config.json").write_text(dump_config(cfg))
+    (out / "env.json").write_text(json.dumps(environment(), indent=2) + "\n")
+    return out
 
 
 class Sgd:
@@ -261,10 +293,8 @@ def train(cfg: dict, out_dir=None, datasets=None, warm_params=None) -> TrainResu
     n_train = len(train_tasks)
     optimizer = {"sgd": Sgd, "adam": Adam}[cfg["dmil"]["outer_optimizer"]](cfg["dmil"]["outer_rate"])
 
-    out = Path(out_dir) if out_dir is not None else None
+    out = open_run_dir(out_dir, cfg) if out_dir is not None else None
     if out is not None:
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "config.json").write_text(dump_config(cfg))
         save_checkpoint(out / "checkpoint_000000.json", params, method, task_rng.state, 0)
 
     rows: list[dict] = []

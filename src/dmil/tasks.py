@@ -12,11 +12,14 @@ horizon.  Tasks vary controller gain and rotation (sub-skill adaptation
 pressure) and the switch radii (selector adaptation pressure).
 
 One dynamics loop, simulate, steps the noisy expert demonstrations (all of
-a task's in one call) and the closed-loop rollouts that score a policy; each
-episode draws its start box, then any action noise, from its own stream,
-and the streams of all episodes draw together (rng.Streams).  The expert,
-expert_act, acts on all states of a step at once, with the same rounding
-as acting on one state at a time.
+a task's in one call) and the closed-loop rollouts that score a policy.
+Before the first step each episode draws from its own stream its start box,
+then (demonstrations only) all T steps' action noise at once; the streams
+of all episodes draw together (rng.Streams), and each stream's draws are the
+same, in the same order, as when the noise was drawn one step at a time.
+The loop itself only acts and steps.  The expert, expert_act, acts on all
+states of a step at once, with the same rounding as acting on one state at
+a time.
 
 Everything is deterministic given seeds via the package RNG, including the
 JSON Lines dataset files, which round-trip doubles exactly.
@@ -108,12 +111,32 @@ def _rot(angle: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]])
 
 
-def expert_act(
-    spec: TaskSpec, states: np.ndarray, streams: Streams | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """The controller on (n, 4) states [px, py, gx, gy]: (n, 2) actions and
-    (n,) regimes.  Given one stream per row, every row adds noise of std
-    spec.noise_std, drawn from its own stream.
+def _expert(spec: TaskSpec) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """expert_act(spec, .) with the task's constants (the two rotations and
+    the dock gain) computed once, for a loop that acts many times."""
+    r1, r2 = spec.switch_radii
+    approach_rot = _rot(spec.rotation_angle)
+    orbit_rot = _rot(spec.rotation_angle + np.pi / 2)
+    dock_gain = DOCK_GAIN * spec.gain_scale
+
+    def act(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        delta = states[:, 2:4] - states[:, 0:2]
+        d = np.sqrt(np.vecdot(delta, delta))
+        skills = np.where(d > r1, 0, np.where(d > r2, 1, 2))
+        unit = (delta / np.maximum(d, 1e-6)[:, None])[:, :, None]
+        approach = spec.gain_scale * (approach_rot @ unit)[:, :, 0]
+        orbit = spec.gain_scale * (orbit_rot @ unit)[:, :, 0]
+        dock = dock_gain * (delta / np.maximum(d, DOCK_SOFT)[:, None])
+        return np.choose(skills[:, None], (approach, orbit, dock)), skills
+
+    return act
+
+
+def expert_act(spec: TaskSpec, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The noise-free controller on (n, 4) states [px, py, gx, gy]: (n, 2)
+    actions and (n,) regimes.  A demonstration's action noise is not drawn
+    here: simulate draws all of an episode's noise before its first step and
+    adds row t of it to the actions of step t.
 
     Far from the goal (d > r1) the action is the gain times the unit goal
     direction rotated by the task angle; between the radii the rotation is a
@@ -126,36 +149,34 @@ def expert_act(
     field and a quarter turn minus the rotation away from the orbit field
     for every task, so no two regimes can share a direction structure.
     """
-    delta = states[:, 2:4] - states[:, 0:2]
-    d = np.sqrt(np.vecdot(delta, delta))
-    r1, r2 = spec.switch_radii
-    skills = np.where(d > r1, 0, np.where(d > r2, 1, 2))
-    unit = (delta / np.maximum(d, 1e-6)[:, None])[:, :, None]
-    approach = spec.gain_scale * (_rot(spec.rotation_angle) @ unit)[:, :, 0]
-    orbit = spec.gain_scale * (_rot(spec.rotation_angle + np.pi / 2) @ unit)[:, :, 0]
-    dock = DOCK_GAIN * spec.gain_scale * (delta / np.maximum(d, DOCK_SOFT)[:, None])
-    actions = np.choose(skills[:, None], (approach, orbit, dock))
-    if streams is not None and spec.noise_std > 0:
-        actions = actions + spec.noise_std * streams.normal_array(ACTION_DIM)
-    return actions, skills
+    return _expert(spec)(states)
 
 
-def simulate(spec: TaskSpec, act: Callable, T: int, seeds: Sequence[int]) -> tuple[np.ndarray, ...]:
+def simulate(
+    spec: TaskSpec, act: Callable, T: int, seeds: Sequence[int], noise_std: float = 0.0
+) -> tuple[np.ndarray, ...]:
     """The dynamics loop, one episode per seed, all stepped together:
     p' = p + DT * clip(a), and each episode's goal advances to the next
     waypoint inside the tolerance.  Episode i has the stream
-    SplitMix64(derive_seed(spec.seed, seeds[i])), row i of one Streams; it
-    draws its start box from it, then, once per step, act(states, streams)
-    maps (n, 4) states to (n, 2) actions and (n,) skills, drawing any noise
-    of row i from that stream.  Rows do not interact
-    (sqrt(vecdot(d, d)) rounds as linalg.norm does on a 2-vector).  Returns
-    states (n, T, 4), actions (n, T, 2), skills (n, T) and whether each
-    episode reached every waypoint before the horizon."""
+    SplitMix64(derive_seed(spec.seed, seeds[i])), row i of one Streams.
+    Before the first step it draws its start box, then, when noise_std > 0,
+    all T steps' action noise at once: T * ACTION_DIM normals times
+    noise_std, the same draws in the same order as one ACTION_DIM draw per
+    step.  The loop draws nothing: act(states) maps (n, 4) states to (n, 2)
+    actions and (n,) skills, and step t adds row t of the noise.  Rows do
+    not interact (sqrt(vecdot(d, d)) rounds as linalg.norm does on a
+    2-vector).  Returns states (n, T, 4), actions (n, T, 2), skills (n, T)
+    and whether each episode reached every waypoint before the horizon."""
     if T < 2:
         raise ContractError(f"horizon must be >= 2, got {T}")
     n = len(seeds)
+    if n == 0:
+        raise ContractError("need at least one episode")
     streams = Streams([derive_seed(spec.seed, seed) for seed in seeds])
     p = streams.uniform_array(2, -START_BOX, START_BOX)
+    noise = None
+    if noise_std > 0:
+        noise = (noise_std * streams.normal_array(T * ACTION_DIM)).reshape(n, T, ACTION_DIM)
     waypoints = np.asarray(spec.waypoints, dtype=np.float64)
     n_wp = len(waypoints)
     reached = np.zeros(n, dtype=np.int64)
@@ -165,7 +186,9 @@ def simulate(spec: TaskSpec, act: Callable, T: int, seeds: Sequence[int]) -> tup
     for t in range(T):
         g = waypoints[np.minimum(reached, n_wp - 1)]
         s = np.concatenate([p, g], axis=1)
-        a, z = act(s, streams)
+        a, z = act(s)
+        if noise is not None:
+            a = a + noise[:, t]
         states[:, t], actions[:, t], skills[:, t] = s, a, z
         p = p + DT * np.clip(a, -ACTION_MAX, ACTION_MAX)
         d = g - p
@@ -175,7 +198,7 @@ def simulate(spec: TaskSpec, act: Callable, T: int, seeds: Sequence[int]) -> tup
 
 def _demonstrations(spec: TaskSpec, T: int, seeds: Sequence[int]) -> list[Trajectory]:
     """Noisy expert demonstrations with ground-truth regime labels, one per seed."""
-    states, actions, skills, _ = simulate(spec, lambda s, streams: expert_act(spec, s, streams), T, seeds)
+    states, actions, skills, _ = simulate(spec, _expert(spec), T, seeds, spec.noise_std)
     return [Trajectory(*episode) for episode in zip(states, actions, skills)]
 
 
@@ -188,7 +211,7 @@ def rollout_policy(spec: TaskSpec, act: Callable, T: int, seeds: Sequence[int]) 
     """Closed-loop rollouts of a batched policy act(states) -> (actions,
     skills), one episode per seed.  Returns the chosen skills (n, T) and
     whether each episode reached every waypoint before the horizon."""
-    _, _, skills, ok = simulate(spec, lambda s, streams: act(s), T, seeds)
+    _, _, skills, ok = simulate(spec, act, T, seeds)
     return skills, ok
 
 

@@ -10,11 +10,11 @@ from pathlib import Path
 
 import pytest
 
-from dmil import blas, runner
+from dmil import MALLOC_THRESHOLDS_SET, blas, runner
 from dmil.autodiff import ContractError
 from dmil.checkpoint import CheckpointSchemaError, load_checkpoint, save_checkpoint
 from dmil.cli import main
-from dmil.config import CHOICES, DEFAULT_CONFIG, RANGES, ConfigError, load_config, resolve_config
+from dmil.config import CHOICES, DEFAULT_CONFIG, METHODS, RANGES, ConfigError, load_config, resolve_config
 from dmil.policies import init_hierarchical
 from dmil.runner import init_model
 from dmil.tasks import load_datasets
@@ -144,6 +144,28 @@ def test_run_directory_contains_configs(tmp_path) -> None:
     resolved = json.loads((out / "config.json").read_text())
     assert resolved["dmil"]["batch_size"] == 1  # resolved config echoes overrides
     assert resolved["run"]["iterations"] == 3
+
+
+def test_every_run_directory_records_its_environment(tmp_path, monkeypatch) -> None:
+    cfg = write_tiny(tmp_path, run={"iterations": 1})
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "train")]) == 0
+    assert main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "data")]) == 0
+    assert main(["ablate", "--config", str(cfg), "--out", str(tmp_path / "ablate")]) == 0
+    run_dirs = [tmp_path / "train", tmp_path / "data", tmp_path / "ablate"]
+    run_dirs += [p for p in (tmp_path / "ablate").iterdir() if p.is_dir()]
+    assert len(run_dirs) == 3 + len(METHODS)
+    for out in run_dirs:
+        env = json.loads((out / "env.json").read_text())
+        assert env["numpy"] and env["python"] and env["numpy_simd"]["baseline"] is not None
+        assert env["openblas"]["threads"] == blas.threads()
+        assert env["malloc_thresholds_set"] is MALLOC_THRESHOLDS_SET
+    # env.json describes the byte-identity contract and is not part of it:
+    # another description changes no other file of the run.
+    monkeypatch.setattr(runner, "environment", lambda: {"numpy": "another"})
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "again")]) == 0
+    assert json.loads((tmp_path / "again" / "env.json").read_text()) == {"numpy": "another"}
+    for name in ("metrics.csv", "config.json", "checkpoint_000000.json", "checkpoint_final.json"):
+        assert (tmp_path / "again" / name).read_bytes() == (tmp_path / "train" / name).read_bytes()
 
 
 def test_seed_flag_overrides_config(tmp_path) -> None:

@@ -3,6 +3,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dmil.rng import MASK64, SplitMix64, Streams, derive_seed, mix64
 
@@ -75,6 +77,23 @@ def test_streams_normal_std_and_width_match_per_stream(k: int) -> None:
     assert z.shape == (len(SEEDS), k)
     for row, rng in zip(z, rngs):
         assert row.tobytes() == rng.normal_array(k, std=0.01).tobytes()
+    assert [int(x) for x in streams.state] == [rng.state for rng in rngs]
+
+
+@given(
+    seeds=st.lists(st.integers(0, MASK64), min_size=1, max_size=6),
+    T=st.integers(1, 40),
+    k=st.integers(1, 3),
+)
+@settings(max_examples=60, deadline=None)
+def test_streams_one_wide_normal_draw_equals_a_draw_per_step(seeds, T, k) -> None:
+    # The simulator draws an episode's T steps of k-wide noise in one call;
+    # row i of it, step by step, is T successive k-wide draws of stream i.
+    streams, rngs = Streams(seeds), [SplitMix64(s) for s in seeds]
+    noise = streams.normal_array(T * k).reshape(len(seeds), T, k)
+    for row, rng in zip(noise, rngs):
+        for t in range(T):
+            assert row[t].tobytes() == rng.normal_array(k).tobytes()
     assert [int(x) for x in streams.state] == [rng.state for rng in rngs]
 
 

@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dmil.autodiff import ContractError
-from dmil.rng import SplitMix64, derive_seed
+from dmil.rng import SplitMix64, Streams, derive_seed
 from dmil.tasks import (
+    ACTION_DIM,
     ACTION_MAX,
     DOCK_GAIN,
     DOCK_SOFT,
@@ -261,7 +262,9 @@ def test_expert_solves_every_sampled_task() -> None:
 
 def one_demonstration_at_a_time(spec: TaskSpec, T: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Reference demonstration: one state per step, expert_action plus the
-    noise drawn from the episode's own stream after its start box."""
+    step's noise, drawn from the episode's own stream when it is needed
+    (after the start box and the noise of the steps before).  A noise-free
+    spec draws no noise and adds none."""
     rng = SplitMix64(derive_seed(spec.seed, seed))
     p = np.array([rng.uniform(-START_BOX, START_BOX), rng.uniform(-START_BOX, START_BOX)])
     waypoints = [np.asarray(w) for w in spec.waypoints]
@@ -270,7 +273,8 @@ def one_demonstration_at_a_time(spec: TaskSpec, T: int, seed: int) -> tuple[np.n
         g = waypoints[min(reached, len(waypoints) - 1)]
         s = np.concatenate([p, g])
         a, z = expert_action(spec, s)
-        a = a + spec.noise_std * rng.normal_array(2)
+        if spec.noise_std > 0:
+            a = a + spec.noise_std * rng.normal_array(2)
         states.append(s)
         actions.append(a)
         skills.append(z)
@@ -282,15 +286,55 @@ def one_demonstration_at_a_time(spec: TaskSpec, T: int, seed: int) -> tuple[np.n
 
 @pytest.mark.parametrize("task_seed,seed", [(0, 77), (11, 4), (3005, 1), (9002, 123)])
 def test_make_dataset_equals_one_demonstration_at_a_time(task_seed, seed) -> None:
-    spec = sample_task(task_seed)
-    ds = make_dataset(spec, 4, 3, 120, seed=seed)
-    for j, traj in enumerate(ds.support + ds.query):
-        states, actions, skills = one_demonstration_at_a_time(spec, 120, derive_seed(seed, j))
-        assert traj.states.tobytes() == states.tobytes()
-        assert traj.actions.tobytes() == actions.tobytes()
-        assert traj.true_skills.tobytes() == skills.tobytes()
-    # The demonstrations finish their tours, so the waypoint schedule is exercised.
-    assert np.array_equal(ds.query[0].states[-1, 2:], spec.waypoints[-1])
+    for spec in (sample_task(task_seed), noiseless(sample_task(task_seed))):
+        ds = make_dataset(spec, 4, 3, 120, seed=seed)
+        for j, traj in enumerate(ds.support + ds.query):
+            states, actions, skills = one_demonstration_at_a_time(spec, 120, derive_seed(seed, j))
+            assert traj.states.tobytes() == states.tobytes()
+            assert traj.actions.tobytes() == actions.tobytes()
+            assert traj.true_skills.tobytes() == skills.tobytes()
+        # The demonstrations finish their tours, so the waypoint schedule is exercised.
+        assert np.array_equal(ds.query[0].states[-1, 2:], spec.waypoints[-1])
+        # A single demonstration draws from the stream of its seed alone.
+        traj = rollout_expert(spec, 120, seed)
+        want = one_demonstration_at_a_time(spec, 120, seed)
+        assert [traj.states.tobytes(), traj.actions.tobytes(), traj.true_skills.tobytes()] == [x.tobytes() for x in want]
+
+
+@pytest.fixture
+def noise_draws(monkeypatch):
+    """Counts Streams.normal_array calls, the only draw of action noise."""
+    seen = []
+    keep = Streams.normal_array
+
+    def normal_array(self, k, std=1.0):
+        seen.append(k)
+        return keep(self, k, std)
+
+    monkeypatch.setattr(Streams, "normal_array", normal_array)
+    return seen
+
+
+@pytest.mark.parametrize("T", [2, 40, 120])
+def test_one_noise_draw_per_expert_simulation_and_none_for_policies(noise_draws, T) -> None:
+    spec = sample_task(21)
+    make_dataset(spec, 4, 2, T, seed=3)
+    rollout_expert(spec, T, 5)
+    assert noise_draws == [T * ACTION_DIM, T * ACTION_DIM]
+    noise_draws.clear()
+    make_dataset(noiseless(spec), 4, 2, T, seed=3)
+    rollout_policy(spec, lambda states: expert_act(spec, states), T, [1, 2, 3])
+    assert noise_draws == []
+
+
+def test_simulating_no_episode_is_a_contract_error() -> None:
+    from dmil.evaluation import ExpertPolicy, rollout_stats
+
+    spec = sample_task(8)
+    with pytest.raises(ContractError, match="at least one episode"):
+        rollout_policy(spec, ExpertPolicy(spec).act, 120, [])
+    with pytest.raises(ContractError, match="at least one episode"):
+        rollout_stats(ExpertPolicy(spec), spec, 0, 120)
 
 
 def test_make_dataset_shapes_and_split() -> None:
