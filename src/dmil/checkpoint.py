@@ -12,7 +12,7 @@ from pathlib import Path
 
 from .autodiff import ParamVector
 from .config import METHODS
-from .data import finite_reals, json_int
+from .data import finite_reals, json_int, read_json
 from .policies import HierarchicalParams, MlpShape
 
 SCHEMA_VERSION = 1
@@ -49,18 +49,11 @@ def save_checkpoint(path, params: HierarchicalParams, method: str, rng_state: in
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Read one checkpoint; a file that is not one (unreadable, not a JSON
-    object, another schema version, a missing or malformed field: numbers by
-    data.py's rules, rng_state in [0, 2^64), method a config.METHODS key)
-    raises a one-line CheckpointSchemaError."""
-    try:
-        doc = json.loads(Path(path).read_text())
-    except OSError as e:
-        raise CheckpointSchemaError(f"checkpoint {path} cannot be read: {e.strerror}") from e
-    except json.JSONDecodeError as e:
-        raise CheckpointSchemaError(f"checkpoint {path} does not parse: {e}") from e
-    if not isinstance(doc, dict):
-        raise CheckpointSchemaError(f"checkpoint {path} holds a JSON {type(doc).__name__}, not an object")
+    """Read one checkpoint; a file that is not one (not a JSON object by
+    data.read_json's rules, another schema version, a missing or malformed
+    field: numbers by data.py's rules, rng_state in [0, 2^64), method a
+    config.METHODS key) raises a one-line CheckpointSchemaError."""
+    doc = read_json(path, "checkpoint", CheckpointSchemaError)
     version = doc.get("schema_version")
     if version != SCHEMA_VERSION:
         raise CheckpointSchemaError(

@@ -7,7 +7,9 @@ copy of it (config.input.json), so experiments are reconstructible from
 artifacts alone.  Before the run directory is made, each command checks
 its config and builds or loads its datasets; eval and ablate check eval.shots
 (runner.check_eval), and eval its checkpoint's method and model
-(runner.check_model); so input it rejects leaves no output.
+(runner.check_model); so input it rejects leaves no output.  Every input
+file (config, checkpoint, dataset) is read by data.read_json, and --out
+must name a directory or a path that can become one (exit 2 otherwise).
 
 Every command runs BLAS on one thread, pinned when the package is imported
 (dmil.blas).

@@ -12,8 +12,9 @@ import math
 from pathlib import Path
 from typing import NamedTuple
 
-from .data import json_int
+from .data import json_int, read_json
 from .policies import FEATURE_KINDS
+from .tasks import MIN_HORIZON, MIN_QUERY, MIN_SUPPORT
 
 
 class ConfigError(ValueError):
@@ -104,9 +105,9 @@ CHOICES = (
 RANGES = (
     ("data.n_train_tasks", 1),
     ("data.n_test_tasks", 1),
-    ("data.n_support", 4),  # the data.* bounds are tasks.make_dataset's
-    ("data.n_query", 1),
-    ("data.horizon", 2),
+    ("data.n_support", MIN_SUPPORT),
+    ("data.n_query", MIN_QUERY),
+    ("data.horizon", MIN_HORIZON),
     ("dmil.inner_steps", 1),
     ("dmil.batch_size", 1),
     ("dmil.tasks_per_step", 1),
@@ -150,7 +151,7 @@ def _merge(defaults: dict, override: dict, path: str) -> dict:
             raise ConfigError(f"config key {here!r} must be {want.__name__}, got {got.__name__} {value!r}")
         if got is float and not math.isfinite(value):  # json reads NaN and Infinity
             raise ConfigError(f"config key {here!r} must be finite, got {value!r}")
-        out[key] = copy.deepcopy(value)
+        out[key] = copy.copy(value)  # a valid leaf is a scalar or a list of scalars
     return out
 
 
@@ -187,15 +188,7 @@ def resolve_config(overrides: dict | None = None, seed: int | None = None) -> di
 
 
 def load_config(path, seed: int | None = None) -> dict:
-    try:
-        raw = json.loads(Path(path).read_text())
-    except OSError as e:
-        raise ConfigError(f"config file {path} cannot be read: {e.strerror}") from e
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"config file {path} does not parse: {e}") from e
-    if not isinstance(raw, dict):
-        raise ConfigError(f"config file {path} must hold a JSON object")
-    return resolve_config(raw, seed=seed)
+    return resolve_config(read_json(path, "config file", ConfigError), seed=seed)
 
 
 def dump_config(cfg: dict) -> str:

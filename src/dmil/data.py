@@ -1,12 +1,15 @@
 """Trajectory container shared by the learner and the benchmark generator
-(dmil.pool batches them; this module only holds and checks them), and the
-number rules of dataset lines, checkpoints, config lists and layer sizes:
-finite_reals, json_int."""
+(dmil.pool batches them; this module only holds and checks them), the one
+reader of every input file (read_json: configs, checkpoints and dataset
+lines), and the number rules of dataset lines, checkpoints, config lists and
+layer sizes: finite_reals, json_int."""
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -67,4 +70,32 @@ def json_int(value, name: str, low: int | None = None, high: int | None = None) 
         raise ContractError(f"{name} must be an integer, got {value!r}")
     if (low is not None and value < low) or (high is not None and value >= high):
         raise ContractError(f"{name} must be {f'>= {low}' if high is None else f'in [{low}, {high})'}, got {value}")
+    return value
+
+
+def read_json(path, what: str, error: type[ValueError], lines: bool = False):
+    """The JSON object in the file, or with lines=True (line number, object)
+    per non-blank line.  error, one line naming `what` and the path or the
+    line, for a file that cannot be read, is not UTF-8 (never sniffed), is
+    not JSON, nests past the parser's limit or holds no object."""
+    try:
+        raw = Path(path).read_bytes()
+    except OSError as e:
+        raise error(f"{what} {path} cannot be read: {e.strerror}") from e
+    if not lines:
+        return _json_object(raw, f"{what} {path}", error)
+    return ((n, _json_object(line, f"line {n}", error)) for n, line in enumerate(raw.splitlines(), 1) if line.strip())
+
+
+def _json_object(raw: bytes, where: str, error: type[ValueError]) -> dict:
+    try:
+        value = json.loads(raw.decode("utf-8"))
+    except RecursionError:
+        raise error(f"{where} nests deeper than the JSON parser's limit") from None
+    except UnicodeDecodeError as e:
+        raise error(f"{where} is not UTF-8: {e}") from e
+    except ValueError as e:  # JSONDecodeError, or an integer past Python's digit limit
+        raise error(f"{where} is not JSON: {e}") from e
+    if type(value) is not dict:
+        raise error(f"{where} holds a JSON {type(value).__name__}, not an object")
     return value

@@ -18,7 +18,7 @@ from .data import Trajectory
 from .dmil import few_shot_adapt, predict_action
 from .policies import HierarchicalParams
 from .policies import mlp_forward  # noqa: F401  (perfbench/tracing.py wraps this name here)
-from .tasks import N_REGIMES, TaskDataset, TaskSpec, expert_act, rollout_policy
+from .tasks import N_REGIMES, TaskDataset, TaskSpec, expert, rollout_policy
 
 FD_MAX_PARAMS = 500
 ROLLOUT_SEED0 = 0xE7A1
@@ -154,7 +154,7 @@ class ExpertPolicy:
     spec: TaskSpec
 
     def act(self, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return expert_act(self.spec, states)
+        return expert(self.spec)(states)
 
 
 def query_mse(actions: np.ndarray, task: TaskDataset) -> float:

@@ -21,13 +21,12 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from numpy._core._multiarray_umath import __cpu_baseline__, __cpu_dispatch__, __cpu_features__
 
 from . import MALLOC_THRESHOLDS_SET, blas
 from .autodiff import AdaptTrace, ContractError, ParamVector, inner_adapt, loss_value
 from .baselines import em_only_train, hard_em_grads, maml_train_step  # noqa: F401  (train calls steps by name)
 from .checkpoint import save_checkpoint
-from .config import METHODS, dump_config
+from .config import METHODS, ConfigError, dump_config
 from .dmil import (
     Pool,
     StepResult,
@@ -68,25 +67,25 @@ METRICS_COLUMNS = ("iteration", "outer_loss", "grad_norm_high", "grad_norm_skill
 def environment() -> dict:
     """What a run's bytes may depend on beyond its config: the python and
     numpy versions, the OpenBLAS build and its thread count, numpy's SIMD
-    features (compiled-in baseline, dispatch targets, and those this CPU
-    has) and whether the malloc thresholds were set."""
+    groups (the compiled-in baseline and the dispatch targets this CPU runs,
+    from np.show_config) and whether the malloc thresholds were set."""
+    simd = np.show_config(mode="dicts")["SIMD Extensions"]
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
         "openblas": blas.describe(),
-        "numpy_simd": {
-            "baseline": list(__cpu_baseline__),
-            "dispatch": list(__cpu_dispatch__),
-            "found": [name for name, found in __cpu_features__.items() if found],
-        },
+        "numpy_simd": {"baseline": simd["baseline"], "found": simd["found"]},
         "malloc_thresholds_set": MALLOC_THRESHOLDS_SET,
     }
 
 
 def open_run_dir(out, cfg: dict) -> Path:
-    """Make the run directory and write its config.json and env.json."""
+    """Make the run directory (a ConfigError if it cannot be made) and write its config.json and env.json."""
     out = Path(out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise ConfigError(f"run directory {out} cannot be made: {e.strerror}") from e
     (out / "config.json").write_text(dump_config(cfg))
     (out / "env.json").write_text(json.dumps(environment(), indent=2) + "\n")
     return out

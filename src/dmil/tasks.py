@@ -17,9 +17,9 @@ Before the first step each episode draws from its own stream its start box,
 then (demonstrations only) all T steps' action noise at once; the streams
 of all episodes draw together (rng.Streams), and each stream's draws are the
 same, in the same order, as when the noise was drawn one step at a time.
-The loop itself only acts and steps.  The expert, expert_act, acts on all
-states of a step at once, with the same rounding as acting on one state at
-a time.
+The loop itself only acts and steps.  The expert, expert(spec), acts on
+all states of a step at once, with the same rounding as acting on one state
+at a time.
 
 Everything is deterministic given seeds via the package RNG, including the
 JSON Lines dataset files, which round-trip doubles exactly.
@@ -35,7 +35,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .autodiff import ContractError
-from .data import Trajectory, finite_reals, json_int
+from .data import Trajectory, finite_reals, json_int, read_json
 from .rng import SplitMix64, Streams, derive_seed
 
 DT = 0.1
@@ -55,10 +55,13 @@ START_BOX = 0.2
 STATE_DIM = 4  # [px, py, gx, gy]
 ACTION_DIM = 2
 N_REGIMES = 3  # approach, orbit, dock: the hidden skill labels 0, 1, 2
+# The smallest datasets make_dataset and simulate build, and config.RANGES's
+# data.* bounds: four phase batches come from the support set.
+MIN_SUPPORT, MIN_QUERY, MIN_HORIZON = 4, 1, 2
 
 
 class DatasetFormatError(ValueError):
-    """A dataset file is empty, or a line failed to parse or violated the schema."""
+    """A dataset file is unreadable or empty, or a line is not what the simulator writes."""
 
 
 @dataclass(frozen=True)
@@ -111,9 +114,23 @@ def _rot(angle: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]])
 
 
-def _expert(spec: TaskSpec) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
-    """expert_act(spec, .) with the task's constants (the two rotations and
-    the dock gain) computed once, for a loop that acts many times."""
+def expert(spec: TaskSpec) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """The task's noise-free controller act(states): (n, 4) states [px, py,
+    gx, gy] to (n, 2) actions and (n,) regimes, with the rotations and dock
+    gain computed once.  simulate adds a demonstration's noise, row t of it
+    to the actions of step t.
+
+    Far from the goal (d > r1) the action is the gain times the unit goal
+    direction rotated by the task angle; between the radii the rotation is a
+    quarter turn more.  Each row is rotated by its own 2x2 product, so it
+    rounds as one-state arithmetic does.  Inside r2 it is a
+    saturated-proportional pull straight at the goal: constant speed down to
+    DOCK_SOFT, then proportional decay, so docking finishes within the
+    horizon and the mass settles instead of hovering.  The pull is unrotated
+    on purpose: it stays at least the rotation angle away from the approach
+    field and a quarter turn minus the rotation away from the orbit field
+    for every task, so no two regimes can share a direction structure.
+    """
     r1, r2 = spec.switch_radii
     approach_rot = _rot(spec.rotation_angle)
     orbit_rot = _rot(spec.rotation_angle + np.pi / 2)
@@ -132,26 +149,6 @@ def _expert(spec: TaskSpec) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarr
     return act
 
 
-def expert_act(spec: TaskSpec, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The noise-free controller on (n, 4) states [px, py, gx, gy]: (n, 2)
-    actions and (n,) regimes.  A demonstration's action noise is not drawn
-    here: simulate draws all of an episode's noise before its first step and
-    adds row t of it to the actions of step t.
-
-    Far from the goal (d > r1) the action is the gain times the unit goal
-    direction rotated by the task angle; between the radii the rotation is a
-    quarter turn more.  Each row is rotated by its own 2x2 product, so it
-    rounds as one-state arithmetic does.  Inside r2 it is a
-    saturated-proportional pull straight at the goal: constant speed down to
-    DOCK_SOFT, then proportional decay, so docking finishes within the
-    horizon and the mass settles instead of hovering.  The pull is unrotated
-    on purpose: it stays at least the rotation angle away from the approach
-    field and a quarter turn minus the rotation away from the orbit field
-    for every task, so no two regimes can share a direction structure.
-    """
-    return _expert(spec)(states)
-
-
 def simulate(
     spec: TaskSpec, act: Callable, T: int, seeds: Sequence[int], noise_std: float = 0.0
 ) -> tuple[np.ndarray, ...]:
@@ -167,8 +164,8 @@ def simulate(
     not interact (sqrt(vecdot(d, d)) rounds as linalg.norm does on a
     2-vector).  Returns states (n, T, 4), actions (n, T, 2), skills (n, T)
     and whether each episode reached every waypoint before the horizon."""
-    if T < 2:
-        raise ContractError(f"horizon must be >= 2, got {T}")
+    if T < MIN_HORIZON:
+        raise ContractError(f"horizon must be >= {MIN_HORIZON}, got {T}")
     n = len(seeds)
     if n == 0:
         raise ContractError("need at least one episode")
@@ -198,7 +195,7 @@ def simulate(
 
 def _demonstrations(spec: TaskSpec, T: int, seeds: Sequence[int]) -> list[Trajectory]:
     """Noisy expert demonstrations with ground-truth regime labels, one per seed."""
-    states, actions, skills, _ = simulate(spec, _expert(spec), T, seeds, spec.noise_std)
+    states, actions, skills, _ = simulate(spec, expert(spec), T, seeds, spec.noise_std)
     return [Trajectory(*episode) for episode in zip(states, actions, skills)]
 
 
@@ -236,15 +233,11 @@ def make_dataset(
     spec: TaskSpec, n_support: int, n_query: int, T: int, seed: int
 ) -> TaskDataset:
     """n_support + n_query demonstrations from per-rollout sub-seeds, all
-    stepped in one simulate call.
-
-    Four phase batches must be drawable from the support set, hence
-    n_support >= 4.
-    """
-    if n_support < 4:
-        raise ContractError(f"n_support must be >= 4, got {n_support}")
-    if n_query < 1:
-        raise ContractError(f"n_query must be >= 1, got {n_query}")
+    stepped in one simulate call; each count at least its MIN_*."""
+    if n_support < MIN_SUPPORT:
+        raise ContractError(f"n_support must be >= {MIN_SUPPORT}, got {n_support}")
+    if n_query < MIN_QUERY:
+        raise ContractError(f"n_query must be >= {MIN_QUERY}, got {n_query}")
     rolls = _demonstrations(spec, T, [derive_seed(seed, j) for j in range(n_support + n_query)])
     return TaskDataset(tuple(rolls[:n_support]), tuple(rolls[n_support:]), spec)
 
@@ -297,11 +290,9 @@ def _record(rec: dict) -> tuple[int, str, Trajectory]:
 
 def load_datasets(path) -> list[TaskDataset]:
     groups: dict[int, dict[str, list[Trajectory]]] = {}  # in first-seen order
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        if not line.strip():
-            continue
+    for lineno, rec in read_json(path, "dataset", DatasetFormatError, lines=True):
         try:
-            seed, split, traj = _record(json.loads(line))
+            seed, split, traj = _record(rec)
         except KeyError as e:
             raise DatasetFormatError(f"line {lineno}: missing field {e}") from e
         except (ValueError, TypeError, OverflowError) as e:

@@ -1,8 +1,10 @@
+import collections
 import csv
 import hashlib
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -13,11 +15,20 @@ import pytest
 from dmil import MALLOC_THRESHOLDS_SET, blas, runner
 from dmil.autodiff import ContractError
 from dmil.checkpoint import CheckpointSchemaError, load_checkpoint, save_checkpoint
-from dmil.cli import main
+from dmil.cli import COMMANDS, main
 from dmil.config import CHOICES, DEFAULT_CONFIG, METHODS, RANGES, ConfigError, load_config, resolve_config
 from dmil.policies import init_hierarchical
 from dmil.runner import init_model
-from dmil.tasks import load_datasets
+from dmil.tasks import (
+    MIN_HORIZON,
+    MIN_QUERY,
+    MIN_SUPPORT,
+    DatasetFormatError,
+    load_datasets,
+    make_dataset,
+    sample_task,
+    save_datasets,
+)
 
 TINY = {
     "data": {
@@ -411,6 +422,16 @@ def test_config_range_accepts_its_bounds() -> None:
     assert init_model(cfg).high_shape.layer_sizes == (7, 3)
     cfg = resolve_config({"run": {"checkpoint_every": 0}})  # first and final checkpoints only
     assert cfg["run"]["checkpoint_every"] == 0
+    # The data bounds are the simulator's own minimums: the config and
+    # make_dataset accept each and reject one below it.
+    bounds = {"n_support": MIN_SUPPORT, "n_query": MIN_QUERY, "horizon": MIN_HORIZON}
+    make_dataset(sample_task(0), *bounds.values(), seed=0)
+    for key, low in bounds.items():
+        assert resolve_config({"data": {key: low}})["data"][key] == low
+        with pytest.raises(ConfigError, match=f"'data.{key}' must be >= {low}, got {low - 1}"):
+            resolve_config({"data": {key: low - 1}})
+        with pytest.raises(ContractError, match=f"must be >= {low}, got {low - 1}"):
+            make_dataset(sample_task(0), *{**bounds, key: low - 1}.values(), seed=0)
 
 
 @pytest.mark.parametrize("key", ["inner_steps", "batch_size"])
@@ -660,6 +681,122 @@ def test_cli_dataset_format_error_exit_code(tmp_path, caplog) -> None:
     cfg = write_tiny(tmp_path, data={"train_path": str(corrupt), "test_path": str(data_dir / "test.jsonl")})
     assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 6
     assert "line" in one_line_error(caplog, "dataset format error")
+
+
+# What data.read_json rejects, as the bytes of a whole config or checkpoint
+# file or of one dataset line, and what its message says after the file or
+# the line.
+UNREADABLE = {
+    "not UTF-8": (b'{"run": "\xff"}', "is not UTF-8: "),
+    "UTF-16": (json.dumps({"x": 1}).encode("utf-16"), "is not UTF-8: "),  # json.loads(bytes) would sniff it
+    "not JSON": (b"{run", "is not JSON: "),
+    "too deep": (b"[" * 100_000 + b"]" * 100_000, "nests deeper than the JSON parser's limit"),
+    "not an object": (b"[1, 2]", "holds a JSON list, not an object"),
+}
+
+
+@pytest.mark.parametrize("case", ["missing", *UNREADABLE])
+@pytest.mark.parametrize("kind", ["config", "checkpoint", "dataset"])
+def test_unreadable_input_file_exits_with_its_kind_code(tmp_path, caplog, kind, case) -> None:
+    cfg = write_tiny(tmp_path)
+    argv = ["train", "--config", str(cfg), "--out", str(tmp_path / "run")]
+    if kind == "config":
+        bad, where, code, prefix = cfg, f"config file {cfg}", 2, "config error"
+    elif kind == "checkpoint":
+        bad, where, code, prefix = tmp_path / "ck.json", f"checkpoint {tmp_path / 'ck.json'}", 5, "checkpoint error"
+        save_checkpoint(bad, init_model(load_config(cfg)), "dmil", 1, 0)
+        argv = ["eval", *argv[1:], "--checkpoint", str(bad)]
+    else:
+        assert main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "data")]) == 0
+        bad, where, code, prefix = tmp_path / "data" / "train.jsonl", "line 2", 6, "dataset format error"
+        write_tiny(tmp_path, data={"train_path": str(bad), "test_path": str(tmp_path / "data" / "test.jsonl")})
+    if case == "missing":
+        bad.unlink()
+        want = f"{where} cannot be read: No such file or directory"
+        if kind == "dataset":  # rejected earlier, with the config
+            code, prefix, want = 2, "config error", f"config key 'data.train_path' must name a dataset file, got {str(bad)!r}"
+    elif kind == "dataset":
+        lines = bad.read_bytes().split(b"\n")
+        lines[1] = UNREADABLE[case][0]
+        bad.write_bytes(b"\n".join(lines))
+        want = f"{where} {UNREADABLE[case][1]}"
+    else:
+        bad.write_bytes(UNREADABLE[case][0])
+        want = f"{where} {UNREADABLE[case][1]}"
+    caplog.clear()
+    assert main(argv) == code
+    assert one_line_error(caplog, prefix).startswith(f"{prefix}: {want}")
+    assert not (tmp_path / "run").exists()
+
+
+def mutations(base: bytes, n: int, seed: int = 0):
+    """n copies of base, each with 1-3 one-byte edits: a byte replaced by
+    any value, deleted, or one of any value inserted."""
+    rng = random.Random(seed)
+    for _ in range(n):
+        body = bytearray(base)
+        for _ in range(rng.randint(1, 3)):
+            op = rng.randrange(3)
+            if op == 0:
+                body[rng.randrange(len(body))] = rng.randrange(256)
+            elif op == 1:
+                del body[rng.randrange(len(body))]
+            else:
+                body.insert(rng.randrange(len(body) + 1), rng.randrange(256))
+        yield bytes(body)
+
+
+def test_corrupted_input_files_raise_only_their_loaders_error(tmp_path) -> None:
+    # Random byte corruptions of each file kind load or raise the loader's
+    # own error class; about half are not UTF-8.
+    ckpt, data = tmp_path / "ck.json", tmp_path / "tasks.jsonl"
+    save_checkpoint(ckpt, init_hierarchical(4, 2, 2, (3,), seed=0, features="relative"), "dmil", 1, 0)
+    save_datasets(data, [make_dataset(sample_task(9000), MIN_SUPPORT, MIN_QUERY, MIN_HORIZON, seed=0)])
+    kinds = ((write_tiny(tmp_path), load_config, ConfigError), (ckpt, load_checkpoint, CheckpointSchemaError),
+             (data, load_datasets, DatasetFormatError))
+    for path, load, error in kinds:
+        outcomes = collections.Counter()
+        bad = tmp_path / f"bad{path.suffix}"
+        for body in mutations(path.read_bytes(), 1000):
+            bad.write_bytes(body)
+            try:
+                load(bad)
+                outcomes["loaded"] += 1
+            except error as e:
+                outcomes["not UTF-8" if "is not UTF-8" in str(e) else "rejected"] += 1
+        assert min(outcomes[k] for k in ("loaded", "not UTF-8", "rejected")) > 0, (path.name, outcomes)
+
+
+def test_config_value_nested_within_the_parser_limit_exits_2(tmp_path, caplog) -> None:
+    # A deep list parses, and is rejected by the key's rule, not by a
+    # recursion while the config is merged.
+    deep = "[" * 900 + "]" * 900
+    for body in ('{"eval": {"shots": %s}}' % deep, '{"data": {"train_path": %s, "test_path": "x"}}' % deep):
+        cfg = tmp_path / "deep.json"
+        cfg.write_text(body)
+        caplog.clear()
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+        one_line_error(caplog, "config error")
+        assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["a file", "under a file"])
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_out_naming_a_file_exits_2_before_any_output(tmp_path, caplog, command, under) -> None:
+    cfg = write_tiny(tmp_path, gradcheck={"instances": 1})
+    afile = tmp_path / "afile"
+    afile.write_text("kept")
+    out = afile / "sub" if under else afile
+    argv = [command, "--config", str(cfg), "--out", str(out)]
+    if command == "eval":
+        save_checkpoint(tmp_path / "ck.json", init_model(load_config(cfg)), "dmil", 1, 0)
+        argv += ["--checkpoint", str(tmp_path / "ck.json")]
+    before = sorted(tmp_path.rglob("*"))
+    caplog.clear()
+    assert main(argv) == 2
+    reason = "Not a directory" if under else "File exists"
+    assert one_line_error(caplog, "config error") == f"config error: run directory {out} cannot be made: {reason}"
+    assert sorted(tmp_path.rglob("*")) == before and afile.read_text() == "kept"
 
 
 MISSING = object()  # changed_dataset's value for a field it deletes

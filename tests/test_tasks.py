@@ -16,7 +16,7 @@ from dmil.tasks import (
     DatasetFormatError,
     TaskDataset,
     TaskSpec,
-    expert_act,
+    expert,
     load_datasets,
     make_dataset,
     rollout_expert,
@@ -87,8 +87,8 @@ def rot(angle: float) -> np.ndarray:
 
 
 def act_one(spec: TaskSpec, state) -> tuple[np.ndarray, int]:
-    """expert_act on a one-row batch."""
-    a, z = expert_act(spec, np.asarray(state, dtype=np.float64)[None])
+    """The expert on a one-row batch."""
+    a, z = expert(spec)(np.asarray(state, dtype=np.float64)[None])
     assert a.shape == (1, 2) and z.shape == (1,)
     return a[0], int(z[0])
 
@@ -114,7 +114,7 @@ def test_expert_skill_boundaries_match_brute_force() -> None:
         spec = sample_task(seed)
         r1, r2 = spec.switch_radii
         states = rng.uniform_array(4 * 50, -2.0, 2.0).reshape(50, 4)
-        _, skills = expert_act(spec, states)
+        _, skills = expert(spec)(states)
         for s, z in zip(states, skills):
             dist = np.sqrt((s[2] - s[0]) ** 2 + (s[3] - s[1]) ** 2)
             want = 0 if dist > r1 else (1 if dist > r2 else 2)
@@ -165,7 +165,7 @@ def expert_state(draw, spec: TaskSpec) -> list[float]:
 def test_expert_act_equals_reference_row_by_row(data, task_seed, n) -> None:
     spec = sample_task(task_seed)
     states = np.array([data.draw(expert_state(spec)) for _ in range(n)])
-    actions, skills = expert_act(spec, states)
+    actions, skills = expert(spec)(states)
     assert actions.shape == (n, 2) and skills.dtype == np.int64
     for s, a, z in zip(states, actions, skills):
         want_a, want_z = expert_action(spec, s)
@@ -177,7 +177,7 @@ def test_expert_act_radius_cases_pick_the_inner_regime() -> None:
     spec = sample_task(4)
     r1, r2 = spec.switch_radii
     states = np.array([[0.0, 0.0, r1, 0.0], [0.0, 0.0, 0.0, -r2], [0.5, 0.5, 0.5, 0.5]])
-    _, skills = expert_act(spec, states)
+    _, skills = expert(spec)(states)
     assert skills.tolist() == [1, 2, 2]
 
 
@@ -323,7 +323,7 @@ def test_one_noise_draw_per_expert_simulation_and_none_for_policies(noise_draws,
     assert noise_draws == [T * ACTION_DIM, T * ACTION_DIM]
     noise_draws.clear()
     make_dataset(noiseless(spec), 4, 2, T, seed=3)
-    rollout_policy(spec, lambda states: expert_act(spec, states), T, [1, 2, 3])
+    rollout_policy(spec, expert(spec), T, [1, 2, 3])
     assert noise_draws == []
 
 
