@@ -1,18 +1,19 @@
 """Comparison methods built from the same primitives as the main learner.
 
 Both step functions share meta_train_step's contract: they take
-(params, tasks, cfg, step_seed) and return a StepResult of gradients at the
-pre-step parameters, which runner.train applies through outer_optimizer
-like those of the other three methods.  None of them takes a gradient of
-its own: every outer gradient comes from dmil.ho_grad/lo_grad.
+(params, tasks, cfg, step_seed), cfg the resolved run config, and return a
+StepResult of gradients at the pre-step parameters, which runner.train
+applies through outer_optimizer like those of the other three methods.
+None of them takes a gradient of its own: every outer gradient comes from
+dmil.ho_grad/lo_grad.
 
 * maml_train_step: meta_train_step itself.  One monolithic policy is
   dmil_low at K=1 (runner gives maml one skill): inner-adapt on the second
   phase batch and meta-update on the fourth.  The one-skill selector is
   never forwarded and stays where it is (dmil's K=1 rule).
-* The high/low ablations need no code here: they are the main step with
-  TrainConfig.meta_low or meta_high off.  config.METHODS holds every
-  method's levels, skill count and step function.
+* The high/low ablations need no code here: meta_train_step reads the
+  meta-learned levels from config.METHODS, which holds every method's
+  levels, skill count and step function.
 * hard_em_grads: the hard-EM gradient, i.e. the meta-gradient of zero-step
   traces; shared by em_only_train and the warm start every method receives
   (runner.warm_start).
@@ -33,7 +34,6 @@ from .autodiff import inner_adapt, meta_grad  # noqa: F401  (perfbench/tracing.p
 from .dmil import (
     Pool,
     StepResult,
-    TrainConfig,
     hard_labels,
     high_batch,
     ho_grad,
@@ -75,17 +75,18 @@ def hard_em_grads(
 def em_only_train(
     params: HierarchicalParams,
     tasks: Sequence,
-    cfg: TrainConfig,
+    cfg: dict,
     step_seed: int,
 ) -> StepResult:
     """One hard-EM alternation with no meta-learning, as gradients at the
     pre-step parameters: all four phase batches of every task are pooled,
     labelled by the best sub-skill and routed by the selector's argmax."""
+    d = cfg["dmil"]
     trajs = []
     for task in tasks:
         rng = SplitMix64(derive_seed(step_seed, task.spec.seed))
-        for group in sample_phase_batches(task.support, cfg.batch_size, rng):
+        for group in sample_phase_batches(task.support, d["batch_size"], rng):
             trajs.extend(group)
     p = pool(trajs, params.feature_kind)
     labels = hard_labels(p, params.skills, params.skill_shape)
-    return hard_em_grads(params, p, labels, route(params.high, params.high_shape, p.states), cfg.aux_weight)
+    return hard_em_grads(params, p, labels, route(params.high, params.high_shape, p.states), d["aux_weight"])

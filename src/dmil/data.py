@@ -77,7 +77,8 @@ def read_json(path, what: str, error: type[ValueError], lines: bool = False):
     """The JSON object in the file, or with lines=True (line number, object)
     per non-blank line.  error, one line naming `what` and the path or the
     line, for a file that cannot be read, is not UTF-8 (never sniffed), is
-    not JSON, nests past the parser's limit or holds no object."""
+    not JSON, nests past the parser's limit, repeats a key within an object
+    at any depth or holds no object."""
     try:
         raw = Path(path).read_bytes()
     except OSError as e:
@@ -87,9 +88,22 @@ def read_json(path, what: str, error: type[ValueError], lines: bool = False):
     return ((n, _json_object(line, f"line {n}", error)) for n, line in enumerate(raw.splitlines(), 1) if line.strip())
 
 
+def _unique_keys(pairs: list) -> dict:
+    """json's object_pairs_hook: the object, or KeyError for a key that
+    appears twice (json.loads alone keeps the last)."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise KeyError(key)
+        obj[key] = value
+    return obj
+
+
 def _json_object(raw: bytes, where: str, error: type[ValueError]) -> dict:
     try:
-        value = json.loads(raw.decode("utf-8"))
+        value = json.loads(raw.decode("utf-8"), object_pairs_hook=_unique_keys)
+    except KeyError as e:  # only _unique_keys raises it
+        raise error(f"{where} repeats the key {e.args[0]!r}") from None
     except RecursionError:
         raise error(f"{where} nests deeper than the JSON parser's limit") from None
     except UnicodeDecodeError as e:

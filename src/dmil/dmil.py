@@ -54,7 +54,7 @@ from .autodiff import (
     inner_adapt,
     meta_grad,
 )
-from .config import DEFAULT_CONFIG
+from .config import METHODS
 from .data import Trajectory
 from .kernels import SelectorLoss, SkillMseLoss
 from .policies import HierarchicalParams, MlpShape, featurize, mlp_forward
@@ -242,21 +242,6 @@ def lo_grad(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TrainConfig:
-    """Knobs for one meta-training step of dmil and its ablations.  Defaults
-    are the config's (the published hyperparameter table); benchmark configs
-    override them per run.  Meta-gradients are exact and averaged over tasks.
-    The outer update itself (rate and optimizer) belongs to the caller."""
-
-    inner_rate: float = DEFAULT_CONFIG["dmil"]["inner_rate"]
-    inner_steps: int = DEFAULT_CONFIG["dmil"]["inner_steps"]
-    aux_weight: float = DEFAULT_CONFIG["dmil"]["aux_weight"]
-    batch_size: int = DEFAULT_CONFIG["dmil"]["batch_size"]  # trajectories per phase batch
-    meta_high: bool = True  # False: selector gets a plain gradient on batch 1
-    meta_low: bool = True  # False: sub-skills get plain gradients on batch 2
-
-
 def sample_phase_batches(
     support: Sequence[Trajectory], batch_size: int, rng: SplitMix64
 ) -> tuple[list[Trajectory], ...]:
@@ -294,25 +279,28 @@ class StepResult:
 def task_phases(
     params: HierarchicalParams,
     groups: tuple[Sequence[Trajectory], ...],
-    cfg: TrainConfig,
+    rate: float,
+    steps: int,
+    aux_weight: float,
+    adapt_high: bool,
+    adapt_low: bool,
 ) -> tuple[AdaptTrace, tuple[AdaptTrace, ...], HighBatch | None, tuple[Pool, ...]]:
     """One task's four phases, each trajectory group pooled once: the inner
-    traces, the selector's outer batch and the sub-skills' routed outer
-    batches, for ho_grad and lo_grad.  A level that is not meta-learned
-    keeps a zero-step trace, whose meta-gradient is its plain outer
-    gradient, taken on its inner batch instead: group 1 labelled by the
-    initial sub-skills for the selector, group 2 for the sub-skills."""
+    traces of adapt_phases (same arguments) on groups 1 and 2, the
+    selector's outer batch and the sub-skills' routed outer batches, for
+    ho_grad and lo_grad.  A level that is not adapted keeps a zero-step
+    trace, whose meta-gradient is its plain outer gradient, taken on its
+    inner batch instead: group 1 labelled by the initial sub-skills for the
+    selector, group 2 for the sub-skills."""
     t1, t2, t3, t4 = groups
     p1, p2 = pool(t1, params.feature_kind), pool(t2, params.feature_kind)
-    trace_h, traces_l = adapt_phases(
-        params, p1, p2, cfg.inner_rate, cfg.inner_steps, cfg.aux_weight, cfg.meta_high, cfg.meta_low
-    )
-    if cfg.meta_high:
+    trace_h, traces_l = adapt_phases(params, p1, p2, rate, steps, aux_weight, adapt_high, adapt_low)
+    if adapt_high:
         p3, label_skills = pool(t3, params.feature_kind), [t.final for t in traces_l]
     else:
         p3, label_skills = p1, params.skills
-    batch_h = high_batch(p3, hard_labels(p3, label_skills, params.skill_shape), params.K, cfg.aux_weight)
-    p4 = pool(t4, params.feature_kind) if cfg.meta_low else p2
+    batch_h = high_batch(p3, hard_labels(p3, label_skills, params.skill_shape), params.K, aux_weight)
+    p4 = pool(t4, params.feature_kind) if adapt_low else p2
     batches_l = partition_by_skill(p4, route(trace_h.final, params.high_shape, p4.states), params.K)
     return trace_h, traces_l, batch_h, batches_l
 
@@ -320,26 +308,31 @@ def task_phases(
 def meta_train_step(
     params: HierarchicalParams,
     tasks: Sequence,
-    cfg: TrainConfig,
+    cfg: dict,
     step_seed: int,
 ) -> StepResult:
     """Reduced meta-gradients of one outer iteration over a batch of tasks.
 
-    Every phase reads only the pre-step `params`; meta-gradients accumulate in
-    task order, and the caller applies them once, atomically.  Batch
-    sampling is a pure function of (step_seed, task.spec.seed), so permuting
-    the task list only reassociates the gradient sum.  Any task failure
-    aborts the whole step before any gradient is returned.
+    cfg is the resolved run config: its dmil section gives the inner phases
+    and the batch size, and its method's METHODS row the meta-learned
+    levels.  Every phase reads only the pre-step `params`;
+    meta-gradients accumulate in task order, and the caller applies them
+    once, atomically.  Batch sampling is a pure function of (step_seed,
+    task.spec.seed), so permuting the task list only reassociates the
+    gradient sum.  Any task failure aborts the whole step before any
+    gradient is returned.
     """
     if not tasks:
         raise ContractError("meta_train_step needs at least one task")
     g_high = ParamVector.zeros(len(params.high))
     g_skills = [ParamVector.zeros(len(s)) for s in params.skills]
     high_vals, skill_vals, diverged = [], [], 0
+    d = cfg["dmil"]
+    inner = (d["inner_rate"], d["inner_steps"], d["aux_weight"], *METHODS[d["method"]].adapts)
     for task in tasks:
         rng = SplitMix64(derive_seed(step_seed, task.spec.seed))
-        groups = sample_phase_batches(task.support, cfg.batch_size, rng)
-        trace_h, traces_l, batch_h, batches_l = task_phases(params, groups, cfg)
+        groups = sample_phase_batches(task.support, d["batch_size"], rng)
+        trace_h, traces_l, batch_h, batches_l = task_phases(params, groups, *inner)
         task_high, high_val = ho_grad(trace_h, params, batch_h)
         task_skills, skill_val = lo_grad(traces_l, params, batches_l)
         g_high = g_high.add(task_high)

@@ -30,7 +30,6 @@ from .config import METHODS, ConfigError, dump_config
 from .dmil import (
     Pool,
     StepResult,
-    TrainConfig,
     adapt_phases,
     hard_labels,
     ho_grad,
@@ -156,19 +155,6 @@ def build_datasets(cfg: dict) -> tuple[list[TaskDataset], list[TaskDataset]]:
     return build_split(cfg, "train"), build_split(cfg, "test")
 
 
-def train_config_from(cfg: dict) -> TrainConfig:
-    m = cfg["dmil"]
-    meta_high, meta_low = METHODS[m["method"]].adapts
-    return TrainConfig(
-        inner_rate=m["inner_rate"],
-        inner_steps=m["inner_steps"],
-        aux_weight=m["aux_weight"],
-        batch_size=m["batch_size"],
-        meta_high=meta_high,
-        meta_low=meta_low,
-    )
-
-
 def n_skills_for(cfg: dict) -> int:
     """Skill count of the configured method."""
     return 1 if METHODS[cfg["dmil"]["method"]].one_network else cfg["model"]["n_skills"]
@@ -286,7 +272,6 @@ def train(cfg: dict, out_dir=None, datasets=None, warm_params=None) -> TrainResu
     train_tasks, test_tasks = datasets if datasets is not None else build_datasets(cfg)
     run = cfg["run"]
     seed = run["seed"]
-    tc = train_config_from(cfg)
     params = warm_start(cfg, train_tasks) if warm_params is None else warm_params
     task_rng = SplitMix64(derive_seed(seed, SALT_TASK_SELECT))
     n_train = len(train_tasks)
@@ -295,9 +280,10 @@ def train(cfg: dict, out_dir=None, datasets=None, warm_params=None) -> TrainResu
     out = open_run_dir(out_dir, cfg) if out_dir is not None else None
     if out is not None:
         save_checkpoint(out / "checkpoint_000000.json", params, method, task_rng.state, 0)
+        (out / "metrics.csv").write_text(",".join(METRICS_COLUMNS) + "\n")
+        (out / "timing.csv").write_text("iteration,seconds\n")
 
     rows: list[dict] = []
-    timings: list[float] = []
     diverged_total = 0
     for it in range(run["iterations"]):
         t0 = time.perf_counter()
@@ -307,23 +293,22 @@ def train(cfg: dict, out_dir=None, datasets=None, warm_params=None) -> TrainResu
 
         # Looked up by name in this module's globals on every call, so that a
         # wrapper set on runner's attribute (a test, a profiler) sees each step.
-        res = globals()[METHODS[method].step](params, batch_tasks, tc, step_seed)
+        res = globals()[METHODS[method].step](params, batch_tasks, cfg, step_seed)
         params = optimizer.step(params, res)
         values = (it, res.outer_loss, res.grad_norm_high, res.grad_norm_skills, res.diverged_count)
         rows.append(dict(zip(METRICS_COLUMNS, values, strict=True)))
         diverged_total += res.diverged_count
-        timings.append(time.perf_counter() - t0)
-        if out is not None and run["checkpoint_every"] > 0 and (it + 1) % run["checkpoint_every"] == 0:
-            save_checkpoint(out / f"checkpoint_{it + 1:06d}.json", params, method, task_rng.state, it + 1)
+        seconds = time.perf_counter() - t0
+        if out is not None:
+            # Closed after each row, so a run that stops keeps every finished iteration's rows.
+            with (out / "metrics.csv").open("a") as metrics, (out / "timing.csv").open("a") as timing:
+                metrics.write(",".join(repr(v) for v in values) + "\n")
+                timing.write(f"{it},{seconds:.6f}\n")
+            if run["checkpoint_every"] > 0 and (it + 1) % run["checkpoint_every"] == 0:
+                save_checkpoint(out / f"checkpoint_{it + 1:06d}.json", params, method, task_rng.state, it + 1)
 
     if out is not None:
         save_checkpoint(out / "checkpoint_final.json", params, method, task_rng.state, run["iterations"])
-        (out / "metrics.csv").write_text(
-            "\n".join([",".join(METRICS_COLUMNS)] + [",".join(repr(r[c]) for c in METRICS_COLUMNS) for r in rows]) + "\n"
-        )
-        (out / "timing.csv").write_text(
-            "\n".join(["iteration,seconds"] + [f"{i},{t:.6f}" for i, t in enumerate(timings)]) + "\n"
-        )
     return TrainResult(
         params=params,
         method=method,
@@ -443,8 +428,7 @@ def gradcheck_run(cfg: dict) -> dict:
         trajs = [rollout_expert(spec, GRADCHECK_HORIZON, j) for j in range(4 * b)]
         groups = tuple(trajs[j * b : (j + 1) * b] for j in range(4))
         for steps in g["inner_steps"]:
-            tc = TrainConfig(inner_rate=GRADCHECK_INNER_RATE, inner_steps=steps, aux_weight=0.1)
-            trace_h, traces_l, batch_h, batches_l = task_phases(params, groups, tc)
+            trace_h, traces_l, batch_h, batches_l = task_phases(params, groups, GRADCHECK_INNER_RATE, steps, 0.1, True, True)
             worst_high = max(worst_high, _fd_rel_err(trace_h, batch_h, ho_grad(trace_h, params, batch_h)[0]))
             for trace, batch, exact in zip(traces_l, batches_l, lo_grad(traces_l, params, batches_l)[0]):
                 if trace.points and len(batch):

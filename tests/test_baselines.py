@@ -8,10 +8,16 @@ from hypothesis import strategies as st
 from dmil import dmil, runner
 from dmil.autodiff import ParamVector
 from dmil.baselines import em_only_train, maml_train_step
-from dmil.dmil import TrainConfig, meta_train_step, pool, sample_phase_batches
+from dmil.config import resolve_config
+from dmil.dmil import ho_grad, lo_grad, meta_train_step, pool, sample_phase_batches, task_phases
 from dmil.policies import HierarchicalParams, init_hierarchical, mlp_forward
 from dmil.rng import SplitMix64, derive_seed
 from dmil.tasks import make_dataset, sample_task
+
+
+def step_cfg(method: str = "dmil", **dmil) -> dict:
+    """The resolved run config of `method` with these dmil keys."""
+    return resolve_config({"dmil": {"method": method, **dmil}})
 
 
 def demo_task(seed: int, n_support: int = 8, T: int = 24):
@@ -43,9 +49,9 @@ def test_maml_zero_outer_rate_identity() -> None:
 def test_maml_equals_k1_hierarchical_skill_update_bitwise() -> None:
     params = init_hierarchical(4, 2, 1, (8,), seed=5)
     tasks = [demo_task(5), demo_task(6)]
-    cfg = TrainConfig(inner_rate=1e-3, inner_steps=3, batch_size=2, aux_weight=0.0)
-    hier = meta_train_step(params, tasks, cfg, step_seed=13)
-    mono = maml_train_step(params, tasks, cfg, step_seed=13)
+    d = dict(inner_rate=1e-3, inner_steps=3, batch_size=2, aux_weight=0.0)
+    hier = meta_train_step(params, tasks, step_cfg("dmil", **d), step_seed=13)
+    mono = maml_train_step(params, tasks, step_cfg("maml", **d), step_seed=13)
     assert np.array_equal(hier.g_skills[0].values, mono.g_skills[0].values)
     # Selector meta-gradient is exactly zero for K=1, and maml returns zero.
     assert np.array_equal(hier.g_high.values, np.zeros(len(params.high)))
@@ -56,7 +62,8 @@ def test_maml_exact_step_matches_fd_oracle() -> None:
     params = init_hierarchical(4, 2, 1, (6,), seed=9)
     shape, theta = params.skill_shape, params.skills[0]
     task = demo_task(9, T=16)
-    cfg = TrainConfig(inner_rate=5e-4, inner_steps=1, batch_size=1)
+    cfg = step_cfg("maml", inner_rate=5e-4, inner_steps=1, batch_size=1)
+    inner = cfg["dmil"]
     res = maml_train_step(params, [task], cfg, step_seed=2)
 
     from dmil.autodiff import inner_adapt, loss_value
@@ -64,12 +71,12 @@ def test_maml_exact_step_matches_fd_oracle() -> None:
     from dmil.kernels import SkillMseLoss
 
     rng = SplitMix64(derive_seed(2, task.spec.seed))
-    _, t2, _, t4 = sample_phase_batches(task.support, cfg.batch_size, rng)
+    _, t2, _, t4 = sample_phase_batches(task.support, inner["batch_size"], rng)
     p2, p4 = pool(t2, "raw"), pool(t4, "raw")
     loss = SkillMseLoss(shape)
 
     def objective(vals):
-        tr = inner_adapt(loss, ParamVector(vals), cfg.inner_rate, p2, cfg.inner_steps)
+        tr = inner_adapt(loss, ParamVector(vals), inner["inner_rate"], p2, inner["inner_steps"])
         return loss_value(loss, tr.final, p4)
 
     fd = np.zeros(len(theta))
@@ -85,11 +92,9 @@ def test_maml_exact_step_matches_fd_oracle() -> None:
 def test_high_and_low_ablations_leave_other_level_plain() -> None:
     params = init_hierarchical(4, 2, 3, (8,), seed=20)
     tasks = [demo_task(20), demo_task(21)]
-    cfg = TrainConfig(inner_rate=1e-3, inner_steps=2, batch_size=2, aux_weight=0.1)
-    from dataclasses import replace
-
-    high_res = meta_train_step(params, tasks, replace(cfg, meta_low=False), step_seed=4)
-    low_res = meta_train_step(params, tasks, replace(cfg, meta_high=False), step_seed=4)
+    d = dict(inner_rate=1e-3, inner_steps=2, batch_size=2, aux_weight=0.1)
+    high_res = meta_train_step(params, tasks, step_cfg("dmil_high", **d), step_seed=4)  # selector only
+    low_res = meta_train_step(params, tasks, step_cfg("dmil_low", **d), step_seed=4)  # sub-skills only
 
     # Recompute the plain pooled-gradient updates by hand for both variants.
     from dmil import autodiff as ad
@@ -100,12 +105,10 @@ def test_high_and_low_ablations_leave_other_level_plain() -> None:
     sum_high = ParamVector.zeros(len(params.high))
     for task in tasks:
         rng = SplitMix64(derive_seed(4, task.spec.seed))
-        t1, t2, t3, t4 = (pool(t, "raw") for t in sample_phase_batches(task.support, cfg.batch_size, rng))
+        t1, t2, t3, t4 = (pool(t, "raw") for t in sample_phase_batches(task.support, d["batch_size"], rng))
         # dmil_high: skills get plain gradients on the routed second batch,
         # where routing uses the adapted selector.
-        trace_h, _ = adapt_phases(
-            params, t1, t2, cfg.inner_rate, cfg.inner_steps, cfg.aux_weight, adapt_low=False
-        )
+        trace_h, _ = adapt_phases(params, t1, t2, d["inner_rate"], d["inner_steps"], d["aux_weight"], adapt_low=False)
         batches = partition_by_skill(t2, route(trace_h.final, params.high_shape, t2.states), params.K)
         for k in range(3):
             if len(batches[k]):
@@ -114,7 +117,7 @@ def test_high_and_low_ablations_leave_other_level_plain() -> None:
         # dmil_low: selector gets a plain gradient on the first batch.
         labels1 = hard_labels(t1, params.skills, params.skill_shape)
         gh = ad.value_and_grad(
-            SelectorLoss(params.high_shape), params.high, high_batch(t1, labels1, params.K, cfg.aux_weight)
+            SelectorLoss(params.high_shape), params.high, high_batch(t1, labels1, params.K, d["aux_weight"])
         )[1]
         sum_high = sum_high.add(gh)
 
@@ -125,15 +128,22 @@ def test_high_and_low_ablations_leave_other_level_plain() -> None:
 
 
 def test_lifting_restrictions_reproduces_full_step_bitwise() -> None:
+    # dmil's step is task_phases with both levels on, the restrictions of
+    # dmil_high and dmil_low lifted: its gradients are ho_grad/lo_grad of
+    # the phases that task_phases builds with adapt_high and adapt_low set.
     params = init_hierarchical(4, 2, 3, (8,), seed=22)
     tasks = [demo_task(22)]
-    cfg = TrainConfig(inner_rate=1e-3, inner_steps=2, batch_size=2)
+    cfg = step_cfg(inner_rate=1e-3, inner_steps=2, batch_size=2)
+    d = cfg["dmil"]
     full = meta_train_step(params, tasks, cfg, step_seed=8)
-    from dataclasses import replace
-
-    lifted = meta_train_step(params, tasks, replace(cfg, meta_high=True, meta_low=True), step_seed=8)
-    assert np.array_equal(full.g_high.values, lifted.g_high.values)
-    for a, b in zip(full.g_skills, lifted.g_skills):
+    groups = sample_phase_batches(tasks[0].support, d["batch_size"], SplitMix64(derive_seed(8, tasks[0].spec.seed)))
+    trace_h, traces_l, batch_h, batches_l = task_phases(
+        params, groups, d["inner_rate"], d["inner_steps"], d["aux_weight"], True, True
+    )
+    lifted_h = ho_grad(trace_h, params, batch_h)[0].scaled(1.0)
+    lifted_l = [g.scaled(1.0) for g in lo_grad(traces_l, params, batches_l)[0]]
+    assert np.array_equal(full.g_high.values, lifted_h.values)
+    for a, b in zip(full.g_skills, lifted_l, strict=True):
         assert np.array_equal(a.values, b.values)
 
 
@@ -175,22 +185,23 @@ def test_meta_train_step_at_zero_inner_rate_is_hard_em(features: str) -> None:
     for seed in range(4):
         params = init_hierarchical(4, 2, 3, (8,), seed=60 + seed, features=features)
         tasks = [demo_task(70 + 3 * seed + i) for i in range(3)]
-        cfg = TrainConfig(inner_rate=0.0, inner_steps=2, batch_size=2, aux_weight=0.1)
+        cfg = step_cfg(inner_rate=0.0, inner_steps=2, batch_size=2, aux_weight=0.1)
+        d = cfg["dmil"]
         res = meta_train_step(params, tasks, cfg, step_seed=seed)
 
         sum_h = ParamVector.zeros(len(params.high))
         sum_l = [ParamVector.zeros(len(s)) for s in params.skills]
         for task in tasks:
             rng = SplitMix64(derive_seed(seed, task.spec.seed))
-            _, _, t3, t4 = sample_phase_batches(task.support, cfg.batch_size, rng)
+            _, _, t3, t4 = sample_phase_batches(task.support, d["batch_size"], rng)
             p3 = pool(t3, features)
             labels3 = hard_labels(p3, params.skills, params.skill_shape)
-            sum_h = sum_h.add(hard_em_grads(params, p3, labels3, labels3, cfg.aux_weight).g_high)
+            sum_h = sum_h.add(hard_em_grads(params, p3, labels3, labels3, d["aux_weight"]).g_high)
             p4 = pool(t4, features)
             labels4 = hard_labels(p4, params.skills, params.skill_shape)
             s4 = pool(t4, "raw").states
             routing4 = np.argmax(mlp_forward(params.high, params.high_shape, featurize(s4, features)), axis=1)
-            em4 = hard_em_grads(params, p4, labels4, routing4, cfg.aux_weight)
+            em4 = hard_em_grads(params, p4, labels4, routing4, d["aux_weight"])
             sum_l = [a.add(b) for a, b in zip(sum_l, em4.g_skills, strict=True)]
         c = 1.0 / len(tasks)
         assert np.array_equal(res.g_high.values, sum_h.scaled(c).values)
@@ -198,7 +209,7 @@ def test_meta_train_step_at_zero_inner_rate_is_hard_em(features: str) -> None:
             assert np.array_equal(got.values, want.scaled(c).values)
 
 
-def sgd_steps(params: HierarchicalParams, tasks, cfg: TrainConfig, lr: float, n: int, step_seed: int = 0):
+def sgd_steps(params: HierarchicalParams, tasks, cfg: dict, lr: float, n: int, step_seed: int = 0):
     """n em_only iterations at one fixed step seed under plain descent;
     returns the final params and each iteration's loss."""
     losses = []
@@ -252,7 +263,7 @@ def test_em_only_fixed_point_on_self_generated_data() -> None:
     z = np.zeros(5, dtype=np.int64)  # labels no training path reads
     task = replace(demo_task(31), support=(Trajectory(S[:5], A[:5], z), Trajectory(S[5:], A[5:], z)))
     labels_before = dmil.hard_labels(dmil.Pool(S, A, ((0, 10),)), params.skills, params.skill_shape)
-    cfg = TrainConfig(batch_size=2, aux_weight=0.0)
+    cfg = step_cfg("em_only", batch_size=2, aux_weight=0.0)
     after, _ = sgd_steps(params, [task], cfg, lr=1e-2, n=3)
     labels_after = dmil.hard_labels(dmil.Pool(S, A, ((0, 10),)), after.skills, after.skill_shape)
     assert np.array_equal(labels_before, labels_after)
@@ -265,7 +276,7 @@ def test_em_only_loss_trace_nonincreasing_pilot() -> None:
     # gives every iteration the same data.
     params = init_hierarchical(4, 2, 3, (12,), seed=32)
     task = demo_task(32, n_support=4, T=30)
-    _, losses = sgd_steps(params, [task], TrainConfig(batch_size=1, aux_weight=0.0), lr=1e-3, n=10)
+    _, losses = sgd_steps(params, [task], step_cfg("em_only", batch_size=1, aux_weight=0.0), lr=1e-3, n=10)
     diffs = np.diff(losses)
     if np.any(diffs > 0):
         warnings.warn(f"em_only loss trace not monotone: {losses}")

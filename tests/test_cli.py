@@ -1,5 +1,6 @@
 import collections
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -13,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from dmil import MALLOC_THRESHOLDS_SET, blas, runner
-from dmil.autodiff import ContractError
+from dmil.autodiff import ContractError, NumericError
 from dmil.checkpoint import CheckpointSchemaError, load_checkpoint, save_checkpoint
 from dmil.cli import COMMANDS, main
 from dmil.config import CHOICES, DEFAULT_CONFIG, METHODS, RANGES, ConfigError, load_config, resolve_config
@@ -236,6 +237,50 @@ def test_train_exits_nonzero_on_flagged_divergence(tmp_path) -> None:
     cfg = write_tiny(tmp_path, dmil={"inner_rate": 50.0, "batch_size": 1, "tasks_per_step": 2})
     out = tmp_path / "run"
     assert main(["train", "--config", str(cfg), "--out", str(out)]) == 1
+
+
+@pytest.mark.parametrize("flagged", [False, True])
+def test_train_exit_code_reports_flagged_divergence(tmp_path, caplog, monkeypatch, flagged) -> None:
+    # Exit 1 and one error line when a step flags a diverged inner
+    # adaptation (here the second of three), exit 0 when none does.
+    keep, calls = runner.meta_train_step, []
+
+    def step(*args):
+        calls.append(1)
+        res = keep(*args)
+        return dataclasses.replace(res, diverged_count=1) if flagged and len(calls) == 2 else res
+
+    monkeypatch.setattr(runner, "meta_train_step", step)
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(write_tiny(tmp_path)), "--out", str(out)]) == int(flagged)
+    with (out / "metrics.csv").open() as f:
+        assert [r["diverged"] for r in csv.DictReader(f)] == ["0", "1" if flagged else "0", "0"]
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert errors == (["1 inner adaptations were flagged as diverged"] if flagged else [])
+
+
+def test_metrics_and_timing_rows_are_appended_as_each_iteration_ends(tmp_path, monkeypatch) -> None:
+    # Both CSV files hold their header from the start and gain one row as
+    # each iteration ends, so a run stopped by a NumericError in its third
+    # iteration keeps two rows, byte-equal to an unbroken run's first two.
+    cfg = write_tiny(tmp_path, run={"iterations": 5, "checkpoint_every": 1})
+    whole, out = tmp_path / "whole", tmp_path / "run"
+    assert main(["train", "--config", str(cfg), "--out", str(whole)]) == 0
+    keep, seen = runner.meta_train_step, []
+
+    def step(*args):
+        seen.append(tuple(len((out / name).read_text().splitlines()) for name in ("metrics.csv", "timing.csv")))
+        if len(seen) == 3:
+            raise NumericError("stopped in iteration 3")
+        return keep(*args)
+
+    monkeypatch.setattr(runner, "meta_train_step", step)
+    assert main(["train", "--config", str(cfg), "--out", str(out)]) == 4
+    assert seen == [(1, 1), (2, 2), (3, 3)]
+    assert len((whole / "metrics.csv").read_text().splitlines()) == 6
+    assert (out / "metrics.csv").read_bytes() == b"".join((whole / "metrics.csv").read_bytes().splitlines(True)[:3])
+    assert [line.split(",")[0] for line in (out / "timing.csv").read_text().splitlines()] == ["iteration", "0", "1"]
+    assert sorted(p.name for p in out.glob("checkpoint_*")) == [f"checkpoint_00000{i}.json" for i in range(3)]
 
 
 def test_ablate_paired_report(tmp_path) -> None:
@@ -691,6 +736,7 @@ UNREADABLE = {
     "UTF-16": (json.dumps({"x": 1}).encode("utf-16"), "is not UTF-8: "),  # json.loads(bytes) would sniff it
     "not JSON": (b"{run", "is not JSON: "),
     "too deep": (b"[" * 100_000 + b"]" * 100_000, "nests deeper than the JSON parser's limit"),
+    "repeated key": (b'{"run": {"iterations": 1, "iterations": 2}}', "repeats the key 'iterations'"),  # json keeps the last
     "not an object": (b"[1, 2]", "holds a JSON list, not an object"),
 }
 

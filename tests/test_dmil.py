@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 
 from dmil import dmil
 from dmil.autodiff import ParamVector, inner_adapt, linearize, loss_value
+from dmil.config import resolve_config
 from dmil.data import Trajectory
 from dmil.dmil import (
     Pool,
-    TrainConfig,
     adapt_phases,
     few_shot_adapt,
     hard_labels,
@@ -35,6 +35,12 @@ from dmil.policies import (
 )
 from dmil.rng import SplitMix64
 from dmil.tasks import make_dataset, sample_task
+
+
+def step_cfg(**dmil) -> dict:
+    """The resolved run config with these dmil keys (method dmil: both
+    levels meta-learned)."""
+    return resolve_config({"dmil": dmil})
 
 
 def small_params(seed: int = 0, n_skills: int = 3, hidden=(8,)) -> HierarchicalParams:
@@ -314,9 +320,9 @@ def test_li_step_single_pair_hand_computed() -> None:
 
 
 def _phases(params, task, cfg, step_seed=0):
-    rng = SplitMix64(step_seed)
-    t1, t2, t3, t4 = (pool(t, "raw") for t in sample_phase_batches(task.support, cfg.batch_size, rng))
-    trace_h, traces_l = adapt_phases(params, t1, t2, cfg.inner_rate, cfg.inner_steps, cfg.aux_weight)
+    rng, d = SplitMix64(step_seed), cfg["dmil"]
+    t1, t2, t3, t4 = (pool(t, "raw") for t in sample_phase_batches(task.support, d["batch_size"], rng))
+    trace_h, traces_l = adapt_phases(params, t1, t2, d["inner_rate"], d["inner_steps"], d["aux_weight"])
     batches2 = partition_by_skill(t2, route(trace_h.final, params.high_shape, t2.states), params.K)
     return t1, t2, t3, t4, trace_h, batches2, traces_l
 
@@ -324,10 +330,11 @@ def _phases(params, task, cfg, step_seed=0):
 def test_ho_grad_zero_rate_equals_plain_gradient() -> None:
     params = small_params(6)
     task = demo_task(6)
-    cfg = TrainConfig(inner_rate=0.0, inner_steps=2, batch_size=2, aux_weight=0.1)
+    cfg = step_cfg(inner_rate=0.0, inner_steps=2, batch_size=2, aux_weight=0.1)
+    d = cfg["dmil"]
     t1, t2, t3, t4, trace_h, _, traces_l = _phases(params, task, cfg)
     adapted = [t.final for t in traces_l]
-    batch3 = high_batch(t3, hard_labels(t3, adapted, params.skill_shape), params.K, cfg.aux_weight)
+    batch3 = high_batch(t3, hard_labels(t3, adapted, params.skill_shape), params.K, d["aux_weight"])
     got, _ = ho_grad(trace_h, params, batch3)
 
     from dmil.autodiff import value_and_grad
@@ -339,10 +346,11 @@ def test_ho_grad_zero_rate_equals_plain_gradient() -> None:
 def test_ho_grad_first_order_equals_gradient_at_adapted() -> None:
     params = small_params(7)
     task = demo_task(7)
-    cfg = TrainConfig(inner_rate=5e-3, inner_steps=2, batch_size=2, aux_weight=0.1)
+    cfg = step_cfg(inner_rate=5e-3, inner_steps=2, batch_size=2, aux_weight=0.1)
+    d = cfg["dmil"]
     t1, t2, t3, t4, trace_h, _, traces_l = _phases(params, task, cfg)
     adapted = [t.final for t in traces_l]
-    batch3 = high_batch(t3, hard_labels(t3, adapted, params.skill_shape), params.K, cfg.aux_weight)
+    batch3 = high_batch(t3, hard_labels(t3, adapted, params.skill_shape), params.K, d["aux_weight"])
     from dmil.autodiff import meta_grad, value_and_grad
 
     want = value_and_grad(SelectorLoss(params.high_shape), trace_h.final, batch3)[1]
@@ -369,19 +377,20 @@ def rel_err(a, b) -> float:
 def test_ho_grad_matches_fd_of_composed_map() -> None:
     params = init_hierarchical(4, 2, 2, (6,), seed=12)
     task = demo_task(12, T=16)
-    cfg = TrainConfig(inner_rate=5e-4, inner_steps=1, batch_size=1, aux_weight=0.1)
+    cfg = step_cfg(inner_rate=5e-4, inner_steps=1, batch_size=1, aux_weight=0.1)
+    d = cfg["dmil"]
     t1, t2, t3, t4, trace_h, _, traces_l = _phases(params, task, cfg)
     adapted = [t.final for t in traces_l]
 
-    batch1 = high_batch(t1, hard_labels(t1, params.skills, params.skill_shape), params.K, cfg.aux_weight)
-    batch3 = high_batch(t3, hard_labels(t3, adapted, params.skill_shape), params.K, cfg.aux_weight)
+    batch1 = high_batch(t1, hard_labels(t1, params.skills, params.skill_shape), params.K, d["aux_weight"])
+    batch3 = high_batch(t3, hard_labels(t3, adapted, params.skill_shape), params.K, d["aux_weight"])
     exact, _ = ho_grad(trace_h, params, batch3)
     loss = SelectorLoss(params.high_shape)
 
     from dmil.autodiff import inner_adapt, loss_value
 
     def objective(vals):
-        tr = inner_adapt(loss, ParamVector(vals), cfg.inner_rate, batch1, cfg.inner_steps)
+        tr = inner_adapt(loss, ParamVector(vals), d["inner_rate"], batch1, d["inner_steps"])
         return loss_value(loss, tr.final, batch3)
 
     assert rel_err(fd_of_map(objective, params.high.values), exact.values) <= 1e-4
@@ -390,7 +399,7 @@ def test_ho_grad_matches_fd_of_composed_map() -> None:
 def test_lo_grad_zero_rate_and_empty_partition() -> None:
     params = small_params(13)
     task = demo_task(13)
-    cfg = TrainConfig(inner_rate=0.0, inner_steps=1, batch_size=2)
+    cfg = step_cfg(inner_rate=0.0, inner_steps=1, batch_size=2)
     t1, t2, t3, t4, trace_h, _, traces_l = _phases(params, task, cfg)
     batches4 = partition_by_skill(t4, route(trace_h.final, params.high_shape, t4.states), params.K)
     grads, _ = lo_grad(traces_l, params, batches4)
@@ -408,7 +417,8 @@ def test_lo_grad_zero_rate_and_empty_partition() -> None:
 def test_lo_grad_matches_fd_of_composed_map() -> None:
     params = init_hierarchical(4, 2, 2, (6,), seed=14)
     task = demo_task(14, T=16)
-    cfg = TrainConfig(inner_rate=5e-4, inner_steps=1, batch_size=1)
+    cfg = step_cfg(inner_rate=5e-4, inner_steps=1, batch_size=1)
+    d = cfg["dmil"]
     t1, t2, t3, t4, trace_h, batches2, traces_l = _phases(params, task, cfg)
     batches4 = partition_by_skill(t4, route(trace_h.final, params.high_shape, t4.states), params.K)
     exact, _ = lo_grad(traces_l, params, batches4)
@@ -422,7 +432,7 @@ def test_lo_grad_matches_fd_of_composed_map() -> None:
             continue
 
         def objective(vals, b2=batch2, b4=batch4):
-            tr = inner_adapt(loss, ParamVector(vals), cfg.inner_rate, b2, cfg.inner_steps)
+            tr = inner_adapt(loss, ParamVector(vals), d["inner_rate"], b2, d["inner_steps"])
             return loss_value(loss, tr.final, b4)
 
         assert rel_err(fd_of_map(objective, params.skills[k].values), exact[k].values) <= 1e-4
@@ -460,7 +470,7 @@ def test_meta_train_step_zero_outer_rate_identity() -> None:
 def test_meta_train_step_duplicated_task_sum_linearity() -> None:
     params = small_params(21)
     task = demo_task(21)
-    cfg = TrainConfig(inner_rate=1e-3, inner_steps=2, batch_size=2)
+    cfg = step_cfg(inner_rate=1e-3, inner_steps=2, batch_size=2)
     one = meta_train_step(params, [task], cfg, step_seed=3)
     two = meta_train_step(params, [task, task], cfg, step_seed=3)
     # The mean of two equal gradients is (g + g) / 2 = g, bitwise.
@@ -472,7 +482,8 @@ def test_meta_train_step_duplicated_task_sum_linearity() -> None:
 def test_meta_train_step_matches_hand_assembled_phases() -> None:
     params = small_params(22)
     tasks = [demo_task(22), demo_task(23)]
-    cfg = TrainConfig(inner_rate=1e-3, inner_steps=2, batch_size=2, aux_weight=0.1)
+    cfg = step_cfg(inner_rate=1e-3, inner_steps=2, batch_size=2, aux_weight=0.1)
+    d = cfg["dmil"]
     step_seed = 11
     res = meta_train_step(params, tasks, cfg, step_seed=step_seed)
 
@@ -482,10 +493,10 @@ def test_meta_train_step_matches_hand_assembled_phases() -> None:
     sum_l = [ParamVector.zeros(len(s)) for s in params.skills]
     for task in tasks:
         rng = SplitMix64(derive_seed(step_seed, task.spec.seed))
-        t1, t2, t3, t4 = (pool(t, "raw") for t in sample_phase_batches(task.support, cfg.batch_size, rng))
-        trace_h, traces_l = adapt_phases(params, t1, t2, cfg.inner_rate, cfg.inner_steps, cfg.aux_weight)
+        t1, t2, t3, t4 = (pool(t, "raw") for t in sample_phase_batches(task.support, d["batch_size"], rng))
+        trace_h, traces_l = adapt_phases(params, t1, t2, d["inner_rate"], d["inner_steps"], d["aux_weight"])
         adapted = [t.final for t in traces_l]
-        batch3 = high_batch(t3, hard_labels(t3, adapted, params.skill_shape), params.K, cfg.aux_weight)
+        batch3 = high_batch(t3, hard_labels(t3, adapted, params.skill_shape), params.K, d["aux_weight"])
         sum_h = sum_h.add(ho_grad(trace_h, params, batch3)[0])
         batches4 = partition_by_skill(t4, route(trace_h.final, params.high_shape, t4.states), params.K)
         for k, g in enumerate(lo_grad(traces_l, params, batches4)[0]):
@@ -499,7 +510,7 @@ def test_meta_train_step_matches_hand_assembled_phases() -> None:
 def test_meta_train_step_simultaneity_probe() -> None:
     params = small_params(24)
     tasks = [demo_task(24), demo_task(25)]
-    cfg = TrainConfig(inner_rate=1e-3, inner_steps=1, batch_size=2)
+    cfg = step_cfg(inner_rate=1e-3, inner_steps=1, batch_size=2)
     base = meta_train_step(params, tasks, cfg, step_seed=7)
     # Every phase reads the pre-step params, whose arrays refuse writes, so
     # no task can see another's update and a second call is bitwise equal.
@@ -517,7 +528,7 @@ def test_meta_train_step_simultaneity_probe() -> None:
 def test_meta_train_step_task_order_permutation_bound() -> None:
     params = small_params(26)
     tasks = [demo_task(30 + i) for i in range(5)]
-    cfg = TrainConfig(inner_rate=1e-3, inner_steps=2, batch_size=2)
+    cfg = step_cfg(inner_rate=1e-3, inner_steps=2, batch_size=2)
     fwd = meta_train_step(params, tasks, cfg, step_seed=9)
     rev = meta_train_step(params, tasks[::-1], cfg, step_seed=9)
     assert np.max(np.abs(fwd.g_high.values - rev.g_high.values)) <= 1e-12
@@ -538,7 +549,7 @@ def test_each_batch_is_featurized_once(monkeypatch) -> None:
     monkeypatch.setattr(dmil, "featurize", lambda states, kind: calls.append(kind) or real(states, kind))
     params = small_params(70)
     tasks = [demo_task(70), demo_task(71), demo_task(72)]
-    meta_train_step(params, tasks, TrainConfig(inner_rate=1e-3, inner_steps=2, batch_size=2), step_seed=1)
+    meta_train_step(params, tasks, step_cfg(inner_rate=1e-3, inner_steps=2, batch_size=2), step_seed=1)
     assert len(calls) == 4 * len(tasks)
     calls.clear()
     few_shot_adapt(params, tasks[0].support[:3], 1e-3, 2)
@@ -587,7 +598,7 @@ def test_each_inner_point_is_forwarded_once(monkeypatch) -> None:
     traces = _record_inner_traces(monkeypatch)
     params = small_params(80)
     tasks = [demo_task(80), demo_task(81)]
-    meta_train_step(params, tasks, TrainConfig(inner_rate=1e-3, inner_steps=3, batch_size=2), step_seed=2)
+    meta_train_step(params, tasks, step_cfg(inner_rate=1e-3, inner_steps=3, batch_size=2), step_seed=2)
     counts = Counter((id(theta), id(x)) for theta, x in seen)
     points = [(id(p.values), id(batch.states)) for trace, batch in traces for p in trace.points]
     assert len(points) >= 3 * len(tasks) * 2  # the selector and at least one sub-skill per task
@@ -604,7 +615,7 @@ def test_few_shot_adapt_keeps_no_linearizations(monkeypatch) -> None:
     few_shot_adapt(params, task.support[:3], 1e-3, 4, aux_weight=0.1)
     assert traces and all(len(t.points) == 4 and t.linearized == () for t, _ in traces)
     traces.clear()
-    meta_train_step(params, [task], TrainConfig(inner_rate=1e-3, inner_steps=2, batch_size=2), step_seed=3)
+    meta_train_step(params, [task], step_cfg(inner_rate=1e-3, inner_steps=2, batch_size=2), step_seed=3)
     assert traces and all(len(t.linearized) == len(t.points) == 2 for t, _ in traces)
 
 
@@ -623,7 +634,7 @@ def test_meta_train_step_frees_each_task_before_the_next(monkeypatch) -> None:
 
     monkeypatch.setattr(dmil, "inner_adapt", recording)
     tasks = [demo_task(84), demo_task(85), demo_task(86)]
-    meta_train_step(small_params(84), tasks, TrainConfig(inner_rate=1e-3, inner_steps=2, batch_size=2), step_seed=4)
+    meta_train_step(small_params(84), tasks, step_cfg(inner_rate=1e-3, inner_steps=2, batch_size=2), step_seed=4)
     assert alive.count(0) == len(tasks)  # the first inner step of each task sees no live trace
     assert all(r() is None for r in refs)
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from dmil.autodiff import ContractError, ParamVector
-from dmil.dmil import TrainConfig, predict_action
+from dmil.dmil import predict_action
 from dmil.evaluation import (
     ROLLOUT_SEED0,
     ExpertPolicy,

@@ -1,16 +1,16 @@
 import ast
+import inspect
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dmil import autodiff as ad
-from dmil import evaluation, runner
+from dmil import dmil, evaluation, runner
 from dmil.autodiff import ContractError, ParamVector, inner_adapt
 from dmil.config import METHODS, resolve_config
 from dmil.dmil import (
     StepResult,
-    TrainConfig,
     adapt_phases,
     hard_labels,
     high_batch,
@@ -50,10 +50,8 @@ def test_method_table_row_drives_every_reader(monkeypatch, method) -> None:
     cfg = tiny(method)
     k = 1 if row.one_network else cfg["model"]["n_skills"]
     assert runner.init_model(cfg).K == k
-    tc = runner.train_config_from(cfg)
-    assert (tc.meta_high, tc.meta_low) == row.adapts
 
-    called = []
+    called, trained = [], []
 
     def spy(name):
         keep = getattr(runner, name)
@@ -61,8 +59,22 @@ def test_method_table_row_drives_every_reader(monkeypatch, method) -> None:
 
     for name in {r.step for r in METHODS.values()}:
         monkeypatch.setattr(runner, name, spy(name))
-    res = runner.train(cfg)
+    keep_phases = dmil.adapt_phases
+
+    def phases(*args, **kwargs):
+        bound = inspect.signature(keep_phases).bind(*args, **kwargs)
+        bound.apply_defaults()
+        trained.append((bound.arguments["adapt_high"], bound.arguments["adapt_low"]))
+        return keep_phases(*args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(dmil, "adapt_phases", phases)
+        res = runner.train(cfg)
     assert called == [row.step]
+    # The meta-learned levels: what the step hands to the inner phases
+    # (em_only takes no inner step).
+    n_tasks = cfg["dmil"]["tasks_per_step"] * cfg["run"]["iterations"]
+    assert trained == ([] if method == "em_only" else [row.adapts] * n_tasks)
 
     levels = []
     keep_adapt = evaluation.few_shot_adapt
@@ -218,8 +230,7 @@ def test_gradcheck_instances_match_the_tape() -> None:
             )
             exact_l = lo_grad(traces_l, params, batches4)[0]
 
-            cfg = TrainConfig(inner_rate=rate, inner_steps=steps, aux_weight=aux)
-            phase_h, phase_l, batch_h, batches_l = task_phases(params, groups, cfg)
+            phase_h, phase_l, batch_h, batches_l = task_phases(params, groups, rate, steps, aux, True, True)
             assert same_high_batch(phase_h.batch, batch1) and same_high_batch(batch_h, batch3)
             assert len(batches_l) == len(phase_l) == params.K
             for trace, batch2k, got4, want4 in zip(phase_l, batches2, batches_l, batches4):
@@ -257,7 +268,7 @@ def test_train_sgd_applies_the_step_gradients_once(method) -> None:
         task_rng = SplitMix64(derive_seed(0, runner.SALT_TASK_SELECT))
         batch = [datasets[0][task_rng.randint(2)] for _ in range(2)]
         step_seed = derive_seed(0, runner.SALT_STEP, 0)
-        grads = step(start, batch, runner.train_config_from(cfg), step_seed)
+        grads = step(start, batch, cfg, step_seed)
         assert grads.grad_norm_skills > 0.0
         want = opt_class(1e-2).step(start, grads)
         assert np.array_equal(res.params.high.values, want.high.values)
