@@ -9,7 +9,8 @@ its config and builds or loads its datasets; eval and ablate check eval.shots
 (runner.check_eval), and eval its checkpoint's method and model
 (runner.check_model); so input it rejects leaves no output.  Every input
 file (config, checkpoint, dataset) is read by data.read_json, and --out
-must name a directory or a path that can become one (exit 2 otherwise).
+must name an empty directory or a path that can become one (exit 2
+otherwise), so no run's files mix with another's.
 
 Every command runs BLAS on one thread, pinned when the package is imported
 (dmil.blas).
@@ -116,35 +117,30 @@ def cmd_ablate(args) -> int:
     return 0
 
 
+# Subcommand -> (handler, help).
+COMMANDS = {
+    "gen-data": (cmd_gen_data, "generate benchmark dataset files"),
+    "train": (cmd_train, "train one method, write checkpoints and metrics"),
+    "eval": (cmd_eval, "few-shot evaluation of a checkpoint"),
+    "gradcheck": (cmd_gradcheck, "check the meta-gradients against finite differences"),
+    "ablate": (cmd_ablate, "paired runs of every method on identical seeds"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dmil",
         description="Hierarchical meta imitation learning on a synthetic switching-controller benchmark.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser, checkpoint: bool = False):
+    for name, (_, help_text) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", type=str, default=None, help="JSON config file")
         p.add_argument("--seed", type=int, default=None, help="override run.seed")
         p.add_argument("--out", type=str, required=True, help="run directory")
-        if checkpoint:
+        if name == "eval":
             p.add_argument("--checkpoint", type=str, required=True, help="checkpoint JSON to evaluate")
-
-    common(sub.add_parser("gen-data", help="generate benchmark dataset files"))
-    common(sub.add_parser("train", help="train one method, write checkpoints and metrics"))
-    common(sub.add_parser("eval", help="few-shot evaluation of a checkpoint"), checkpoint=True)
-    common(sub.add_parser("gradcheck", help="check the meta-gradients against finite differences"))
-    common(sub.add_parser("ablate", help="paired runs of every method on identical seeds"))
     return parser
-
-
-COMMANDS = {
-    "gen-data": cmd_gen_data,
-    "train": cmd_train,
-    "eval": cmd_eval,
-    "gradcheck": cmd_gradcheck,
-    "ablate": cmd_ablate,
-}
 
 
 # Error class -> (exit code, message prefix).
@@ -161,7 +157,7 @@ def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(asctime)s %(levelname)s %(message)s")
     args = build_parser().parse_args(argv)
     try:
-        return COMMANDS[args.command](args)
+        return COMMANDS[args.command][0](args)
     except tuple(EXIT_CODES) as e:
         code, what = next(EXIT_CODES[c] for c in type(e).__mro__ if c in EXIT_CODES)
         logger.error("%s: %s", what, e)

@@ -79,9 +79,13 @@ def environment() -> dict:
 
 
 def open_run_dir(out, cfg: dict) -> Path:
-    """Make the run directory (a ConfigError if it cannot be made) and write its config.json and env.json."""
+    """Make the run directory and write its config.json and env.json; a
+    ConfigError, before anything is written, if it cannot be made or already
+    holds files (another run's files would mix with this run's)."""
     out = Path(out)
     try:
+        if out.is_dir() and any(out.iterdir()):
+            raise ConfigError(f"run directory {out} is not empty")
         out.mkdir(parents=True, exist_ok=True)
     except OSError as e:
         raise ConfigError(f"run directory {out} cannot be made: {e.strerror}") from e
@@ -255,7 +259,8 @@ class TrainResult:
 
 
 def train(cfg: dict, out_dir=None, datasets=None, warm_params=None) -> TrainResult:
-    """Train one method per cfg; optionally persist run artifacts to out_dir.
+    """Train one method per cfg; optionally persist run artifacts to out_dir,
+    a run directory that open_run_dir made.
 
     `datasets` lets callers share prebuilt (train, test) task lists across
     paired runs, and `warm_params` a precomputed warm start of the config's
@@ -277,7 +282,7 @@ def train(cfg: dict, out_dir=None, datasets=None, warm_params=None) -> TrainResu
     n_train = len(train_tasks)
     optimizer = {"sgd": Sgd, "adam": Adam}[cfg["dmil"]["outer_optimizer"]](cfg["dmil"]["outer_rate"])
 
-    out = open_run_dir(out_dir, cfg) if out_dir is not None else None
+    out = Path(out_dir) if out_dir is not None else None
     if out is not None:
         save_checkpoint(out / "checkpoint_000000.json", params, method, task_rng.state, 0)
         (out / "metrics.csv").write_text(",".join(METRICS_COLUMNS) + "\n")
@@ -466,7 +471,7 @@ def ablate(cfg: dict, out_dir=None, datasets=None) -> list[dict]:
         k = n_skills_for(sub)
         if k not in warm:
             warm[k] = warm_start(sub, datasets[0])
-        sub_out = Path(out_dir) / method if out_dir is not None else None
+        sub_out = open_run_dir(Path(out_dir) / method, sub) if out_dir is not None else None
         res = train(sub, out_dir=sub_out, datasets=datasets, warm_params=warm[k])
         rows.extend(evaluate(sub, res.params, method, res.test_tasks))
     if out_dir is not None:

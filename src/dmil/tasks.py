@@ -55,7 +55,7 @@ START_BOX = 0.2
 STATE_DIM = 4  # [px, py, gx, gy]
 ACTION_DIM = 2
 N_REGIMES = 3  # approach, orbit, dock: the hidden skill labels 0, 1, 2
-# The smallest datasets make_dataset and simulate build, and config.RANGES's
+# The smallest datasets make_dataset and simulate build, and config.SCHEMA's
 # data.* bounds: four phase batches come from the support set.
 MIN_SUPPORT, MIN_QUERY, MIN_HORIZON = 4, 1, 2
 

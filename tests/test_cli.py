@@ -9,6 +9,7 @@ import random
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -17,7 +18,7 @@ from dmil import MALLOC_THRESHOLDS_SET, blas, runner
 from dmil.autodiff import ContractError, NumericError
 from dmil.checkpoint import CheckpointSchemaError, load_checkpoint, save_checkpoint
 from dmil.cli import COMMANDS, main
-from dmil.config import CHOICES, DEFAULT_CONFIG, METHODS, RANGES, ConfigError, load_config, resolve_config
+from dmil.config import DEFAULT_CONFIG, METHODS, ConfigError, load_config, resolve_config
 from dmil.policies import init_hierarchical
 from dmil.runner import init_model
 from dmil.tasks import (
@@ -442,15 +443,11 @@ def test_config_shots_must_be_positive_integers(section, key, value) -> None:
     assert resolve_config({section: {key: [1, 5]}})[section][key] == [1, 5]
 
 
-def test_every_checked_key_is_a_config_key() -> None:
-    # Each check-table key names a config key, and each choice's default is
-    # one of its choices, so the defaults resolve.
-    for key in [key for key, _ in CHOICES] + [key for key, _ in RANGES]:
-        section, name = key.split(".")
-        assert name in DEFAULT_CONFIG[section], key
-    for key, valid in CHOICES:
-        section, name = key.split(".")
-        assert DEFAULT_CONFIG[section][name] in valid, key
+def test_defaults_satisfy_their_rules() -> None:
+    # Each key's default and rule sit side by side in config.SCHEMA, so no
+    # key can be checked without being a config key; its default must still
+    # pass its own rule.
+    assert resolve_config() == DEFAULT_CONFIG
 
 
 def test_config_range_accepts_its_bounds() -> None:
@@ -826,23 +823,55 @@ def test_config_value_nested_within_the_parser_limit_exits_2(tmp_path, caplog) -
         assert not (tmp_path / "run").exists()
 
 
-@pytest.mark.parametrize("under", [False, True], ids=["a file", "under a file"])
+@pytest.mark.parametrize("case", ["a file", "under a file", "a used directory"])
 @pytest.mark.parametrize("command", list(COMMANDS))
-def test_out_naming_a_file_exits_2_before_any_output(tmp_path, caplog, command, under) -> None:
+def test_out_naming_a_file_exits_2_before_any_output(tmp_path, caplog, command, case) -> None:
     cfg = write_tiny(tmp_path, gradcheck={"instances": 1})
     afile = tmp_path / "afile"
     afile.write_text("kept")
-    out = afile / "sub" if under else afile
+    used = tmp_path / "used"  # another run's directory: its files must not mix with this run's
+    used.mkdir()
+    (used / "metrics.csv").write_text("iteration,outer_loss\n0,1.0\n")
+    out, reason = {
+        "a file": (afile, "cannot be made: File exists"),
+        "under a file": (afile / "sub", "cannot be made: Not a directory"),
+        "a used directory": (used, "is not empty"),
+    }[case]
     argv = [command, "--config", str(cfg), "--out", str(out)]
     if command == "eval":
         save_checkpoint(tmp_path / "ck.json", init_model(load_config(cfg)), "dmil", 1, 0)
         argv += ["--checkpoint", str(tmp_path / "ck.json")]
-    before = sorted(tmp_path.rglob("*"))
+    before = {p: p.is_file() and p.read_bytes() for p in tmp_path.rglob("*")}
     caplog.clear()
     assert main(argv) == 2
-    reason = "Not a directory" if under else "File exists"
-    assert one_line_error(caplog, "config error") == f"config error: run directory {out} cannot be made: {reason}"
-    assert sorted(tmp_path.rglob("*")) == before and afile.read_text() == "kept"
+    assert one_line_error(caplog, "config error") == f"config error: run directory {out} {reason}"
+    assert {p: p.is_file() and p.read_bytes() for p in tmp_path.rglob("*")} == before
+
+
+def test_train_opens_its_run_directory_once(tmp_path, monkeypatch) -> None:
+    # The command makes the run directory and copies its config file there
+    # before anything trains; runner.train writes into that directory.
+    real_open, real_train = runner.open_run_dir, runner.train
+    opened = []
+
+    def open_run_dir(out, cfg):
+        opened.append(Path(out))
+        return real_open(out, cfg)
+
+    def train(cfg, out_dir=None, **kwargs):
+        assert sorted(p.name for p in out_dir.iterdir()) == ["config.input.json", "config.json", "env.json"]
+        return real_train(cfg, out_dir=out_dir, **kwargs)
+
+    monkeypatch.setattr(runner, "open_run_dir", open_run_dir)
+    monkeypatch.setattr("dmil.cli.open_run_dir", open_run_dir)
+    monkeypatch.setattr("dmil.cli.train", train)
+    cfg = write_tiny(tmp_path, run={"iterations": 2, "checkpoint_every": 1})
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+    assert opened == [out]
+    checkpoints = ["checkpoint_000000.json", "checkpoint_000001.json", "checkpoint_000002.json", "checkpoint_final.json"]
+    want = ["config.input.json", "config.json", "env.json", "metrics.csv", "timing.csv", *checkpoints]
+    assert sorted(p.name for p in out.iterdir()) == sorted(want)
 
 
 MISSING = object()  # changed_dataset's value for a field it deletes
@@ -883,8 +912,8 @@ def test_dataset_line_not_as_simulated_exits_6(tmp_path, caplog, field, value, e
 def changed_dataset(tmp_path, field, value, split: str = "train") -> dict:
     """The data section of gen-data files of TINY (one 24-step trajectory per
     line) whose second `split`.jsonl line has `field` set to `value`, or
-    deleted for MISSING."""
-    data_dir = tmp_path / "data"
+    deleted for MISSING; each call writes into a fresh directory."""
+    data_dir = Path(tempfile.mkdtemp(prefix="data", dir=tmp_path))
     assert main(["gen-data", "--config", str(write_tiny(tmp_path)), "--out", str(data_dir)]) == 0
     changed = data_dir / f"{split}.jsonl"
     lines = changed.read_text().splitlines()
