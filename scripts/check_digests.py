@@ -1,9 +1,15 @@
 """Byte-identity check of the benchmark's outputs: runs the three perfbench
-workloads at seed 0 and ablate at seed 7 for one round each, then
-perfbench's own self-test, every one as a subprocess, and prints the twelve
-output digests next to the recorded ones, each run's correct/failed result
-and the line count of each src/dmil file.  Exits 1 on any mismatch, failed
-check or failed operation.
+workloads at seed 0 and ablate at seed 7 for one round each, one traced
+fewshot_eval round at seed 0, then perfbench's own self-test, every one as
+a subprocess, and prints the output digests next to the recorded ones, each
+run's correct/failed result and the line count of each src/dmil file.
+Exits 1 on any mismatch, failed check or failed operation.
+
+The traced round must also report 1-shot few_shot_adapt samples: the tracer
+tags each few_shot_adapt span with the length of its second positional
+argument, the demonstrations.  Demonstrations moved off that position leave
+the traced 1-shot percentile empty (a keyword call crashes the traced run),
+while every untraced round still matches its digests.
 
     python3 scripts/check_digests.py
 
@@ -44,11 +50,11 @@ RECORDED = {
 }
 
 
-def run_workload(workload: str, seed: int) -> tuple[dict, dict | None, int]:
+def run_workload(workload: str, seed: int, trace: int = 0) -> tuple[dict, dict | None, int]:
     """The digests a run prints, its final JSON result (None if it printed
     none) and its exit code."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", "1",
-            "--trace", "0"]
+            "--trace", str(trace)]
     proc = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True)
     lines = proc.stdout.splitlines()
     digests = {}
@@ -64,20 +70,32 @@ def run_workload(workload: str, seed: int) -> tuple[dict, dict | None, int]:
     return digests, result, proc.returncode
 
 
+def check_run(workload: str, seed: int, trace: int = 0) -> tuple[bool, dict | None]:
+    """Run one round and print its digests against the recorded ones and
+    its result.  Returns whether all match and the run is correct with no
+    failed operation, and the run's JSON result."""
+    digests, result, code = run_workload(workload, seed, trace)
+    run = f"{workload} seed {seed}" + (" traced" if trace else "")
+    ok = True
+    for name, want in RECORDED[(workload, seed)].items():
+        got = digests.get(name, "missing")
+        same = got == want
+        ok &= same
+        print(f"{run:27s} {name:12s} {got[:16]} recorded {want[:16]} {'ok' if same else 'MISMATCH'}")
+    correct = result is not None and result["correct"] and result["failed"] == 0 and code == 0
+    summary = "no result" if result is None else f"correct: {result['correct']}, failed: {result['failed']}"
+    print(f"{run:27s} {summary}, exit {code} {'ok' if correct else 'FAILED'}")
+    return ok and correct, result
+
+
 def main() -> int:
     ok = True
-    for (workload, seed), recorded in RECORDED.items():
-        digests, result, code = run_workload(workload, seed)
-        run = f"{workload} seed {seed}"
-        for name, want in recorded.items():
-            got = digests.get(name, "missing")
-            same = got == want
-            ok &= same
-            print(f"{run:20s} {name:12s} {got[:16]} recorded {want[:16]} {'ok' if same else 'MISMATCH'}")
-        correct = result is not None and result["correct"] and result["failed"] == 0 and code == 0
-        ok &= correct
-        summary = "no result" if result is None else f"correct: {result['correct']}, failed: {result['failed']}"
-        print(f"{run:20s} {summary}, exit {code} {'ok' if correct else 'FAILED'}")
+    for workload, seed in RECORDED:
+        ok &= check_run(workload, seed)[0]
+    traced_ok, result = check_run("fewshot_eval", 0, trace=1)
+    samples = result["metrics"].get("dmil.few_shot_adapt.samples", {}).get("value", 0) if result else 0
+    ok &= traced_ok and samples > 0
+    print(f"{'fewshot_eval seed 0 traced':27s} dmil.few_shot_adapt.samples: {samples} {'ok' if samples else 'FAILED'}")
     selftest = subprocess.run([sys.executable, "perfbench/selftest.py"], cwd=ROOT, capture_output=True, text=True)
     ok &= selftest.returncode == 0
     ran = [line for line in selftest.stderr.splitlines() if line.startswith("Ran ")]

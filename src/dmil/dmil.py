@@ -21,7 +21,8 @@ runner.gradcheck_run both differentiate what it builds.  Each phase batch
 is pooled once (flatten and feature map, `pool`), and labels, routing and
 selector batches all read that Pool; each sub-skill's routed data set is a
 Pool of its rows.  The two inner updates are adapt_phases, which few-shot
-adaptation and the warm start's selector consolidation also run.
+adaptation and the warm start's selector consolidation also run; one Inner
+value carries an inner phase's settings into every one of these callers.
 
 Meta-gradients are summed over tasks in list order, divided by the task
 count and returned for one atomic update, which the caller (runner.train)
@@ -41,7 +42,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -171,25 +172,29 @@ def high_batch(p: Pool, labels: np.ndarray, n_skills: int, aux_weight: float) ->
 # ---------------------------------------------------------------------------
 
 
+class Inner(NamedTuple):
+    """One inner phase's settings: `steps` gradient steps of size `rate`,
+    the selector loss's switch weight, and which levels adapt, as the
+    (selector, sub-skills) pair of config.METHODS."""
+
+    rate: float
+    steps: int
+    aux_weight: float
+    adapts: tuple[bool, bool]
+
+
 def adapt_phases(
-    params: HierarchicalParams,
-    p_high: Pool,
-    p_low: Pool,
-    rate: float,
-    steps: int,
-    aux_weight: float,
-    adapt_high: bool = True,
-    adapt_low: bool = True,
-    keep: bool = True,
+    params: HierarchicalParams, p_high: Pool, p_low: Pool, inner: Inner, keep: bool = True
 ) -> tuple[AdaptTrace, tuple[AdaptTrace, ...]]:
     """The inner half of an iteration, and all of few-shot adaptation.
 
-    The selector takes `steps` inner steps on p_high, labelled by the frozen
-    sub-skills; the adapted selector routes p_low, and each sub-skill takes
-    `steps` inner steps on its routed pairs.  A level that is not adapted,
-    a one-skill selector and a sub-skill routed no pair keep a zero-step
-    trace.  The traces keep their linearizations for meta_grad only with
-    `keep`."""
+    The selector takes `inner.steps` inner steps on p_high, labelled by the
+    frozen sub-skills; the adapted selector routes p_low, and each sub-skill
+    takes as many inner steps on its routed pairs.  A level that is not
+    adapted, a one-skill selector and a sub-skill routed no pair keep a
+    zero-step trace.  The traces keep their linearizations for meta_grad
+    only with `keep`."""
+    rate, steps, aux_weight, (adapt_high, adapt_low) = inner
     labels = hard_labels(p_high, params.skills, params.skill_shape) if adapt_high else None
     batch = None if labels is None else high_batch(p_high, labels, params.K, aux_weight)
     loss_h = SelectorLoss(params.high_shape)
@@ -277,16 +282,10 @@ class StepResult:
 
 
 def task_phases(
-    params: HierarchicalParams,
-    groups: tuple[Sequence[Trajectory], ...],
-    rate: float,
-    steps: int,
-    aux_weight: float,
-    adapt_high: bool,
-    adapt_low: bool,
+    params: HierarchicalParams, groups: tuple[Sequence[Trajectory], ...], inner: Inner
 ) -> tuple[AdaptTrace, tuple[AdaptTrace, ...], HighBatch | None, tuple[Pool, ...]]:
     """One task's four phases, each trajectory group pooled once: the inner
-    traces of adapt_phases (same arguments) on groups 1 and 2, the
+    traces of adapt_phases (same settings) on groups 1 and 2, the
     selector's outer batch and the sub-skills' routed outer batches, for
     ho_grad and lo_grad.  A level that is not adapted keeps a zero-step
     trace, whose meta-gradient is its plain outer gradient, taken on its
@@ -294,12 +293,13 @@ def task_phases(
     selector, group 2 for the sub-skills."""
     t1, t2, t3, t4 = groups
     p1, p2 = pool(t1, params.feature_kind), pool(t2, params.feature_kind)
-    trace_h, traces_l = adapt_phases(params, p1, p2, rate, steps, aux_weight, adapt_high, adapt_low)
+    trace_h, traces_l = adapt_phases(params, p1, p2, inner)
+    adapt_high, adapt_low = inner.adapts
     if adapt_high:
         p3, label_skills = pool(t3, params.feature_kind), [t.final for t in traces_l]
     else:
         p3, label_skills = p1, params.skills
-    batch_h = high_batch(p3, hard_labels(p3, label_skills, params.skill_shape), params.K, aux_weight)
+    batch_h = high_batch(p3, hard_labels(p3, label_skills, params.skill_shape), params.K, inner.aux_weight)
     p4 = pool(t4, params.feature_kind) if adapt_low else p2
     batches_l = partition_by_skill(p4, route(trace_h.final, params.high_shape, p4.states), params.K)
     return trace_h, traces_l, batch_h, batches_l
@@ -328,11 +328,11 @@ def meta_train_step(
     g_skills = [ParamVector.zeros(len(s)) for s in params.skills]
     high_vals, skill_vals, diverged = [], [], 0
     d = cfg["dmil"]
-    inner = (d["inner_rate"], d["inner_steps"], d["aux_weight"], *METHODS[d["method"]].adapts)
+    inner = Inner(d["inner_rate"], d["inner_steps"], d["aux_weight"], METHODS[d["method"]].adapts)
     for task in tasks:
         rng = SplitMix64(derive_seed(step_seed, task.spec.seed))
         groups = sample_phase_batches(task.support, d["batch_size"], rng)
-        trace_h, traces_l, batch_h, batches_l = task_phases(params, groups, *inner)
+        trace_h, traces_l, batch_h, batches_l = task_phases(params, groups, inner)
         task_high, high_val = ho_grad(trace_h, params, batch_h)
         task_skills, skill_val = lo_grad(traces_l, params, batches_l)
         g_high = g_high.add(task_high)
@@ -355,22 +355,15 @@ def meta_train_step(
 # ---------------------------------------------------------------------------
 
 
-def few_shot_adapt(
-    params: HierarchicalParams,
-    demos: Sequence[Trajectory],
-    rate: float,
-    steps: int,
-    aux_weight: float = 0.0,
-    adapt_high: bool = True,
-    adapt_low: bool = True,
-) -> HierarchicalParams:
-    """Adapt on a handful of demonstrations: the inner phases with both
-    levels on the same pooled trajectories.  The input params are untouched,
-    and the traces keep no linearizations: nothing differentiates them."""
+def few_shot_adapt(params: HierarchicalParams, demos: Sequence[Trajectory], inner: Inner) -> HierarchicalParams:
+    """Adapt on a handful of demonstrations: the inner phases, as `inner`
+    sets them, with both levels on the same pooled trajectories.  The input
+    params are untouched, and the traces keep no linearizations: nothing
+    differentiates them."""
     if not demos:
         raise ContractError("few_shot_adapt needs at least one demonstration")
     p = pool(demos, params.feature_kind)
-    trace_h, traces_l = adapt_phases(params, p, p, rate, steps, aux_weight, adapt_high, adapt_low, keep=False)
+    trace_h, traces_l = adapt_phases(params, p, p, inner, keep=False)
     return params.with_updates(trace_h.final, tuple(t.final for t in traces_l))
 
 

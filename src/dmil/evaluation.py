@@ -15,7 +15,7 @@ import numpy as np
 from .autodiff import ContractError
 from .autodiff import inner_adapt  # noqa: F401  (perfbench/tracing.py wraps this name here)
 from .data import Trajectory
-from .dmil import few_shot_adapt, predict_action
+from .dmil import Inner, few_shot_adapt, predict_action
 from .policies import HierarchicalParams
 from .policies import mlp_forward  # noqa: F401  (perfbench/tracing.py wraps this name here)
 from .tasks import N_REGIMES, TaskDataset, TaskSpec, expert, rollout_policy
@@ -121,27 +121,14 @@ def switch_rate(labels) -> float:
 
 @dataclass(frozen=True)
 class HierarchicalPolicy:
-    """Few-shot-adaptable wrapper around hierarchical parameters; the
-    adapt_high/adapt_low flags say which levels adaptation moves."""
+    """Few-shot-adaptable wrapper around hierarchical parameters; `inner`
+    is the inner phase that adaptation runs (few_shot_adapt)."""
 
     params: HierarchicalParams
-    adapt_rate: float
-    adapt_steps: int
-    aux_weight: float = 0.0
-    adapt_high: bool = True
-    adapt_low: bool = True
+    inner: Inner
 
     def adapt(self, demos: Sequence[Trajectory]) -> "HierarchicalPolicy":
-        adapted = few_shot_adapt(
-            self.params,
-            demos,
-            self.adapt_rate,
-            self.adapt_steps,
-            aux_weight=self.aux_weight,
-            adapt_high=self.adapt_high,
-            adapt_low=self.adapt_low,
-        )
-        return replace(self, params=adapted)
+        return replace(self, params=few_shot_adapt(self.params, demos, self.inner))
 
     def act(self, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return predict_action(self.params, states)

@@ -28,6 +28,7 @@ from .baselines import em_only_train, hard_em_grads, maml_train_step  # noqa: F4
 from .checkpoint import save_checkpoint
 from .config import METHODS, ConfigError, dump_config
 from .dmil import (
+    Inner,
     Pool,
     StepResult,
     adapt_phases,
@@ -239,7 +240,7 @@ def warm_start(cfg: dict, train_tasks) -> HierarchicalParams:
 
     if m["warmup_consolidate"] <= 0:
         return params
-    trace_h, _ = adapt_phases(params, p, p, lr, m["warmup_consolidate"], aux, adapt_low=False, keep=False)
+    trace_h, _ = adapt_phases(params, p, p, Inner(lr, m["warmup_consolidate"], aux, (True, False)), keep=False)
     return params.with_updates(trace_h.final, params.skills)
 
 
@@ -358,9 +359,8 @@ def evaluate(
     rows = []
     for shots in e["shots"]:
         steps = e["adapt_steps"] * shots if e["scale_steps_with_shots"] else e["adapt_steps"]
-        policy = HierarchicalPolicy(
-            params, e["adapt_rate"], steps, cfg["dmil"]["aux_weight"], *METHODS[method].adapts
-        )
+        inner = Inner(e["adapt_rate"], steps, cfg["dmil"]["aux_weight"], METHODS[method].adapts)
+        policy = HierarchicalPolicy(params, inner)
         pre_mse = pre_mse or [query_mse(policy.act(s)[0], task) for s, task in zip(queries, test_tasks)]
         for task, states, pre in zip(test_tasks, queries, pre_mse, strict=True):
             adapted = policy.adapt(list(task.support[:shots]))
@@ -433,7 +433,8 @@ def gradcheck_run(cfg: dict) -> dict:
         trajs = [rollout_expert(spec, GRADCHECK_HORIZON, j) for j in range(4 * b)]
         groups = tuple(trajs[j * b : (j + 1) * b] for j in range(4))
         for steps in g["inner_steps"]:
-            trace_h, traces_l, batch_h, batches_l = task_phases(params, groups, GRADCHECK_INNER_RATE, steps, 0.1, True, True)
+            inner = Inner(GRADCHECK_INNER_RATE, steps, 0.1, (True, True))
+            trace_h, traces_l, batch_h, batches_l = task_phases(params, groups, inner)
             worst_high = max(worst_high, _fd_rel_err(trace_h, batch_h, ho_grad(trace_h, params, batch_h)[0]))
             for trace, batch, exact in zip(traces_l, batches_l, lo_grad(traces_l, params, batches_l)[0]):
                 if trace.points and len(batch):

@@ -9,7 +9,7 @@ from dmil import dmil, runner
 from dmil.autodiff import ParamVector
 from dmil.baselines import em_only_train, maml_train_step
 from dmil.config import resolve_config
-from dmil.dmil import ho_grad, lo_grad, meta_train_step, pool, sample_phase_batches, task_phases
+from dmil.dmil import Inner, ho_grad, lo_grad, meta_train_step, pool, sample_phase_batches, task_phases
 from dmil.policies import HierarchicalParams, init_hierarchical, mlp_forward
 from dmil.rng import SplitMix64, derive_seed
 from dmil.tasks import make_dataset, sample_task
@@ -108,7 +108,8 @@ def test_high_and_low_ablations_leave_other_level_plain() -> None:
         t1, t2, t3, t4 = (pool(t, "raw") for t in sample_phase_batches(task.support, d["batch_size"], rng))
         # dmil_high: skills get plain gradients on the routed second batch,
         # where routing uses the adapted selector.
-        trace_h, _ = adapt_phases(params, t1, t2, d["inner_rate"], d["inner_steps"], d["aux_weight"], adapt_low=False)
+        inner = Inner(d["inner_rate"], d["inner_steps"], d["aux_weight"], (True, False))
+        trace_h, _ = adapt_phases(params, t1, t2, inner)
         batches = partition_by_skill(t2, route(trace_h.final, params.high_shape, t2.states), params.K)
         for k in range(3):
             if len(batches[k]):
@@ -130,16 +131,15 @@ def test_high_and_low_ablations_leave_other_level_plain() -> None:
 def test_lifting_restrictions_reproduces_full_step_bitwise() -> None:
     # dmil's step is task_phases with both levels on, the restrictions of
     # dmil_high and dmil_low lifted: its gradients are ho_grad/lo_grad of
-    # the phases that task_phases builds with adapt_high and adapt_low set.
+    # the phases that task_phases builds with both levels adapted.
     params = init_hierarchical(4, 2, 3, (8,), seed=22)
     tasks = [demo_task(22)]
     cfg = step_cfg(inner_rate=1e-3, inner_steps=2, batch_size=2)
     d = cfg["dmil"]
     full = meta_train_step(params, tasks, cfg, step_seed=8)
     groups = sample_phase_batches(tasks[0].support, d["batch_size"], SplitMix64(derive_seed(8, tasks[0].spec.seed)))
-    trace_h, traces_l, batch_h, batches_l = task_phases(
-        params, groups, d["inner_rate"], d["inner_steps"], d["aux_weight"], True, True
-    )
+    inner = Inner(d["inner_rate"], d["inner_steps"], d["aux_weight"], (True, True))
+    trace_h, traces_l, batch_h, batches_l = task_phases(params, groups, inner)
     lifted_h = ho_grad(trace_h, params, batch_h)[0].scaled(1.0)
     lifted_l = [g.scaled(1.0) for g in lo_grad(traces_l, params, batches_l)[0]]
     assert np.array_equal(full.g_high.values, lifted_h.values)

@@ -11,6 +11,7 @@ from dmil.autodiff import ParamVector, inner_adapt, linearize, loss_value
 from dmil.config import resolve_config
 from dmil.data import Trajectory
 from dmil.dmil import (
+    Inner,
     Pool,
     adapt_phases,
     few_shot_adapt,
@@ -73,12 +74,12 @@ def routed(selector, high_shape, trajs):
 def hi(params, trajs, rate, steps, aux):
     """The selector's inner trace alone: adapt_phases with the sub-skills fixed."""
     p = pool(trajs, params.feature_kind)
-    return adapt_phases(params, p, p, rate, steps, aux, adapt_low=False)[0]
+    return adapt_phases(params, p, p, Inner(rate, steps, aux, (True, False)))[0]
 
 
 def li(params, p, rate, steps):
     """The sub-skills' inner traces alone, routed by the unadapted selector."""
-    return adapt_phases(params, p, p, rate, steps, 0.0, adapt_high=False)[1]
+    return adapt_phases(params, p, p, Inner(rate, steps, 0.0, (False, True)))[1]
 
 
 # ---- hard labels ----
@@ -322,7 +323,8 @@ def test_li_step_single_pair_hand_computed() -> None:
 def _phases(params, task, cfg, step_seed=0):
     rng, d = SplitMix64(step_seed), cfg["dmil"]
     t1, t2, t3, t4 = (pool(t, "raw") for t in sample_phase_batches(task.support, d["batch_size"], rng))
-    trace_h, traces_l = adapt_phases(params, t1, t2, d["inner_rate"], d["inner_steps"], d["aux_weight"])
+    inner = Inner(d["inner_rate"], d["inner_steps"], d["aux_weight"], (True, True))
+    trace_h, traces_l = adapt_phases(params, t1, t2, inner)
     batches2 = partition_by_skill(t2, route(trace_h.final, params.high_shape, t2.states), params.K)
     return t1, t2, t3, t4, trace_h, batches2, traces_l
 
@@ -494,7 +496,8 @@ def test_meta_train_step_matches_hand_assembled_phases() -> None:
     for task in tasks:
         rng = SplitMix64(derive_seed(step_seed, task.spec.seed))
         t1, t2, t3, t4 = (pool(t, "raw") for t in sample_phase_batches(task.support, d["batch_size"], rng))
-        trace_h, traces_l = adapt_phases(params, t1, t2, d["inner_rate"], d["inner_steps"], d["aux_weight"])
+        inner = Inner(d["inner_rate"], d["inner_steps"], d["aux_weight"], (True, True))
+        trace_h, traces_l = adapt_phases(params, t1, t2, inner)
         adapted = [t.final for t in traces_l]
         batch3 = high_batch(t3, hard_labels(t3, adapted, params.skill_shape), params.K, d["aux_weight"])
         sum_h = sum_h.add(ho_grad(trace_h, params, batch3)[0])
@@ -552,7 +555,7 @@ def test_each_batch_is_featurized_once(monkeypatch) -> None:
     meta_train_step(params, tasks, step_cfg(inner_rate=1e-3, inner_steps=2, batch_size=2), step_seed=1)
     assert len(calls) == 4 * len(tasks)
     calls.clear()
-    few_shot_adapt(params, tasks[0].support[:3], 1e-3, 2)
+    few_shot_adapt(params, tasks[0].support[:3], Inner(1e-3, 2, 0.0, (True, True)))
     assert len(calls) == 1
     for epochs in (1, 4):
         calls.clear()
@@ -612,7 +615,7 @@ def test_few_shot_adapt_keeps_no_linearizations(monkeypatch) -> None:
     traces = _record_inner_traces(monkeypatch)
     params = small_params(82)
     task = demo_task(82)
-    few_shot_adapt(params, task.support[:3], 1e-3, 4, aux_weight=0.1)
+    few_shot_adapt(params, task.support[:3], Inner(1e-3, 4, 0.1, (True, True)))
     assert traces and all(len(t.points) == 4 and t.linearized == () for t, _ in traces)
     traces.clear()
     meta_train_step(params, [task], step_cfg(inner_rate=1e-3, inner_steps=2, batch_size=2), step_seed=3)
@@ -665,7 +668,7 @@ def test_labels_onehot_and_partition_disjoint_exhaustive() -> None:
 def test_few_shot_adapt_zero_rate_identity() -> None:
     params = small_params(40)
     demos = demo_task(40).support[:1]
-    adapted = few_shot_adapt(params, demos, 0.0, 3)
+    adapted = few_shot_adapt(params, demos, Inner(0.0, 3, 0.0, (True, True)))
     assert np.array_equal(adapted.high.values, params.high.values)
     for a, b in zip(adapted.skills, params.skills):
         assert np.array_equal(a.values, b.values)
@@ -674,8 +677,9 @@ def test_few_shot_adapt_zero_rate_identity() -> None:
 def test_few_shot_adapt_three_copies_equal_one_shot() -> None:
     params = small_params(41)
     demo = demo_task(41).support[0]
-    one = few_shot_adapt(params, [demo], 5e-4, 3, aux_weight=0.1)
-    three = few_shot_adapt(params, [demo, demo, demo], 5e-4, 3, aux_weight=0.1)
+    inner = Inner(5e-4, 3, 0.1, (True, True))
+    one = few_shot_adapt(params, [demo], inner)
+    three = few_shot_adapt(params, [demo, demo, demo], inner)
     assert np.allclose(one.high.values, three.high.values, rtol=1e-12, atol=1e-12)
     for a, b in zip(one.skills, three.skills):
         assert np.allclose(a.values, b.values, rtol=1e-12, atol=1e-12)
@@ -685,7 +689,7 @@ def test_few_shot_adapt_reduces_single_skill_bc_loss_pilot() -> None:
     params = small_params(42)
     task = demo_task(42)
     demo = task.support[0]
-    adapted = few_shot_adapt(params, [demo], 5e-4, 3)
+    adapted = few_shot_adapt(params, [demo], Inner(5e-4, 3, 0.0, (True, True)))
     p = pool([demo], "raw")
     loss = SkillMseLoss(params.skill_shape)
     before = sum(loss_value(loss, params.skills[k], p) for k in range(params.K))
@@ -697,8 +701,8 @@ def test_few_shot_adapt_reduces_single_skill_bc_loss_pilot() -> None:
 def test_few_shot_adapt_restricted_variants() -> None:
     params = small_params(43)
     demos = demo_task(43).support[:1]
-    high_only = few_shot_adapt(params, demos, 1e-3, 2, adapt_low=False)
-    low_only = few_shot_adapt(params, demos, 1e-3, 2, adapt_high=False)
+    high_only = few_shot_adapt(params, demos, Inner(1e-3, 2, 0.0, (True, False)))
+    low_only = few_shot_adapt(params, demos, Inner(1e-3, 2, 0.0, (False, True)))
     assert not np.array_equal(high_only.high.values, params.high.values)
     for a, b in zip(high_only.skills, params.skills):
         assert np.array_equal(a.values, b.values)

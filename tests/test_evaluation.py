@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from dmil.autodiff import ContractError, ParamVector
-from dmil.dmil import predict_action
+from dmil.dmil import Inner, predict_action
 from dmil.evaluation import (
     ROLLOUT_SEED0,
     ExpertPolicy,
@@ -192,7 +192,7 @@ def pre_post_mse(policy, adapted, task) -> tuple[float, float]:
 def test_adaptation_mse_zero_rate_pre_equals_post() -> None:
     params = init_hierarchical(4, 2, 3, (8,), seed=1)
     task = make_dataset(sample_task(1), 6, 2, 30, seed=1)
-    policy = HierarchicalPolicy(params, adapt_rate=0.0, adapt_steps=3)
+    policy = HierarchicalPolicy(params, Inner(0.0, 3, 0.0, (True, True)))
     pre, post = pre_post_mse(policy, policy.adapt(list(task.support[:1])), task)
     assert pre == post
 
@@ -310,7 +310,7 @@ def test_rollout_success_zero_policy_is_zero() -> None:
     # One skill with all-zero parameters: every action is zero.
     high, skill = MlpShape((4, 8, 1)), MlpShape((4, 8, 2))
     params = HierarchicalParams(ParamVector(np.zeros(high.n_params)), (ParamVector(np.zeros(skill.n_params)),), high, skill)
-    zero = HierarchicalPolicy(params, 0.0, 1)
+    zero = HierarchicalPolicy(params, Inner(0.0, 1, 0.0, (True, True)))
     assert np.array_equal(zero.act(np.ones((2, 4)))[0], np.zeros((2, 2)))
     assert rollout_stats(zero, spec, episodes=3, T=120).success_rate == 0.0
 
@@ -365,7 +365,7 @@ def one_episode_at_a_time(params: HierarchicalParams, spec: TaskSpec, episodes: 
 @pytest.mark.parametrize("K", [1, 3])
 @pytest.mark.parametrize("features", ["raw", "relative"])
 def test_batched_rollout_stats_equal_one_episode_at_a_time(features, K, episodes) -> None:
-    policy = HierarchicalPolicy(goal_seeking_params(features, K, noise=0.1), 0.0, 1)
+    policy = HierarchicalPolicy(goal_seeking_params(features, K, noise=0.1), Inner(0.0, 1, 0.0, (True, True)))
     got = [rollout_stats(policy, sample_task(t), episodes, 120) for t in (9000, 9001, 9004)]
     want = [one_episode_at_a_time(policy.params, sample_task(t), episodes, 120) for t in (9000, 9001, 9004)]
     assert [repr(s) for s in got] == [repr(s) for s in want]  # repr also tells -0.0 from 0.0

@@ -33,6 +33,27 @@ def test_frozen_mix64_vectors() -> None:
         assert hex(mix64(int(arg))) == expected
 
 
+def _hex(values) -> list[str]:
+    return [float(v).hex() for v in values]
+
+
+def test_frozen_float_draws() -> None:
+    # Bit for bit: a numpy build or CPU whose SIMD log/cos rounds the
+    # Box-Muller normals differently fails here before any run digest moves.
+    from dmil.runner import environment
+
+    streams = VECTORS["streams_normal_array"]
+    got = (
+        {s: _hex(SplitMix64(int(s)).uniform_array(4)) for s in VECTORS["uniform_array"]},
+        {s: _hex(SplitMix64(int(s)).normal_array(4)) for s in VECTORS["normal_array"]},
+        [_hex(row) for row in Streams(streams["seeds"]).normal_array(streams["k"])],
+    )
+    assert got == (VECTORS["uniform_array"], VECTORS["normal_array"], streams["rows"]), (
+        f"frozen float draws moved under numpy {np.__version__}, SIMD {environment()['numpy_simd']}"
+        f" (recorded under {VECTORS['float_environment']})"
+    )
+
+
 @pytest.mark.parametrize("seed", [0, 1, 42, 2**63, 0xDEADBEEF])
 def test_matches_reference_transcription(seed: int) -> None:
     rng = SplitMix64(seed)

@@ -10,6 +10,7 @@ from dmil import dmil, evaluation, runner
 from dmil.autodiff import ContractError, ParamVector, inner_adapt
 from dmil.config import METHODS, resolve_config
 from dmil.dmil import (
+    Inner,
     StepResult,
     adapt_phases,
     hard_labels,
@@ -64,7 +65,7 @@ def test_method_table_row_drives_every_reader(monkeypatch, method) -> None:
     def phases(*args, **kwargs):
         bound = inspect.signature(keep_phases).bind(*args, **kwargs)
         bound.apply_defaults()
-        trained.append((bound.arguments["adapt_high"], bound.arguments["adapt_low"]))
+        trained.append(bound.arguments["inner"].adapts)
         return keep_phases(*args, **kwargs)
 
     with monkeypatch.context() as m:
@@ -79,13 +80,49 @@ def test_method_table_row_drives_every_reader(monkeypatch, method) -> None:
     levels = []
     keep_adapt = evaluation.few_shot_adapt
 
-    def adapt(*args, adapt_high, adapt_low, **kwargs):
-        levels.append((adapt_high, adapt_low))
-        return keep_adapt(*args, adapt_high=adapt_high, adapt_low=adapt_low, **kwargs)
+    def adapt(params, demos, inner):
+        levels.append(inner.adapts)
+        return keep_adapt(params, demos, inner)
 
     monkeypatch.setattr(evaluation, "few_shot_adapt", adapt)
     runner.evaluate(cfg, res.params, method, res.test_tasks)
     assert levels == [row.adapts]
+
+
+@pytest.mark.parametrize("scale", [True, False])
+def test_evaluate_builds_one_inner_phase_per_shots_count(monkeypatch, scale) -> None:
+    # Few-shot adaptation runs eval.adapt_rate, eval.adapt_steps (times the
+    # shots count when eval.scale_steps_with_shots is on) and dmil.aux_weight.
+    cfg = tiny(aux_weight=0.25)
+    cfg["eval"].update(shots=[1, 3], adapt_rate=2e-3, adapt_steps=2, scale_steps_with_shots=scale)
+    received = []
+    keep_adapt = evaluation.few_shot_adapt
+
+    def adapt(params, demos, inner):
+        received.append(inner)
+        return keep_adapt(params, demos, inner)
+
+    monkeypatch.setattr(evaluation, "few_shot_adapt", adapt)
+    _, test_tasks = runner.build_datasets(cfg)
+    runner.evaluate(cfg, runner.init_model(cfg), "dmil", test_tasks)
+    steps = [2, 6] if scale else [2, 2]
+    assert received == [Inner(2e-3, s, 0.25, METHODS["dmil"].adapts) for s in steps]
+
+
+def test_warm_start_consolidates_the_selector_alone(monkeypatch) -> None:
+    # The consolidation is the selector's inner phase at the warm start's
+    # rate and switch weight, and keeps no linearizations.
+    cfg = tiny(aux_weight=0.25, warmup_epochs=2, warmup_consolidate=3, warmup_rate=4e-2, warmup_probe_epochs=1)
+    received = []
+    keep_phases = runner.adapt_phases
+
+    def phases(params, p_high, p_low, inner, keep=True):
+        received.append((inner, keep))
+        return keep_phases(params, p_high, p_low, inner, keep)
+
+    monkeypatch.setattr(runner, "adapt_phases", phases)
+    runner.warm_start(cfg, runner.build_datasets(cfg)[0])
+    assert received == [(Inner(4e-2, 3, 0.25, (True, False)), False)]
 
 
 def test_only_the_config_names_methods() -> None:
@@ -217,7 +254,8 @@ def test_gradcheck_instances_match_the_tape() -> None:
         p1, p2, p3, p4 = (pool(group, params.feature_kind) for group in groups)
         tape_high, tape_skill = tape_high_loss(params.high_shape), tape_skill_loss(params.skill_shape)
         for steps in (1, 3):
-            trace_h, traces_l = adapt_phases(params, p1, p2, rate, steps, aux)
+            inner = Inner(rate, steps, aux, (True, True))
+            trace_h, traces_l = adapt_phases(params, p1, p2, inner)
             batch1 = high_batch(p1, hard_labels(p1, params.skills, params.skill_shape), params.K, aux)
             adapted = [t.final for t in traces_l]
             batch3 = high_batch(p3, hard_labels(p3, adapted, params.skill_shape), params.K, aux)
@@ -230,7 +268,7 @@ def test_gradcheck_instances_match_the_tape() -> None:
             )
             exact_l = lo_grad(traces_l, params, batches4)[0]
 
-            phase_h, phase_l, batch_h, batches_l = task_phases(params, groups, rate, steps, aux, True, True)
+            phase_h, phase_l, batch_h, batches_l = task_phases(params, groups, inner)
             assert same_high_batch(phase_h.batch, batch1) and same_high_batch(batch_h, batch3)
             assert len(batches_l) == len(phase_l) == params.K
             for trace, batch2k, got4, want4 in zip(phase_l, batches2, batches_l, batches4):
