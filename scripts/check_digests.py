@@ -5,6 +5,11 @@ a subprocess, and prints the output digests next to the recorded ones, each
 run's correct/failed result and the line count of each src/dmil file.
 Exits 1 on any mismatch, failed check or failed operation.
 
+The benchmark's own digests (datasets, metric rows, params) do not cover
+runner.evaluate's rows, so each recorded (workload, seed) also reruns one
+round in this process, through perfbench/workloads.py's config_for and
+run_round, and compares the sha256 of the repr of its evaluation rows.
+
 The traced round must also report 1-shot few_shot_adapt samples: the tracer
 tags each few_shot_adapt span with the length of its second positional
 argument, the demonstrations.  Demonstrations moved off that position leave
@@ -17,12 +22,17 @@ The recorded digests were measured with numpy 2.4.6 and OpenBLAS 0.3.31
 (SkylakeX core); another numpy or BLAS build may round differently.
 """
 
+import hashlib
 import json
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.dont_write_bytecode = True  # leave perfbench/ as checked in
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+from workloads import config_for, run_round  # noqa: E402
 
 # (workload, seed) -> digest name -> sha256.
 RECORDED = {
@@ -48,6 +58,19 @@ RECORDED = {
         "params": "d7da7de20ee13372b1ab77aafed528c144a9c08f9e13a1b54d37d67d5f19a354",
     },
 }
+
+# (workload, seed) -> sha256 of repr(rows) of the round's runner.evaluate rows.
+EVAL_ROWS = {
+    ("meta_train", 0): "78b0d584936ef665131011393de17911eee8a8c7a8fdbd5b2602cf676de370e3",
+    ("ablate", 0): "051869cf5f747cdd6ab84ab9bb741712a4c89e10e9cdfda151fcbdcfa14f28fe",
+    ("fewshot_eval", 0): "b3d5c6f7d94f491e86ded89045c78d9d3be5fd22ac2466c4788cf737733c592d",
+    ("ablate", 7): "15ddc5571329f55f651d5e470e14de8a791e94c5da42527f0dc315d560b7e4d6",
+}
+
+
+def eval_rows_digest(workload: str, seed: int) -> str:
+    rows = run_round(workload, config_for(workload, seed))["rows"]
+    return hashlib.sha256(repr(rows).encode()).hexdigest()
 
 
 def run_workload(workload: str, seed: int, trace: int = 0) -> tuple[dict, dict | None, int]:
@@ -92,6 +115,11 @@ def main() -> int:
     ok = True
     for workload, seed in RECORDED:
         ok &= check_run(workload, seed)[0]
+    for (workload, seed), want in EVAL_ROWS.items():
+        got = eval_rows_digest(workload, seed)
+        ok &= got == want
+        print(f"{f'{workload} seed {seed}':27s} {'eval_rows':12s} {got[:16]} recorded {want[:16]} "
+              f"{'ok' if got == want else 'MISMATCH'}")
     traced_ok, result = check_run("fewshot_eval", 0, trace=1)
     samples = result["metrics"].get("dmil.few_shot_adapt.samples", {}).get("value", 0) if result else 0
     ok &= traced_ok and samples > 0

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -109,9 +109,11 @@ def hard_labels(p: Pool, skills: Sequence[ParamVector], skill_shape: MlpShape) -
     return np.argmin(errors, axis=1)
 
 
-def route(selector: ParamVector, high_shape: MlpShape, states: np.ndarray) -> np.ndarray:
+def route(selector: ParamVector | np.ndarray, high_shape: MlpShape, states: np.ndarray) -> np.ndarray:
     """The selector's argmax skill per row of network inputs (..., in), ties
-    to the lowest index; a one-output selector picks 0 with no forward."""
+    to the lowest index; a one-output selector picks 0 with no forward.  A
+    stack of selectors (mlp_forward's (m, n_params) array) routes an
+    (m, n, 1, in) stack."""
     if high_shape.out_dim == 1:
         return np.zeros(states.shape[:-1], dtype=np.intp)
     return np.argmax(mlp_forward(selector, high_shape, states), axis=-1)
@@ -367,18 +369,50 @@ def few_shot_adapt(params: HierarchicalParams, demos: Sequence[Trajectory], inne
     return params.with_updates(trace_h.final, tuple(t.final for t in traces_l))
 
 
+def stacked_act(stack: Sequence[HierarchicalParams]) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """The act of m parameter sets of one layout (network shapes, hence K,
+    and feature map): raw states (m * n, state_dim) in m equal blocks,
+    block i for set i, give actions (m * n, action_dim) and skills
+    (m * n,).  The sets' vectors are stacked once, as mlp_forward's
+    (m, n_params) arrays, for every call.  Each call runs one stacked
+    selector forward (none with one skill), then, for each skill that some
+    row chose, one stacked forward over every row (over the rows that chose
+    it when m is 1), and a row keeps the action of its own choice.  Every
+    row is one matmul per layer, so it is bitwise what a one-state call
+    with its own set gives."""
+    if not stack:
+        raise ContractError("need at least one parameter set")
+    layouts = {(params.high_shape, params.skill_shape, params.feature_kind) for params in stack}
+    if len(layouts) > 1:
+        raise ContractError(f"cannot stack parameter sets of different layouts: {layouts}")
+    first, m = stack[0], len(stack)
+    high = np.stack([params.high.values for params in stack])
+    skills = [np.stack([params.skills[k].values for params in stack]) for k in range(first.K)]
+
+    def act(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        x = featurize(states, first.feature_kind)
+        if len(x) % m:
+            raise ContractError(f"{len(x)} states do not split into {m} equal blocks")
+        x = x.reshape(m, -1, 1, x.shape[-1])
+        z = route(high, first.high_shape, x)[..., 0]
+        out = first.skill_shape.out_dim
+        actions = np.empty(z.shape + (out,))
+        for k, theta in enumerate(skills):
+            rows = z == k
+            if not np.any(rows):
+                continue
+            if m == 1:  # one set: forward only the rows that chose k
+                actions[rows] = mlp_forward(theta, first.skill_shape, x[rows][None]).reshape(-1, out)
+            else:
+                actions[rows] = mlp_forward(theta, first.skill_shape, x)[rows][:, 0]
+        return actions.reshape(-1, out), z.reshape(-1)
+
+    return act
+
+
 def predict_action(params: HierarchicalParams, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Actions (n, action_dim) and skills (n,) for raw states (n, state_dim):
     the selector picks each row's skill (route) and that skill predicts the
-    row's action.  One selector forward (none with one skill), then one
-    forward per chosen skill, each over an (n, 1, in) stack, so every row is
-    bitwise what a one-state call gives."""
-    x = featurize(states, params.feature_kind)[:, None, :]
-    z = route(params.high, params.high_shape, x)[:, 0]
-    actions = np.empty((len(z), params.skill_shape.out_dim))
-    for k in range(params.K):
-        rows = z == k
-        if np.any(rows):
-            actions[rows] = mlp_forward(params.skills[k], params.skill_shape, x[rows])[:, 0]
-    return actions, z
-
+    row's action.  The one-set case of stacked_act, so every row is bitwise
+    what a one-state call gives."""
+    return stacked_act([params])(states)

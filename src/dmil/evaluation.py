@@ -15,7 +15,7 @@ import numpy as np
 from .autodiff import ContractError
 from .autodiff import inner_adapt  # noqa: F401  (perfbench/tracing.py wraps this name here)
 from .data import Trajectory
-from .dmil import Inner, few_shot_adapt, predict_action
+from .dmil import Inner, few_shot_adapt, predict_action, stacked_act
 from .policies import HierarchicalParams
 from .policies import mlp_forward  # noqa: F401  (perfbench/tracing.py wraps this name here)
 from .tasks import N_REGIMES, TaskDataset, TaskSpec, expert, rollout_policy
@@ -113,10 +113,14 @@ def switch_rate(labels) -> float:
 # A policy predicts through act alone: raw states in a batch of rows, (n, 4),
 # give actions (n, 2) and the chosen skills (n,).  The metrics score the
 # predictions the caller passes in, so runner.evaluate predicts each query
-# set once per policy, and closed-loop rollouts call act once per simulator
-# step with one row per episode.  For the learned policy act is
-# predict_action, whose rows are bitwise one-state calls: the scored query
-# actions are the actions a rollout would take in those states.
+# set once per policy.  Closed-loop rollouts call act once per simulator
+# step with one row per episode; rollout_stats steps the episodes of
+# several adapted policies, one task each, in one loop, whose act is
+# stacked_act over their parameters.  For the learned policy act is
+# predict_action, the one-task case of stacked_act, and every row of
+# either is bitwise a one-state call with its task's parameters: the scored
+# query actions are the actions a rollout would take in those states, and
+# a task rolls out alike alone or stacked with others.
 
 
 @dataclass(frozen=True)
@@ -168,14 +172,27 @@ class RolloutStats:
     mean_switch_rate: float
 
 
-def rollout_stats(policy, spec: TaskSpec, episodes: int, T: int) -> RolloutStats:
-    """Closed-loop rollouts with the policy's own skill choices, all episodes
-    stepped together; success means every waypoint reached within tolerance
-    before the horizon."""
+def rollout_stats(policy, spec, episodes: int, T: int):
+    """Closed-loop rollouts with the policy's own skill choices; success
+    means every waypoint reached within tolerance before the horizon.  For
+    one task, a policy and its TaskSpec give one RolloutStats.  For several,
+    `policy` is a sequence of HierarchicalPolicy and `spec` of their specs,
+    one per task; every task's episodes step together in one simulator loop
+    under one stacked_act, and the result is a list of RolloutStats, one per
+    task, each bitwise what the task gives alone."""
+    one = isinstance(spec, TaskSpec)
+    specs = [spec] if one else list(spec)
+    if not one and len(policy) != len(specs):
+        raise ContractError(f"{len(policy)} policies for {len(specs)} tasks")
+    act = policy.act if one else stacked_act([p.params for p in policy])
     seeds = [ROLLOUT_SEED0 + e for e in range(episodes)]
-    skills, ok = rollout_policy(spec, policy.act, T, seeds)
-    rates = [switch_rate(z) for z in skills]
-    return RolloutStats(int(np.count_nonzero(ok)) / episodes, float(np.mean(rates)))
+    skills, ok = rollout_policy(specs, act, T, seeds)
+    stats = []
+    for i in range(len(specs)):
+        task = slice(i * episodes, (i + 1) * episodes)
+        rates = [switch_rate(z) for z in skills[task]]
+        stats.append(RolloutStats(int(np.count_nonzero(ok[task])) / episodes, float(np.mean(rates))))
+    return stats[0] if one else stats
 
 
 # ---------------------------------------------------------------------------

@@ -39,13 +39,15 @@ def check_input(x, in_dim: int) -> np.ndarray:
 
 
 def unpack(p: np.ndarray, sizes: tuple[int, ...]) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(W, b) views of each layer in the flat vector [W0, b0, W1, b1, ...]."""
+    """(W, b) views of each layer in the flat vector [W0, b0, W1, b1, ...];
+    a stack of vectors (m, n_params) gives (m, in, out) and (m, out) views."""
     layers = []
     offset = 0
+    lead = p.shape[:-1]
     for nin, nout in zip(sizes[:-1], sizes[1:]):
-        w = p[offset : offset + nin * nout].reshape(nin, nout)
+        w = p[..., offset : offset + nin * nout].reshape(lead + (nin, nout))
         offset += nin * nout
-        layers.append((w, p[offset : offset + nout]))
+        layers.append((w, p[..., offset : offset + nout]))
         offset += nout
     return layers
 

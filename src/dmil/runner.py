@@ -68,13 +68,14 @@ def environment() -> dict:
     """What a run's bytes may depend on beyond its config: the python and
     numpy versions, the OpenBLAS build and its thread count, numpy's SIMD
     groups (the compiled-in baseline and the dispatch targets this CPU runs,
-    from np.show_config) and whether the malloc thresholds were set."""
+    from np.show_config, which names no "found" targets on a CPU with none
+    above the baseline) and whether the malloc thresholds were set."""
     simd = np.show_config(mode="dicts")["SIMD Extensions"]
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
         "openblas": blas.describe(),
-        "numpy_simd": {"baseline": simd["baseline"], "found": simd["found"]},
+        "numpy_simd": {"baseline": simd["baseline"], "found": simd.get("found", [])},
         "malloc_thresholds_set": MALLOC_THRESHOLDS_SET,
     }
 
@@ -351,10 +352,13 @@ def evaluate(
     """One row per (shots, task), in that order.  Each task's query set is
     predicted once by the unadapted policy, whose MSE every shots row of the
     task shares, and once by each adapted policy, whose actions and skills
-    give the post-adaptation MSE and the skill recovery."""
+    give the post-adaptation MSE and the skill recovery.  Per shots count
+    every test task is adapted and its query set predicted, then one
+    rollout_stats call steps all tasks' rollout episodes together."""
     check_eval(cfg, test_tasks)
     e = cfg["eval"]
     queries = [np.concatenate([t.states for t in task.query]) for task in test_tasks]
+    specs = [task.spec for task in test_tasks]
     pre_mse: list[float] = []
     rows = []
     for shots in e["shots"]:
@@ -362,11 +366,10 @@ def evaluate(
         inner = Inner(e["adapt_rate"], steps, cfg["dmil"]["aux_weight"], METHODS[method].adapts)
         policy = HierarchicalPolicy(params, inner)
         pre_mse = pre_mse or [query_mse(policy.act(s)[0], task) for s, task in zip(queries, test_tasks)]
-        for task, states, pre in zip(test_tasks, queries, pre_mse, strict=True):
-            adapted = policy.adapt(list(task.support[:shots]))
-            actions, skills = adapted.act(states)
-            acc = adapted_skill_accuracy(skills, params.K, task)
-            stats = rollout_stats(adapted, task.spec, e["episodes"], cfg["data"]["horizon"])
+        adapted = [policy.adapt(list(task.support[:shots])) for task in test_tasks]
+        predicted = [a.act(states) for a, states in zip(adapted, queries)]
+        stats = rollout_stats(adapted, specs, e["episodes"], cfg["data"]["horizon"])
+        for task, pre, (actions, skills), st in zip(test_tasks, pre_mse, predicted, stats, strict=True):
             rows.append(
                 dict(
                     method=method,
@@ -375,9 +378,9 @@ def evaluate(
                     shots=shots,
                     pre_mse=pre,
                     post_mse=query_mse(actions, task),
-                    skill_acc=acc,
-                    switch_rate=stats.mean_switch_rate,
-                    success=stats.success_rate,
+                    skill_acc=adapted_skill_accuracy(skills, params.K, task),
+                    switch_rate=st.mean_switch_rate,
+                    success=st.success_rate,
                 )
             )
     return rows

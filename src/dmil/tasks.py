@@ -12,7 +12,9 @@ horizon.  Tasks vary controller gain and rotation (sub-skill adaptation
 pressure) and the switch radii (selector adaptation pressure).
 
 One dynamics loop, simulate, steps the noisy expert demonstrations (all of
-a task's in one call) and the closed-loop rollouts that score a policy.
+a task's in one call) and the closed-loop rollouts that score a policy
+(those of every test task in one call, task-major, each episode touring its
+own spec's waypoints).
 Before the first step each episode draws from its own stream its start box,
 then (demonstrations only) all T steps' action noise at once; the streams
 of all episodes draw together (rng.Streams), and each stream's draws are the
@@ -150,38 +152,45 @@ def expert(spec: TaskSpec) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarra
 
 
 def simulate(
-    spec: TaskSpec, act: Callable, T: int, seeds: Sequence[int], noise_std: float = 0.0
+    specs: Sequence[TaskSpec], act: Callable, T: int, seeds: Sequence[int], noise_std: float = 0.0
 ) -> tuple[np.ndarray, ...]:
-    """The dynamics loop, one episode per seed, all stepped together:
-    p' = p + DT * clip(a), and each episode's goal advances to the next
-    waypoint inside the tolerance.  Episode i has the stream
-    SplitMix64(derive_seed(spec.seed, seeds[i])), row i of one Streams.
-    Before the first step it draws its start box, then, when noise_std > 0,
-    all T steps' action noise at once: T * ACTION_DIM normals times
-    noise_std, the same draws in the same order as one ACTION_DIM draw per
-    step.  The loop draws nothing: act(states) maps (n, 4) states to (n, 2)
-    actions and (n,) skills, and step t adds row t of the noise.  Rows do
-    not interact (sqrt(vecdot(d, d)) rounds as linalg.norm does on a
-    2-vector).  Returns states (n, T, 4), actions (n, T, 2), skills (n, T)
-    and whether each episode reached every waypoint before the horizon."""
+    """The dynamics loop, one episode per (spec, seed) pair, all stepped
+    together: p' = p + DT * clip(a), and each episode's goal advances to
+    the next waypoint of its own spec inside the tolerance.  Episodes are
+    task-major: row i * len(seeds) + j is spec i's seed j, with the stream
+    SplitMix64(derive_seed(specs[i].seed, seeds[j])), one row of one
+    Streams.  Before the first step each episode draws its start box, then,
+    when noise_std > 0, all T steps' action noise at once: T * ACTION_DIM
+    normals times noise_std, the same draws in the same order as one
+    ACTION_DIM draw per step.  The loop draws nothing: act(states) maps
+    (n, 4) states, in that row order, to (n, 2) actions and (n,) skills,
+    and step t adds row t of the noise.  Rows do not interact
+    (sqrt(vecdot(d, d)) rounds as linalg.norm does on a 2-vector), so an
+    episode steps as it would alone.  Returns states (n, T, 4), actions
+    (n, T, 2), skills (n, T) and whether each episode reached every
+    waypoint before the horizon."""
     if T < MIN_HORIZON:
         raise ContractError(f"horizon must be >= {MIN_HORIZON}, got {T}")
-    n = len(seeds)
+    n = len(specs) * len(seeds)
     if n == 0:
         raise ContractError("need at least one episode")
-    streams = Streams([derive_seed(spec.seed, seed) for seed in seeds])
+    streams = Streams([derive_seed(spec.seed, seed) for spec in specs for seed in seeds])
     p = streams.uniform_array(2, -START_BOX, START_BOX)
     noise = None
     if noise_std > 0:
         noise = (noise_std * streams.normal_array(T * ACTION_DIM)).reshape(n, T, ACTION_DIM)
-    waypoints = np.asarray(spec.waypoints, dtype=np.float64)
-    n_wp = len(waypoints)
+    # Every spec's waypoints in one table; episode r tours rows first[r] to last[r].
+    waypoints = np.concatenate([np.asarray(spec.waypoints, dtype=np.float64) for spec in specs])
+    counts = np.array([len(spec.waypoints) for spec in specs])
+    n_wp = np.repeat(counts, len(seeds))
+    first = np.repeat(np.cumsum(counts) - counts, len(seeds))
+    last = first + n_wp - 1
     reached = np.zeros(n, dtype=np.int64)
     states = np.empty((n, T, STATE_DIM))
     actions = np.empty((n, T, ACTION_DIM))
     skills = np.empty((n, T), dtype=np.int64)
     for t in range(T):
-        g = waypoints[np.minimum(reached, n_wp - 1)]
+        g = waypoints[np.minimum(first + reached, last)]
         s = np.concatenate([p, g], axis=1)
         a, z = act(s)
         if noise is not None:
@@ -195,7 +204,7 @@ def simulate(
 
 def _demonstrations(spec: TaskSpec, T: int, seeds: Sequence[int]) -> list[Trajectory]:
     """Noisy expert demonstrations with ground-truth regime labels, one per seed."""
-    states, actions, skills, _ = simulate(spec, expert(spec), T, seeds, spec.noise_std)
+    states, actions, skills, _ = simulate([spec], expert(spec), T, seeds, spec.noise_std)
     return [Trajectory(*episode) for episode in zip(states, actions, skills)]
 
 
@@ -204,11 +213,14 @@ def rollout_expert(spec: TaskSpec, T: int, seed: int) -> Trajectory:
     return _demonstrations(spec, T, [seed])[0]
 
 
-def rollout_policy(spec: TaskSpec, act: Callable, T: int, seeds: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+def rollout_policy(
+    specs: Sequence[TaskSpec], act: Callable, T: int, seeds: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray]:
     """Closed-loop rollouts of a batched policy act(states) -> (actions,
-    skills), one episode per seed.  Returns the chosen skills (n, T) and
-    whether each episode reached every waypoint before the horizon."""
-    _, _, skills, ok = simulate(spec, act, T, seeds)
+    skills), one episode per (spec, seed) pair in simulate's task-major
+    order.  Returns the chosen skills (n, T) and whether each episode
+    reached every waypoint before the horizon."""
+    _, _, skills, ok = simulate(specs, act, T, seeds)
     return skills, ok
 
 

@@ -181,6 +181,21 @@ def test_every_run_directory_records_its_environment(tmp_path, monkeypatch) -> N
         assert (tmp_path / "again" / name).read_bytes() == (tmp_path / "train" / name).read_bytes()
 
 
+def test_environment_without_simd_targets_above_the_baseline(tmp_path, monkeypatch) -> None:
+    # On a CPU where numpy dispatches to nothing above its baseline,
+    # np.show_config lists no "found" targets at all; the run directory
+    # must still be made, with an empty list.
+    import numpy as np
+
+    config = np.show_config(mode="dicts")
+    simd = {"baseline": config["SIMD Extensions"]["baseline"]}
+    monkeypatch.setattr(np, "show_config", lambda mode="stdout": {**config, "SIMD Extensions": simd})
+    assert runner.environment()["numpy_simd"] == {"baseline": simd["baseline"], "found": []}
+    cfg = write_tiny(tmp_path, run={"iterations": 1})
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
+    assert json.loads((tmp_path / "run" / "env.json").read_text())["numpy_simd"]["found"] == []
+
+
 def test_seed_flag_overrides_config(tmp_path) -> None:
     cfg = write_tiny(tmp_path)
     out = tmp_path / "run"

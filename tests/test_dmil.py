@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dmil import dmil
-from dmil.autodiff import ParamVector, inner_adapt, linearize, loss_value
+from dmil.autodiff import ContractError, ParamVector, inner_adapt, linearize, loss_value
 from dmil.config import resolve_config
 from dmil.data import Trajectory
 from dmil.dmil import (
@@ -25,6 +25,7 @@ from dmil.dmil import (
     predict_action,
     route,
     sample_phase_batches,
+    stacked_act,
 )
 from dmil.kernels import SelectorLoss, SkillMseLoss
 from dmil.policies import (
@@ -772,6 +773,38 @@ def test_predict_action_on_n_rows_equals_n_one_row_calls(n, K, features, seed) -
     assert a.shape == (n, 2) and z.shape == (n,)
     assert a.tobytes() == np.vstack([r[0] for r in rows]).tobytes()
     assert np.array_equal(z, np.concatenate([r[1] for r in rows]))
+
+
+@pytest.mark.parametrize("features", ["raw", "relative"])
+@pytest.mark.parametrize("K", [1, 3])
+def test_stacked_act_rows_equal_one_state_predict_action_with_their_own_set(features, K) -> None:
+    # Three sets, four states each, task-major; the states are a
+    # non-contiguous view, which "raw" features pass through unchanged.
+    stack = [init_hierarchical(4, 2, K, (16, 16), seed=60 + i, features=features) for i in range(3)]
+    wide = SplitMix64(61).uniform_array(12 * 8, -2, 2).reshape(12, 8)
+    states = wide[:, ::2]
+    a, z = stacked_act(stack)(states)
+    assert a.shape == (12, 2) and z.shape == (12,)
+    for r, s in enumerate(states):
+        want_a, want_z = predict_action(stack[r // 4], s[None, :].copy())
+        assert a[r].tobytes() == want_a[0].tobytes() and z[r] == want_z[0]
+    if K == 3:  # the rows do not all choose one skill
+        assert len(set(z.tolist())) > 1
+
+
+def test_stacked_act_refuses_mixed_layouts_and_uneven_blocks() -> None:
+    base = init_hierarchical(4, 2, 3, (16, 16), seed=62, features="relative")
+    for other in (
+        init_hierarchical(4, 2, 3, (8, 16), seed=63, features="relative"),  # layer sizes
+        init_hierarchical(4, 2, 2, (16, 16), seed=63, features="relative"),  # skill count
+        init_hierarchical(4, 2, 3, (16, 16), seed=63, features="raw"),  # feature map
+    ):
+        with pytest.raises(ContractError, match="cannot stack parameter sets of different layouts"):
+            stacked_act([base, other])
+    with pytest.raises(ContractError, match="at least one parameter set"):
+        stacked_act([])
+    with pytest.raises(ContractError, match="5 states do not split into 2 equal blocks"):
+        stacked_act([base, base])(np.zeros((5, 4)))
 
 
 # ---- batch sampler ----

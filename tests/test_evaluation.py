@@ -297,6 +297,22 @@ def test_evaluate_predicts_each_query_set_once_per_policy(monkeypatch) -> None:
         assert len({r["pre_mse"] for r in out if r["task_seed"] == task.spec.seed}) == 1
 
 
+def test_evaluate_steps_every_task_of_a_shots_count_in_one_rollout(monkeypatch) -> None:
+    from dmil import evaluation, runner
+
+    calls = []
+    real = evaluation.rollout_policy
+
+    def spy(specs, act, T, seeds):
+        calls.append(([spec.seed for spec in specs], T, len(seeds)))
+        return real(specs, act, T, seeds)
+
+    monkeypatch.setattr(evaluation, "rollout_policy", spy)
+    cfg, params, tasks = evaluate_small(6, "relative", shots=(1, 2))
+    runner.evaluate(cfg, params, "dmil", tasks)
+    assert calls == [([t.spec.seed for t in tasks], 40, 2)] * 2
+
+
 # ---- rollouts ----
 
 
@@ -322,10 +338,10 @@ def test_rollout_stats_switch_rate_of_expert_is_low() -> None:
     assert 0.0 < stats.mean_switch_rate < 0.2  # a handful of genuine regime changes
 
 
-def goal_seeking_params(features: str, K: int, noise: float) -> HierarchicalParams:
+def goal_seeking_params(features: str, K: int, noise: float, seed: int = 3) -> HierarchicalParams:
     """A seeded selector over K skills that each steer at the goal with their
     own gain, a = (6 + 2k)(g - p), plus `noise` times their seeded init."""
-    params = init_hierarchical(4, 2, K, (8,), seed=3, features=features)
+    params = init_hierarchical(4, 2, K, (8,), seed=seed, features=features)
     w1 = np.zeros((params.skill_shape.in_dim, 8))  # hidden j: relu(+-(g - p) on one axis)
     for j, (axis, sign) in enumerate(((0, 1.0), (0, -1.0), (1, 1.0), (1, -1.0))):
         w1[2 + axis, j], w1[axis, j] = sign, -sign
@@ -365,12 +381,27 @@ def one_episode_at_a_time(params: HierarchicalParams, spec: TaskSpec, episodes: 
 @pytest.mark.parametrize("K", [1, 3])
 @pytest.mark.parametrize("features", ["raw", "relative"])
 def test_batched_rollout_stats_equal_one_episode_at_a_time(features, K, episodes) -> None:
-    policy = HierarchicalPolicy(goal_seeking_params(features, K, noise=0.1), Inner(0.0, 1, 0.0, (True, True)))
-    got = [rollout_stats(policy, sample_task(t), episodes, 120) for t in (9000, 9001, 9004)]
-    want = [one_episode_at_a_time(policy.params, sample_task(t), episodes, 120) for t in (9000, 9001, 9004)]
+    inner = Inner(0.0, 1, 0.0, (True, True))
+    policy = HierarchicalPolicy(goal_seeking_params(features, K, noise=0.1), inner)
+    specs = [sample_task(t) for t in (9000, 9001, 9004)]
+    got = [rollout_stats(policy, spec, episodes, 120) for spec in specs]
+    want = [one_episode_at_a_time(policy.params, spec, episodes, 120) for spec in specs]
     assert [repr(s) for s in got] == [repr(s) for s in want]  # repr also tells -0.0 from 0.0
     # The three tasks hold both outcomes, so the waypoint schedule is exercised.
     assert min(s.success_rate for s in want) < 1.0 and max(s.success_rate for s in want) > 0.0
+    # One call over the three tasks, each with its own parameters, steps them
+    # together and equals both the per-task calls and the reference.
+    policies = [HierarchicalPolicy(goal_seeking_params(features, K, 0.1, seed=3 + i), inner) for i in range(3)]
+    stacked = rollout_stats(policies, specs, episodes, 120)
+    alone = [rollout_stats(p, spec, episodes, 120) for p, spec in zip(policies, specs)]
+    want = [one_episode_at_a_time(p.params, spec, episodes, 120) for p, spec in zip(policies, specs)]
+    assert [repr(s) for s in stacked] == [repr(s) for s in alone] == [repr(s) for s in want]
+
+
+def test_stacked_rollout_stats_needs_one_policy_per_task() -> None:
+    policy = HierarchicalPolicy(goal_seeking_params("raw", 3, 0.1), Inner(0.0, 1, 0.0, (True, True)))
+    with pytest.raises(ContractError, match="2 policies for 3 tasks"):
+        rollout_stats([policy, policy], [sample_task(t) for t in (1, 2, 3)], 2, 20)
 
 
 # ---- reports ----

@@ -178,6 +178,33 @@ def test_forward_dimension_mismatch_rejected() -> None:
             mlp_forward(theta, shape, x)
 
 
+def test_stacked_forward_rows_equal_one_row_calls_even_from_a_non_contiguous_stack() -> None:
+    # numpy's matmul leaves BLAS for a non-contiguous operand, and at this
+    # input width its own loop rounds some rows differently.
+    shape = MlpShape((7, 16, 16, 2))
+    rng = SplitMix64(31)
+    thetas = np.stack([init_params(shape, 40 + i).values for i in range(3)])
+    wide = rng.uniform_array(3 * 5 * 14, -2, 2).reshape(3, 5, 1, 14)
+    x = wide[..., ::2]
+    assert not x.flags.c_contiguous
+    y = mlp_forward(thetas, shape, x)
+    assert y.shape == (3, 5, 1, 2)
+    for i in range(3):
+        for j in range(5):
+            one = mlp_forward(ParamVector(thetas[i]), shape, x[i, j].copy())
+            assert y[i, j].tobytes() == one.tobytes()
+
+
+def test_stacked_forward_shape_mismatch_rejected() -> None:
+    shape = MlpShape((4, 8, 2))
+    thetas = np.stack([init_params(shape, i).values for i in range(2)])
+    for x in (np.zeros((3, 5, 1, 4)), np.zeros((2, 5, 4)), np.zeros((2, 5, 2, 4)), np.zeros((2, 5, 1, 3))):
+        with pytest.raises(ContractError, match=re.escape(f"input shape {x.shape} is not an (2, n, 1, 4) stack")):
+            mlp_forward(thetas, shape, x)
+    with pytest.raises(ContractError, match="parameter length"):
+        mlp_forward(thetas[:, 1:], shape, np.zeros((2, 5, 1, 4)))
+
+
 def test_hierarchical_params_validation() -> None:
     p = init_hierarchical(4, 2, 3, (8,), seed=5)
     assert p.K == 3 and p.high_shape.out_dim == 3

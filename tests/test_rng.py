@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -42,13 +43,15 @@ def test_frozen_float_draws() -> None:
     # Box-Muller normals differently fails here before any run digest moves.
     from dmil.runner import environment
 
-    streams = VECTORS["streams_normal_array"]
+    streams, many = VECTORS["streams_normal_array"], VECTORS["streams_normal_sha256"]
     got = (
         {s: _hex(SplitMix64(int(s)).uniform_array(4)) for s in VECTORS["uniform_array"]},
         {s: _hex(SplitMix64(int(s)).normal_array(4)) for s in VECTORS["normal_array"]},
         [_hex(row) for row in Streams(streams["seeds"]).normal_array(streams["k"])],
+        hashlib.sha256(Streams(range(many["n_streams"])).normal_array(many["k"]).tobytes()).hexdigest(),
     )
-    assert got == (VECTORS["uniform_array"], VECTORS["normal_array"], streams["rows"]), (
+    want = (VECTORS["uniform_array"], VECTORS["normal_array"], streams["rows"], many["sha256"])
+    assert got == want, (
         f"frozen float draws moved under numpy {np.__version__}, SIMD {environment()['numpy_simd']}"
         f" (recorded under {VECTORS['float_environment']})"
     )

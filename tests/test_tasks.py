@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from dmil.tasks import (
     DOCK_SOFT,
     DT,
     GOAL_TOLERANCE,
+    NOISE_STD,
     START_BOX,
     DatasetFormatError,
     TaskDataset,
@@ -23,6 +26,7 @@ from dmil.tasks import (
     rollout_policy,
     sample_task,
     save_datasets,
+    simulate,
 )
 
 
@@ -252,7 +256,7 @@ def test_expert_solves_every_sampled_task() -> None:
 
     for seed in range(25):
         spec = sample_task(3000 + seed)
-        skills, ok = rollout_policy(spec, ExpertPolicy(spec).act, 120, [1, 2])
+        skills, ok = rollout_policy([spec], ExpertPolicy(spec).act, 120, [1, 2])
         assert skills.shape == (2, 120)
         assert ok.tolist() == [True, True], f"expert failed its own task, seed {seed}"
 
@@ -323,8 +327,27 @@ def test_one_noise_draw_per_expert_simulation_and_none_for_policies(noise_draws,
     assert noise_draws == [T * ACTION_DIM, T * ACTION_DIM]
     noise_draws.clear()
     make_dataset(noiseless(spec), 4, 2, T, seed=3)
-    rollout_policy(spec, expert(spec), T, [1, 2, 3])
+    rollout_policy([spec], expert(spec), T, [1, 2, 3])
     assert noise_draws == []
+
+
+def test_simulating_several_specs_equals_one_spec_at_a_time() -> None:
+    # Task-major episodes of specs with different waypoint counts, each
+    # expert acting on its own block of rows, under the same action noise.
+    full = sample_task(3001)
+    specs = [sample_task(9000), dataclasses.replace(full, waypoints=full.waypoints[:2]), sample_task(12)]
+    seeds, T = [4, 5, 6], 120
+
+    def experts(states):
+        outs = [expert(spec)(states[3 * i : 3 * i + 3]) for i, spec in enumerate(specs)]
+        return np.concatenate([a for a, _ in outs]), np.concatenate([z for _, z in outs])
+
+    together = simulate(specs, experts, T, seeds, NOISE_STD)
+    alone = [simulate([spec], expert(spec), T, seeds, NOISE_STD) for spec in specs]
+    for got, parts in zip(together, zip(*alone)):
+        assert got.tobytes() == np.concatenate(parts).tobytes()
+    # The two-waypoint tour finishes at its own last waypoint.
+    assert together[3].all() and np.array_equal(together[0][3, -1, 2:], full.waypoints[1])
 
 
 def test_simulating_no_episode_is_a_contract_error() -> None:
@@ -332,7 +355,7 @@ def test_simulating_no_episode_is_a_contract_error() -> None:
 
     spec = sample_task(8)
     with pytest.raises(ContractError, match="at least one episode"):
-        rollout_policy(spec, ExpertPolicy(spec).act, 120, [])
+        rollout_policy([spec], ExpertPolicy(spec).act, 120, [])
     with pytest.raises(ContractError, match="at least one episode"):
         rollout_stats(ExpertPolicy(spec), spec, 0, 120)
 
