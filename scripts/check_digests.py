@@ -2,8 +2,11 @@
 workloads at seed 0 and ablate at seed 7 for one round each, one traced
 fewshot_eval round at seed 0, then perfbench's own self-test, every one as
 a subprocess, and prints the output digests next to the recorded ones, each
-run's correct/failed result and the line count of each src/dmil file.
-Exits 1 on any mismatch, failed check or failed operation.
+run's correct/failed result and the line count of each src/dmil file and
+of the package, beside the count at git HEAD and the difference (omitted
+where git cannot show the file).  Run before committing, the total's
+difference is the change's net src/dmil lines.  Exits 1 on any mismatch,
+failed check or failed operation.
 
 The benchmark's own digests (datasets, metric rows, params) do not cover
 runner.evaluate's rows, so each recorded (workload, seed) also reruns one
@@ -111,6 +114,26 @@ def check_run(workload: str, seed: int, trace: int = 0) -> tuple[bool, dict | No
     return ok and correct, result
 
 
+def head_line_counts() -> dict[str, int]:
+    """Line count at git HEAD of each src/dmil/*.py file, by file name;
+    empty where git cannot list HEAD's files."""
+
+    def git(*args: str) -> subprocess.CompletedProcess:
+        try:
+            return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True)
+        except FileNotFoundError:  # no git on the path
+            return subprocess.CompletedProcess(args, 1, "", "")
+
+    listed = git("ls-tree", "--name-only", "HEAD", "src/dmil/")
+    paths = [p for p in listed.stdout.split() if p.endswith(".py")] if listed.returncode == 0 else []
+    shown = {Path(p).name: git("show", f"HEAD:{p}") for p in paths}
+    return {name: len(proc.stdout.splitlines()) for name, proc in shown.items() if proc.returncode == 0}
+
+
+def against_head(lines: int, head: int | None) -> str:
+    return "" if head is None else f" (HEAD {head}, {lines - head:+d})"
+
+
 def main() -> int:
     ok = True
     for workload, seed in RECORDED:
@@ -130,9 +153,11 @@ def main() -> int:
     print(f"perfbench/selftest.py: {ran[-1] if ran else 'no tests ran'}, exit {selftest.returncode}"
           f" {'ok' if selftest.returncode == 0 else 'FAILED'}")
     counts = {p.name: len(p.read_text().splitlines()) for p in sorted((ROOT / "src" / "dmil").glob("*.py"))}
+    head = head_line_counts()
     for name, lines in counts.items():
-        print(f"src/dmil/{name}: {lines} lines")
-    print(f"src/dmil: {sum(counts.values())} lines")
+        print(f"src/dmil/{name}: {lines} lines{against_head(lines, head.get(name))}")
+    total = sum(counts.values())
+    print(f"src/dmil: {total} lines{against_head(total, sum(head.values()) if head else None)}")
     print("all digests and checks as recorded" if ok else "MISMATCH: see above")
     return 0 if ok else 1
 

@@ -62,11 +62,11 @@ def hard_em_grads(
     aux_weight: float,
 ) -> StepResult:
     """Hard-EM gradients at params on one pool: the selector's cross-entropy
-    against `labels` (plus aux_weight times the switch term), and each
-    sub-skill's MSE on the pairs `routing` sends it; a skill routed no pair
-    gets a zero gradient.  outer_loss is the selector loss plus the routed
-    pooled MSE.  These are ho_grad/lo_grad of zero-step traces."""
-    g_high, ce = ho_grad(identity_trace(params.high), params, high_batch(p, labels, params.K, aux_weight))
+    against `labels` (high_batch's one-hot actions) plus aux_weight times
+    the switch term, and each sub-skill's MSE on the pairs `routing` sends
+    it (zero for a skill routed no pair).  outer_loss is the selector loss
+    plus the routed pooled MSE.  These are ho_grad/lo_grad of zero-step traces."""
+    g_high, ce = ho_grad(identity_trace(params.high), params, high_batch(p, labels, params.K), aux_weight)
     part = partition_by_skill(p, routing, params.K)
     g_skills, pooled = lo_grad([identity_trace(s) for s in params.skills], params, part)
     return StepResult(g_high, tuple(g_skills), ce + pooled, 0)

@@ -18,11 +18,11 @@ pre-step parameters:
 
 task_phases is the one composition of the phases: meta_train_step and
 runner.gradcheck_run both differentiate what it builds.  Each phase batch
-is pooled once (flatten and feature map, `pool`), and labels, routing and
-selector batches all read that Pool; each sub-skill's routed data set is a
-Pool of its rows.  The two inner updates are adapt_phases, which few-shot
-adaptation and the warm start's selector consolidation also run; one Inner
-value carries an inner phase's settings into every one of these callers.
+is pooled once (`pool`), and a Pool is every loss's batch: the selector's
+holds one-hot skill labels as actions, a sub-skill's its routed rows.  The
+two inner updates are adapt_phases, which few-shot adaptation and the warm
+start's selector consolidation also run; one Inner value carries an inner
+phase's settings into every one of these callers.
 
 Meta-gradients are summed over tasks in list order, divided by the task
 count and returned for one atomic update, which the caller (runner.train)
@@ -41,7 +41,7 @@ uncopied, high_batch None and ho_grad a zero gradient.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -68,11 +68,11 @@ from .rng import SplitMix64, derive_seed
 
 @dataclass(frozen=True)
 class Pool:
-    """State-action pairs, the input of every loss: network inputs `states`
-    (N, in), actions (N, action_dim) and per-trajectory row slices (switch
-    terms never cross trajectory ends).  A phase batch is pooled once, and
-    its labels, routing, partitions and selector batch all read that Pool;
-    one skill's partition is a Pool of its rows, with no slices."""
+    """State-action pairs, the batch of every loss: network inputs `states`
+    (N, in), actions (N, out) and per-trajectory row slices (switch terms
+    never cross trajectory ends).  A phase batch is pooled once; its labels
+    and routing read that Pool, the selector's batch shares its states and
+    slices (high_batch), and one skill's partition is a Pool of its rows."""
 
     states: np.ndarray
     actions: np.ndarray
@@ -129,44 +129,17 @@ def partition_by_skill(p: Pool, indices: np.ndarray, n_skills: int) -> tuple[Poo
     return tuple(Pool(p.states[m], p.actions[m], ()) for m in masks)
 
 
-@dataclass(frozen=True)
-class HighBatch:
-    """Constant inputs for the selector loss: pooled states, one-hot labels,
-    per-trajectory row slices (switch terms never cross trajectory ends).
-    The constants every evaluation of the loss on the batch shares are
-    derived once: the pair mask (1.0 at row t when rows t and t+1 lie in one
-    slice), the pair count and the cross-entropy's dL/dlogp."""
-
-    states: np.ndarray
-    onehot: np.ndarray
-    slices: tuple[tuple[int, int], ...]
-    aux_weight: float
-    pairs: np.ndarray = field(init=False)
-    n_pairs: float = field(init=False)
-    ce_grad: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        n = self.states.shape[0]
-        pairs = np.zeros(max(n - 1, 0))
-        for start, stop in self.slices:
-            if stop - start >= 2:
-                pairs[start : stop - 1] = 1.0
-        object.__setattr__(self, "pairs", pairs)
-        object.__setattr__(self, "n_pairs", np.sum(pairs))
-        object.__setattr__(self, "ce_grad", self.onehot * (-1.0 / n))
-
-
-def high_batch(p: Pool, labels: np.ndarray, n_skills: int, aux_weight: float) -> HighBatch | None:
-    """Selector loss inputs on a pool: its inputs, the labels one-hot over
-    n_skills, its trajectory slices; None for one skill, whose selector
-    loss has an exactly zero gradient (a one-way softmax is identically 1)."""
+def high_batch(p: Pool, labels: np.ndarray, n_skills: int) -> Pool | None:
+    """The selector's batch: p's states and slices, uncopied, with the labels
+    one-hot over n_skills as actions; None for one skill, whose selector loss
+    has an exactly zero gradient (a one-way softmax is identically 1)."""
     if labels.shape[0] != len(p):
         raise ContractError("labels do not align with the pool")
     if n_skills == 1:
         return None
     onehot = np.zeros((labels.shape[0], n_skills))
     onehot[np.arange(labels.shape[0]), labels] = 1.0
-    return HighBatch(p.states, onehot, p.slices, aux_weight)
+    return Pool(p.states, onehot, p.slices)
 
 
 # ---------------------------------------------------------------------------
@@ -198,8 +171,8 @@ def adapt_phases(
     only with `keep`."""
     rate, steps, aux_weight, (adapt_high, adapt_low) = inner
     labels = hard_labels(p_high, params.skills, params.skill_shape) if adapt_high else None
-    batch = None if labels is None else high_batch(p_high, labels, params.K, aux_weight)
-    loss_h = SelectorLoss(params.high_shape)
+    batch = None if labels is None else high_batch(p_high, labels, params.K)
+    loss_h = SelectorLoss(params.high_shape, aux_weight)
     trace_h = identity_trace(params.high) if batch is None else inner_adapt(loss_h, params.high, rate, batch, steps, keep)
     if not adapt_low:
         return trace_h, tuple(identity_trace(s) for s in params.skills)
@@ -212,14 +185,16 @@ def adapt_phases(
     return trace_h, traces_l
 
 
-def ho_grad(trace_h: AdaptTrace, params: HierarchicalParams, batch: HighBatch | None) -> tuple[ParamVector, float]:
-    """Selector meta-gradient and outer loss: the loss on `batch` at the
-    adapted selector, pushed back through its inner steps.  A zero-step
-    trace gives the plain gradient at params.high; a one-skill selector (no
-    batch) gets a zero gradient and loss 0.0."""
+def ho_grad(
+    trace_h: AdaptTrace, params: HierarchicalParams, batch: Pool | None, aux_weight: float
+) -> tuple[ParamVector, float]:
+    """Selector meta-gradient and outer loss: the loss (switch weight
+    aux_weight) on `batch` at the adapted selector, pushed back through its
+    inner steps.  A zero-step trace gives the plain gradient at params.high;
+    a one-skill selector (no batch) gets a zero gradient and loss 0.0."""
     if batch is None:
         return ParamVector.zeros(len(params.high)), 0.0
-    val, g_outer = ad.value_and_grad(SelectorLoss(params.high_shape), trace_h.final, batch)
+    val, g_outer = ad.value_and_grad(SelectorLoss(params.high_shape, aux_weight), trace_h.final, batch)
     return meta_grad(trace_h, g_outer), val
 
 
@@ -285,7 +260,7 @@ class StepResult:
 
 def task_phases(
     params: HierarchicalParams, groups: tuple[Sequence[Trajectory], ...], inner: Inner
-) -> tuple[AdaptTrace, tuple[AdaptTrace, ...], HighBatch | None, tuple[Pool, ...]]:
+) -> tuple[AdaptTrace, tuple[AdaptTrace, ...], Pool | None, tuple[Pool, ...]]:
     """One task's four phases, each trajectory group pooled once: the inner
     traces of adapt_phases (same settings) on groups 1 and 2, the
     selector's outer batch and the sub-skills' routed outer batches, for
@@ -301,7 +276,7 @@ def task_phases(
         p3, label_skills = pool(t3, params.feature_kind), [t.final for t in traces_l]
     else:
         p3, label_skills = p1, params.skills
-    batch_h = high_batch(p3, hard_labels(p3, label_skills, params.skill_shape), params.K, inner.aux_weight)
+    batch_h = high_batch(p3, hard_labels(p3, label_skills, params.skill_shape), params.K)
     p4 = pool(t4, params.feature_kind) if adapt_low else p2
     batches_l = partition_by_skill(p4, route(trace_h.final, params.high_shape, p4.states), params.K)
     return trace_h, traces_l, batch_h, batches_l
@@ -335,7 +310,7 @@ def meta_train_step(
         rng = SplitMix64(derive_seed(step_seed, task.spec.seed))
         groups = sample_phase_batches(task.support, d["batch_size"], rng)
         trace_h, traces_l, batch_h, batches_l = task_phases(params, groups, inner)
-        task_high, high_val = ho_grad(trace_h, params, batch_h)
+        task_high, high_val = ho_grad(trace_h, params, batch_h, inner.aux_weight)
         task_skills, skill_val = lo_grad(traces_l, params, batches_l)
         g_high = g_high.add(task_high)
         g_skills = [a.add(b) for a, b in zip(g_skills, task_skills, strict=True)]

@@ -179,20 +179,29 @@ class SelectorLoss(_MlpLoss):
     """Mean cross-entropy vs hard labels plus aux_weight * switch surrogate,
     1 - (1/pairs) sum <p_t, p_t+1> over adjacent rows within each
     trajectory slice (the surrogate is dropped when the weight is 0 or no
-    slice has two rows).  The batch (dmil.HighBatch) carries the pair mask,
-    the pair count and dL/dlogp of the cross-entropy."""
+    slice has two rows).  The batch is a Pool with one-hot labels as actions
+    (dmil.high_batch), whose slices and actions give each evaluation the
+    pair mask, the pair count and the cross-entropy's dL/dlogp."""
 
     name = "selector cross-entropy"
+
+    def __init__(self, shape, aux_weight: float):
+        super().__init__(shape)
+        self.aux_weight = aux_weight
 
     def _head(self, y, batch):
         n = y.shape[0]
         shifted = y - _row_max(y)
         logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
         p = np.exp(logp)
-        val = -((logp * batch.onehot).sum(axis=1).sum() / n)
-        g_logp = batch.ce_grad  # dL/dlogp
-        w = batch.aux_weight
-        pairs, n_pairs = batch.pairs, batch.n_pairs
+        val = -((logp * batch.actions).sum(axis=1).sum() / n)
+        g_logp = batch.actions * (-1.0 / n)  # dL/dlogp
+        w = self.aux_weight
+        pairs = np.zeros(max(n - 1, 0))  # 1.0 at row t when rows t and t+1 lie in one slice
+        for start, stop in batch.slices:
+            if stop - start >= 2:
+                pairs[start : stop - 1] = 1.0
+        n_pairs = np.sum(pairs)
         q = c = None
         if w != 0.0 and n_pairs > 0:
             dots = (pairs * (p[:-1] * p[1:]).sum(axis=1)).sum()

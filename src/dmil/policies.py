@@ -79,21 +79,20 @@ def init_params(shape: MlpShape, seed: int) -> ParamVector:
 def mlp_forward(theta: ParamVector | np.ndarray, shape: MlpShape, x) -> np.ndarray:
     """Plain numpy forward pass: (N, in) -> (N, out).
 
-    An (N, 1, in) stack gives (N, 1, out) from N one-row matmuls, so each
-    row is bitwise a one-row call's output; one N-row matmul may round
-    differently.  theta may also be a stack of m parameter vectors, an
-    (m, n_params) array, on an (m, n, 1, in) input: each layer's weights
-    are then an (m, in, out) stack and input block i meets vector i's, still
-    one row per matmul, so every row is bitwise the one-row call with its
-    own vector.  A stacked input is made C-contiguous first, because numpy
-    leaves BLAS for non-contiguous operands and may then round otherwise."""
+    theta may also be a stack of m parameter vectors, an (m, n_params)
+    array, on an (m, n, 1, in) input: each layer's weights are then an
+    (m, in, out) stack and input block i meets vector i's, one row per
+    matmul, so every row is bitwise the one-row call with its own vector
+    (one n-row matmul may round differently).  A stacked input is made
+    C-contiguous first, because numpy leaves BLAS for non-contiguous
+    operands and may then round otherwise."""
     values = theta.values if isinstance(theta, ParamVector) else np.asarray(theta, dtype=np.float64)
     if values.shape[-1] != shape.n_params:
         raise ContractError(f"parameter length {values.shape[-1]} != shape size {shape.n_params}")
     x = np.asarray(x, dtype=np.float64)
     layers = unpack(values, shape.layer_sizes)
     if values.ndim == 1:
-        check_input(x[:, 0] if x.ndim == 3 and x.shape[1] == 1 else x, shape.in_dim)
+        check_input(x, shape.in_dim)
     else:
         m = len(values)
         if values.ndim != 2 or x.ndim != 4 or x.shape[0] != m or x.shape[2:] != (1, shape.in_dim):

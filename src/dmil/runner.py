@@ -438,7 +438,8 @@ def gradcheck_run(cfg: dict) -> dict:
         for steps in g["inner_steps"]:
             inner = Inner(GRADCHECK_INNER_RATE, steps, 0.1, (True, True))
             trace_h, traces_l, batch_h, batches_l = task_phases(params, groups, inner)
-            worst_high = max(worst_high, _fd_rel_err(trace_h, batch_h, ho_grad(trace_h, params, batch_h)[0]))
+            exact_h = ho_grad(trace_h, params, batch_h, inner.aux_weight)[0]
+            worst_high = max(worst_high, _fd_rel_err(trace_h, batch_h, exact_h))
             for trace, batch, exact in zip(traces_l, batches_l, lo_grad(traces_l, params, batches_l)[0]):
                 if trace.points and len(batch):
                     worst_low = max(worst_low, _fd_rel_err(trace, batch, exact))

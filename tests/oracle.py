@@ -17,7 +17,7 @@ import numpy as np
 
 from dmil import autodiff as ad
 from dmil.autodiff import Node, asum, backward, constant, leaf, mul
-from dmil.dmil import HighBatch, Pool
+from dmil.dmil import Pool
 from dmil.kernels import SelectorLoss, SkillMseLoss, check_input
 from dmil.policies import MlpShape
 
@@ -74,14 +74,15 @@ def mlp_logits(p: Node, shape: MlpShape, x) -> Node:
     return h
 
 
-def tape_high_loss(shape: MlpShape) -> TapeLoss:
-    """SelectorLoss on the tape: the reference for the closed form."""
+def tape_high_loss(shape: MlpShape, aux_weight: float) -> TapeLoss:
+    """SelectorLoss on the tape: the reference for the closed form.  The
+    batch is a Pool whose actions are the one-hot labels."""
 
-    def selector_loss(p: ad.Node, batch: HighBatch) -> ad.Node:
+    def selector_loss(p: ad.Node, batch: Pool) -> ad.Node:
         logits = mlp_logits(p, shape, batch.states)
         logp = ad.log_softmax(logits)
-        ce = ad.neg(ad.mean(ad.sum_cols(ad.mul(logp, ad.constant(batch.onehot)))))
-        if batch.aux_weight == 0.0:
+        ce = ad.neg(ad.mean(ad.sum_cols(ad.mul(logp, ad.constant(batch.actions)))))
+        if aux_weight == 0.0:
             return ce
         probs = ad.exp(logp)
         total_dot = None
@@ -97,7 +98,7 @@ def tape_high_loss(shape: MlpShape) -> TapeLoss:
         if total_dot is None:
             return ce
         aux = ad.sadd(ad.smul(total_dot, -1.0 / pairs), 1.0)
-        return ad.add(ce, ad.smul(aux, batch.aux_weight))
+        return ad.add(ce, ad.smul(aux, aux_weight))
 
     return TapeLoss(selector_loss, SelectorLoss.name)
 

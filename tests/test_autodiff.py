@@ -16,7 +16,7 @@ from dmil.autodiff import (
     meta_grad,
     value_and_grad,
 )
-from dmil.dmil import HighBatch, Pool
+from dmil.dmil import Pool
 from dmil.kernels import SkillMseLoss
 from dmil.policies import MlpShape, init_params
 from dmil.rng import SplitMix64
@@ -348,7 +348,7 @@ def selector_instance():
     theta = ParamVector(rng.uniform_array(shape.n_params, -0.8, 0.8))
     x = rng.uniform_array(24, -1.0, 1.0).reshape(8, 3)
     onehot = np.eye(3)[[0, 0, 1, 1, 2, 2, 0, 1]]
-    return tape_high_loss(shape), theta, HighBatch(x, onehot, ((0, 5), (5, 8)), 0.3)
+    return tape_high_loss(shape, 0.3), theta, Pool(x, onehot, ((0, 5), (5, 8)))
 
 
 def test_tape_selector_loss_leaves_no_reference_cycles() -> None:

@@ -118,7 +118,7 @@ def test_high_and_low_ablations_leave_other_level_plain() -> None:
         # dmil_low: selector gets a plain gradient on the first batch.
         labels1 = hard_labels(t1, params.skills, params.skill_shape)
         gh = ad.value_and_grad(
-            SelectorLoss(params.high_shape), params.high, high_batch(t1, labels1, params.K, d["aux_weight"])
+            SelectorLoss(params.high_shape, d["aux_weight"]), params.high, high_batch(t1, labels1, params.K)
         )[1]
         sum_high = sum_high.add(gh)
 
@@ -140,7 +140,7 @@ def test_lifting_restrictions_reproduces_full_step_bitwise() -> None:
     groups = sample_phase_batches(tasks[0].support, d["batch_size"], SplitMix64(derive_seed(8, tasks[0].spec.seed)))
     inner = Inner(d["inner_rate"], d["inner_steps"], d["aux_weight"], (True, True))
     trace_h, traces_l, batch_h, batches_l = task_phases(params, groups, inner)
-    lifted_h = ho_grad(trace_h, params, batch_h)[0].scaled(1.0)
+    lifted_h = ho_grad(trace_h, params, batch_h, d["aux_weight"])[0].scaled(1.0)
     lifted_l = [g.scaled(1.0) for g in lo_grad(traces_l, params, batches_l)[0]]
     assert np.array_equal(full.g_high.values, lifted_h.values)
     for a, b in zip(full.g_skills, lifted_l, strict=True):
@@ -162,7 +162,7 @@ def test_hard_em_grads_route_by_the_given_indices() -> None:
     labels = hard_labels(p, params.skills, params.skill_shape)
     res = hard_em_grads(params, p, labels, np.zeros(len(labels), dtype=np.int64), 0.1)
 
-    ce, g_high = ad.value_and_grad(SelectorLoss(params.high_shape), params.high, high_batch(p, labels, 3, 0.1))
+    ce, g_high = ad.value_and_grad(SelectorLoss(params.high_shape, 0.1), params.high, high_batch(p, labels, 3))
     mse, g0 = ad.value_and_grad(SkillMseLoss(params.skill_shape), params.skills[0], p)
     assert np.array_equal(res.g_high.values, g_high.values)
     assert np.array_equal(res.g_skills[0].values, g0.values)

@@ -26,6 +26,7 @@ from dmil.dmil import (
     route,
     sample_phase_batches,
     stacked_act,
+    task_phases,
 )
 from dmil.kernels import SelectorLoss, SkillMseLoss
 from dmil.policies import (
@@ -111,7 +112,7 @@ def test_hard_labels_match_bruteforce_argmin() -> None:
         A = rng.uniform_array(9 * 2, -2, 2).reshape(9, 2)
         p = Pool(S, A, ((0, 9),))
         labels = hard_labels(p, params.skills, params.skill_shape)
-        onehot = high_batch(p, labels, 4, 0.0).onehot
+        onehot = high_batch(p, labels, 4).actions
         for t in range(9):
             errs = []
             for k in range(4):
@@ -135,8 +136,8 @@ def switch_term(logits: np.ndarray) -> float:
     theta = ParamVector(np.concatenate([np.eye(k).ravel(), np.zeros(k)]))
     p = Pool(logits, np.zeros((n, 2)), ((0, n),))
     labels = np.argmax(logits, axis=1)
-    loss = SelectorLoss(MlpShape((k, k)))
-    return loss_value(loss, theta, high_batch(p, labels, k, 1.0)) - loss_value(loss, theta, high_batch(p, labels, k, 0.0))
+    shape, batch = MlpShape((k, k)), high_batch(p, labels, k)
+    return loss_value(SelectorLoss(shape, 1.0), theta, batch) - loss_value(SelectorLoss(shape, 0.0), theta, batch)
 
 
 def test_aux_loss_constant_sequence_zero() -> None:
@@ -161,8 +162,8 @@ def test_high_loss_zero_params_ln_k_plus_aux() -> None:
     trajs = random_trajs(4, n=1, T=10)
     theta = ParamVector(np.zeros(params.high_shape.n_params))
     lam = 0.3
-    batch = high_batch(pool(trajs, "raw"), np.zeros(10, dtype=np.int64), 3, lam)
-    got = loss_value(SelectorLoss(params.high_shape), theta, batch)
+    batch = high_batch(pool(trajs, "raw"), np.zeros(10, dtype=np.int64), 3)
+    got = loss_value(SelectorLoss(params.high_shape, lam), theta, batch)
     assert got == pytest.approx(np.log(3.0) + lam * (2.0 / 3.0), rel=1e-12)
 
 
@@ -171,8 +172,8 @@ def test_high_loss_perfect_classifier_near_zero() -> None:
     v = np.zeros(shape.n_params)
     v[-3] = 30.0  # output bias of class 0: logits [30, 0, 0] everywhere
     trajs = random_trajs(5, n=1, T=8)
-    batch = high_batch(pool(trajs, "raw"), np.zeros(8, dtype=np.int64), 3, 0.5)
-    got = loss_value(SelectorLoss(shape), ParamVector(v), batch)
+    batch = high_batch(pool(trajs, "raw"), np.zeros(8, dtype=np.int64), 3)
+    got = loss_value(SelectorLoss(shape, 0.5), ParamVector(v), batch)
     assert got == pytest.approx(0.0, abs=1e-6)
 
 
@@ -183,7 +184,7 @@ def test_high_loss_matches_straight_line_recomputation() -> None:
     S, slices = p.states, p.slices
     labels = hard_labels(p, params.skills, params.skill_shape)
     lam = 0.25
-    got = loss_value(SelectorLoss(params.high_shape), params.high, high_batch(p, labels, 3, lam))
+    got = loss_value(SelectorLoss(params.high_shape, lam), params.high, high_batch(p, labels, 3))
 
     logits = mlp_forward(params.high, params.high_shape, S)
     ce, total_dot, pairs = 0.0, 0.0, 0
@@ -337,12 +338,12 @@ def test_ho_grad_zero_rate_equals_plain_gradient() -> None:
     d = cfg["dmil"]
     t1, t2, t3, t4, trace_h, _, traces_l = _phases(params, task, cfg)
     adapted = [t.final for t in traces_l]
-    batch3 = high_batch(t3, hard_labels(t3, adapted, params.skill_shape), params.K, d["aux_weight"])
-    got, _ = ho_grad(trace_h, params, batch3)
+    batch3 = high_batch(t3, hard_labels(t3, adapted, params.skill_shape), params.K)
+    got, _ = ho_grad(trace_h, params, batch3, d["aux_weight"])
 
     from dmil.autodiff import value_and_grad
 
-    want = value_and_grad(SelectorLoss(params.high_shape), params.high, batch3)[1]
+    want = value_and_grad(SelectorLoss(params.high_shape, d["aux_weight"]), params.high, batch3)[1]
     assert np.array_equal(got.values, want.values)
 
 
@@ -353,14 +354,14 @@ def test_ho_grad_first_order_equals_gradient_at_adapted() -> None:
     d = cfg["dmil"]
     t1, t2, t3, t4, trace_h, _, traces_l = _phases(params, task, cfg)
     adapted = [t.final for t in traces_l]
-    batch3 = high_batch(t3, hard_labels(t3, adapted, params.skill_shape), params.K, d["aux_weight"])
+    batch3 = high_batch(t3, hard_labels(t3, adapted, params.skill_shape), params.K)
     from dmil.autodiff import meta_grad, value_and_grad
 
-    want = value_and_grad(SelectorLoss(params.high_shape), trace_h.final, batch3)[1]
+    want = value_and_grad(SelectorLoss(params.high_shape, d["aux_weight"]), trace_h.final, batch3)[1]
     got = meta_grad(trace_h, want, mode="first_order")
     assert np.array_equal(got.values, want.values)
     # ho_grad is exact: it differs from the first-order reference.
-    exact, _ = ho_grad(trace_h, params, batch3)
+    exact, _ = ho_grad(trace_h, params, batch3, d["aux_weight"])
     assert not np.array_equal(exact.values, got.values)
 
 
@@ -385,10 +386,10 @@ def test_ho_grad_matches_fd_of_composed_map() -> None:
     t1, t2, t3, t4, trace_h, _, traces_l = _phases(params, task, cfg)
     adapted = [t.final for t in traces_l]
 
-    batch1 = high_batch(t1, hard_labels(t1, params.skills, params.skill_shape), params.K, d["aux_weight"])
-    batch3 = high_batch(t3, hard_labels(t3, adapted, params.skill_shape), params.K, d["aux_weight"])
-    exact, _ = ho_grad(trace_h, params, batch3)
-    loss = SelectorLoss(params.high_shape)
+    batch1 = high_batch(t1, hard_labels(t1, params.skills, params.skill_shape), params.K)
+    batch3 = high_batch(t3, hard_labels(t3, adapted, params.skill_shape), params.K)
+    exact, _ = ho_grad(trace_h, params, batch3, d["aux_weight"])
+    loss = SelectorLoss(params.high_shape, d["aux_weight"])
 
     from dmil.autodiff import inner_adapt, loss_value
 
@@ -500,8 +501,8 @@ def test_meta_train_step_matches_hand_assembled_phases() -> None:
         inner = Inner(d["inner_rate"], d["inner_steps"], d["aux_weight"], (True, True))
         trace_h, traces_l = adapt_phases(params, t1, t2, inner)
         adapted = [t.final for t in traces_l]
-        batch3 = high_batch(t3, hard_labels(t3, adapted, params.skill_shape), params.K, d["aux_weight"])
-        sum_h = sum_h.add(ho_grad(trace_h, params, batch3)[0])
+        batch3 = high_batch(t3, hard_labels(t3, adapted, params.skill_shape), params.K)
+        sum_h = sum_h.add(ho_grad(trace_h, params, batch3, d["aux_weight"])[0])
         batches4 = partition_by_skill(t4, route(trace_h.final, params.high_shape, t4.states), params.K)
         for k, g in enumerate(lo_grad(traces_l, params, batches4)[0]):
             sum_l[k] = sum_l[k].add(g)
@@ -582,6 +583,28 @@ def _record_inner_traces(monkeypatch) -> list:
     return traces
 
 
+def test_every_loss_batch_is_a_pool_and_the_selector_shares_its_phase_pool(monkeypatch) -> None:
+    # Pool is every loss's batch: the outer batches task_phases returns and
+    # the batch of every inner trace with steps.  The selector's batches
+    # reuse their phase pool's states and slices, uncopied, and its switch
+    # weight is its loss's, which dmil gradcheck's finite differences
+    # re-evaluate when they replay the trace.
+    pools = []
+    real = dmil.pool
+    monkeypatch.setattr(dmil, "pool", lambda trajs, features: pools.append(real(trajs, features)) or pools[-1])
+    params = small_params(90)
+    groups = sample_phase_batches(demo_task(90).support, 2, SplitMix64(5))
+    inner = Inner(1e-3, 2, 0.3, (True, True))
+    trace_h, traces_l, batch_h, batches_l = task_phases(params, groups, inner)
+    stepped = [t for t in traces_l if t.points]
+    assert len(pools) == 4 and trace_h.points and stepped
+    for batch in (batch_h, *batches_l, trace_h.batch, *(t.batch for t in stepped)):
+        assert isinstance(batch, Pool)
+    for batch, p in ((trace_h.batch, pools[0]), (batch_h, pools[2])):
+        assert batch.states is p.states and batch.slices is p.slices
+    assert trace_h.loss.aux_weight == inner.aux_weight
+
+
 def test_each_inner_point_is_forwarded_once(monkeypatch) -> None:
     # meta_grad's Hessian-vector products reuse the forward pass of the inner
     # step they differentiate: over one meta_train_step the loss kernels run
@@ -655,8 +678,8 @@ def test_labels_onehot_and_partition_disjoint_exhaustive() -> None:
         p = pool(trajs, "raw")
         S = p.states
         labels = hard_labels(p, params.skills, params.skill_shape)
-        batch = high_batch(p, labels, k, 0.0)
-        assert batch is None if k == 1 else np.all(batch.onehot.sum(axis=1) == 1.0)
+        batch = high_batch(p, labels, k)
+        assert batch is None if k == 1 else np.all(batch.actions.sum(axis=1) == 1.0)
         batches = routed(params.high, params.high_shape, trajs)
         assert sum(len(b) for b in batches) == len(S)
         got = np.concatenate([b.states for b in batches if len(b)], axis=0)
@@ -722,8 +745,8 @@ def test_k1_selector_adaptation_changes_nothing(features, aux) -> None:
         rng = SplitMix64(seed + 300)
         theta = ParamVector(rng.uniform_array(shape.n_params, -2.0, 2.0))
         p = pool(random_trajs(seed + 400, n=1 + rng.randint(3), T=2 + rng.randint(12)), features)
-        batch = dmil.HighBatch(p.states, np.ones((len(p), 1)), p.slices, aux)
-        loss = SelectorLoss(shape)
+        batch = Pool(p.states, np.ones((len(p), 1)), p.slices)
+        loss = SelectorLoss(shape, aux)
         assert np.all(linearize(loss, theta, batch).grad.values == 0.0)
         trace = inner_adapt(loss, theta, 2e-2, batch, 10)
         assert all(np.all(point.grad.values == 0.0) for point in trace.linearized)

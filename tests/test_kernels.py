@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from dmil import autodiff as ad
 from dmil.autodiff import NumericError, ParamVector, inner_adapt, meta_grad
-from dmil.dmil import HighBatch, Pool
+from dmil.dmil import Pool
 from dmil.evaluation import max_rel_err
 from dmil.kernels import SelectorLoss, SkillMseLoss, _row_max
 from dmil.policies import MlpShape
@@ -39,8 +39,8 @@ def instances(draw, loss: str):
         ends = np.cumsum(lengths)
         slices = tuple((int(e - m), int(e)) for e, m in zip(ends, lengths))
         onehot = np.eye(out_dim)[rng.integers(0, out_dim, size=n)]
-        batch = HighBatch(x, onehot, slices, aux)
-        return SelectorLoss(shape), tape_high_loss(shape), theta, v, batch
+        batch = Pool(x, onehot, slices)
+        return SelectorLoss(shape, aux), tape_high_loss(shape, aux), theta, v, batch
     batch = Pool(x, rng.uniform(-1.0, 1.0, size=(n, out_dim)), ())
     return SkillMseLoss(shape), tape_skill_loss(shape), theta, v, batch
 
@@ -107,11 +107,10 @@ def test_kernel_overflow_raises_numeric_error(make) -> None:
     rng = np.random.default_rng(3)
     x = rng.uniform(-1.0, 1.0, size=(6, 3))
     if make is SelectorLoss:
-        batch = HighBatch(x, np.eye(2)[[0, 1, 1, 0, 0, 1]], ((0, 3), (3, 6)), 0.1)
+        loss, batch = make(shape, 0.1), Pool(x, np.eye(2)[[0, 1, 1, 0, 0, 1]], ((0, 3), (3, 6)))
     else:
-        batch = Pool(x, rng.uniform(-1.0, 1.0, size=(6, 2)), ())
+        loss, batch = make(shape), Pool(x, rng.uniform(-1.0, 1.0, size=(6, 2)), ())
     theta = ParamVector(np.full(shape.n_params, 1e300))
-    loss = make(shape)
     with np.errstate(all="ignore"):
         with pytest.raises(NumericError, match="non-finite loss"):
             ad.loss_value(loss, theta, batch)

@@ -170,10 +170,11 @@ def test_skill_forward_matches_straight_line_oracle() -> None:
 
 
 def test_forward_dimension_mismatch_rejected() -> None:
-    # Inputs are (N, in) rows or an (N, 1, in) stack; one state is a (1, in) batch.
+    # One parameter vector takes (N, in) rows only; one state is a (1, in)
+    # batch, and only a stack of vectors takes an (m, n, 1, in) stack.
     shape = MlpShape((4, 8, 2))
     theta = init_params(shape, 0)
-    for x in (np.zeros((3, 5)), np.zeros(4), np.zeros((2, 3, 4))):
+    for x in (np.zeros((3, 5)), np.zeros(4), np.zeros((2, 3, 4)), np.zeros((3, 1, 4))):
         with pytest.raises(ContractError, match=re.escape(f"input shape {x.shape} does not match network input 4")):
             mlp_forward(theta, shape, x)
 

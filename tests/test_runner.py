@@ -221,15 +221,6 @@ def same_pool(a, b) -> bool:
     )
 
 
-def same_high_batch(a, b) -> bool:
-    return (
-        a.states.tobytes() == b.states.tobytes()
-        and a.onehot.tobytes() == b.onehot.tobytes()
-        and a.slices == b.slices
-        and a.aux_weight == b.aux_weight
-    )
-
-
 def tape_meta_grad(loss, theta, inner_batch, outer_batch, rate: float, steps: int):
     """Adapt on the inner batch, take the outer gradient, push it back."""
     trace = inner_adapt(loss, theta, rate, inner_batch, steps)
@@ -252,14 +243,14 @@ def test_gradcheck_instances_match_the_tape() -> None:
         trajs = [rollout_expert(sample_task(seed), runner.GRADCHECK_HORIZON, j) for j in range(4 * b)]
         groups = tuple(trajs[j * b : (j + 1) * b] for j in range(4))
         p1, p2, p3, p4 = (pool(group, params.feature_kind) for group in groups)
-        tape_high, tape_skill = tape_high_loss(params.high_shape), tape_skill_loss(params.skill_shape)
+        tape_high, tape_skill = tape_high_loss(params.high_shape, aux), tape_skill_loss(params.skill_shape)
         for steps in (1, 3):
             inner = Inner(rate, steps, aux, (True, True))
             trace_h, traces_l = adapt_phases(params, p1, p2, inner)
-            batch1 = high_batch(p1, hard_labels(p1, params.skills, params.skill_shape), params.K, aux)
+            batch1 = high_batch(p1, hard_labels(p1, params.skills, params.skill_shape), params.K)
             adapted = [t.final for t in traces_l]
-            batch3 = high_batch(p3, hard_labels(p3, adapted, params.skill_shape), params.K, aux)
-            exact_h = ho_grad(trace_h, params, batch3)[0]
+            batch3 = high_batch(p3, hard_labels(p3, adapted, params.skill_shape), params.K)
+            exact_h = ho_grad(trace_h, params, batch3, aux)[0]
             ref_h = tape_meta_grad(tape_high, params.high, batch1, batch3, rate, steps)
             assert max_rel_err(exact_h.values, ref_h.values) <= 1e-10
 
@@ -269,7 +260,8 @@ def test_gradcheck_instances_match_the_tape() -> None:
             exact_l = lo_grad(traces_l, params, batches4)[0]
 
             phase_h, phase_l, batch_h, batches_l = task_phases(params, groups, inner)
-            assert same_high_batch(phase_h.batch, batch1) and same_high_batch(batch_h, batch3)
+            assert same_pool(phase_h.batch, batch1) and same_pool(batch_h, batch3)
+            assert phase_h.loss.aux_weight == aux
             assert len(batches_l) == len(phase_l) == params.K
             for trace, batch2k, got4, want4 in zip(phase_l, batches2, batches_l, batches4):
                 assert same_pool(got4, want4)
