@@ -12,6 +12,9 @@ The benchmark's own digests (datasets, metric rows, params) do not cover
 runner.evaluate's rows, so each recorded (workload, seed) also reruns one
 round in this process, through perfbench/workloads.py's config_for and
 run_round, and compares the sha256 of the repr of its evaluation rows.
+Nor do they cover the meta-gradient check, so it also runs
+runner.gradcheck_run at the default config in this process and compares
+the sha256 of its report, without elapsed_seconds, as sorted-key JSON.
 
 The traced round must also report 1-shot few_shot_adapt samples: the tracer
 tags each few_shot_adapt span with the length of its second positional
@@ -22,7 +25,10 @@ while every untraced round still matches its digests.
     python3 scripts/check_digests.py
 
 The recorded digests were measured with numpy 2.4.6 and OpenBLAS 0.3.31
-(SkylakeX core); another numpy or BLAS build may round differently.
+(SkylakeX core); another numpy or BLAS build may round differently.  The
+script prints runner.environment() beside that build and says whether it
+is the same, so that a mismatch on another build reads as one; the
+environment does not change the exit code.
 """
 
 import hashlib
@@ -35,6 +41,8 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.dont_write_bytecode = True  # leave perfbench/ as checked in
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
+from dmil.config import resolve_config  # noqa: E402
+from dmil.runner import environment, gradcheck_run  # noqa: E402
 from workloads import config_for, run_round  # noqa: E402
 
 # (workload, seed) -> digest name -> sha256.
@@ -69,6 +77,32 @@ EVAL_ROWS = {
     ("fewshot_eval", 0): "b3d5c6f7d94f491e86ded89045c78d9d3be5fd22ac2466c4788cf737733c592d",
     ("ablate", 7): "15ddc5571329f55f651d5e470e14de8a791e94c5da42527f0dc315d560b7e4d6",
 }
+
+
+# sha256 of runner.gradcheck_run's report at the default config, without
+# elapsed_seconds, as sorted-key JSON.
+GRADCHECK_REPORT = "90f7ca3e48673b8583e1c87ccd76377d9f6866dc88bc85b6b4ef8a7cc1fad376"
+
+# The build the digests were recorded on: numpy's version, the prefix of the
+# OpenBLAS config string and the OpenBLAS core type.
+RECORDED_ENVIRONMENT = ("2.4.6", "OpenBLAS 0.3.31", "SkylakeX")
+
+
+def gradcheck_digest() -> str:
+    report = gradcheck_run(resolve_config())
+    del report["elapsed_seconds"]
+    return hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+
+
+def environment_line() -> str:
+    """This process's runner.environment() beside the recorded build, and
+    whether they are the same."""
+    env = environment()
+    numpy, config, core = RECORDED_ENVIRONMENT
+    same = (env["numpy"] == numpy and (env["openblas"]["config"] or "").startswith(config)
+            and env["openblas"]["corename"] == core)
+    verdict = "same build" if same else "another build: a digest mismatch may be its rounding, not a change"
+    return f"environment {json.dumps(env, sort_keys=True)}\nrecorded on numpy {numpy}, {config} ({core} core): {verdict}"
 
 
 def eval_rows_digest(workload: str, seed: int) -> str:
@@ -135,6 +169,7 @@ def against_head(lines: int, head: int | None) -> str:
 
 
 def main() -> int:
+    print(environment_line())
     ok = True
     for workload, seed in RECORDED:
         ok &= check_run(workload, seed)[0]
@@ -143,6 +178,10 @@ def main() -> int:
         ok &= got == want
         print(f"{f'{workload} seed {seed}':27s} {'eval_rows':12s} {got[:16]} recorded {want[:16]} "
               f"{'ok' if got == want else 'MISMATCH'}")
+    got = gradcheck_digest()
+    ok &= got == GRADCHECK_REPORT
+    print(f"{'gradcheck default config':27s} {'report':12s} {got[:16]} recorded {GRADCHECK_REPORT[:16]} "
+          f"{'ok' if got == GRADCHECK_REPORT else 'MISMATCH'}")
     traced_ok, result = check_run("fewshot_eval", 0, trace=1)
     samples = result["metrics"].get("dmil.few_shot_adapt.samples", {}).get("value", 0) if result else 0
     ok &= traced_ok and samples > 0

@@ -398,23 +398,23 @@ class AdaptTrace:
     and final is the last point minus rate times its gradient; a trace with
     no steps has no points.  linearized[j] is the inner loss linearized at
     points[j], kept (when adapting with keep) for meta_grad's
-    Hessian-vector products.  loss and batch are the inner problem the
-    steps descended (None for a trace with no steps).
-    """
+    Hessian-vector products.  loss is the network's loss, descended on
+    batch (None for a trace with no steps) and taken at final by the outer
+    step."""
 
     points: tuple[ParamVector, ...]
     rate: float
     final: ParamVector
+    loss: Loss
     linearized: tuple[Point, ...] = ()
     losses: tuple[float, ...] = ()  # loss before each step, then at final
     diverged: bool = False
-    loss: Loss | None = None
     batch: object = None
 
 
-def identity_trace(theta: ParamVector) -> AdaptTrace:
-    """Zero-step trace: adaptation that leaves parameters untouched."""
-    return AdaptTrace(points=(), rate=0.0, final=theta)
+def identity_trace(theta: ParamVector, loss: Loss) -> AdaptTrace:
+    """Zero-step trace of a network with this loss: theta untouched."""
+    return AdaptTrace(points=(), rate=0.0, final=theta, loss=loss)
 
 
 _DIVERGENCE_FACTOR = 10.0

@@ -5,7 +5,7 @@ Both step functions share meta_train_step's contract: they take
 StepResult of gradients at the pre-step parameters, which runner.train
 applies through outer_optimizer like those of the other three methods.
 None of them takes a gradient of its own: every outer gradient comes from
-dmil.ho_grad/lo_grad.
+dmil.outer_grad, directly or through dmil.lo_grad.
 
 * maml_train_step: meta_train_step itself.  One monolithic policy is
   dmil_low at K=1 (runner gives maml one skill): inner-adapt on the second
@@ -36,14 +36,15 @@ from .dmil import (
     StepResult,
     hard_labels,
     high_batch,
-    ho_grad,
     lo_grad,
     meta_train_step,
+    outer_grad,
     partition_by_skill,
     pool,
     route,
     sample_phase_batches,
 )
+from .kernels import SelectorLoss, SkillMseLoss
 from .policies import HierarchicalParams
 from .policies import mlp_forward  # noqa: F401  (perfbench/tracing.py wraps this name here)
 from .rng import SplitMix64, derive_seed
@@ -65,10 +66,11 @@ def hard_em_grads(
     against `labels` (high_batch's one-hot actions) plus aux_weight times
     the switch term, and each sub-skill's MSE on the pairs `routing` sends
     it (zero for a skill routed no pair).  outer_loss is the selector loss
-    plus the routed pooled MSE.  These are ho_grad/lo_grad of zero-step traces."""
-    g_high, ce = ho_grad(identity_trace(params.high), params, high_batch(p, labels, params.K), aux_weight)
-    part = partition_by_skill(p, routing, params.K)
-    g_skills, pooled = lo_grad([identity_trace(s) for s in params.skills], params, part)
+    plus the routed pooled MSE: outer_grad/lo_grad of zero-step traces."""
+    trace_h = identity_trace(params.high, SelectorLoss(params.high_shape, aux_weight))
+    g_high, ce = outer_grad(trace_h, high_batch(p, labels, params.K))
+    traces_l = [identity_trace(s, SkillMseLoss(params.skill_shape)) for s in params.skills]
+    g_skills, pooled = lo_grad(traces_l, partition_by_skill(p, routing, params.K))
     return StepResult(g_high, tuple(g_skills), ce + pooled, 0)
 
 

@@ -29,13 +29,14 @@ count and returned for one atomic update, which the caller (runner.train)
 applies; no phase ever sees post-update parameters.  Hard label and routing
 argmins are constants: no gradient flows through them.
 
-ho_grad and lo_grad are the only code that pushes an outer gradient back
-through an inner trace.  With zero-step traces they return the plain
-hard-EM gradients (baselines.hard_em_grads); at K=1 meta_train_step is
-MAML (baselines.maml_train_step is the same function).  Nothing forwards or
-differentiates a one-skill selector (a one-way softmax, identically 1):
-hard_labels and route give skill 0, partition_by_skill the whole pool
-uncopied, high_batch None and ho_grad a zero gradient.
+outer_grad alone pushes an outer gradient, of the loss the trace carries,
+back through an inner trace; lo_grad pools it over sub-skills.  Zero-step
+traces give the hard-EM gradients (baselines.hard_em_grads); at K=1
+meta_train_step is MAML (baselines.maml_train_step).  An empty batch is the
+one no-step case (a zero-step trace, a zero gradient, loss 0.0): a level not
+adapted, a sub-skill routed no pair, and a one-skill selector, which nothing
+forwards (a one-way softmax is identically 1): hard_labels and route give
+skill 0, partition_by_skill the whole pool uncopied, high_batch zero rows.
 """
 
 from __future__ import annotations
@@ -80,6 +81,9 @@ class Pool:
 
     def __len__(self) -> int:
         return self.states.shape[0]
+
+    def empty(self) -> Pool:  # no rows: the batch of a network that takes no step
+        return Pool(self.states[:0], self.actions[:0], ())
 
 
 def pool(trajs: Sequence[Trajectory], features: str) -> Pool:
@@ -129,14 +133,14 @@ def partition_by_skill(p: Pool, indices: np.ndarray, n_skills: int) -> tuple[Poo
     return tuple(Pool(p.states[m], p.actions[m], ()) for m in masks)
 
 
-def high_batch(p: Pool, labels: np.ndarray, n_skills: int) -> Pool | None:
+def high_batch(p: Pool, labels: np.ndarray, n_skills: int) -> Pool:
     """The selector's batch: p's states and slices, uncopied, with the labels
-    one-hot over n_skills as actions; None for one skill, whose selector loss
-    has an exactly zero gradient (a one-way softmax is identically 1)."""
+    one-hot over n_skills as actions; no rows for one skill, whose selector
+    loss has an exactly zero gradient (a one-way softmax is identically 1)."""
     if labels.shape[0] != len(p):
         raise ContractError("labels do not align with the pool")
     if n_skills == 1:
-        return None
+        return p.empty()
     onehot = np.zeros((labels.shape[0], n_skills))
     onehot[np.arange(labels.shape[0]), labels] = 1.0
     return Pool(p.states, onehot, p.slices)
@@ -166,57 +170,49 @@ def adapt_phases(
     The selector takes `inner.steps` inner steps on p_high, labelled by the
     frozen sub-skills; the adapted selector routes p_low, and each sub-skill
     takes as many inner steps on its routed pairs.  A level that is not
-    adapted, a one-skill selector and a sub-skill routed no pair keep a
-    zero-step trace.  The traces keep their linearizations for meta_grad
-    only with `keep`."""
+    adapted gets empty batches, and an empty batch a zero-step trace.  Each
+    trace carries its network's loss, and its linearizations (for
+    meta_grad) only with `keep`."""
     rate, steps, aux_weight, (adapt_high, adapt_low) = inner
-    labels = hard_labels(p_high, params.skills, params.skill_shape) if adapt_high else None
-    batch = None if labels is None else high_batch(p_high, labels, params.K)
-    loss_h = SelectorLoss(params.high_shape, aux_weight)
-    trace_h = identity_trace(params.high) if batch is None else inner_adapt(loss_h, params.high, rate, batch, steps, keep)
-    if not adapt_low:
-        return trace_h, tuple(identity_trace(s) for s in params.skills)
-    batches = partition_by_skill(p_low, route(trace_h.final, params.high_shape, p_low.states), params.K)
+
+    def adapt(loss, theta: ParamVector, batch: Pool) -> AdaptTrace:
+        return inner_adapt(loss, theta, rate, batch, steps, keep) if len(batch) else identity_trace(theta, loss)
+
+    if adapt_high:
+        batch_h = high_batch(p_high, hard_labels(p_high, params.skills, params.skill_shape), params.K)
+    else:
+        batch_h = p_high.empty()
+    trace_h = adapt(SelectorLoss(params.high_shape, aux_weight), params.high, batch_h)
+    if adapt_low:
+        batches = partition_by_skill(p_low, route(trace_h.final, params.high_shape, p_low.states), params.K)
+    else:
+        batches = (p_low.empty(),) * params.K
     loss = SkillMseLoss(params.skill_shape)
-    traces_l = tuple(
-        inner_adapt(loss, s, rate, b, steps, keep) if len(b) else identity_trace(s)
-        for s, b in zip(params.skills, batches)
-    )
-    return trace_h, traces_l
+    return trace_h, tuple(adapt(loss, s, b) for s, b in zip(params.skills, batches))
 
 
-def ho_grad(
-    trace_h: AdaptTrace, params: HierarchicalParams, batch: Pool | None, aux_weight: float
-) -> tuple[ParamVector, float]:
-    """Selector meta-gradient and outer loss: the loss (switch weight
-    aux_weight) on `batch` at the adapted selector, pushed back through its
-    inner steps.  A zero-step trace gives the plain gradient at params.high;
-    a one-skill selector (no batch) gets a zero gradient and loss 0.0."""
-    if batch is None:
-        return ParamVector.zeros(len(params.high)), 0.0
-    val, g_outer = ad.value_and_grad(SelectorLoss(params.high_shape, aux_weight), trace_h.final, batch)
-    return meta_grad(trace_h, g_outer), val
+def outer_grad(trace: AdaptTrace, batch: Pool) -> tuple[ParamVector, float]:
+    """Meta-gradient and outer loss of any network: the trace's loss on
+    `batch` at its adapted parameters, pushed back through its inner steps.
+    A zero-step trace gives the plain gradient at its parameters; an empty
+    batch a zero gradient and loss 0.0."""
+    if not len(batch):
+        return ParamVector.zeros(len(trace.final)), 0.0
+    val, g_outer = ad.value_and_grad(trace.loss, trace.final, batch)
+    return meta_grad(trace, g_outer), val
 
 
-def lo_grad(
-    traces_l: Sequence[AdaptTrace], params: HierarchicalParams, batches: Sequence[Pool]
-) -> tuple[list[ParamVector], float]:
-    """Per-skill meta-gradients and the pooled outer loss on the routed
-    per-skill `batches`.  Skills whose batch is empty contribute zero
-    vectors."""
-    loss = SkillMseLoss(params.skill_shape)
+def lo_grad(traces_l: Sequence[AdaptTrace], batches: Sequence[Pool]) -> tuple[list[ParamVector], float]:
+    """Per-skill outer_grad on the routed per-skill `batches`, and the
+    outer loss pooled over their rows (0.0 with none)."""
     grads: list[ParamVector] = []
     sse_total, n_total = 0.0, 0
     for trace, batch in zip(traces_l, batches, strict=True):
-        if not len(batch):
-            grads.append(ParamVector.zeros(len(trace.final)))
-            continue
-        val, g_outer = ad.value_and_grad(loss, trace.final, batch)
-        grads.append(meta_grad(trace, g_outer))
+        g, val = outer_grad(trace, batch)
+        grads.append(g)
         sse_total += val * len(batch)
         n_total += len(batch)
-    pooled = sse_total / n_total if n_total else 0.0
-    return grads, pooled
+    return grads, sse_total / n_total if n_total else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -260,11 +256,11 @@ class StepResult:
 
 def task_phases(
     params: HierarchicalParams, groups: tuple[Sequence[Trajectory], ...], inner: Inner
-) -> tuple[AdaptTrace, tuple[AdaptTrace, ...], Pool | None, tuple[Pool, ...]]:
+) -> tuple[AdaptTrace, tuple[AdaptTrace, ...], Pool, tuple[Pool, ...]]:
     """One task's four phases, each trajectory group pooled once: the inner
     traces of adapt_phases (same settings) on groups 1 and 2, the
     selector's outer batch and the sub-skills' routed outer batches, for
-    ho_grad and lo_grad.  A level that is not adapted keeps a zero-step
+    outer_grad and lo_grad.  A level that is not adapted keeps a zero-step
     trace, whose meta-gradient is its plain outer gradient, taken on its
     inner batch instead: group 1 labelled by the initial sub-skills for the
     selector, group 2 for the sub-skills."""
@@ -310,8 +306,8 @@ def meta_train_step(
         rng = SplitMix64(derive_seed(step_seed, task.spec.seed))
         groups = sample_phase_batches(task.support, d["batch_size"], rng)
         trace_h, traces_l, batch_h, batches_l = task_phases(params, groups, inner)
-        task_high, high_val = ho_grad(trace_h, params, batch_h, inner.aux_weight)
-        task_skills, skill_val = lo_grad(traces_l, params, batches_l)
+        task_high, high_val = outer_grad(trace_h, batch_h)
+        task_skills, skill_val = lo_grad(traces_l, batches_l)
         g_high = g_high.add(task_high)
         g_skills = [a.add(b) for a, b in zip(g_skills, task_skills, strict=True)]
         high_vals.append(high_val)

@@ -33,9 +33,9 @@ from .dmil import (
     StepResult,
     adapt_phases,
     hard_labels,
-    ho_grad,
     lo_grad,
     meta_train_step,  # noqa: F401  (train calls steps by name)
+    outer_grad,
     pool,
     task_phases,
 )
@@ -438,9 +438,8 @@ def gradcheck_run(cfg: dict) -> dict:
         for steps in g["inner_steps"]:
             inner = Inner(GRADCHECK_INNER_RATE, steps, 0.1, (True, True))
             trace_h, traces_l, batch_h, batches_l = task_phases(params, groups, inner)
-            exact_h = ho_grad(trace_h, params, batch_h, inner.aux_weight)[0]
-            worst_high = max(worst_high, _fd_rel_err(trace_h, batch_h, exact_h))
-            for trace, batch, exact in zip(traces_l, batches_l, lo_grad(traces_l, params, batches_l)[0]):
+            worst_high = max(worst_high, _fd_rel_err(trace_h, batch_h, outer_grad(trace_h, batch_h)[0]))
+            for trace, batch, exact in zip(traces_l, batches_l, lo_grad(traces_l, batches_l)[0]):
                 if trace.points and len(batch):
                     worst_low = max(worst_low, _fd_rel_err(trace, batch, exact))
                     checked += 1

@@ -311,9 +311,9 @@ def test_meta_grad_rejects_length_mismatch() -> None:
 
 def test_identity_trace_has_no_steps() -> None:
     theta = ParamVector(np.array([1.0, 2.0]))
-    t = identity_trace(theta)
+    t = identity_trace(theta, quad_loss)
     assert t.points == ()
-    assert t.final is theta
+    assert t.final is theta and t.loss is quad_loss
     assert np.array_equal(meta_grad(t, theta).values, theta.values)
 
 

@@ -9,7 +9,7 @@ from dmil import dmil, runner
 from dmil.autodiff import ParamVector
 from dmil.baselines import em_only_train, maml_train_step
 from dmil.config import resolve_config
-from dmil.dmil import Inner, ho_grad, lo_grad, meta_train_step, pool, sample_phase_batches, task_phases
+from dmil.dmil import Inner, lo_grad, meta_train_step, outer_grad, pool, sample_phase_batches, task_phases
 from dmil.policies import HierarchicalParams, init_hierarchical, mlp_forward
 from dmil.rng import SplitMix64, derive_seed
 from dmil.tasks import make_dataset, sample_task
@@ -130,7 +130,7 @@ def test_high_and_low_ablations_leave_other_level_plain() -> None:
 
 def test_lifting_restrictions_reproduces_full_step_bitwise() -> None:
     # dmil's step is task_phases with both levels on, the restrictions of
-    # dmil_high and dmil_low lifted: its gradients are ho_grad/lo_grad of
+    # dmil_high and dmil_low lifted: its gradients are outer_grad/lo_grad of
     # the phases that task_phases builds with both levels adapted.
     params = init_hierarchical(4, 2, 3, (8,), seed=22)
     tasks = [demo_task(22)]
@@ -140,8 +140,8 @@ def test_lifting_restrictions_reproduces_full_step_bitwise() -> None:
     groups = sample_phase_batches(tasks[0].support, d["batch_size"], SplitMix64(derive_seed(8, tasks[0].spec.seed)))
     inner = Inner(d["inner_rate"], d["inner_steps"], d["aux_weight"], (True, True))
     trace_h, traces_l, batch_h, batches_l = task_phases(params, groups, inner)
-    lifted_h = ho_grad(trace_h, params, batch_h, d["aux_weight"])[0].scaled(1.0)
-    lifted_l = [g.scaled(1.0) for g in lo_grad(traces_l, params, batches_l)[0]]
+    lifted_h = outer_grad(trace_h, batch_h)[0].scaled(1.0)
+    lifted_l = [g.scaled(1.0) for g in lo_grad(traces_l, batches_l)[0]]
     assert np.array_equal(full.g_high.values, lifted_h.values)
     for a, b in zip(full.g_skills, lifted_l, strict=True):
         assert np.array_equal(a.values, b.values)

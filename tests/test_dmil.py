@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from dmil import dmil
 from dmil.autodiff import ContractError, ParamVector, inner_adapt, linearize, loss_value
-from dmil.config import resolve_config
+from dmil.config import METHODS, resolve_config
 from dmil.data import Trajectory
 from dmil.dmil import (
     Inner,
@@ -17,9 +17,9 @@ from dmil.dmil import (
     few_shot_adapt,
     hard_labels,
     high_batch,
-    ho_grad,
     lo_grad,
     meta_train_step,
+    outer_grad,
     partition_by_skill,
     pool,
     predict_action,
@@ -319,7 +319,7 @@ def test_li_step_single_pair_hand_computed() -> None:
     assert traces[0].final.values == pytest.approx(want, rel=1e-12)
 
 
-# ---- ho_grad / lo_grad ----
+# ---- outer_grad / lo_grad ----
 
 
 def _phases(params, task, cfg, step_seed=0):
@@ -339,7 +339,7 @@ def test_ho_grad_zero_rate_equals_plain_gradient() -> None:
     t1, t2, t3, t4, trace_h, _, traces_l = _phases(params, task, cfg)
     adapted = [t.final for t in traces_l]
     batch3 = high_batch(t3, hard_labels(t3, adapted, params.skill_shape), params.K)
-    got, _ = ho_grad(trace_h, params, batch3, d["aux_weight"])
+    got, _ = outer_grad(trace_h, batch3)
 
     from dmil.autodiff import value_and_grad
 
@@ -360,8 +360,8 @@ def test_ho_grad_first_order_equals_gradient_at_adapted() -> None:
     want = value_and_grad(SelectorLoss(params.high_shape, d["aux_weight"]), trace_h.final, batch3)[1]
     got = meta_grad(trace_h, want, mode="first_order")
     assert np.array_equal(got.values, want.values)
-    # ho_grad is exact: it differs from the first-order reference.
-    exact, _ = ho_grad(trace_h, params, batch3, d["aux_weight"])
+    # outer_grad is exact: it differs from the first-order reference.
+    exact, _ = outer_grad(trace_h, batch3)
     assert not np.array_equal(exact.values, got.values)
 
 
@@ -388,7 +388,7 @@ def test_ho_grad_matches_fd_of_composed_map() -> None:
 
     batch1 = high_batch(t1, hard_labels(t1, params.skills, params.skill_shape), params.K)
     batch3 = high_batch(t3, hard_labels(t3, adapted, params.skill_shape), params.K)
-    exact, _ = ho_grad(trace_h, params, batch3, d["aux_weight"])
+    exact, _ = outer_grad(trace_h, batch3)
     loss = SelectorLoss(params.high_shape, d["aux_weight"])
 
     from dmil.autodiff import inner_adapt, loss_value
@@ -406,7 +406,7 @@ def test_lo_grad_zero_rate_and_empty_partition() -> None:
     cfg = step_cfg(inner_rate=0.0, inner_steps=1, batch_size=2)
     t1, t2, t3, t4, trace_h, _, traces_l = _phases(params, task, cfg)
     batches4 = partition_by_skill(t4, route(trace_h.final, params.high_shape, t4.states), params.K)
-    grads, _ = lo_grad(traces_l, params, batches4)
+    grads, _ = lo_grad(traces_l, batches4)
     from dmil.autodiff import value_and_grad
 
     loss = SkillMseLoss(params.skill_shape)
@@ -425,7 +425,7 @@ def test_lo_grad_matches_fd_of_composed_map() -> None:
     d = cfg["dmil"]
     t1, t2, t3, t4, trace_h, batches2, traces_l = _phases(params, task, cfg)
     batches4 = partition_by_skill(t4, route(trace_h.final, params.high_shape, t4.states), params.K)
-    exact, _ = lo_grad(traces_l, params, batches4)
+    exact, _ = lo_grad(traces_l, batches4)
     loss = SkillMseLoss(params.skill_shape)
 
     from dmil.autodiff import inner_adapt, loss_value
@@ -502,9 +502,9 @@ def test_meta_train_step_matches_hand_assembled_phases() -> None:
         trace_h, traces_l = adapt_phases(params, t1, t2, inner)
         adapted = [t.final for t in traces_l]
         batch3 = high_batch(t3, hard_labels(t3, adapted, params.skill_shape), params.K)
-        sum_h = sum_h.add(ho_grad(trace_h, params, batch3, d["aux_weight"])[0])
+        sum_h = sum_h.add(outer_grad(trace_h, batch3)[0])
         batches4 = partition_by_skill(t4, route(trace_h.final, params.high_shape, t4.states), params.K)
-        for k, g in enumerate(lo_grad(traces_l, params, batches4)[0]):
+        for k, g in enumerate(lo_grad(traces_l, batches4)[0]):
             sum_l[k] = sum_l[k].add(g)
     m = len(tasks)
     assert np.array_equal(res.g_high.values, sum_h.scaled(1.0 / m).values)
@@ -588,7 +588,9 @@ def test_every_loss_batch_is_a_pool_and_the_selector_shares_its_phase_pool(monke
     # the batch of every inner trace with steps.  The selector's batches
     # reuse their phase pool's states and slices, uncopied, and its switch
     # weight is its loss's, which dmil gradcheck's finite differences
-    # re-evaluate when they replay the trace.
+    # re-evaluate when they replay the trace.  At K=1 (maml's step) the
+    # selector's outer batch is a zero-row Pool and its trace takes no step,
+    # and the one sub-skill's batches are its phase pools, uncopied.
     pools = []
     real = dmil.pool
     monkeypatch.setattr(dmil, "pool", lambda trajs, features: pools.append(real(trajs, features)) or pools[-1])
@@ -603,6 +605,51 @@ def test_every_loss_batch_is_a_pool_and_the_selector_shares_its_phase_pool(monke
     for batch, p in ((trace_h.batch, pools[0]), (batch_h, pools[2])):
         assert batch.states is p.states and batch.slices is p.slices
     assert trace_h.loss.aux_weight == inner.aux_weight
+
+    pools.clear()
+    one = small_params(90, n_skills=1)
+    trace_h, traces_l, batch_h, batches_l = task_phases(one, groups, inner._replace(adapts=METHODS["maml"].adapts))
+    assert len(pools) == 3 and not trace_h.points and traces_l[0].points
+    for batch in (batch_h, *batches_l, traces_l[0].batch):
+        assert isinstance(batch, Pool)
+    assert len(batch_h) == 0 and trace_h.loss.aux_weight == inner.aux_weight
+    for batch, p in ((traces_l[0].batch, pools[1]), (batches_l[0], pools[2])):
+        assert batch.states is p.states
+
+
+def test_an_empty_batch_is_the_one_no_step_case() -> None:
+    # Every network that takes no step (a one-skill selector, a level that
+    # is not adapted, a sub-skill routed no pair) has an empty batch, hence
+    # a zero-step trace that still carries its network's loss; outer_grad
+    # gives an empty batch an exactly zero gradient and loss 0.0.
+    p = pool(demo_task(91).support[:2], "raw")
+    inner = Inner(1e-3, 2, 0.3, (True, True))
+    one = small_params(91, n_skills=1)
+    batch = high_batch(p, hard_labels(p, one.skills, one.skill_shape), 1)
+    assert isinstance(batch, Pool) and len(batch) == 0 and batch.slices == ()
+
+    def no_step(trace, loss_type) -> bool:
+        return trace.points == () and isinstance(trace.loss, loss_type)
+
+    for adapts in ((True, True), METHODS["maml"].adapts):
+        trace_h, traces_l = adapt_phases(one, p, p, inner._replace(adapts=adapts))
+        assert no_step(trace_h, SelectorLoss) and trace_h.loss.aux_weight == inner.aux_weight
+        assert traces_l[0].points
+    params = small_params(91)
+    trace_h, traces_l = adapt_phases(params, p, p, inner._replace(adapts=METHODS["dmil_high"].adapts))
+    assert trace_h.points and all(no_step(t, SkillMseLoss) for t in traces_l)
+    # An all-zero selector routes every pair to skill 0 (argmax ties go low).
+    flat = params.with_updates(ParamVector.zeros(len(params.high)), params.skills)
+    trace_h, traces_l = adapt_phases(flat, p, p, inner._replace(adapts=METHODS["dmil_low"].adapts))
+    assert no_step(trace_h, SelectorLoss) and traces_l[0].points
+    assert all(no_step(t, SkillMseLoss) for t in traces_l[1:])
+
+    for trace in (trace_h, *traces_l):
+        g, val = outer_grad(trace, p.empty())
+        assert val == 0.0 and g.values.tobytes() == np.zeros(len(trace.final)).tobytes()
+    grads, pooled = lo_grad(traces_l, (p, p.empty(), p.empty()))
+    assert pooled == pytest.approx(outer_grad(traces_l[0], p)[1], rel=1e-12)
+    assert all(not np.any(g.values) for g in grads[1:])
 
 
 def test_each_inner_point_is_forwarded_once(monkeypatch) -> None:
@@ -679,7 +726,7 @@ def test_labels_onehot_and_partition_disjoint_exhaustive() -> None:
         S = p.states
         labels = hard_labels(p, params.skills, params.skill_shape)
         batch = high_batch(p, labels, k)
-        assert batch is None if k == 1 else np.all(batch.actions.sum(axis=1) == 1.0)
+        assert len(batch) == (0 if k == 1 else len(p)) and np.all(batch.actions.sum(axis=1) == 1.0)
         batches = routed(params.high, params.high_shape, trajs)
         assert sum(len(b) for b in batches) == len(S)
         got = np.concatenate([b.states for b in batches if len(b)], axis=0)
@@ -737,7 +784,7 @@ def test_few_shot_adapt_restricted_variants() -> None:
 @pytest.mark.parametrize("aux", [0.0, 0.1])
 def test_k1_selector_adaptation_changes_nothing(features, aux) -> None:
     # With one skill the selector's softmax is identically 1 and its
-    # gradient exactly zero, which is why high_batch gives no batch and the
+    # gradient exactly zero, which is why high_batch gives it no rows and the
     # selector is never forwarded: adapting it would leave it bitwise where
     # it started.
     for seed in range(8):

@@ -15,8 +15,8 @@ from dmil.dmil import (
     adapt_phases,
     hard_labels,
     high_batch,
-    ho_grad,
     lo_grad,
+    outer_grad,
     partition_by_skill,
     pool,
     route,
@@ -228,7 +228,7 @@ def tape_meta_grad(loss, theta, inner_batch, outer_batch, rate: float, steps: in
 
 
 def test_gradcheck_instances_match_the_tape() -> None:
-    # The closed-form meta-gradients (ho_grad, lo_grad) of dmil gradcheck's
+    # The closed-form meta-gradients (outer_grad, lo_grad) of dmil gradcheck's
     # instances 0 and 1 against the same chain on the tape losses: both are
     # exact, so only rounding separates them.  The batches built here by
     # hand are the reference for the ones task_phases returns and for the
@@ -250,14 +250,14 @@ def test_gradcheck_instances_match_the_tape() -> None:
             batch1 = high_batch(p1, hard_labels(p1, params.skills, params.skill_shape), params.K)
             adapted = [t.final for t in traces_l]
             batch3 = high_batch(p3, hard_labels(p3, adapted, params.skill_shape), params.K)
-            exact_h = ho_grad(trace_h, params, batch3, aux)[0]
+            exact_h = outer_grad(trace_h, batch3)[0]
             ref_h = tape_meta_grad(tape_high, params.high, batch1, batch3, rate, steps)
             assert max_rel_err(exact_h.values, ref_h.values) <= 1e-10
 
             batches2, batches4 = (
                 partition_by_skill(q, route(trace_h.final, params.high_shape, q.states), params.K) for q in (p2, p4)
             )
-            exact_l = lo_grad(traces_l, params, batches4)[0]
+            exact_l = lo_grad(traces_l, batches4)[0]
 
             phase_h, phase_l, batch_h, batches_l = task_phases(params, groups, inner)
             assert same_pool(phase_h.batch, batch1) and same_pool(batch_h, batch3)
