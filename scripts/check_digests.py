@@ -16,6 +16,12 @@ Nor do they cover the meta-gradient check, so it also runs
 runner.gradcheck_run at the default config in this process and compares
 the sha256 of its report, without elapsed_seconds, as sorted-key JSON.
 
+The in-process meta_train round at seed 0 runs under tracemalloc, and the
+script prints the traced heap's peak during its warm_start stage and during
+its train stage after the warm start nested in it (the outer iterations).
+Whichever is higher is the round's heap high-water mark, which perfbench's
+peak_rss_mb follows; the peaks do not change the exit code.
+
 The traced round must also report 1-shot few_shot_adapt samples: the tracer
 tags each few_shot_adapt span with the length of its second positional
 argument, the demonstrations.  Demonstrations moved off that position leave
@@ -31,16 +37,19 @@ is the same, so that a mismatch on another build reads as one; the
 environment does not change the exit code.
 """
 
+import contextlib
 import hashlib
 import json
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.dont_write_bytecode = True  # leave perfbench/ as checked in
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
+from dmil import runner  # noqa: E402
 from dmil.config import resolve_config  # noqa: E402
 from dmil.runner import environment, gradcheck_run  # noqa: E402
 from workloads import config_for, run_round  # noqa: E402
@@ -110,6 +119,41 @@ def eval_rows_digest(workload: str, seed: int) -> str:
     return hashlib.sha256(repr(rows).encode()).hexdigest()
 
 
+# The round whose warm_start and train stages are traced.
+TRACED_STAGES_ROUND = ("meta_train", 0)
+
+
+@contextlib.contextmanager
+def traced_stage_peaks():
+    """Trace allocations and wrap runner.warm_start and runner.train, which
+    run_round reaches through runner: yields a dict that gets each stage's
+    peak traced heap in bytes.  Each stage resets the peak as it starts and
+    ends, so train's peak is that of the iterations after its warm start."""
+    peaks: dict[str, int] = {}
+    keep = {name: getattr(runner, name) for name in ("warm_start", "train")}
+
+    def traced(name):
+        def stage(*args, **kwargs):
+            tracemalloc.reset_peak()
+            try:
+                return keep[name](*args, **kwargs)
+            finally:
+                peaks[name] = tracemalloc.get_traced_memory()[1]
+                tracemalloc.reset_peak()
+
+        return stage
+
+    tracemalloc.start()
+    try:
+        for name in keep:
+            setattr(runner, name, traced(name))
+        yield peaks
+    finally:
+        for name, fn in keep.items():
+            setattr(runner, name, fn)
+        tracemalloc.stop()
+
+
 def run_workload(workload: str, seed: int, trace: int = 0) -> tuple[dict, dict | None, int]:
     """The digests a run prints, its final JSON result (None if it printed
     none) and its exit code."""
@@ -174,10 +218,15 @@ def main() -> int:
     for workload, seed in RECORDED:
         ok &= check_run(workload, seed)[0]
     for (workload, seed), want in EVAL_ROWS.items():
-        got = eval_rows_digest(workload, seed)
+        with traced_stage_peaks() if (workload, seed) == TRACED_STAGES_ROUND else contextlib.nullcontext() as peaks:
+            got = eval_rows_digest(workload, seed)
         ok &= got == want
         print(f"{f'{workload} seed {seed}':27s} {'eval_rows':12s} {got[:16]} recorded {want[:16]} "
               f"{'ok' if got == want else 'MISMATCH'}")
+        if peaks:
+            top = max(peaks, key=peaks.get)
+            print(f"{f'{workload} seed {seed}':27s} tracemalloc peak: warm_start {peaks['warm_start'] / 2**20:.2f} MiB,"
+                  f" train {peaks['train'] / 2**20:.2f} MiB ({top} is the high-water mark)")
     got = gradcheck_digest()
     ok &= got == GRADCHECK_REPORT
     print(f"{'gradcheck default config':27s} {'report':12s} {got[:16]} recorded {GRADCHECK_REPORT[:16]} "

@@ -18,6 +18,12 @@ linearization, and meta_grad backpropagates an outer gradient through them
 (the (I - rate * H) chain, applied in reverse step order) without
 evaluating the inner loss again.
 
+All of them also act on a stack of m problems at once, as the kernels do:
+a ParamVector may hold an (m, n_params) stack of vectors, a stacked batch
+then gives an (m,) loss, and each slice is bitwise its unstacked problem.
+Finiteness is checked per slice (a NumericError names the first slice that
+failed) and inner_adapt flags divergence per slice.
+
 Everything is float64.  ReLU uses subgradient 0 at the kink and contributes
 nothing to second derivatives, which is the usual almost-everywhere
 convention; finite-difference checks must stay away from kinks.
@@ -25,6 +31,7 @@ convention; finite-difference checks must stay away from kinks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Protocol, Sequence
 
@@ -32,7 +39,12 @@ import numpy as np
 
 
 class NumericError(RuntimeError):
-    """A computation produced a non-finite value."""
+    """A computation produced a non-finite value; in a stack, `slice` is the
+    index of the first slice that did (None when unstacked or unknown)."""
+
+    def __init__(self, message: str, slice: int | None = None):
+        super().__init__(message)
+        self.slice = slice
 
 
 class ContractError(ValueError):
@@ -47,6 +59,8 @@ class ContractError(ValueError):
 @dataclass(frozen=True)
 class ParamVector:
     """Immutable flat float64 parameter vector; the unit of differentiation.
+    It may also hold an (m, n_params) stack of vectors, one per slice of a
+    stacked problem; len() is the vector length either way.
 
     The constructor copies and checks its input.  Arithmetic, and the
     checked results of the loss-level API below, wrap arrays they have just
@@ -56,10 +70,10 @@ class ParamVector:
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=np.float64)
-        if v.ndim != 1:
-            raise ContractError(f"ParamVector must be 1-D, got shape {v.shape}")
-        if not np.all(np.isfinite(v)):
-            raise NumericError("ParamVector entries must be finite")
+        if v.ndim not in (1, 2):
+            raise ContractError(f"ParamVector must be 1-D or a 2-D stack, got shape {v.shape}")
+        if not np.isfinite(v).all():
+            raise _non_finite(v, 1, "ParamVector entries must be finite")
         v = v.copy()
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
@@ -69,14 +83,14 @@ class ParamVector:
         """Wrap a newly allocated 1-D float64 array that nothing else holds,
         checking it is finite unless the caller already has."""
         if check and not np.isfinite(v).all():
-            raise NumericError("ParamVector entries must be finite")
+            raise _non_finite(v, 1, "ParamVector entries must be finite")
         v.setflags(write=False)
         out = object.__new__(cls)
         object.__setattr__(out, "values", v)
         return out
 
     def __len__(self) -> int:
-        return self.values.shape[0]
+        return self.values.shape[-1]
 
     def minus_scaled(self, g: "ParamVector", rate: float) -> "ParamVector":
         """theta - rate * g, the one arithmetic form of every descent step."""
@@ -93,8 +107,20 @@ class ParamVector:
         return ParamVector._fresh(self.values + other.values)
 
     @staticmethod
-    def zeros(n: int) -> "ParamVector":
-        return ParamVector._fresh(np.zeros(n), check=False)
+    def zeros(shape: int | tuple[int, ...]) -> "ParamVector":
+        return ParamVector._fresh(np.zeros(shape), check=False)
+
+
+def _non_finite(x, ndim: int, what: str) -> NumericError:
+    """The NumericError `what` for an x with a non-finite entry, which it
+    shows.  x has `ndim` axes unstacked and one more as a stack, whose
+    error also names the first slice that failed."""
+    x = np.asarray(x)
+    finite = np.isfinite(x)
+    if x.ndim == ndim:
+        return NumericError(f"{what} ({x[~finite][0]})")
+    i = int(np.argmin(finite.reshape(len(x), -1).all(axis=1)))
+    return NumericError(f"{what} ({x[i][~finite[i]][0]}), stack slice {i}", i)
 
 
 # ---------------------------------------------------------------------------
@@ -341,21 +367,23 @@ class Loss(Protocol):
 @dataclass(frozen=True)
 class Point:
     """A loss linearized at one parameter vector, its value and gradient
-    checked finite; hvp(point, v) takes Hessian-vector products there."""
+    checked finite; hvp(point, v) takes Hessian-vector products there.  On a
+    stacked batch the value is an (m,) array and the gradient a stack."""
 
-    value: float
+    value: float | np.ndarray
     grad: ParamVector
     linear: Linearization
     name: str
 
 
-def _check_loss(f: Loss, val: float) -> float:
-    if not np.isfinite(val):
-        raise NumericError(f"non-finite loss ({val}) in {f.name}")
+def _check_loss(f: Loss, val):
+    # An unstacked loss is a float, which math checks far faster than numpy.
+    if not (math.isfinite(val) if isinstance(val, float) else np.isfinite(val).all()):
+        raise _non_finite(val, 0, f"non-finite loss in {f.name}")
     return val
 
 
-def loss_value(f: Loss, theta: ParamVector, batch) -> float:
+def loss_value(f: Loss, theta: ParamVector, batch) -> float | np.ndarray:
     """Evaluate the loss only."""
     return _check_loss(f, f.value(theta.values, batch))
 
@@ -366,11 +394,11 @@ def linearize(f: Loss, theta: ParamVector, batch) -> Point:
     lin = f.linearize(theta.values, batch)
     _check_loss(f, lin.value)
     if not np.isfinite(lin.grad).all():
-        raise NumericError(f"non-finite gradient in {f.name}")
+        raise _non_finite(lin.grad, 1, f"non-finite gradient in {f.name}")
     return Point(lin.value, ParamVector._fresh(lin.grad, check=False), lin, f.name)
 
 
-def value_and_grad(f: Loss, theta: ParamVector, batch) -> tuple[float, ParamVector]:
+def value_and_grad(f: Loss, theta: ParamVector, batch) -> tuple[float | np.ndarray, ParamVector]:
     point = linearize(f, theta, batch)
     return point.value, point.grad
 
@@ -381,7 +409,7 @@ def hvp(point: Point, v: ParamVector) -> ParamVector:
         raise ContractError(f"hvp direction length {len(v)} != parameter length {len(point.grad)}")
     h = point.linear.hvp(v.values)
     if not np.isfinite(h).all():
-        raise NumericError(f"non-finite hvp in {point.name}")
+        raise _non_finite(h, 1, f"non-finite hvp in {point.name}")
     return ParamVector._fresh(h, check=False)
 
 
@@ -400,15 +428,17 @@ class AdaptTrace:
     points[j], kept (when adapting with keep) for meta_grad's
     Hessian-vector products.  loss is the network's loss, descended on
     batch (None for a trace with no steps) and taken at final by the outer
-    step."""
+    step.  On a stacked batch every point after the start, and final, is a
+    stack, each loss an (m,) array and diverged an (m,) bool array, one
+    entry per slice."""
 
     points: tuple[ParamVector, ...]
     rate: float
     final: ParamVector
     loss: Loss
     linearized: tuple[Point, ...] = ()
-    losses: tuple[float, ...] = ()  # loss before each step, then at final
-    diverged: bool = False
+    losses: tuple = ()  # loss before each step, then at final
+    diverged: bool | np.ndarray = False
     batch: object = None
 
 
@@ -435,8 +465,9 @@ def inner_adapt(
     differentiated) it holds none, and each step's linearization is dropped
     before the next is made.  rate == 0 is allowed and returns theta
     bitwise unchanged.  If the loss grows by more than 10x over the trace
-    the result is flagged as diverged (never clipped); training code
-    surfaces the flag in metrics.
+    the result is flagged as diverged (never clipped), slice by slice on a
+    stacked batch; training code surfaces the flag in metrics.  A stacked
+    batch may start from one vector shared by every slice.
     """
     if steps < 1:
         raise ContractError(f"inner_adapt needs steps >= 1, got {steps}")
@@ -445,7 +476,7 @@ def inner_adapt(
     p = theta
     points: list[ParamVector] = []
     kept: list[Point] = []
-    losses: list[float] = []
+    losses: list = []
     for _ in range(steps):
         point = linearize(f, p, batch)
         losses.append(point.value)
@@ -456,15 +487,15 @@ def inner_adapt(
         del point  # without keep, nothing else holds it
     final_loss = loss_value(f, p, batch)
     losses.append(final_loss)
-    floor = max(abs(losses[0]), 1e-300)
-    diverged = any(l > _DIVERGENCE_FACTOR * floor for l in losses[1:])
+    floor = np.maximum(np.abs(losses[0]), 1e-300)
+    diverged = (np.array(losses[1:]) > _DIVERGENCE_FACTOR * floor).any(axis=0)
     return AdaptTrace(
         points=tuple(points),
         rate=rate,
         final=p,
         linearized=tuple(kept),
         losses=tuple(losses),
-        diverged=diverged,
+        diverged=diverged if diverged.ndim else bool(diverged),
         loss=f,
         batch=batch,
     )

@@ -17,17 +17,22 @@ pre-step parameters:
                             sub-skill's inner steps.
 
 task_phases is the one composition of the phases: meta_train_step and
-runner.gradcheck_run both differentiate what it builds.  Each phase batch
-is pooled once (`pool`), and a Pool is every loss's batch: the selector's
-holds one-hot skill labels as actions, a sub-skill's its routed rows.  The
-two inner updates are adapt_phases, which few-shot adaptation and the warm
-start's selector consolidation also run; one Inner value carries an inner
-phase's settings into every one of these callers.
+runner.gradcheck_run both differentiate what it builds.  It runs phase by
+phase over a stack of tasks whose phase batches have one shape: each phase
+batch is pooled once for the stack (pool_stack), every selector pass
+(labels, inner steps, routing, outer gradient) is one kernel call for all
+the stack's tasks, and the sub-skills, whose routed sets differ in size,
+adapt task by task.  A Pool is every loss's batch: the selector's holds
+one-hot skill labels as actions, a sub-skill's its routed rows.  The two
+inner updates are adapt_phases, which few-shot adaptation and the warm
+start's selector consolidation also run on one unstacked pool; one Inner
+value carries an inner phase's settings into every one of these callers.
 
 Meta-gradients are summed over tasks in list order, divided by the task
 count and returned for one atomic update, which the caller (runner.train)
 applies; no phase ever sees post-update parameters.  Hard label and routing
-argmins are constants: no gradient flows through them.
+argmins are constants: no gradient flows through them.  A NumericError
+raised in a step names the task's seed and the phase.
 
 outer_grad alone pushes an outer gradient, of the loss the trace carries,
 back through an inner trace; lo_grad pools it over sub-skills.  Zero-step
@@ -41,9 +46,11 @@ skill 0, partition_by_skill the whole pool uncopied, high_batch zero rows.
 
 from __future__ import annotations
 
+import functools
 import itertools
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -51,6 +58,7 @@ from . import autodiff as ad
 from .autodiff import (
     AdaptTrace,
     ContractError,
+    NumericError,
     ParamVector,
     identity_trace,
     inner_adapt,
@@ -73,17 +81,31 @@ class Pool:
     (N, in), actions (N, out) and per-trajectory row slices (switch terms
     never cross trajectory ends).  A phase batch is pooled once; its labels
     and routing read that Pool, the selector's batch shares its states and
-    slices (high_batch), and one skill's partition is a Pool of its rows."""
+    slices (high_batch), and one skill's partition is a Pool of its rows.
+    A stack of m tasks' pools of one shape (pool_stack) holds (m, N, in)
+    states, (m, N, out) actions and one slices tuple per task, and its
+    length is N, the rows of each task."""
 
     states: np.ndarray
     actions: np.ndarray
-    slices: tuple[tuple[int, int], ...]
+    slices: tuple
 
     def __len__(self) -> int:
-        return self.states.shape[0]
+        return self.states.shape[-2]
 
     def empty(self) -> Pool:  # no rows: the batch of a network that takes no step
-        return Pool(self.states[:0], self.actions[:0], ())
+        return Pool(self.states[..., :0, :], self.actions[..., :0, :], ())
+
+    def tasks(self) -> list[Pool]:
+        """Each task's pool, as views of a stack; an unstacked pool is one task."""
+        if self.states.ndim == 2:
+            return [self]
+        return [Pool(*task) for task in zip(self.states, self.actions, self.slices, strict=True)]
+
+
+def _slices(trajs: Sequence[Trajectory]) -> tuple[tuple[int, int], ...]:
+    ends = tuple(itertools.accumulate(len(t) for t in trajs))
+    return tuple(zip((0,) + ends[:-1], ends))
 
 
 def pool(trajs: Sequence[Trajectory], features: str) -> Pool:
@@ -94,30 +116,44 @@ def pool(trajs: Sequence[Trajectory], features: str) -> Pool:
         raise ContractError("need at least one trajectory")
     states = np.concatenate([t.states for t in trajs], axis=0)
     actions = np.concatenate([t.actions for t in trajs], axis=0)
-    ends = tuple(itertools.accumulate(len(t) for t in trajs))
-    return Pool(featurize(states, features), actions, tuple(zip((0,) + ends[:-1], ends)))
+    return Pool(featurize(states, features), actions, _slices(trajs))
 
 
-def hard_labels(p: Pool, skills: Sequence[ParamVector], skill_shape: MlpShape) -> np.ndarray:
-    """Index (N,) of the sub-skill of least squared action error per pair.
+def pool_stack(groups: Sequence[Sequence[Trajectory]], features: str) -> Pool:
+    """m trajectory groups of one row count N, one per task, as a stack: one
+    pool of all their trajectories, group after group, viewed as (m, N, .)
+    arrays, with each group's slices counted from its own first row.  The
+    feature map acts row by row, so each slice is bitwise its group's pool."""
+    p = pool([t for g in groups for t in g], features)
+    m = len(groups)
+    if any(sum(map(len, g)) * m != len(p) for g in groups):
+        raise ContractError("stacked trajectory groups must have one row count")
+    n = len(p) // m
+    return Pool(p.states.reshape(m, n, -1), p.actions.reshape(m, n, -1), tuple(_slices(g) for g in groups))
+
+
+def hard_labels(p: Pool, skills: Sequence[ParamVector | np.ndarray], skill_shape: MlpShape) -> np.ndarray:
+    """Index (N,) of the sub-skill of least squared action error per pair;
+    (m, N) for a stack, against skills shared by every task or, each, an
+    (m, n_params) stack of one vector per task.
 
     Ties go to the lowest skill index (argmin's first match), which keeps the
     assignment deterministic and order-stable.  One skill wins every pair,
     with no forward."""
     if len(skills) == 1:
-        return np.zeros(len(p), dtype=np.intp)
+        return np.zeros(p.states.shape[:-1], dtype=np.intp)
     errors = np.stack(
-        [np.sum((p.actions - mlp_forward(s, skill_shape, p.states)) ** 2, axis=1) for s in skills],
-        axis=1,
+        [np.sum((p.actions - mlp_forward(s, skill_shape, p.states)) ** 2, axis=-1) for s in skills],
+        axis=-1,
     )
-    return np.argmin(errors, axis=1)
+    return np.argmin(errors, axis=-1)
 
 
 def route(selector: ParamVector | np.ndarray, high_shape: MlpShape, states: np.ndarray) -> np.ndarray:
     """The selector's argmax skill per row of network inputs (..., in), ties
     to the lowest index; a one-output selector picks 0 with no forward.  A
     stack of selectors (mlp_forward's (m, n_params) array) routes an
-    (m, n, 1, in) stack."""
+    (m, n, in) stack task by task, or an (m, n, 1, in) stack row by row."""
     if high_shape.out_dim == 1:
         return np.zeros(states.shape[:-1], dtype=np.intp)
     return np.argmax(mlp_forward(selector, high_shape, states), axis=-1)
@@ -136,14 +172,13 @@ def partition_by_skill(p: Pool, indices: np.ndarray, n_skills: int) -> tuple[Poo
 def high_batch(p: Pool, labels: np.ndarray, n_skills: int) -> Pool:
     """The selector's batch: p's states and slices, uncopied, with the labels
     one-hot over n_skills as actions; no rows for one skill, whose selector
-    loss has an exactly zero gradient (a one-way softmax is identically 1)."""
-    if labels.shape[0] != len(p):
+    loss has an exactly zero gradient (a one-way softmax is identically 1).
+    A stacked pool takes (m, N) labels."""
+    if labels.shape != p.states.shape[:-1]:
         raise ContractError("labels do not align with the pool")
     if n_skills == 1:
         return p.empty()
-    onehot = np.zeros((labels.shape[0], n_skills))
-    onehot[np.arange(labels.shape[0]), labels] = 1.0
-    return Pool(p.states, onehot, p.slices)
+    return Pool(p.states, np.eye(n_skills)[labels], p.slices)
 
 
 # ---------------------------------------------------------------------------
@@ -162,17 +197,32 @@ class Inner(NamedTuple):
     adapts: tuple[bool, bool]
 
 
+@contextmanager
+def _phase(name: str | None, task: int | None = None):
+    """Prefix a NumericError raised inside with the phase `name` (when
+    given), and give it the stack slice `task` when it names none."""
+    try:
+        yield
+    except NumericError as e:
+        raise NumericError(f"{name}: {e}" if name else str(e), task if e.slice is None else e.slice) from e
+
+
 def adapt_phases(
     params: HierarchicalParams, p_high: Pool, p_low: Pool, inner: Inner, keep: bool = True
-) -> tuple[AdaptTrace, tuple[AdaptTrace, ...]]:
-    """The inner half of an iteration, and all of few-shot adaptation.
+) -> tuple[AdaptTrace, Iterator[tuple[AdaptTrace, ...]]]:
+    """The inner half of an iteration, and all of few-shot adaptation, for
+    one task or for a stack of tasks (stacked Pools).
 
     The selector takes `inner.steps` inner steps on p_high, labelled by the
-    frozen sub-skills; the adapted selector routes p_low, and each sub-skill
-    takes as many inner steps on its routed pairs.  A level that is not
-    adapted gets empty batches, and an empty batch a zero-step trace.  Each
-    trace carries its network's loss, and its linearizations (for
-    meta_grad) only with `keep`."""
+    frozen sub-skills; on a stack the selectors of all tasks adapt as one
+    stacked trace, one kernel pass per step for every task.  Each task's
+    adapted selector routes its p_low, and its sub-skills take as many inner
+    steps on their routed pairs when the returned iterator reaches the task:
+    a caller done with one task's traces before it takes the next holds one
+    task's sub-skill linearizations at a time.  A level that is not adapted
+    gets empty batches, and an empty batch a zero-step trace.  Each trace
+    carries its network's loss, and its linearizations (for meta_grad) only
+    with `keep`."""
     rate, steps, aux_weight, (adapt_high, adapt_low) = inner
 
     def adapt(loss, theta: ParamVector, batch: Pool) -> AdaptTrace:
@@ -182,22 +232,33 @@ def adapt_phases(
         batch_h = high_batch(p_high, hard_labels(p_high, params.skills, params.skill_shape), params.K)
     else:
         batch_h = p_high.empty()
-    trace_h = adapt(SelectorLoss(params.high_shape, aux_weight), params.high, batch_h)
+    with _phase("selector inner"):
+        trace_h = adapt(SelectorLoss(params.high_shape, aux_weight), params.high, batch_h)
     if adapt_low:
-        batches = partition_by_skill(p_low, route(trace_h.final, params.high_shape, p_low.states), params.K)
-    else:
-        batches = (p_low.empty(),) * params.K
+        routes = np.atleast_2d(route(trace_h.final.values, params.high_shape, p_low.states))
     loss = SkillMseLoss(params.skill_shape)
-    return trace_h, tuple(adapt(loss, s, b) for s, b in zip(params.skills, batches))
+
+    def adapt_skill(j: int, k: int, batch: Pool) -> AdaptTrace:
+        with _phase(f"sub-skill {k} inner", j):
+            return adapt(loss, params.skills[k], batch)
+
+    def low() -> Iterator[tuple[AdaptTrace, ...]]:  # holds no task's traces once it has yielded them
+        for j, p in enumerate(p_low.tasks()):
+            batches = partition_by_skill(p, routes[j], params.K) if adapt_low else (p.empty(),) * params.K
+            yield tuple(adapt_skill(j, k, batch) for k, batch in enumerate(batches))
+
+    return trace_h, low()
 
 
-def outer_grad(trace: AdaptTrace, batch: Pool) -> tuple[ParamVector, float]:
+def outer_grad(trace: AdaptTrace, batch: Pool) -> tuple[ParamVector, float | np.ndarray]:
     """Meta-gradient and outer loss of any network: the trace's loss on
-    `batch` at its adapted parameters, pushed back through its inner steps.
-    A zero-step trace gives the plain gradient at its parameters; an empty
-    batch a zero gradient and loss 0.0."""
+    `batch` at its adapted parameters, pushed back through its inner steps;
+    a stacked trace and batch give each slice's, as a stack and an (m,)
+    array.  A zero-step trace gives the plain gradient at its parameters;
+    an empty batch a zero gradient and loss 0.0."""
     if not len(batch):
-        return ParamVector.zeros(len(trace.final)), 0.0
+        lead = batch.states.shape[:-2]
+        return ParamVector.zeros(lead + (len(trace.final),)), np.zeros(lead) if lead else 0.0
     val, g_outer = ad.value_and_grad(trace.loss, trace.final, batch)
     return meta_grad(trace, g_outer), val
 
@@ -207,8 +268,9 @@ def lo_grad(traces_l: Sequence[AdaptTrace], batches: Sequence[Pool]) -> tuple[li
     outer loss pooled over their rows (0.0 with none)."""
     grads: list[ParamVector] = []
     sse_total, n_total = 0.0, 0
-    for trace, batch in zip(traces_l, batches, strict=True):
-        g, val = outer_grad(trace, batch)
+    for k, (trace, batch) in enumerate(zip(traces_l, batches, strict=True)):
+        with _phase(f"sub-skill {k} outer"):
+            g, val = outer_grad(trace, batch)
         grads.append(g)
         sse_total += val * len(batch)
         n_total += len(batch)
@@ -255,27 +317,44 @@ class StepResult:
 
 
 def task_phases(
-    params: HierarchicalParams, groups: tuple[Sequence[Trajectory], ...], inner: Inner
-) -> tuple[AdaptTrace, tuple[AdaptTrace, ...], Pool, tuple[Pool, ...]]:
-    """One task's four phases, each trajectory group pooled once: the inner
-    traces of adapt_phases (same settings) on groups 1 and 2, the
-    selector's outer batch and the sub-skills' routed outer batches, for
-    outer_grad and lo_grad.  A level that is not adapted keeps a zero-step
-    trace, whose meta-gradient is its plain outer gradient, taken on its
-    inner batch instead: group 1 labelled by the initial sub-skills for the
-    selector, group 2 for the sub-skills."""
-    t1, t2, t3, t4 = groups
-    p1, p2 = pool(t1, params.feature_kind), pool(t2, params.feature_kind)
-    trace_h, traces_l = adapt_phases(params, p1, p2, inner)
+    params: HierarchicalParams,
+    groups: Sequence[tuple[Sequence[Trajectory], ...]],
+    inner: Inner,
+    visit: Callable[[int, tuple[AdaptTrace, ...], tuple[Pool, ...]], None],
+) -> tuple[AdaptTrace, Pool]:
+    """The four phases of a stack of m tasks, phase by phase.  groups holds
+    each task's four trajectory groups, and each group pools to one shape in
+    every task (meta_train_step stacks tasks so), and is pooled once, for
+    all tasks (pool_stack).  adapt_phases (same settings) adapts all tasks'
+    selectors on groups 1 as one stack and each task's sub-skills on its
+    group 2, and the adapted selectors route groups 4 as one stack.  Task
+    j's sub-skill traces and routed outer batches (lo_grad's arguments) go
+    to visit(j, traces_l, batches_l) in task order, and only their final
+    vectors are kept after it returns.  Returns the selectors' stacked trace
+    and outer batch (outer_grad's arguments): groups 3, labelled by each
+    task's adapted sub-skills.  A level that is not adapted keeps a
+    zero-step trace, whose meta-gradient is its plain outer gradient, taken
+    on its inner batch instead: group 1 labelled by the initial sub-skills
+    for the selector, group 2 for the sub-skills."""
+
+    def pooled(g: int) -> Pool:
+        return pool_stack([task[g] for task in groups], params.feature_kind)
+
     adapt_high, adapt_low = inner.adapts
-    if adapt_high:
-        p3, label_skills = pool(t3, params.feature_kind), [t.final for t in traces_l]
-    else:
-        p3, label_skills = p1, params.skills
-    batch_h = high_batch(p3, hard_labels(p3, label_skills, params.skill_shape), params.K)
-    p4 = pool(t4, params.feature_kind) if adapt_low else p2
-    batches_l = partition_by_skill(p4, route(trace_h.final, params.high_shape, p4.states), params.K)
-    return trace_h, traces_l, batch_h, batches_l
+    p1, p2 = pooled(0), pooled(1)
+    trace_h, lows = adapt_phases(params, p1, p2, inner)
+    p3 = pooled(2) if adapt_high else p1
+    p4 = pooled(3) if adapt_low else p2
+    routes = route(trace_h.final.values, params.high_shape, p4.states)
+    finals = []
+    for j, p in enumerate(p4.tasks()):
+        traces_l = next(lows)  # not zip or enumerate, which hold their last item until the next is made
+        with _phase(None, j):
+            visit(j, traces_l, partition_by_skill(p, routes[j], params.K))
+        finals.append([t.final.values for t in traces_l])
+        del traces_l  # free this task's linearizations before the next task's phases
+    label_skills = [np.stack(skill) for skill in zip(*finals)] if adapt_high else params.skills
+    return trace_h, high_batch(p3, hard_labels(p3, label_skills, params.skill_shape), params.K)
 
 
 def meta_train_step(
@@ -288,38 +367,56 @@ def meta_train_step(
 
     cfg is the resolved run config: its dmil section gives the inner phases
     and the batch size, and its method's METHODS row the meta-learned
-    levels.  Every phase reads only the pre-step `params`;
-    meta-gradients accumulate in task order, and the caller applies them
-    once, atomically.  Batch sampling is a pure function of (step_seed,
-    task.spec.seed), so permuting the task list only reassociates the
-    gradient sum.  Any task failure aborts the whole step before any
-    gradient is returned.
+    levels.  Tasks whose four phase groups have the same row counts form one
+    stack, whose selector phases run as stacked passes (task_phases); the
+    sub-skill phases run task by task.  Every phase reads only the pre-step
+    `params`; meta-gradients accumulate in task order, and the caller
+    applies them once, atomically.  Batch sampling is a pure function of
+    (step_seed, task.spec.seed), so permuting the task list only
+    reassociates the gradient sum.  Any task failure aborts the whole step
+    before any gradient is returned, and a NumericError names the task's
+    seed and the phase.
     """
     if not tasks:
         raise ContractError("meta_train_step needs at least one task")
-    g_high = ParamVector.zeros(len(params.high))
-    g_skills = [ParamVector.zeros(len(s)) for s in params.skills]
-    high_vals, skill_vals, diverged = [], [], 0
     d = cfg["dmil"]
     inner = Inner(d["inner_rate"], d["inner_steps"], d["aux_weight"], METHODS[d["method"]].adapts)
-    for task in tasks:
+    stacks: dict[tuple[int, ...], list] = {}
+    for i, task in enumerate(tasks):
         rng = SplitMix64(derive_seed(step_seed, task.spec.seed))
         groups = sample_phase_batches(task.support, d["batch_size"], rng)
-        trace_h, traces_l, batch_h, batches_l = task_phases(params, groups, inner)
-        task_high, high_val = outer_grad(trace_h, batch_h)
-        task_skills, skill_val = lo_grad(traces_l, batches_l)
-        g_high = g_high.add(task_high)
-        g_skills = [a.add(b) for a, b in zip(g_skills, task_skills, strict=True)]
-        high_vals.append(high_val)
-        skill_vals.append(skill_val)
-        diverged += int(trace_h.diverged or any(t.diverged for t in traces_l))
-        del trace_h, traces_l  # free this task's linearizations before the next task's phases
-    c = 1.0 / len(tasks)
+        stacks.setdefault(tuple(sum(map(len, g)) for g in groups), []).append((i, groups))
+    n = len(tasks)
+    g_high, g_skills = [None] * n, [None] * n
+    high_vals, skill_vals, diverged = [0.0] * n, [0.0] * n, [False] * n
+    for members in stacks.values():
+        order = [i for i, _ in members]
+
+        def visit(j: int, traces_l: tuple[AdaptTrace, ...], batches_l: tuple[Pool, ...]) -> None:
+            g_skills[order[j]], skill_vals[order[j]] = lo_grad(traces_l, batches_l)
+            diverged[order[j]] = any(t.diverged for t in traces_l)
+
+        try:
+            trace_h, batch_h = task_phases(params, [g for _, g in members], inner, visit)
+            with _phase("selector outer"):
+                g, vals = outer_grad(trace_h, batch_h)
+        except NumericError as e:
+            seeds = ", ".join(str(tasks[i].spec.seed) for i in (order if e.slice is None else [order[e.slice]]))
+            raise NumericError(f"task seed {seeds}, {e}") from e
+        flags = np.broadcast_to(trace_h.diverged, (len(order),))
+        for j, i in enumerate(order):
+            g_high[i], high_vals[i] = g.values[j], vals[j]
+            diverged[i] = diverged[i] or bool(flags[j])
+        del trace_h  # free this stack's selector linearizations before the next stack's phases
+
+    def mean(rows) -> ParamVector:  # summed in task order
+        return ParamVector._fresh(functools.reduce(np.add, rows, np.zeros(rows[0].shape)) * (1.0 / n))
+
     return StepResult(
-        g_high=g_high.scaled(c),
-        g_skills=tuple(g.scaled(c) for g in g_skills),
+        g_high=mean(g_high),
+        g_skills=tuple(mean([task[k].values for task in g_skills]) for k in range(params.K)),
         outer_loss=float(np.mean(high_vals)) + float(np.mean(skill_vals)),
-        diverged_count=diverged,
+        diverged_count=sum(diverged),
     )
 
 
@@ -336,7 +433,7 @@ def few_shot_adapt(params: HierarchicalParams, demos: Sequence[Trajectory], inne
     if not demos:
         raise ContractError("few_shot_adapt needs at least one demonstration")
     p = pool(demos, params.feature_kind)
-    trace_h, traces_l = adapt_phases(params, p, p, inner, keep=False)
+    trace_h, (traces_l,) = adapt_phases(params, p, p, inner, keep=False)
     return params.with_updates(trace_h.final, tuple(t.final for t in traces_l))
 
 

@@ -79,27 +79,25 @@ def init_params(shape: MlpShape, seed: int) -> ParamVector:
 def mlp_forward(theta: ParamVector | np.ndarray, shape: MlpShape, x) -> np.ndarray:
     """Plain numpy forward pass: (N, in) -> (N, out).
 
-    theta may also be a stack of m parameter vectors, an (m, n_params)
-    array, on an (m, n, 1, in) input: each layer's weights are then an
-    (m, in, out) stack and input block i meets vector i's, one row per
-    matmul, so every row is bitwise the one-row call with its own vector
-    (one n-row matmul may round differently).  A stacked input is made
-    C-contiguous first, because numpy leaves BLAS for non-contiguous
-    operands and may then round otherwise."""
+    An (m, N, in) stack of inputs gives (m, N, out), against one vector or
+    an (m, n_params) stack of vectors, one per input slice: each slice is
+    one N-row matmul per layer, bitwise the unstacked call on that slice.
+    An (m, n_params) stack on an (m, n, 1, in) input instead meets each row
+    with its slice's vector in a matmul of its own, so every row is bitwise
+    the one-row call with its own vector (one n-row matmul may round
+    differently).  That input is made C-contiguous first, because numpy
+    leaves BLAS for non-contiguous operands and may then round otherwise."""
     values = theta.values if isinstance(theta, ParamVector) else np.asarray(theta, dtype=np.float64)
-    if values.shape[-1] != shape.n_params:
+    if values.ndim > 2 or values.shape[-1] != shape.n_params:
         raise ContractError(f"parameter length {values.shape[-1]} != shape size {shape.n_params}")
     x = np.asarray(x, dtype=np.float64)
     layers = unpack(values, shape.layer_sizes)
-    if values.ndim == 1:
-        check_input(x, shape.in_dim)
-    else:
-        m = len(values)
-        if values.ndim != 2 or x.ndim != 4 or x.shape[0] != m or x.shape[2:] != (1, shape.in_dim):
-            raise ContractError(f"input shape {x.shape} is not an ({m}, n, 1, {shape.in_dim}) stack")
-        x = np.ascontiguousarray(x)
-        layers = [(w[:, None], b[:, None, None]) for w, b in layers]
-    return forward(layers, x)[-1]
+    if x.ndim < 4 or values.ndim == 1:
+        return forward(layers, check_input(x, shape.in_dim, values.shape[:-1]))[-1]
+    m = len(values)
+    if x.shape[0] != m or x.shape[2:] != (1, shape.in_dim):
+        raise ContractError(f"input shape {x.shape} is not an ({m}, n, 1, {shape.in_dim}) stack")
+    return forward([(w[:, None], b[:, None]) for w, b in layers], np.ascontiguousarray(x))[-1]
 
 
 @dataclass(frozen=True)

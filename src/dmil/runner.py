@@ -407,21 +407,22 @@ GRADCHECK_TOLERANCE = 1e-4
 
 def _fd_rel_err(trace: AdaptTrace, outer_batch, exact: ParamVector) -> float:
     """fd_check of `exact` on the trace's composed objective: its inner steps
-    replayed from perturbed start parameters, then its loss on outer_batch."""
+    replayed from perturbed start parameters, then its loss on outer_batch.
+    A one-task stack (the selector's) is checked as its one slice."""
 
     def objective(vals):
         tr = inner_adapt(trace.loss, ParamVector(vals), trace.rate, trace.batch, len(trace.points), keep=False)
-        return loss_value(trace.loss, tr.final, outer_batch)
+        return float(np.sum(loss_value(trace.loss, tr.final, outer_batch)))
 
-    return fd_check(objective, trace.points[0].values, exact.values, GRADCHECK_FD_STEP)
+    return fd_check(objective, trace.points[0].values, exact.values.reshape(-1), GRADCHECK_FD_STEP)
 
 
 def gradcheck_run(cfg: dict) -> dict:
     """Exact selector/sub-skill meta-gradients on random small instances,
     checked against central finite differences of the composed
     adapt-then-evaluate objectives that training's own composition
-    (dmil.task_phases) builds; a sub-skill with no inner step or an empty
-    outer batch is skipped.  Returns a report with the worst errors; it
+    (dmil.task_phases, on a one-task stack) builds; a sub-skill with no
+    inner step or an empty outer batch is skipped.  Returns a report with the worst errors; it
     passes if at least one sub-skill objective was checked and every error
     is within GRADCHECK_TOLERANCE."""
     g = cfg["gradcheck"]
@@ -436,13 +437,17 @@ def gradcheck_run(cfg: dict) -> dict:
         trajs = [rollout_expert(spec, GRADCHECK_HORIZON, j) for j in range(4 * b)]
         groups = tuple(trajs[j * b : (j + 1) * b] for j in range(4))
         for steps in g["inner_steps"]:
+
+            def visit(j, traces_l, batches_l):
+                nonlocal worst_low, checked
+                for trace, batch, exact in zip(traces_l, batches_l, lo_grad(traces_l, batches_l)[0]):
+                    if trace.points and len(batch):
+                        worst_low = max(worst_low, _fd_rel_err(trace, batch, exact))
+                        checked += 1
+
             inner = Inner(GRADCHECK_INNER_RATE, steps, 0.1, (True, True))
-            trace_h, traces_l, batch_h, batches_l = task_phases(params, groups, inner)
+            trace_h, batch_h = task_phases(params, [groups], inner, visit)
             worst_high = max(worst_high, _fd_rel_err(trace_h, batch_h, outer_grad(trace_h, batch_h)[0]))
-            for trace, batch, exact in zip(traces_l, batches_l, lo_grad(traces_l, batches_l)[0]):
-                if trace.points and len(batch):
-                    worst_low = max(worst_low, _fd_rel_err(trace, batch, exact))
-                    checked += 1
     elapsed = time.perf_counter() - t0
     return {
         "instances": g["instances"],

@@ -9,10 +9,11 @@ from dmil import dmil, runner
 from dmil.autodiff import ParamVector
 from dmil.baselines import em_only_train, maml_train_step
 from dmil.config import resolve_config
-from dmil.dmil import Inner, lo_grad, meta_train_step, outer_grad, pool, sample_phase_batches, task_phases
+from dmil.dmil import Inner, lo_grad, meta_train_step, outer_grad, pool, sample_phase_batches
 from dmil.policies import HierarchicalParams, init_hierarchical, mlp_forward
 from dmil.rng import SplitMix64, derive_seed
 from dmil.tasks import make_dataset, sample_task
+from phases import one_task_phases
 
 
 def step_cfg(method: str = "dmil", **dmil) -> dict:
@@ -139,8 +140,8 @@ def test_lifting_restrictions_reproduces_full_step_bitwise() -> None:
     full = meta_train_step(params, tasks, cfg, step_seed=8)
     groups = sample_phase_batches(tasks[0].support, d["batch_size"], SplitMix64(derive_seed(8, tasks[0].spec.seed)))
     inner = Inner(d["inner_rate"], d["inner_steps"], d["aux_weight"], (True, True))
-    trace_h, traces_l, batch_h, batches_l = task_phases(params, groups, inner)
-    lifted_h = outer_grad(trace_h, batch_h)[0].scaled(1.0)
+    trace_h, traces_l, batch_h, batches_l = one_task_phases(params, groups, inner)
+    lifted_h = ParamVector(outer_grad(trace_h, batch_h)[0].values[0]).scaled(1.0)  # the one task's slice
     lifted_l = [g.scaled(1.0) for g in lo_grad(traces_l, batches_l)[0]]
     assert np.array_equal(full.g_high.values, lifted_h.values)
     for a, b in zip(full.g_skills, lifted_l, strict=True):

@@ -12,6 +12,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from dmil import MALLOC_THRESHOLDS_SET, blas, runner
@@ -273,6 +274,29 @@ def test_train_exit_code_reports_flagged_divergence(tmp_path, caplog, monkeypatc
         assert [r["diverged"] for r in csv.DictReader(f)] == ["0", "1" if flagged else "0", "0"]
     errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
     assert errors == (["1 inner adaptations were flagged as diverged"] if flagged else [])
+
+
+def test_train_names_the_task_of_a_non_finite_value(tmp_path, caplog, monkeypatch) -> None:
+    # A NaN in one support state of a step's second task stops the run with
+    # the numeric error's exit code, and the one-line error names that
+    # task's seed and the phase it reached.
+    keep = runner.meta_train_step
+    seen = []
+
+    def step(params, tasks, cfg, step_seed):
+        bad = tasks[1]
+        states = bad.support[0].states.copy()
+        states[0, 0] = math.nan
+        support = (dataclasses.replace(bad.support[0], states=states),) + bad.support[1:]
+        seen.append(bad.spec.seed)
+        return keep(params, [tasks[0], dataclasses.replace(bad, support=support)], cfg, step_seed)
+
+    monkeypatch.setattr(runner, "meta_train_step", step)
+    cfg = write_tiny(tmp_path, dmil={"batch_size": 6})  # every support trajectory is in every phase batch
+    with np.errstate(invalid="ignore"):
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 4
+    message = one_line_error(caplog, "numeric error")
+    assert message.startswith(f"numeric error: task seed {seen[0]}, selector inner: non-finite loss")
 
 
 def test_metrics_and_timing_rows_are_appended_as_each_iteration_ends(tmp_path, monkeypatch) -> None:

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 import weakref
 
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dmil import dmil
-from dmil.autodiff import ContractError, ParamVector, inner_adapt, linearize, loss_value
+from dmil.autodiff import ContractError, NumericError, ParamVector, inner_adapt, linearize, loss_value
 from dmil.config import METHODS, resolve_config
 from dmil.data import Trajectory
 from dmil.dmil import (
@@ -38,6 +39,7 @@ from dmil.policies import (
 )
 from dmil.rng import SplitMix64
 from dmil.tasks import make_dataset, sample_task
+from phases import one_task_phases
 
 
 def step_cfg(**dmil) -> dict:
@@ -81,7 +83,7 @@ def hi(params, trajs, rate, steps, aux):
 
 def li(params, p, rate, steps):
     """The sub-skills' inner traces alone, routed by the unadapted selector."""
-    return adapt_phases(params, p, p, Inner(rate, steps, 0.0, (False, True)))[1]
+    return next(adapt_phases(params, p, p, Inner(rate, steps, 0.0, (False, True)))[1])
 
 
 # ---- hard labels ----
@@ -326,7 +328,7 @@ def _phases(params, task, cfg, step_seed=0):
     rng, d = SplitMix64(step_seed), cfg["dmil"]
     t1, t2, t3, t4 = (pool(t, "raw") for t in sample_phase_batches(task.support, d["batch_size"], rng))
     inner = Inner(d["inner_rate"], d["inner_steps"], d["aux_weight"], (True, True))
-    trace_h, traces_l = adapt_phases(params, t1, t2, inner)
+    trace_h, (traces_l,) = adapt_phases(params, t1, t2, inner)
     batches2 = partition_by_skill(t2, route(trace_h.final, params.high_shape, t2.states), params.K)
     return t1, t2, t3, t4, trace_h, batches2, traces_l
 
@@ -499,7 +501,7 @@ def test_meta_train_step_matches_hand_assembled_phases() -> None:
         rng = SplitMix64(derive_seed(step_seed, task.spec.seed))
         t1, t2, t3, t4 = (pool(t, "raw") for t in sample_phase_batches(task.support, d["batch_size"], rng))
         inner = Inner(d["inner_rate"], d["inner_steps"], d["aux_weight"], (True, True))
-        trace_h, traces_l = adapt_phases(params, t1, t2, inner)
+        trace_h, (traces_l,) = adapt_phases(params, t1, t2, inner)
         adapted = [t.final for t in traces_l]
         batch3 = high_batch(t3, hard_labels(t3, adapted, params.skill_shape), params.K)
         sum_h = sum_h.add(outer_grad(trace_h, batch3)[0])
@@ -510,6 +512,86 @@ def test_meta_train_step_matches_hand_assembled_phases() -> None:
     assert np.array_equal(res.g_high.values, sum_h.scaled(1.0 / m).values)
     for k in range(params.K):
         assert np.array_equal(res.g_skills[k].values, sum_l[k].scaled(1.0 / m).values)
+
+
+def one_task_steps(params, tasks, cfg, step_seed):
+    """The mean of one-task steps' gradients, summed in task order as
+    meta_train_step sums its tasks', and the steps' diverged counts."""
+    steps = [meta_train_step(params, [task], cfg, step_seed) for task in tasks]
+    c = 1.0 / len(tasks)
+    high = sum((s.g_high.values for s in steps), np.zeros(len(params.high))) * c
+    skills = [sum((s.g_skills[k].values for s in steps), np.zeros(len(params.skills[k]))) * c for k in range(params.K)]
+    return high, skills, [s.diverged_count for s in steps]
+
+
+def with_support(task, f):
+    """The task with each support trajectory replaced by f(trajectory)."""
+    return dataclasses.replace(task, support=tuple(f(t) for t in task.support))
+
+
+@pytest.mark.parametrize("method", ["dmil", "dmil_high", "dmil_low", "maml"])
+def test_meta_train_step_is_its_one_task_stacks_summed_in_task_order(method) -> None:
+    # Tasks of one shape form one stack, whose slices are bitwise their
+    # one-task stacks: the step's gradients are the one-task steps' summed
+    # in task order, for every method that meta-learns.  The middle task
+    # has shorter trajectories, so it forms a stack of its own, and the
+    # stacks' gradients still add up in task order.
+    params = small_params(26, n_skills=1 if METHODS[method].one_network else 3)
+    tasks = [demo_task(26), demo_task(27, T=22), demo_task(28), demo_task(29)]
+    cfg = step_cfg(method=method, inner_rate=2e-3, inner_steps=2, batch_size=2, aux_weight=0.1)
+    calls = []
+    real = dmil.adapt_phases
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(dmil, "adapt_phases", lambda params, p_high, *args: calls.append(p_high.states.shape[:2]) or real(params, p_high, *args))
+        res = meta_train_step(params, tasks, cfg, step_seed=5)
+    assert calls == [(3, 60), (1, 44)]  # one adapt_phases call per stack
+    high, skills, diverged = one_task_steps(params, tasks, cfg, step_seed=5)
+    assert res.g_high.values.tobytes() == high.tobytes()
+    assert [g.values.tobytes() for g in res.g_skills] == [g.tobytes() for g in skills]
+    assert res.diverged_count == sum(diverged)
+
+
+def test_a_diverging_task_is_counted_alone() -> None:
+    # One task's states are 20x larger, so the shared inner rate overshoots
+    # on it alone: only its slice is flagged, as in its one-task step.
+    params = small_params(30)
+    tasks = [demo_task(30), with_support(demo_task(31), lambda t: Trajectory(t.states * 20.0, t.actions, t.true_skills)), demo_task(32)]
+    cfg = step_cfg(inner_rate=2e-2, inner_steps=3, batch_size=2)
+    assert meta_train_step(params, tasks, cfg, step_seed=1).diverged_count == 1
+    assert one_task_steps(params, tasks, cfg, step_seed=1)[2] == [0, 1, 0]
+
+
+def test_five_equal_tasks_make_one_stacked_selector_pass_per_step(monkeypatch) -> None:
+    # The selector's passes run once per stack: inner_steps linearizations
+    # and one outer one for all five tasks, each on a (5, N, in) batch, not
+    # five times as many (a per-task loop would fail here).
+    shapes = []
+    real = SelectorLoss.linearize
+    monkeypatch.setattr(SelectorLoss, "linearize", lambda self, theta, batch: shapes.append(batch.states.shape[:2]) or real(self, theta, batch))
+    tasks = [demo_task(60 + i) for i in range(5)]
+    meta_train_step(small_params(60), tasks, step_cfg(inner_rate=1e-3, inner_steps=3, batch_size=2), step_seed=2)
+    assert shapes == [(5, 60)] * (3 + 1)
+
+
+def test_a_non_finite_value_names_its_task_seed_and_phase() -> None:
+    # Stacking hides the task order that used to point at the failing
+    # task, so the error names its seed and the phase.  A NaN in one
+    # support state of the second task reaches its selector's inner loss
+    # (batch_size 8 puts every support trajectory into every group).
+    params = small_params(33)
+    bad = demo_task(34)
+    states = bad.support[3].states.copy()
+    states[5, 2] = np.nan
+    tasks = [demo_task(33), with_support(bad, lambda t: Trajectory(states, t.actions, t.true_skills) if t is bad.support[3] else t), demo_task(35)]
+    cfg = step_cfg(inner_rate=1e-3, inner_steps=2, batch_size=8)
+    with np.errstate(invalid="ignore"), pytest.raises(NumericError) as exc:
+        meta_train_step(params, tasks, cfg, step_seed=3)
+    assert str(exc.value).startswith(f"task seed {bad.spec.seed}, selector inner: non-finite loss in selector cross-entropy")
+    assert "\n" not in str(exc.value)
+    # A sub-skill's loss names the skill; a stack of one task its task.
+    tasks = [demo_task(33), with_support(bad, lambda t: Trajectory(t.states, t.actions * np.inf, t.true_skills))]
+    with np.errstate(invalid="ignore", over="ignore"), pytest.raises(NumericError, match=rf"^task seed {bad.spec.seed}, sub-skill \d inner: "):
+        meta_train_step(params, tasks, cfg, step_seed=3)
 
 
 def test_meta_train_step_simultaneity_probe() -> None:
@@ -544,8 +626,8 @@ def test_meta_train_step_task_order_permutation_bound() -> None:
 
 
 def test_each_batch_is_featurized_once(monkeypatch) -> None:
-    # One pool per batch: the four phase batches of a task, one demo set,
-    # and the warm start's fixed pool for every epoch.
+    # One pool per batch: the four phase batches of a stack of equal-shape
+    # tasks, one demo set, and the warm start's fixed pool for every epoch.
     from dmil.config import resolve_config
     from dmil.runner import warm_start
 
@@ -555,7 +637,7 @@ def test_each_batch_is_featurized_once(monkeypatch) -> None:
     params = small_params(70)
     tasks = [demo_task(70), demo_task(71), demo_task(72)]
     meta_train_step(params, tasks, step_cfg(inner_rate=1e-3, inner_steps=2, batch_size=2), step_seed=1)
-    assert len(calls) == 4 * len(tasks)
+    assert len(calls) == 4  # demo_task's trajectories share one length: one stack
     calls.clear()
     few_shot_adapt(params, tasks[0].support[:3], Inner(1e-3, 2, 0.0, (True, True)))
     assert len(calls) == 1
@@ -585,36 +667,38 @@ def _record_inner_traces(monkeypatch) -> list:
 
 def test_every_loss_batch_is_a_pool_and_the_selector_shares_its_phase_pool(monkeypatch) -> None:
     # Pool is every loss's batch: the outer batches task_phases returns and
-    # the batch of every inner trace with steps.  The selector's batches
-    # reuse their phase pool's states and slices, uncopied, and its switch
-    # weight is its loss's, which dmil gradcheck's finite differences
-    # re-evaluate when they replay the trace.  At K=1 (maml's step) the
-    # selector's outer batch is a zero-row Pool and its trace takes no step,
-    # and the one sub-skill's batches are its phase pools, uncopied.
+    # the batch of every inner trace with steps.  Each phase batch is pooled
+    # once for its whole stack of tasks, and the stack views that pool; the
+    # selector's batches reuse their stack's states and slices, uncopied,
+    # and its switch weight is its loss's, which dmil gradcheck's finite
+    # differences re-evaluate when they replay the trace.  At K=1 (maml's
+    # step) the selector's outer batch is a zero-row Pool and its trace
+    # takes no step, and the one sub-skill's batches are its task's rows of
+    # the phase pools, uncopied.
     pools = []
     real = dmil.pool
     monkeypatch.setattr(dmil, "pool", lambda trajs, features: pools.append(real(trajs, features)) or pools[-1])
     params = small_params(90)
     groups = sample_phase_batches(demo_task(90).support, 2, SplitMix64(5))
     inner = Inner(1e-3, 2, 0.3, (True, True))
-    trace_h, traces_l, batch_h, batches_l = task_phases(params, groups, inner)
+    trace_h, traces_l, batch_h, batches_l = one_task_phases(params, groups, inner)
     stepped = [t for t in traces_l if t.points]
     assert len(pools) == 4 and trace_h.points and stepped
     for batch in (batch_h, *batches_l, trace_h.batch, *(t.batch for t in stepped)):
         assert isinstance(batch, Pool)
     for batch, p in ((trace_h.batch, pools[0]), (batch_h, pools[2])):
-        assert batch.states is p.states and batch.slices is p.slices
+        assert batch.states.base is p.states and batch.slices == (p.slices,)
     assert trace_h.loss.aux_weight == inner.aux_weight
 
     pools.clear()
     one = small_params(90, n_skills=1)
-    trace_h, traces_l, batch_h, batches_l = task_phases(one, groups, inner._replace(adapts=METHODS["maml"].adapts))
+    trace_h, traces_l, batch_h, batches_l = one_task_phases(one, groups, inner._replace(adapts=METHODS["maml"].adapts))
     assert len(pools) == 3 and not trace_h.points and traces_l[0].points
     for batch in (batch_h, *batches_l, traces_l[0].batch):
         assert isinstance(batch, Pool)
     assert len(batch_h) == 0 and trace_h.loss.aux_weight == inner.aux_weight
     for batch, p in ((traces_l[0].batch, pools[1]), (batches_l[0], pools[2])):
-        assert batch.states is p.states
+        assert batch.states.base is p.states
 
 
 def test_an_empty_batch_is_the_one_no_step_case() -> None:
@@ -632,15 +716,15 @@ def test_an_empty_batch_is_the_one_no_step_case() -> None:
         return trace.points == () and isinstance(trace.loss, loss_type)
 
     for adapts in ((True, True), METHODS["maml"].adapts):
-        trace_h, traces_l = adapt_phases(one, p, p, inner._replace(adapts=adapts))
+        trace_h, (traces_l,) = adapt_phases(one, p, p, inner._replace(adapts=adapts))
         assert no_step(trace_h, SelectorLoss) and trace_h.loss.aux_weight == inner.aux_weight
         assert traces_l[0].points
     params = small_params(91)
-    trace_h, traces_l = adapt_phases(params, p, p, inner._replace(adapts=METHODS["dmil_high"].adapts))
+    trace_h, (traces_l,) = adapt_phases(params, p, p, inner._replace(adapts=METHODS["dmil_high"].adapts))
     assert trace_h.points and all(no_step(t, SkillMseLoss) for t in traces_l)
     # An all-zero selector routes every pair to skill 0 (argmax ties go low).
     flat = params.with_updates(ParamVector.zeros(len(params.high)), params.skills)
-    trace_h, traces_l = adapt_phases(flat, p, p, inner._replace(adapts=METHODS["dmil_low"].adapts))
+    trace_h, (traces_l,) = adapt_phases(flat, p, p, inner._replace(adapts=METHODS["dmil_low"].adapts))
     assert no_step(trace_h, SelectorLoss) and traces_l[0].points
     assert all(no_step(t, SkillMseLoss) for t in traces_l[1:])
 
@@ -675,7 +759,8 @@ def test_each_inner_point_is_forwarded_once(monkeypatch) -> None:
     meta_train_step(params, tasks, step_cfg(inner_rate=1e-3, inner_steps=3, batch_size=2), step_seed=2)
     counts = Counter((id(theta), id(x)) for theta, x in seen)
     points = [(id(p.values), id(batch.states)) for trace, batch in traces for p in trace.points]
-    assert len(points) >= 3 * len(tasks) * 2  # the selector and at least one sub-skill per task
+    # the tasks' one stacked selector trace and at least one sub-skill per task
+    assert len(points) >= 3 * (1 + len(tasks))
     assert [counts[k] for k in points] == [1] * len(points)
     assert max(counts.values()) == 1
 
@@ -694,22 +779,26 @@ def test_few_shot_adapt_keeps_no_linearizations(monkeypatch) -> None:
 
 
 def test_meta_train_step_frees_each_task_before_the_next(monkeypatch) -> None:
-    # A task's traces hold its linearizations (every forward activation of
-    # its inner steps); none is alive when the next task's first inner step
-    # starts, so tasks never stack in memory.
+    # A task's sub-skill traces hold its linearizations (every forward
+    # activation of its inner steps); none is alive when the next task's
+    # first sub-skill inner step starts, so tasks' sub-skill traces never
+    # stack in memory.  Only the tasks' one stacked selector trace lives
+    # across them, and nothing outlives the step.
     refs, alive = [], []
     real = dmil.inner_adapt
 
-    def recording(*args, **kwargs):
-        alive.append(sum(r() is not None for r in refs))
-        trace = real(*args, **kwargs)
+    def recording(loss, *args, **kwargs):
+        alive.append((loss.name, sum(r() is not None for r in refs)))
+        trace = real(loss, *args, **kwargs)
         refs.append(weakref.ref(trace))
         return trace
 
     monkeypatch.setattr(dmil, "inner_adapt", recording)
     tasks = [demo_task(84), demo_task(85), demo_task(86)]
     meta_train_step(small_params(84), tasks, step_cfg(inner_rate=1e-3, inner_steps=2, batch_size=2), step_seed=4)
-    assert alive.count(0) == len(tasks)  # the first inner step of each task sees no live trace
+    assert alive[0] == (SelectorLoss.name, 0)  # the stacked selector adapts first
+    # the first sub-skill inner step of each task sees the selector trace alone
+    assert [n for name, n in alive[1:] if name == SkillMseLoss.name].count(1) == len(tasks)
     assert all(r() is None for r in refs)
 
 

@@ -1,6 +1,7 @@
 """The closed-form losses (dmil.kernels) against their tape references: value,
 gradient and Hessian-vector product, whole inner-adaptation traces and
-meta-gradients, and the finiteness checks on the closed-form path."""
+meta-gradients, and the finiteness checks on the closed-form path.  Stacked
+problems against their slices, bit for bit."""
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dmil import autodiff as ad
-from dmil.autodiff import NumericError, ParamVector, inner_adapt, meta_grad
+from dmil.autodiff import ContractError, NumericError, ParamVector, inner_adapt, meta_grad
 from dmil.dmil import Pool
 from dmil.evaluation import max_rel_err
 from dmil.kernels import SelectorLoss, SkillMseLoss, _row_max
@@ -137,3 +138,129 @@ def test_row_max_is_numpys_row_max_bitwise() -> None:
         want = y.max(axis=1, keepdims=True)
         assert _row_max(y).tobytes() == want.tobytes()
         assert (y - _row_max(y)).tobytes() == (y - want).tobytes()
+
+
+# ---- stacks: an (m, N, in) batch is m unstacked problems, bit for bit ----
+
+
+def stack_instance(loss: str, m: int, n: int, out: int, seed: int, contiguous: bool = True):
+    """A loss, (m, P) parameters and directions, a stacked Pool and its m
+    slices as unstacked Pools.  Selector slices split their N rows into
+    trajectories at random, each its own way, with at least one pair when
+    N >= 2 (a stack's slices agree on whether they have one).  A
+    non-contiguous stack (every other input column of a wider array) has
+    non-contiguous slices, on which numpy's matmul leaves BLAS."""
+    rng = np.random.default_rng(seed)
+    shape = MlpShape((5, 7, 6, out))
+    wide = rng.uniform(-1.5, 1.5, size=(m, n, 5 if contiguous else 10))
+    x = wide if contiguous else wide[..., ::2]
+    thetas = rng.uniform(-1.0, 1.0, size=(m, shape.n_params))
+    vs = rng.uniform(-1.0, 1.0, size=(m, shape.n_params))
+    if loss == "skill":
+        actions = rng.uniform(-1.0, 1.0, size=(m, n, out))
+        slices = ((),) * m
+        kernel = SkillMseLoss(shape)
+    else:
+        actions = np.eye(out)[rng.integers(0, out, size=(m, n))]
+        slices = []
+        for _ in range(m):
+            cuts = sorted(rng.choice(np.arange(1, n), size=int(rng.integers(0, n - 1)), replace=False)) if n > 1 else []
+            ends = [*map(int, cuts), n]
+            slices.append(tuple(zip([0, *ends[:-1]], ends)))
+        slices = tuple(slices)
+        kernel = SelectorLoss(shape, 0.1)
+    stack = Pool(x, actions, slices)
+    return kernel, thetas, vs, stack, [Pool(x[i], actions[i], slices[i]) for i in range(m)]
+
+
+def same_bits(a, b) -> bool:
+    return np.float64(a).tobytes() == np.float64(b).tobytes() if np.ndim(a) == 0 else a.tobytes() == b.tobytes()
+
+
+def assert_stack_is_its_slices(kernel, thetas, vs, stack, pools) -> None:
+    """value, linearize and hvp on the stack, per slice, against the
+    unstacked calls; thetas is (m, P) or one vector shared by every slice."""
+    val = kernel.value(thetas, stack)
+    point = kernel.linearize(thetas, stack)
+    h = point.hvp(vs)
+    assert val.shape == point.value.shape == (len(pools),)
+    for i, p in enumerate(pools):
+        theta = thetas if thetas.ndim == 1 else thetas[i]
+        one = kernel.linearize(theta, p)
+        assert same_bits(val[i], kernel.value(theta, p)) and same_bits(point.value[i], one.value)
+        assert same_bits(point.grad[i], one.grad)
+        assert same_bits(h[i], one.hvp(vs[i]))
+
+
+@pytest.mark.parametrize("loss", ["high", "skill"])
+@pytest.mark.parametrize(
+    "m, n, out, contiguous",
+    [(5, 240, 3, True), (3, 37, 2, True), (4, 23, 3, False), (3, 1, 2, True), (2, 30, 1, True), (1, 12, 4, True)],
+    ids=["pilot", "odd", "non-contiguous", "one-row", "K=1", "one-slice"],
+)
+def test_stacked_passes_are_each_slice_bitwise(loss, m, n, out, contiguous) -> None:
+    # Every pass and both losses' value, linearize and hvp: an (m, N, in)
+    # stack against an (m, P) stack of vectors gives each slice bitwise what
+    # the unstacked call on that slice gives, as does one vector shared by
+    # every slice.  The selector's slices split their rows differently, so
+    # their pair masks differ.
+    kernel, thetas, vs, stack, pools = stack_instance(loss, m, n, out, seed=m * 100 + n, contiguous=contiguous)
+    if not contiguous:
+        assert not stack.states.flags.c_contiguous and not pools[0].states.flags.c_contiguous
+    if loss == "high" and n > 1:
+        assert len({s for s in stack.slices}) > 1 or m == 1
+    assert_stack_is_its_slices(kernel, thetas, vs, stack, pools)
+    assert_stack_is_its_slices(kernel, thetas[0], vs, stack, pools)
+
+
+@pytest.mark.parametrize("loss", ["high", "skill"])
+def test_stacked_adaptation_and_meta_grad_are_each_slice_bitwise(loss) -> None:
+    # inner_adapt from one start shared by every slice, then meta_grad of a
+    # stacked outer gradient: each slice's trace, losses and meta-gradient
+    # are the unstacked ones.
+    kernel, thetas, vs, stack, pools = stack_instance(loss, 4, 31, 3, seed=7)
+    theta = ParamVector(thetas[0])
+    trace = inner_adapt(kernel, theta, 0.05, stack, 3)
+    g = meta_grad(trace, ParamVector(vs))
+    assert trace.final.values.shape == vs.shape and trace.diverged.shape == (4,)
+    for i, p in enumerate(pools):
+        one = inner_adapt(kernel, theta, 0.05, p, 3)
+        assert same_bits(trace.final.values[i], one.final.values)
+        assert [same_bits(a[i], b) for a, b in zip(trace.losses, one.losses)] == [True] * 4
+        assert bool(trace.diverged[i]) == one.diverged
+        assert same_bits(g.values[i], meta_grad(one, ParamVector(vs[i])).values)
+
+
+def test_a_diverging_slice_flags_only_itself() -> None:
+    # One slice's inputs are 30x larger, so the shared rate overshoots on
+    # it alone: only its flag is set.
+    kernel, thetas, _, stack, _ = stack_instance("skill", 3, 20, 2, seed=11)
+    states = stack.states.copy()
+    states[1] *= 30.0
+    trace = inner_adapt(kernel, ParamVector(thetas[0]), 0.05, Pool(states, stack.actions, stack.slices), 3)
+    assert trace.diverged.tolist() == [False, True, False]
+
+
+def test_a_stack_must_agree_on_whether_it_has_pairs() -> None:
+    # The switch term is on for every slice or for none: a slice of
+    # one-row trajectories cannot share a stack with one that has pairs.
+    kernel, thetas, _, stack, _ = stack_instance("high", 2, 6, 3, seed=13)
+    mixed = Pool(stack.states, stack.actions, (((0, 6),), tuple((i, i + 1) for i in range(6))))
+    with pytest.raises(ContractError, match="pair"):
+        kernel.value(thetas, mixed)
+    assert kernel.value(thetas, Pool(stack.states, stack.actions, (((0, 6),), ((0, 2), (2, 6))))).shape == (2,)
+
+
+def test_a_non_finite_slice_is_named() -> None:
+    # The finiteness checks name the first slice that failed.
+    kernel, thetas, vs, stack, _ = stack_instance("skill", 3, 10, 2, seed=17)
+    states = stack.states.copy()
+    states[2, 4, 1] = np.nan
+    with pytest.raises(NumericError, match="stack slice 2") as exc:
+        ad.linearize(kernel, ParamVector(thetas), Pool(states, stack.actions, stack.slices))
+    assert exc.value.slice == 2
+    point = ad.linearize(kernel, ParamVector(thetas), stack)
+    vs[1, 0] = np.inf
+    with np.errstate(invalid="ignore"), pytest.raises(NumericError, match="non-finite hvp") as exc:
+        ad.hvp(point, ParamVector._fresh(vs, check=False))
+    assert exc.value.slice == 1

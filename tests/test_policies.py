@@ -170,13 +170,19 @@ def test_skill_forward_matches_straight_line_oracle() -> None:
 
 
 def test_forward_dimension_mismatch_rejected() -> None:
-    # One parameter vector takes (N, in) rows only; one state is a (1, in)
+    # One parameter vector takes (N, in) rows or an (m, N, in) stack of
+    # them, each slice bitwise its unstacked call; one state is a (1, in)
     # batch, and only a stack of vectors takes an (m, n, 1, in) stack.
     shape = MlpShape((4, 8, 2))
     theta = init_params(shape, 0)
-    for x in (np.zeros((3, 5)), np.zeros(4), np.zeros((2, 3, 4)), np.zeros((3, 1, 4))):
+    for x in (np.zeros((3, 5)), np.zeros(4), np.zeros((2, 3, 5)), np.zeros((2, 3, 1, 4))):
         with pytest.raises(ContractError, match=re.escape(f"input shape {x.shape} does not match network input 4")):
             mlp_forward(theta, shape, x)
+    for x in (SplitMix64(7).uniform_array(24, -1, 1).reshape(2, 3, 4), np.ones((3, 1, 4))):
+        y = mlp_forward(theta, shape, x)
+        assert y.shape == x.shape[:2] + (2,)
+        for i in range(len(x)):
+            assert y[i].tobytes() == mlp_forward(theta, shape, x[i]).tobytes()
 
 
 def test_stacked_forward_rows_equal_one_row_calls_even_from_a_non_contiguous_stack() -> None:
@@ -197,10 +203,15 @@ def test_stacked_forward_rows_equal_one_row_calls_even_from_a_non_contiguous_sta
 
 
 def test_stacked_forward_shape_mismatch_rejected() -> None:
+    # A stack of two vectors takes an (m, n, 1, in) stack row by row, or an
+    # (m, N, in) stack slice by slice, with m = 2 either way.
     shape = MlpShape((4, 8, 2))
     thetas = np.stack([init_params(shape, i).values for i in range(2)])
-    for x in (np.zeros((3, 5, 1, 4)), np.zeros((2, 5, 4)), np.zeros((2, 5, 2, 4)), np.zeros((2, 5, 1, 3))):
+    for x in (np.zeros((3, 5, 1, 4)), np.zeros((2, 5, 2, 4)), np.zeros((2, 5, 1, 3))):
         with pytest.raises(ContractError, match=re.escape(f"input shape {x.shape} is not an (2, n, 1, 4) stack")):
+            mlp_forward(thetas, shape, x)
+    for x in (np.zeros((3, 5, 4)), np.zeros((5, 4)), np.zeros((2, 5, 3))):
+        with pytest.raises(ContractError, match=re.escape(f"input shape {x.shape} does not match network input 4")):
             mlp_forward(thetas, shape, x)
     with pytest.raises(ContractError, match="parameter length"):
         mlp_forward(thetas[:, 1:], shape, np.zeros((2, 5, 1, 4)))

@@ -20,13 +20,13 @@ from dmil.dmil import (
     partition_by_skill,
     pool,
     route,
-    task_phases,
 )
 from dmil.evaluation import max_rel_err
 from dmil.policies import init_hierarchical
 from dmil.rng import SplitMix64, derive_seed
 from dmil.tasks import ACTION_DIM, STATE_DIM, rollout_expert, sample_task
 from oracle import tape_high_loss, tape_skill_loss
+from phases import one_task_phases
 
 TINY = {
     "data": {"n_train_tasks": 2, "n_test_tasks": 1, "n_support": 4, "n_query": 1, "horizon": 20},
@@ -72,10 +72,12 @@ def test_method_table_row_drives_every_reader(monkeypatch, method) -> None:
         m.setattr(dmil, "adapt_phases", phases)
         res = runner.train(cfg)
     assert called == [row.step]
-    # The meta-learned levels: what the step hands to the inner phases
-    # (em_only takes no inner step).
-    n_tasks = cfg["dmil"]["tasks_per_step"] * cfg["run"]["iterations"]
-    assert trained == ([] if method == "em_only" else [row.adapts] * n_tasks)
+    # The meta-learned levels: what the step hands to the inner phases, in
+    # one adapt_phases call per stack of equal-shape tasks, and every step's
+    # tasks here share one shape (em_only takes no inner step).
+    n_stacks = cfg["run"]["iterations"]
+    assert cfg["dmil"]["tasks_per_step"] > 1
+    assert trained == ([] if method == "em_only" else [row.adapts] * n_stacks)
 
     levels = []
     keep_adapt = evaluation.few_shot_adapt
@@ -246,7 +248,7 @@ def test_gradcheck_instances_match_the_tape() -> None:
         tape_high, tape_skill = tape_high_loss(params.high_shape, aux), tape_skill_loss(params.skill_shape)
         for steps in (1, 3):
             inner = Inner(rate, steps, aux, (True, True))
-            trace_h, traces_l = adapt_phases(params, p1, p2, inner)
+            trace_h, (traces_l,) = adapt_phases(params, p1, p2, inner)
             batch1 = high_batch(p1, hard_labels(p1, params.skills, params.skill_shape), params.K)
             adapted = [t.final for t in traces_l]
             batch3 = high_batch(p3, hard_labels(p3, adapted, params.skill_shape), params.K)
@@ -259,8 +261,9 @@ def test_gradcheck_instances_match_the_tape() -> None:
             )
             exact_l = lo_grad(traces_l, batches4)[0]
 
-            phase_h, phase_l, batch_h, batches_l = task_phases(params, groups, inner)
-            assert same_pool(phase_h.batch, batch1) and same_pool(batch_h, batch3)
+            phase_h, phase_l, batch_h, batches_l = one_task_phases(params, groups, inner)
+            # the selector's batches are one-task stacks
+            assert same_pool(*phase_h.batch.tasks(), batch1) and same_pool(*batch_h.tasks(), batch3)
             assert phase_h.loss.aux_weight == aux
             assert len(batches_l) == len(phase_l) == params.K
             for trace, batch2k, got4, want4 in zip(phase_l, batches2, batches_l, batches4):
