@@ -32,6 +32,7 @@ convention; finite-difference checks must stay away from kinks.
 from __future__ import annotations
 
 import math
+from contextlib import AbstractContextManager
 from dataclasses import dataclass
 from typing import Protocol, Sequence
 
@@ -45,6 +46,18 @@ class NumericError(RuntimeError):
     def __init__(self, message: str, slice: int | None = None):
         super().__init__(message)
         self.slice = slice
+
+
+class error_prefix(AbstractContextManager):
+    """A context that prefixes a NumericError raised inside with `prefix`,
+    and gives it the stack slice `slice` when it names none."""
+
+    def __init__(self, prefix: str, slice: int | None = None):
+        self.prefix, self.slice = prefix, slice
+
+    def __exit__(self, kind, e, traceback) -> None:
+        if isinstance(e, NumericError):
+            raise NumericError(self.prefix + str(e), self.slice if e.slice is None else e.slice) from e
 
 
 class ContractError(ValueError):
@@ -97,14 +110,6 @@ class ParamVector:
         if len(g) != len(self):
             raise ContractError(f"length mismatch: {len(self)} vs {len(g)}")
         return ParamVector._fresh(self.values - rate * g.values)
-
-    def scaled(self, c: float) -> "ParamVector":
-        return ParamVector._fresh(self.values * c)
-
-    def add(self, other: "ParamVector") -> "ParamVector":
-        if len(other) != len(self):
-            raise ContractError(f"length mismatch: {len(self)} vs {len(other)}")
-        return ParamVector._fresh(self.values + other.values)
 
     @staticmethod
     def zeros(shape: int | tuple[int, ...]) -> "ParamVector":

@@ -22,11 +22,12 @@ phase over a stack of tasks whose phase batches have one shape: each phase
 batch is pooled once for the stack (pool_stack), every selector pass
 (labels, inner steps, routing, outer gradient) is one kernel call for all
 the stack's tasks, and the sub-skills, whose routed sets differ in size,
-adapt task by task.  A Pool is every loss's batch: the selector's holds
-one-hot skill labels as actions, a sub-skill's its routed rows.  The two
-inner updates are adapt_phases, which few-shot adaptation and the warm
-start's selector consolidation also run on one unstacked pool; one Inner
-value carries an inner phase's settings into every one of these callers.
+adapt task by task, and task_phases returns what a per-task function makes
+of their traces.  A Pool is every loss's batch: the selector's holds one-hot
+skill labels as actions, a sub-skill's its routed rows.  The two inner
+updates, adapt_selector and adapt_skills, also make up few-shot adaptation
+on one unstacked pool, and the first alone the warm start's consolidation;
+one Inner value carries an inner phase's settings into all these callers.
 
 Meta-gradients are summed over tasks in list order, divided by the task
 count and returned for one atomic update, which the caller (runner.train)
@@ -48,9 +49,8 @@ from __future__ import annotations
 
 import functools
 import itertools
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence, TypeVar
 
 import numpy as np
 
@@ -60,6 +60,7 @@ from .autodiff import (
     ContractError,
     NumericError,
     ParamVector,
+    error_prefix,
     identity_trace,
     inner_adapt,
     meta_grad,
@@ -69,6 +70,8 @@ from .data import Trajectory
 from .kernels import SelectorLoss, SkillMseLoss
 from .policies import HierarchicalParams, MlpShape, featurize, mlp_forward
 from .rng import SplitMix64, derive_seed
+
+T = TypeVar("T")
 
 # ---------------------------------------------------------------------------
 # the data path: pools, labels, routing, partitions
@@ -96,10 +99,7 @@ class Pool:
     def empty(self) -> Pool:  # no rows: the batch of a network that takes no step
         return Pool(self.states[..., :0, :], self.actions[..., :0, :], ())
 
-    def tasks(self) -> list[Pool]:
-        """Each task's pool, as views of a stack; an unstacked pool is one task."""
-        if self.states.ndim == 2:
-            return [self]
+    def tasks(self) -> list[Pool]:  # each task's pool of a stack, as views
         return [Pool(*task) for task in zip(self.states, self.actions, self.slices, strict=True)]
 
 
@@ -197,57 +197,36 @@ class Inner(NamedTuple):
     adapts: tuple[bool, bool]
 
 
-@contextmanager
-def _phase(name: str | None, task: int | None = None):
-    """Prefix a NumericError raised inside with the phase `name` (when
-    given), and give it the stack slice `task` when it names none."""
-    try:
-        yield
-    except NumericError as e:
-        raise NumericError(f"{name}: {e}" if name else str(e), task if e.slice is None else e.slice) from e
+def _adapt(name: str, loss, theta: ParamVector, batch: Pool, inner: Inner, keep: bool) -> AdaptTrace:
+    """theta's inner trace on batch, a zero-step one on an empty batch; a
+    NumericError raised in it names the phase `name`."""
+    if not len(batch):
+        return identity_trace(theta, loss)
+    with error_prefix(f"{name}: "):
+        return inner_adapt(loss, theta, inner.rate, batch, inner.steps, keep)
 
 
-def adapt_phases(
-    params: HierarchicalParams, p_high: Pool, p_low: Pool, inner: Inner, keep: bool = True
-) -> tuple[AdaptTrace, Iterator[tuple[AdaptTrace, ...]]]:
-    """The inner half of an iteration, and all of few-shot adaptation, for
-    one task or for a stack of tasks (stacked Pools).
-
-    The selector takes `inner.steps` inner steps on p_high, labelled by the
-    frozen sub-skills; on a stack the selectors of all tasks adapt as one
-    stacked trace, one kernel pass per step for every task.  Each task's
-    adapted selector routes its p_low, and its sub-skills take as many inner
-    steps on their routed pairs when the returned iterator reaches the task:
-    a caller done with one task's traces before it takes the next holds one
-    task's sub-skill linearizations at a time.  A level that is not adapted
-    gets empty batches, and an empty batch a zero-step trace.  Each trace
-    carries its network's loss, and its linearizations (for meta_grad) only
+def adapt_selector(params: HierarchicalParams, p: Pool, inner: Inner, keep: bool = True) -> AdaptTrace:
+    """The selector's inner phase: `inner.steps` steps on p, labelled by the
+    frozen sub-skills.  On a stack of tasks' pools the selectors of all
+    tasks adapt as one stacked trace, one kernel pass per step for every
+    task.  A selector that `inner` does not adapt gets an empty batch.  The
+    trace carries its loss, and its linearizations (for meta_grad) only
     with `keep`."""
-    rate, steps, aux_weight, (adapt_high, adapt_low) = inner
+    batch = high_batch(p, hard_labels(p, params.skills, params.skill_shape), params.K) if inner.adapts[0] else p.empty()
+    return _adapt("selector inner", SelectorLoss(params.high_shape, inner.aux_weight), params.high, batch, inner, keep)
 
-    def adapt(loss, theta: ParamVector, batch: Pool) -> AdaptTrace:
-        return inner_adapt(loss, theta, rate, batch, steps, keep) if len(batch) else identity_trace(theta, loss)
 
-    if adapt_high:
-        batch_h = high_batch(p_high, hard_labels(p_high, params.skills, params.skill_shape), params.K)
-    else:
-        batch_h = p_high.empty()
-    with _phase("selector inner"):
-        trace_h = adapt(SelectorLoss(params.high_shape, aux_weight), params.high, batch_h)
-    if adapt_low:
-        routes = np.atleast_2d(route(trace_h.final.values, params.high_shape, p_low.states))
+def adapt_skills(
+    params: HierarchicalParams, p: Pool, routes: np.ndarray | None, inner: Inner, keep: bool = True
+) -> tuple[AdaptTrace, ...]:
+    """One task's sub-skill inner phases: each sub-skill takes `inner.steps`
+    steps on the pairs of its pool p that `routes` (the adapted selector's
+    skill per row) sends it.  Sub-skills that `inner` does not adapt get
+    empty batches, and routes is not read.  Traces as adapt_selector's."""
     loss = SkillMseLoss(params.skill_shape)
-
-    def adapt_skill(j: int, k: int, batch: Pool) -> AdaptTrace:
-        with _phase(f"sub-skill {k} inner", j):
-            return adapt(loss, params.skills[k], batch)
-
-    def low() -> Iterator[tuple[AdaptTrace, ...]]:  # holds no task's traces once it has yielded them
-        for j, p in enumerate(p_low.tasks()):
-            batches = partition_by_skill(p, routes[j], params.K) if adapt_low else (p.empty(),) * params.K
-            yield tuple(adapt_skill(j, k, batch) for k, batch in enumerate(batches))
-
-    return trace_h, low()
+    batches = partition_by_skill(p, routes, params.K) if inner.adapts[1] else (p.empty(),) * params.K
+    return tuple(_adapt(f"sub-skill {k} inner", loss, params.skills[k], b, inner, keep) for k, b in enumerate(batches))
 
 
 def outer_grad(trace: AdaptTrace, batch: Pool) -> tuple[ParamVector, float | np.ndarray]:
@@ -269,7 +248,7 @@ def lo_grad(traces_l: Sequence[AdaptTrace], batches: Sequence[Pool]) -> tuple[li
     grads: list[ParamVector] = []
     sse_total, n_total = 0.0, 0
     for k, (trace, batch) in enumerate(zip(traces_l, batches, strict=True)):
-        with _phase(f"sub-skill {k} outer"):
+        with error_prefix(f"sub-skill {k} outer: "):
             g, val = outer_grad(trace, batch)
         grads.append(g)
         sse_total += val * len(batch)
@@ -320,41 +299,48 @@ def task_phases(
     params: HierarchicalParams,
     groups: Sequence[tuple[Sequence[Trajectory], ...]],
     inner: Inner,
-    visit: Callable[[int, tuple[AdaptTrace, ...], tuple[Pool, ...]], None],
-) -> tuple[AdaptTrace, Pool]:
+    per_task: Callable[[tuple[AdaptTrace, ...], tuple[Pool, ...]], T],
+) -> tuple[AdaptTrace, Pool, list[T]]:
     """The four phases of a stack of m tasks, phase by phase.  groups holds
     each task's four trajectory groups, and each group pools to one shape in
     every task (meta_train_step stacks tasks so), and is pooled once, for
-    all tasks (pool_stack).  adapt_phases (same settings) adapts all tasks'
-    selectors on groups 1 as one stack and each task's sub-skills on its
-    group 2, and the adapted selectors route groups 4 as one stack.  Task
-    j's sub-skill traces and routed outer batches (lo_grad's arguments) go
-    to visit(j, traces_l, batches_l) in task order, and only their final
-    vectors are kept after it returns.  Returns the selectors' stacked trace
-    and outer batch (outer_grad's arguments): groups 3, labelled by each
-    task's adapted sub-skills.  A level that is not adapted keeps a
-    zero-step trace, whose meta-gradient is its plain outer gradient, taken
-    on its inner batch instead: group 1 labelled by the initial sub-skills
-    for the selector, group 2 for the sub-skills."""
+    all tasks (pool_stack).  adapt_selector adapts all tasks' selectors on
+    groups 1 as one stack, and the adapted selectors route groups 2 (when
+    the sub-skills adapt) and groups 4, one stack each.  Task by task,
+    adapt_skills adapts the sub-skills on group 2 and per_task gets their
+    traces and routed outer batches (lo_grad's arguments); only the traces'
+    final vectors outlive its return.  Returns the selectors' stacked trace
+    and outer batch (outer_grad's arguments): groups 3 labelled by each
+    task's adapted sub-skills, and per_task's results in task order.  A
+    level that is not adapted keeps a zero-step trace, whose meta-gradient
+    is its plain outer gradient, taken on its inner batch instead: group 1
+    labelled by the initial sub-skills for the selector, group 2 for the
+    sub-skills."""
 
     def pooled(g: int) -> Pool:
         return pool_stack([task[g] for task in groups], params.feature_kind)
 
+    def one_task(j: int, p2: Pool, routes2: np.ndarray | None, p4: Pool, routes4: np.ndarray) -> tuple[T, list]:
+        with error_prefix("", j):  # its return frees the task's traces before the next task's phases
+            traces_l = adapt_skills(params, p2, routes2, inner)
+            return per_task(traces_l, partition_by_skill(p4, routes4, params.K)), [t.final.values for t in traces_l]
+
     adapt_high, adapt_low = inner.adapts
     p1, p2 = pooled(0), pooled(1)
-    trace_h, lows = adapt_phases(params, p1, p2, inner)
+    trace_h = adapt_selector(params, p1, inner)
+    # Group 2 is routed before groups 3 and 4 are pooled: the other order raised ablate's peak RSS ~5 MiB.
+    routes2 = route(trace_h.final.values, params.high_shape, p2.states) if adapt_low else itertools.repeat(None)
     p3 = pooled(2) if adapt_high else p1
     p4 = pooled(3) if adapt_low else p2
-    routes = route(trace_h.final.values, params.high_shape, p4.states)
-    finals = []
-    for j, p in enumerate(p4.tasks()):
-        traces_l = next(lows)  # not zip or enumerate, which hold their last item until the next is made
-        with _phase(None, j):
-            visit(j, traces_l, partition_by_skill(p, routes[j], params.K))
-        finals.append([t.final.values for t in traces_l])
-        del traces_l  # free this task's linearizations before the next task's phases
+    routes4 = route(trace_h.final.values, params.high_shape, p4.states)
+    results, finals = zip(*map(one_task, itertools.count(), p2.tasks(), routes2, p4.tasks(), routes4))
     label_skills = [np.stack(skill) for skill in zip(*finals)] if adapt_high else params.skills
-    return trace_h, high_batch(p3, hard_labels(p3, label_skills, params.skill_shape), params.K)
+    return trace_h, high_batch(p3, hard_labels(p3, label_skills, params.skill_shape), params.K), list(results)
+
+
+def _task_grads(traces_l: tuple[AdaptTrace, ...], batches_l: tuple[Pool, ...]) -> tuple[list[ParamVector], float, bool]:
+    """meta_train_step's per_task: lo_grad, and whether a trace diverged."""
+    return *lo_grad(traces_l, batches_l), any(t.diverged for t in traces_l)
 
 
 def meta_train_step(
@@ -369,9 +355,10 @@ def meta_train_step(
     and the batch size, and its method's METHODS row the meta-learned
     levels.  Tasks whose four phase groups have the same row counts form one
     stack, whose selector phases run as stacked passes (task_phases); the
-    sub-skill phases run task by task.  Every phase reads only the pre-step
-    `params`; meta-gradients accumulate in task order, and the caller
-    applies them once, atomically.  Batch sampling is a pure function of
+    sub-skill phases run task by task, and return each task's sub-skill
+    gradients.  Every phase reads only the pre-step `params`; meta-gradients
+    accumulate in task order, one record per task, and the caller applies
+    them once, atomically.  Batch sampling is a pure function of
     (step_seed, task.spec.seed), so permuting the task list only
     reassociates the gradient sum.  Any task failure aborts the whole step
     before any gradient is returned, and a NumericError names the task's
@@ -386,31 +373,24 @@ def meta_train_step(
         rng = SplitMix64(derive_seed(step_seed, task.spec.seed))
         groups = sample_phase_batches(task.support, d["batch_size"], rng)
         stacks.setdefault(tuple(sum(map(len, g)) for g in groups), []).append((i, groups))
-    n = len(tasks)
-    g_high, g_skills = [None] * n, [None] * n
-    high_vals, skill_vals, diverged = [0.0] * n, [0.0] * n, [False] * n
+    records: list = [None] * len(tasks)  # per task: (g_high, high loss, g_skills, skill loss, diverged)
     for members in stacks.values():
         order = [i for i, _ in members]
-
-        def visit(j: int, traces_l: tuple[AdaptTrace, ...], batches_l: tuple[Pool, ...]) -> None:
-            g_skills[order[j]], skill_vals[order[j]] = lo_grad(traces_l, batches_l)
-            diverged[order[j]] = any(t.diverged for t in traces_l)
-
         try:
-            trace_h, batch_h = task_phases(params, [g for _, g in members], inner, visit)
-            with _phase("selector outer"):
+            trace_h, batch_h, lows = task_phases(params, [g for _, g in members], inner, _task_grads)
+            with error_prefix("selector outer: "):
                 g, vals = outer_grad(trace_h, batch_h)
         except NumericError as e:
             seeds = ", ".join(str(tasks[i].spec.seed) for i in (order if e.slice is None else [order[e.slice]]))
             raise NumericError(f"task seed {seeds}, {e}") from e
         flags = np.broadcast_to(trace_h.diverged, (len(order),))
-        for j, i in enumerate(order):
-            g_high[i], high_vals[i] = g.values[j], vals[j]
-            diverged[i] = diverged[i] or bool(flags[j])
+        for j, (i, (g_l, val_l, diverged_l)) in enumerate(zip(order, lows)):
+            records[i] = (g.values[j], vals[j], g_l, val_l, diverged_l or bool(flags[j]))
         del trace_h  # free this stack's selector linearizations before the next stack's phases
+    g_high, high_vals, g_skills, skill_vals, diverged = zip(*records)
 
     def mean(rows) -> ParamVector:  # summed in task order
-        return ParamVector._fresh(functools.reduce(np.add, rows, np.zeros(rows[0].shape)) * (1.0 / n))
+        return ParamVector._fresh(functools.reduce(np.add, rows, np.zeros(rows[0].shape)) * (1.0 / len(rows)))
 
     return StepResult(
         g_high=mean(g_high),
@@ -433,7 +413,9 @@ def few_shot_adapt(params: HierarchicalParams, demos: Sequence[Trajectory], inne
     if not demos:
         raise ContractError("few_shot_adapt needs at least one demonstration")
     p = pool(demos, params.feature_kind)
-    trace_h, (traces_l,) = adapt_phases(params, p, p, inner, keep=False)
+    trace_h = adapt_selector(params, p, inner, keep=False)
+    routes = route(trace_h.final.values, params.high_shape, p.states) if inner.adapts[1] else None
+    traces_l = adapt_skills(params, p, routes, inner, keep=False)
     return params.with_updates(trace_h.final, tuple(t.final for t in traces_l))
 
 

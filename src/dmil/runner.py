@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from . import MALLOC_THRESHOLDS_SET, blas
-from .autodiff import AdaptTrace, ContractError, ParamVector, inner_adapt, loss_value
+from .autodiff import AdaptTrace, ContractError, ParamVector, error_prefix, inner_adapt, loss_value
 from .baselines import em_only_train, hard_em_grads, maml_train_step  # noqa: F401  (train calls steps by name)
 from .checkpoint import save_checkpoint
 from .config import METHODS, ConfigError, dump_config
@@ -31,7 +31,7 @@ from .dmil import (
     Inner,
     Pool,
     StepResult,
-    adapt_phases,
+    adapt_selector,
     hard_labels,
     lo_grad,
     meta_train_step,  # noqa: F401  (train calls steps by name)
@@ -218,10 +218,11 @@ def warm_start(cfg: dict, train_tasks) -> HierarchicalParams:
     Hard-EM is init-sensitive, so several restarts run short alternation
     probes and the best basin (by the self-contained fit score) continues:
     remaining alternations, then a selector-only consolidation (the
-    selector's inner update, adapt_phases) so routing works from the first
+    selector's inner phase, adapt_selector) so routing works from the first
     outer iteration.  The fixed pool is flattened and
     featurized once for every epoch.  Everything is a pure function of
-    (config, data), so paired methods share the identical warm start.
+    (config, data), so paired methods share the identical warm start.  A
+    NumericError raised in it says "warm start: ", as it names no task.
     """
     m = cfg["dmil"]
     if m["warmup_epochs"] <= 0 and m["warmup_consolidate"] <= 0:
@@ -234,14 +235,14 @@ def warm_start(cfg: dict, train_tasks) -> HierarchicalParams:
     seeds = [derive_seed(cfg["run"]["seed"], SALT_INIT, r) for r in range(m["warmup_restarts"])]
     candidates = [init_model(cfg, seed=s) for s in seeds]
 
-    probe = min(m["warmup_probe_epochs"], m["warmup_epochs"])
-    probed = [_em_alternations(c, p, probe, lr, aux) for c in candidates]
-    params = probed[int(np.argmin([_em_fit_score(c, p) for c in probed]))]
-    params = _em_alternations(params, p, m["warmup_epochs"] - probe, lr, aux)
-
-    if m["warmup_consolidate"] <= 0:
-        return params
-    trace_h, _ = adapt_phases(params, p, p, Inner(lr, m["warmup_consolidate"], aux, (True, False)), keep=False)
+    with error_prefix("warm start: "):
+        probe = min(m["warmup_probe_epochs"], m["warmup_epochs"])
+        probed = [_em_alternations(c, p, probe, lr, aux) for c in candidates]
+        params = probed[int(np.argmin([_em_fit_score(c, p) for c in probed]))]
+        params = _em_alternations(params, p, m["warmup_epochs"] - probe, lr, aux)
+        if m["warmup_consolidate"] <= 0:
+            return params
+        trace_h = adapt_selector(params, p, Inner(lr, m["warmup_consolidate"], aux, (True, False)), keep=False)
     return params.with_updates(trace_h.final, params.skills)
 
 
@@ -271,7 +272,8 @@ def train(cfg: dict, out_dir=None, datasets=None, warm_params=None) -> TrainResu
 
     The outer update of all five methods happens only here: one
     outer_optimizer object at outer_rate applies each step's StepResult,
-    gradients at the pre-step parameters, to the whole model.
+    gradients at the pre-step parameters, to the whole model.  A
+    NumericError in an iteration names the method and the iteration first.
     """
     method = cfg["dmil"]["method"]
     if warm_params is not None:
@@ -298,10 +300,11 @@ def train(cfg: dict, out_dir=None, datasets=None, warm_params=None) -> TrainResu
         batch_tasks = [train_tasks[i] for i in picks]
         step_seed = derive_seed(seed, SALT_STEP, it)
 
-        # Looked up by name in this module's globals on every call, so that a
-        # wrapper set on runner's attribute (a test, a profiler) sees each step.
-        res = globals()[METHODS[method].step](params, batch_tasks, cfg, step_seed)
-        params = optimizer.step(params, res)
+        with error_prefix(f"{method} iteration {it}, "):
+            # Looked up by name in this module's globals on every call, so that a
+            # wrapper set on runner's attribute (a test, a profiler) sees each step.
+            res = globals()[METHODS[method].step](params, batch_tasks, cfg, step_seed)
+            params = optimizer.step(params, res)
         values = (it, res.outer_loss, res.grad_norm_high, res.grad_norm_skills, res.diverged_count)
         rows.append(dict(zip(METRICS_COLUMNS, values, strict=True)))
         diverged_total += res.diverged_count
@@ -417,6 +420,12 @@ def _fd_rel_err(trace: AdaptTrace, outer_batch, exact: ParamVector) -> float:
     return fd_check(objective, trace.points[0].values, exact.values.reshape(-1), GRADCHECK_FD_STEP)
 
 
+def _fd_rel_errs(traces_l: Sequence[AdaptTrace], batches_l: Sequence[Pool]) -> list[float]:
+    """_fd_rel_err of each sub-skill with an inner step and an outer batch."""
+    exact = lo_grad(traces_l, batches_l)[0]
+    return [_fd_rel_err(t, batch, g) for t, batch, g in zip(traces_l, batches_l, exact) if t.points and len(batch)]
+
+
 def gradcheck_run(cfg: dict) -> dict:
     """Exact selector/sub-skill meta-gradients on random small instances,
     checked against central finite differences of the composed
@@ -427,8 +436,7 @@ def gradcheck_run(cfg: dict) -> dict:
     is within GRADCHECK_TOLERANCE."""
     g = cfg["gradcheck"]
     t0 = time.perf_counter()
-    worst_high = worst_low = 0.0
-    checked = 0
+    high_errs, low_errs = [], []
     for i in range(g["instances"]):
         seed = GRADCHECK_SEED0 + i
         params = init_hierarchical(STATE_DIM, ACTION_DIM, GRADCHECK_SKILLS, (GRADCHECK_HIDDEN,), seed=derive_seed(seed, 1))
@@ -437,25 +445,19 @@ def gradcheck_run(cfg: dict) -> dict:
         trajs = [rollout_expert(spec, GRADCHECK_HORIZON, j) for j in range(4 * b)]
         groups = tuple(trajs[j * b : (j + 1) * b] for j in range(4))
         for steps in g["inner_steps"]:
-
-            def visit(j, traces_l, batches_l):
-                nonlocal worst_low, checked
-                for trace, batch, exact in zip(traces_l, batches_l, lo_grad(traces_l, batches_l)[0]):
-                    if trace.points and len(batch):
-                        worst_low = max(worst_low, _fd_rel_err(trace, batch, exact))
-                        checked += 1
-
             inner = Inner(GRADCHECK_INNER_RATE, steps, 0.1, (True, True))
-            trace_h, batch_h = task_phases(params, [groups], inner, visit)
-            worst_high = max(worst_high, _fd_rel_err(trace_h, batch_h, outer_grad(trace_h, batch_h)[0]))
+            trace_h, batch_h, (errs,) = task_phases(params, [groups], inner, _fd_rel_errs)
+            high_errs.append(_fd_rel_err(trace_h, batch_h, outer_grad(trace_h, batch_h)[0]))
+            low_errs += errs
     elapsed = time.perf_counter() - t0
+    worst_high, worst_low = max(high_errs, default=0.0), max(low_errs, default=0.0)
     return {
         "instances": g["instances"],
-        "skill_objectives_checked": checked,
+        "skill_objectives_checked": len(low_errs),
         "max_rel_err_high": worst_high,
         "max_rel_err_low": worst_low,
         "tolerance": GRADCHECK_TOLERANCE,
-        "pass": bool(checked > 0 and max(worst_high, worst_low) <= GRADCHECK_TOLERANCE),
+        "pass": bool(low_errs and max(worst_high, worst_low) <= GRADCHECK_TOLERANCE),
         "elapsed_seconds": elapsed,
     }
 

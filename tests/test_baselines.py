@@ -99,34 +99,34 @@ def test_high_and_low_ablations_leave_other_level_plain() -> None:
 
     # Recompute the plain pooled-gradient updates by hand for both variants.
     from dmil import autodiff as ad
-    from dmil.dmil import adapt_phases, hard_labels, high_batch, partition_by_skill, pool, route
+    from dmil.dmil import adapt_selector, hard_labels, high_batch, partition_by_skill, pool, route
     from dmil.kernels import SelectorLoss, SkillMseLoss
 
-    sum_skills = [ParamVector.zeros(len(s)) for s in params.skills]
-    sum_high = ParamVector.zeros(len(params.high))
+    sum_skills = [np.zeros(len(s)) for s in params.skills]
+    sum_high = np.zeros(len(params.high))
     for task in tasks:
         rng = SplitMix64(derive_seed(4, task.spec.seed))
         t1, t2, t3, t4 = (pool(t, "raw") for t in sample_phase_batches(task.support, d["batch_size"], rng))
         # dmil_high: skills get plain gradients on the routed second batch,
         # where routing uses the adapted selector.
         inner = Inner(d["inner_rate"], d["inner_steps"], d["aux_weight"], (True, False))
-        trace_h, _ = adapt_phases(params, t1, t2, inner)
+        trace_h = adapt_selector(params, t1, inner)
         batches = partition_by_skill(t2, route(trace_h.final, params.high_shape, t2.states), params.K)
         for k in range(3):
             if len(batches[k]):
                 g = ad.value_and_grad(SkillMseLoss(params.skill_shape), params.skills[k], batches[k])[1]
-                sum_skills[k] = sum_skills[k].add(g)
+                sum_skills[k] = sum_skills[k] + g.values
         # dmil_low: selector gets a plain gradient on the first batch.
         labels1 = hard_labels(t1, params.skills, params.skill_shape)
         gh = ad.value_and_grad(
             SelectorLoss(params.high_shape, d["aux_weight"]), params.high, high_batch(t1, labels1, params.K)
         )[1]
-        sum_high = sum_high.add(gh)
+        sum_high = sum_high + gh.values
 
     m = len(tasks)
     for k in range(3):
-        assert np.array_equal(high_res.g_skills[k].values, sum_skills[k].scaled(1.0 / m).values)
-    assert np.array_equal(low_res.g_high.values, sum_high.scaled(1.0 / m).values)
+        assert np.array_equal(high_res.g_skills[k].values, sum_skills[k] * (1.0 / m))
+    assert np.array_equal(low_res.g_high.values, sum_high * (1.0 / m))
 
 
 def test_lifting_restrictions_reproduces_full_step_bitwise() -> None:
@@ -141,11 +141,11 @@ def test_lifting_restrictions_reproduces_full_step_bitwise() -> None:
     groups = sample_phase_batches(tasks[0].support, d["batch_size"], SplitMix64(derive_seed(8, tasks[0].spec.seed)))
     inner = Inner(d["inner_rate"], d["inner_steps"], d["aux_weight"], (True, True))
     trace_h, traces_l, batch_h, batches_l = one_task_phases(params, groups, inner)
-    lifted_h = ParamVector(outer_grad(trace_h, batch_h)[0].values[0]).scaled(1.0)  # the one task's slice
-    lifted_l = [g.scaled(1.0) for g in lo_grad(traces_l, batches_l)[0]]
-    assert np.array_equal(full.g_high.values, lifted_h.values)
+    lifted_h = outer_grad(trace_h, batch_h)[0].values[0] * 1.0  # the one task's slice, its one-task mean
+    lifted_l = [g.values * 1.0 for g in lo_grad(traces_l, batches_l)[0]]
+    assert np.array_equal(full.g_high.values, lifted_h)
     for a, b in zip(full.g_skills, lifted_l, strict=True):
-        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a.values, b)
 
 
 def test_hard_em_grads_route_by_the_given_indices() -> None:
@@ -190,24 +190,24 @@ def test_meta_train_step_at_zero_inner_rate_is_hard_em(features: str) -> None:
         d = cfg["dmil"]
         res = meta_train_step(params, tasks, cfg, step_seed=seed)
 
-        sum_h = ParamVector.zeros(len(params.high))
-        sum_l = [ParamVector.zeros(len(s)) for s in params.skills]
+        sum_h = np.zeros(len(params.high))
+        sum_l = [np.zeros(len(s)) for s in params.skills]
         for task in tasks:
             rng = SplitMix64(derive_seed(seed, task.spec.seed))
             _, _, t3, t4 = sample_phase_batches(task.support, d["batch_size"], rng)
             p3 = pool(t3, features)
             labels3 = hard_labels(p3, params.skills, params.skill_shape)
-            sum_h = sum_h.add(hard_em_grads(params, p3, labels3, labels3, d["aux_weight"]).g_high)
+            sum_h = sum_h + hard_em_grads(params, p3, labels3, labels3, d["aux_weight"]).g_high.values
             p4 = pool(t4, features)
             labels4 = hard_labels(p4, params.skills, params.skill_shape)
             s4 = pool(t4, "raw").states
             routing4 = np.argmax(mlp_forward(params.high, params.high_shape, featurize(s4, features)), axis=1)
             em4 = hard_em_grads(params, p4, labels4, routing4, d["aux_weight"])
-            sum_l = [a.add(b) for a, b in zip(sum_l, em4.g_skills, strict=True)]
+            sum_l = [a + b.values for a, b in zip(sum_l, em4.g_skills, strict=True)]
         c = 1.0 / len(tasks)
-        assert np.array_equal(res.g_high.values, sum_h.scaled(c).values)
+        assert np.array_equal(res.g_high.values, sum_h * c)
         for got, want in zip(res.g_skills, sum_l, strict=True):
-            assert np.array_equal(got.values, want.scaled(c).values)
+            assert np.array_equal(got.values, want * c)
 
 
 def sgd_steps(params: HierarchicalParams, tasks, cfg: dict, lr: float, n: int, step_seed: int = 0):

@@ -278,8 +278,9 @@ def test_train_exit_code_reports_flagged_divergence(tmp_path, caplog, monkeypatc
 
 def test_train_names_the_task_of_a_non_finite_value(tmp_path, caplog, monkeypatch) -> None:
     # A NaN in one support state of a step's second task stops the run with
-    # the numeric error's exit code, and the one-line error names that
-    # task's seed and the phase it reached.
+    # the numeric error's exit code, and the one-line error names the
+    # method, the iteration (as metrics.csv numbers it), that task's seed
+    # and the phase it reached.
     keep = runner.meta_train_step
     seen = []
 
@@ -296,7 +297,16 @@ def test_train_names_the_task_of_a_non_finite_value(tmp_path, caplog, monkeypatc
     with np.errstate(invalid="ignore"):
         assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 4
     message = one_line_error(caplog, "numeric error")
-    assert message.startswith(f"numeric error: task seed {seen[0]}, selector inner: non-finite loss")
+    assert message.startswith(f"numeric error: dmil iteration 0, task seed {seen[0]}, selector inner: non-finite loss")
+
+
+def test_a_non_finite_warm_start_says_warm_start(tmp_path, caplog) -> None:
+    # The warm start names no task, so its error says where it stopped.  A
+    # hard-EM rate this large overflows the parameters in its first epochs.
+    cfg = write_tiny(tmp_path, dmil={"warmup_epochs": 3, "warmup_rate": 1e300})
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 4
+    assert one_line_error(caplog, "numeric error").startswith("numeric error: warm start: ")
 
 
 def test_metrics_and_timing_rows_are_appended_as_each_iteration_ends(tmp_path, monkeypatch) -> None:

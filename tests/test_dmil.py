@@ -14,7 +14,8 @@ from dmil.data import Trajectory
 from dmil.dmil import (
     Inner,
     Pool,
-    adapt_phases,
+    adapt_selector,
+    adapt_skills,
     few_shot_adapt,
     hard_labels,
     high_batch,
@@ -76,14 +77,13 @@ def routed(selector, high_shape, trajs):
 
 
 def hi(params, trajs, rate, steps, aux):
-    """The selector's inner trace alone: adapt_phases with the sub-skills fixed."""
-    p = pool(trajs, params.feature_kind)
-    return adapt_phases(params, p, p, Inner(rate, steps, aux, (True, False)))[0]
+    """The selector's inner trace alone: adapt_selector with the sub-skills fixed."""
+    return adapt_selector(params, pool(trajs, params.feature_kind), Inner(rate, steps, aux, (True, False)))
 
 
 def li(params, p, rate, steps):
     """The sub-skills' inner traces alone, routed by the unadapted selector."""
-    return next(adapt_phases(params, p, p, Inner(rate, steps, 0.0, (False, True)))[1])
+    return adapt_skills(params, p, route(params.high, params.high_shape, p.states), Inner(rate, steps, 0.0, (False, True)))
 
 
 # ---- hard labels ----
@@ -205,7 +205,7 @@ def test_high_loss_matches_straight_line_recomputation() -> None:
     assert got == pytest.approx(want, abs=1e-10)
 
 
-# ---- hi_step: adapt_phases' selector update ----
+# ---- hi_step: adapt_selector's update ----
 
 
 def test_hi_step_zero_rate_identity() -> None:
@@ -281,7 +281,7 @@ def test_partition_matches_bruteforce_argmax() -> None:
     assert sum(len(b) for b in batches) == seen
 
 
-# ---- li_step: adapt_phases' sub-skill updates ----
+# ---- li_step: adapt_skills' updates ----
 
 
 def test_li_step_empty_partition_identity() -> None:
@@ -328,9 +328,10 @@ def _phases(params, task, cfg, step_seed=0):
     rng, d = SplitMix64(step_seed), cfg["dmil"]
     t1, t2, t3, t4 = (pool(t, "raw") for t in sample_phase_batches(task.support, d["batch_size"], rng))
     inner = Inner(d["inner_rate"], d["inner_steps"], d["aux_weight"], (True, True))
-    trace_h, (traces_l,) = adapt_phases(params, t1, t2, inner)
-    batches2 = partition_by_skill(t2, route(trace_h.final, params.high_shape, t2.states), params.K)
-    return t1, t2, t3, t4, trace_h, batches2, traces_l
+    trace_h = adapt_selector(params, t1, inner)
+    routes2 = route(trace_h.final, params.high_shape, t2.states)
+    traces_l = adapt_skills(params, t2, routes2, inner)
+    return t1, t2, t3, t4, trace_h, partition_by_skill(t2, routes2, params.K), traces_l
 
 
 def test_ho_grad_zero_rate_equals_plain_gradient() -> None:
@@ -495,23 +496,24 @@ def test_meta_train_step_matches_hand_assembled_phases() -> None:
 
     from dmil.rng import derive_seed
 
-    sum_h = ParamVector.zeros(len(params.high))
-    sum_l = [ParamVector.zeros(len(s)) for s in params.skills]
+    sum_h = np.zeros(len(params.high))
+    sum_l = [np.zeros(len(s)) for s in params.skills]
     for task in tasks:
         rng = SplitMix64(derive_seed(step_seed, task.spec.seed))
         t1, t2, t3, t4 = (pool(t, "raw") for t in sample_phase_batches(task.support, d["batch_size"], rng))
         inner = Inner(d["inner_rate"], d["inner_steps"], d["aux_weight"], (True, True))
-        trace_h, (traces_l,) = adapt_phases(params, t1, t2, inner)
+        trace_h = adapt_selector(params, t1, inner)
+        traces_l = adapt_skills(params, t2, route(trace_h.final, params.high_shape, t2.states), inner)
         adapted = [t.final for t in traces_l]
         batch3 = high_batch(t3, hard_labels(t3, adapted, params.skill_shape), params.K)
-        sum_h = sum_h.add(outer_grad(trace_h, batch3)[0])
+        sum_h = sum_h + outer_grad(trace_h, batch3)[0].values
         batches4 = partition_by_skill(t4, route(trace_h.final, params.high_shape, t4.states), params.K)
         for k, g in enumerate(lo_grad(traces_l, batches4)[0]):
-            sum_l[k] = sum_l[k].add(g)
+            sum_l[k] = sum_l[k] + g.values
     m = len(tasks)
-    assert np.array_equal(res.g_high.values, sum_h.scaled(1.0 / m).values)
+    assert np.array_equal(res.g_high.values, sum_h * (1.0 / m))
     for k in range(params.K):
-        assert np.array_equal(res.g_skills[k].values, sum_l[k].scaled(1.0 / m).values)
+        assert np.array_equal(res.g_skills[k].values, sum_l[k] * (1.0 / m))
 
 
 def one_task_steps(params, tasks, cfg, step_seed):
@@ -540,11 +542,11 @@ def test_meta_train_step_is_its_one_task_stacks_summed_in_task_order(method) -> 
     tasks = [demo_task(26), demo_task(27, T=22), demo_task(28), demo_task(29)]
     cfg = step_cfg(method=method, inner_rate=2e-3, inner_steps=2, batch_size=2, aux_weight=0.1)
     calls = []
-    real = dmil.adapt_phases
+    real = dmil.adapt_selector
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(dmil, "adapt_phases", lambda params, p_high, *args: calls.append(p_high.states.shape[:2]) or real(params, p_high, *args))
+        m.setattr(dmil, "adapt_selector", lambda params, p, *args: calls.append(p.states.shape[:2]) or real(params, p, *args))
         res = meta_train_step(params, tasks, cfg, step_seed=5)
-    assert calls == [(3, 60), (1, 44)]  # one adapt_phases call per stack
+    assert calls == [(3, 60), (1, 44)]  # one adapt_selector call per stack
     high, skills, diverged = one_task_steps(params, tasks, cfg, step_seed=5)
     assert res.g_high.values.tobytes() == high.tobytes()
     assert [g.values.tobytes() for g in res.g_skills] == [g.tobytes() for g in skills]
@@ -559,6 +561,29 @@ def test_a_diverging_task_is_counted_alone() -> None:
     cfg = step_cfg(inner_rate=2e-2, inner_steps=3, batch_size=2)
     assert meta_train_step(params, tasks, cfg, step_seed=1).diverged_count == 1
     assert one_task_steps(params, tasks, cfg, step_seed=1)[2] == [0, 1, 0]
+
+
+@pytest.mark.parametrize("method", list(METHODS))
+def test_routing_stays_stacked_and_lazy(monkeypatch, method) -> None:
+    # The adapted selectors route each phase batch of a stack in one call:
+    # the outer batches always, the inner ones only when the sub-skills
+    # adapt.  Few-shot adaptation that adapts no sub-skill, and the warm
+    # start's selector consolidation, route nothing.
+    from dmil.runner import warm_start
+
+    calls = []
+    real = dmil.route
+    monkeypatch.setattr(dmil, "route", lambda selector, shape, states: calls.append(states.shape[:-2]) or real(selector, shape, states))
+    params = small_params(40, n_skills=1 if METHODS[method].one_network else 3)
+    tasks = [demo_task(40 + i) for i in range(3)]
+    meta_train_step(params, tasks, step_cfg(method=method, inner_rate=1e-3, inner_steps=2, batch_size=2), step_seed=1)
+    assert calls == [(len(tasks),)] * (1 + METHODS[method].adapts[1])
+    calls.clear()
+    few_shot_adapt(params, tasks[0].support[:2], Inner(1e-3, 2, 0.1, METHODS["dmil_high"].adapts))
+    cfg = step_cfg(warmup_epochs=0, warmup_consolidate=2)
+    cfg["model"]["hidden"] = [8]
+    warm_start(cfg, tasks)
+    assert calls == []
 
 
 def test_five_equal_tasks_make_one_stacked_selector_pass_per_step(monkeypatch) -> None:
@@ -715,16 +740,20 @@ def test_an_empty_batch_is_the_one_no_step_case() -> None:
     def no_step(trace, loss_type) -> bool:
         return trace.points == () and isinstance(trace.loss, loss_type)
 
+    def phases(params, adapts):  # both inner phases on p, the sub-skills routed by the adapted selector
+        trace_h = adapt_selector(params, p, inner._replace(adapts=adapts))
+        return trace_h, adapt_skills(params, p, route(trace_h.final, params.high_shape, p.states), inner._replace(adapts=adapts))
+
     for adapts in ((True, True), METHODS["maml"].adapts):
-        trace_h, (traces_l,) = adapt_phases(one, p, p, inner._replace(adapts=adapts))
+        trace_h, traces_l = phases(one, adapts)
         assert no_step(trace_h, SelectorLoss) and trace_h.loss.aux_weight == inner.aux_weight
         assert traces_l[0].points
     params = small_params(91)
-    trace_h, (traces_l,) = adapt_phases(params, p, p, inner._replace(adapts=METHODS["dmil_high"].adapts))
+    trace_h, traces_l = phases(params, METHODS["dmil_high"].adapts)
     assert trace_h.points and all(no_step(t, SkillMseLoss) for t in traces_l)
     # An all-zero selector routes every pair to skill 0 (argmax ties go low).
     flat = params.with_updates(ParamVector.zeros(len(params.high)), params.skills)
-    trace_h, (traces_l,) = adapt_phases(flat, p, p, inner._replace(adapts=METHODS["dmil_low"].adapts))
+    trace_h, traces_l = phases(flat, METHODS["dmil_low"].adapts)
     assert no_step(trace_h, SelectorLoss) and traces_l[0].points
     assert all(no_step(t, SkillMseLoss) for t in traces_l[1:])
 

@@ -12,7 +12,8 @@ from dmil.config import METHODS, resolve_config
 from dmil.dmil import (
     Inner,
     StepResult,
-    adapt_phases,
+    adapt_selector,
+    adapt_skills,
     hard_labels,
     high_batch,
     lo_grad,
@@ -60,24 +61,30 @@ def test_method_table_row_drives_every_reader(monkeypatch, method) -> None:
 
     for name in {r.step for r in METHODS.values()}:
         monkeypatch.setattr(runner, name, spy(name))
-    keep_phases = dmil.adapt_phases
 
-    def phases(*args, **kwargs):
-        bound = inspect.signature(keep_phases).bind(*args, **kwargs)
-        bound.apply_defaults()
-        trained.append(bound.arguments["inner"].adapts)
-        return keep_phases(*args, **kwargs)
+    def phase(name):
+        keep = getattr(dmil, name)
+
+        def recording(*args, **kwargs):
+            bound = inspect.signature(keep).bind(*args, **kwargs)
+            trained.append((name, bound.arguments["inner"].adapts))
+            return keep(*args, **kwargs)
+
+        return recording
 
     with monkeypatch.context() as m:
-        m.setattr(dmil, "adapt_phases", phases)
+        for name in ("adapt_selector", "adapt_skills"):
+            m.setattr(dmil, name, phase(name))
         res = runner.train(cfg)
     assert called == [row.step]
     # The meta-learned levels: what the step hands to the inner phases, in
-    # one adapt_phases call per stack of equal-shape tasks, and every step's
-    # tasks here share one shape (em_only takes no inner step).
-    n_stacks = cfg["run"]["iterations"]
-    assert cfg["dmil"]["tasks_per_step"] > 1
-    assert trained == ([] if method == "em_only" else [row.adapts] * n_stacks)
+    # one adapt_selector call per stack of equal-shape tasks, then one
+    # adapt_skills call per task, and every step's tasks here share one
+    # shape (em_only takes no inner step).
+    n_stacks, n_tasks = cfg["run"]["iterations"], cfg["dmil"]["tasks_per_step"]
+    assert n_tasks > 1
+    phases = [("adapt_selector", row.adapts)] + [("adapt_skills", row.adapts)] * n_tasks
+    assert trained == ([] if method == "em_only" else phases * n_stacks)
 
     levels = []
     keep_adapt = evaluation.few_shot_adapt
@@ -116,13 +123,13 @@ def test_warm_start_consolidates_the_selector_alone(monkeypatch) -> None:
     # rate and switch weight, and keeps no linearizations.
     cfg = tiny(aux_weight=0.25, warmup_epochs=2, warmup_consolidate=3, warmup_rate=4e-2, warmup_probe_epochs=1)
     received = []
-    keep_phases = runner.adapt_phases
+    keep_phase = runner.adapt_selector
 
-    def phases(params, p_high, p_low, inner, keep=True):
+    def phase(params, p, inner, keep=True):
         received.append((inner, keep))
-        return keep_phases(params, p_high, p_low, inner, keep)
+        return keep_phase(params, p, inner, keep)
 
-    monkeypatch.setattr(runner, "adapt_phases", phases)
+    monkeypatch.setattr(runner, "adapt_selector", phase)
     runner.warm_start(cfg, runner.build_datasets(cfg)[0])
     assert received == [(Inner(4e-2, 3, 0.25, (True, False)), False)]
 
@@ -197,15 +204,16 @@ def test_only_tasks_and_evaluation_name_the_regime_count() -> None:
 
 def test_runner_builds_no_phase_of_its_own() -> None:
     # dmil.task_phases is the one composition of a task's phases: the
-    # runner (training and gradcheck alike) labels, routes, partitions and
-    # builds loss objects only through it.
+    # runner (training and gradcheck alike) labels, routes, partitions,
+    # adapts sub-skills and builds loss objects only through it; the warm
+    # start's consolidation is the selector's phase alone.
     tree = ast.parse(Path(runner.__file__).read_text())
     called = {
         node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
         for node in ast.walk(tree)
         if isinstance(node, ast.Call)
     }
-    assert called & {"high_batch", "partition_by_skill", "route"} == set()
+    assert called & {"high_batch", "partition_by_skill", "route", "adapt_skills"} == set()
     kernels = [
         ast.unparse(node)
         for node in ast.walk(tree)
@@ -248,7 +256,8 @@ def test_gradcheck_instances_match_the_tape() -> None:
         tape_high, tape_skill = tape_high_loss(params.high_shape, aux), tape_skill_loss(params.skill_shape)
         for steps in (1, 3):
             inner = Inner(rate, steps, aux, (True, True))
-            trace_h, (traces_l,) = adapt_phases(params, p1, p2, inner)
+            trace_h = adapt_selector(params, p1, inner)
+            traces_l = adapt_skills(params, p2, route(trace_h.final, params.high_shape, p2.states), inner)
             batch1 = high_batch(p1, hard_labels(p1, params.skills, params.skill_shape), params.K)
             adapted = [t.final for t in traces_l]
             batch3 = high_batch(p3, hard_labels(p3, adapted, params.skill_shape), params.K)
