@@ -16,11 +16,13 @@ Nor do they cover the meta-gradient check, so it also runs
 runner.gradcheck_run at the default config in this process and compares
 the sha256 of its report, without elapsed_seconds, as sorted-key JSON.
 
-The in-process meta_train round at seed 0 runs under tracemalloc, and the
-script prints the traced heap's peak during its warm_start stage and during
-its train stage after the warm start nested in it (the outer iterations).
-Whichever is higher is the round's heap high-water mark, which perfbench's
-peak_rss_mb follows; the peaks do not change the exit code.
+The in-process meta_train and ablate rounds at seed 0 run under
+tracemalloc, and the script prints the traced heap's peak during each
+warm_start and train stage, by method: meta_train's one warm start and its
+train stage after the warm start nested in it (the outer iterations), and
+ablate's warm start per skill count and each method's train stage.  The
+highest is the round's heap high-water mark, which perfbench's peak_rss_mb
+follows; the peaks do not change the exit code.
 
 The traced round must also report 1-shot few_shot_adapt samples: the tracer
 tags each few_shot_adapt span with the length of its second positional
@@ -119,26 +121,28 @@ def eval_rows_digest(workload: str, seed: int) -> str:
     return hashlib.sha256(repr(rows).encode()).hexdigest()
 
 
-# The round whose warm_start and train stages are traced.
-TRACED_STAGES_ROUND = ("meta_train", 0)
+# The rounds whose warm_start and train stages are traced.
+TRACED_STAGES_ROUNDS = (("meta_train", 0), ("ablate", 0))
 
 
 @contextlib.contextmanager
 def traced_stage_peaks():
     """Trace allocations and wrap runner.warm_start and runner.train, which
-    run_round reaches through runner: yields a dict that gets each stage's
-    peak traced heap in bytes.  Each stage resets the peak as it starts and
-    ends, so train's peak is that of the iterations after its warm start."""
+    run_round and runner.ablate reach through runner: yields a dict that
+    gets each stage's peak traced heap in bytes, keyed "<method> <stage>"
+    by the method of the config the stage is called with.  Each stage
+    resets the peak as it starts and ends, so train's peak is that of the
+    iterations after its warm start."""
     peaks: dict[str, int] = {}
     keep = {name: getattr(runner, name) for name in ("warm_start", "train")}
 
     def traced(name):
-        def stage(*args, **kwargs):
+        def stage(cfg, *args, **kwargs):
             tracemalloc.reset_peak()
             try:
-                return keep[name](*args, **kwargs)
+                return keep[name](cfg, *args, **kwargs)
             finally:
-                peaks[name] = tracemalloc.get_traced_memory()[1]
+                peaks[f"{cfg['dmil']['method']} {name}"] = tracemalloc.get_traced_memory()[1]
                 tracemalloc.reset_peak()
 
         return stage
@@ -218,15 +222,15 @@ def main() -> int:
     for workload, seed in RECORDED:
         ok &= check_run(workload, seed)[0]
     for (workload, seed), want in EVAL_ROWS.items():
-        with traced_stage_peaks() if (workload, seed) == TRACED_STAGES_ROUND else contextlib.nullcontext() as peaks:
+        with traced_stage_peaks() if (workload, seed) in TRACED_STAGES_ROUNDS else contextlib.nullcontext() as peaks:
             got = eval_rows_digest(workload, seed)
         ok &= got == want
         print(f"{f'{workload} seed {seed}':27s} {'eval_rows':12s} {got[:16]} recorded {want[:16]} "
               f"{'ok' if got == want else 'MISMATCH'}")
         if peaks:
-            top = max(peaks, key=peaks.get)
-            print(f"{f'{workload} seed {seed}':27s} tracemalloc peak: warm_start {peaks['warm_start'] / 2**20:.2f} MiB,"
-                  f" train {peaks['train'] / 2**20:.2f} MiB ({top} is the high-water mark)")
+            stages = ", ".join(f"{stage} {peak / 2**20:.2f} MiB" for stage, peak in peaks.items())
+            print(f"{f'{workload} seed {seed}':27s} tracemalloc peak: {stages} ({max(peaks, key=peaks.get)} is the"
+                  " high-water mark)")
     got = gradcheck_digest()
     ok &= got == GRADCHECK_REPORT
     print(f"{'gradcheck default config':27s} {'report':12s} {got[:16]} recorded {GRADCHECK_REPORT[:16]} "

@@ -1,22 +1,24 @@
 """Differentiation over flat parameter vectors.
 
-A loss is any object with value and linearize on float64 arrays (the Loss
-protocol): linearize evaluates the loss once at a parameter vector and
-returns its value, its gradient and Hessian-vector products at that vector
-(a Linearization).  loss_value, linearize, value_and_grad and hvp wrap those
-methods and check that every loss, gradient and Hessian-vector product is
-finite.  The training losses are closed-form (dmil.kernels).  The small
-operation tape below is only their test reference: tests/oracle.py writes
-the same losses on it and adapts them to the Loss protocol, and no training,
-evaluation or gradcheck path builds a tape.  The tape covers dense matmul
-plus elementwise ops, enough for fully-connected networks; its backward
-passes are built out of tape ops, so differentiating one again gives exact
-reverse-over-reverse Hessian-vector products.
+A loss is any object with value, value_and_grad and linearize on float64
+arrays (the Loss protocol): value_and_grad evaluates the loss and its
+gradient at a parameter vector, and linearize does the same but returns
+them with Hessian-vector products at that vector (a Linearization), which
+keeps what those products reuse.  loss_value, value_and_grad, linearize and
+hvp wrap those methods and check that every loss, gradient and
+Hessian-vector product is finite.  The training losses are closed-form
+(dmil.kernels).  The small operation tape below is only their test
+reference: tests/oracle.py writes the same losses on it and adapts them to
+the Loss protocol, and no training, evaluation or gradcheck path builds a
+tape.  The tape covers dense matmul plus elementwise ops, enough for
+fully-connected networks; its backward passes are built out of tape ops,
+so differentiating one again gives exact reverse-over-reverse
+Hessian-vector products.
 
-inner_adapt records plain gradient-descent steps and keeps each step's
-linearization, and meta_grad backpropagates an outer gradient through them
-(the (I - rate * H) chain, applied in reverse step order) without
-evaluating the inner loss again.
+inner_adapt records plain gradient-descent steps and, with keep, each
+step's linearization, and meta_grad backpropagates an outer gradient
+through them (the (I - rate * H) chain, applied in reverse step order)
+without evaluating the inner loss again.
 
 All of them also act on a stack of m problems at once, as the kernels do:
 a ParamVector may hold an (m, n_params) stack of vectors, a stacked batch
@@ -40,24 +42,47 @@ import numpy as np
 
 
 class NumericError(RuntimeError):
-    """A computation produced a non-finite value; in a stack, `slice` is the
-    index of the first slice that did (None when unstacked or unknown)."""
+    """A computation produced a non-finite value.  Beside the message, it
+    carries as fields what the code it passed through knew, each None when
+    unknown: in a stack, `slice` is the index of the first slice that
+    failed; `phase` is the training phase as the message names it
+    ("selector inner", "sub-skill 2 outer"), `task_seed` the seed of the
+    task it ran on, and `method` and `iteration` the training run's method
+    and outer iteration."""
 
-    def __init__(self, message: str, slice: int | None = None):
+    FIELDS = ("slice", "task_seed", "phase", "method", "iteration")
+
+    def __init__(
+        self,
+        message: str,
+        slice: int | None = None,
+        *,
+        task_seed: int | None = None,
+        phase: str | None = None,
+        method: str | None = None,
+        iteration: int | None = None,
+    ):
         super().__init__(message)
-        self.slice = slice
+        self.slice, self.task_seed, self.phase, self.method, self.iteration = slice, task_seed, phase, method, iteration
+
+    def prefixed(self, prefix: str, **fields) -> NumericError:
+        """This error with `prefix` before its message, and each of
+        `fields` (FIELDS by name) that it leaves None."""
+        known = {name: getattr(self, name) for name in self.FIELDS}
+        return NumericError(prefix + str(self), **{name: fields.get(name) if v is None else v for name, v in known.items()})
 
 
 class error_prefix(AbstractContextManager):
-    """A context that prefixes a NumericError raised inside with `prefix`,
-    and gives it the stack slice `slice` when it names none."""
+    """A context that prefixes a NumericError raised inside with `prefix`
+    and gives it the stack slice `slice` and the other `fields`
+    (NumericError's keywords) where it names none."""
 
-    def __init__(self, prefix: str, slice: int | None = None):
-        self.prefix, self.slice = prefix, slice
+    def __init__(self, prefix: str, slice: int | None = None, **fields):
+        self.prefix, self.fields = prefix, dict(fields, slice=slice)
 
     def __exit__(self, kind, e, traceback) -> None:
         if isinstance(e, NumericError):
-            raise NumericError(self.prefix + str(e), self.slice if e.slice is None else e.slice) from e
+            raise e.prefixed(self.prefix, **self.fields) from e
 
 
 class ContractError(ValueError):
@@ -360,11 +385,15 @@ class Linearization(Protocol):
 
 class Loss(Protocol):
     """A scalar loss of a flat float64 parameter array and a batch.  It must
-    be pure: identical (theta, batch) give identical results."""
+    be pure: identical (theta, batch) give identical results, and
+    value_and_grad gives bitwise linearize's value and gradient, holding
+    nothing for Hessian-vector products."""
 
     name: str
 
     def value(self, theta: np.ndarray, batch) -> float: ...
+
+    def value_and_grad(self, theta: np.ndarray, batch) -> tuple[float, np.ndarray]: ...
 
     def linearize(self, theta: np.ndarray, batch) -> Linearization: ...
 
@@ -393,19 +422,26 @@ def loss_value(f: Loss, theta: ParamVector, batch) -> float | np.ndarray:
     return _check_loss(f, f.value(theta.values, batch))
 
 
+def _checked_grad(f: Loss, val, grad: np.ndarray) -> ParamVector:
+    _check_loss(f, val)
+    if not np.isfinite(grad).all():
+        raise _non_finite(grad, 1, f"non-finite gradient in {f.name}")
+    return ParamVector._fresh(grad, check=False)
+
+
 def linearize(f: Loss, theta: ParamVector, batch) -> Point:
     """The loss, its gradient and its Hessian-vector products at theta, from
     one evaluation."""
     lin = f.linearize(theta.values, batch)
-    _check_loss(f, lin.value)
-    if not np.isfinite(lin.grad).all():
-        raise _non_finite(lin.grad, 1, f"non-finite gradient in {f.name}")
-    return Point(lin.value, ParamVector._fresh(lin.grad, check=False), lin, f.name)
+    return Point(lin.value, _checked_grad(f, lin.value, lin.grad), lin, f.name)
 
 
 def value_and_grad(f: Loss, theta: ParamVector, batch) -> tuple[float | np.ndarray, ParamVector]:
-    point = linearize(f, theta, batch)
-    return point.value, point.grad
+    """The loss and its gradient at theta: linearize's, bitwise, from a pass
+    that keeps nothing for Hessian-vector products (the closed-form losses
+    free each activation once their backward pass has read it)."""
+    val, grad = f.value_and_grad(theta.values, batch)
+    return val, _checked_grad(f, val, grad)
 
 
 def hvp(point: Point, v: ParamVector) -> ParamVector:
@@ -465,11 +501,12 @@ def inner_adapt(
 ) -> AdaptTrace:
     """`steps` full-batch gradient-descent steps at fixed rate.
 
-    Each step linearizes the loss once; with keep the trace holds those
-    linearizations for meta_grad, and without it (adaptation that is never
-    differentiated) it holds none, and each step's linearization is dropped
-    before the next is made.  rate == 0 is allowed and returns theta
-    bitwise unchanged.  If the loss grows by more than 10x over the trace
+    With keep, each step linearizes the loss once and the trace holds those
+    linearizations for meta_grad's Hessian-vector products.  Without it
+    (adaptation that is never differentiated) each step takes
+    value_and_grad, which keeps no activations, and the trace holds no
+    linearization; the steps are bitwise the same either way.  rate == 0 is
+    allowed and returns theta bitwise unchanged.  If the loss grows by more than 10x over the trace
     the result is flagged as diverged (never clipped), slice by slice on a
     stacked batch; training code surfaces the flag in metrics.  A stacked
     batch may start from one vector shared by every slice.
@@ -483,13 +520,14 @@ def inner_adapt(
     kept: list[Point] = []
     losses: list = []
     for _ in range(steps):
-        point = linearize(f, p, batch)
-        losses.append(point.value)
-        points.append(p)
         if keep:
-            kept.append(point)
-        p = p.minus_scaled(point.grad, rate)
-        del point  # without keep, nothing else holds it
+            kept.append(linearize(f, p, batch))
+            val, g = kept[-1].value, kept[-1].grad
+        else:
+            val, g = value_and_grad(f, p, batch)
+        losses.append(val)
+        points.append(p)
+        p = p.minus_scaled(g, rate)
     final_loss = loss_value(f, p, batch)
     losses.append(final_loss)
     floor = np.maximum(np.abs(losses[0]), 1e-300)

@@ -33,7 +33,8 @@ Meta-gradients are summed over tasks in list order, divided by the task
 count and returned for one atomic update, which the caller (runner.train)
 applies; no phase ever sees post-update parameters.  Hard label and routing
 argmins are constants: no gradient flows through them.  A NumericError
-raised in a step names the task's seed and the phase.
+raised in a step names the task's seed and the phase, in its message and as
+its task_seed and phase fields.
 
 outer_grad alone pushes an outer gradient, of the loss the trace carries,
 back through an inner trace; lo_grad pools it over sub-skills.  Zero-step
@@ -197,12 +198,18 @@ class Inner(NamedTuple):
     adapts: tuple[bool, bool]
 
 
+def _phase(name: str) -> error_prefix:
+    """The context of phase `name`: a NumericError raised in it names the
+    phase, in its message and its phase field."""
+    return error_prefix(f"{name}: ", phase=name)
+
+
 def _adapt(name: str, loss, theta: ParamVector, batch: Pool, inner: Inner, keep: bool) -> AdaptTrace:
-    """theta's inner trace on batch, a zero-step one on an empty batch; a
-    NumericError raised in it names the phase `name`."""
+    """theta's inner trace on batch, a zero-step one on an empty batch,
+    in phase `name`."""
     if not len(batch):
         return identity_trace(theta, loss)
-    with error_prefix(f"{name}: "):
+    with _phase(name):
         return inner_adapt(loss, theta, inner.rate, batch, inner.steps, keep)
 
 
@@ -248,7 +255,7 @@ def lo_grad(traces_l: Sequence[AdaptTrace], batches: Sequence[Pool]) -> tuple[li
     grads: list[ParamVector] = []
     sse_total, n_total = 0.0, 0
     for k, (trace, batch) in enumerate(zip(traces_l, batches, strict=True)):
-        with error_prefix(f"sub-skill {k} outer: "):
+        with _phase(f"sub-skill {k} outer"):
             g, val = outer_grad(trace, batch)
         grads.append(g)
         sse_total += val * len(batch)
@@ -328,7 +335,8 @@ def task_phases(
     adapt_high, adapt_low = inner.adapts
     p1, p2 = pooled(0), pooled(1)
     trace_h = adapt_selector(params, p1, inner)
-    # Group 2 is routed before groups 3 and 4 are pooled: the other order raised ablate's peak RSS ~5 MiB.
+    # Group 2 is routed before groups 3 and 4 are pooled.  The order no longer moves ablate's peak RSS: now that
+    # dmil's train, not em_only's, sets it, a per-stage maxrss probe reads the two orders within 0.7 MiB.
     routes2 = route(trace_h.final.values, params.high_shape, p2.states) if adapt_low else itertools.repeat(None)
     p3 = pooled(2) if adapt_high else p1
     p4 = pooled(3) if adapt_low else p2
@@ -362,7 +370,8 @@ def meta_train_step(
     (step_seed, task.spec.seed), so permuting the task list only
     reassociates the gradient sum.  Any task failure aborts the whole step
     before any gradient is returned, and a NumericError names the task's
-    seed and the phase.
+    seed and the phase (its task_seed and phase fields; task_seed is None
+    when the error names no one task of a stack).
     """
     if not tasks:
         raise ContractError("meta_train_step needs at least one task")
@@ -378,11 +387,12 @@ def meta_train_step(
         order = [i for i, _ in members]
         try:
             trace_h, batch_h, lows = task_phases(params, [g for _, g in members], inner, _task_grads)
-            with error_prefix("selector outer: "):
+            with _phase("selector outer"):
                 g, vals = outer_grad(trace_h, batch_h)
         except NumericError as e:
-            seeds = ", ".join(str(tasks[i].spec.seed) for i in (order if e.slice is None else [order[e.slice]]))
-            raise NumericError(f"task seed {seeds}, {e}") from e
+            seeds = [tasks[i].spec.seed for i in (order if e.slice is None else [order[e.slice]])]
+            task_seed = seeds[0] if len(seeds) == 1 else None
+            raise e.prefixed(f"task seed {', '.join(map(str, seeds))}, ", task_seed=task_seed) from e
         flags = np.broadcast_to(trace_h.diverged, (len(order),))
         for j, (i, (g_l, val_l, diverged_l)) in enumerate(zip(order, lows)):
             records[i] = (g.values[j], vals[j], g_l, val_l, diverged_l or bool(flags[j]))

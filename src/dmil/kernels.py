@@ -11,9 +11,11 @@ backward pass carries R{dL/dz} next to dL/dz; the parameter entries of
 R{gradient} are H v.  ReLU masks are constant, as on the tape (zero
 curvature almost everywhere).
 
-linearize runs the forward pass, the loss head and the backward pass once and
-returns an MlpPoint, which keeps the forward activations and the head's
-context; each hvp at that point then runs only the R-passes.
+value_and_grad runs the forward pass, the loss head and the backward pass
+once, and the backward pass frees each hidden activation as soon as it has
+read it.  linearize runs the same passes but returns an MlpPoint, which keeps
+the forward activations and the head's context; each hvp at that point then
+runs only the R-passes.  Both give bitwise the same value and gradient.
 
 Every pass takes an optional leading stack axis: an (m, N, in) batch (a
 stacked dmil.Pool) against an (m, n_params) stack of parameter vectors, or
@@ -82,15 +84,20 @@ def forward(layers, x: np.ndarray) -> list[np.ndarray]:
 
 
 def backward(layers, hs, g: np.ndarray) -> np.ndarray:
-    """Flat gradient from g = dL/dy, in the parameter layout; reads the
-    layer inputs hs[:len(layers)] of forward()'s list."""
+    """Flat gradient from g = dL/dy, in the parameter layout.  Consumes the
+    layer inputs hs[:len(layers)] of forward()'s list, as r_backward does
+    rhs: each hidden activation is dropped once its ReLU mask is taken and
+    before the next dL/dz is allocated.  A caller that keeps the
+    activations passes a copy of the list."""
     parts = []
     flat = g.shape[:-2] + (-1,)  # each (in, out) matrix as a parameter-layout row
     for i in range(len(layers) - 1, -1, -1):
         parts += [g.sum(axis=-2), (hs[i].mT @ g).reshape(flat)]
         if i:
+            mask = hs[i] > 0.0
+            hs[i] = None
             g = g @ layers[i][0].mT
-            g *= hs[i] > 0.0
+            g *= mask
     return np.concatenate(parts[::-1], axis=-1)
 
 
@@ -138,8 +145,8 @@ class _MlpLoss:
     """A loss of the network output.  Subclasses give _head(y, batch), which
     returns the value (an array: 0-d, or one entry per slice), g = dL/dy
     and the context that _r_head(ctx, ry) needs to map ry = R{y} to
-    R{dL/dy}.  value and linearize give an unstacked batch's value as a
-    float and a stack's as an (m,) array."""
+    R{dL/dy}.  value, value_and_grad and linearize give an unstacked
+    batch's value as a float and a stack's as an (m,) array."""
 
     def __init__(self, shape):
         self.sizes = shape.layer_sizes
@@ -156,10 +163,17 @@ class _MlpLoss:
         _, hs = self._forward(theta, batch)
         return _value(self._head(hs[-1], batch)[0])
 
+    def value_and_grad(self, theta: np.ndarray, batch):
+        """The value and the gradient, with no MlpPoint: backward frees each
+        hidden activation once it has read it."""
+        layers, hs = self._forward(theta, batch)
+        val, g = self._head(hs.pop(), batch)[:2]
+        return _value(val), backward(layers, hs, g)
+
     def linearize(self, theta: np.ndarray, batch) -> "MlpPoint":
         layers, hs = self._forward(theta, batch)
         val, g, ctx = self._head(hs.pop(), batch)  # no pass reads the output again
-        return MlpPoint(self, layers, hs, g, ctx, _value(val), backward(layers, hs, g))
+        return MlpPoint(self, layers, hs, g, ctx, _value(val), backward(layers, hs[:], g))
 
 
 def _value(val: np.ndarray):

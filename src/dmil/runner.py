@@ -273,7 +273,8 @@ def train(cfg: dict, out_dir=None, datasets=None, warm_params=None) -> TrainResu
     The outer update of all five methods happens only here: one
     outer_optimizer object at outer_rate applies each step's StepResult,
     gradients at the pre-step parameters, to the whole model.  A
-    NumericError in an iteration names the method and the iteration first.
+    NumericError in an iteration names the method and the iteration first,
+    and carries them as its method and iteration fields.
     """
     method = cfg["dmil"]["method"]
     if warm_params is not None:
@@ -300,7 +301,7 @@ def train(cfg: dict, out_dir=None, datasets=None, warm_params=None) -> TrainResu
         batch_tasks = [train_tasks[i] for i in picks]
         step_seed = derive_seed(seed, SALT_STEP, it)
 
-        with error_prefix(f"{method} iteration {it}, "):
+        with error_prefix(f"{method} iteration {it}, ", method=method, iteration=it):
             # Looked up by name in this module's globals on every call, so that a
             # wrapper set on runner's attribute (a test, a profiler) sees each step.
             res = globals()[METHODS[method].step](params, batch_tasks, cfg, step_seed)

@@ -37,6 +37,10 @@ class TapeLoss:
     def value(self, theta: np.ndarray, batch) -> float:
         return float(self.fn(constant(theta), batch).value)
 
+    def value_and_grad(self, theta: np.ndarray, batch) -> tuple[float, np.ndarray]:
+        point = _TapePoint(self.fn, theta, batch)
+        return point.value, point.grad
+
     def linearize(self, theta: np.ndarray, batch) -> "_TapePoint":
         return _TapePoint(self.fn, theta, batch)
 

@@ -588,11 +588,13 @@ def test_routing_stays_stacked_and_lazy(monkeypatch, method) -> None:
 
 def test_five_equal_tasks_make_one_stacked_selector_pass_per_step(monkeypatch) -> None:
     # The selector's passes run once per stack: inner_steps linearizations
-    # and one outer one for all five tasks, each on a (5, N, in) batch, not
-    # five times as many (a per-task loop would fail here).
+    # and one outer gradient for all five tasks, each on a (5, N, in) batch,
+    # not five times as many (a per-task loop would fail here).  Both entry
+    # points are counted.
     shapes = []
-    real = SelectorLoss.linearize
-    monkeypatch.setattr(SelectorLoss, "linearize", lambda self, theta, batch: shapes.append(batch.states.shape[:2]) or real(self, theta, batch))
+    for name in ("linearize", "value_and_grad"):
+        real = getattr(SelectorLoss, name)
+        monkeypatch.setattr(SelectorLoss, name, lambda self, theta, batch, real=real: shapes.append(batch.states.shape[:2]) or real(self, theta, batch))
     tasks = [demo_task(60 + i) for i in range(5)]
     meta_train_step(small_params(60), tasks, step_cfg(inner_rate=1e-3, inner_steps=3, batch_size=2), step_seed=2)
     assert shapes == [(5, 60)] * (3 + 1)

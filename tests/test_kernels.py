@@ -1,7 +1,10 @@
 """The closed-form losses (dmil.kernels) against their tape references: value,
 gradient and Hessian-vector product, whole inner-adaptation traces and
 meta-gradients, and the finiteness checks on the closed-form path.  Stacked
-problems against their slices, bit for bit."""
+problems against their slices, bit for bit, and value_and_grad against
+linearize, bit for bit and in traced memory."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -48,6 +51,19 @@ def instances(draw, loss: str):
 
 def assert_close(got: float, want: float) -> None:
     assert abs(got - want) <= TOL * max(abs(want), 1e-12)
+
+
+@pytest.mark.parametrize("loss", ["high", "skill"])
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_value_and_grad_is_linearize_bitwise(loss, data) -> None:
+    # The pass that keeps no activations gives linearize's value and
+    # gradient bit for bit, for the closed forms and their tape references.
+    kernel, tape, theta, _, batch = data.draw(instances(loss))
+    for f in (kernel, tape):
+        val, grad = f.value_and_grad(theta.values, batch)
+        point = f.linearize(theta.values, batch)
+        assert same_bits(val, point.value) and same_bits(grad, point.grad)
 
 
 @pytest.mark.parametrize("loss", ["high", "skill"])
@@ -178,17 +194,22 @@ def same_bits(a, b) -> bool:
 
 
 def assert_stack_is_its_slices(kernel, thetas, vs, stack, pools) -> None:
-    """value, linearize and hvp on the stack, per slice, against the
-    unstacked calls; thetas is (m, P) or one vector shared by every slice."""
+    """value, value_and_grad, linearize and hvp on the stack, per slice,
+    against the unstacked calls, and value_and_grad against linearize;
+    thetas is (m, P) or one vector shared by every slice."""
     val = kernel.value(thetas, stack)
+    val_g, grad = kernel.value_and_grad(thetas, stack)
     point = kernel.linearize(thetas, stack)
     h = point.hvp(vs)
     assert val.shape == point.value.shape == (len(pools),)
+    assert same_bits(val_g, point.value) and same_bits(grad, point.grad)
     for i, p in enumerate(pools):
         theta = thetas if thetas.ndim == 1 else thetas[i]
         one = kernel.linearize(theta, p)
+        one_val, one_grad = kernel.value_and_grad(theta, p)
         assert same_bits(val[i], kernel.value(theta, p)) and same_bits(point.value[i], one.value)
         assert same_bits(point.grad[i], one.grad)
+        assert same_bits(one_val, one.value) and same_bits(one_grad, one.grad)
         assert same_bits(h[i], one.hvp(vs[i]))
 
 
@@ -264,3 +285,32 @@ def test_a_non_finite_slice_is_named() -> None:
     with np.errstate(invalid="ignore"), pytest.raises(NumericError, match="non-finite hvp") as exc:
         ad.hvp(point, ParamVector._fresh(vs, check=False))
     assert exc.value.slice == 1
+
+
+@pytest.mark.parametrize("loss", ["high", "skill"])
+def test_value_and_grad_frees_each_activation_once_read(loss) -> None:
+    # linearize keeps both hidden activations for its HVPs through the
+    # backward pass; value_and_grad drops each once backward has read it,
+    # so its traced peak is at least one (N, hidden) float64 array lower.
+    n, hidden = 4000, 64
+    shape = MlpShape((6, hidden, hidden, 3))
+    rng = np.random.default_rng(37)
+    x = rng.uniform(-1.0, 1.0, size=(n, 6))
+    theta = ParamVector(rng.uniform(-0.4, 0.4, size=shape.n_params))
+    if loss == "high":
+        kernel = SelectorLoss(shape, 0.1)
+        batch = Pool(x, np.eye(3)[rng.integers(0, 3, size=n)], tuple((i, i + 40) for i in range(0, n, 40)))
+    else:
+        kernel, batch = SkillMseLoss(shape), Pool(x, rng.uniform(-1.0, 1.0, size=(n, 3)), ())
+
+    def traced_peak(fn) -> int:
+        fn(kernel, theta, batch)  # any one-time allocation happens untraced
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            fn(kernel, theta, batch)
+            return tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+
+    assert traced_peak(ad.value_and_grad) <= traced_peak(ad.linearize) - n * hidden * 8

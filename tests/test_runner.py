@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import inspect
 from pathlib import Path
 
@@ -7,7 +8,7 @@ import pytest
 
 from dmil import autodiff as ad
 from dmil import dmil, evaluation, runner
-from dmil.autodiff import ContractError, ParamVector, inner_adapt
+from dmil.autodiff import ContractError, NumericError, ParamVector, inner_adapt
 from dmil.config import METHODS, resolve_config
 from dmil.dmil import (
     Inner,
@@ -428,3 +429,33 @@ def test_ablate_computes_one_warm_start_per_skill_count(monkeypatch) -> None:
     assert calls == ["dmil", "maml"]
     assert [r["method"] for r in rows] == list(runner.METHODS)
 
+
+
+def test_a_non_finite_step_error_carries_its_context_as_fields(monkeypatch) -> None:
+    # The method, the iteration, the task's seed and the phase that the
+    # message names are also fields of the error.  A NaN in one support
+    # state of the second iteration's second task reaches its selector's
+    # inner loss (batch_size 4 puts every support trajectory into every
+    # phase batch).
+    keep = runner.meta_train_step
+    calls, bad_seeds = [], []
+
+    def step(params, tasks, cfg, step_seed):
+        calls.append(step_seed)
+        if len(calls) == 2:
+            bad = tasks[1]
+            bad_seeds.append(bad.spec.seed)
+            states = bad.support[0].states.copy()
+            states[0, 0] = np.nan
+            support = (dataclasses.replace(bad.support[0], states=states),) + bad.support[1:]
+            tasks = [tasks[0], dataclasses.replace(bad, support=support)]
+        return keep(params, tasks, cfg, step_seed)
+
+    monkeypatch.setattr(runner, "meta_train_step", step)
+    cfg = tiny(batch_size=4)
+    cfg["run"]["iterations"] = 3
+    with np.errstate(invalid="ignore"), pytest.raises(NumericError) as exc:
+        runner.train(cfg)
+    e = exc.value
+    assert (e.method, e.iteration, e.task_seed, e.phase) == ("dmil", 1, bad_seeds[0], "selector inner")
+    assert str(e).startswith(f"dmil iteration 1, task seed {bad_seeds[0]}, selector inner: non-finite loss")
