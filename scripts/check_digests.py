@@ -2,11 +2,13 @@
 workloads at seed 0 and ablate at seed 7 for one round each, one traced
 fewshot_eval round at seed 0, then perfbench's own self-test, every one as
 a subprocess, and prints the output digests next to the recorded ones, each
-run's correct/failed result and the line count of each src/dmil file and
-of the package, beside the count at git HEAD and the difference (omitted
+run's correct/failed result and the line count of each src/dmil file, of
+the package and of tests/oracle.py (the tape the tests take their reference
+derivatives from), beside the count at git HEAD and the difference (omitted
 where git cannot show the file).  Run before committing, the total's
-difference is the change's net src/dmil lines.  Exits 1 on any mismatch,
-failed check or failed operation.
+difference is the change's net src/dmil lines, and oracle's shows code that
+moved out of src/ into it.  Exits 1 on any mismatch, failed check or failed
+operation.
 
 The benchmark's own digests (datasets, metric rows, params) do not cover
 runner.evaluate's rows, so each recorded (workload, seed) also reruns one
@@ -196,9 +198,10 @@ def check_run(workload: str, seed: int, trace: int = 0) -> tuple[bool, dict | No
     return ok and correct, result
 
 
-def head_line_counts() -> dict[str, int]:
-    """Line count at git HEAD of each src/dmil/*.py file, by file name;
-    empty where git cannot list HEAD's files."""
+def head_line_counts(*paths: str) -> dict[str, int]:
+    """Line count at git HEAD of each .py file that git lists under
+    `paths` (files or directories), by repo-relative path; empty where git
+    cannot list HEAD's files."""
 
     def git(*args: str) -> subprocess.CompletedProcess:
         try:
@@ -206,10 +209,10 @@ def head_line_counts() -> dict[str, int]:
         except FileNotFoundError:  # no git on the path
             return subprocess.CompletedProcess(args, 1, "", "")
 
-    listed = git("ls-tree", "--name-only", "HEAD", "src/dmil/")
-    paths = [p for p in listed.stdout.split() if p.endswith(".py")] if listed.returncode == 0 else []
-    shown = {Path(p).name: git("show", f"HEAD:{p}") for p in paths}
-    return {name: len(proc.stdout.splitlines()) for name, proc in shown.items() if proc.returncode == 0}
+    listed = git("ls-tree", "--name-only", "HEAD", *paths)
+    files = [p for p in listed.stdout.split() if p.endswith(".py")] if listed.returncode == 0 else []
+    shown = {p: git("show", f"HEAD:{p}") for p in files}
+    return {path: len(proc.stdout.splitlines()) for path, proc in shown.items() if proc.returncode == 0}
 
 
 def against_head(lines: int, head: int | None) -> str:
@@ -244,12 +247,16 @@ def main() -> int:
     ran = [line for line in selftest.stderr.splitlines() if line.startswith("Ran ")]
     print(f"perfbench/selftest.py: {ran[-1] if ran else 'no tests ran'}, exit {selftest.returncode}"
           f" {'ok' if selftest.returncode == 0 else 'FAILED'}")
-    counts = {p.name: len(p.read_text().splitlines()) for p in sorted((ROOT / "src" / "dmil").glob("*.py"))}
-    head = head_line_counts()
-    for name, lines in counts.items():
-        print(f"src/dmil/{name}: {lines} lines{against_head(lines, head.get(name))}")
+    counts = {f"src/dmil/{p.name}": len(p.read_text().splitlines()) for p in sorted((ROOT / "src" / "dmil").glob("*.py"))}
+    oracle = "tests/oracle.py"
+    head = head_line_counts("src/dmil/", oracle)
+    for path, lines in counts.items():
+        print(f"{path}: {lines} lines{against_head(lines, head.get(path))}")
     total = sum(counts.values())
-    print(f"src/dmil: {total} lines{against_head(total, sum(head.values()) if head else None)}")
+    head_total = sum(lines for path, lines in head.items() if path != oracle) if head else None
+    print(f"src/dmil: {total} lines{against_head(total, head_total)}")
+    lines = len((ROOT / oracle).read_text().splitlines())
+    print(f"{oracle}: {lines} lines{against_head(lines, head.get(oracle))}")
     print("all digests and checks as recorded" if ok else "MISMATCH: see above")
     return 0 if ok else 1
 

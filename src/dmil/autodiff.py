@@ -7,13 +7,8 @@ them with Hessian-vector products at that vector (a Linearization), which
 keeps what those products reuse.  loss_value, value_and_grad, linearize and
 hvp wrap those methods and check that every loss, gradient and
 Hessian-vector product is finite.  The training losses are closed-form
-(dmil.kernels).  The small operation tape below is only their test
-reference: tests/oracle.py writes the same losses on it and adapts them to
-the Loss protocol, and no training, evaluation or gradcheck path builds a
-tape.  The tape covers dense matmul plus elementwise ops, enough for
-fully-connected networks; its backward passes are built out of tape ops,
-so differentiating one again gives exact reverse-over-reverse
-Hessian-vector products.
+(dmil.kernels); their test reference, a reverse-mode operation tape, is
+tests/oracle.py.
 
 inner_adapt records plain gradient-descent steps and, with keep, each
 step's linearization, and meta_grad backpropagates an outer gradient
@@ -26,9 +21,9 @@ then gives an (m,) loss, and each slice is bitwise its unstacked problem.
 Finiteness is checked per slice (a NumericError names the first slice that
 failed) and inner_adapt flags divergence per slice.
 
-Everything is float64.  ReLU uses subgradient 0 at the kink and contributes
-nothing to second derivatives, which is the usual almost-everywhere
-convention; finite-difference checks must stay away from kinks.
+Node, the tape's entry, stays here although no command builds one: the
+benchmark's tracer (perfbench/tracing.py) counts its constructions as
+autodiff.tape_nodes.  Everything is float64.
 """
 
 from __future__ import annotations
@@ -36,7 +31,7 @@ from __future__ import annotations
 import math
 from contextlib import AbstractContextManager
 from dataclasses import dataclass
-from typing import Protocol, Sequence
+from typing import Protocol
 
 import numpy as np
 
@@ -154,12 +149,14 @@ def _non_finite(x, ndim: int, what: str) -> NumericError:
 
 
 # ---------------------------------------------------------------------------
-# tape nodes and operations
+# tape node
 # ---------------------------------------------------------------------------
 
 
 class Node:
-    """One tape entry: a value plus vjp closures toward its parents."""
+    """One tape entry: a value plus vjp closures toward its parents.  The
+    ops and the backward pass that build and read these are in
+    tests/oracle.py."""
 
     __slots__ = ("value", "parents", "vjps", "needs_grad")
 
@@ -170,202 +167,6 @@ class Node:
         self.needs_grad = needs_grad
 
 
-def constant(x) -> Node:
-    return Node(np.asarray(x, dtype=np.float64))
-
-
-def leaf(x) -> Node:
-    return Node(np.asarray(x, dtype=np.float64), needs_grad=True)
-
-
-def _op(value, *pairs) -> Node:
-    live = tuple((p, f) for p, f in pairs if p.needs_grad)
-    if not live:
-        return Node(value)
-    return Node(value, tuple(p for p, _ in live), tuple(f for _, f in live), True)
-
-
-def add(a: Node, b: Node) -> Node:
-    return _op(a.value + b.value, (a, lambda g: g), (b, lambda g: g))
-
-
-def sub(a: Node, b: Node) -> Node:
-    return _op(a.value - b.value, (a, lambda g: g), (b, lambda g: neg(g)))
-
-
-def neg(a: Node) -> Node:
-    return _op(-a.value, (a, lambda g: neg(g)))
-
-
-def mul(a: Node, b: Node) -> Node:
-    return _op(a.value * b.value, (a, lambda g: mul(g, b)), (b, lambda g: mul(g, a)))
-
-
-def div(a: Node, b: Node) -> Node:
-    return _op(
-        a.value / b.value,
-        (a, lambda g: div(g, b)),
-        (b, lambda g: neg(div(mul(g, a), mul(b, b)))),
-    )
-
-
-def smul(a: Node, c: float) -> Node:
-    return _op(a.value * c, (a, lambda g: smul(g, c)))
-
-
-def sadd(a: Node, c: float) -> Node:
-    return _op(a.value + c, (a, lambda g: g))
-
-
-def matmul(a: Node, b: Node) -> Node:
-    return _op(
-        a.value @ b.value,
-        (a, lambda g: matmul(g, transpose(b))),
-        (b, lambda g: matmul(transpose(a), g)),
-    )
-
-
-def transpose(a: Node) -> Node:
-    return _op(a.value.T, (a, lambda g: transpose(g)))
-
-
-def relu(a: Node) -> Node:
-    # Mask is detached: subgradient 0 at the kink, zero curvature a.e.
-    mask = constant((a.value > 0.0).astype(np.float64))
-    return _op(np.maximum(a.value, 0.0), (a, lambda g: mul(g, mask)))
-
-
-def exp(a: Node) -> Node:
-    # The vjp recomputes exp(a) rather than closing over the output node,
-    # which would make every tape through exp a reference cycle.
-    return _op(np.exp(a.value), (a, lambda g: mul(g, exp(a))))
-
-
-def log(a: Node) -> Node:
-    return _op(np.log(a.value), (a, lambda g: div(g, a)))
-
-
-def asum(a: Node) -> Node:
-    shape = a.value.shape
-    return _op(np.sum(a.value), (a, lambda g: expand(g, shape)))
-
-
-def mean(a: Node) -> Node:
-    n = a.value.size
-    shape = a.value.shape
-    return _op(np.sum(a.value) / n, (a, lambda g: smul(expand(g, shape), 1.0 / n)))
-
-
-def expand(s: Node, shape) -> Node:
-    return _op(np.full(shape, float(s.value)), (s, lambda g: asum(g)))
-
-
-def sum_rows(m: Node) -> Node:
-    """Sum over axis 0: (n, k) -> (k,)."""
-    nrows = m.value.shape[0]
-    return _op(m.value.sum(axis=0), (m, lambda g: expand_rows(g, nrows)))
-
-
-def sum_cols(m: Node) -> Node:
-    """Sum over axis 1: (n, k) -> (n,)."""
-    ncols = m.value.shape[1]
-    return _op(m.value.sum(axis=1), (m, lambda g: expand_cols(g, ncols)))
-
-
-def expand_rows(v: Node, nrows: int) -> Node:
-    """(k,) -> (nrows, k) by row repetition."""
-    return _op(np.tile(v.value, (nrows, 1)), (v, lambda g: sum_rows(g)))
-
-
-def expand_cols(v: Node, ncols: int) -> Node:
-    """(n,) -> (n, ncols) by column repetition."""
-    return _op(np.repeat(v.value[:, None], ncols, axis=1), (v, lambda g: sum_cols(g)))
-
-
-def reshape(a: Node, shape) -> Node:
-    old = a.value.shape
-    return _op(a.value.reshape(shape), (a, lambda g: reshape(g, old)))
-
-
-def slice1d(v: Node, start: int, stop: int) -> Node:
-    n = v.value.shape[0]
-    return _op(v.value[start:stop], (v, lambda g: pad1d(g, start, n)))
-
-
-def pad1d(v: Node, start: int, total: int) -> Node:
-    k = v.value.shape[0]
-    out = np.zeros(total)
-    out[start : start + k] = v.value
-    return _op(out, (v, lambda g: slice1d(g, start, start + k)))
-
-
-def slice_rows(m: Node, start: int, stop: int) -> Node:
-    n = m.value.shape[0]
-    return _op(m.value[start:stop], (m, lambda g: pad_rows(g, start, n)))
-
-
-def pad_rows(m: Node, start: int, total: int) -> Node:
-    k = m.value.shape[0]
-    out = np.zeros((total, m.value.shape[1]))
-    out[start : start + k] = m.value
-    return _op(out, (m, lambda g: slice_rows(g, start, start + k)))
-
-
-def add_rowvec(m: Node, v: Node) -> Node:
-    return add(m, expand_rows(v, m.value.shape[0]))
-
-
-def log_softmax(logits: Node) -> Node:
-    """Row-wise log softmax; the per-row max shift is detached."""
-    k = logits.value.shape[1]
-    shift = constant(logits.value.max(axis=1))
-    centered = sub(logits, expand_cols(shift, k))
-    lse = log(sum_cols(exp(centered)))
-    return sub(centered, expand_cols(lse, k))
-
-
-# ---------------------------------------------------------------------------
-# backward pass (graph-building, so it is differentiable again)
-# ---------------------------------------------------------------------------
-
-
-def _toposort(root: Node) -> list[Node]:
-    order: list[Node] = []
-    seen: set[int] = set()
-    stack: list[tuple[Node, bool]] = [(root, False)]
-    while stack:
-        node, done = stack.pop()
-        if done:
-            order.append(node)
-            continue
-        nid = id(node)
-        if nid in seen or not node.needs_grad:
-            continue
-        seen.add(nid)
-        stack.append((node, True))
-        for p in node.parents:
-            stack.append((p, False))
-    return order  # parents before consumers
-
-
-def backward(out: Node, wrt: Sequence[Node]) -> list[Node]:
-    """Gradients of a scalar node w.r.t. each node in wrt, as tape nodes."""
-    if out.value.shape != ():
-        raise ContractError(f"backward needs a scalar output, got shape {out.value.shape}")
-    if not out.needs_grad:
-        return [constant(np.zeros_like(w.value)) for w in wrt]
-    grads: dict[int, Node] = {id(out): constant(np.float64(1.0))}
-    for node in reversed(_toposort(out)):
-        g = grads.get(id(node))
-        if g is None:
-            continue
-        for parent, vjp in zip(node.parents, node.vjps):
-            contrib = vjp(g)
-            prev = grads.get(id(parent))
-            grads[id(parent)] = contrib if prev is None else add(prev, contrib)
-    return [grads.get(id(w)) or constant(np.zeros_like(w.value)) for w in wrt]
-
-
 # ---------------------------------------------------------------------------
 # loss-level API
 # ---------------------------------------------------------------------------
@@ -374,26 +175,29 @@ def backward(out: Node, wrt: Sequence[Node]) -> list[Node]:
 class Linearization(Protocol):
     """A loss evaluated once at one parameter vector: its value, its
     gradient, and exact Hessian-vector products at that vector that reuse
-    the evaluation.  Every array it returns is a newly allocated 1-D
-    float64 array that it does not modify later."""
+    the evaluation.  Every array it returns is a newly allocated float64
+    array that it does not modify later: 1-D for one vector, and on a
+    stacked batch an (m,) value and (m, n_params) gradients and products."""
 
-    value: float
+    value: float | np.ndarray
     grad: np.ndarray
 
     def hvp(self, v: np.ndarray) -> np.ndarray: ...
 
 
 class Loss(Protocol):
-    """A scalar loss of a flat float64 parameter array and a batch.  It must
-    be pure: identical (theta, batch) give identical results, and
+    """The loss of a flat float64 parameter array and a batch: a scalar, or
+    on a stacked batch an (m,) array, one loss per slice, of an
+    (m, n_params) stack or of one array shared by every slice.  It must be
+    pure: identical (theta, batch) give identical results, and
     value_and_grad gives bitwise linearize's value and gradient, holding
     nothing for Hessian-vector products."""
 
     name: str
 
-    def value(self, theta: np.ndarray, batch) -> float: ...
+    def value(self, theta: np.ndarray, batch) -> float | np.ndarray: ...
 
-    def value_and_grad(self, theta: np.ndarray, batch) -> tuple[float, np.ndarray]: ...
+    def value_and_grad(self, theta: np.ndarray, batch) -> tuple[float | np.ndarray, np.ndarray]: ...
 
     def linearize(self, theta: np.ndarray, batch) -> Linearization: ...
 
@@ -506,10 +310,11 @@ def inner_adapt(
     (adaptation that is never differentiated) each step takes
     value_and_grad, which keeps no activations, and the trace holds no
     linearization; the steps are bitwise the same either way.  rate == 0 is
-    allowed and returns theta bitwise unchanged.  If the loss grows by more than 10x over the trace
-    the result is flagged as diverged (never clipped), slice by slice on a
-    stacked batch; training code surfaces the flag in metrics.  A stacked
-    batch may start from one vector shared by every slice.
+    allowed and returns theta bitwise unchanged.  If the loss grows by more
+    than 10x over the trace the result is flagged as diverged (never
+    clipped), slice by slice on a stacked batch; training code surfaces the
+    flag in metrics.  A stacked batch may start from one vector shared by
+    every slice.
     """
     if steps < 1:
         raise ContractError(f"inner_adapt needs steps >= 1, got {steps}")

@@ -28,7 +28,8 @@ runs along the same axis of each slice, so each slice is bitwise the
 unstacked call on that slice's vector and batch.
 
 These are the only losses the package differentiates; the test suite checks
-them against the same losses written on the autodiff tape (tests/oracle.py).
+them against the same losses written on the reverse-mode tape of
+tests/oracle.py.
 Every method takes and returns float64 arrays; finiteness is checked by the
 callers in autodiff.
 """

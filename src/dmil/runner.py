@@ -432,9 +432,9 @@ def gradcheck_run(cfg: dict) -> dict:
     checked against central finite differences of the composed
     adapt-then-evaluate objectives that training's own composition
     (dmil.task_phases, on a one-task stack) builds; a sub-skill with no
-    inner step or an empty outer batch is skipped.  Returns a report with the worst errors; it
-    passes if at least one sub-skill objective was checked and every error
-    is within GRADCHECK_TOLERANCE."""
+    inner step or an empty outer batch is skipped.  Returns a report with
+    the worst errors; it passes if at least one sub-skill objective was
+    checked and every error is within GRADCHECK_TOLERANCE."""
     g = cfg["gradcheck"]
     t0 = time.perf_counter()
     high_errs, low_errs = [], []

@@ -20,22 +20,22 @@ from dmil.dmil import Pool
 from dmil.kernels import SkillMseLoss
 from dmil.policies import MlpShape, init_params
 from dmil.rng import SplitMix64
-from oracle import TapeLoss, mlp_logits, tape_high_loss
+from oracle import TapeLoss, asum, constant, log, mlp_logits, mul, smul, sub, tape_high_loss
 
 
 # ---- test losses built directly on the tape ----
 
 # f(theta) = sum(theta^2)
-quad_loss = TapeLoss(lambda p, batch: ad.asum(ad.mul(p, p)))
-const_loss = TapeLoss(lambda p, batch: ad.smul(ad.asum(ad.mul(p, ad.constant(np.zeros(p.value.shape)))), 1.0))
-linear_loss = TapeLoss(lambda p, batch: ad.asum(ad.mul(p, ad.constant(batch))))
+quad_loss = TapeLoss(lambda p, batch: asum(mul(p, p)))
+const_loss = TapeLoss(lambda p, batch: smul(asum(mul(p, constant(np.zeros(p.value.shape)))), 1.0))
+linear_loss = TapeLoss(lambda p, batch: asum(mul(p, constant(batch))))
 
 
 def make_mse_loss(shape: MlpShape, X: np.ndarray, Y: np.ndarray) -> TapeLoss:
     def mse(p, batch):
         pred = mlp_logits(p, shape, X)
-        r = ad.sub(pred, ad.constant(Y))
-        return ad.smul(ad.asum(ad.mul(r, r)), 1.0 / X.shape[0])
+        r = sub(pred, constant(Y))
+        return smul(asum(mul(r, r)), 1.0 / X.shape[0])
 
     return TapeLoss(mse)
 
@@ -98,7 +98,7 @@ def test_grad_fd_property_100_instances() -> None:
 
 def test_grad_rejects_nonfinite_loss() -> None:
     def bad(p, batch):
-        return ad.log(ad.smul(ad.asum(ad.mul(p, p)), -1.0))
+        return log(smul(asum(mul(p, p)), -1.0))
 
     with np.errstate(invalid="ignore"), pytest.raises(NumericError, match="loss"):
         value_and_grad(TapeLoss(bad), ParamVector(np.array([1.0])), None)
@@ -298,7 +298,7 @@ def test_meta_grad_matches_fd_of_composed_objective(steps: int) -> None:
     # The composed adapt-then-evaluate map, built only from loss evaluations.
     def composed_value(p, batch):
         t = inner_adapt(f_in, ParamVector(np.asarray(p.value)), alpha, None, steps)
-        return ad.constant(f_out.value(t.final.values, None))
+        return constant(f_out.value(t.final.values, None))
 
     fd = fd_grad(TapeLoss(composed_value), theta, None, h=1e-5)
     assert rel_err(fd, exact.values) <= 1e-4

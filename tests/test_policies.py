@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dmil import autodiff as ad
 from dmil.autodiff import ContractError, ParamVector
 from dmil.policies import (
     HierarchicalParams,
@@ -15,7 +14,7 @@ from dmil.policies import (
     mlp_forward,
 )
 from dmil.rng import SplitMix64
-from oracle import mlp_logits
+from oracle import constant, exp, log_softmax, mlp_logits
 
 
 def straight_line_forward(theta: np.ndarray, sizes, x: np.ndarray) -> np.ndarray:
@@ -40,8 +39,8 @@ def straight_line_forward(theta: np.ndarray, sizes, x: np.ndarray) -> np.ndarray
 def selector_probs(theta: ParamVector, shape: MlpShape, state) -> np.ndarray:
     """Skill probabilities for one state, as the selector loss forms them:
     exp(log_softmax(logits))."""
-    logits = mlp_logits(ad.constant(theta.values), shape, np.asarray(state)[None, :])
-    return ad.exp(ad.log_softmax(logits)).value[0]
+    logits = mlp_logits(constant(theta.values), shape, np.asarray(state)[None, :])
+    return exp(log_softmax(logits)).value[0]
 
 
 def test_init_deterministic_in_seed() -> None:
