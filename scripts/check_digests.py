@@ -24,7 +24,10 @@ warm_start and train stage, by method: meta_train's one warm start and its
 train stage after the warm start nested in it (the outer iterations), and
 ablate's warm start per skill count and each method's train stage.  The
 highest is the round's heap high-water mark, which perfbench's peak_rss_mb
-follows; the peaks do not change the exit code.
+follows.  Beside them, for each workload at seed 0, it prints the traced
+heap's peak during one runner.build_datasets at the workload's config (the
+datasets it returns included), apart from any round.  The peaks do not
+change the exit code.
 
 The traced round must also report 1-shot few_shot_adapt samples: the tracer
 tags each few_shot_adapt span with the length of its second positional
@@ -160,6 +163,18 @@ def traced_stage_peaks():
         tracemalloc.stop()
 
 
+def build_peak(workload: str) -> int:
+    """Peak traced heap in bytes during one runner.build_datasets at the
+    workload's seed-0 config, the datasets it returns included."""
+    cfg = config_for(workload, 0)
+    tracemalloc.start()
+    try:
+        runner.build_datasets(cfg)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def run_workload(workload: str, seed: int, trace: int = 0) -> tuple[dict, dict | None, int]:
     """The digests a run prints, its final JSON result (None if it printed
     none) and its exit code."""
@@ -230,10 +245,11 @@ def main() -> int:
         ok &= got == want
         print(f"{f'{workload} seed {seed}':27s} {'eval_rows':12s} {got[:16]} recorded {want[:16]} "
               f"{'ok' if got == want else 'MISMATCH'}")
-        if peaks:
-            stages = ", ".join(f"{stage} {peak / 2**20:.2f} MiB" for stage, peak in peaks.items())
-            print(f"{f'{workload} seed {seed}':27s} tracemalloc peak: {stages} ({max(peaks, key=peaks.get)} is the"
-                  " high-water mark)")
+        if seed == 0:
+            stages = ", ".join(f"{stage} {peak / 2**20:.2f} MiB"
+                               for stage, peak in {"build_datasets": build_peak(workload), **(peaks or {})}.items())
+            mark = f" ({max(peaks, key=peaks.get)} is the high-water mark)" if peaks else ""
+            print(f"{f'{workload} seed {seed}':27s} tracemalloc peak: {stages}{mark}")
     got = gradcheck_digest()
     ok &= got == GRADCHECK_REPORT
     print(f"{'gradcheck default config':27s} {'report':12s} {got[:16]} recorded {GRADCHECK_REPORT[:16]} "

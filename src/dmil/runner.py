@@ -17,6 +17,7 @@ import json
 import platform
 import time
 from dataclasses import dataclass
+from itertools import product
 from pathlib import Path
 from typing import Sequence
 
@@ -143,18 +144,15 @@ class Adam:
 
 def build_split(cfg: dict, split: str) -> list[TaskDataset]:
     """The "train" or "test" tasks, loaded from the split's file when the
-    config names both (resolve_config rejects one alone), else simulated."""
+    config names both (resolve_config rejects one alone), else simulated,
+    every task of the split in one make_dataset call."""
     d = cfg["data"]
     if d["train_path"]:
         return load_datasets(d[f"{split}_path"])
     seed0 = TRAIN_TASK_SEED0 if split == "train" else TEST_TASK_SEED0
-    return [
-        make_dataset(
-            sp := sample_task(seed0 + i), d["n_support"], d["n_query"], d["horizon"],
-            seed=derive_seed(d["data_seed"], sp.seed),
-        )
-        for i in range(d[f"n_{split}_tasks"])
-    ]
+    specs = [sample_task(seed0 + i) for i in range(d[f"n_{split}_tasks"])]
+    seeds = [derive_seed(d["data_seed"], sp.seed) for sp in specs]
+    return make_dataset(specs, d["n_support"], d["n_query"], d["horizon"], seeds)
 
 
 def build_datasets(cfg: dict) -> tuple[list[TaskDataset], list[TaskDataset]]:
@@ -356,37 +354,39 @@ def evaluate(
     """One row per (shots, task), in that order.  Each task's query set is
     predicted once by the unadapted policy, whose MSE every shots row of the
     task shares, and once by each adapted policy, whose actions and skills
-    give the post-adaptation MSE and the skill recovery.  Per shots count
-    every test task is adapted and its query set predicted, then one
-    rollout_stats call steps all tasks' rollout episodes together."""
+    give the post-adaptation MSE and the skill recovery.  Every test task
+    is adapted for every shots count, then one rollout_stats call steps the
+    rollout episodes of all those policies together."""
     check_eval(cfg, test_tasks)
     e = cfg["eval"]
     queries = [np.concatenate([t.states for t in task.query]) for task in test_tasks]
-    specs = [task.spec for task in test_tasks]
     pre_mse: list[float] = []
-    rows = []
+    adapted = []  # shots-major, as the rows
     for shots in e["shots"]:
         steps = e["adapt_steps"] * shots if e["scale_steps_with_shots"] else e["adapt_steps"]
         inner = Inner(e["adapt_rate"], steps, cfg["dmil"]["aux_weight"], METHODS[method].adapts)
         policy = HierarchicalPolicy(params, inner)
         pre_mse = pre_mse or [query_mse(policy.act(s)[0], task) for s, task in zip(queries, test_tasks)]
-        adapted = [policy.adapt(list(task.support[:shots])) for task in test_tasks]
-        predicted = [a.act(states) for a, states in zip(adapted, queries)]
-        stats = rollout_stats(adapted, specs, e["episodes"], cfg["data"]["horizon"])
-        for task, pre, (actions, skills), st in zip(test_tasks, pre_mse, predicted, stats, strict=True):
-            rows.append(
-                dict(
-                    method=method,
-                    seed=cfg["run"]["seed"],
-                    task_seed=task.spec.seed,
-                    shots=shots,
-                    pre_mse=pre,
-                    post_mse=query_mse(actions, task),
-                    skill_acc=adapted_skill_accuracy(skills, params.K, task),
-                    switch_rate=st.mean_switch_rate,
-                    success=st.success_rate,
-                )
+        adapted += [policy.adapt(list(task.support[:shots])) for task in test_tasks]
+    specs = [task.spec for task in test_tasks] * len(e["shots"])
+    stats = rollout_stats(adapted, specs, e["episodes"], cfg["data"]["horizon"])
+    rows = []
+    cases = product(e["shots"], zip(test_tasks, pre_mse, queries))
+    for (shots, (task, pre, states)), policy, st in zip(cases, adapted, stats, strict=True):
+        actions, skills = policy.act(states)
+        rows.append(
+            dict(
+                method=method,
+                seed=cfg["run"]["seed"],
+                task_seed=task.spec.seed,
+                shots=shots,
+                pre_mse=pre,
+                post_mse=query_mse(actions, task),
+                skill_acc=adapted_skill_accuracy(skills, params.K, task),
+                switch_rate=st.mean_switch_rate,
+                success=st.success_rate,
             )
+        )
     return rows
 
 

@@ -12,16 +12,14 @@ horizon.  Tasks vary controller gain and rotation (sub-skill adaptation
 pressure) and the switch radii (selector adaptation pressure).
 
 One dynamics loop, simulate, steps the noisy expert demonstrations (all of
-a task's in one call) and the closed-loop rollouts that score a policy
-(those of every test task in one call, task-major, each episode touring its
-own spec's waypoints).
-Before the first step each episode draws from its own stream its start box,
-then (demonstrations only) all T steps' action noise at once; the streams
-of all episodes draw together (rng.Streams), and each stream's draws are the
-same, in the same order, as when the noise was drawn one step at a time.
-The loop itself only acts and steps.  The expert, expert(spec), acts on
-all states of a step at once, with the same rounding as acting on one state
-at a time.
+a split's tasks in one call) and the closed-loop rollouts that score a
+policy (those of every test task in one call), task-major, each episode
+touring its own spec's waypoints.  Before the first step each episode draws
+from its own stream its start box, then (demonstrations only) all T steps'
+action noise at once; one task's streams draw together (rng.Streams), each
+the same draws in the same order as one step at a time.  The loop itself
+only acts and steps.  The expert acts on all states of a step at once, each
+row with its own task's parameters, rounding as one state at a time does.
 
 Everything is deterministic given seeds via the package RNG, including the
 JSON Lines dataset files, which round-trip doubles exactly.
@@ -116,11 +114,11 @@ def _rot(angle: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]])
 
 
-def expert(spec: TaskSpec) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
-    """The task's noise-free controller act(states): (n, 4) states [px, py,
-    gx, gy] to (n, 2) actions and (n,) regimes, with the rotations and dock
-    gain computed once.  simulate adds a demonstration's noise, row t of it
-    to the actions of step t.
+def expert(spec: TaskSpec | Sequence[TaskSpec], rows: Sequence[int] = (1,)) -> Callable:
+    """The noise-free controller act(states): (n, 4) states [px, py, gx, gy]
+    to (n, 2) actions and (n,) regimes.  One spec acts on every row; of a
+    sequence, spec i acts on the next rows[i] rows, its radii, gains and
+    rotations laid out once per row.  simulate adds a demonstration's noise.
 
     Far from the goal (d > r1) the action is the gain times the unit goal
     direction rotated by the task angle; between the radii the rotation is a
@@ -133,68 +131,71 @@ def expert(spec: TaskSpec) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarra
     field and a quarter turn minus the rotation away from the orbit field
     for every task, so no two regimes can share a direction structure.
     """
-    r1, r2 = spec.switch_radii
-    approach_rot = _rot(spec.rotation_angle)
-    orbit_rot = _rot(spec.rotation_angle + np.pi / 2)
-    dock_gain = DOCK_GAIN * spec.gain_scale
+    specs = [spec] if isinstance(spec, TaskSpec) else spec
+    r1, r2, gain = np.repeat([(*sp.switch_radii, sp.gain_scale) for sp in specs], rows, axis=0).T
+    rots = [(_rot(sp.rotation_angle), _rot(sp.rotation_angle + np.pi / 2)) for sp in specs]
+    approach_rot, orbit_rot = np.repeat(rots, rows, axis=0).swapaxes(0, 1)
+    gain, dock_gain = gain[:, None], DOCK_GAIN * gain[:, None]
 
     def act(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         delta = states[:, 2:4] - states[:, 0:2]
         d = np.sqrt(np.vecdot(delta, delta))
         skills = np.where(d > r1, 0, np.where(d > r2, 1, 2))
         unit = (delta / np.maximum(d, 1e-6)[:, None])[:, :, None]
-        approach = spec.gain_scale * (approach_rot @ unit)[:, :, 0]
-        orbit = spec.gain_scale * (orbit_rot @ unit)[:, :, 0]
+        turned = gain * (np.where((skills == 0)[:, None, None], approach_rot, orbit_rot) @ unit)[:, :, 0]
         dock = dock_gain * (delta / np.maximum(d, DOCK_SOFT)[:, None])
-        return np.choose(skills[:, None], (approach, orbit, dock)), skills
+        return np.where((skills == 2)[:, None], dock, turned), skills
 
     return act
 
 
 def simulate(
-    specs: Sequence[TaskSpec], act: Callable, T: int, seeds: Sequence[int], noise_std: float = 0.0
+    specs: Sequence[TaskSpec], act: Callable, T: int, seeds: Sequence[Sequence[int]], noisy: bool = False
 ) -> tuple[np.ndarray, ...]:
-    """The dynamics loop, one episode per (spec, seed) pair, all stepped
-    together: p' = p + DT * clip(a), and each episode's goal advances to
-    the next waypoint of its own spec inside the tolerance.  Episodes are
-    task-major: row i * len(seeds) + j is spec i's seed j, with the stream
-    SplitMix64(derive_seed(specs[i].seed, seeds[j])), one row of one
-    Streams.  Before the first step each episode draws its start box, then,
-    when noise_std > 0, all T steps' action noise at once: T * ACTION_DIM
-    normals times noise_std, the same draws in the same order as one
-    ACTION_DIM draw per step.  The loop draws nothing: act(states) maps
-    (n, 4) states, in that row order, to (n, 2) actions and (n,) skills,
-    and step t adds row t of the noise.  Rows do not interact
-    (sqrt(vecdot(d, d)) rounds as linalg.norm does on a 2-vector), so an
-    episode steps as it would alone.  Returns states (n, T, 4), actions
-    (n, T, 2), skills (n, T) and whether each episode reached every
-    waypoint before the horizon."""
+    """The dynamics loop, one episode per seed of seeds[i] for each spec i,
+    all stepped together: p' = p + DT * clip(a), and each episode's goal
+    advances to the next waypoint of its own spec inside the tolerance.
+    Episodes are task-major: spec i's episodes are a block of len(seeds[i])
+    rows, seed j of it with the stream SplitMix64(derive_seed(specs[i].seed,
+    seeds[i][j])), one row of that spec's Streams.  Before the first step
+    each episode draws its start box, then, when noisy and the spec's
+    noise_std > 0, all T steps' action noise at once: T * ACTION_DIM normals
+    times noise_std, the same draws in the same order as one ACTION_DIM draw
+    per step.  The loop draws nothing: act(states) maps (n, 4) states, in
+    that row order, to (n, 2) actions and (n,) skills, and step t adds row t
+    of the noise.  Rows do not interact (sqrt(vecdot(d, d)) rounds as
+    linalg.norm does on a 2-vector), so an episode steps as it would alone.
+    Returns states (n, T, 4), actions (n, T, 2), skills (n, T) and whether
+    each episode reached every waypoint before the horizon."""
     if T < MIN_HORIZON:
         raise ContractError(f"horizon must be >= {MIN_HORIZON}, got {T}")
-    n = len(specs) * len(seeds)
-    if n == 0:
+    if len(seeds) != len(specs):
+        raise ContractError(f"{len(seeds)} seed lists for {len(specs)} specs")
+    rows = [len(block) for block in seeds]
+    if (n := sum(rows)) == 0:
         raise ContractError("need at least one episode")
-    streams = Streams([derive_seed(spec.seed, seed) for spec in specs for seed in seeds])
-    p = streams.uniform_array(2, -START_BOX, START_BOX)
-    noise = None
-    if noise_std > 0:
-        noise = (noise_std * streams.normal_array(T * ACTION_DIM)).reshape(n, T, ACTION_DIM)
+    noisy = noisy and any(spec.noise_std > 0 for spec in specs)
+    # Step t's noise waits in actions[:, t] until step t writes that row.
+    p, states, actions = np.empty((n, 2)), np.empty((n, T, STATE_DIM)), np.zeros((n, T, ACTION_DIM))
+    for spec, block, stop in zip(specs, seeds, np.cumsum(rows)):
+        streams, here = Streams([derive_seed(spec.seed, seed) for seed in block]), slice(stop - len(block), stop)
+        p[here] = streams.uniform_array(2, -START_BOX, START_BOX)
+        if noisy and spec.noise_std > 0:
+            actions[here] = (spec.noise_std * streams.normal_array(T * ACTION_DIM)).reshape(len(block), T, ACTION_DIM)
     # Every spec's waypoints in one table; episode r tours rows first[r] to last[r].
     waypoints = np.concatenate([np.asarray(spec.waypoints, dtype=np.float64) for spec in specs])
     counts = np.array([len(spec.waypoints) for spec in specs])
-    n_wp = np.repeat(counts, len(seeds))
-    first = np.repeat(np.cumsum(counts) - counts, len(seeds))
+    n_wp = np.repeat(counts, rows)
+    first = np.repeat(np.cumsum(counts) - counts, rows)
     last = first + n_wp - 1
     reached = np.zeros(n, dtype=np.int64)
-    states = np.empty((n, T, STATE_DIM))
-    actions = np.empty((n, T, ACTION_DIM))
     skills = np.empty((n, T), dtype=np.int64)
     for t in range(T):
         g = waypoints[np.minimum(first + reached, last)]
         s = np.concatenate([p, g], axis=1)
         a, z = act(s)
-        if noise is not None:
-            a = a + noise[:, t]
+        if noisy:
+            a = a + actions[:, t]
         states[:, t], actions[:, t], skills[:, t] = s, a, z
         p = p + DT * np.clip(a, -ACTION_MAX, ACTION_MAX)
         d = g - p
@@ -202,25 +203,25 @@ def simulate(
     return states, actions, skills, reached == n_wp
 
 
-def _demonstrations(spec: TaskSpec, T: int, seeds: Sequence[int]) -> list[Trajectory]:
-    """Noisy expert demonstrations with ground-truth regime labels, one per seed."""
-    states, actions, skills, _ = simulate([spec], expert(spec), T, seeds, spec.noise_std)
+def _demonstrations(specs: Sequence[TaskSpec], T: int, seeds: Sequence[Sequence[int]]) -> list[Trajectory]:
+    """Noisy expert demonstrations with ground-truth regime labels, task-major, one per seed."""
+    states, actions, skills, _ = simulate(specs, expert(specs, [len(s) for s in seeds]), T, seeds, noisy=True)
     return [Trajectory(*episode) for episode in zip(states, actions, skills)]
 
 
 def rollout_expert(spec: TaskSpec, T: int, seed: int) -> Trajectory:
     """One noisy expert demonstration with ground-truth regime labels."""
-    return _demonstrations(spec, T, [seed])[0]
+    return _demonstrations([spec], T, [[seed]])[0]
 
 
 def rollout_policy(
     specs: Sequence[TaskSpec], act: Callable, T: int, seeds: Sequence[int]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Closed-loop rollouts of a batched policy act(states) -> (actions,
-    skills), one episode per (spec, seed) pair in simulate's task-major
-    order.  Returns the chosen skills (n, T) and whether each episode
-    reached every waypoint before the horizon."""
-    _, _, skills, ok = simulate(specs, act, T, seeds)
+    skills), one noise-free episode per (spec, seed) pair in simulate's
+    task-major order.  Returns the chosen skills (n, T) and whether each
+    episode reached every waypoint before the horizon."""
+    _, _, skills, ok = simulate(specs, act, T, [seeds] * len(specs))
     return skills, ok
 
 
@@ -242,16 +243,24 @@ class TaskDataset:
 
 
 def make_dataset(
-    spec: TaskSpec, n_support: int, n_query: int, T: int, seed: int
-) -> TaskDataset:
-    """n_support + n_query demonstrations from per-rollout sub-seeds, all
-    stepped in one simulate call; each count at least its MIN_*."""
+    spec: TaskSpec | Sequence[TaskSpec], n_support: int, n_query: int, T: int, seed: int | Sequence[int]
+) -> TaskDataset | list[TaskDataset]:
+    """n_support + n_query demonstrations per task from per-rollout
+    sub-seeds of its seed, each count at least its MIN_*, every task's in
+    one simulate call: a spec and its seed give its TaskDataset, a sequence
+    of specs and one seed each a list of them, one per spec."""
     if n_support < MIN_SUPPORT:
         raise ContractError(f"n_support must be >= {MIN_SUPPORT}, got {n_support}")
     if n_query < MIN_QUERY:
         raise ContractError(f"n_query must be >= {MIN_QUERY}, got {n_query}")
-    rolls = _demonstrations(spec, T, [derive_seed(seed, j) for j in range(n_support + n_query)])
-    return TaskDataset(tuple(rolls[:n_support]), tuple(rolls[n_support:]), spec)
+    one = isinstance(spec, TaskSpec)
+    specs, seeds, n = [spec] if one else spec, [seed] if one else seed, n_support + n_query
+    if len(seeds) != len(specs):
+        raise ContractError(f"{len(seeds)} seeds for {len(specs)} specs")
+    rolls = _demonstrations(specs, T, [[derive_seed(s, j) for j in range(n)] for s in seeds])
+    out = [TaskDataset(rolls[i * n : i * n + n_support], rolls[i * n + n_support : (i + 1) * n], sp)
+           for i, sp in enumerate(specs)]
+    return out[0] if one else out
 
 
 # ---------------------------------------------------------------------------

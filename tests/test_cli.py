@@ -1017,7 +1017,7 @@ def test_eval_builds_only_the_test_tasks(tmp_path, monkeypatch) -> None:
     # Without dataset files it simulates the 2 test tasks and no train task.
     seeds = []
     keep = runner.make_dataset
-    monkeypatch.setattr(runner, "make_dataset", lambda spec, *a, **kw: seeds.append(spec.seed) or keep(spec, *a, **kw))
+    monkeypatch.setattr(runner, "make_dataset", lambda specs, *a: seeds.extend(s.seed for s in specs) or keep(specs, *a))
     argv = ["eval", "--config", str(write_tiny(tmp_path)), "--out", str(tmp_path / "sim"), "--checkpoint", str(ckpt)]
     assert main(argv) == 0
     assert seeds == [runner.TEST_TASK_SEED0, runner.TEST_TASK_SEED0 + 1]

@@ -297,7 +297,7 @@ def test_evaluate_predicts_each_query_set_once_per_policy(monkeypatch) -> None:
         assert len({r["pre_mse"] for r in out if r["task_seed"] == task.spec.seed}) == 1
 
 
-def test_evaluate_steps_every_task_of_a_shots_count_in_one_rollout(monkeypatch) -> None:
+def test_evaluate_steps_every_task_and_shots_count_in_one_rollout(monkeypatch) -> None:
     from dmil import evaluation, runner
 
     calls = []
@@ -310,7 +310,7 @@ def test_evaluate_steps_every_task_of_a_shots_count_in_one_rollout(monkeypatch) 
     monkeypatch.setattr(evaluation, "rollout_policy", spy)
     cfg, params, tasks = evaluate_small(6, "relative", shots=(1, 2))
     runner.evaluate(cfg, params, "dmil", tasks)
-    assert calls == [([t.spec.seed for t in tasks], 40, 2)] * 2
+    assert calls == [([t.spec.seed for t in tasks] * 2, 40, 2)]
 
 
 # ---- rollouts ----

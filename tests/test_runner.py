@@ -123,6 +123,27 @@ def test_evaluate_builds_one_inner_phase_per_shots_count(monkeypatch, scale) -> 
     assert received == [Inner(2e-3, s, 0.25, METHODS["dmil"].adapts) for s in steps]
 
 
+def test_build_split_makes_one_make_dataset_call_per_split(monkeypatch) -> None:
+    # Every task of a split is simulated in one call, and the datasets are
+    # what one call per task gives.
+    cfg = tiny()
+    cfg["data"].update(n_train_tasks=3, n_test_tasks=2)
+    calls = []
+    keep = runner.make_dataset
+    monkeypatch.setattr(
+        runner, "make_dataset", lambda specs, *a: calls.append([s.seed for s in specs]) or keep(specs, *a)
+    )
+    train, test = runner.build_datasets(cfg)
+    seed0s = (runner.TRAIN_TASK_SEED0, runner.TEST_TASK_SEED0)
+    assert calls == [[seed0 + i for i in range(n)] for seed0, n in zip(seed0s, (3, 2))]
+    d = cfg["data"]
+    for task in train + test:
+        seed = derive_seed(d["data_seed"], task.spec.seed)
+        alone = keep(task.spec, d["n_support"], d["n_query"], d["horizon"], seed=seed)
+        for got, want in zip(task.support + task.query, alone.support + alone.query, strict=True):
+            assert got.states.tobytes() == want.states.tobytes() and got.actions.tobytes() == want.actions.tobytes()
+
+
 def test_warm_start_consolidates_the_selector_alone(monkeypatch) -> None:
     # The consolidation is the selector's inner phase at the warm start's
     # rate and switch weight, and keeps no linearizations.

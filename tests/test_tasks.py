@@ -14,7 +14,9 @@ from dmil.tasks import (
     DOCK_SOFT,
     DT,
     GOAL_TOLERANCE,
-    NOISE_STD,
+    MIN_HORIZON,
+    MIN_QUERY,
+    MIN_SUPPORT,
     START_BOX,
     DatasetFormatError,
     TaskDataset,
@@ -177,6 +179,36 @@ def test_expert_act_equals_reference_row_by_row(data, task_seed, n) -> None:
         assert a.tobytes() == want_a.tobytes()
 
 
+@given(data=st.data(), task_seeds=st.lists(st.integers(0, 10_000), min_size=1, max_size=4),
+       rows=st.lists(st.integers(1, 5), min_size=4, max_size=4))
+@settings(max_examples=150, deadline=None)
+def test_per_row_expert_equals_each_specs_expert_on_its_block(data, task_seeds, rows) -> None:
+    specs, rows = [sample_task(seed) for seed in task_seeds], rows[: len(task_seeds)]
+    blocks = [np.array([data.draw(expert_state(spec)) for _ in range(k)]) for spec, k in zip(specs, rows)]
+    actions, skills = expert(specs, rows)(np.concatenate(blocks))
+    stop = np.cumsum(rows)
+    for spec, block, end in zip(specs, blocks, stop):
+        want_a, want_z = expert(spec)(block)
+        assert actions[end - len(block) : end].tobytes() == want_a.tobytes()
+        assert skills[end - len(block) : end].tobytes() == want_z.tobytes()
+
+
+def test_per_row_expert_switches_on_each_rows_own_radii() -> None:
+    # Each row exactly on its own spec's r1, then r2, then at its goal (d =
+    # 0), beside a spec whose radii differ: the regimes are each row's own.
+    specs = [sample_task(4), sample_task(5)]
+    assert specs[0].switch_radii != specs[1].switch_radii
+    states = np.array([[0.0, 0.0, r, 0.0] for sp in specs for r in sp.switch_radii] + [[0.5, 0.5, 0.5, 0.5]] * 2)
+    per_spec = [states[[0, 1, 4]], states[[2, 3, 5]]]
+    actions, skills = expert(specs, [3, 3])(np.concatenate(per_spec))
+    assert skills.tolist() == [1, 2, 2, 1, 2, 2]
+    for i, (spec, block) in enumerate(zip(specs, per_spec)):
+        want_a, want_z = expert(spec)(block)
+        assert actions[3 * i : 3 * i + 3].tobytes() == want_a.tobytes()
+        assert skills[3 * i : 3 * i + 3].tobytes() == want_z.tobytes()
+    assert np.array_equal(actions[[2, 5]], np.zeros((2, 2)))
+
+
 def test_expert_act_radius_cases_pick_the_inner_regime() -> None:
     spec = sample_task(4)
     r1, r2 = spec.switch_radii
@@ -290,8 +322,11 @@ def one_demonstration_at_a_time(spec: TaskSpec, T: int, seed: int) -> tuple[np.n
 
 @pytest.mark.parametrize("task_seed,seed", [(0, 77), (11, 4), (3005, 1), (9002, 123)])
 def test_make_dataset_equals_one_demonstration_at_a_time(task_seed, seed) -> None:
-    for spec in (sample_task(task_seed), noiseless(sample_task(task_seed))):
-        ds = make_dataset(spec, 4, 3, 120, seed=seed)
+    # Each spec alone, then both as one split: a noise-free task beside a
+    # noisy one adds no noise.
+    specs = [sample_task(task_seed), noiseless(sample_task(task_seed))]
+    for ds in [make_dataset(spec, 4, 3, 120, seed=seed) for spec in specs] + make_dataset(specs, 4, 3, 120, [seed] * 2):
+        spec = ds.spec
         for j, traj in enumerate(ds.support + ds.query):
             states, actions, skills = one_demonstration_at_a_time(spec, 120, derive_seed(seed, j))
             assert traj.states.tobytes() == states.tobytes()
@@ -329,6 +364,9 @@ def test_one_noise_draw_per_expert_simulation_and_none_for_policies(noise_draws,
     make_dataset(noiseless(spec), 4, 2, T, seed=3)
     rollout_policy([spec], expert(spec), T, [1, 2, 3])
     assert noise_draws == []
+    # A split draws once per noisy task.
+    make_dataset([spec, noiseless(spec), sample_task(22)], 4, 2, T, [3, 3, 4])
+    assert noise_draws == [T * ACTION_DIM] * 2
 
 
 def test_simulating_several_specs_equals_one_spec_at_a_time() -> None:
@@ -342,12 +380,46 @@ def test_simulating_several_specs_equals_one_spec_at_a_time() -> None:
         outs = [expert(spec)(states[3 * i : 3 * i + 3]) for i, spec in enumerate(specs)]
         return np.concatenate([a for a, _ in outs]), np.concatenate([z for _, z in outs])
 
-    together = simulate(specs, experts, T, seeds, NOISE_STD)
-    alone = [simulate([spec], expert(spec), T, seeds, NOISE_STD) for spec in specs]
+    together = simulate(specs, experts, T, [seeds] * len(specs), noisy=True)
+    alone = [simulate([spec], expert(spec), T, [seeds], noisy=True) for spec in specs]
     for got, parts in zip(together, zip(*alone)):
         assert got.tobytes() == np.concatenate(parts).tobytes()
     # The two-waypoint tour finishes at its own last waypoint.
     assert together[3].all() and np.array_equal(together[0][3, -1, 2:], full.waypoints[1])
+
+
+def test_simulate_needs_one_seed_list_per_spec() -> None:
+    specs = [sample_task(1), sample_task(2)]
+    with pytest.raises(ContractError, match="1 seed lists for 2 specs"):
+        simulate(specs, expert(specs, [2, 2]), 20, [[1, 2]])
+    with pytest.raises(ContractError, match="3 seed lists for 2 specs"):
+        simulate(specs, expert(specs, [1, 1]), 20, [[1], [2], [3]])
+    with pytest.raises(ContractError, match="3 seeds for 2 specs"):
+        make_dataset(specs, 4, 1, 20, [1, 2, 3])
+
+
+@pytest.mark.parametrize(
+    "task_seeds,n_support,n_query,T",
+    [
+        ((9000, 9001, 9002), MIN_SUPPORT, MIN_QUERY, MIN_HORIZON),
+        ((1000,), MIN_SUPPORT, MIN_QUERY, MIN_HORIZON),
+        ((3, 1000, 9004, 12), 6, 3, 120),
+        ((7,), 14, 2, 40),
+    ],
+)
+def test_make_dataset_over_specs_equals_one_spec_at_a_time(task_seeds, n_support, n_query, T) -> None:
+    # The split form, at the MIN_SUPPORT/MIN_QUERY/MIN_HORIZON bounds, for a
+    # single spec and for several: byte for byte each spec's own call.
+    specs = [sample_task(seed) for seed in task_seeds]
+    seeds = [derive_seed(5, spec.seed) for spec in specs]
+    together = make_dataset(specs, n_support, n_query, T, seeds)
+    assert isinstance(together, list) and len(together) == len(specs)
+    for ds, spec, seed in zip(together, specs, seeds):
+        alone = make_dataset(spec, n_support, n_query, T, seed=seed)
+        assert ds.spec == spec and (len(ds.support), len(ds.query)) == (n_support, n_query)
+        for got, want in zip(ds.support + ds.query, alone.support + alone.query, strict=True):
+            assert [got.states.tobytes(), got.actions.tobytes(), got.true_skills.tobytes()] == [
+                want.states.tobytes(), want.actions.tobytes(), want.true_skills.tobytes()]
 
 
 def test_simulating_no_episode_is_a_contract_error() -> None:
