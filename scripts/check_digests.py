@@ -2,13 +2,14 @@
 workloads at seed 0 and ablate at seed 7 for one round each, one traced
 fewshot_eval round at seed 0, then perfbench's own self-test, every one as
 a subprocess, and prints the output digests next to the recorded ones, each
-run's correct/failed result and the line count of each src/dmil file, of
-the package and of tests/oracle.py (the tape the tests take their reference
-derivatives from), beside the count at git HEAD and the difference (omitted
-where git cannot show the file).  Run before committing, the total's
-difference is the change's net src/dmil lines, and oracle's shows code that
-moved out of src/ into it.  Exits 1 on any mismatch, failed check or failed
-operation.
+run's correct/failed result and the line count of each src/dmil file and
+scripts/ script, of each of the two folders and of tests/oracle.py (the
+tape the tests take their reference derivatives from), beside the count at
+git HEAD and the difference (omitted where git cannot show the file).  Run
+before committing, the totals' differences are the change's net src/dmil
+and scripts/ lines, so code moving between the two reads as a move, and
+oracle's shows code that moved out of src/ into it.  Exits 1 on any
+mismatch, failed check or failed operation.
 
 The benchmark's own digests (datasets, metric rows, params) do not cover
 runner.evaluate's rows, so each recorded (workload, seed) also reruns one
@@ -263,14 +264,15 @@ def main() -> int:
     ran = [line for line in selftest.stderr.splitlines() if line.startswith("Ran ")]
     print(f"perfbench/selftest.py: {ran[-1] if ran else 'no tests ran'}, exit {selftest.returncode}"
           f" {'ok' if selftest.returncode == 0 else 'FAILED'}")
-    counts = {f"src/dmil/{p.name}": len(p.read_text().splitlines()) for p in sorted((ROOT / "src" / "dmil").glob("*.py"))}
     oracle = "tests/oracle.py"
-    head = head_line_counts("src/dmil/", oracle)
-    for path, lines in counts.items():
-        print(f"{path}: {lines} lines{against_head(lines, head.get(path))}")
-    total = sum(counts.values())
-    head_total = sum(lines for path, lines in head.items() if path != oracle) if head else None
-    print(f"src/dmil: {total} lines{against_head(total, head_total)}")
+    head = head_line_counts("src/dmil/", "scripts/", oracle)
+    for folder in ("src/dmil", "scripts"):
+        counts = {f"{folder}/{p.name}": len(p.read_text().splitlines()) for p in sorted((ROOT / folder).glob("*.py"))}
+        for path, lines in counts.items():
+            print(f"{path}: {lines} lines{against_head(lines, head.get(path))}")
+        total = sum(counts.values())
+        head_total = sum(n for path, n in head.items() if path.startswith(f"{folder}/")) if head else None
+        print(f"{folder}: {total} lines{against_head(total, head_total)}")
     lines = len((ROOT / oracle).read_text().splitlines())
     print(f"{oracle}: {lines} lines{against_head(lines, head.get(oracle))}")
     print("all digests and checks as recorded" if ok else "MISMATCH: see above")

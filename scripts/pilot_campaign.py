@@ -1,9 +1,8 @@
-"""Pilot for the acceptance benchmark campaign: trains every method on five
-seeds with the candidate config and prints each benchmark criterion's
-numbers, then writes every evaluation row to runs/pilot_summary.json.  Used
-to freeze configs/acceptance.json."""
+"""Pilot for the acceptance benchmark campaign: trains every run of RUNS on
+five seeds with the candidate config, one runner.campaign per seed, prints
+each benchmark criterion's numbers, then writes every evaluation row to
+runs/pilot_summary.json.  Used to freeze configs/acceptance.json."""
 
-import copy
 import json
 import sys
 import time
@@ -14,7 +13,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 import numpy as np
 
 from dmil.config import resolve_config
-from dmil.runner import build_datasets, evaluate, train, warm_start
+from dmil.runner import build_datasets, campaign
 
 CANDIDATE = {
     "data": {"n_train_tasks": 20, "n_test_tasks": 5, "n_support": 40, "n_query": 10, "horizon": 120},
@@ -46,83 +45,104 @@ CANDIDATE = {
 
 SEEDS = [0, 1, 2, 3, 4]
 METHODS_5B = ["dmil_high", "dmil_low", "em_only"]
+# The dmil section overrides of each run: every method, and dmil without the
+# switch term.  Under one seed the four methods share one warm start and
+# dmil_noaux, whose aux weight differs, gets its own.
+RUNS = {m: {"method": m} for m in ["dmil", *METHODS_5B]} | {"dmil_noaux": {"aux_weight": 0.0}}
+LOSS_ITERATIONS = (10, 299)  # the outer iterations criterion 8 compares
+MOST, MIN_SKILL_ACC = 4, 0.8  # what 5b and 7, and 6 need; 5a, 5c and 8 need every seed
+
+
+def plan(seed: int) -> dict[str, dict]:
+    """Each run's resolved config under one seed."""
+    return {name: resolve_config(CANDIDATE | {"dmil": CANDIDATE["dmil"] | over}, seed=seed)
+            for name, over in RUNS.items()}
+
+
+def metric(runs, key, shots=1, name="dmil"):
+    """The mean of `key` over run `name`'s evaluation rows at `shots`, of
+    one seed's runs (run name -> runner.Run).  The criteria below take such
+    runs (6: every seed's) and return their numbers, then their verdict."""
+    return float(np.mean([r[key] for r in runs[name].rows if r["shots"] == shots]))
+
+
+def c5a(runs):
+    """Adaptation halves the error: dmil's 1-shot query MSE before and after."""
+    pre, post = metric(runs, "pre_mse"), metric(runs, "post_mse")
+    return pre, post, post <= 0.5 * pre
+
+
+def c5b(runs, m):
+    """dmil adapts at least as well as method m: their 1-shot post MSEs."""
+    ours, theirs = metric(runs, "post_mse"), metric(runs, "post_mse", name=m)
+    return ours, theirs, ours <= theirs
+
+
+def c5c(runs):
+    """Three shots adapt at least as well as one: dmil's 3- and 1-shot post MSE."""
+    three, one = metric(runs, "post_mse", 3), metric(runs, "post_mse")
+    return three, one, three <= one
+
+
+def c6(results):
+    """Skill recovery: dmil's 1-shot skill accuracy, averaged over the seeds."""
+    mean = sum(metric(runs, "skill_acc") for runs in results.values()) / len(results)
+    return mean, mean >= MIN_SKILL_ACC
+
+
+def c7(runs):
+    """The switch term lowers switching: dmil's and dmil_noaux's 1-shot switch rates."""
+    aux, noaux = metric(runs, "switch_rate"), metric(runs, "switch_rate", name="dmil_noaux")
+    return aux, noaux, aux < noaux
+
+
+def c8(runs):
+    """The outer loss falls: dmil's at LOSS_ITERATIONS."""
+    first, last = (runs["dmil"].metrics[i]["outer_loss"] for i in LOSS_ITERATIONS)
+    return first, last, last < first
+
+
+def verdict(results, need, criterion, *args):
+    """How many seeds of results (seed -> runs) pass a per-seed criterion,
+    and whether at least `need` do."""
+    passed = sum(criterion(runs, *args)[-1] for runs in results.values())
+    return passed, passed >= need
+
+
+def report(results) -> None:
+    mark = {True: "✓", False: "✗"}
+    print("\n===== criterion summaries =====")
+    for seed, runs in results.items():
+        (pre1, post1, ok_a), (post3, _, ok_c), (l10, l300, ok_8) = c5a(runs), c5c(runs), c8(runs)
+        line = (f"seed {seed}: ratio={post1/pre1:.3f}{mark[ok_a]} 3shot {post3:.4f}<={post1:.4f}{mark[ok_c]} "
+                f"acc={metric(runs, 'skill_acc'):.3f} loss {l10:.3f}->{l300:.3f}{mark[ok_8]}")
+        for m in METHODS_5B:
+            _, pm, win = c5b(runs, m)
+            line += f" | vs {m}: {post1:.4f} vs {pm:.4f}{mark[win]}"
+        sw_aux, sw_nx, win = c7(runs)
+        print(line + f" | switch {sw_aux:.4f} vs noaux {sw_nx:.4f}{mark[win]}")
+    n = len(results)
+    (a, _), (c, _), (e, _) = (verdict(results, n, f) for f in (c5a, c5c, c8))
+    print(f"\n5a: {a}/{n} (need {n})  5c: {c}/{n} (need {n})  8: {e}/{n} (need {n})")
+    print(f"5b (need >={MOST} each): { {m: verdict(results, MOST, c5b, m)[0] for m in METHODS_5B} }")
+    print(f"6: mean acc {c6(results)[0]:.3f} (need >={MIN_SKILL_ACC})")
+    print(f"7: {verdict(results, MOST, c7)[0]}/{n} (need >={MOST})")
 
 
 def main():
     t_start = time.perf_counter()
+    datasets = build_datasets(resolve_config(CANDIDATE))
     results = {}
-    datasets = None
     for seed in SEEDS:
-        per_seed = {}
-        cfg = resolve_config(copy.deepcopy(CANDIDATE), seed=seed)
-        if datasets is None:
-            datasets = build_datasets(cfg)
-        t0 = time.perf_counter()
-        warm = warm_start(cfg, datasets[0])
-        print(f"[seed {seed}] warm start {time.perf_counter()-t0:.0f}s", flush=True)
-        for method in ["dmil"] + METHODS_5B:
-            mc = resolve_config(copy.deepcopy(CANDIDATE), seed=seed)
-            mc["dmil"]["method"] = method
-            t0 = time.perf_counter()
-            res = train(mc, datasets=datasets, warm_params=warm)
-            rows = evaluate(mc, res.params, method, res.test_tasks)
-            per_seed[method] = {"rows": rows, "metrics": res.metrics, "div": res.diverged_total,
-                                "secs": time.perf_counter() - t0}
-            print(f"[seed {seed}] {method}: {per_seed[method]['secs']:.0f}s div={res.diverged_total}", flush=True)
-        # aux ablation for criterion 7 (its own warm start: aux plays no role anywhere)
-        nx = resolve_config(copy.deepcopy(CANDIDATE), seed=seed)
-        nx["dmil"]["aux_weight"] = 0.0
-        t0 = time.perf_counter()
-        warm_nx = warm_start(nx, datasets[0])
-        res_nx = train(nx, datasets=datasets, warm_params=warm_nx)
-        rows_nx = evaluate(nx, res_nx.params, "dmil", res_nx.test_tasks)
-        per_seed["dmil_noaux"] = {"rows": rows_nx, "metrics": res_nx.metrics, "div": res_nx.diverged_total,
-                                  "secs": time.perf_counter() - t0}
-        print(f"[seed {seed}] dmil_noaux: {per_seed['dmil_noaux']['secs']:.0f}s", flush=True)
-        results[seed] = per_seed
-
-    def mean_metric(rows, shots, key):
-        sel = [r for r in rows if r["shots"] == shots]
-        return float(np.mean([r[key] for r in sel]))
-
-    print("\n===== criterion summaries =====")
-    c5a = c5c = c6 = c8 = 0
-    c5b_wins = {m: 0 for m in METHODS_5B}
-    c7_wins = 0
-    for seed in SEEDS:
-        rows = results[seed]["dmil"]["rows"]
-        pre1 = mean_metric(rows, 1, "pre_mse")
-        post1 = mean_metric(rows, 1, "post_mse")
-        post3 = mean_metric(rows, 3, "post_mse")
-        acc = mean_metric(rows, 1, "skill_acc")
-        met = results[seed]["dmil"]["metrics"]
-        l10, l300 = met[10]["outer_loss"], met[299]["outer_loss"]
-        ok_a = post1 <= 0.5 * pre1
-        ok_c = post3 <= post1
-        ok_8 = l300 < l10
-        c5a += ok_a; c5c += ok_c; c8 += ok_8
-        line = f"seed {seed}: ratio={post1/pre1:.3f}{'✓' if ok_a else '✗'} 3shot {post3:.4f}<={post1:.4f}{'✓' if ok_c else '✗'} acc={acc:.3f} loss {l10:.3f}->{l300:.3f}{'✓' if ok_8 else '✗'}"
-        for m in METHODS_5B:
-            pm = mean_metric(results[seed][m]["rows"], 1, "post_mse")
-            win = post1 <= pm
-            c5b_wins[m] += win
-            line += f" | vs {m}: {post1:.4f} vs {pm:.4f}{'✓' if win else '✗'}"
-        sw_aux = mean_metric(rows, 1, "switch_rate")
-        sw_nx = mean_metric(results[seed]["dmil_noaux"]["rows"], 1, "switch_rate")
-        win7 = sw_aux < sw_nx
-        c7_wins += win7
-        line += f" | switch {sw_aux:.4f} vs noaux {sw_nx:.4f}{'✓' if win7 else '✗'}"
-        print(line)
-        c6 += acc
-    print(f"\n5a: {c5a}/5 (need 5)  5c: {c5c}/5 (need 5)  8: {c8}/5 (need 5)")
-    print(f"5b (need >=4 each): {c5b_wins}")
-    print(f"6: mean acc {c6/5:.3f} (need >=0.8)")
-    print(f"7: {c7_wins}/5 (need >=4)")
+        results[seed] = campaign(plan(seed), datasets)
+        for name, run in results[seed].items():
+            print(f"[seed {seed}] {name}: {run.seconds:.0f}s div={run.diverged_total}", flush=True)
+    report(results)
     print(f"total wall: {(time.perf_counter()-t_start)/60:.1f} min")
     out = Path(__file__).resolve().parent.parent / "runs" / "pilot_summary.json"
     out.parent.mkdir(exist_ok=True)
-    out.write_text(json.dumps(
-        {str(s): {m: results[s][m]["rows"] for m in results[s]} for s in results}, indent=1, default=float))
+    rows = {str(seed): {name: run.rows for name, run in runs.items()} for seed, runs in results.items()}
+    out.write_text(json.dumps(rows, indent=1, default=float))
 
 
 if __name__ == "__main__":

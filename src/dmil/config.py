@@ -71,8 +71,10 @@ SCHEMA: dict = {
         # step yields gradients at the pre-step parameters (em_only routes
         # by the pre-step selector).
         "outer_optimizer": ("sgd", ("sgd", "adam")),
-        # Hard-EM warm start (shared verbatim by every method under one seed):
-        # label-routed alternations, then selector-only consolidation.
+        # Hard-EM warm start: label-routed alternations, then selector-only
+        # consolidation.  It reads the method only through its skill count,
+        # so runner.campaign shares one among configs that differ at most in
+        # a method of the same count (ablate computes one per count).
         "warmup_epochs": (0, 0),
         "warmup_consolidate": (0, 0),
         "warmup_rate": (5e-2, 0),

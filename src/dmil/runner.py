@@ -12,14 +12,13 @@ measured in (environment()).
 
 from __future__ import annotations
 
-import copy
 import json
 import platform
 import time
 from dataclasses import dataclass
 from itertools import product
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -468,24 +467,48 @@ def gradcheck_run(cfg: dict) -> dict:
 # ---------------------------------------------------------------------------
 
 
+class Run(NamedTuple):
+    """One campaign entry: its evaluation rows, its metric rows and diverged
+    count, and the seconds its warm start (if it made one), train and
+    evaluate took.  No parameters, which no campaign caller reads."""
+
+    rows: list[dict]
+    metrics: tuple[dict, ...]
+    diverged_total: int
+    seconds: float
+
+
+def campaign(plan: dict[str, dict], datasets, out_dir=None) -> dict[str, Run]:
+    """Each named, resolved config of `plan` in order: warm_start, train from
+    it on the shared (train, test) `datasets`, then evaluate, each looked up
+    in runner's globals (where a test or the benchmark wraps it); with
+    out_dir, into the run directory out_dir/name.  warm_start reads the
+    method only through the skill count, so configs that differ at most in
+    a method of the same count share the warm start the first of them
+    computes.  Every eval.shots is checked before anything trains."""
+    for cfg in plan.values():
+        check_eval(cfg, datasets[1])
+    warm: dict[tuple[int, str], HierarchicalParams] = {}
+    runs: dict[str, Run] = {}
+    for name, cfg in plan.items():
+        t0 = time.perf_counter()
+        key = (n_skills_for(cfg), dump_config(cfg | {"dmil": cfg["dmil"] | {"method": None}}))
+        if key not in warm:
+            warm[key] = warm_start(cfg, datasets[0])
+        run_dir = open_run_dir(Path(out_dir) / name, cfg) if out_dir is not None else None
+        res = train(cfg, out_dir=run_dir, datasets=datasets, warm_params=warm[key])
+        rows = evaluate(cfg, res.params, cfg["dmil"]["method"], res.test_tasks)
+        runs[name] = Run(rows, res.metrics, res.diverged_total, time.perf_counter() - t0)
+    return runs
+
+
 def ablate(cfg: dict, out_dir=None, datasets=None) -> list[dict]:
-    """Train and evaluate every method on identical seeds and batch schedules;
-    returns the paired report rows.  `datasets` are prebuilt (train, test)
-    task lists, as in train.  The warm start depends on the method only
-    through its skill count, so one is computed per count and shared."""
+    """Every method on identical seeds and batch schedules, one campaign
+    entry each; returns the paired report rows.  `datasets` are prebuilt
+    (train, test) task lists, as in train."""
     datasets = build_datasets(cfg) if datasets is None else datasets
-    check_eval(cfg, datasets[1])
-    warm: dict[int, HierarchicalParams] = {}
-    rows: list[dict] = []
-    for method in METHODS:
-        sub = copy.deepcopy(cfg)
-        sub["dmil"]["method"] = method
-        k = n_skills_for(sub)
-        if k not in warm:
-            warm[k] = warm_start(sub, datasets[0])
-        sub_out = open_run_dir(Path(out_dir) / method, sub) if out_dir is not None else None
-        res = train(sub, out_dir=sub_out, datasets=datasets, warm_params=warm[k])
-        rows.extend(evaluate(sub, res.params, method, res.test_tasks))
+    plan = {method: cfg | {"dmil": cfg["dmil"] | {"method": method}} for method in METHODS}
+    rows = [row for run in campaign(plan, datasets, out_dir).values() for row in run.rows]
     if out_dir is not None:
         write_report_csv(Path(out_dir) / "ablate_report.csv", rows)
         write_summary_json(Path(out_dir) / "ablate_summary.json", rows)

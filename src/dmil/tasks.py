@@ -272,8 +272,10 @@ def make_dataset(
 # every value exactly.  Specs are reconstructed through sample_task, so the
 # format covers sampler-produced tasks (the only kind the tooling writes);
 # loading checks each line against what the simulator writes: an integer
-# task seed, (T, STATE_DIM) states, (T, ACTION_DIM) actions and regime labels
-# in [0, N_REGIMES).
+# task seed, (T, STATE_DIM) states whose goal columns tour that seed's
+# waypoints from the first, (T, ACTION_DIM) actions and regime labels in
+# [0, N_REGIMES).  A line from another generator or relabelled with another
+# task's seed is refused rather than paired with the wrong spec.
 
 
 def save_datasets(path, datasets: Sequence[TaskDataset]) -> None:
@@ -309,8 +311,17 @@ def _record(rec: dict) -> tuple[int, str, Trajectory]:
     return seed, rec["split"], Trajectory(states, actions, labels)
 
 
+def _tours(traj: Trajectory, spec: TaskSpec) -> bool:
+    """Whether the goal columns start at spec's first waypoint and every
+    goal is one of its waypoints, as simulate writes them."""
+    goals, waypoints = traj.states[:, 2:4], np.asarray(spec.waypoints)
+    on_waypoint = (goals[:, None, :] == waypoints[None]).all(axis=2).any(axis=1)
+    return bool((goals[0] == waypoints[0]).all() and on_waypoint.all())
+
+
 def load_datasets(path) -> list[TaskDataset]:
     groups: dict[int, dict[str, list[Trajectory]]] = {}  # in first-seen order
+    specs: dict[int, TaskSpec] = {}
     for lineno, rec in read_json(path, "dataset", DatasetFormatError, lines=True):
         try:
             seed, split, traj = _record(rec)
@@ -320,12 +331,16 @@ def load_datasets(path) -> list[TaskDataset]:
             raise DatasetFormatError(f"line {lineno}: {e}") from e
         if split not in ("support", "query"):
             raise DatasetFormatError(f"line {lineno}: unknown split {split!r}")
+        if seed not in specs:
+            specs[seed] = sample_task(seed)
+        if not _tours(traj, specs[seed]):
+            raise DatasetFormatError(f"line {lineno}: the goals are not task {seed}'s waypoints")
         groups.setdefault(seed, {"support": [], "query": []})[split].append(traj)
     out = []
     for seed, g in groups.items():
         if not g["support"] or not g["query"]:
             raise DatasetFormatError(f"task {seed}: missing support or query trajectories")
-        out.append(TaskDataset(tuple(g["support"]), tuple(g["query"]), sample_task(seed)))
+        out.append(TaskDataset(tuple(g["support"]), tuple(g["query"]), specs[seed]))
     if not out:
         raise DatasetFormatError(f"{path} holds no trajectory")
     return out

@@ -1005,6 +1005,26 @@ def test_malformed_dataset_exits_6_before_any_output(tmp_path, caplog, command) 
     assert not (tmp_path / "run").exists()
 
 
+def test_task_relabelled_with_another_seed_exits_6_before_any_output(tmp_path, caplog) -> None:
+    # Every line of the first train task says task 5, a seed the file does
+    # not hold: each line is well formed, but its goals are not the
+    # waypoints of sample_task(5), so the trajectories would pair with the
+    # wrong spec.
+    data_dir = tmp_path / "data"
+    assert main(["gen-data", "--config", str(write_tiny(tmp_path)), "--out", str(data_dir)]) == 0
+    path = data_dir / "train.jsonl"
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    first = records[0]["task_seed"]
+    assert 5 not in {r["task_seed"] for r in records}
+    path.write_text("".join(json.dumps(r | {"task_seed": 5} if r["task_seed"] == first else r) + "\n" for r in records))
+    cfg = write_tiny(tmp_path, data={"train_path": str(path), "test_path": str(data_dir / "test.jsonl")})
+    caplog.clear()
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 6
+    want = "dataset format error: line 1: the goals are not task 5's waypoints"
+    assert one_line_error(caplog, "dataset format error") == want
+    assert not (tmp_path / "run").exists()
+
+
 def test_eval_builds_only_the_test_tasks(tmp_path, monkeypatch) -> None:
     # A malformed train file does not fail an eval, which never reads it.
     cfg = write_tiny(tmp_path, data=changed_dataset(tmp_path, "true_skills", [7] * 24, "train"))

@@ -513,6 +513,46 @@ def test_ablate_computes_one_warm_start_per_skill_count(monkeypatch) -> None:
     assert [r["method"] for r in rows] == list(runner.METHODS)
 
 
+def test_campaign_shares_a_warm_start_per_key_and_equals_separate_runs(monkeypatch) -> None:
+    # Two seeds; under each, dmil and dmil_low share a warm start, while maml
+    # (one skill) and dmil with aux_weight 0 each need their own.
+    warm = dict(warmup_epochs=2, warmup_consolidate=1, warmup_probe_epochs=1)
+    plan = {}
+    for seed in (0, 1):
+        for name, over in {"dmil": {}, "maml": {"method": "maml"}, "noaux": {"aux_weight": 0.0},
+                           "dmil_low": {"method": "dmil_low"}}.items():
+            plan[f"{name} {seed}"] = tiny(**warm | over)
+            plan[f"{name} {seed}"]["run"]["seed"] = seed
+    datasets = runner.build_datasets(plan["dmil 0"])
+    keep_warm, keep_train = runner.warm_start, runner.train
+    calls, params = [], {}
+
+    def counted(cfg, train_tasks):
+        calls.append((cfg["run"]["seed"], cfg["dmil"]["method"], cfg["dmil"]["aux_weight"]))
+        return keep_warm(cfg, train_tasks)
+
+    def kept(cfg, **kwargs):
+        res = keep_train(cfg, **kwargs)
+        params[id(cfg)] = res.params
+        return res
+
+    monkeypatch.setattr(runner, "warm_start", counted)
+    monkeypatch.setattr(runner, "train", kept)
+    runs = runner.campaign(plan, datasets)
+    assert calls == [(seed, m, aux) for seed in (0, 1) for m, aux in (("dmil", 0.1), ("maml", 0.1), ("dmil", 0.0))]
+    assert list(runs) == list(plan)
+    monkeypatch.undo()
+    for name, cfg in plan.items():
+        res = runner.train(cfg, datasets=datasets, warm_params=runner.warm_start(cfg, datasets[0]))
+        rows = runner.evaluate(cfg, res.params, cfg["dmil"]["method"], res.test_tasks)
+        assert repr(runs[name].rows) == repr(rows), name
+        assert repr(runs[name].metrics) == repr(res.metrics), name
+        assert runs[name].diverged_total == res.diverged_total
+        got_params = params[id(cfg)]
+        for got, want in zip((got_params.high, *got_params.skills), (res.params.high, *res.params.skills), strict=True):
+            assert got.values.tobytes() == want.values.tobytes(), name
+
+
 
 def test_a_non_finite_step_error_carries_its_context_as_fields(monkeypatch) -> None:
     # The method, the iteration, the task's seed and the phase that the
